@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .circuits import DataCircuit, DataShape, ModelCircuit, ModelShape
 from .field import ScaleConfig, fx_encode
-from .gadgets import DEFAULT_QUOTIENT_BITS
 from .hashing import DataPoint, HashConfig, hash_data_point
 from .proofsys import RelationHandle, get_backend
 from .training import Dataset, TrainConfig
@@ -61,7 +60,6 @@ def bench_sizes(
     sizes,
     train_template: TrainConfig,
     hash_cfg: HashConfig,
-    quotient_bits: int = DEFAULT_QUOTIENT_BITS,
     backend_name: str = "witness-check",
     prove: bool = True,
     seed: int = 0,
@@ -73,12 +71,7 @@ def bench_sizes(
 
         t0 = time.perf_counter()
         model_circuit = ModelCircuit(
-            ModelShape(
-                train=train_template,
-                capacity=size,
-                hash_cfg=hash_cfg,
-                quotient_bits=quotient_bits,
-            )
+            ModelShape(train=train_template, capacity=size, hash_cfg=hash_cfg)
         )
         data_circuit = DataCircuit(
             DataShape(
@@ -86,7 +79,6 @@ def bench_sizes(
                 unlearn_capacity=unlearn_size,
                 add_capacity=unlearn_size,
                 hash_cfg=hash_cfg,
-                modulus=train_template.scale.modulus,
             )
         )
         timings["build_s"] = time.perf_counter() - t0

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .field import ScaleConfig
-from .gadgets import DEFAULT_QUOTIENT_BITS, CircuitBuilder, CircuitOps, lc_const, lc_wire
+from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
 from .hashing import HashConfig
 from .r1cs import ConstraintSystem, Witness
 from .training import Dataset, TrainConfig, sgd_step_ops
@@ -45,7 +45,6 @@ class ModelShape:
     train: TrainConfig
     capacity: int
     hash_cfg: HashConfig = dc_field(default_factory=HashConfig)
-    quotient_bits: int = DEFAULT_QUOTIENT_BITS
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -59,7 +58,7 @@ class ModelCircuit:
         self.shape = shape
         scale = shape.train.scale
         cs = ConstraintSystem(scale.modulus)
-        b = CircuitBuilder(cs, scale, shape.hash_cfg, shape.quotient_bits)
+        b = CircuitBuilder(cs, scale, shape.hash_cfg)
         ops = CircuitOps(b)
 
         # Statement wires first; their values are bound below.
@@ -75,6 +74,8 @@ class ModelCircuit:
             uid = lc_wire(cs.alloc_private(name=f"uid_{s}"))
             xs = [lc_wire(cs.alloc_private(name=f"x_{s}_{k}")) for k in range(arity)]
             y = lc_wire(cs.alloc_private(name=f"y_{s}"))
+            for v in (*xs, y):
+                b.value_range(v)
             presence.append(pres)
             slots.append((xs, y))
             leaves.append(b.hash_data_point(uid, xs, y))
@@ -88,8 +89,13 @@ class ModelCircuit:
         lr = ops.const(shape.train.learning_rate)
         for _ in range(shape.train.epochs):
             for pres, (xs, y) in zip(presence, slots):
+                # An absent slot steps from zero weights on its zero data,
+                # so its discarded products stay inside the value bound
+                # whatever the weights are: the circuit then fails exactly
+                # where native training, which skips absent slots, raises.
+                live = [b.select(pres, w, lc_const(0)) for w in weights]
                 stepped = sgd_step_ops(
-                    ops, shape.train.kind, shape.train.hidden, weights, xs, y, lr
+                    ops, shape.train.kind, shape.train.hidden, live, xs, y, lr
                 )
                 weights = [b.select(pres, new, old) for new, old in zip(stepped, weights)]
 
@@ -142,10 +148,6 @@ class DataShape:
     unlearn_capacity: int
     add_capacity: int
     hash_cfg: HashConfig = dc_field(default_factory=HashConfig)
-    modulus: int | None = None
-
-    def field_modulus(self) -> int:
-        return self.modulus if self.modulus is not None else self.hash_cfg.modulus
 
 
 class DataCircuit:
@@ -153,8 +155,8 @@ class DataCircuit:
 
     def __init__(self, shape: DataShape):
         self.shape = shape
-        cs = ConstraintSystem(shape.field_modulus())
-        scale = ScaleConfig(modulus=shape.field_modulus())
+        cs = ConstraintSystem(shape.hash_cfg.modulus)
+        scale = ScaleConfig(modulus=shape.hash_cfg.modulus)
         b = CircuitBuilder(cs, scale, shape.hash_cfg)
 
         h_d_box: list = []
@@ -239,10 +241,3 @@ def _value_dependent_slack(b: CircuitBuilder, witness: Witness) -> set[int]:
             slack.add(inv_w)
     return slack
 
-
-def build_model_circuit(shape: ModelShape) -> ModelCircuit:
-    return ModelCircuit(shape)
-
-
-def build_data_circuit(shape: DataShape) -> DataCircuit:
-    return DataCircuit(shape)

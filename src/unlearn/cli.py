@@ -20,11 +20,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bench import DEFAULT_SIZES, bench_sizes
-from .field import ConfigError, ScaleConfig, fx_encode
+from .field import ConfigError, FixedPointOverflow, ScaleConfig, fx_encode
 from .game import builtin_strategies, run_suite
 from .hashing import DataPoint, HashConfig, NotMemberError
-from .ingest import SchemaError, ingest_csv, split_dataset
-from .gadgets import DEFAULT_QUOTIENT_BITS
+from .ingest import ingest_csv, split_dataset
 from .proofsys import BackendUnavailable, WitnessCheckBackend
 from .protocol import (
     DuplicateAdd,
@@ -42,6 +41,7 @@ from .protocol import (
     verify_update,
 )
 from .serialize import (
+    VERSION,
     EnvelopeError,
     StateDir,
     atomic_write_json,
@@ -71,7 +71,6 @@ CONFIG_DEFAULTS = {
     "unlearn_capacity": "8",
     "backend": "witness-check",
     "hash_rounds": "110",
-    "quotient_bits": str(DEFAULT_QUOTIENT_BITS),
     "split": "0.8",
 }
 
@@ -125,7 +124,6 @@ def build_protocol_config(options: dict[str, str]) -> ProtocolConfig:
             unlearn_capacity=int(opts["unlearn_capacity"]),
             backend=opts["backend"],
             hash_cfg=HashConfig(modulus=scale.modulus, rounds=int(opts["hash_rounds"])),
-            quotient_bits=int(opts["quotient_bits"]),
         )
     except (ValueError, ConfigError) as e:
         raise CliError(f"bad configuration: {e}") from e
@@ -158,6 +156,15 @@ def load_state(store: StateDir, scale):
         raise CliError("no server state (run init first)")
     except (EnvelopeError, json.JSONDecodeError, KeyError, ValueError) as e:
         raise CliError(f"corrupt state: {e}", EXIT_CORRUPT)
+
+
+def ingest_dataset(path: str, scale: ScaleConfig):
+    """ingest_csv for a command's --dataset.  Bad input (a SchemaError or
+    other ValueError, or a value too large to encode) is a usage error."""
+    try:
+        return ingest_csv(path, scale)
+    except (ValueError, OverflowError) as e:
+        raise CliError(f"cannot ingest {path}: {e}")
 
 
 def emit(args, payload: dict, text: str) -> None:
@@ -200,7 +207,7 @@ def cmd_init(args) -> int:
     with dir_lock(store):
         state, com, marker = server_init(pub)
         atomic_write_json(store.commitment_file(0), commitment_to_dict(com, pub.scale))
-        atomic_write_json(store.init_marker_file, {"version": 1, "marker": marker})
+        atomic_write_json(store.init_marker_file, {"version": VERSION, "marker": marker})
         store.save_state(state, pub.scale)
     emit(args, {"iteration": 0, "commitment": commitment_to_dict(com, pub.scale)},
          "initialized: com_0 written")
@@ -211,8 +218,11 @@ def _point_from_args(args, pub) -> DataPoint:
     if args.features is None or args.uid is None or args.label is None:
         raise CliError("add needs --dataset or all of --uid/--features/--label")
     scale = pub.scale
-    feats = tuple(fx_encode(Fraction(v), scale) for v in args.features.split(","))
-    return DataPoint(uid=args.uid, x=feats, y=fx_encode(Fraction(args.label), scale))
+    try:
+        feats = tuple(fx_encode(Fraction(v), scale) for v in args.features.split(","))
+        return DataPoint(uid=args.uid, x=feats, y=fx_encode(Fraction(args.label), scale))
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise CliError(f"bad --features/--label: {e}")
 
 
 def cmd_add(args) -> int:
@@ -221,17 +231,13 @@ def cmd_add(args) -> int:
     with dir_lock(store):
         state = load_state(store, pub.scale)
         if args.dataset:
-            try:
-                ingested = ingest_csv(args.dataset, pub.scale)
-            except (SchemaError, ValueError) as e:
-                raise CliError(f"cannot ingest {args.dataset}: {e}")
-            points = ingested.dataset.points
+            points = ingest_dataset(args.dataset, pub.scale).dataset.points
         else:
             points = (_point_from_args(args, pub),)
         try:
             for d in points:
-                state = queue_add(state, d)
-        except (ReAddAfterDelete, DuplicateAdd, ValueError) as e:
+                state = queue_add(state, d, pub)
+        except (ReAddAfterDelete, DuplicateAdd, ValueError, FixedPointOverflow) as e:
             raise CliError(str(e), EXIT_REJECT)
         store.save_state(state, pub.scale)
     emit(args, {"queued_add": len(points)}, f"queued {len(points)} addition(s)")
@@ -248,7 +254,7 @@ def cmd_delete(args) -> int:
         pool = list(state.dataset.points) + list(state.pending_add)
         point = next((d for d in pool if d.uid == args.uid), None)
         if point is None and args.dataset:
-            ingested = ingest_csv(args.dataset, pub.scale)
+            ingested = ingest_dataset(args.dataset, pub.scale)
             point = next((d for d in ingested.dataset.points if d.uid == args.uid), None)
         if point is None:
             raise CliError(
@@ -267,7 +273,7 @@ def cmd_update(args) -> int:
         state = load_state(store, pub.scale)
         try:
             state, model, com, proof = prove_update(state, pub)
-        except ShapeOverflow as e:
+        except (ShapeOverflow, FixedPointOverflow) as e:
             raise CliError(str(e), EXIT_REJECT)
         i = state.iteration
         atomic_write_json(store.commitment_file(i), commitment_to_dict(com, pub.scale))
@@ -324,7 +330,7 @@ def cmd_prove_unlearn(args) -> int:
         state = load_state(store, pub.scale)
         point = next((d for d in state.last_deleted if d.uid == args.uid), None)
         if point is None and args.dataset:
-            ingested = ingest_csv(args.dataset, pub.scale)
+            ingested = ingest_dataset(args.dataset, pub.scale)
             point = next((d for d in ingested.dataset.points if d.uid == args.uid), None)
         if point is None:
             raise CliError(
@@ -350,10 +356,7 @@ def cmd_verify_unlearn(args) -> int:
     if not args.dataset:
         raise CliError("verify-unlearn needs --dataset with the point's row "
                        "(the verifying user supplies their own data point)")
-    try:
-        ingested = ingest_csv(args.dataset, pub.scale)
-    except (SchemaError, ValueError) as e:
-        raise CliError(f"cannot ingest {args.dataset}: {e}")
+    ingested = ingest_dataset(args.dataset, pub.scale)
     point = next((d for d in ingested.dataset.points if d.uid == args.uid), None)
     if point is None:
         raise CliError(f"uid {args.uid} not present in {args.dataset}")
@@ -423,7 +426,6 @@ def cmd_bench(args) -> int:
         sizes,
         config.train,
         config.hash_cfg,
-        config.quotient_bits,
         backend_name=config.backend,
         prove=not args.counts_only,
     )
@@ -431,7 +433,7 @@ def cmd_bench(args) -> int:
 
     if args.dataset:
         scale = config.train.scale
-        ingested = ingest_csv(args.dataset, scale)
+        ingested = ingest_dataset(args.dataset, scale)
         split = float(args.split) if args.split else 0.8
         train_set, test_set = split_dataset(ingested.dataset, split)
         train_cfg = TrainConfig(
@@ -445,13 +447,16 @@ def cmd_bench(args) -> int:
             ),
             scale=scale,
         )
-        model = train_model(train_set, train_cfg)
         threshold = fx_encode(Fraction(1, 2), scale)
-        payload["accuracy"] = {
-            "train": float(accuracy(model, train_set, threshold, scale)),
-            "test": float(accuracy(model, test_set, threshold, scale)),
-            "split": split,
-        }
+        try:
+            model = train_model(train_set, train_cfg)
+            payload["accuracy"] = {
+                "train": float(accuracy(model, train_set, threshold, scale)),
+                "test": float(accuracy(model, test_set, threshold, scale)),
+                "split": split,
+            }
+        except FixedPointOverflow as e:
+            raise CliError(f"cannot train on {args.dataset}: {e}", EXIT_REJECT)
 
     if args.json:
         print(json.dumps(payload, indent=1))

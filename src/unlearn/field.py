@@ -39,6 +39,17 @@ class ConfigError(ValueError):
     """Raised when a ScaleConfig violates its own invariants."""
 
 
+class FixedPointOverflow(OverflowError):
+    """A training value or rescaled product leaves the value bound.
+
+    ``uid`` names the data point being trained on when the bound was
+    crossed, where one is known."""
+
+    def __init__(self, message: str, uid: int | None = None):
+        super().__init__(message)
+        self.uid = uid
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -71,7 +82,9 @@ class ScaleConfig:
 
     ``max_abs`` bounds the magnitude of any raw (unscaled) value expected
     during a training run; the constructor checks the overflow headroom
-    p > 2 * gamma^2 * max_abs^2 so rescaled products never wrap.
+    p > 2 * gamma^2 * max_abs^2 so rescaled products never wrap.  It also
+    fixes the value bound 2^value_bits that native training and the model
+    circuit both enforce on every feature, label and rescaled product.
     """
 
     gamma: int = DEFAULT_GAMMA
@@ -97,6 +110,12 @@ class ScaleConfig:
     def encode_limit(self) -> int:
         # |round(gamma * r)| must stay below p / (2*gamma).
         return self.modulus // (2 * self.gamma)
+
+    @property
+    def value_bits(self) -> int:
+        # B = bit length of gamma * max_abs (37 at the defaults): encoded
+        # training values lie in [-2^B, 2^B), rescaled products below 2^B.
+        return (self.gamma * self.max_abs).bit_length()
 
     @property
     def remainder_bits(self) -> int:
@@ -128,6 +147,12 @@ def fx_encode(r: Rational, cfg: ScaleConfig) -> int:
     return k % cfg.modulus
 
 
+def in_value_range(v: int, cfg: ScaleConfig) -> bool:
+    """Whether an encoded value lies in [-2^B, 2^B), B = cfg.value_bits."""
+    limit = 1 << cfg.value_bits
+    return -limit <= signed_repr(v, cfg) < limit
+
+
 def fx_decode(v: int, cfg: ScaleConfig) -> Fraction:
     return Fraction(signed_repr(v, cfg), cfg.gamma)
 
@@ -148,12 +173,16 @@ def fx_mul(a: int, b: int, cfg: ScaleConfig) -> int:
     """gamma-rescaled product: trunc(signed(a) * signed(b) / gamma).
 
     Truncation is toward zero on the signed representative, matching the
-    in-circuit quotient/remainder gadget.
+    in-circuit quotient/remainder gadget.  Raises FixedPointOverflow when
+    the quotient reaches 2^B, B = cfg.value_bits.
     """
     prod = signed_repr(a, cfg) * signed_repr(b, cfg)
     q = abs(prod) // cfg.gamma
-    if q >= cfg.encode_limit:
-        raise OverflowError("fixed-point product exceeds headroom")
+    if q >> cfg.value_bits:
+        raise FixedPointOverflow(
+            f"rescaled product needs {q.bit_length()} bits, over the "
+            f"{cfg.value_bits}-bit value bound"
+        )
     return (-q if prod < 0 else q) % cfg.modulus
 
 

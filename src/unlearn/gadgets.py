@@ -4,7 +4,8 @@ Values inside a circuit are sparse linear combinations over wires, so
 additions and constant scaling are free; only multiplications allocate
 wires and constraints.  The hash gadgets replay the exact computation of
 ``hashing`` and the fixed-point multiply replays ``field.fx_mul`` via a
-sign bit, an absolute-value split, and quotient/remainder range checks.
+sign bit, an absolute-value split, and quotient/remainder range checks
+against the value bound of ``ScaleConfig``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from .field import ScaleConfig, fx_encode
 from .hashing import HashConfig, empty_root, round_constants
 from .r1cs import ConstraintSystem, LinComb, WitnessSynthesisError
-
-DEFAULT_QUOTIENT_BITS = 120
 
 
 def lc_const(v: int) -> LinComb:
@@ -25,19 +24,12 @@ def lc_wire(w: int) -> LinComb:
 
 
 class CircuitBuilder:
-    def __init__(
-        self,
-        cs: ConstraintSystem,
-        scale: ScaleConfig,
-        hash_cfg: HashConfig,
-        quotient_bits: int = DEFAULT_QUOTIENT_BITS,
-    ):
+    def __init__(self, cs: ConstraintSystem, scale: ScaleConfig, hash_cfg: HashConfig):
         if hash_cfg.modulus != scale.modulus:
             raise ValueError("hash and scale configs disagree on the field")
         self.cs = cs
         self.scale = scale
         self.hash_cfg = hash_cfg
-        self.quotient_bits = quotient_bits
         # (prod_wire, sigma_wire) pairs: sigma is unconstrained when the
         # witness product is exactly zero (both signs encode zero).
         self.sign_wires: list[tuple[int, int]] = []
@@ -108,6 +100,12 @@ class CircuitBuilder:
         self.enforce_eq(recomposed, a)
         return wires
 
+    def value_range(self, a: LinComb) -> None:
+        """Enforce a in [-2^B, 2^B), B = scale.value_bits: the interval
+        native training accepts for features and labels."""
+        limit = 1 << self.scale.value_bits
+        self.bits(self.add(a, lc_const(limit)), self.scale.value_bits + 1)
+
     def select(self, sel: LinComb, a: LinComb, b: LinComb) -> LinComb:
         """sel * a + (1 - sel) * b for boolean sel, costing one product."""
         return self.add(b, self.mul(sel, self.sub(a, b)))
@@ -117,8 +115,18 @@ class CircuitBuilder:
     def fx_mul(self, a: LinComb, b: LinComb) -> LinComb:
         """Rescaled product: allocates sign, |product|, quotient and
         remainder, enforcing prod = (1-2*sigma)*abs, abs = q*gamma + r,
-        r < 2^ceil(log2 gamma), q < 2^quotient_bits.  Returns the signed
-        encoding of the quotient."""
+        0 <= r < gamma (bits of both r and gamma-1-r) and q < 2^B with
+        B = scale.value_bits.  Returns the signed encoding of the quotient.
+
+        The output is unique, so it equals ``field.fx_mul``: abs < 2^B *
+        gamma is far below p/2, which leaves one sign and one |product|
+        per nonzero product, and r < gamma leaves one (q, r) split.  No
+        product wraps mod p either: the model circuit range-checks the
+        data, every product is range-checked here, and every sum feeding
+        a product adds up a number of such terms linear in capacity *
+        epochs, so operands stay far below sqrt(p/2).  A product whose
+        quotient reaches 2^B fails synthesis, exactly where native training
+        raises."""
         cs = self.cs
         p = cs.modulus
         gamma = self.scale.gamma
@@ -143,7 +151,8 @@ class CircuitBuilder:
         r = self.hinted(lambda vs: vs[absval] % gamma)
         cs.enforce(lc_wire(q), lc_const(gamma), self.sub(lc_wire(absval), lc_wire(r)))
         self.bits(lc_wire(r), self.scale.remainder_bits)
-        self.bits(lc_wire(q), self.quotient_bits)
+        self.bits(self.sub(lc_const(gamma - 1), lc_wire(r)), self.scale.remainder_bits)
+        self.bits(lc_wire(q), self.scale.value_bits)
 
         out = self.hinted(
             lambda vs: (-vs[q] if vs[sigma] else vs[q]) % p

@@ -161,7 +161,7 @@ def honest_run(pub: PublicParams, seed: int) -> HonestRun:
     updates: list[UpdateProof] = []
 
     for d in pts[:3]:
-        state = queue_add(state, d)
+        state = queue_add(state, d, pub)
     state, _, com, proof = prove_update(state, pub)
     states.append(state)
     commitments.append(com)
@@ -176,7 +176,7 @@ def honest_run(pub: PublicParams, seed: int) -> HonestRun:
     updates.append(proof)
     pi_u = prove_unlearn(pub, state, pts[1])
 
-    state = queue_add(state, pts[3])
+    state = queue_add(state, pts[3], pub)
     state, _, com, proof = prove_update(state, pub)
     states.append(state)
     commitments.append(com)
@@ -463,7 +463,7 @@ def run_completeness(
         for _ in range(n_add):
             d = _random_point(pub, rng, next_uid)
             next_uid += 1
-            state = queue_add(state, d)
+            state = queue_add(state, d, pub)
             batch_add.append(d)
             added += 1
 

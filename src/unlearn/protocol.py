@@ -14,8 +14,7 @@ import hashlib
 from dataclasses import dataclass, field as dc_field, replace
 
 from .circuits import DataCircuit, DataShape, ModelCircuit, ModelShape
-from .field import ConfigError
-from .gadgets import DEFAULT_QUOTIENT_BITS
+from .field import ConfigError, FixedPointOverflow
 from .hashing import (
     DataPoint,
     HashConfig,
@@ -53,7 +52,6 @@ class ProtocolConfig:
     unlearn_capacity: int
     backend: str = "witness-check"
     hash_cfg: HashConfig = dc_field(default_factory=HashConfig)
-    quotient_bits: int = DEFAULT_QUOTIENT_BITS
 
     def __post_init__(self) -> None:
         if self.capacity < 1 or self.unlearn_capacity < 1:
@@ -127,12 +125,7 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
     setup for each.  ``setup_store`` (see ``serialize.SetupStore``) caches
     artifacts by circuit fingerprint across processes."""
     model_circuit = ModelCircuit(
-        ModelShape(
-            train=config.train,
-            capacity=config.capacity,
-            hash_cfg=config.hash_cfg,
-            quotient_bits=config.quotient_bits,
-        )
+        ModelShape(train=config.train, capacity=config.capacity, hash_cfg=config.hash_cfg)
     )
     data_circuit = DataCircuit(
         DataShape(
@@ -140,7 +133,6 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
             unlearn_capacity=config.unlearn_capacity,
             add_capacity=config.unlearn_capacity,
             hash_cfg=config.hash_cfg,
-            modulus=config.train.scale.modulus,
         )
     )
     backend = backend or get_backend(config.backend)
@@ -218,7 +210,18 @@ def verify_init(pub: PublicParams, com: Commitment, marker: str) -> bool:
     )
 
 
-def queue_add(state: ServerState, d: DataPoint) -> ServerState:
+def _batch_points(state: ServerState) -> list[DataPoint]:
+    """The training set the next update commits to, in training order:
+    the dataset, then the pending additions, minus the pending deletions."""
+    removed = set(state.pending_delete)
+    points = [d for d in state.dataset.points if d not in removed]
+    return points + [d for d in state.pending_add if d not in removed]
+
+
+def queue_add(state: ServerState, d: DataPoint, pub: PublicParams) -> ServerState:
+    """Queue an addition.  Raises FixedPointOverflow, leaving the state
+    unchanged, when training the would-be set with ``d`` crosses the value
+    bound, so every admitted point stays provable."""
     if len(d.x) != state.dataset.arity:
         raise ValueError(f"point arity {len(d.x)} != dataset arity {state.dataset.arity}")
     banned = state.deleted_uids | {p.uid for p in state.pending_delete}
@@ -227,6 +230,11 @@ def queue_add(state: ServerState, d: DataPoint) -> ServerState:
     present = {p.uid for p in state.dataset.points} | {p.uid for p in state.pending_add}
     if d.uid in present:
         raise DuplicateAdd(f"uid {d.uid} is already in the training set")
+    would_be = Dataset(tuple(_batch_points(state)) + (d,), state.dataset.arity)
+    try:
+        train_model(would_be, pub.config.train)
+    except FixedPointOverflow as e:
+        raise FixedPointOverflow(f"uid {d.uid} not admitted: {e}", uid=d.uid) from None
     return replace(state, pending_add=state.pending_add + (d,))
 
 
@@ -241,9 +249,7 @@ def prove_update(
     state: ServerState, pub: PublicParams
 ) -> tuple[ServerState, ModelParams, Commitment, UpdateProof]:
     cfg = pub.hash_cfg
-    removed = set(state.pending_delete)
-    points = [d for d in state.dataset.points if d not in removed]
-    points += [d for d in state.pending_add if d not in removed]
+    points = _batch_points(state)
     if len(points) > pub.config.capacity:
         raise ShapeOverflow(
             f"{len(points)} points exceed the compiled capacity {pub.config.capacity}"

@@ -114,9 +114,6 @@ class ConstraintSystem:
     def stats(self) -> CircuitStats:
         return CircuitStats(len(self.constraints), self.num_public, self.num_private)
 
-    def input_names(self) -> list[str]:
-        return [w.name for w in self.wires if w.hint is None and w.index > 0]
-
     # -- witness synthesis ---------------------------------------------------
 
     def synthesize(self, inputs: Mapping[str, int]) -> Witness:

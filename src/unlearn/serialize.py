@@ -30,7 +30,7 @@ from .protocol import (
 )
 from .training import Dataset, ModelParams, TrainConfig
 
-VERSION = 1
+VERSION = 2
 
 
 class EnvelopeError(ValueError):
@@ -219,7 +219,6 @@ def protocol_config_to_dict(config: ProtocolConfig) -> dict:
         "hash_rounds": config.hash_cfg.rounds,
         "capacity": config.capacity,
         "unlearn_capacity": config.unlearn_capacity,
-        "quotient_bits": config.quotient_bits,
         "backend": config.backend,
     }
 
@@ -243,7 +242,6 @@ def protocol_config_from_dict(obj: dict) -> ProtocolConfig:
         unlearn_capacity=obj["unlearn_capacity"],
         backend=obj["backend"],
         hash_cfg=HashConfig(modulus=scale.modulus, rounds=obj["hash_rounds"]),
-        quotient_bits=obj["quotient_bits"],
     )
 
 

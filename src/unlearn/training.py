@@ -15,9 +15,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .field import (
+    FixedPointOverflow,
     NativeOps,
     ScaleConfig,
     fx_encode,
+    in_value_range,
     sigmoid_deriv_poly,
     sigmoid_poly,
     signed_repr,
@@ -206,27 +208,37 @@ def sgd_step_ops(ops, kind: str, hidden: int, weights, x, y, lr):
     return new_w + new_b + new_v + [new_c]
 
 
-def train_ops(ops, cfg: TrainConfig, points: Sequence[tuple]):
-    """Epoch/point fold shared by native training and the circuit replay.
-
-    ``points`` is a sequence of (x_values, y_value) in training order.
-    """
-    weights = [ops.const(w) for w in cfg.init_values]
-    lr = ops.const(cfg.learning_rate)
-    for _ in range(cfg.epochs):
-        for x, y in points:
-            weights = sgd_step_ops(ops, cfg.kind, cfg.hidden, weights, x, y, lr)
-    return weights
-
-
 def train_model(dataset: Dataset, cfg: TrainConfig) -> ModelParams:
-    """SGD over the dataset in order; empty dataset returns the init values."""
+    """SGD over the dataset in order; empty dataset returns the init values.
+
+    Raises FixedPointOverflow, naming the point, when a feature or label
+    lies outside [-2^B, 2^B) or a rescaled product reaches 2^B, with
+    B = cfg.scale.value_bits: exactly the witnesses the model circuit
+    cannot synthesize.
+    """
     if dataset.arity != cfg.arity:
         raise ArityMismatch(
             f"dataset arity {dataset.arity} != config arity {cfg.arity}"
         )
-    ops = NativeOps(cfg.scale)
-    weights = train_ops(ops, cfg, [(d.x, d.y) for d in dataset.points])
+    scale = cfg.scale
+    for d in dataset.points:
+        if not all(in_value_range(v, scale) for v in (*d.x, d.y)):
+            raise FixedPointOverflow(
+                f"uid {d.uid}: a feature or label lies outside the "
+                f"{scale.value_bits}-bit value bound",
+                uid=d.uid,
+            )
+    ops = NativeOps(scale)
+    weights = [ops.const(w) for w in cfg.init_values]
+    lr = ops.const(cfg.learning_rate)
+    for epoch in range(1, cfg.epochs + 1):
+        for d in dataset.points:
+            try:
+                weights = sgd_step_ops(ops, cfg.kind, cfg.hidden, weights, d.x, d.y, lr)
+            except FixedPointOverflow as e:
+                raise FixedPointOverflow(
+                    f"uid {d.uid}, epoch {epoch}: {e}", uid=d.uid
+                ) from None
     return ModelParams(cfg.kind, cfg.arity, tuple(weights), cfg.hidden)
 
 

@@ -31,7 +31,6 @@ def fast_pub(scale, tiny_hash):
         unlearn_capacity=8,
         backend="witness-check",
         hash_cfg=tiny_hash,
-        quotient_bits=64,
     )
     return global_setup(config)
 

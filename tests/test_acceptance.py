@@ -67,7 +67,6 @@ def test_criterion_1_completeness_hundred_runs():
         unlearn_capacity=8,
         backend="witness-check",
         hash_cfg=TINY_HASH,
-        quotient_bits=64,
     )
     pub = global_setup(config)
     started = time.monotonic()
@@ -138,7 +137,6 @@ def test_criterion_3_exhaustive_witness_mutation():
         unlearn_capacity=4,
         backend="witness-check",
         hash_cfg=TINY_HASH,
-        quotient_bits=64,
     )
     pub = global_setup(config)
 
@@ -389,7 +387,7 @@ def test_criterion_7_end_to_end_snark_smoke():
         for i in range(1, 4)
     ]
     for d in pts:
-        state = queue_add(state, d)
+        state = queue_add(state, d, pub)
     state, model, com1, proof1 = prove_update(state, pub)
     assert verify_update(pub, com0, com1, proof1)
 

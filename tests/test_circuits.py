@@ -34,9 +34,9 @@ def enc(r):
     return fx_encode(r, SCALE)
 
 
-def _builder(quotient_bits=64):
+def _builder():
     cs = ConstraintSystem(P)
-    return CircuitBuilder(cs, SCALE, TINY, quotient_bits), cs
+    return CircuitBuilder(cs, SCALE, TINY), cs
 
 
 # -- gadget-level agreement with the native implementations ---------------------
@@ -75,13 +75,14 @@ def test_fx_mul_gadget_rejects_mutated_quotient():
 
 
 def test_range_check_overflow_raises():
-    builder, cs = _builder(quotient_bits=8)
+    builder, cs = _builder()
     wa = cs.alloc_private(name="a")
     wb = cs.alloc_private(name="b")
     builder.fx_mul(lc_wire(wa), lc_wire(wb))
     cs.finalize()
+    cs.synthesize({"a": enc(1000), "b": enc(1000)})  # 10^11 < 2^37
     with pytest.raises(WitnessSynthesisError):
-        cs.synthesize({"a": enc(100), "b": enc(100)})  # quotient needs > 8 bits
+        cs.synthesize({"a": enc(2000), "b": enc(1000)})  # quotient needs 38 bits
 
 
 def test_select_gadget():
@@ -161,7 +162,6 @@ def _model_shape(capacity=4, epochs=1, arity=1, kind="linear"):
         train=default_train_config(kind, arity, epochs=epochs, scale=SCALE),
         capacity=capacity,
         hash_cfg=TINY,
-        quotient_bits=64,
     )
 
 
@@ -203,7 +203,6 @@ def test_model_circuit_other_kinds(kind, arity):
         ),
         capacity=2,
         hash_cfg=TINY,
-        quotient_bits=64,
     )
     circuit = ModelCircuit(shape)
     ds = _dataset(2, arity=arity)
@@ -262,7 +261,6 @@ def _data_circuit(dcap=4, ucap=4):
             unlearn_capacity=ucap,
             add_capacity=ucap,
             hash_cfg=TINY,
-            modulus=P,
         )
     )
 
@@ -418,7 +416,6 @@ def test_model_circuit_equivalence_up_to_capacity_eight(arity):
         train=default_train_config("linear", arity, epochs=1, scale=SCALE),
         capacity=8,
         hash_cfg=TINY,
-        quotient_bits=64,
     )
     circuit = ModelCircuit(shape)
     for size in (0, 1, 5, 8):
@@ -431,3 +428,26 @@ def test_model_circuit_equivalence_up_to_capacity_eight(arity):
             hash_model_weights(model.weights, TINY),
             hash_data(digests, TINY),
         )
+
+
+# -- pinned constraint counts ----------------------------------------------------
+# Exact and deterministic.  A higher count is a regression; a lower one is an
+# intended change, pinned here anew and recorded with its figures.
+
+
+@pytest.mark.parametrize(
+    "gadget,expected",
+    [("fx_mul", 79), ("hash2", 330)],  # 330 = one compression
+)
+def test_unit_constraint_costs(gadget, expected):
+    scale, hash_cfg = ScaleConfig(), HashConfig()
+    cs = ConstraintSystem(scale.modulus)
+    builder = CircuitBuilder(cs, scale, hash_cfg)
+    x, y = (lc_wire(cs.alloc_private(name=n)) for n in ("x", "y"))
+    getattr(builder, gadget)(x, y)
+    assert len(cs.constraints) == expected
+
+
+def test_fast_pub_constraint_totals(fast_pub):
+    assert fast_pub.model_circuit.cs.stats().constraint_count == 3809
+    assert fast_pub.data_circuit.cs.stats().constraint_count == 604

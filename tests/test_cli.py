@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
-from unlearn.cli import main
+from unlearn.cli import CONFIG_DEFAULTS, main
+from unlearn.field import ScaleConfig, fx_encode
+from unlearn.hashing import DataPoint
+from unlearn.serialize import VERSION, StateDir
 
 CONF = """\
 # reduced-round profile keeps the suite quick
@@ -13,7 +17,6 @@ epochs = 1
 capacity = 8
 unlearn_capacity = 8
 hash_rounds = 4
-quotient_bits = 64
 """
 
 CSV = """\
@@ -34,6 +37,22 @@ def workspace(tmp_path):
 
 def run(workspace, *args):
     return main([*args])
+
+
+@pytest.fixture
+def initialized(workspace):
+    d = str(workspace / "st")
+    assert run(workspace, "setup", "--dir", d, "--config", str(workspace / "conf")) == 0
+    assert run(workspace, "init", "--dir", d) == 0
+    return workspace / "st"
+
+
+def snapshot(root):
+    return {
+        p.relative_to(root): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != ".lock"
+    }
 
 
 def test_full_protocol_flow(workspace):
@@ -248,3 +267,85 @@ def test_bench_accuracy_report(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert 0.0 <= payload["accuracy"]["train"] <= 1.0
     assert payload["accuracy"]["split"] == 0.8
+    # Training that crosses the value bound is reported, not a traceback.
+    csv.write_text("uid,f,y\n1,5000,1\n2,10000,1\n3,0.5,0\n")
+    code = run(workspace, "bench", "--config", str(workspace / "conf"), "--sizes", "4",
+               "--counts-only", "--dataset", str(csv))
+    assert code == 1
+    assert "cannot train on" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["add", "delete", "prove-unlearn", "verify-unlearn"])
+@pytest.mark.parametrize(
+    "content",
+    ["uid,f1,y\n5,1e300,1\n", "uid,f1,y\n5,0.5\n", "uid,f1\n5,0.5\n"],
+    ids=["unencodable", "ragged", "no-label"],
+)
+def test_bad_csv_is_a_usage_error(workspace, initialized, capsys, command, content):
+    bad = workspace / "bad.csv"
+    bad.write_text(content)
+    before = snapshot(initialized)
+    args = [command, "--dir", str(initialized), "--dataset", str(bad), "--uid", "5"]
+    if command == "verify-unlearn":
+        args += ["--iteration", "0"]
+    capsys.readouterr()
+    assert run(workspace, *args) == 2
+    assert f"error: cannot ingest {bad}: " in capsys.readouterr().err
+    assert snapshot(initialized) == before
+
+
+def test_add_beyond_value_bound_rejected(workspace, initialized, capsys):
+    # 2,000,000 encodes, but lies outside |v| < 2^37 / gamma.
+    d = str(initialized)
+    big = workspace / "big.csv"
+    big.write_text("uid,f1,y\n1,0.5,1\n2,2000000,1\n")
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, "add", "--dir", d, "--dataset", str(big)) == 1
+    assert "uid 2 not admitted" in capsys.readouterr().err
+    assert run(workspace, "add", "--dir", d, "--uid", "3", "--features", "2000000",
+               "--label", "1") == 1
+    assert "uid 3 not admitted" in capsys.readouterr().err
+    assert snapshot(initialized) == before
+    # A value too large to encode at all is bad input.
+    assert run(workspace, "add", "--dir", d, "--uid", "3", "--features", "1e300",
+               "--label", "1") == 2
+    assert snapshot(initialized) == before
+
+
+def test_update_beyond_value_bound_writes_nothing(workspace, initialized, capsys):
+    # A pending batch whose training overflows, as in a state written
+    # before admission checked the bound.
+    store, scale = StateDir(initialized), ScaleConfig()
+    state = store.load_state(scale)
+    batch = tuple(
+        DataPoint(uid, (fx_encode(x, scale),), fx_encode(1, scale))
+        for uid, x in ((4, 5000), (5, 10000))
+    )
+    store.save_state(dataclasses.replace(state, pending_add=batch), scale)
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, "update", "--dir", str(initialized)) == 1
+    assert "uid 5, epoch 1" in capsys.readouterr().err
+    assert snapshot(initialized) == before
+
+
+def test_old_params_envelope_refused(workspace, initialized, capsys):
+    marker = json.loads((initialized / "proofs" / "update_0.json").read_text())
+    assert marker["version"] == VERSION
+    params = initialized / "pub" / "params.json"
+    obj = json.loads(params.read_text())
+    # The version-1 layout carried the retired quotient-width key.
+    obj.update(version=1, quotient_bits=64)
+    params.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(workspace, "init", "--dir", str(initialized)) == 3
+    err = capsys.readouterr().err
+    assert "unsupported envelope version" in err and "KeyError" not in err
+
+
+def test_config_keys():
+    assert sorted(CONFIG_DEFAULTS) == [
+        "arity", "backend", "capacity", "epochs", "gamma", "hash_rounds",
+        "hidden", "kind", "learning_rate", "split", "unlearn_capacity",
+    ]

@@ -52,17 +52,17 @@ def test_init_rejects_tampering(fast_pub):
 def test_queue_validity(fast_pub):
     state, _, _ = server_init(fast_pub)
     d = pt(fast_pub, 1, 0.5, 1)
-    state = queue_add(state, d)
+    state = queue_add(state, d, fast_pub)
     with pytest.raises(DuplicateAdd):
-        queue_add(state, pt(fast_pub, 1, 0.25, 0))
+        queue_add(state, pt(fast_pub, 1, 0.25, 0), fast_pub)
     state = queue_delete(state, d)
     with pytest.raises(ReAddAfterDelete):
-        queue_add(state, d)
+        queue_add(state, d, fast_pub)
     # Deleting a never-added point is allowed and bans the uid.
     ghost = pt(fast_pub, 99, 0.0, 0)
     state = queue_delete(state, ghost)
     with pytest.raises(ReAddAfterDelete):
-        queue_add(state, ghost)
+        queue_add(state, ghost, fast_pub)
     # Double delete is idempotent.
     assert queue_delete(state, ghost) is state
 
@@ -71,7 +71,7 @@ def test_arity_checked_on_add(fast_pub):
     state, _, _ = server_init(fast_pub)
     bad = DataPoint(uid=1, x=(), y=0)
     with pytest.raises(ValueError):
-        queue_add(state, bad)
+        queue_add(state, bad, fast_pub)
 
 
 def test_empty_batch_update_is_idempotent(fast_pub):
@@ -89,8 +89,8 @@ def test_empty_batch_update_is_idempotent(fast_pub):
 def test_add_and_delete_same_iteration(fast_pub):
     state, com0, _ = server_init(fast_pub)
     d1, d2 = pt(fast_pub, 1, 0.5, 1), pt(fast_pub, 2, -0.5, 0)
-    state = queue_add(state, d1)
-    state = queue_add(state, d2)
+    state = queue_add(state, d1, fast_pub)
+    state = queue_add(state, d2, fast_pub)
     state = queue_delete(state, d1)
     state, _, com1, proof = prove_update(state, fast_pub)
     # Hand-recompute the set algebra: D_1 = {d2}, H_U covers h_{d1}.
@@ -106,7 +106,7 @@ def test_three_iteration_chain_and_splice_rejection(fast_pub):
     commitments = [com]
     proofs = []
     for i in range(3):
-        state = queue_add(state, pt(fast_pub, 10 + i, (i - 1) / 2, i % 2))
+        state = queue_add(state, pt(fast_pub, 10 + i, (i - 1) / 2, i % 2), fast_pub)
         state, _, com, proof = prove_update(state, fast_pub)
         commitments.append(com)
         proofs.append(proof)
@@ -121,7 +121,7 @@ def test_unlearn_proofs(fast_pub):
     state, com, _ = server_init(fast_pub)
     pts = [pt(fast_pub, i, i / 4, i % 2) for i in range(1, 5)]
     for d in pts:
-        state = queue_add(state, d)
+        state = queue_add(state, d, fast_pub)
     state, _, com1, _ = prove_update(state, fast_pub)
 
     state = queue_delete(state, pts[0])
@@ -159,7 +159,7 @@ def test_unlearnt_set_grows_monotonically(fast_pub):
     prefix = ()
     for i in range(1, 4):
         d = pt(fast_pub, i, 0.25, 1)
-        state = queue_add(state, d)
+        state = queue_add(state, d, fast_pub)
         state, _, _, _ = prove_update(state, fast_pub)
         state = queue_delete(state, d)
         state, _, _, _ = prove_update(state, fast_pub)
@@ -171,7 +171,7 @@ def test_unlearnt_set_grows_monotonically(fast_pub):
 def test_shape_overflow(fast_pub):
     state, _, _ = server_init(fast_pub)
     for i in range(fast_pub.config.capacity + 1):
-        state = queue_add(state, pt(fast_pub, i, 0.0, 0))
+        state = queue_add(state, pt(fast_pub, i, 0.0, 0), fast_pub)
     with pytest.raises(ShapeOverflow):
         prove_update(state, fast_pub)
 
@@ -187,7 +187,7 @@ def test_commitments_and_proofs_replay_identically(fast_pub):
         state, com, _ = server_init(fast_pub)
         coms, blobs = [com], []
         for i in range(2):
-            state = queue_add(state, pt(fast_pub, 50 + i, 0.75, 1))
+            state = queue_add(state, pt(fast_pub, 50 + i, 0.75, 1), fast_pub)
             state, _, com, proof = prove_update(state, fast_pub)
             coms.append(com)
             blobs.append(
@@ -204,7 +204,7 @@ def test_commitments_and_proofs_replay_identically(fast_pub):
 
 def test_verify_update_rejects_commitment_swap(fast_pub):
     state, com0, _ = server_init(fast_pub)
-    state = queue_add(state, pt(fast_pub, 7, 0.5, 1))
+    state = queue_add(state, pt(fast_pub, 7, 0.5, 1), fast_pub)
     state, _, com1, proof = prove_update(state, fast_pub)
     swapped = Commitment(h_m=com1.h_d, h_d=com1.h_m, h_u=com1.h_u)
     assert not verify_update(fast_pub, com0, swapped, proof)
@@ -240,7 +240,7 @@ def test_proof_from_foreign_circuit_rejected(fast_pub):
     # A blob whose fingerprint names a different circuit is refused even
     # when its embedded public inputs line up.
     state, com0, _ = server_init(fast_pub)
-    state = queue_add(state, pt(fast_pub, 1, 0.5, 1))
+    state = queue_add(state, pt(fast_pub, 1, 0.5, 1), fast_pub)
     state, _, com1, proof = prove_update(state, fast_pub)
     foreign = dataclasses.replace(proof.model_proof, fingerprint="0" * 64)
     forged = dataclasses.replace(proof, model_proof=foreign)

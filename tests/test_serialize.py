@@ -43,7 +43,7 @@ def test_unlearn_proof_roundtrip():
 def test_state_roundtrip_preserves_digests(fast_pub):
     state, _, _ = server_init(fast_pub)
     d = DataPoint(uid=1, x=(fx_encode(0.5, CFG),), y=fx_encode(1, CFG))
-    state = queue_add(state, d)
+    state = queue_add(state, d, fast_pub)
     state, _, _, _ = prove_update(state, fast_pub)
     back = server_state_from_dict(server_state_to_dict(state, CFG), CFG)
     assert back == state
