@@ -1,12 +1,33 @@
 """Operator command line: protocol driving, proof files, games, benchmarks.
 
 State lives in a directory of versioned JSON envelopes (see ``serialize``):
-``pub/`` holds the protocol parameters and cached setup artifacts,
-``commitments/`` and ``proofs/`` the per-iteration outputs, and
-``state.json`` the server state.  Files are the wire format: a verifier
-needs only ``pub/``, the commitments, and the proof files.
+``pub/`` holds the public parameters, ``commitments/`` and ``proofs/`` the
+per-iteration outputs, and ``state.json`` the server state.  Files are the
+wire format: a verifier needs only ``pub/``, the commitments, and the
+proof files.
 
-Exit codes: 0 success/accept, 1 reject, 2 usage error, 3 corrupt state.
+``pub/`` is written once, by ``setup``:
+
+* ``params.json``: the protocol config and, for each circuit (model and
+  data), its fingerprint and its constraint, wire and public-input counts;
+* ``circuits/<fingerprint>.r1cs``: each circuit's canonical export, the
+  bytes its fingerprint (SHA-256) is taken over;
+* ``setups/<backend>/<fingerprint>/``: the backend's setup artifacts.
+
+Only ``setup``, ``update`` and ``audit-setup`` build circuits (``game``
+and ``bench`` also do, to prove).  ``update`` checks each circuit it
+builds against its stored fingerprint.  ``verify-update`` on the
+witness-check backend reads the stored exports instead, after checking
+their SHA-256; on the snark backend it needs only the verifying keys.
+``audit-setup`` rebuilds both circuits from the stored config and checks
+the stored fingerprints, sizes and exports, for anyone who wants to tie
+``pub/`` to the config.
+
+Exit codes: 0 success/accept, 1 reject (an ``audit-setup`` mismatch
+included), 2 usage error (an unreadable ``--config`` or ``--dataset``
+file included), 3 corrupt state (a state directory that cannot be read, a
+missing or altered circuit export, or a circuit that does not match its
+stored fingerprint).
 """
 
 from __future__ import annotations
@@ -24,27 +45,31 @@ from .field import ConfigError, FixedPointOverflow, ScaleConfig, fx_encode
 from .game import builtin_strategies, run_suite
 from .hashing import DataPoint, HashConfig, NotMemberError
 from .ingest import ingest_csv, split_dataset
-from .proofsys import BackendUnavailable, WitnessCheckBackend
+from .proofsys import BackendUnavailable, FingerprintMismatch, WitnessCheckBackend
 from .protocol import (
     DuplicateAdd,
     ProtocolConfig,
     ReAddAfterDelete,
     ShapeOverflow,
+    build_data_circuit,
+    build_model_circuit,
     global_setup,
     prove_unlearn,
     prove_update,
-    queue_add,
+    queue_adds,
     queue_delete,
     server_init,
     verify_init,
     verify_unlearn,
     verify_update,
 )
+from .r1cs import fingerprint_of
 from .serialize import (
     VERSION,
     EnvelopeError,
     StateDir,
     atomic_write_json,
+    circuit_record,
     commitment_from_dict,
     commitment_to_dict,
     read_json,
@@ -83,8 +108,12 @@ class CliError(Exception):
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat key = value lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e.strerror}")
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -145,7 +174,9 @@ def load_pub(store: StateDir):
         return store.load_public_params()
     except FileNotFoundError:
         raise CliError(f"{store.root} is not initialized (run setup first)")
-    except (EnvelopeError, json.JSONDecodeError, KeyError) as e:
+    except (KeyError, TypeError, ValueError) as e:
+        # ValueError covers EnvelopeError and a JSON decode error; a field
+        # of the wrong type raises TypeError.
         raise CliError(f"corrupt parameters: {e}", EXIT_CORRUPT)
 
 
@@ -159,10 +190,13 @@ def load_state(store: StateDir, scale):
 
 
 def ingest_dataset(path: str, scale: ScaleConfig):
-    """ingest_csv for a command's --dataset.  Bad input (a SchemaError or
-    other ValueError, or a value too large to encode) is a usage error."""
+    """ingest_csv for a command's --dataset.  An unreadable file and bad
+    input (a SchemaError or other ValueError, or a value too large to
+    encode) are usage errors."""
     try:
         return ingest_csv(path, scale)
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e.strerror}")
     except (ValueError, OverflowError) as e:
         raise CliError(f"cannot ingest {path}: {e}")
 
@@ -185,7 +219,7 @@ def cmd_setup(args) -> int:
     config = build_protocol_config(options)
     with dir_lock(store):
         pub = global_setup(config, setup_store=store.setup_store)
-        store.save_config(config)
+        store.save_params(pub)
     emit(
         args,
         {
@@ -235,8 +269,7 @@ def cmd_add(args) -> int:
         else:
             points = (_point_from_args(args, pub),)
         try:
-            for d in points:
-                state = queue_add(state, d, pub)
+            state = queue_adds(state, points, pub)
         except (ReAddAfterDelete, DuplicateAdd, ValueError, FixedPointOverflow) as e:
             raise CliError(str(e), EXIT_REJECT)
         store.save_state(state, pub.scale)
@@ -379,6 +412,27 @@ def cmd_verify_unlearn(args) -> int:
     return EXIT_OK if ok else EXIT_REJECT
 
 
+def cmd_audit_setup(args) -> int:
+    """Rebuild both circuits from the stored config and compare each with
+    its params.json entry (fingerprint and size) and its stored export."""
+    store = StateDir(args.dir)
+    pub = load_pub(store)
+    stored = read_json(store.params_file)["circuits"]
+    checks = {}
+    for name, build in (("model", build_model_circuit), ("data", build_data_circuit)):
+        cs = build(pub.config).cs
+        exported = cs.export()
+        path = store.setup_store.circuit_file(stored[name]["fingerprint"])
+        checks[name] = {
+            "params": circuit_record(fingerprint_of(exported), cs) == stored[name],
+            "export": path.is_file() and path.read_bytes() == exported,
+        }
+    failed = [f"{name} {what}" for name, c in checks.items() for what, ok in c.items() if not ok]
+    emit(args, {"dir": str(store.root), "checks": checks, "accepted": not failed},
+         "setup matches the config" if not failed else f"MISMATCH: {', '.join(failed)}")
+    return EXIT_REJECT if failed else EXIT_OK
+
+
 def cmd_game(args) -> int:
     store = StateDir(args.dir)
     pub = load_pub(store)
@@ -506,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify-update", cmd_verify_update),
         ("prove-unlearn", cmd_prove_unlearn),
         ("verify-unlearn", cmd_verify_unlearn),
+        ("audit-setup", cmd_audit_setup),
         ("game", cmd_game),
         ("bench", cmd_bench),
     ]:
@@ -542,6 +597,9 @@ def main(argv=None) -> int:
     except BackendUnavailable as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (FingerprintMismatch, EnvelopeError) as e:
+        print(f"error: corrupt state: {e}", file=sys.stderr)
+        return EXIT_CORRUPT
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CORRUPT

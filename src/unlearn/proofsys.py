@@ -25,7 +25,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .r1cs import ConstraintSystem, Witness
 
@@ -49,14 +49,33 @@ class FingerprintMismatch(ProofSysError):
     """Setup artifacts belong to a different circuit."""
 
 
-@dataclass(frozen=True)
 class RelationHandle:
-    circuit: ConstraintSystem
-    fingerprint: str
+    """A circuit named by its fingerprint.  ``circuit`` is its constraint
+    system: either given, or produced on first use by ``load``, so a
+    verifier that stops at the fingerprint or statement check never
+    reads the constraints."""
+
+    def __init__(
+        self,
+        fingerprint: str,
+        circuit: Optional[ConstraintSystem] = None,
+        load: Optional[Callable[[], ConstraintSystem]] = None,
+    ):
+        if (circuit is None) == (load is None):
+            raise ValueError("give exactly one of circuit and load")
+        self.fingerprint = fingerprint
+        self._circuit = circuit
+        self._load = load
 
     @classmethod
     def of(cls, circuit: ConstraintSystem) -> "RelationHandle":
-        return cls(circuit, circuit.fingerprint())
+        return cls(circuit.fingerprint(), circuit)
+
+    @property
+    def circuit(self) -> ConstraintSystem:
+        if self._circuit is None:
+            self._circuit = self._load()
+        return self._circuit
 
 
 @dataclass(frozen=True)

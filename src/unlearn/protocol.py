@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field, replace
+from typing import Optional, Sequence
 
 from .circuits import DataCircuit, DataShape, ModelCircuit, ModelShape
 from .field import ConfigError, FixedPointOverflow
@@ -26,7 +27,14 @@ from .hashing import (
     hash_unlearn,
     verify_tree_path,
 )
-from .proofsys import ProofBlob, RelationHandle, SetupArtifacts, get_backend
+from .proofsys import (
+    FingerprintMismatch,
+    ProofBlob,
+    RelationHandle,
+    SetupArtifacts,
+    get_backend,
+)
+from .r1cs import ConstraintSystem
 from .training import Dataset, ModelParams, TrainConfig, train_model
 
 INIT_MARKER = "empty"
@@ -90,14 +98,36 @@ class UnlearnProof:
 
 @dataclass
 class PublicParams:
+    """What verifiers need: the config, each circuit's fingerprint (in its
+    relation handle), the setup artifacts and the backend.  Provers also
+    need the circuits.  ``global_setup`` builds them; parameters loaded
+    from a state directory (``serialize.StateDir``) build each one on
+    first access and check it against the stored fingerprint."""
+
     config: ProtocolConfig
-    model_circuit: ModelCircuit
-    data_circuit: DataCircuit
     model_relation: RelationHandle
     data_relation: RelationHandle
     model_setup: SetupArtifacts
     data_setup: SetupArtifacts
     backend: object
+    _model_circuit: Optional[ModelCircuit] = dc_field(default=None, repr=False)
+    _data_circuit: Optional[DataCircuit] = dc_field(default=None, repr=False)
+
+    @property
+    def model_circuit(self) -> ModelCircuit:
+        if self._model_circuit is None:
+            circuit = build_model_circuit(self.config)
+            self.model_relation = _built_relation(circuit.cs, self.model_relation)
+            self._model_circuit = circuit
+        return self._model_circuit
+
+    @property
+    def data_circuit(self) -> DataCircuit:
+        if self._data_circuit is None:
+            circuit = build_data_circuit(self.config)
+            self.data_relation = _built_relation(circuit.cs, self.data_relation)
+            self._data_circuit = circuit
+        return self._data_circuit
 
     @property
     def scale(self):
@@ -120,14 +150,14 @@ class PublicParams:
         return hash_data(digests, self.hash_cfg)
 
 
-def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> PublicParams:
-    """Build both circuits for the configured shape and run the proving
-    setup for each.  ``setup_store`` (see ``serialize.SetupStore``) caches
-    artifacts by circuit fingerprint across processes."""
-    model_circuit = ModelCircuit(
+def build_model_circuit(config: ProtocolConfig) -> ModelCircuit:
+    return ModelCircuit(
         ModelShape(train=config.train, capacity=config.capacity, hash_cfg=config.hash_cfg)
     )
-    data_circuit = DataCircuit(
+
+
+def build_data_circuit(config: ProtocolConfig) -> DataCircuit:
+    return DataCircuit(
         DataShape(
             data_capacity=config.capacity,
             unlearn_capacity=config.unlearn_capacity,
@@ -135,9 +165,35 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
             hash_cfg=config.hash_cfg,
         )
     )
+
+
+def _built_relation(cs: ConstraintSystem, stored: RelationHandle) -> RelationHandle:
+    """The relation of a circuit built from the config, which must have the
+    stored fingerprint.  Proving then uses this circuit, not a second copy
+    read back from disk."""
+    rel = RelationHandle.of(cs)
+    if rel.fingerprint != stored.fingerprint:
+        raise FingerprintMismatch(
+            f"the circuit built from the config has fingerprint {rel.fingerprint[:12]}, "
+            f"the stored one is {stored.fingerprint[:12]}"
+        )
+    return rel
+
+
+def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> PublicParams:
+    """Build both circuits for the configured shape and run the proving
+    setup for each.  ``setup_store`` (see ``serialize.SetupStore``) keeps
+    each circuit's export and its artifacts under its fingerprint, and
+    reuses artifacts already there."""
+    model_circuit = build_model_circuit(config)
+    data_circuit = build_data_circuit(config)
     backend = backend or get_backend(config.backend)
-    model_rel = RelationHandle.of(model_circuit.cs)
-    data_rel = RelationHandle.of(data_circuit.cs)
+
+    def relation(cs):
+        if setup_store is None:
+            return RelationHandle.of(cs)
+        # One export is both the stored file and the fingerprint's preimage.
+        return RelationHandle(setup_store.save_circuit(cs.export()), cs)
 
     def setup_for(rel):
         if setup_store is not None:
@@ -149,15 +205,17 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
             setup_store.save(artifacts)
         return artifacts
 
+    model_rel = relation(model_circuit.cs)
+    data_rel = relation(data_circuit.cs)
     return PublicParams(
         config=config,
-        model_circuit=model_circuit,
-        data_circuit=data_circuit,
         model_relation=model_rel,
         data_relation=data_rel,
         model_setup=setup_for(model_rel),
         data_setup=setup_for(data_rel),
         backend=backend,
+        _model_circuit=model_circuit,
+        _data_circuit=data_circuit,
     )
 
 
@@ -218,24 +276,49 @@ def _batch_points(state: ServerState) -> list[DataPoint]:
     return points + [d for d in state.pending_add if d not in removed]
 
 
+def _admit(state: ServerState, points: Sequence[DataPoint], pub: PublicParams) -> ServerState:
+    """Queue ``points`` if each is new and the would-be set, with all of
+    them, trains within the value bound.  Raises, leaving the state
+    unchanged, otherwise."""
+    arity = state.dataset.arity
+    banned = state.deleted_uids | {p.uid for p in state.pending_delete}
+    present = {p.uid for p in state.dataset.points} | {p.uid for p in state.pending_add}
+    for d in points:
+        if len(d.x) != arity:
+            raise ValueError(f"point arity {len(d.x)} != dataset arity {arity}")
+        if d.uid in banned:
+            raise ReAddAfterDelete(f"uid {d.uid} was deleted and cannot be re-added")
+        if d.uid in present:
+            raise DuplicateAdd(f"uid {d.uid} is already in the training set")
+        present.add(d.uid)
+    train_model(Dataset(tuple(_batch_points(state)) + tuple(points), arity), pub.config.train)
+    return replace(state, pending_add=state.pending_add + tuple(points))
+
+
 def queue_add(state: ServerState, d: DataPoint, pub: PublicParams) -> ServerState:
     """Queue an addition.  Raises FixedPointOverflow, leaving the state
     unchanged, when training the would-be set with ``d`` crosses the value
     bound, so every admitted point stays provable."""
-    if len(d.x) != state.dataset.arity:
-        raise ValueError(f"point arity {len(d.x)} != dataset arity {state.dataset.arity}")
-    banned = state.deleted_uids | {p.uid for p in state.pending_delete}
-    if d.uid in banned:
-        raise ReAddAfterDelete(f"uid {d.uid} was deleted and cannot be re-added")
-    present = {p.uid for p in state.dataset.points} | {p.uid for p in state.pending_add}
-    if d.uid in present:
-        raise DuplicateAdd(f"uid {d.uid} is already in the training set")
-    would_be = Dataset(tuple(_batch_points(state)) + (d,), state.dataset.arity)
     try:
-        train_model(would_be, pub.config.train)
+        return _admit(state, (d,), pub)
     except FixedPointOverflow as e:
         raise FixedPointOverflow(f"uid {d.uid} not admitted: {e}", uid=d.uid) from None
-    return replace(state, pending_add=state.pending_add + (d,))
+
+
+def queue_adds(
+    state: ServerState, points: Sequence[DataPoint], pub: PublicParams
+) -> ServerState:
+    """Queue a batch of additions with one training run of the would-be
+    set.  Only if that crosses the value bound does it admit the points
+    one by one, so the error names the first point that ``queue_add``
+    would refuse.  Either way an error leaves the state unchanged."""
+    try:
+        return _admit(state, points, pub)
+    except FixedPointOverflow:
+        for d in points:
+            state = queue_add(state, d, pub)
+        # Not reached: the last queue_add trains the same set as the batch.
+        raise
 
 
 def queue_delete(state: ServerState, d: DataPoint) -> ServerState:
@@ -263,6 +346,9 @@ def prove_update(
             f"{len(hashed_unlearnt)} unlearnt digests exceed the compiled "
             f"capacity {pub.config.unlearn_capacity}"
         )
+    # Both circuits are built (and checked against their fingerprints)
+    # before any proof exists, so no proof is held while a circuit builds.
+    model_circuit, data_circuit = pub.model_circuit, pub.data_circuit
 
     dataset = Dataset(tuple(points), pub.config.train.arity)
     hashed_data = tuple(hash_data_point(d, cfg) for d in dataset.points)
@@ -273,12 +359,12 @@ def prove_update(
         h_u=hash_unlearn(hashed_unlearnt, cfg),
     )
 
-    model_witness = pub.model_circuit.synthesize(dataset)
+    model_witness = model_circuit.synthesize(dataset)
     model_statement = (com.h_m, com.h_d)
     model_proof = pub.backend.prove(
         pub.model_relation, pub.model_setup, model_statement, model_witness
     )
-    data_witness = pub.data_circuit.synthesize(
+    data_witness = data_circuit.synthesize(
         hashed_data, state.hashed_unlearnt, new_unlearnt
     )
     data_statement = (com.h_d, state.unlearnt_root, com.h_u)

@@ -13,10 +13,23 @@ second pass.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 LinComb = dict[int, int]
+
+# The grammar of export(): a header, then one row per constraint of three
+# linear combinations, each "-" or wire:coefficient terms with no sign and
+# no leading zero.  Term order, wire range and coefficient range are
+# checked while parsing.
+_EXPORT_HEADER = re.compile(
+    r"unlearn-r1cs v1\nmodulus ([1-9a-f][0-9a-f]*)\nwires ([1-9][0-9]*)\n"
+    r"public (0|[1-9][0-9]*)\nconstraints (0|[1-9][0-9]*)\n"
+)
+_TERM = r"(?:0|[1-9][0-9]*):[1-9a-f][0-9a-f]*"
+_LC = rf"(?:-|{_TERM}(?:,{_TERM})*)"
+_EXPORT_ROW = re.compile(rf"{_LC}\|{_LC}\|{_LC}")
 
 
 class BuildPhaseClosed(RuntimeError):
@@ -179,7 +192,8 @@ class ConstraintSystem:
         """Versioned text listing of the sparse (A, B, C) rows.
 
         Consumed by the debugging tools and by the external proving
-        backend; also the preimage of the circuit fingerprint.
+        backend; also the preimage of the circuit fingerprint, and the file
+        ``setup`` stores for verifiers (read back by ``from_export``).
         """
 
         def terms(lc: LinComb) -> str:
@@ -199,4 +213,68 @@ class ConstraintSystem:
         return ("\n".join(lines) + "\n").encode()
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.export()).hexdigest()
+        return fingerprint_of(self.export())
+
+    @classmethod
+    def from_export(cls, data: bytes) -> "ConstraintSystem":
+        """Parse ``export()`` output into a finalized system that evaluates
+        witnesses; its wires have no names or hints, so it cannot
+        synthesize one.  Strict: input that ``export()`` would not write
+        raises ValueError, so ``from_export(x).export() == x`` whenever
+        it returns."""
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError:
+            raise ValueError("r1cs export is not ASCII") from None
+        head = _EXPORT_HEADER.match(text)
+        if head is None:
+            raise ValueError("r1cs export header is malformed")
+        modulus, num_wires, num_public, num_rows = (
+            int(head[1], 16), int(head[2]), int(head[3]), int(head[4])
+        )
+        if num_public >= num_wires:
+            raise ValueError(f"{num_public} public wires out of {num_wires}")
+        rows = text[head.end():].split("\n")
+        if len(rows) != num_rows + 1 or rows[-1]:
+            raise ValueError(f"expected {num_rows} constraint rows, got {len(rows) - 1}")
+        # Rows repeat wire indices and a few hundred distinct coefficients:
+        # share one int object for each, as a built system does.
+        wire_ids = list(range(num_wires))
+        coefficients: dict[str, int] = {}
+
+        def lc(field: str) -> LinComb:
+            out: LinComb = {}
+            if field == "-":
+                return out
+            last = -1
+            for term in field.split(","):
+                w, c = term.split(":")
+                w = int(w)
+                if not last < w < num_wires:
+                    raise ValueError(f"term {term!r}: wire out of order or out of range")
+                coefficient = coefficients.get(c)
+                if coefficient is None:
+                    coefficient = coefficients[c] = int(c, 16)
+                    if coefficient >= modulus:
+                        raise ValueError(f"term {term!r}: coefficient out of range")
+                out[wire_ids[w]] = coefficient
+                last = w
+            return out
+
+        constraints = []
+        for row in rows[:-1]:
+            if not _EXPORT_ROW.fullmatch(row):
+                raise ValueError(f"r1cs export row {len(constraints)} is malformed")
+            a, b, c = row.split("|")
+            constraints.append((lc(a), lc(b), lc(c)))
+        cs = cls(modulus)
+        cs.wires += [_Wire(i, i <= num_public, None, None, False) for i in range(1, num_wires)]
+        cs.num_public = num_public
+        cs.constraints = constraints
+        cs.finalize()
+        return cs
+
+
+def fingerprint_of(exported: bytes) -> str:
+    """Circuit fingerprint: SHA-256 of the canonical export."""
+    return hashlib.sha256(exported).hexdigest()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Optional
 
 from .field import ScaleConfig, from_hex, to_hex
 from .hashing import DataPoint, HashConfig, MembershipPath
-from .proofsys import ProofBlob, SetupArtifacts
+from .proofsys import ProofBlob, RelationHandle, SetupArtifacts, get_backend
 from .protocol import (
     Commitment,
     ProtocolConfig,
@@ -26,11 +27,12 @@ from .protocol import (
     ServerState,
     UnlearnProof,
     UpdateProof,
-    global_setup,
 )
+from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
 
-VERSION = 2
+VERSION = 3
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
 class EnvelopeError(ValueError):
@@ -245,18 +247,65 @@ def protocol_config_from_dict(obj: dict) -> ProtocolConfig:
     )
 
 
-# -- setup artifact store -----------------------------------------------------
+def circuit_record(fingerprint: str, cs: ConstraintSystem) -> dict:
+    """A circuit's entry in ``params.json``: its fingerprint and size."""
+    return {
+        "fingerprint": fingerprint,
+        "constraints": len(cs.constraints),
+        "wires": cs.num_wires,
+        "publics": cs.num_public,
+    }
+
+
+def public_params_to_dict(pub: PublicParams) -> dict:
+    """``params.json``: the protocol config and a record of each circuit."""
+    return {
+        **protocol_config_to_dict(pub.config),
+        "circuits": {
+            name: circuit_record(rel.fingerprint, rel.circuit)
+            for name, rel in (("model", pub.model_relation), ("data", pub.data_relation))
+        },
+    }
+
+
+# -- setup store ----------------------------------------------------------------
 
 
 class SetupStore:
-    """Content-addressed persistence of setup artifacts, keyed by backend
-    and circuit fingerprint."""
+    """Content-addressed files under ``pub/``, keyed by circuit
+    fingerprint: each circuit's canonical export (``circuits/``) and its
+    setup artifacts per backend (``setups/``)."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
 
     def _dir(self, backend: str, fingerprint: str) -> Path:
-        return self.root / backend / fingerprint
+        return self.root / "setups" / backend / fingerprint
+
+    def circuit_file(self, fingerprint: str) -> Path:
+        return self.root / "circuits" / f"{fingerprint}.r1cs"
+
+    def save_circuit(self, exported: bytes) -> str:
+        """Store a circuit export; returns its fingerprint."""
+        fingerprint = fingerprint_of(exported)
+        atomic_write_bytes(self.circuit_file(fingerprint), exported)
+        return fingerprint
+
+    def load_circuit(self, fingerprint: str) -> ConstraintSystem:
+        """The stored constraint system with this fingerprint.  A missing
+        file, one whose SHA-256 is not the fingerprint, or one that does
+        not parse raises EnvelopeError."""
+        path = self.circuit_file(fingerprint)
+        try:
+            exported = path.read_bytes()
+        except FileNotFoundError:
+            raise EnvelopeError(f"{path}: circuit export missing") from None
+        if fingerprint_of(exported) != fingerprint:
+            raise EnvelopeError(f"{path}: contents do not match the fingerprint")
+        try:
+            return ConstraintSystem.from_export(exported)
+        except ValueError as e:
+            raise EnvelopeError(f"{path}: {e}") from None
 
     def load(self, backend: str, fingerprint: str) -> Optional[SetupArtifacts]:
         d = self._dir(backend, fingerprint)
@@ -305,7 +354,7 @@ class StateDir:
 
     @property
     def setup_store(self) -> SetupStore:
-        return SetupStore(self.root / "pub" / "setups")
+        return SetupStore(self.root / "pub")
 
     @property
     def state_file(self) -> Path:
@@ -328,17 +377,46 @@ class StateDir:
     def init_marker_file(self) -> Path:
         return self.root / "proofs" / "update_0.json"
 
-    def save_config(self, config: ProtocolConfig) -> None:
-        atomic_write_json(self.params_file, protocol_config_to_dict(config))
+    def save_params(self, pub: PublicParams) -> None:
+        atomic_write_json(self.params_file, public_params_to_dict(pub))
 
     def load_config(self) -> ProtocolConfig:
         return protocol_config_from_dict(read_json(self.params_file))
 
     def load_public_params(self) -> PublicParams:
-        """Rebuild the circuits from the stored config; setup artifacts are
-        reused from the content-addressed store (fingerprints must match
-        because circuit construction is deterministic)."""
-        return global_setup(self.load_config(), setup_store=self.setup_store)
+        """The parameters in ``pub/``, read without building or reading a
+        circuit.  A circuit is built from the config when a prover first
+        asks for it, and checked against its stored fingerprint (see
+        ``PublicParams``); a verifier that needs the constraints reads
+        the stored export (see ``SetupStore.load_circuit``)."""
+        obj = read_json(self.params_file)
+        config = protocol_config_from_dict(obj)
+        backend = get_backend(config.backend)
+        store = self.setup_store
+
+        def relation(name: str) -> RelationHandle:
+            fingerprint = obj["circuits"][name]["fingerprint"]
+            if not isinstance(fingerprint, str) or not _FINGERPRINT.fullmatch(fingerprint):
+                raise EnvelopeError(f"{self.params_file}: malformed {name} fingerprint")
+            return RelationHandle(fingerprint, load=lambda: store.load_circuit(fingerprint))
+
+        def artifacts(rel: RelationHandle) -> SetupArtifacts:
+            found = store.load(backend.name, rel.fingerprint)
+            if found is None:
+                raise EnvelopeError(
+                    f"no {backend.name} setup artifacts for circuit {rel.fingerprint[:12]}"
+                )
+            return found
+
+        model_rel, data_rel = relation("model"), relation("data")
+        return PublicParams(
+            config=config,
+            model_relation=model_rel,
+            data_relation=data_rel,
+            model_setup=artifacts(model_rel),
+            data_setup=artifacts(data_rel),
+            backend=backend,
+        )
 
     def save_state(self, state: ServerState, cfg: ScaleConfig) -> None:
         atomic_write_json(self.state_file, server_state_to_dict(state, cfg))

@@ -1,12 +1,16 @@
+import collections
 import dataclasses
 import json
 import os
 
 import pytest
 
+from unlearn import circuits, protocol
 from unlearn.cli import CONFIG_DEFAULTS, main
 from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint
+from unlearn.ingest import ingest_csv
+from unlearn.r1cs import ConstraintSystem
 from unlearn.serialize import VERSION, StateDir
 
 CONF = """\
@@ -147,8 +151,21 @@ def test_corrupt_state_detected(workspace):
     d = str(workspace / "st")
     run(workspace, "setup", "--dir", d, "--config", str(workspace / "conf"))
     run(workspace, "init", "--dir", d)
-    (workspace / "st" / "state.json").write_text("{not json")
+    state = workspace / "st" / "state.json"
+    state.write_text("{not json")
     assert run(workspace, "update", "--dir", d) == 3
+    # An unreadable state file is corrupt state too, unlike an input file.
+    state.unlink()
+    state.mkdir()
+    assert run(workspace, "add", "--dir", d, "--dataset", str(workspace / "pts.csv")) == 3
+
+
+def test_missing_config_is_a_usage_error(workspace, capsys):
+    d = workspace / "st"
+    missing = workspace / "nosuch.conf"
+    assert run(workspace, "setup", "--dir", str(d), "--config", str(missing)) == 2
+    assert f"error: cannot read {missing}: " in capsys.readouterr().err
+    assert not d.exists()
 
 
 def test_replay_reproduces_identical_envelopes(workspace, tmp_path):
@@ -278,19 +295,21 @@ def test_bench_accuracy_report(workspace, capsys):
 @pytest.mark.parametrize("command", ["add", "delete", "prove-unlearn", "verify-unlearn"])
 @pytest.mark.parametrize(
     "content",
-    ["uid,f1,y\n5,1e300,1\n", "uid,f1,y\n5,0.5\n", "uid,f1\n5,0.5\n"],
-    ids=["unencodable", "ragged", "no-label"],
+    [None, "uid,f1,y\n5,1e300,1\n", "uid,f1,y\n5,0.5\n", "uid,f1\n5,0.5\n"],
+    ids=["missing", "unencodable", "ragged", "no-label"],
 )
 def test_bad_csv_is_a_usage_error(workspace, initialized, capsys, command, content):
     bad = workspace / "bad.csv"
-    bad.write_text(content)
+    if content is not None:
+        bad.write_text(content)
     before = snapshot(initialized)
     args = [command, "--dir", str(initialized), "--dataset", str(bad), "--uid", "5"]
     if command == "verify-unlearn":
         args += ["--iteration", "0"]
     capsys.readouterr()
     assert run(workspace, *args) == 2
-    assert f"error: cannot ingest {bad}: " in capsys.readouterr().err
+    verb = "read" if content is None else "ingest"
+    assert f"error: cannot {verb} {bad}: " in capsys.readouterr().err
     assert snapshot(initialized) == before
 
 
@@ -334,14 +353,36 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     marker = json.loads((initialized / "proofs" / "update_0.json").read_text())
     assert marker["version"] == VERSION
     params = initialized / "pub" / "params.json"
+    current = json.loads(params.read_text())
+    # Neither older layout recorded the circuits; version 1 also carried
+    # the retired quotient-width key.
+    for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}):
+        obj = {k: v for k, v in current.items() if k != "circuits"} | old
+        params.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(workspace, "init", "--dir", str(initialized)) == 3
+        err = capsys.readouterr().err
+        assert "unsupported envelope version" in err and "KeyError" not in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.update(circuits=[]),
+        lambda obj: obj["circuits"]["model"].update(fingerprint="../../state"),
+        lambda obj: obj.update(modulus=5),
+    ],
+    ids=["circuits-list", "fingerprint-path", "modulus-int"],
+)
+def test_malformed_params_are_corrupt_state(workspace, initialized, capsys, edit):
+    params = initialized / "pub" / "params.json"
     obj = json.loads(params.read_text())
-    # The version-1 layout carried the retired quotient-width key.
-    obj.update(version=1, quotient_bits=64)
+    edit(obj)
     params.write_text(json.dumps(obj))
     capsys.readouterr()
-    assert run(workspace, "init", "--dir", str(initialized)) == 3
-    err = capsys.readouterr().err
-    assert "unsupported envelope version" in err and "KeyError" not in err
+    assert run(workspace, "add", "--dir", str(initialized), "--uid", "9", "--features",
+               "0.5", "--label", "1") == 3
+    assert "error: corrupt parameters: " in capsys.readouterr().err
 
 
 def test_config_keys():
@@ -349,3 +390,125 @@ def test_config_keys():
         "arity", "backend", "capacity", "epochs", "gamma", "hash_rounds",
         "hidden", "kind", "learning_rate", "split", "unlearn_capacity",
     ]
+
+
+def test_add_batch_trains_once(workspace, initialized, monkeypatch):
+    csv = workspace / "many.csv"
+    rows = [f"{uid},{(uid % 9 - 4) / 4},{uid % 2}" for uid in range(1, 201)]
+    csv.write_text("uid,f1,y\n" + "\n".join(rows) + "\n")
+    store = StateDir(initialized)
+    pub = store.load_public_params()
+    looped = store.load_state(pub.scale)
+    for d in ingest_csv(csv, pub.scale).dataset.points:
+        looped = protocol.queue_add(looped, d, pub)
+    calls = []
+    train_model = protocol.train_model
+    monkeypatch.setattr(protocol, "train_model", lambda *a: calls.append(a) or train_model(*a))
+    assert run(workspace, "add", "--dir", str(initialized), "--dataset", str(csv)) == 0
+    assert len(calls) == 1
+    assert store.load_state(pub.scale).pending_add == looped.pending_add
+
+
+def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch):
+    calls = collections.Counter()
+
+    def count(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(circuits.ModelCircuit, "__init__", "model_build")
+    count(circuits.DataCircuit, "__init__", "data_build")
+    count(ConstraintSystem, "from_export", "parse")
+    d, csv = str(workspace / "st"), str(workspace / "pts.csv")
+    for args in (
+        ("setup", "--dir", d, "--config", str(workspace / "conf")),
+        ("init", "--dir", d),
+        ("verify-update", "--dir", d, "--iteration", "0"),
+        ("add", "--dir", d, "--dataset", csv),
+        ("delete", "--dir", d, "--uid", "2"),
+        ("update", "--dir", d),
+        ("verify-update", "--dir", d, "--iteration", "1"),
+        ("prove-unlearn", "--dir", d, "--uid", "2"),
+        ("verify-unlearn", "--dir", d, "--uid", "2", "--iteration", "1", "--dataset", csv),
+        ("audit-setup", "--dir", d),
+    ):
+        calls.clear()
+        assert main(list(args)) == 0, args
+        if args[0] in ("setup", "update", "audit-setup"):
+            expected = {"model_build": 1, "data_build": 1}
+        elif args[0] == "verify-update" and args[-1] != "0":
+            expected = {"parse": 2}
+        else:
+            expected = {}
+        assert dict(calls) == expected, args
+
+
+@pytest.fixture
+def updated(workspace, initialized):
+    d = str(initialized)
+    assert run(workspace, "add", "--dir", d, "--dataset", str(workspace / "pts.csv")) == 0
+    assert run(workspace, "update", "--dir", d) == 0
+    return initialized
+
+
+def _model_export(root):
+    params = json.loads((root / "pub" / "params.json").read_text())
+    return root / "pub" / "circuits" / f"{params['circuits']['model']['fingerprint']}.r1cs"
+
+
+@pytest.mark.parametrize("tamper", ["flip", "delete"])
+def test_tampered_circuit_export_is_corrupt_state(workspace, updated, capsys, tamper):
+    d = str(updated)
+    path = _model_export(updated)
+    if tamper == "flip":
+        # The first coefficient of the first row, still well formed.
+        data = bytearray(path.read_bytes())
+        i = data.index(b":", data.index(b"\nconstraints ")) + 1
+        data[i] = ord("2") if data[i] != ord("2") else ord("3")
+        path.write_bytes(bytes(data))
+    else:
+        path.unlink()
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 3
+    assert f"error: corrupt envelope: {path}: " in capsys.readouterr().err
+    # A statement mismatch is rejected before the constraints are read.
+    proof = updated / "proofs" / "update_1.json"
+    obj = json.loads(proof.read_text())
+    h_m = obj["model_proof"]["public_inputs"][0]
+    obj["model_proof"]["public_inputs"][0] = h_m[:-1] + ("1" if h_m[-1] == "0" else "0")
+    proof.write_text(json.dumps(obj))
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 1
+    assert run(workspace, "audit-setup", "--dir", d) == 1
+    assert "MISMATCH: model export" in capsys.readouterr().out
+
+
+def test_stored_circuit_records_must_match_the_config(workspace, updated, capsys):
+    d = str(updated)
+    params = updated / "pub" / "params.json"
+    original = params.read_text()
+    capsys.readouterr()
+    assert run(workspace, "audit-setup", "--dir", d, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["accepted"] is True
+    # A config whose model circuit no longer has the stored fingerprint.
+    obj = json.loads(original)
+    obj["epochs"] = 2
+    params.write_text(json.dumps(obj))
+    assert run(workspace, "add", "--dir", d, "--uid", "9", "--features", "0.5",
+               "--label", "1") == 0
+    before = snapshot(updated)
+    assert run(workspace, "update", "--dir", d) == 3
+    assert "fingerprint" in capsys.readouterr().err
+    assert snapshot(updated) == before
+    assert run(workspace, "audit-setup", "--dir", d) == 1
+    assert "MISMATCH: model params" in capsys.readouterr().out
+    # A recorded size that the built circuit does not have.
+    obj = json.loads(original)
+    obj["circuits"]["data"]["constraints"] += 1
+    params.write_text(json.dumps(obj))
+    assert run(workspace, "audit-setup", "--dir", d) == 1
+    assert "MISMATCH: data params" in capsys.readouterr().out

@@ -168,3 +168,22 @@ def test_groth16_proof_bitflips_never_verify(rel, honest):
     results = snark.verify_many(rel, sp, statement, tampered)
     assert len(results) == 1000
     assert not any(results)
+
+
+def test_witness_check_reads_constraints_only_after_statement_check(rel, honest):
+    backend = WitnessCheckBackend()
+    sp = backend.setup(rel)
+    statement, witness = honest
+    blob = backend.prove(rel, sp, statement, witness)
+    loads = []
+
+    def load():
+        loads.append(1)
+        return rel.circuit
+
+    stored = RelationHandle(rel.fingerprint, load=load)
+    assert not backend.verify(stored, sp, (10,), blob)
+    assert not loads
+    assert backend.verify(stored, sp, statement, blob)
+    assert backend.verify(stored, sp, statement, blob)
+    assert len(loads) == 1

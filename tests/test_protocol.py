@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from unlearn.field import fx_encode
+from unlearn.field import FixedPointOverflow, fx_encode
 from unlearn.hashing import (
     DataPoint,
     NotMemberError,
@@ -18,6 +18,7 @@ from unlearn.protocol import (
     prove_unlearn,
     prove_update,
     queue_add,
+    queue_adds,
     queue_delete,
     server_init,
     verify_init,
@@ -245,3 +246,31 @@ def test_proof_from_foreign_circuit_rejected(fast_pub):
     foreign = dataclasses.replace(proof.model_proof, fingerprint="0" * 64)
     forged = dataclasses.replace(proof, model_proof=foreign)
     assert not verify_update(fast_pub, com0, com1, forged)
+
+
+def test_queue_adds_names_the_point_the_loop_refuses(fast_pub):
+    # x = 5000 * i: training crosses the value bound once uid 2 joins.
+    state, _, _ = server_init(fast_pub)
+    state = queue_add(state, pt(fast_pub, 9, 0.5, 1), fast_pub)
+    points = [pt(fast_pub, i, 5000 * i, 1) for i in (1, 2, 3)]
+    with pytest.raises(FixedPointOverflow) as loop:
+        looped = state
+        for d in points:
+            looped = queue_add(looped, d, fast_pub)
+    with pytest.raises(FixedPointOverflow) as batch:
+        queue_adds(state, points, fast_pub)
+    assert batch.value.uid == loop.value.uid == 2
+    assert str(batch.value) == str(loop.value)
+
+
+def test_queue_adds_checks_each_point(fast_pub):
+    state, _, _ = server_init(fast_pub)
+    d = pt(fast_pub, 1, 0.5, 1)
+    with pytest.raises(DuplicateAdd):
+        queue_adds(state, [d, pt(fast_pub, 2, 0.25, 0), pt(fast_pub, 1, 0.25, 0)], fast_pub)
+    state = queue_delete(queue_adds(state, [d], fast_pub), d)
+    with pytest.raises(ReAddAfterDelete):
+        queue_adds(state, [pt(fast_pub, 3, 0.25, 0), d], fast_pub)
+    with pytest.raises(ValueError, match="arity"):
+        queue_adds(state, [DataPoint(uid=4, x=(1, 2), y=0)], fast_pub)
+    assert queue_adds(state, [], fast_pub) == state

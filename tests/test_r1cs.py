@@ -133,3 +133,53 @@ def test_stats():
     cs = squaring_system()
     s = cs.stats()
     assert (s.constraint_count, s.public_count, s.private_count) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("name", ["model", "data"])
+def test_from_export_roundtrip_and_verdicts(fast_pub, name):
+    circuit = getattr(fast_pub, f"{name}_circuit")
+    exported = circuit.cs.export()
+    parsed = ConstraintSystem.from_export(exported)
+    assert parsed.export() == exported
+    assert parsed.stats() == circuit.cs.stats()
+    if name == "model":
+        from unlearn.training import Dataset
+
+        honest = circuit.synthesize(Dataset((), 1))
+    else:
+        honest = circuit.synthesize([5, 6], [7], [8])
+    k = 1 + circuit.cs.num_public
+    flipped = Witness(honest.values[:k] + ((honest.values[k] + 1) % P,) + honest.values[k + 1:])
+    for witness, verdict in ((honest, True), (flipped, False)):
+        assert circuit.cs.is_satisfied(witness) is verdict
+        assert parsed.is_satisfied(witness) is verdict
+
+
+def test_from_export_is_strict():
+    cs = squaring_system()
+    good = cs.export()
+    assert good.endswith(b"\n2:1|2:1|1:1\n")
+    assert ConstraintSystem.from_export(good).export() == good
+    for bad in (
+        good.replace(b"v1", b"v2"),  # unknown format version
+        good.replace(b"wires 3", b"wires 03"),  # non-canonical header number
+        good.replace(b"public 1", b"public 3"),  # more public wires than wires
+        good.replace(b"constraints 1", b"constraints 2"),  # row count
+        good[:-1],  # truncated row
+        good + b"\n",  # blank row
+        good.replace(b"\n2:1|", b"\n02:1|"),  # leading zero in a wire index
+        good.replace(b"\n2:1|", b"\n2:01|"),  # leading zero in a coefficient
+        good.replace(b"\n2:1|", b"\n2:0|"),  # zero coefficient
+        good.replace(b"\n2:1|", b"\n-2:1|"),  # signed wire index
+        good.replace(b"\n2:1|", b"\n 2:1|"),  # blank
+        good.replace(b"\n2:1|", b"\n2:1,2:1|"),  # repeated wire
+        good.replace(b"|1:1\n", b"|1:1,0:1\n"),  # wires out of order
+        good.replace(b"\n2:1|", b"\n3:1|"),  # unallocated wire
+        good.replace(b"\n2:1|", f"\n2:{P:x}|".encode()),  # coefficient >= modulus
+        good.replace(b"|2:1|", b"||"),  # empty combination not written as "-"
+        good.replace(b"|1:1\n", b"|1:1|-\n"),  # four combinations
+        b"\xff" + good,  # not ASCII
+    ):
+        assert bad != good
+        with pytest.raises(ValueError):
+            ConstraintSystem.from_export(bad)
