@@ -24,12 +24,12 @@ use ark_std::rand::{rngs::StdRng, SeedableRng};
 
 const BN254_SCALAR_HEX: &str = "30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001";
 
-type Terms = Vec<(usize, Fr)>;
+type Terms<F> = Vec<(usize, F)>;
 
-struct R1csFile {
+struct R1csFile<F> {
     n_wires: usize,
     n_public: usize,
-    rows: Vec<(Terms, Terms, Terms)>,
+    rows: Vec<(Terms<F>, Terms<F>, Terms<F>)>,
 }
 
 fn fr_from_hex(s: &str) -> Result<Fr, String> {
@@ -38,58 +38,100 @@ fn fr_from_hex(s: &str) -> Result<Fr, String> {
     Ok(Fr::from_be_bytes_mod_order(&bytes))
 }
 
-fn parse_terms(s: &str) -> Result<Terms, String> {
-    if s == "-" {
-        return Ok(vec![]);
-    }
-    s.split(',')
-        .map(|t| {
-            let (w, c) = t.split_once(':').ok_or_else(|| format!("bad term {t}"))?;
-            Ok((
-                w.parse::<usize>().map_err(|e| format!("bad wire: {e}"))?,
-                fr_from_hex(c)?,
-            ))
-        })
-        .collect()
+const R1CS_MAGIC: &[u8] = b"unlearn-r1cs v2\n";
+
+/// Cursor over an r1cs file; every integer in it is little-endian.
+struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
 }
 
-fn parse_r1cs(path: &str) -> Result<R1csFile, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut lines = text.lines();
-    let magic = lines.next().ok_or("empty r1cs file")?;
-    if magic != "unlearn-r1cs v1" {
-        return Err(format!("unsupported r1cs header {magic:?}"));
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.data.len() - self.pos {
+            return Err("truncated r1cs file".into());
+        }
+        self.pos += n;
+        Ok(&self.data[self.pos - n..self.pos])
     }
-    let mut header = HashMap::new();
-    for _ in 0..4 {
-        let line = lines.next().ok_or("truncated r1cs header")?;
-        let (k, v) = line.split_once(' ').ok_or("bad header line")?;
-        header.insert(k.to_string(), v.to_string());
+
+    fn u32s(&mut self, n: usize) -> Result<Vec<usize>, String> {
+        let bytes = self.take(n.checked_mul(4).ok_or("r1cs count overflows")?)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+            .collect())
     }
-    let modulus = header.get("modulus").ok_or("missing modulus")?;
-    if modulus.trim_start_matches('0') != BN254_SCALAR_HEX.trim_start_matches('0') {
+
+    fn u32(&mut self) -> Result<usize, String> {
+        Ok(self.u32s(1)?[0])
+    }
+}
+
+/// Reads the binary layout written by `ConstraintSystem.export` in
+/// `src/unlearn/r1cs.py`: the magic, the modulus (a u32 width k, then k
+/// bytes), the wire, public, row and coefficient counts, the coefficient
+/// table (k bytes each), then for A, B and C the term count of each row,
+/// the wire ids and the coefficient ids.  `modulus_le` is the expected
+/// modulus; `field` turns a table entry into a field element.
+fn parse_r1cs_bytes<F: Copy>(
+    data: &[u8],
+    modulus_le: &[u8],
+    field: impl Fn(&[u8]) -> F,
+) -> Result<R1csFile<F>, String> {
+    let mut r = Reader { data, pos: 0 };
+    if r.take(R1CS_MAGIC.len())? != R1CS_MAGIC {
+        return Err("not an unlearn-r1cs v2 file".into());
+    }
+    let k = r.u32()?;
+    if r.take(k)? != modulus_le {
         return Err("r1cs modulus is not the BN254 scalar field".into());
     }
-    let get = |k: &str| -> Result<usize, String> {
-        header
-            .get(k)
-            .ok_or(format!("missing {k}"))?
-            .parse()
-            .map_err(|e| format!("bad {k}: {e}"))
-    };
-    let n_wires = get("wires")?;
-    let n_public = get("public")?;
-    let n_constraints = get("constraints")?;
-    let mut rows = Vec::with_capacity(n_constraints);
-    for _ in 0..n_constraints {
-        let line = lines.next().ok_or("truncated constraint list")?;
-        let mut parts = line.split('|');
-        let a = parse_terms(parts.next().ok_or("missing A")?)?;
-        let b = parse_terms(parts.next().ok_or("missing B")?)?;
-        let c = parse_terms(parts.next().ok_or("missing C")?)?;
-        rows.push((a, b, c));
+    let (n_wires, n_public, n_rows, n_coeffs) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+    if n_public >= n_wires {
+        return Err(format!("{n_public} public wires out of {n_wires}"));
     }
+    let table: Vec<F> = r
+        .take(n_coeffs.checked_mul(k).ok_or("r1cs table overflows")?)?
+        .chunks_exact(k)
+        .map(&field)
+        .collect();
+    let mut matrices = Vec::with_capacity(3);
+    for name in ["A", "B", "C"] {
+        let counts = r.u32s(n_rows)?;
+        let n_terms = counts.iter().sum();
+        let wires = r.u32s(n_terms)?;
+        let coeffs = r.u32s(n_terms)?;
+        let mut terms = wires.into_iter().zip(coeffs);
+        let mut rows = Vec::with_capacity(n_rows);
+        for count in counts {
+            let row: Terms<F> = terms
+                .by_ref()
+                .take(count)
+                .map(|(w, c)| match table.get(c) {
+                    Some(v) if w < n_wires => Ok((w, *v)),
+                    _ => Err(format!("matrix {name}: wire or coefficient id out of range")),
+                })
+                .collect::<Result<_, _>>()?;
+            rows.push(row);
+        }
+        matrices.push(rows);
+    }
+    if r.pos != data.len() {
+        return Err("r1cs file has trailing bytes".into());
+    }
+    let c = matrices.pop().unwrap_or_default();
+    let b = matrices.pop().unwrap_or_default();
+    let a = matrices.pop().unwrap_or_default();
+    let rows = a.into_iter().zip(b).zip(c).map(|((a, b), c)| (a, b, c)).collect();
     Ok(R1csFile { n_wires, n_public, rows })
+}
+
+fn parse_r1cs(path: &str) -> Result<R1csFile<Fr>, String> {
+    let data = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut modulus = hex::decode(BN254_SCALAR_HEX).map_err(|e| e.to_string())?;
+    modulus.reverse();
+    parse_r1cs_bytes(&data, &modulus, Fr::from_le_bytes_mod_order)
 }
 
 fn parse_values(path: &str, expect_header: &str) -> Result<Vec<Fr>, String> {
@@ -111,7 +153,7 @@ fn parse_values(path: &str, expect_header: &str) -> Result<Vec<Fr>, String> {
 }
 
 struct FileCircuit {
-    file: R1csFile,
+    file: R1csFile<Fr>,
     // Full assignment including the leading constant 1; absent for setup.
     assignment: Option<Vec<Fr>>,
 }
@@ -132,7 +174,7 @@ impl ConstraintSynthesizer<Fr> for FileCircuit {
         for i in (self.file.n_public + 1)..self.file.n_wires {
             vars.push(cs.new_witness_variable(|| value(i))?);
         }
-        let as_lc = |terms: &Terms| -> LinearCombination<Fr> {
+        let as_lc = |terms: &Terms<Fr>| -> LinearCombination<Fr> {
             let mut lc = LinearCombination::zero();
             for (w, c) in terms {
                 lc += (*c, vars[*w]);

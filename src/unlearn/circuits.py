@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from .field import ScaleConfig
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
 from .hashing import HashConfig
-from .r1cs import ConstraintSystem, Witness
+from .r1cs import ConstraintSystem, Witness, gc_paused
 from .training import Dataset, TrainConfig, sgd_step_ops
 
 
@@ -54,6 +54,7 @@ class ModelShape:
 class ModelCircuit:
     """R1CS form of the model-update statement plus witness synthesis."""
 
+    @gc_paused()
     def __init__(self, shape: ModelShape):
         self.shape = shape
         scale = shape.train.scale
@@ -107,6 +108,7 @@ class ModelCircuit:
         self.cs = cs
         self.builder = b
 
+    @gc_paused()
     def synthesize(self, dataset: Dataset) -> Witness:
         shape = self.shape
         if dataset.arity != shape.train.arity:
@@ -153,6 +155,7 @@ class DataShape:
 class DataCircuit:
     """R1CS form of the dataset-update statement plus witness synthesis."""
 
+    @gc_paused()
     def __init__(self, shape: DataShape):
         self.shape = shape
         cs = ConstraintSystem(shape.hash_cfg.modulus)
@@ -200,6 +203,7 @@ class DataCircuit:
         self.cs = cs
         self.builder = b
 
+    @gc_paused()
     def synthesize(self, hashed_data, hashed_unlearnt_prev, hashed_unlearnt_add) -> Witness:
         shape = self.shape
         caps = (shape.data_capacity, shape.unlearn_capacity, shape.add_capacity)

@@ -10,8 +10,11 @@ proof files.
 
 * ``params.json``: the protocol config and, for each circuit (model and
   data), its fingerprint and its constraint, wire and public-input counts;
-* ``circuits/<fingerprint>.r1cs``: each circuit's canonical export, the
-  bytes its fingerprint (SHA-256) is taken over;
+* ``circuits/<fingerprint>.r1cs``: each circuit's canonical binary
+  export, the bytes its fingerprint (SHA-256) is taken over: a header
+  (magic, modulus, wire, public, row and coefficient counts), the
+  coefficient table, then per matrix A, B, C the row term counts, wire
+  ids and coefficient ids as little-endian u32 arrays (see ``r1cs``);
 * ``setups/<backend>/<fingerprint>/``: the backend's setup artifacts.
 
 Only ``setup``, ``update`` and ``audit-setup`` build circuits (``game``
@@ -185,7 +188,8 @@ def load_state(store: StateDir, scale):
         return store.load_state(scale)
     except FileNotFoundError:
         raise CliError("no server state (run init first)")
-    except (EnvelopeError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        # A field of the wrong type raises TypeError.
         raise CliError(f"corrupt state: {e}", EXIT_CORRUPT)
 
 
@@ -347,7 +351,7 @@ def cmd_verify_update(args) -> int:
             ok = verify_update(pub, com_prev, com, proof)
     except FileNotFoundError as e:
         raise CliError(f"missing envelope: {e.filename}")
-    except (EnvelopeError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CliError(f"corrupt envelope: {e}", EXIT_CORRUPT)
     emit(args, {"iteration": i, "accepted": ok},
          f"iteration {i}: {'accept' if ok else 'REJECT'}")
@@ -402,7 +406,7 @@ def cmd_verify_unlearn(args) -> int:
         )
     except FileNotFoundError as e:
         raise CliError(f"missing envelope: {e.filename}")
-    except (EnvelopeError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CliError(f"corrupt envelope: {e}", EXIT_CORRUPT)
     ok = verify_unlearn(pub, point, com, proof)
     detail = "" if ok else " (path mismatch: recomputed root differs from commitment)"

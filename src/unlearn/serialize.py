@@ -31,7 +31,7 @@ from .protocol import (
 from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
 
-VERSION = 3
+VERSION = 4
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
@@ -39,11 +39,22 @@ class EnvelopeError(ValueError):
     pass
 
 
+def _umask() -> int:
+    # Setting the umask is the only portable way to read it.
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write through a temp file and a rename.  The file gets the mode a
+    plain ``open`` would give it (0o666 less the umask), not mkstemp's
+    0o600, so verifiers running as other users can read ``pub/``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -251,7 +262,7 @@ def circuit_record(fingerprint: str, cs: ConstraintSystem) -> dict:
     """A circuit's entry in ``params.json``: its fingerprint and size."""
     return {
         "fingerprint": fingerprint,
-        "constraints": len(cs.constraints),
+        "constraints": cs.num_constraints,
         "wires": cs.num_wires,
         "publics": cs.num_public,
     }
@@ -293,8 +304,8 @@ class SetupStore:
 
     def load_circuit(self, fingerprint: str) -> ConstraintSystem:
         """The stored constraint system with this fingerprint.  A missing
-        file, one whose SHA-256 is not the fingerprint, or one that does
-        not parse raises EnvelopeError."""
+        file, one whose SHA-256 is not the fingerprint, or one that
+        ``ConstraintSystem.from_export`` refuses raises EnvelopeError."""
         path = self.circuit_file(fingerprint)
         try:
             exported = path.read_bytes()

@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import json
 import os
+import stat
+import struct
 
 import pytest
 
@@ -354,10 +356,12 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     assert marker["version"] == VERSION
     params = initialized / "pub" / "params.json"
     current = json.loads(params.read_text())
-    # Neither older layout recorded the circuits; version 1 also carried
-    # the retired quotient-width key.
-    for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}):
-        obj = {k: v for k, v in current.items() if k != "circuits"} | old
+    # Versions 1 and 2 recorded no circuits, and version 1 also carried
+    # the retired quotient-width key; version 3 had today's fields but
+    # fingerprinted text circuit exports.
+    for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3}):
+        obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] == 3}
+        obj |= old
         params.write_text(json.dumps(obj))
         capsys.readouterr()
         assert run(workspace, "init", "--dir", str(initialized)) == 3
@@ -466,10 +470,10 @@ def test_tampered_circuit_export_is_corrupt_state(workspace, updated, capsys, ta
     d = str(updated)
     path = _model_export(updated)
     if tamper == "flip":
-        # The first coefficient of the first row, still well formed.
+        # Another coefficient id for the last term of C, still well formed.
         data = bytearray(path.read_bytes())
-        i = data.index(b":", data.index(b"\nconstraints ")) + 1
-        data[i] = ord("2") if data[i] != ord("2") else ord("3")
+        data[-4:] = struct.pack("<I", 0 if data[-4:] != bytes(4) else 1)
+        ConstraintSystem.from_export(bytes(data))
         path.write_bytes(bytes(data))
     else:
         path.unlink()
@@ -512,3 +516,55 @@ def test_stored_circuit_records_must_match_the_config(workspace, updated, capsys
     params.write_text(json.dumps(obj))
     assert run(workspace, "audit-setup", "--dir", d) == 1
     assert "MISMATCH: data params" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
+def test_pub_files_follow_the_umask(workspace, mask):
+    d = workspace / "st"
+    old = os.umask(mask)
+    try:
+        assert run(workspace, "setup", "--dir", str(d), "--config", str(workspace / "conf")) == 0
+    finally:
+        os.umask(old)
+    files = [d / "pub" / "params.json", *(d / "pub" / "circuits").glob("*.r1cs")]
+    assert len(files) == 3
+    for f in files:
+        assert stat.S_IMODE(f.stat().st_mode) == 0o666 & ~mask, f
+
+
+@pytest.fixture
+def unlearnt(workspace, updated):
+    """Iteration 2 deleted uid 2, and its unlearning proof is written."""
+    d = str(updated)
+    assert run(workspace, "delete", "--dir", d, "--uid", "2") == 0
+    assert run(workspace, "update", "--dir", d) == 0
+    assert run(workspace, "prove-unlearn", "--dir", d, "--uid", "2") == 0
+    return updated
+
+
+VERIFY_UNLEARN = ("verify-unlearn", "--uid", "2", "--iteration", "2", "--dataset", "pts.csv")
+
+
+@pytest.mark.parametrize(
+    "name, edit, commands",
+    [
+        ("state.json", lambda obj: obj.update(points=5),
+         [("add", "--uid", "9", "--features", "0.5", "--label", "1")]),
+        ("proofs/update_2.json", lambda obj: obj["model_proof"].update(public_inputs=5),
+         [("verify-update", "--iteration", "2")]),
+        ("commitments/com_2.json", lambda obj: obj.update(h_m=5),
+         [("verify-update", "--iteration", "2"), VERIFY_UNLEARN]),
+        ("proofs/unlearn_2_2.json", lambda obj: obj.update(path=5), [VERIFY_UNLEARN]),
+    ],
+    ids=["state", "update-proof", "commitment", "unlearn-proof"],
+)
+def test_wrong_type_fields_are_corrupt(workspace, unlearnt, capsys, name, edit, commands):
+    path = unlearnt / name
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    for command, *rest in commands:
+        rest = [str(workspace / a) if a.endswith(".csv") else a for a in rest]
+        capsys.readouterr()
+        assert run(workspace, command, "--dir", str(unlearnt), *rest) == 3
+        assert "error: corrupt " in capsys.readouterr().err
