@@ -2,9 +2,10 @@
 
 Mirrors the protocol's evaluation methodology: synthetic single-feature
 datasets of the requested sizes with 10% of points unlearnt (the unlearnt
-points are never added to the training set).  Counts come from circuit
-construction; timings cover witness synthesis, proving, and verification
-on the selected backend.
+points are never added to the training set).  Each circuit is built once
+from its synthetic inputs, as ``update`` builds it, which yields its
+constraint count and its witness together; timings cover that build,
+setup, proving and verification on the selected backend.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .circuits import DataCircuit, DataShape, ModelCircuit, ModelShape
 from .field import ScaleConfig, fx_encode
 from .hashing import DataPoint, HashConfig, hash_data_point
 from .proofsys import RelationHandle, get_backend
+from .protocol import ProtocolConfig, build_data_circuit, build_model_circuit
 from .training import Dataset, TrainConfig
 
 DEFAULT_SIZES = (10, 100)
@@ -65,22 +66,28 @@ def bench_sizes(
     seed: int = 0,
 ) -> list[BenchEntry]:
     entries = []
+    scale = train_template.scale
     for size in sizes:
         unlearn_size = max(1, size // 10)
+        config = ProtocolConfig(
+            train=train_template,
+            capacity=size,
+            unlearn_capacity=unlearn_size,
+            backend=backend_name,
+            hash_cfg=hash_cfg,
+        )
+        dataset = synthetic_dataset(size, train_template.arity, scale, seed)
+        # The unlearnt points go straight to the unlearnt set.
+        ghosts = synthetic_dataset(unlearn_size, train_template.arity, scale, seed + 1)
+        unlearnt = [
+            hash_data_point(DataPoint(10**9 + g.uid, g.x, g.y), hash_cfg)
+            for g in ghosts.points
+        ]
         timings: dict[str, float] = {}
 
         t0 = time.perf_counter()
-        model_circuit = ModelCircuit(
-            ModelShape(train=train_template, capacity=size, hash_cfg=hash_cfg)
-        )
-        data_circuit = DataCircuit(
-            DataShape(
-                data_capacity=size,
-                unlearn_capacity=unlearn_size,
-                add_capacity=unlearn_size,
-                hash_cfg=hash_cfg,
-            )
-        )
+        model_circuit = build_model_circuit(config, dataset)
+        data_circuit = build_data_circuit(config, model_circuit.digests, (), unlearnt)
         timings["build_s"] = time.perf_counter() - t0
 
         entry = BenchEntry(
@@ -95,23 +102,6 @@ def bench_sizes(
         if not prove:
             continue
 
-        scale = train_template.scale
-        dataset = synthetic_dataset(size, train_template.arity, scale, seed)
-        # The unlearnt points go straight to the unlearnt set.
-        ghosts = synthetic_dataset(unlearn_size, train_template.arity, scale, seed + 1)
-        unlearnt = [
-            hash_data_point(DataPoint(10**9 + g.uid, g.x, g.y), hash_cfg)
-            for g in ghosts.points
-        ]
-
-        t0 = time.perf_counter()
-        model_witness = model_circuit.synthesize(dataset)
-        timings["model_synth_s"] = time.perf_counter() - t0
-        hashed = [hash_data_point(d, hash_cfg) for d in dataset.points]
-        t0 = time.perf_counter()
-        data_witness = data_circuit.synthesize(hashed, [], unlearnt)
-        timings["data_synth_s"] = time.perf_counter() - t0
-
         backend = get_backend(backend_name)
         model_rel = RelationHandle.of(model_circuit.cs)
         data_rel = RelationHandle.of(data_circuit.cs)
@@ -120,8 +110,8 @@ def bench_sizes(
         data_setup = backend.setup(data_rel)
         timings["setup_s"] = time.perf_counter() - t0
 
-        model_statement = model_circuit.statement(model_witness)
-        data_statement = data_circuit.statement(data_witness)
+        model_statement, model_witness = model_circuit.statement, model_circuit.cs.witness()
+        data_statement, data_witness = data_circuit.statement, data_circuit.cs.witness()
         t0 = time.perf_counter()
         model_proof = backend.prove(model_rel, model_setup, model_statement, model_witness)
         timings["model_prove_s"] = time.perf_counter() - t0

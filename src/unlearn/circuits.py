@@ -2,42 +2,35 @@
 
 * Model circuit: public (h_m, h_D), private dataset slots.  Proves the
   committed training-set root matches the private dataset and that
-  replaying the fixed-point SGD on it yields a model hashing to h_m.
+  running the fixed-point SGD on it yields a model hashing to h_m.
 
 * Data circuit: public (h_D, h_U_prev, h_U), private digest sets.  Proves
   the committed roots match the private sets, that the new unlearnt root
   extends the previous chain (so the unlearnt set only ever grows), and
   that the training and unlearnt sets are disjoint.
 
-Circuit shapes are static: datasets are padded to a fixed capacity with
-dummy slots masked by per-slot presence bits, so one trusted setup serves
-every update that fits.
+Each circuit is built from its inputs in one pass that yields both the
+constraints and the witness; the prover reads the trained model and the
+statement from it.  Circuit shapes are static: datasets are padded to a
+fixed capacity with dummy slots masked by per-slot presence bits, so the
+constraints do not depend on the inputs and one trusted setup, built from
+the empty input, serves every update that fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Optional, Sequence
 
-from .field import ScaleConfig
+from .field import FixedPointOverflow, ScaleConfig
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
-from .hashing import HashConfig
+from .hashing import DataPoint, HashConfig, empty_root
 from .r1cs import ConstraintSystem, Witness, gc_paused
-from .training import Dataset, TrainConfig, sgd_step_ops
+from .training import Dataset, ModelParams, TrainConfig, overflow_at, sgd_step_ops
 
 
 class ShapeMismatch(ValueError):
     """Inputs do not fit the circuit's compiled shape."""
-
-
-def _statement_binder(cs, box: list):
-    """Allocate a public wire whose value copies an internal combination.
-
-    The combination only exists once the circuit body is built, so the
-    caller appends it to ``box`` later and the hint runs in the deferred
-    second synthesis pass.  The equality constraint binding the wire is
-    added separately by the builder.
-    """
-    return cs.alloc_public(hint=lambda vs: cs.lc_value(box[0], vs), deferred=True)
 
 
 @dataclass(frozen=True)
@@ -52,93 +45,84 @@ class ModelShape:
 
 
 class ModelCircuit:
-    """R1CS form of the model-update statement plus witness synthesis."""
+    """R1CS form of the model-update statement, built with the witness for
+    ``dataset`` (by default the empty one).  ``model`` is the trained
+    model, ``digests`` the points' digests (the leaves under h_D) and
+    ``statement`` is (h_m, h_D).  Raises ShapeMismatch when the dataset
+    does not fit, and FixedPointOverflow, naming the point and the epoch
+    as ``train_model`` does, when training it crosses the value bound."""
 
     @gc_paused()
-    def __init__(self, shape: ModelShape):
+    def __init__(self, shape: ModelShape, dataset: Optional[Dataset] = None):
         self.shape = shape
-        scale = shape.train.scale
+        train = shape.train
+        points = dataset.points if dataset is not None else ()
+        if dataset is not None and dataset.arity != train.arity:
+            raise ShapeMismatch(
+                f"dataset arity {dataset.arity} != circuit arity {train.arity}"
+            )
+        if len(points) > shape.capacity:
+            raise ShapeMismatch(
+                f"{len(points)} points exceed circuit capacity {shape.capacity}"
+            )
+        absent = DataPoint(0, (0,) * train.arity, 0)
+        slots = points + (absent,) * (shape.capacity - len(points))
+        scale = train.scale
         cs = ConstraintSystem(scale.modulus)
         b = CircuitBuilder(cs, scale, shape.hash_cfg)
         ops = CircuitOps(b)
 
-        # Statement wires first; their values are bound below.
-        h_m_lc_box: list = []
-        h_d_lc_box: list = []
-        self.h_m_wire = _statement_binder(cs, h_m_lc_box)
-        self.h_d_wire = _statement_binder(cs, h_d_lc_box)
+        # Statement wires first; b.bind gives them their values below.
+        self.h_m_wire = cs.alloc_public()
+        self.h_d_wire = cs.alloc_public()
 
-        arity = shape.train.arity
-        presence, leaves, slots = [], [], []
-        for s in range(shape.capacity):
-            pres = lc_wire(cs.alloc_private(name=f"present_{s}"))
-            uid = lc_wire(cs.alloc_private(name=f"uid_{s}"))
-            xs = [lc_wire(cs.alloc_private(name=f"x_{s}_{k}")) for k in range(arity)]
-            y = lc_wire(cs.alloc_private(name=f"y_{s}"))
-            for v in (*xs, y):
-                b.value_range(v)
+        presence, leaves, data = [], [], []
+        for s, d in enumerate(slots):
+            pres = lc_wire(cs.alloc_private(int(s < len(points))))
+            uid = lc_wire(cs.alloc_private(d.uid))
+            xs = [lc_wire(cs.alloc_private(x)) for x in d.x]
+            y = lc_wire(cs.alloc_private(d.y))
+            try:
+                for v in (*xs, y):
+                    b.value_range(v)
+            except FixedPointOverflow as e:
+                raise overflow_at(e, d.uid) from None
             presence.append(pres)
-            slots.append((xs, y))
+            data.append((xs, y))
             leaves.append(b.hash_data_point(uid, xs, y))
         b.prefix_presence(presence)
+        self.digests = tuple(cs.lc_value(leaf) for leaf in leaves[: len(points)])
 
-        root = b.merkle_root(leaves, presence)
-        b.enforce_eq(root, lc_wire(self.h_d_wire))
-        h_d_lc_box.append(root)
+        b.bind(self.h_d_wire, b.merkle_root(leaves, presence))
 
-        weights = [ops.const(w) for w in shape.train.init_values]
-        lr = ops.const(shape.train.learning_rate)
-        for _ in range(shape.train.epochs):
-            for pres, (xs, y) in zip(presence, slots):
+        weights = [ops.const(w) for w in train.init_values]
+        lr = ops.const(train.learning_rate)
+        for epoch in range(1, train.epochs + 1):
+            for d, pres, (xs, y) in zip(slots, presence, data):
                 # An absent slot steps from zero weights on its zero data,
                 # so its discarded products stay inside the value bound
-                # whatever the weights are: the circuit then fails exactly
+                # whatever the weights are: the circuit then raises exactly
                 # where native training, which skips absent slots, raises.
                 live = [b.select(pres, w, lc_const(0)) for w in weights]
-                stepped = sgd_step_ops(
-                    ops, shape.train.kind, shape.train.hidden, live, xs, y, lr
-                )
+                try:
+                    stepped = sgd_step_ops(ops, train.kind, train.hidden, live, xs, y, lr)
+                except FixedPointOverflow as e:
+                    raise overflow_at(e, d.uid, epoch) from None
                 weights = [b.select(pres, new, old) for new, old in zip(stepped, weights)]
+        self.model = ModelParams(
+            train.kind, train.arity, tuple(map(cs.lc_value, weights)), train.hidden
+        )
 
-        model_hash = b.hash_model(weights)
-        b.enforce_eq(model_hash, lc_wire(self.h_m_wire))
-        h_m_lc_box.append(model_hash)
+        b.bind(self.h_m_wire, b.hash_model(weights))
 
         cs.finalize()
         self.cs = cs
         self.builder = b
 
-    @gc_paused()
-    def synthesize(self, dataset: Dataset) -> Witness:
-        shape = self.shape
-        if dataset.arity != shape.train.arity:
-            raise ShapeMismatch(
-                f"dataset arity {dataset.arity} != circuit arity {shape.train.arity}"
-            )
-        if len(dataset) > shape.capacity:
-            raise ShapeMismatch(
-                f"{len(dataset)} points exceed circuit capacity {shape.capacity}"
-            )
-        inputs: dict[str, int] = {}
-        for s in range(shape.capacity):
-            if s < len(dataset.points):
-                d = dataset.points[s]
-                inputs[f"present_{s}"] = 1
-                inputs[f"uid_{s}"] = d.uid
-                for k, x in enumerate(d.x):
-                    inputs[f"x_{s}_{k}"] = x
-                inputs[f"y_{s}"] = d.y
-            else:
-                inputs[f"present_{s}"] = 0
-                inputs[f"uid_{s}"] = 0
-                for k in range(shape.train.arity):
-                    inputs[f"x_{s}_{k}"] = 0
-                inputs[f"y_{s}"] = 0
-        return self.cs.synthesize(inputs)
-
-    def statement(self, witness: Witness) -> tuple[int, int]:
-        """(h_m, h_D) as computed by an honest witness."""
-        return witness.values[self.h_m_wire], witness.values[self.h_d_wire]
+    @property
+    def statement(self) -> tuple[int, int]:
+        """(h_m, h_D) as computed from the inputs."""
+        return self.cs.values[self.h_m_wire], self.cs.values[self.h_d_wire]
 
     def slack_wires(self, witness: Witness) -> set[int]:
         return _value_dependent_slack(self.builder, witness)
@@ -153,43 +137,47 @@ class DataShape:
 
 
 class DataCircuit:
-    """R1CS form of the dataset-update statement plus witness synthesis."""
+    """R1CS form of the dataset-update statement, built with the witness
+    for the training-set digests, the previous unlearnt digests and the
+    appended ones (by default all empty).  ``statement`` is (h_D,
+    h_U_prev, h_U).  Raises ShapeMismatch when a set does not fit, and
+    WitnessSynthesisError when the training set meets an unlearnt one."""
 
     @gc_paused()
-    def __init__(self, shape: DataShape):
+    def __init__(
+        self,
+        shape: DataShape,
+        hashed_data: Sequence[int] = (),
+        hashed_unlearnt_prev: Sequence[int] = (),
+        hashed_unlearnt_add: Sequence[int] = (),
+    ):
         self.shape = shape
+        caps = (shape.data_capacity, shape.unlearn_capacity, shape.add_capacity)
+        sets = (tuple(hashed_data), tuple(hashed_unlearnt_prev), tuple(hashed_unlearnt_add))
+        for cap, items, label in zip(caps, sets, ("hd", "huprev", "huadd")):
+            if len(items) > cap:
+                raise ShapeMismatch(f"{len(items)} digests exceed {label} capacity {cap}")
         cs = ConstraintSystem(shape.hash_cfg.modulus)
         scale = ScaleConfig(modulus=shape.hash_cfg.modulus)
         b = CircuitBuilder(cs, scale, shape.hash_cfg)
 
-        h_d_box: list = []
-        h_uprev_box: list = []
-        h_u_box: list = []
-        self.h_d_wire = _statement_binder(cs, h_d_box)
-        self.h_uprev_wire = _statement_binder(cs, h_uprev_box)
-        self.h_u_wire = _statement_binder(cs, h_u_box)
+        self.h_d_wire = cs.alloc_public()
+        self.h_uprev_wire = cs.alloc_public()
+        self.h_u_wire = cs.alloc_public()
 
-        def alloc_set(prefix: str, capacity: int):
-            pres = [lc_wire(cs.alloc_private(name=f"{prefix}_present_{i}")) for i in range(capacity)]
-            vals = [lc_wire(cs.alloc_private(name=f"{prefix}_{i}")) for i in range(capacity)]
+        def alloc_set(items, capacity: int):
+            padded = items + (0,) * (capacity - len(items))
+            pres = [lc_wire(cs.alloc_private(int(i < len(items)))) for i in range(capacity)]
+            vals = [lc_wire(cs.alloc_private(v)) for v in padded]
             b.prefix_presence(pres)
             return pres, vals
 
-        d_pres, d_vals = alloc_set("hd", shape.data_capacity)
-        u_pres, u_vals = alloc_set("huprev", shape.unlearn_capacity)
-        a_pres, a_vals = alloc_set("huadd", shape.add_capacity)
+        (d_pres, d_vals), (u_pres, u_vals), (a_pres, a_vals) = map(alloc_set, sets, caps)
 
-        root = b.merkle_root(d_vals, d_pres)
-        b.enforce_eq(root, lc_wire(self.h_d_wire))
-        h_d_box.append(root)
-
-        psi_prev = b.chain_root(lc_const(_empty(b)), u_vals, u_pres)
-        b.enforce_eq(psi_prev, lc_wire(self.h_uprev_wire))
-        h_uprev_box.append(psi_prev)
-
-        psi = b.chain_root(psi_prev, a_vals, a_pres)
-        b.enforce_eq(psi, lc_wire(self.h_u_wire))
-        h_u_box.append(psi)
+        b.bind(self.h_d_wire, b.merkle_root(d_vals, d_pres))
+        psi_prev = b.chain_root(lc_const(empty_root(shape.hash_cfg)), u_vals, u_pres)
+        b.bind(self.h_uprev_wire, psi_prev)
+        b.bind(self.h_u_wire, b.chain_root(psi_prev, a_vals, a_pres))
 
         # Pairwise disjointness of the training digests against both the
         # previous and the newly appended unlearnt digests.
@@ -203,39 +191,19 @@ class DataCircuit:
         self.cs = cs
         self.builder = b
 
-    @gc_paused()
-    def synthesize(self, hashed_data, hashed_unlearnt_prev, hashed_unlearnt_add) -> Witness:
-        shape = self.shape
-        caps = (shape.data_capacity, shape.unlearn_capacity, shape.add_capacity)
-        sets = (list(hashed_data), list(hashed_unlearnt_prev), list(hashed_unlearnt_add))
-        names = ("hd", "huprev", "huadd")
-        inputs: dict[str, int] = {}
-        for cap, items, prefix in zip(caps, sets, names):
-            if len(items) > cap:
-                raise ShapeMismatch(f"{len(items)} digests exceed {prefix} capacity {cap}")
-            for i in range(cap):
-                inputs[f"{prefix}_present_{i}"] = 1 if i < len(items) else 0
-                inputs[f"{prefix}_{i}"] = items[i] if i < len(items) else 0
-        return self.cs.synthesize(inputs)
-
-    def statement(self, witness: Witness) -> tuple[int, int, int]:
-        """(h_D, h_U_prev, h_U) as computed by an honest witness."""
-        v = witness.values
+    @property
+    def statement(self) -> tuple[int, int, int]:
+        """(h_D, h_U_prev, h_U) as computed from the inputs."""
+        v = self.cs.values
         return v[self.h_d_wire], v[self.h_uprev_wire], v[self.h_u_wire]
 
     def slack_wires(self, witness: Witness) -> set[int]:
         return _value_dependent_slack(self.builder, witness)
 
 
-def _empty(b: CircuitBuilder) -> int:
-    from .hashing import empty_root
-
-    return empty_root(b.hash_cfg)
-
-
 def _value_dependent_slack(b: CircuitBuilder, witness: Witness) -> set[int]:
     """Wires a mutation cannot invalidate under this particular witness:
-    sign bits of zero products and inverse hints of inactive pairs."""
+    sign bits of zero products and inverse wires of inactive pairs."""
     slack = set()
     for prod_w, sigma_w in b.sign_wires:
         if witness.values[prod_w] == 0:

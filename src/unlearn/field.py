@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 # Scalar field of the ALT_BN128 / BN254 pairing curve; R1CS statements and
@@ -53,6 +54,9 @@ class FixedPointOverflow(OverflowError):
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+# Cached: every ScaleConfig checks its modulus, and each data circuit
+# build makes one.
+@lru_cache(maxsize=8)
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -147,10 +151,14 @@ def fx_encode(r: Rational, cfg: ScaleConfig) -> int:
     return k % cfg.modulus
 
 
-def in_value_range(v: int, cfg: ScaleConfig) -> bool:
-    """Whether an encoded value lies in [-2^B, 2^B), B = cfg.value_bits."""
+def check_value_range(v: int, cfg: ScaleConfig) -> None:
+    """Raise FixedPointOverflow unless an encoded feature or label lies in
+    [-2^B, 2^B), B = cfg.value_bits."""
     limit = 1 << cfg.value_bits
-    return -limit <= signed_repr(v, cfg) < limit
+    if not -limit <= signed_repr(v, cfg) < limit:
+        raise FixedPointOverflow(
+            f"a feature or label lies outside the {cfg.value_bits}-bit value bound"
+        )
 
 
 def fx_decode(v: int, cfg: ScaleConfig) -> Fraction:
@@ -169,20 +177,28 @@ def fx_neg(a: int, cfg: ScaleConfig) -> int:
     return -a % cfg.modulus
 
 
-def fx_mul(a: int, b: int, cfg: ScaleConfig) -> int:
-    """gamma-rescaled product: trunc(signed(a) * signed(b) / gamma).
-
-    Truncation is toward zero on the signed representative, matching the
-    in-circuit quotient/remainder gadget.  Raises FixedPointOverflow when
-    the quotient reaches 2^B, B = cfg.value_bits.
-    """
-    prod = signed_repr(a, cfg) * signed_repr(b, cfg)
-    q = abs(prod) // cfg.gamma
+def rescale(prod: int, cfg: ScaleConfig) -> tuple[int, int]:
+    """Quotient and remainder of |prod| by gamma, for a signed product.
+    Raises FixedPointOverflow when the quotient reaches 2^B, B =
+    cfg.value_bits."""
+    q, r = divmod(abs(prod), cfg.gamma)
     if q >> cfg.value_bits:
         raise FixedPointOverflow(
             f"rescaled product needs {q.bit_length()} bits, over the "
             f"{cfg.value_bits}-bit value bound"
         )
+    return q, r
+
+
+def fx_mul(a: int, b: int, cfg: ScaleConfig) -> int:
+    """gamma-rescaled product: trunc(signed(a) * signed(b) / gamma).
+
+    Truncation is toward zero on the signed representative, as in the
+    in-circuit quotient/remainder gadget, which rescales through the same
+    ``rescale``.
+    """
+    prod = signed_repr(a, cfg) * signed_repr(b, cfg)
+    q, _ = rescale(prod, cfg)
     return (-q if prod < 0 else q) % cfg.modulus
 
 

@@ -2,15 +2,19 @@
 
 Values inside a circuit are sparse linear combinations over wires, so
 additions and constant scaling are free; only multiplications allocate
-wires and constraints.  The hash gadgets replay the exact computation of
-``hashing`` and the fixed-point multiply replays ``field.fx_mul`` via a
-sign bit, an absolute-value split, and quotient/remainder range checks
-against the value bound of ``ScaleConfig``.
+wires and constraints.  Each gadget computes the values of the wires it
+allocates from the values of its inputs as it allocates them, so a
+circuit built from its inputs carries its witness.  The hash gadgets
+replay the exact computation of ``hashing`` and the fixed-point multiply
+replays ``field.fx_mul`` via a sign bit, an absolute-value split, and
+quotient/remainder range checks against the value bound of
+``ScaleConfig``; where native training raises FixedPointOverflow, so do
+they.
 """
 
 from __future__ import annotations
 
-from .field import ScaleConfig, fx_encode
+from .field import ScaleConfig, check_value_range, fx_encode, rescale, signed_repr
 from .hashing import HashConfig, empty_root, round_constants
 from .r1cs import ConstraintSystem, LinComb, WitnessSynthesisError
 
@@ -60,49 +64,42 @@ class CircuitBuilder:
 
     # -- core wire allocation -------------------------------------------------
 
-    def hinted(self, hint, name=None) -> int:
-        return self.cs.alloc_private(name=name, hint=hint)
-
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
         """Plain field product as a new constrained wire."""
         cs = self.cs
-        w = self.hinted(lambda vs, a=a, b=b: cs.lc_value(a, vs) * cs.lc_value(b, vs))
+        w = cs.alloc_private(cs.lc_value(a) * cs.lc_value(b))
         cs.enforce(a, b, lc_wire(w))
         return lc_wire(w)
 
     def enforce_eq(self, a: LinComb, b: LinComb) -> None:
         self.cs.enforce(self.sub(a, b), lc_const(1), {})
 
+    def bind(self, wire: int, a: LinComb) -> None:
+        """Give a statement wire, allocated before the body that computes
+        ``a``, the value of ``a``, and enforce that they are equal."""
+        self.cs.values[wire] = self.cs.lc_value(a)
+        self.enforce_eq(a, lc_wire(wire))
+
     def enforce_boolean(self, a: LinComb) -> None:
         self.cs.enforce(a, self.sub(lc_const(1), a), {})
 
     def bits(self, a: LinComb, width: int) -> list[int]:
-        """Bit-decompose a into ``width`` boolean wires; synthesis fails if
-        the value does not fit."""
+        """Bit-decompose a into ``width`` boolean wires; raises
+        WitnessSynthesisError if its value does not fit."""
         cs = self.cs
-
-        def bit_hint(i):
-            def hint(vs, a=a, i=i, width=width):
-                v = cs.lc_value(a, vs)
-                if v >> width:
-                    raise WitnessSynthesisError(
-                        f"value {v} exceeds {width}-bit range check"
-                    )
-                return (v >> i) & 1
-
-            return hint
-
-        wires = [self.hinted(bit_hint(i)) for i in range(width)]
-        recomposed: LinComb = {}
-        for i, w in enumerate(wires):
-            self.enforce_boolean(lc_wire(w))
-            recomposed = self.add(recomposed, self.scaled(lc_wire(w), 1 << i))
-        self.enforce_eq(recomposed, a)
+        v = cs.lc_value(a)
+        if v >> width:
+            raise WitnessSynthesisError(f"value {v} exceeds {width}-bit range check")
+        wires = [cs.alloc_private((v >> i) & 1) for i in range(width)]
+        cs.enforce_booleans(wires)
+        self.enforce_eq({w: 1 << i for i, w in enumerate(wires)}, a)
         return wires
 
     def value_range(self, a: LinComb) -> None:
         """Enforce a in [-2^B, 2^B), B = scale.value_bits: the interval
-        native training accepts for features and labels."""
+        native training accepts for features and labels.  Raises
+        FixedPointOverflow outside it, as native training does."""
+        check_value_range(self.cs.lc_value(a), self.scale)
         limit = 1 << self.scale.value_bits
         self.bits(self.add(a, lc_const(limit)), self.scale.value_bits + 1)
 
@@ -125,38 +122,32 @@ class CircuitBuilder:
         data, every product is range-checked here, and every sum feeding
         a product adds up a number of such terms linear in capacity *
         epochs, so operands stay far below sqrt(p/2).  A product whose
-        quotient reaches 2^B fails synthesis, exactly where native training
-        raises."""
+        quotient reaches 2^B raises FixedPointOverflow, through the same
+        ``field.rescale`` as native training."""
         cs = self.cs
-        p = cs.modulus
         gamma = self.scale.gamma
-        half = self.scale.half
 
         prod = self.mul(a, b)
         prod_w = next(iter(prod))
+        signed = signed_repr(cs.values[prod_w], self.scale)
+        q_value, r_value = rescale(signed, self.scale)
 
-        def signed(vs):
-            v = vs[prod_w]
-            return v if v <= half else v - p
-
-        sigma = self.hinted(lambda vs: 1 if signed(vs) < 0 else 0)
+        sigma = cs.alloc_private(int(signed < 0))
         self.enforce_boolean(lc_wire(sigma))
         self.sign_wires.append((prod_w, sigma))
 
-        absval = self.hinted(lambda vs: abs(signed(vs)))
+        absval = cs.alloc_private(abs(signed))
         one_minus_2s = self.sub(lc_const(1), self.scaled(lc_wire(sigma), 2))
         cs.enforce(one_minus_2s, prod, lc_wire(absval))
 
-        q = self.hinted(lambda vs: vs[absval] // gamma)
-        r = self.hinted(lambda vs: vs[absval] % gamma)
+        q = cs.alloc_private(q_value)
+        r = cs.alloc_private(r_value)
         cs.enforce(lc_wire(q), lc_const(gamma), self.sub(lc_wire(absval), lc_wire(r)))
         self.bits(lc_wire(r), self.scale.remainder_bits)
         self.bits(self.sub(lc_const(gamma - 1), lc_wire(r)), self.scale.remainder_bits)
         self.bits(lc_wire(q), self.scale.value_bits)
 
-        out = self.hinted(
-            lambda vs: (-vs[q] if vs[sigma] else vs[q]) % p
-        )
+        out = cs.alloc_private(-q_value if signed < 0 else q_value)
         cs.enforce(one_minus_2s, lc_wire(q), lc_wire(out))
         return lc_wire(out)
 
@@ -244,19 +235,13 @@ class CircuitBuilder:
         via an inverse witness: diff * v = active."""
         cs = self.cs
         active_w = next(iter(active)) if len(active) == 1 and 0 not in active else None
-
-        def hint(vs, diff=diff, active=active):
-            m = cs.lc_value(active, vs)
-            d = cs.lc_value(diff, vs)
-            if m == 0:
-                return 0
-            if d == 0:
-                raise WitnessSynthesisError(
-                    "training and unlearnt sets intersect"
-                )
-            return pow(d, -1, cs.modulus)
-
-        v = self.hinted(hint)
+        d = cs.lc_value(diff)
+        if not cs.lc_value(active):
+            v = cs.alloc_private(0)
+        elif d:
+            v = cs.alloc_private(pow(d, -1, cs.modulus))
+        else:
+            raise WitnessSynthesisError("training and unlearnt sets intersect")
         cs.enforce(diff, lc_wire(v), active)
         if active_w is not None:
             self.inverse_wires.append((active_w, v))

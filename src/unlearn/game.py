@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .field import fx_encode
-from .hashing import DataPoint, hash_data, hash_data_point, hash_model_weights
+from .hashing import DataPoint, hash_model_weights
 from .proofsys import ProofBlob
 from .protocol import (
     Commitment,
@@ -32,6 +32,9 @@ from .protocol import (
     ServerState,
     UnlearnProof,
     UpdateProof,
+    build_data_circuit,
+    build_model_circuit,
+    checked_relation,
     prove_unlearn,
     prove_update,
     queue_add,
@@ -42,7 +45,7 @@ from .protocol import (
     verify_update,
 )
 from .r1cs import WitnessSynthesisError
-from .training import Dataset, train_model
+from .training import Dataset
 
 
 class MalformedTranscript(ValueError):
@@ -310,7 +313,7 @@ class StaleCommitmentSplice(Strategy):
 class ReAddAfterUnlearn(Strategy):
     """Re-adds the unlearnt point in the final iteration and commits to
     the re-added dataset honestly.  The dataset-update statement is then
-    false (the sets intersect), honest proving fails at witness synthesis,
+    false (the sets intersect), building its witness fails,
     and the fabricated stand-in proof only passes if the proof system's
     soundness has been removed — in which case the game is won."""
 
@@ -318,27 +321,27 @@ class ReAddAfterUnlearn(Strategy):
     targeted_check = "update_proof"
 
     def build(self, pub, run):
-        cfg = pub.hash_cfg
         state2 = run.states[2]
         readded = Dataset(state2.dataset.points + (run.unlearned,), state2.dataset.arity)
-        hashed_data = tuple(hash_data_point(d, cfg) for d in readded.points)
-        model = train_model(readded, pub.config.train)
-        com3 = Commitment(
-            h_m=hash_model_weights(model.weights, cfg),
-            h_d=hash_data(hashed_data, cfg),
-            h_u=state2.unlearnt_root,
-        )
-        model_witness = pub.model_circuit.synthesize(readded)
+        model_circuit = build_model_circuit(pub.config, readded)
+        h_m, h_d = model_circuit.statement
+        com3 = Commitment(h_m=h_m, h_d=h_d, h_u=state2.unlearnt_root)
         model_proof = pub.backend.prove(
-            pub.model_relation, pub.model_setup, (com3.h_m, com3.h_d), model_witness
+            checked_relation(model_circuit.cs, pub.model_relation),
+            pub.model_setup,
+            model_circuit.statement,
+            model_circuit.cs.witness(),
         )
         data_statement = (com3.h_d, state2.unlearnt_root, com3.h_u)
         try:
-            data_witness = pub.data_circuit.synthesize(
-                hashed_data, state2.hashed_unlearnt, []
+            data_circuit = build_data_circuit(
+                pub.config, model_circuit.digests, state2.hashed_unlearnt
             )
             data_proof = pub.backend.prove(
-                pub.data_relation, pub.data_setup, data_statement, data_witness
+                checked_relation(data_circuit.cs, pub.data_relation),
+                pub.data_setup,
+                data_statement,
+                data_circuit.cs.witness(),
             )
         except WitnessSynthesisError:
             # No witness exists for intersecting sets; splice in stale

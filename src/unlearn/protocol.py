@@ -99,10 +99,11 @@ class UnlearnProof:
 @dataclass
 class PublicParams:
     """What verifiers need: the config, each circuit's fingerprint (in its
-    relation handle), the setup artifacts and the backend.  Provers also
-    need the circuits.  ``global_setup`` builds them; parameters loaded
-    from a state directory (``serialize.StateDir``) build each one on
-    first access and check it against the stored fingerprint."""
+    relation handle), the setup artifacts and the backend.  Parameters
+    from ``global_setup`` also hold the two circuits it built from the
+    empty input; those loaded from a state directory
+    (``serialize.StateDir``) hold none.  Provers build circuits from their
+    inputs (``prove_update``)."""
 
     config: ProtocolConfig
     model_relation: RelationHandle
@@ -110,24 +111,8 @@ class PublicParams:
     model_setup: SetupArtifacts
     data_setup: SetupArtifacts
     backend: object
-    _model_circuit: Optional[ModelCircuit] = dc_field(default=None, repr=False)
-    _data_circuit: Optional[DataCircuit] = dc_field(default=None, repr=False)
-
-    @property
-    def model_circuit(self) -> ModelCircuit:
-        if self._model_circuit is None:
-            circuit = build_model_circuit(self.config)
-            self.model_relation = _built_relation(circuit.cs, self.model_relation)
-            self._model_circuit = circuit
-        return self._model_circuit
-
-    @property
-    def data_circuit(self) -> DataCircuit:
-        if self._data_circuit is None:
-            circuit = build_data_circuit(self.config)
-            self.data_relation = _built_relation(circuit.cs, self.data_relation)
-            self._data_circuit = circuit
-        return self._data_circuit
+    model_circuit: Optional[ModelCircuit] = dc_field(default=None, repr=False)
+    data_circuit: Optional[DataCircuit] = dc_field(default=None, repr=False)
 
     @property
     def scale(self):
@@ -150,24 +135,39 @@ class PublicParams:
         return hash_data(digests, self.hash_cfg)
 
 
-def build_model_circuit(config: ProtocolConfig) -> ModelCircuit:
+def build_model_circuit(
+    config: ProtocolConfig, dataset: Optional[Dataset] = None
+) -> ModelCircuit:
+    """The model circuit of the configured shape, with the witness for
+    ``dataset`` (by default the empty one)."""
     return ModelCircuit(
-        ModelShape(train=config.train, capacity=config.capacity, hash_cfg=config.hash_cfg)
+        ModelShape(train=config.train, capacity=config.capacity, hash_cfg=config.hash_cfg),
+        dataset,
     )
 
 
-def build_data_circuit(config: ProtocolConfig) -> DataCircuit:
+def build_data_circuit(
+    config: ProtocolConfig,
+    hashed_data: Sequence[int] = (),
+    hashed_unlearnt_prev: Sequence[int] = (),
+    hashed_unlearnt_add: Sequence[int] = (),
+) -> DataCircuit:
+    """The data circuit of the configured shape, with the witness for the
+    given digest sets (by default all empty)."""
     return DataCircuit(
         DataShape(
             data_capacity=config.capacity,
             unlearn_capacity=config.unlearn_capacity,
             add_capacity=config.unlearn_capacity,
             hash_cfg=config.hash_cfg,
-        )
+        ),
+        hashed_data,
+        hashed_unlearnt_prev,
+        hashed_unlearnt_add,
     )
 
 
-def _built_relation(cs: ConstraintSystem, stored: RelationHandle) -> RelationHandle:
+def checked_relation(cs: ConstraintSystem, stored: RelationHandle) -> RelationHandle:
     """The relation of a circuit built from the config, which must have the
     stored fingerprint.  Proving then uses this circuit, not a second copy
     read back from disk."""
@@ -214,8 +214,8 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
         model_setup=setup_for(model_rel),
         data_setup=setup_for(data_rel),
         backend=backend,
-        _model_circuit=model_circuit,
-        _data_circuit=data_circuit,
+        model_circuit=model_circuit,
+        data_circuit=data_circuit,
     )
 
 
@@ -346,30 +346,26 @@ def prove_update(
             f"{len(hashed_unlearnt)} unlearnt digests exceed the compiled "
             f"capacity {pub.config.unlearn_capacity}"
         )
-    # Both circuits are built (and checked against their fingerprints)
-    # before any proof exists, so no proof is held while a circuit builds.
-    model_circuit, data_circuit = pub.model_circuit, pub.data_circuit
-
+    # Training happens inside the model circuit, which raises
+    # FixedPointOverflow where native training would.  Both circuits are
+    # built (and checked against their fingerprints) before any proof
+    # exists, so no proof is held while a circuit builds.
     dataset = Dataset(tuple(points), pub.config.train.arity)
-    hashed_data = tuple(hash_data_point(d, cfg) for d in dataset.points)
-    model = train_model(dataset, pub.config.train)
-    com = Commitment(
-        h_m=hash_model_weights(model.weights, cfg),
-        h_d=hash_data(hashed_data, cfg),
-        h_u=hash_unlearn(hashed_unlearnt, cfg),
+    model_circuit = build_model_circuit(pub.config, dataset)
+    model_rel = checked_relation(model_circuit.cs, pub.model_relation)
+    hashed_data = model_circuit.digests
+    data_circuit = build_data_circuit(
+        pub.config, hashed_data, state.hashed_unlearnt, new_unlearnt
     )
+    data_rel = checked_relation(data_circuit.cs, pub.data_relation)
+    h_m, h_d = model_circuit.statement
+    com = Commitment(h_m=h_m, h_d=h_d, h_u=data_circuit.statement[2])
 
-    model_witness = model_circuit.synthesize(dataset)
-    model_statement = (com.h_m, com.h_d)
     model_proof = pub.backend.prove(
-        pub.model_relation, pub.model_setup, model_statement, model_witness
+        model_rel, pub.model_setup, model_circuit.statement, model_circuit.cs.witness()
     )
-    data_witness = data_circuit.synthesize(
-        hashed_data, state.hashed_unlearnt, new_unlearnt
-    )
-    data_statement = (com.h_d, state.unlearnt_root, com.h_u)
     data_proof = pub.backend.prove(
-        pub.data_relation, pub.data_setup, data_statement, data_witness
+        data_rel, pub.data_setup, data_circuit.statement, data_circuit.cs.witness()
     )
 
     new_state = ServerState(
@@ -378,11 +374,11 @@ def prove_update(
         hashed_data=hashed_data,
         hashed_unlearnt=hashed_unlearnt,
         unlearnt_root=com.h_u,
-        model=model,
+        model=model_circuit.model,
         deleted_uids=state.deleted_uids | {d.uid for d in state.pending_delete},
         last_deleted=state.pending_delete,
     )
-    return new_state, model, com, UpdateProof(model_proof, data_proof)
+    return new_state, model_circuit.model, com, UpdateProof(model_proof, data_proof)
 
 
 def verify_update(

@@ -11,10 +11,11 @@ distinct nonzero coefficients.  Those arrays are also the export format,
 so building, fingerprinting, storing, loading and evaluating all use one
 encoding.
 
-Wires may carry a hint closure that computes their value from earlier wires
-during witness synthesis; statement wires whose value is only known at the
-end of the computation (hash outputs) use deferred hints, evaluated in a
-second pass.
+Each wire gets its value when it is allocated: gadgets compute it from
+the values of the wires they read, so building a circuit for given inputs
+also yields its witness (``witness``).  The rows never depend on the
+values, so every input gives the same export.  Statement wires are
+allocated first and assigned once the body that computes them is built.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from operator import ge, lt, mul, sub
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 LinComb = dict[int, int]
 
@@ -53,16 +54,16 @@ class BuildPhaseClosed(RuntimeError):
 
 
 class WitnessSynthesisError(ValueError):
-    """A hint has no valid value (e.g. inverse of zero) or an input is
-    missing."""
+    """A wire has no valid value for the given inputs (e.g. the inverse of
+    zero, or a value too wide for its range check)."""
 
 
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector for a block that allocates many
-    long-lived objects and frees few, as building a circuit or
-    synthesizing a witness does: its collections there find nothing to
-    free.  Nested blocks leave it paused until the outermost one ends."""
+    long-lived objects and frees few, as building a circuit does: its
+    collections there find nothing to free.  Nested blocks leave it paused
+    until the outermost one ends."""
     if not gc.isenabled():
         yield
         return
@@ -88,15 +89,6 @@ class Witness:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
-
-
-@dataclass(slots=True)
-class _Wire:
-    index: int
-    is_public: bool
-    name: Optional[str]
-    hint: Optional[Callable]
-    deferred: bool
 
 
 def _u32s(data=b"") -> array:
@@ -174,7 +166,8 @@ class _Rows(SequenceABC):
 class ConstraintSystem:
     def __init__(self, modulus: int):
         self.modulus = modulus
-        self.wires: list[_Wire] = [_Wire(0, False, "~one", None, False)]
+        # The value of each wire, reduced mod p; wire 0 is the constant 1.
+        self.values: list[int] = [1]
         self.num_public = 0
         self._num_wires = 1
         # Coefficient -> id, in id order; _table is the same list of
@@ -187,23 +180,25 @@ class ConstraintSystem:
 
     # -- building ----------------------------------------------------------
 
-    def _alloc(self, is_public, name, hint, deferred) -> int:
+    def _alloc(self, is_public: bool, value: int) -> int:
         if self._finalized:
             raise BuildPhaseClosed("constraint system is finalized")
         idx = self._num_wires
-        self.wires.append(_Wire(idx, is_public, name, hint, deferred))
-        self._num_wires += 1
         if is_public:
             if idx != self.num_public + 1:
                 raise ValueError("public wires must be allocated first")
             self.num_public += 1
+        self.values.append(value % self.modulus)
+        self._num_wires += 1
         return idx
 
-    def alloc_public(self, name=None, hint=None, deferred=False) -> int:
-        return self._alloc(True, name, hint, deferred)
+    def alloc_public(self, value: int = 0) -> int:
+        return self._alloc(True, value)
 
-    def alloc_private(self, name=None, hint=None, deferred=False) -> int:
-        return self._alloc(False, name, hint, deferred)
+    def alloc_private(self, value: int = 0, name: Optional[str] = None) -> int:
+        """A private wire holding ``value``.  ``name`` only labels the call
+        site; it is not stored."""
+        return self._alloc(False, value)
 
     def enforce(self, a: LinComb, b: LinComb, c: LinComb) -> None:
         if self._finalized:
@@ -224,6 +219,26 @@ class ConstraintSystem:
                     m.coefficients.append(ids.setdefault(v, len(ids)))
                     n += 1
             m.counts.append(n)
+
+    def enforce_booleans(self, wires: Sequence[int]) -> None:
+        """Enforce w * (1 - w) = 0 for each wire in turn: the rows that
+        ``enforce({w: 1}, {0: 1, w: -1}, {})`` stores, written in bulk."""
+        if self._finalized:
+            raise BuildPhaseClosed("constraint system is finalized")
+        if wires and not 0 < min(wires) <= max(wires) < self._num_wires:
+            raise ValueError("boolean wires must be allocated and not the constant")
+        ids = self._coefficient_ids
+        one = ids.setdefault(1, len(ids))
+        minus_one = ids.setdefault(self.modulus - 1, len(ids))
+        a, b, c = self._matrices
+        n = len(wires)
+        a.counts.extend(repeat(1, n))
+        a.wires.extend(wires)
+        a.coefficients.extend(repeat(one, n))
+        b.counts.extend(repeat(2, n))
+        b.wires.extend(chain.from_iterable(zip(repeat(0), wires)))
+        b.coefficients.extend((one, minus_one) * n)
+        c.counts.extend(repeat(0, n))
 
     def finalize(self) -> None:
         self._finalized = True
@@ -263,30 +278,17 @@ class ConstraintSystem:
     def stats(self) -> CircuitStats:
         return CircuitStats(self.num_constraints, self.num_public, self.num_private)
 
-    # -- witness synthesis ---------------------------------------------------
-
-    def synthesize(self, inputs: Mapping[str, int]) -> Witness:
-        if len(self.wires) != self._num_wires:
-            raise WitnessSynthesisError("a loaded constraint system has no hints or names")
-        values: list[Optional[int]] = [None] * self._num_wires
-        values[0] = 1
-        deferred = []
-        for w in self.wires[1:]:
-            if w.hint is None:
-                if w.name not in inputs:
-                    raise WitnessSynthesisError(f"missing input {w.name!r}")
-                values[w.index] = inputs[w.name] % self.modulus
-            elif w.deferred:
-                deferred.append(w)
-            else:
-                values[w.index] = w.hint(values) % self.modulus
-        for w in deferred:
-            values[w.index] = w.hint(values) % self.modulus
-        return Witness(tuple(values))
+    def witness(self) -> Witness:
+        """The values assigned while building."""
+        return Witness(self.values)
 
     # -- evaluation ----------------------------------------------------------
 
-    def lc_value(self, lc: LinComb, values: Sequence[int]) -> int:
+    def lc_value(self, lc: LinComb, values: Optional[Sequence[int]] = None) -> int:
+        """Value of a linear combination under ``values``, by default the
+        values assigned so far."""
+        if values is None:
+            values = self.values
         return sum(c * values[w] for w, c in lc.items()) % self.modulus
 
     def _residues(self, values: Sequence[int]) -> Iterator[int]:
@@ -375,10 +377,9 @@ class ConstraintSystem:
     @classmethod
     def from_export(cls, data: bytes) -> "ConstraintSystem":
         """Load ``export()`` output into a finalized system that evaluates
-        witnesses; it has no wire records (names or hints), so it cannot
-        synthesize one.  Strict: input that ``export()`` would not write
-        raises ValueError, so ``from_export(x).export() == x`` whenever
-        it returns."""
+        witnesses; it has no wire values of its own.  Strict: input that
+        ``export()`` would not write raises ValueError, so
+        ``from_export(x).export() == x`` whenever it returns."""
         data = bytes(data)
         pos = 0
 
@@ -425,7 +426,7 @@ class ConstraintSystem:
         if len(used) != num_coefficients:
             raise ValueError("r1cs coefficient table has unused entries")
         cs = cls(modulus)
-        cs.wires = []
+        cs.values = []
         cs._num_wires = num_wires
         cs.num_public = num_public
         cs._coefficient_ids = dict(zip(table, count()))

@@ -396,10 +396,10 @@ class StateDir:
 
     def load_public_params(self) -> PublicParams:
         """The parameters in ``pub/``, read without building or reading a
-        circuit.  A circuit is built from the config when a prover first
-        asks for it, and checked against its stored fingerprint (see
-        ``PublicParams``); a verifier that needs the constraints reads
-        the stored export (see ``SetupStore.load_circuit``)."""
+        circuit.  A prover builds each circuit from the config and its
+        inputs and checks it against its stored fingerprint (see
+        ``protocol.prove_update``); a verifier that needs the constraints
+        reads the stored export (see ``SetupStore.load_circuit``)."""
         obj = read_json(self.params_file)
         config = protocol_config_from_dict(obj)
         backend = get_backend(config.backend)

@@ -18,8 +18,8 @@ from .field import (
     FixedPointOverflow,
     NativeOps,
     ScaleConfig,
+    check_value_range,
     fx_encode,
-    in_value_range,
     sigmoid_deriv_poly,
     sigmoid_poly,
     signed_repr,
@@ -53,9 +53,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def without(self, uid: int) -> "Dataset":
-        return Dataset(tuple(d for d in self.points if d.uid != uid), self.arity)
 
 
 def param_count(kind: str, arity: int, hidden: int = 0) -> int:
@@ -208,13 +205,21 @@ def sgd_step_ops(ops, kind: str, hidden: int, weights, x, y, lr):
     return new_w + new_b + new_v + [new_c]
 
 
+def overflow_at(
+    e: FixedPointOverflow, uid: int, epoch: int | None = None
+) -> FixedPointOverflow:
+    """``e`` restated to name the data point (and the epoch) it arose on."""
+    where = f"uid {uid}" if epoch is None else f"uid {uid}, epoch {epoch}"
+    return FixedPointOverflow(f"{where}: {e}", uid=uid)
+
+
 def train_model(dataset: Dataset, cfg: TrainConfig) -> ModelParams:
     """SGD over the dataset in order; empty dataset returns the init values.
 
     Raises FixedPointOverflow, naming the point, when a feature or label
     lies outside [-2^B, 2^B) or a rescaled product reaches 2^B, with
-    B = cfg.scale.value_bits: exactly the witnesses the model circuit
-    cannot synthesize.
+    B = cfg.scale.value_bits: exactly where building the model circuit
+    raises, with the same message.
     """
     if dataset.arity != cfg.arity:
         raise ArityMismatch(
@@ -222,12 +227,11 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> ModelParams:
         )
     scale = cfg.scale
     for d in dataset.points:
-        if not all(in_value_range(v, scale) for v in (*d.x, d.y)):
-            raise FixedPointOverflow(
-                f"uid {d.uid}: a feature or label lies outside the "
-                f"{scale.value_bits}-bit value bound",
-                uid=d.uid,
-            )
+        try:
+            for v in (*d.x, d.y):
+                check_value_range(v, scale)
+        except FixedPointOverflow as e:
+            raise overflow_at(e, d.uid) from None
     ops = NativeOps(scale)
     weights = [ops.const(w) for w in cfg.init_values]
     lr = ops.const(cfg.learning_rate)
@@ -236,9 +240,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> ModelParams:
             try:
                 weights = sgd_step_ops(ops, cfg.kind, cfg.hidden, weights, d.x, d.y, lr)
             except FixedPointOverflow as e:
-                raise FixedPointOverflow(
-                    f"uid {d.uid}, epoch {epoch}: {e}", uid=d.uid
-                ) from None
+                raise overflow_at(e, d.uid, epoch) from None
     return ModelParams(cfg.kind, cfg.arity, tuple(weights), cfg.hidden)
 
 

@@ -33,6 +33,8 @@ from unlearn.hashing import (
 from unlearn.proofsys import Groth16Backend, RelationHandle, WitnessCheckBackend
 from unlearn.protocol import (
     ProtocolConfig,
+    build_data_circuit,
+    build_model_circuit,
     global_setup,
     prove_unlearn,
     prove_update,
@@ -138,24 +140,22 @@ def test_criterion_3_exhaustive_witness_mutation():
         backend="witness-check",
         hash_cfg=TINY_HASH,
     )
-    pub = global_setup(config)
-
-    model_circuit = pub.model_circuit
     ds = synthetic_dataset(4, 1, SCALE, seed=5)
-    w = model_circuit.synthesize(ds)
+    model_circuit = build_model_circuit(config, ds)
+    w = model_circuit.cs.witness()
     assert model_circuit.cs.is_satisfied(w)
     slack = model_circuit.slack_wires(w)
     survivors = _mutate_all(model_circuit.cs, w, slack)
     assert survivors == [], f"unconstrained model-circuit wires: {survivors[:5]}"
     model_wires = model_circuit.cs.num_wires
 
-    data_circuit = pub.data_circuit
     digests = [hash_data_point(d, TINY_HASH) for d in ds.points]
     ghosts = [
         hash_data_point(DataPoint(100 + i, (fx_encode(i, SCALE),), 0), TINY_HASH)
         for i in range(4)
     ]
-    wd = data_circuit.synthesize(digests, ghosts[:2], ghosts[2:])
+    data_circuit = build_data_circuit(config, digests, ghosts[:2], ghosts[2:])
+    wd = data_circuit.cs.witness()
     assert data_circuit.cs.is_satisfied(wd)
     survivors = _mutate_all(data_circuit.cs, wd, data_circuit.slack_wires(wd))
     assert survivors == [], f"unconstrained data-circuit wires: {survivors[:5]}"
@@ -176,7 +176,7 @@ def test_criterion_3_exhaustive_witness_mutation():
                     overlap = {a, b} & {u1, u2}
                     if overlap:
                         with pytest.raises(WitnessSynthesisError):
-                            data_circuit.synthesize([a, b], [u1], [u2])
+                            build_data_circuit(config, [a, b], [u1], [u2])
                         checked += 1
     assert checked > 0
     elapsed = time.monotonic() - started
@@ -260,7 +260,8 @@ def test_criterion_5_linear_scaling_and_constant_verification():
     circuits = {}
     for size in sizes:
         circuit = ModelCircuit(
-            ModelShape(train=train, capacity=size, hash_cfg=FULL_HASH)
+            ModelShape(train=train, capacity=size, hash_cfg=FULL_HASH),
+            synthetic_dataset(size, 1, SCALE),
         )
         circuits[size] = circuit
         counts.append(circuit.cs.stats().constraint_count)
@@ -281,8 +282,7 @@ def test_criterion_5_linear_scaling_and_constant_verification():
         circuit = circuits[size]
         rel = RelationHandle.of(circuit.cs)
         sp = backend.setup(rel)
-        witness = circuit.synthesize(synthetic_dataset(size, 1, SCALE))
-        statement = circuit.statement(witness)
+        witness, statement = circuit.cs.witness(), circuit.statement
         blob = backend.prove(rel, sp, statement, witness)
         assert backend.verify(rel, sp, statement, blob)  # warmup
         samples = []

@@ -10,7 +10,7 @@ from unlearn.circuits import (
     ModelShape,
     ShapeMismatch,
 )
-from unlearn.field import ScaleConfig, fx_encode, fx_mul
+from unlearn.field import FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
 from unlearn.gadgets import CircuitBuilder, lc_const, lc_wire
 from unlearn.hashing import (
     DataPoint,
@@ -22,7 +22,8 @@ from unlearn.hashing import (
     hash_model_weights,
     hash_unlearn,
 )
-from unlearn.r1cs import ConstraintSystem, WitnessSynthesisError
+from unlearn.protocol import build_data_circuit, build_model_circuit
+from unlearn.r1cs import ConstraintSystem, Witness, WitnessSynthesisError
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -39,6 +40,14 @@ def _builder():
     return CircuitBuilder(cs, SCALE, TINY), cs
 
 
+def _fx_mul(a, b):
+    """fx_mul on two private wires holding a and b."""
+    builder, cs = _builder()
+    out = builder.fx_mul(lc_wire(cs.alloc_private(a)), lc_wire(cs.alloc_private(b)))
+    cs.finalize()
+    return builder, cs, out
+
+
 # -- gadget-level agreement with the native implementations ---------------------
 
 
@@ -48,110 +57,81 @@ def _builder():
 )
 @settings(max_examples=40, deadline=None)
 def test_fx_mul_gadget_matches_native(a, b):
-    builder, cs = _builder()
-    wa = cs.alloc_private(name="a")
-    wb = cs.alloc_private(name="b")
-    out = builder.fx_mul(lc_wire(wa), lc_wire(wb))
-    cs.finalize()
-    w = cs.synthesize({"a": a % P, "b": b % P})
-    assert cs.is_satisfied(w)
-    assert cs.lc_value(out, w.values) == fx_mul(a % P, b % P, SCALE)
+    _, cs, out = _fx_mul(a, b)
+    assert cs.is_satisfied(cs.witness())
+    assert cs.lc_value(out) == fx_mul(a % P, b % P, SCALE)
 
 
 def test_fx_mul_gadget_rejects_mutated_quotient():
-    builder, cs = _builder()
-    wa = cs.alloc_private(name="a")
-    wb = cs.alloc_private(name="b")
-    out = builder.fx_mul(lc_wire(wa), lc_wire(wb))
-    cs.finalize()
-    w = cs.synthesize({"a": enc(0.5), "b": enc(0.5)})
+    _, cs, out = _fx_mul(enc(0.5), enc(0.5))
+    w = cs.witness()
     out_wire = next(iter(out))
     assert w.values[out_wire] == enc(0.25)
     mutated = list(w.values)
     mutated[out_wire] = (mutated[out_wire] + 1) % P
-    from unlearn.r1cs import Witness
-
     assert not cs.is_satisfied(Witness(tuple(mutated)))
 
 
 def test_range_check_overflow_raises():
-    builder, cs = _builder()
-    wa = cs.alloc_private(name="a")
-    wb = cs.alloc_private(name="b")
-    builder.fx_mul(lc_wire(wa), lc_wire(wb))
-    cs.finalize()
-    cs.synthesize({"a": enc(1000), "b": enc(1000)})  # 10^11 < 2^37
-    with pytest.raises(WitnessSynthesisError):
-        cs.synthesize({"a": enc(2000), "b": enc(1000)})  # quotient needs 38 bits
+    _fx_mul(enc(1000), enc(1000))  # 10^11 < 2^37
+    with pytest.raises(FixedPointOverflow, match="needs 38 bits"):
+        _fx_mul(enc(2000), enc(1000))
 
 
 def test_select_gadget():
-    builder, cs = _builder()
-    s = cs.alloc_private(name="s")
-    a = cs.alloc_private(name="a")
-    b = cs.alloc_private(name="b")
-    out = builder.select(lc_wire(s), lc_wire(a), lc_wire(b))
-    cs.finalize()
-    w = cs.synthesize({"s": 1, "a": 10, "b": 20})
-    assert cs.lc_value(out, w.values) == 10
-    w = cs.synthesize({"s": 0, "a": 10, "b": 20})
-    assert cs.lc_value(out, w.values) == 20
+    for sel, expected in ((1, 10), (0, 20)):
+        builder, cs = _builder()
+        s, a, b = (lc_wire(cs.alloc_private(v)) for v in (sel, 10, 20))
+        out = builder.select(s, a, b)
+        cs.finalize()
+        assert cs.is_satisfied(cs.witness())
+        assert cs.lc_value(out) == expected
 
 
 def test_hash_gadgets_match_native():
     builder, cs = _builder()
-    v = cs.alloc_private(name="v")
-    l = cs.alloc_private(name="l")
-    r = cs.alloc_private(name="r")
-    h1 = builder.hash1(lc_wire(v))
-    h2 = builder.hash2(lc_wire(l), lc_wire(r))
-    hm = builder.hash_model([lc_wire(v), lc_wire(l)])
-    hd = builder.hash_data_point(lc_wire(v), [lc_wire(l)], lc_wire(r))
+    v, l, r = (lc_wire(cs.alloc_private(x)) for x in (5, 6, 7))
+    h1 = builder.hash1(v)
+    h2 = builder.hash2(l, r)
+    hm = builder.hash_model([v, l])
+    hd = builder.hash_data_point(v, [l], r)
     cs.finalize()
-    w = cs.synthesize({"v": 5, "l": 6, "r": 7})
-    assert cs.lc_value(h1, w.values) == hash1(5, TINY)
-    assert cs.lc_value(h2, w.values) == hash2(6, 7, TINY)
-    assert cs.lc_value(hm, w.values) == hash_model_weights([5, 6], TINY)
-    assert cs.lc_value(hd, w.values) == hash_data_point(DataPoint(5, (6,), 7), TINY)
+    assert cs.is_satisfied(cs.witness())
+    assert cs.lc_value(h1) == hash1(5, TINY)
+    assert cs.lc_value(h2) == hash2(6, 7, TINY)
+    assert cs.lc_value(hm) == hash_model_weights([5, 6], TINY)
+    assert cs.lc_value(hd) == hash_data_point(DataPoint(5, (6,), 7), TINY)
+
+
+def _padded(builder, cs, values, capacity):
+    """Private item and presence wires for ``values`` padded to capacity."""
+    padded = values + [0] * (capacity - len(values))
+    items = [lc_wire(cs.alloc_private(v)) for v in padded]
+    pres = [lc_wire(cs.alloc_private(int(i < len(values)))) for i in range(capacity)]
+    builder.prefix_presence(pres)
+    return items, pres
 
 
 @pytest.mark.parametrize("occupancy", range(0, 6))
 def test_padded_merkle_root_matches_native(occupancy):
-    capacity = 5
     builder, cs = _builder()
-    leaves = [lc_wire(cs.alloc_private(name=f"leaf_{i}")) for i in range(capacity)]
-    pres = [lc_wire(cs.alloc_private(name=f"p_{i}")) for i in range(capacity)]
-    builder.prefix_presence(pres)
-    root = builder.merkle_root(leaves, pres)
-    cs.finalize()
     values = [hash1(i + 100, TINY) for i in range(occupancy)]
-    inputs = {}
-    for i in range(capacity):
-        inputs[f"leaf_{i}"] = values[i] if i < occupancy else 0
-        inputs[f"p_{i}"] = 1 if i < occupancy else 0
-    w = cs.synthesize(inputs)
-    assert cs.is_satisfied(w)
-    assert cs.lc_value(root, w.values) == hash_data(values, TINY)
+    root = builder.merkle_root(*_padded(builder, cs, values, 5))
+    cs.finalize()
+    assert cs.is_satisfied(cs.witness())
+    assert cs.lc_value(root) == hash_data(values, TINY)
 
 
 @pytest.mark.parametrize("occupancy", range(0, 5))
 def test_padded_chain_matches_native(occupancy):
-    capacity = 4
     builder, cs = _builder()
-    items = [lc_wire(cs.alloc_private(name=f"it_{i}")) for i in range(capacity)]
-    pres = [lc_wire(cs.alloc_private(name=f"p_{i}")) for i in range(capacity)]
-    builder.prefix_presence(pres)
+    values = [hash1(i + 7, TINY) for i in range(occupancy)]
     from unlearn.hashing import empty_root
 
-    psi = builder.chain_root(lc_const(empty_root(TINY)), items, pres)
+    psi = builder.chain_root(lc_const(empty_root(TINY)), *_padded(builder, cs, values, 4))
     cs.finalize()
-    values = [hash1(i + 7, TINY) for i in range(occupancy)]
-    inputs = {}
-    for i in range(capacity):
-        inputs[f"it_{i}"] = values[i] if i < occupancy else 0
-        inputs[f"p_{i}"] = 1 if i < occupancy else 0
-    w = cs.synthesize(inputs)
-    assert cs.lc_value(psi, w.values) == hash_unlearn(values, TINY)
+    assert cs.is_satisfied(cs.witness())
+    assert cs.lc_value(psi) == hash_unlearn(values, TINY)
 
 
 # -- model circuit -----------------------------------------------------------------
@@ -180,19 +160,25 @@ def _dataset(n, arity=1, seed=0):
     )
 
 
-@pytest.mark.parametrize("size", range(0, 5))
-def test_model_circuit_native_equivalence(size):
-    shape = _model_shape(capacity=4)
-    circuit = ModelCircuit(shape)
-    ds = _dataset(size)
-    w = circuit.synthesize(ds)
-    assert circuit.cs.is_satisfied(w)
-    model = train_model(ds, shape.train)
+def _check_against_native(circuit, ds):
+    """The circuit built from ``ds`` is satisfied and trained the model
+    native training gives, bit for bit, under the statement the native
+    hashes give."""
+    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    model = train_model(ds, circuit.shape.train)
+    assert circuit.model == model
     digests = [hash_data_point(d, TINY) for d in ds.points]
-    assert circuit.statement(w) == (
+    assert circuit.digests == tuple(digests)
+    assert circuit.statement == (
         hash_model_weights(model.weights, TINY),
         hash_data(digests, TINY),
     )
+
+
+@pytest.mark.parametrize("size", range(0, 5))
+def test_model_circuit_native_equivalence(size):
+    ds = _dataset(size)
+    _check_against_native(ModelCircuit(_model_shape(capacity=4), ds), ds)
 
 
 @pytest.mark.parametrize("kind,arity", [("logistic", 2), ("nn", 1)])
@@ -204,31 +190,24 @@ def test_model_circuit_other_kinds(kind, arity):
         capacity=2,
         hash_cfg=TINY,
     )
-    circuit = ModelCircuit(shape)
     ds = _dataset(2, arity=arity)
-    w = circuit.synthesize(ds)
-    assert circuit.cs.is_satisfied(w)
-    model = train_model(ds, shape.train)
-    assert circuit.statement(w)[0] == hash_model_weights(model.weights, TINY)
+    _check_against_native(ModelCircuit(shape, ds), ds)
 
 
 def test_model_circuit_wrong_model_hash_unsatisfiable():
-    circuit = ModelCircuit(_model_shape())
-    ds = _dataset(3)
-    w = circuit.synthesize(ds)
-    from unlearn.r1cs import Witness
-
+    circuit = ModelCircuit(_model_shape(), _dataset(3))
+    w = circuit.cs.witness()
     mutated = list(w.values)
     mutated[circuit.h_m_wire] = (mutated[circuit.h_m_wire] + 1) % P
     assert not circuit.cs.is_satisfied(Witness(tuple(mutated)))
 
 
 def test_model_circuit_shape_errors():
-    circuit = ModelCircuit(_model_shape(capacity=2))
+    shape = _model_shape(capacity=2)
     with pytest.raises(ShapeMismatch):
-        circuit.synthesize(_dataset(3))
+        ModelCircuit(shape, _dataset(3))
     with pytest.raises(ShapeMismatch):
-        circuit.synthesize(_dataset(2, arity=2))
+        ModelCircuit(shape, _dataset(2, arity=2))
 
 
 def test_model_circuit_deterministic_build():
@@ -254,24 +233,26 @@ def test_constraint_count_monotonicity():
 # -- data circuit --------------------------------------------------------------------
 
 
-def _data_circuit(dcap=4, ucap=4):
+def _data_circuit(hd, prev, add, dcap=4, ucap=4):
     return DataCircuit(
         DataShape(
             data_capacity=dcap,
             unlearn_capacity=ucap,
             add_capacity=ucap,
             hash_cfg=TINY,
-        )
+        ),
+        hd,
+        prev,
+        add,
     )
 
 
 def test_data_circuit_honest_satisfiable():
-    circuit = _data_circuit()
     hd = [hash1(3, TINY), hash1(5, TINY)]
     hu_add = [hash1(9, TINY)]
-    w = circuit.synthesize(hd, [], hu_add)
-    assert circuit.cs.is_satisfied(w)
-    assert circuit.statement(w) == (
+    circuit = _data_circuit(hd, [], hu_add)
+    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    assert circuit.statement == (
         hash_data(hd, TINY),
         hash_unlearn([], TINY),
         hash_unlearn(hu_add, TINY),
@@ -279,21 +260,19 @@ def test_data_circuit_honest_satisfiable():
 
 
 def test_data_circuit_chain_extension():
-    circuit = _data_circuit()
     hd = [hash1(1, TINY)]
     prev = [hash1(2, TINY), hash1(3, TINY)]
     add = [hash1(4, TINY)]
-    w = circuit.synthesize(hd, prev, add)
-    assert circuit.cs.is_satisfied(w)
-    assert circuit.statement(w)[2] == hash_unlearn(prev + add, TINY)
+    circuit = _data_circuit(hd, prev, add)
+    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    assert circuit.statement[2] == hash_unlearn(prev + add, TINY)
 
 
 def test_data_circuit_intersection_has_no_witness():
-    circuit = _data_circuit()
     with pytest.raises(WitnessSynthesisError):
-        circuit.synthesize([3, 5], [], [5])
+        _data_circuit([3, 5], [], [5])
     with pytest.raises(WitnessSynthesisError):
-        circuit.synthesize([3, 5], [3], [])
+        _data_circuit([3, 5], [3], [])
 
 
 def test_data_circuit_intersection_unsatisfiable_over_grid():
@@ -301,31 +280,29 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
     # row for the colliding pair reads (a - b) * v = 1 with a == b, which
     # no field element v can satisfy: the honest-witness search over a
     # value grid plus the algebraic scan both come up empty.
-    circuit = _data_circuit(dcap=2, ucap=2)
     grid = [1, 2, 3]
-    from unlearn.r1cs import Witness
-
     for a in grid:
         for b in grid:
             for u in grid:
                 hd, hu = [a, b], [u]
                 if set(hd) & set(hu):
                     with pytest.raises(WitnessSynthesisError):
-                        circuit.synthesize(hd, [], hu)
+                        _data_circuit(hd, [], hu, dcap=2, ucap=2)
                 else:
-                    w = circuit.synthesize(hd, [], hu)
-                    assert circuit.cs.is_satisfied(w)
-    # Brute-force the inverse hint on a colliding instance: no value in a
+                    circuit = _data_circuit(hd, [], hu, dcap=2, ucap=2)
+                    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    # Brute-force the inverse wire on a colliding instance: no value in a
     # sampled grid (nor any other, since 0 * v == 0 != 1) satisfies it.
-    w = circuit.synthesize([1, 2], [], [3])
+    circuit = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
     idx = [i for i, (_, inv) in enumerate(circuit.builder.inverse_wires)]
     assert idx, "disjointness gadget wires must be registered"
-    values = list(w.values)
-    # Simulate the collision: overwrite the digest inputs so a pair matches.
-    name_to_wire = {
-        wire.name: wire.index for wire in circuit.cs.wires if wire.name
-    }
-    values[name_to_wire["hd_0"]] = 3
+    values = list(circuit.cs.witness().values)
+    # Simulate the collision: overwrite the first training digest, which
+    # follows the statement and the training presence bits, so a pair
+    # matches.
+    hd_0 = circuit.h_u_wire + 1 + circuit.shape.data_capacity
+    assert values[hd_0] == 1
+    values[hd_0] = 3
     for v_try in range(0, 50):
         _, inv_wire = circuit.builder.inverse_wires[0]
         values[inv_wire] = v_try
@@ -333,10 +310,8 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
 
 
 def test_data_circuit_tampered_root_unsatisfiable():
-    circuit = _data_circuit()
-    w = circuit.synthesize([hash1(3, TINY)], [], [hash1(9, TINY)])
-    from unlearn.r1cs import Witness
-
+    circuit = _data_circuit([hash1(3, TINY)], [], [hash1(9, TINY)])
+    w = circuit.cs.witness()
     for wire in (circuit.h_d_wire, circuit.h_uprev_wire, circuit.h_u_wire):
         mutated = list(w.values)
         mutated[wire] = (mutated[wire] + 1) % P
@@ -344,19 +319,16 @@ def test_data_circuit_tampered_root_unsatisfiable():
 
 
 def test_data_circuit_capacity_errors():
-    circuit = _data_circuit(dcap=2, ucap=1)
     with pytest.raises(ShapeMismatch):
-        circuit.synthesize([1, 2, 3], [], [])
+        _data_circuit([1, 2, 3], [], [], dcap=2, ucap=1)
     with pytest.raises(ShapeMismatch):
-        circuit.synthesize([1], [2, 3], [])
+        _data_circuit([1], [2, 3], [], dcap=2, ucap=1)
 
 
 # -- mutation oracle --------------------------------------------------------------
 
 
 def _mutation_sweep(cs, witness, slack):
-    from unlearn.r1cs import Witness
-
     surviving = []
     values = list(witness.values)
     for wire in range(1, len(values)):
@@ -371,17 +343,15 @@ def _mutation_sweep(cs, witness, slack):
 
 
 def test_every_nonslack_wire_mutation_breaks_model_circuit():
-    circuit = ModelCircuit(_model_shape(capacity=4))
-    w = circuit.synthesize(_dataset(4))
+    circuit = ModelCircuit(_model_shape(capacity=4), _dataset(4))
+    w = circuit.cs.witness()
     surviving = _mutation_sweep(circuit.cs, w, circuit.slack_wires(w))
     assert surviving == []
 
 
 def test_mutation_fast_path_agrees_with_full_evaluation():
-    from unlearn.r1cs import Witness
-
-    circuit = _data_circuit(dcap=2, ucap=2)
-    w = circuit.synthesize([1, 2], [], [3])
+    circuit = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
+    w = circuit.cs.witness()
     rng = random.Random(0)
     for _ in range(25):
         wire = rng.randrange(1, len(w.values))
@@ -393,14 +363,10 @@ def test_mutation_fast_path_agrees_with_full_evaluation():
 
 def test_fx_mul_gadget_smallest_quotient_and_remainder():
     # enc(1/gamma) squared: integer product 1, quotient 0, remainder 1.
-    builder, cs = _builder()
-    wa = cs.alloc_private(name="a")
-    wb = cs.alloc_private(name="b")
-    out = builder.fx_mul(lc_wire(wa), lc_wire(wb))
-    cs.finalize()
     tiny = enc("0.00001")
-    w = cs.synthesize({"a": tiny, "b": tiny})
-    assert cs.lc_value(out, w.values) == 0
+    builder, cs, out = _fx_mul(tiny, tiny)
+    w = cs.witness()
+    assert cs.lc_value(out) == 0
     prod_wire, sigma_wire = builder.sign_wires[0]
     # gadget layout: prod, sigma, abs, quotient, remainder
     assert w.values[prod_wire] == 1
@@ -417,17 +383,9 @@ def test_model_circuit_equivalence_up_to_capacity_eight(arity):
         capacity=8,
         hash_cfg=TINY,
     )
-    circuit = ModelCircuit(shape)
     for size in (0, 1, 5, 8):
         ds = _dataset(size, arity=arity, seed=size)
-        w = circuit.synthesize(ds)
-        assert circuit.cs.is_satisfied(w)
-        model = train_model(ds, shape.train)
-        digests = [hash_data_point(d, TINY) for d in ds.points]
-        assert circuit.statement(w) == (
-            hash_model_weights(model.weights, TINY),
-            hash_data(digests, TINY),
-        )
+        _check_against_native(ModelCircuit(shape, ds), ds)
 
 
 # -- pinned constraint counts ----------------------------------------------------
@@ -451,3 +409,23 @@ def test_unit_constraint_costs(gadget, expected):
 def test_fast_pub_constraint_totals(fast_pub):
     assert fast_pub.model_circuit.cs.stats().constraint_count == 3809
     assert fast_pub.data_circuit.cs.stats().constraint_count == 604
+
+
+def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
+    # Pinned: any change to a row or to the wire order moves them.
+    model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
+    assert model.fingerprint() == "e162c1eed7ca0416a95462e9665a7a036291155c4f53227e53d18796e4aacd21"
+    assert data.fingerprint() == "5dc9ab4c446feabde311065a11a9f3b1dfcc60faefb2e7d27fe0b91b103e7948"
+    # setup builds from the empty input; a full-capacity input gives the
+    # same export, so the constraints do not depend on the values.
+    config = fast_pub.config
+    full = build_model_circuit(config, _dataset(config.capacity))
+    assert full.cs.export() == model.export()
+    digests = [hash1(i, TINY) for i in range(config.capacity + 2 * config.unlearn_capacity)]
+    full = build_data_circuit(
+        config,
+        digests[: config.capacity],
+        digests[config.capacity : config.capacity + config.unlearn_capacity],
+        digests[config.capacity + config.unlearn_capacity :],
+    )
+    assert full.cs.export() == data.export()

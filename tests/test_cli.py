@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from unlearn import circuits, protocol
+from unlearn import circuits, cli, game, protocol, training
 from unlearn.cli import CONFIG_DEFAULTS, main
 from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint
@@ -411,6 +411,25 @@ def test_add_batch_trains_once(workspace, initialized, monkeypatch):
     assert run(workspace, "add", "--dir", str(initialized), "--dataset", str(csv)) == 0
     assert len(calls) == 1
     assert store.load_state(pub.scale).pending_add == looped.pending_add
+
+
+def test_only_admission_trains_natively(workspace, initialized, monkeypatch):
+    # update trains inside the model circuit; add trains the would-be set
+    # natively, once per batch, to refuse points no update could prove.
+    calls = []
+    real = training.train_model
+    for module in (training, protocol, game, cli):
+        if getattr(module, "train_model", None) is real:
+            monkeypatch.setattr(module, "train_model", lambda *a: calls.append(a) or real(*a))
+    d = str(initialized)
+    assert run(workspace, "add", "--dir", d, "--dataset", str(workspace / "pts.csv")) == 0
+    assert len(calls) == 1
+    assert run(workspace, "update", "--dir", d) == 0
+    assert len(calls) == 1
+    store = StateDir(initialized)
+    state = store.load_state(ScaleConfig())
+    assert len(state.dataset) == 4
+    assert state.model == real(state.dataset, store.load_config().train)
 
 
 def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch):

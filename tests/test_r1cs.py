@@ -3,18 +3,18 @@ import struct
 import pytest
 
 from unlearn.field import BN254_SCALAR_FIELD as P
+from unlearn.protocol import build_data_circuit
 from unlearn.r1cs import (
     MAGIC,
     BuildPhaseClosed,
     ConstraintSystem,
     Witness,
-    WitnessSynthesisError,
 )
 
 
 def squaring_system():
     cs = ConstraintSystem(P)
-    y = cs.alloc_public(name="y")
+    y = cs.alloc_public()
     x = cs.alloc_private(name="x")
     cs.enforce({x: 1}, {x: 1}, {y: 1})
     cs.finalize()
@@ -58,7 +58,7 @@ def test_publics_must_come_first():
     cs = ConstraintSystem(P)
     cs.alloc_private(name="x")
     with pytest.raises(ValueError):
-        cs.alloc_public(name="y")
+        cs.alloc_public()
 
 
 def test_unallocated_wire_rejected():
@@ -68,39 +68,51 @@ def test_unallocated_wire_rejected():
         cs.enforce({5: 1}, {}, {})
 
 
-def test_synthesis_with_hints_and_deferred():
+def test_values_assigned_at_allocation():
     cs = ConstraintSystem(P)
-    out = cs.alloc_public(hint=lambda vs: vs[3], deferred=True)
-    x = cs.alloc_private(name="x")
-    sq = cs.alloc_private(hint=lambda vs: vs[x] * vs[x] % P)
+    out = cs.alloc_public()
+    x = cs.alloc_private(5)
+    sq = cs.alloc_private(cs.lc_value({x: 1}) ** 2)
     cs.enforce({x: 1}, {x: 1}, {sq: 1})
     cs.enforce({sq: 1}, {0: 1}, {out: 1})
+    # The statement wire comes first but gets its value once computed.
+    assert cs.witness().values == (1, 0, 5, 25)
+    assert not cs.is_satisfied(cs.witness())
+    cs.values[out] = cs.lc_value({sq: 1})
     cs.finalize()
-    w = cs.synthesize({"x": 5})
-    assert w.values == (1, 25, 5, 25)
-    assert cs.is_satisfied(w)
-
-
-def test_synthesis_missing_input():
-    cs = squaring_system()
-    with pytest.raises(WitnessSynthesisError):
-        cs.synthesize({})
-
-
-def test_hint_errors_propagate():
+    assert cs.witness().values == (1, 25, 5, 25)
+    assert cs.is_satisfied(cs.witness())
+    # Values are reduced mod p; a wire given none holds 0.
+    assert cs.lc_value({x: 2, 0: P - 1}) == 9
     cs = ConstraintSystem(P)
-    x = cs.alloc_private(name="x")
+    cs.alloc_private(-1)
+    cs.alloc_private(name="unset")
+    assert cs.witness().values == (1, P - 1, 0)
+    # A loaded system has the wires but none of their values.
+    assert ConstraintSystem.from_export(squaring_system().export()).values == []
 
-    def inverse(vs):
-        if vs[x] == 0:
-            raise WitnessSynthesisError("no inverse")
-        return pow(vs[x], -1, P)
 
-    cs.alloc_private(hint=inverse)
-    cs.finalize()
-    assert cs.synthesize({"x": 2}).values[2] == pow(2, -1, P)
-    with pytest.raises(WitnessSynthesisError):
-        cs.synthesize({"x": 0})
+def test_enforce_booleans_matches_enforce():
+    def system(bulk):
+        cs = ConstraintSystem(P)
+        x, y = cs.alloc_private(), cs.alloc_private()
+        cs.enforce({x: 2}, {y: 1}, {})
+        if bulk:
+            cs.enforce_booleans([y, x])
+        else:
+            for w in (y, x):
+                cs.enforce({w: 1}, {0: 1, w: -1}, {})
+        return cs
+
+    bulk = system(True)
+    assert list(bulk.constraints) == list(system(False).constraints)
+    assert bulk.export() == system(False).export()
+    for bad in ([0], [3], [-1]):
+        with pytest.raises(ValueError):
+            bulk.enforce_booleans(bad)
+    bulk.finalize()
+    with pytest.raises(BuildPhaseClosed):
+        bulk.enforce_booleans([1])
 
 
 def test_export_and_fingerprint_deterministic():
@@ -110,7 +122,7 @@ def test_export_and_fingerprint_deterministic():
     assert a.export().startswith(MAGIC)
     # Any constraint change must move the fingerprint.
     c = ConstraintSystem(P)
-    y = c.alloc_public(name="y")
+    y = c.alloc_public()
     x = c.alloc_private(name="x")
     c.enforce({x: 1}, {x: 2}, {y: 1})
     c.finalize()
@@ -126,7 +138,7 @@ def test_constraints_touching_index():
     cs.finalize()
     assert cs.constraints_touching(x) == [0]
     assert cs.constraints_touching(y) == [0, 1]
-    w = cs.synthesize({"x": 1, "y": 1})
+    w = Witness((1, 1, 1))
     assert cs.satisfied_at_wire(w, x)
     bad = Witness((1, 2, 1))
     assert not cs.satisfied_at_wire(bad, x)
@@ -138,6 +150,14 @@ def test_stats():
     assert (s.constraint_count, s.public_count, s.private_count) == (1, 1, 1)
 
 
+def _honest_witness(pub, name):
+    """The model circuit's witness for the empty dataset, or the data
+    circuit's for small digest sets."""
+    if name == "model":
+        return pub.model_circuit.cs.witness()
+    return build_data_circuit(pub.config, [5, 6], [7], [8]).cs.witness()
+
+
 @pytest.mark.parametrize("name", ["model", "data"])
 def test_from_export_roundtrip_and_verdicts(fast_pub, name):
     circuit = getattr(fast_pub, f"{name}_circuit")
@@ -145,12 +165,7 @@ def test_from_export_roundtrip_and_verdicts(fast_pub, name):
     parsed = ConstraintSystem.from_export(exported)
     assert parsed.export() == exported
     assert parsed.stats() == circuit.cs.stats()
-    if name == "model":
-        from unlearn.training import Dataset
-
-        honest = circuit.synthesize(Dataset((), 1))
-    else:
-        honest = circuit.synthesize([5, 6], [7], [8])
+    honest = _honest_witness(fast_pub, name)
     k = 1 + circuit.cs.num_public
     flipped = Witness(honest.values[:k] + ((honest.values[k] + 1) % P,) + honest.values[k + 1:])
     for witness, verdict in ((honest, True), (flipped, False)):
@@ -161,7 +176,7 @@ def test_from_export_roundtrip_and_verdicts(fast_pub, name):
 def two_row_system():
     """x^2 = y and a boolean z: coefficients 1 and P-1, a two-term row."""
     cs = ConstraintSystem(P)
-    y = cs.alloc_public(name="y")
+    y = cs.alloc_public()
     x = cs.alloc_private(name="x")
     z = cs.alloc_private(name="z")
     cs.enforce({x: 1}, {x: 1}, {y: 1})
@@ -205,7 +220,7 @@ def test_export_layout():
     assert ConstraintSystem.from_export(good).export() == good
     # Coefficients unreduced or zero mod P are normalised away.
     cs = ConstraintSystem(P)
-    y, x, z = cs.alloc_public(name="y"), cs.alloc_private(name="x"), cs.alloc_private(name="z")
+    y, x, z = cs.alloc_public(), cs.alloc_private(name="x"), cs.alloc_private(name="z")
     cs.enforce({x: P + 1}, {x: 1}, {y: 1, 0: P})
     cs.enforce({z: 1}, {z: -1, 0: 1}, {})
     assert cs.export() == good
@@ -266,12 +281,7 @@ def test_constraints_view():
 def test_built_and_loaded_agree_on_failures(fast_pub, name):
     circuit = getattr(fast_pub, f"{name}_circuit")
     loaded = ConstraintSystem.from_export(circuit.cs.export())
-    if name == "model":
-        from unlearn.training import Dataset
-
-        honest = circuit.synthesize(Dataset((), 1))
-    else:
-        honest = circuit.synthesize([5, 6], [7], [8])
+    honest = _honest_witness(fast_pub, name)
     wire = 1 + circuit.cs.num_public
     values = list(honest.values)
     values[wire] = (values[wire] + 1) % P

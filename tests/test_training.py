@@ -76,7 +76,8 @@ def test_retraining_equals_fresh_dataset():
     # is bit-identical to training on a fresh dataset with the same rows.
     tc = default_train_config("logistic", 1, epochs=2)
     ds = _random_dataset(random.Random(4), 8)
-    removed = ds.without(3)
+    removed = Dataset(tuple(d for d in ds.points if d.uid != 3), 1)
+    assert len(removed) == len(ds) - 1
     fresh = Dataset(tuple(removed.points), 1)
     assert train_model(removed, tc).weights == train_model(fresh, tc).weights
 

@@ -25,7 +25,7 @@ from unlearn.protocol import (
     server_init,
     verify_update,
 )
-from unlearn.r1cs import ConstraintSystem, Witness, WitnessSynthesisError
+from unlearn.r1cs import ConstraintSystem, Witness
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -75,14 +75,13 @@ def test_train_model_checks_data_interval(field):
 # -- forged rescale witnesses ------------------------------------------------------
 
 
-def _fx_mul_gadget():
+def _fx_mul_gadget(a, b):
+    """fx_mul on private wires holding a and b, and its honest witness."""
     cs = ConstraintSystem(P)
     builder = CircuitBuilder(cs, SCALE, TINY)
-    wa = cs.alloc_private(name="a")
-    wb = cs.alloc_private(name="b")
-    out = builder.fx_mul(lc_wire(wa), lc_wire(wb))
+    out = builder.fx_mul(lc_wire(cs.alloc_private(a)), lc_wire(cs.alloc_private(b)))
     cs.finalize()
-    return cs, builder, next(iter(out))
+    return cs, builder, next(iter(out)), cs.witness()
 
 
 def _forge(cs, builder, out_wire, honest, sigma, absval, q, r):
@@ -108,8 +107,7 @@ def _forge(cs, builder, out_wire, honest, sigma, absval, q, r):
 
 def test_forged_remainder_witness_rejected():
     # 1.5 * 2.00002 = 3.00003; (q-1, r+gamma) would prove 3.00002.
-    cs, builder, out_wire = _fx_mul_gadget()
-    honest = cs.synthesize({"a": enc("1.5"), "b": enc("2.00002")})
+    cs, builder, out_wire, honest = _fx_mul_gadget(enc("1.5"), enc("2.00002"))
     assert cs.is_satisfied(honest)
     assert honest.values[out_wire] == enc("3.00003")
     prod_w, _ = builder.sign_wires[0]
@@ -126,8 +124,7 @@ BOUNDED = st.integers(min_value=-(10**8), max_value=10**8)
 @given(a=BOUNDED, b=BOUNDED, k=st.integers(min_value=-4, max_value=4).filter(bool))
 @settings(max_examples=60, deadline=None)
 def test_forged_fx_mul_witnesses_rejected(a, b, k):
-    cs, builder, out_wire = _fx_mul_gadget()
-    honest = cs.synthesize({"a": a % P, "b": b % P})
+    cs, builder, out_wire, honest = _fx_mul_gadget(a, b)
     assert cs.is_satisfied(honest)
     assert honest.values[out_wire] == fx_mul(a % P, b % P, SCALE)
     prod_w, sigma_w = builder.sign_wires[0]
@@ -142,17 +139,15 @@ def test_forged_fx_mul_witnesses_rejected(a, b, k):
         assert not cs.is_satisfied(flipped)
 
 
-# -- native training and witness synthesis agree ---------------------------------------
+# -- native training and the model circuit agree ---------------------------------------
 
 
 @functools.cache
-def _model_circuit(kind, epochs):
-    return ModelCircuit(
-        ModelShape(
-            train=default_train_config(kind, 1, epochs=epochs, scale=SCALE),
-            capacity=3,
-            hash_cfg=TINY,
-        )
+def _model_shape(kind, epochs):
+    return ModelShape(
+        train=default_train_config(kind, 1, epochs=epochs, scale=SCALE),
+        capacity=3,
+        hash_cfg=TINY,
     )
 
 
@@ -181,26 +176,31 @@ VALUES = st.one_of(
 @example(kind="logistic", epochs=2, rows=[(enc(0.5), enc(1)), (enc(-0.25), 0)])
 @settings(max_examples=150, deadline=None)
 def test_native_overflow_iff_synthesis_fails(kind, epochs, rows):
-    circuit = _model_circuit(kind, epochs)
+    shape = _model_shape(kind, epochs)
     ds = Dataset(
         tuple(DataPoint(i + 1, (x % P,), y % P) for i, (x, y) in enumerate(rows)), 1
     )
     try:
-        model = train_model(ds, circuit.shape.train)
-    except FixedPointOverflow:
-        model = None
+        model = train_model(ds, shape.train)
+    except FixedPointOverflow as e:
+        model, native_error = None, e
     try:
-        witness = circuit.synthesize(ds)
-    except WitnessSynthesisError:
-        witness = None
-    assert (model is None) == (witness is None)
-    if witness is not None:
-        assert circuit.cs.is_satisfied(witness)
-        digests = [hash_data_point(d, TINY) for d in ds.points]
-        assert circuit.statement(witness) == (
-            hash_model_weights(model.weights, TINY),
-            hash_data(digests, TINY),
-        )
+        circuit = ModelCircuit(shape, ds)
+    except FixedPointOverflow as e:
+        circuit, circuit_error = None, e
+    assert (model is None) == (circuit is None)
+    if circuit is None:
+        # Both name the same point, epoch and cause.
+        assert circuit_error.uid == native_error.uid is not None
+        assert str(circuit_error) == str(native_error)
+        return
+    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    assert circuit.model == model
+    digests = [hash_data_point(d, TINY) for d in ds.points]
+    assert circuit.statement == (
+        hash_model_weights(model.weights, TINY),
+        hash_data(digests, TINY),
+    )
 
 
 # -- admission ---------------------------------------------------------------------
