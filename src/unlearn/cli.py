@@ -50,6 +50,7 @@ from .hashing import DataPoint, HashConfig, NotMemberError
 from .ingest import ingest_csv, split_dataset
 from .proofsys import BackendUnavailable, FingerprintMismatch, WitnessCheckBackend
 from .protocol import (
+    CorruptState,
     DuplicateAdd,
     ProtocolConfig,
     ReAddAfterDelete,
@@ -312,6 +313,8 @@ def cmd_update(args) -> int:
             state, model, com, proof = prove_update(state, pub)
         except (ShapeOverflow, FixedPointOverflow) as e:
             raise CliError(str(e), EXIT_REJECT)
+        except CorruptState as e:
+            raise CliError(f"corrupt state: {e}", EXIT_CORRUPT)
         i = state.iteration
         atomic_write_json(store.commitment_file(i), commitment_to_dict(com, pub.scale))
         atomic_write_json(store.update_proof_file(i), update_proof_to_dict(proof, pub.scale))

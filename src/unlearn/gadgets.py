@@ -91,7 +91,8 @@ class CircuitBuilder:
         if v >> width:
             raise WitnessSynthesisError(f"value {v} exceeds {width}-bit range check")
         wires = [cs.alloc_private((v >> i) & 1) for i in range(width)]
-        cs.enforce_booleans(wires)
+        for w in wires:
+            self.enforce_boolean(lc_wire(w))
         self.enforce_eq({w: 1 << i for i, w in enumerate(wires)}, a)
         return wires
 

@@ -48,6 +48,10 @@ class DuplicateAdd(ValueError):
     """The same point cannot be added twice."""
 
 
+class CorruptState(ValueError):
+    """The stored server state contradicts itself."""
+
+
 class ShapeOverflow(RuntimeError):
     """The update exceeds the compiled circuit capacity; re-run setup with
     a larger shape."""
@@ -358,6 +362,9 @@ def prove_update(
         pub.config, hashed_data, state.hashed_unlearnt, new_unlearnt
     )
     data_rel = checked_relation(data_circuit.cs, pub.data_relation)
+    if data_circuit.statement[1] != state.unlearnt_root:
+        # The proof would chain from a root no commitment holds.
+        raise CorruptState("the unlearnt root does not match the hashed unlearnt set")
     h_m, h_d = model_circuit.statement
     com = Commitment(h_m=h_m, h_d=h_d, h_u=data_circuit.statement[2])
 

@@ -220,26 +220,6 @@ class ConstraintSystem:
                     n += 1
             m.counts.append(n)
 
-    def enforce_booleans(self, wires: Sequence[int]) -> None:
-        """Enforce w * (1 - w) = 0 for each wire in turn: the rows that
-        ``enforce({w: 1}, {0: 1, w: -1}, {})`` stores, written in bulk."""
-        if self._finalized:
-            raise BuildPhaseClosed("constraint system is finalized")
-        if wires and not 0 < min(wires) <= max(wires) < self._num_wires:
-            raise ValueError("boolean wires must be allocated and not the constant")
-        ids = self._coefficient_ids
-        one = ids.setdefault(1, len(ids))
-        minus_one = ids.setdefault(self.modulus - 1, len(ids))
-        a, b, c = self._matrices
-        n = len(wires)
-        a.counts.extend(repeat(1, n))
-        a.wires.extend(wires)
-        a.coefficients.extend(repeat(one, n))
-        b.counts.extend(repeat(2, n))
-        b.wires.extend(chain.from_iterable(zip(repeat(0), wires)))
-        b.coefficients.extend((one, minus_one) * n)
-        c.counts.extend(repeat(0, n))
-
     def finalize(self) -> None:
         self._finalized = True
 

@@ -78,6 +78,13 @@ def test_range_check_overflow_raises():
         _fx_mul(enc(2000), enc(1000))
 
 
+def test_bits_overflow_raises():
+    builder, cs = _builder()
+    assert len(builder.bits(lc_wire(cs.alloc_private(2**8 - 1)), 8)) == 8
+    with pytest.raises(WitnessSynthesisError, match="exceeds 8-bit range check"):
+        builder.bits(lc_wire(cs.alloc_private(2**8)), 8)
+
+
 def test_select_gadget():
     for sel, expected in ((1, 10), (0, 20)):
         builder, cs = _builder()

@@ -351,6 +351,20 @@ def test_update_beyond_value_bound_writes_nothing(workspace, initialized, capsys
     assert snapshot(initialized) == before
 
 
+def test_update_with_mismatched_unlearnt_root_writes_nothing(workspace, initialized, capsys):
+    d = str(initialized)
+    assert run(workspace, "add", "--dir", d, "--dataset", str(workspace / "pts.csv")) == 0
+    assert run(workspace, "delete", "--dir", d, "--uid", "2") == 0
+    store, scale = StateDir(initialized), ScaleConfig()
+    state = store.load_state(scale)
+    store.save_state(dataclasses.replace(state, unlearnt_root=state.unlearnt_root + 1), scale)
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, "update", "--dir", d) == 3
+    assert "corrupt state" in capsys.readouterr().err
+    assert snapshot(initialized) == before
+
+
 def test_old_params_envelope_refused(workspace, initialized, capsys):
     marker = json.loads((initialized / "proofs" / "update_0.json").read_text())
     assert marker["version"] == VERSION

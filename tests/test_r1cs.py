@@ -92,29 +92,6 @@ def test_values_assigned_at_allocation():
     assert ConstraintSystem.from_export(squaring_system().export()).values == []
 
 
-def test_enforce_booleans_matches_enforce():
-    def system(bulk):
-        cs = ConstraintSystem(P)
-        x, y = cs.alloc_private(), cs.alloc_private()
-        cs.enforce({x: 2}, {y: 1}, {})
-        if bulk:
-            cs.enforce_booleans([y, x])
-        else:
-            for w in (y, x):
-                cs.enforce({w: 1}, {0: 1, w: -1}, {})
-        return cs
-
-    bulk = system(True)
-    assert list(bulk.constraints) == list(system(False).constraints)
-    assert bulk.export() == system(False).export()
-    for bad in ([0], [3], [-1]):
-        with pytest.raises(ValueError):
-            bulk.enforce_booleans(bad)
-    bulk.finalize()
-    with pytest.raises(BuildPhaseClosed):
-        bulk.enforce_booleans([1])
-
-
 def test_export_and_fingerprint_deterministic():
     a, b = squaring_system(), squaring_system()
     assert a.export() == b.export()
