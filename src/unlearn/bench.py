@@ -3,9 +3,10 @@
 Mirrors the protocol's evaluation methodology: synthetic single-feature
 datasets of the requested sizes with 10% of points unlearnt (the unlearnt
 points are never added to the training set).  Each circuit is built once
-from its synthetic inputs, as ``update`` builds it, which yields its
-constraint count and its witness together; timings cover that build,
-setup, proving and verification on the selected backend.
+from its synthetic inputs, which yields its constraint count and its
+witness together (``build_s``, both circuits), and once more for its
+witness only, as ``update`` builds it (``witness_s``); the other timings
+cover setup, proving and verification on the selected backend.
 """
 
 from __future__ import annotations
@@ -89,6 +90,16 @@ def bench_sizes(
         model_circuit = build_model_circuit(config, dataset)
         data_circuit = build_data_circuit(config, model_circuit.digests, (), unlearnt)
         timings["build_s"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        build_data_circuit(
+            config,
+            build_model_circuit(config, dataset, values_only=True).digests,
+            (),
+            unlearnt,
+            values_only=True,
+        )
+        timings["witness_s"] = time.perf_counter() - t0
 
         entry = BenchEntry(
             size=size,

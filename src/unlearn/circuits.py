@@ -14,7 +14,9 @@ constraints and the witness; the prover reads the trained model and the
 statement from it.  Circuit shapes are static: datasets are padded to a
 fixed capacity with dummy slots masked by per-slot presence bits, so the
 constraints do not depend on the inputs and one trusted setup, built from
-the empty input, serves every update that fits.
+the empty input, serves every update that fits.  A prover that proves
+against the stored constraints builds with ``values_only=True``: the same
+pass computes the witness and records no rows.
 """
 
 from __future__ import annotations
@@ -50,10 +52,16 @@ class ModelCircuit:
     model, ``digests`` the points' digests (the leaves under h_D) and
     ``statement`` is (h_m, h_D).  Raises ShapeMismatch when the dataset
     does not fit, and FixedPointOverflow, naming the point and the epoch
-    as ``train_model`` does, when training it crosses the value bound."""
+    as ``train_model`` does, when training it crosses the value bound.
+    With ``values_only`` its constraint system records no rows."""
 
     @gc_paused()
-    def __init__(self, shape: ModelShape, dataset: Optional[Dataset] = None):
+    def __init__(
+        self,
+        shape: ModelShape,
+        dataset: Optional[Dataset] = None,
+        values_only: bool = False,
+    ):
         self.shape = shape
         train = shape.train
         points = dataset.points if dataset is not None else ()
@@ -68,7 +76,7 @@ class ModelCircuit:
         absent = DataPoint(0, (0,) * train.arity, 0)
         slots = points + (absent,) * (shape.capacity - len(points))
         scale = train.scale
-        cs = ConstraintSystem(scale.modulus)
+        cs = ConstraintSystem(scale.modulus, values_only)
         b = CircuitBuilder(cs, scale, shape.hash_cfg)
         ops = CircuitOps(b)
 
@@ -141,7 +149,8 @@ class DataCircuit:
     for the training-set digests, the previous unlearnt digests and the
     appended ones (by default all empty).  ``statement`` is (h_D,
     h_U_prev, h_U).  Raises ShapeMismatch when a set does not fit, and
-    WitnessSynthesisError when the training set meets an unlearnt one."""
+    WitnessSynthesisError when the training set meets an unlearnt one.
+    With ``values_only`` its constraint system records no rows."""
 
     @gc_paused()
     def __init__(
@@ -150,6 +159,7 @@ class DataCircuit:
         hashed_data: Sequence[int] = (),
         hashed_unlearnt_prev: Sequence[int] = (),
         hashed_unlearnt_add: Sequence[int] = (),
+        values_only: bool = False,
     ):
         self.shape = shape
         caps = (shape.data_capacity, shape.unlearn_capacity, shape.add_capacity)
@@ -157,7 +167,7 @@ class DataCircuit:
         for cap, items, label in zip(caps, sets, ("hd", "huprev", "huadd")):
             if len(items) > cap:
                 raise ShapeMismatch(f"{len(items)} digests exceed {label} capacity {cap}")
-        cs = ConstraintSystem(shape.hash_cfg.modulus)
+        cs = ConstraintSystem(shape.hash_cfg.modulus, values_only)
         scale = ScaleConfig(modulus=shape.hash_cfg.modulus)
         b = CircuitBuilder(cs, scale, shape.hash_cfg)
 

@@ -18,10 +18,12 @@ proof files.
 * ``setups/<backend>/<fingerprint>/``: the backend's setup artifacts.
 
 Only ``setup``, ``update`` and ``audit-setup`` build circuits (``game``
-and ``bench`` also do, to prove).  ``update`` checks each circuit it
-builds against its stored fingerprint.  ``verify-update`` on the
-witness-check backend reads the stored exports instead, after checking
-their SHA-256; on the snark backend it needs only the verifying keys.
+and ``bench`` also do, to prove).  ``update`` builds each for its wire
+values only and proves against the stored export, after checking its
+SHA-256; a witness the stored rows refuse means the config no longer
+matches the circuit ``setup`` compiled, and ``update`` exits 3 without
+writing.  ``verify-update`` on the witness-check backend reads the stored
+exports too; on the snark backend it needs only the verifying keys.
 ``audit-setup`` rebuilds both circuits from the stored config and checks
 the stored fingerprints, sizes and exports, for anyone who wants to tie
 ``pub/`` to the config.
@@ -29,8 +31,8 @@ the stored fingerprints, sizes and exports, for anyone who wants to tie
 Exit codes: 0 success/accept, 1 reject (an ``audit-setup`` mismatch
 included), 2 usage error (an unreadable ``--config`` or ``--dataset``
 file included), 3 corrupt state (a state directory that cannot be read, a
-missing or altered circuit export, or a circuit that does not match its
-stored fingerprint).
+missing or altered circuit export, or a config that no longer matches
+the stored circuit).
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from .protocol import (
     UpdateProof,
     build_data_circuit,
     build_model_circuit,
-    checked_relation,
     prove_unlearn,
     prove_update,
     queue_add,
@@ -323,11 +322,11 @@ class ReAddAfterUnlearn(Strategy):
     def build(self, pub, run):
         state2 = run.states[2]
         readded = Dataset(state2.dataset.points + (run.unlearned,), state2.dataset.arity)
-        model_circuit = build_model_circuit(pub.config, readded)
+        model_circuit = build_model_circuit(pub.config, readded, values_only=True)
         h_m, h_d = model_circuit.statement
         com3 = Commitment(h_m=h_m, h_d=h_d, h_u=state2.unlearnt_root)
         model_proof = pub.backend.prove(
-            checked_relation(model_circuit.cs, pub.model_relation),
+            pub.model_relation,
             pub.model_setup,
             model_circuit.statement,
             model_circuit.cs.witness(),
@@ -335,10 +334,10 @@ class ReAddAfterUnlearn(Strategy):
         data_statement = (com3.h_d, state2.unlearnt_root, com3.h_u)
         try:
             data_circuit = build_data_circuit(
-                pub.config, model_circuit.digests, state2.hashed_unlearnt
+                pub.config, model_circuit.digests, state2.hashed_unlearnt, values_only=True
             )
             data_proof = pub.backend.prove(
-                checked_relation(data_circuit.cs, pub.data_relation),
+                pub.data_relation,
                 pub.data_setup,
                 data_statement,
                 data_circuit.cs.witness(),

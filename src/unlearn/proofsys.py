@@ -77,6 +77,12 @@ class RelationHandle:
             self._circuit = self._load()
         return self._circuit
 
+    def release(self) -> None:
+        """Drop a loaded circuit; the next use loads it again.  A given
+        circuit is kept."""
+        if self._load is not None:
+            self._circuit = None
+
 
 @dataclass(frozen=True)
 class SetupArtifacts:

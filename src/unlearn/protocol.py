@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .circuits import DataCircuit, DataShape, ModelCircuit, ModelShape
 from .field import ConfigError, FixedPointOverflow
@@ -32,9 +32,9 @@ from .proofsys import (
     ProofBlob,
     RelationHandle,
     SetupArtifacts,
+    UnsatisfiedWitness,
     get_backend,
 )
-from .r1cs import ConstraintSystem
 from .training import Dataset, ModelParams, TrainConfig, train_model
 
 INIT_MARKER = "empty"
@@ -106,8 +106,10 @@ class PublicParams:
     relation handle), the setup artifacts and the backend.  Parameters
     from ``global_setup`` also hold the two circuits it built from the
     empty input; those loaded from a state directory
-    (``serialize.StateDir``) hold none.  Provers build circuits from their
-    inputs (``prove_update``)."""
+    (``serialize.StateDir``) hold none, and their relations load the
+    stored exports on first use.  Provers compute each circuit's witness
+    from their inputs and prove against these relations
+    (``prove_update``)."""
 
     config: ProtocolConfig
     model_relation: RelationHandle
@@ -140,13 +142,15 @@ class PublicParams:
 
 
 def build_model_circuit(
-    config: ProtocolConfig, dataset: Optional[Dataset] = None
+    config: ProtocolConfig, dataset: Optional[Dataset] = None, values_only: bool = False
 ) -> ModelCircuit:
     """The model circuit of the configured shape, with the witness for
-    ``dataset`` (by default the empty one)."""
+    ``dataset`` (by default the empty one); with ``values_only``, the
+    witness only."""
     return ModelCircuit(
         ModelShape(train=config.train, capacity=config.capacity, hash_cfg=config.hash_cfg),
         dataset,
+        values_only,
     )
 
 
@@ -155,9 +159,11 @@ def build_data_circuit(
     hashed_data: Sequence[int] = (),
     hashed_unlearnt_prev: Sequence[int] = (),
     hashed_unlearnt_add: Sequence[int] = (),
+    values_only: bool = False,
 ) -> DataCircuit:
     """The data circuit of the configured shape, with the witness for the
-    given digest sets (by default all empty)."""
+    given digest sets (by default all empty); with ``values_only``, the
+    witness only."""
     return DataCircuit(
         DataShape(
             data_capacity=config.capacity,
@@ -168,20 +174,8 @@ def build_data_circuit(
         hashed_data,
         hashed_unlearnt_prev,
         hashed_unlearnt_add,
+        values_only,
     )
-
-
-def checked_relation(cs: ConstraintSystem, stored: RelationHandle) -> RelationHandle:
-    """The relation of a circuit built from the config, which must have the
-    stored fingerprint.  Proving then uses this circuit, not a second copy
-    read back from disk."""
-    rel = RelationHandle.of(cs)
-    if rel.fingerprint != stored.fingerprint:
-        raise FingerprintMismatch(
-            f"the circuit built from the config has fingerprint {rel.fingerprint[:12]}, "
-            f"the stored one is {stored.fingerprint[:12]}"
-        )
-    return rel
 
 
 def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> PublicParams:
@@ -352,28 +346,22 @@ def prove_update(
         )
     # Training happens inside the model circuit, which raises
     # FixedPointOverflow where native training would.  Both circuits are
-    # built (and checked against their fingerprints) before any proof
-    # exists, so no proof is held while a circuit builds.
+    # built for their values only, before any proof exists; each proof
+    # then checks its witness against the stored rows.
     dataset = Dataset(tuple(points), pub.config.train.arity)
-    model_circuit = build_model_circuit(pub.config, dataset)
-    model_rel = checked_relation(model_circuit.cs, pub.model_relation)
+    model_circuit = build_model_circuit(pub.config, dataset, values_only=True)
     hashed_data = model_circuit.digests
     data_circuit = build_data_circuit(
-        pub.config, hashed_data, state.hashed_unlearnt, new_unlearnt
+        pub.config, hashed_data, state.hashed_unlearnt, new_unlearnt, values_only=True
     )
-    data_rel = checked_relation(data_circuit.cs, pub.data_relation)
     if data_circuit.statement[1] != state.unlearnt_root:
         # The proof would chain from a root no commitment holds.
         raise CorruptState("the unlearnt root does not match the hashed unlearnt set")
     h_m, h_d = model_circuit.statement
     com = Commitment(h_m=h_m, h_d=h_d, h_u=data_circuit.statement[2])
 
-    model_proof = pub.backend.prove(
-        model_rel, pub.model_setup, model_circuit.statement, model_circuit.cs.witness()
-    )
-    data_proof = pub.backend.prove(
-        data_rel, pub.data_setup, data_circuit.statement, data_circuit.cs.witness()
-    )
+    model_proof = _prove_stored(pub, pub.model_relation, pub.model_setup, model_circuit)
+    data_proof = _prove_stored(pub, pub.data_relation, pub.data_setup, data_circuit)
 
     new_state = ServerState(
         iteration=state.iteration + 1,
@@ -386,6 +374,30 @@ def prove_update(
         last_deleted=state.pending_delete,
     )
     return new_state, model_circuit.model, com, UpdateProof(model_proof, data_proof)
+
+
+def _prove_stored(
+    pub: PublicParams,
+    rel: RelationHandle,
+    setup: SetupArtifacts,
+    circuit: Union[ModelCircuit, DataCircuit],
+) -> ProofBlob:
+    """Prove ``circuit``'s statement with its witness against the stored
+    relation ``rel``, releasing the constraints loaded for it.  A witness
+    the stored rows refuse raises FingerprintMismatch naming the stored
+    circuit; a drifted config is one cause, which ``audit-setup`` checks."""
+    witness = circuit.cs.witness()
+    try:
+        return pub.backend.prove(rel, setup, circuit.statement, witness)
+    except UnsatisfiedWitness:
+        raise FingerprintMismatch(
+            f"the witness computed from the config ({len(witness.values)} wires) does "
+            f"not satisfy the stored circuit with fingerprint {rel.fingerprint[:12]} "
+            f"({rel.circuit.num_wires} wires); the config may differ from the one "
+            "setup compiled, which audit-setup checks"
+        ) from None
+    finally:
+        rel.release()
 
 
 def verify_update(

@@ -16,6 +16,12 @@ the values of the wires they read, so building a circuit for given inputs
 also yields its witness (``witness``).  The rows never depend on the
 values, so every input gives the same export.  Statement wires are
 allocated first and assigned once the body that computes them is built.
+
+A prover that already holds the rows (the export ``setup`` stored) needs
+only the values: a system made with ``values_only=True`` runs the same
+gadgets but ``enforce`` records nothing, and every operation that reads
+rows raises RowsNotRecorded rather than treat the empty row set as the
+circuit.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import hashlib
 import struct
 import sys
 from array import array
+from collections import deque
 from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -51,6 +58,10 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 class BuildPhaseClosed(RuntimeError):
     """Raised when allocating or enforcing after finalization."""
+
+
+class RowsNotRecorded(RuntimeError):
+    """Raised when reading the rows of a values-only system."""
 
 
 class WitnessSynthesisError(ValueError):
@@ -137,11 +148,14 @@ class _Matrix:
 
     def rows_increasing(self) -> bool:
         """Whether the wire ids increase strictly within every row: each
-        term whose wire is not above the one before must start a row."""
+        term whose wire is not above the one before must start a row.
+        The row starts are marked one byte per term, which holds far less
+        than a set of them while the export loads."""
         wires = self.wires
-        drops = compress(count(1), map(ge, wires[:-1], wires[1:]))
-        starts = set(accumulate(self.counts))
-        return all(map(starts.__contains__, drops))
+        starts = bytearray(len(wires) + 1)
+        deque(map(starts.__setitem__, accumulate(self.counts), repeat(1)), maxlen=0)
+        drops = compress(count(1), map(ge, wires, islice(wires, 1, None)))
+        return all(map(starts.__getitem__, drops))
 
 
 class _Rows(SequenceABC):
@@ -164,8 +178,9 @@ class _Rows(SequenceABC):
 
 
 class ConstraintSystem:
-    def __init__(self, modulus: int):
+    def __init__(self, modulus: int, values_only: bool = False):
         self.modulus = modulus
+        self.values_only = values_only
         # The value of each wire, reduced mod p; wire 0 is the constant 1.
         self.values: list[int] = [1]
         self.num_public = 0
@@ -203,6 +218,8 @@ class ConstraintSystem:
     def enforce(self, a: LinComb, b: LinComb, c: LinComb) -> None:
         if self._finalized:
             raise BuildPhaseClosed("constraint system is finalized")
+        if self.values_only:
+            return
         rows = (sorted(a.items()), sorted(b.items()), sorted(c.items()))
         for terms in rows:
             if terms and not (terms[0][0] >= 0 and terms[-1][0] < self._num_wires):
@@ -223,6 +240,11 @@ class ConstraintSystem:
     def finalize(self) -> None:
         self._finalized = True
 
+    def _rows_recorded(self) -> tuple[_Matrix, _Matrix, _Matrix]:
+        if self.values_only:
+            raise RowsNotRecorded("a values-only constraint system records no rows")
+        return self._matrices
+
     # -- introspection ------------------------------------------------------
 
     @property
@@ -235,10 +257,11 @@ class ConstraintSystem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._matrices[0].counts)
+        return len(self._rows_recorded()[0].counts)
 
     @property
     def constraints(self) -> _Rows:
+        self._rows_recorded()
         return _Rows(self)
 
     def _coefficients(self) -> list[int]:
@@ -282,7 +305,7 @@ class ConstraintSystem:
                         map(table.__getitem__, m.coefficients))
             return map(sum, map(islice, repeat(terms), m.counts))
 
-        a, b, c = map(sums, self._matrices)
+        a, b, c = map(sums, self._rows_recorded())
         return map(self.modulus.__rmod__, map(sub, map(mul, a, b), c))
 
     def _holds(self, i: int, values: Sequence[int]) -> bool:
@@ -292,6 +315,7 @@ class ConstraintSystem:
         ) % self.modulus == 0
 
     def is_satisfied(self, witness: Witness) -> bool:
+        self._rows_recorded()
         values = witness.values
         if len(values) != self._num_wires or values[0] != 1:
             return False
@@ -303,7 +327,7 @@ class ConstraintSystem:
     def constraints_touching(self, wire: int) -> list[int]:
         if self._touch_index is None:
             index: list[list[int]] = [[] for _ in range(self._num_wires)]
-            for m in self._matrices:
+            for m in self._rows_recorded():
                 for w, i in zip(m.wires, m.row_ids()):
                     index[w].append(i)
             self._touch_index = [sorted(set(rows)) for rows in index]
@@ -337,6 +361,7 @@ class ConstraintSystem:
         """The binary layout above: the preimage of the circuit
         fingerprint, the file ``setup`` stores for verifiers (read back
         by ``from_export``) and the external proving backend's input."""
+        self._rows_recorded()
         self._sort_table()
         p = self.modulus
         k = (p.bit_length() + 7) // 8
@@ -360,10 +385,12 @@ class ConstraintSystem:
         witnesses; it has no wire values of its own.  Strict: input that
         ``export()`` would not write raises ValueError, so
         ``from_export(x).export() == x`` whenever it returns."""
-        data = bytes(data)
+        # Slices of a view copy nothing: loading holds the input and the
+        # arrays it fills, no third copy.
+        data = memoryview(bytes(data))
         pos = 0
 
-        def take(n: int) -> bytes:
+        def take(n: int) -> memoryview:
             nonlocal pos
             if n > len(data) - pos:
                 raise ValueError("r1cs export is truncated")

@@ -396,10 +396,10 @@ class StateDir:
 
     def load_public_params(self) -> PublicParams:
         """The parameters in ``pub/``, read without building or reading a
-        circuit.  A prover builds each circuit from the config and its
-        inputs and checks it against its stored fingerprint (see
-        ``protocol.prove_update``); a verifier that needs the constraints
-        reads the stored export (see ``SetupStore.load_circuit``)."""
+        circuit.  Each relation reads its stored export (see
+        ``SetupStore.load_circuit``) when a prover or a verifier first
+        needs the constraints; a prover computes only the witness from
+        the config and its inputs (see ``protocol.prove_update``)."""
         obj = read_json(self.params_file)
         config = protocol_config_from_dict(obj)
         backend = get_backend(config.backend)

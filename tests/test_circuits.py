@@ -436,3 +436,53 @@ def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
         digests[config.capacity + config.unlearn_capacity :],
     )
     assert full.cs.export() == data.export()
+
+
+# -- values-only builds -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind,arity,hidden,epochs",
+    [("linear", 1, 0, 2), ("logistic", 2, 0, 1), ("nn", 1, 2, 1)],
+)
+def test_values_only_model_witness_matches_full_build(kind, arity, hidden, epochs):
+    shape = ModelShape(
+        train=default_train_config(kind, arity, hidden=hidden, epochs=epochs, scale=SCALE),
+        capacity=3,
+        hash_cfg=TINY,
+    )
+    ds = _dataset(2, arity=arity)
+    full = ModelCircuit(shape, ds)
+    only = ModelCircuit(shape, ds, values_only=True)
+    assert only.cs.witness() == full.cs.witness()
+    assert (only.statement, only.model, only.digests) == (full.statement, full.model, full.digests)
+    assert full.cs.is_satisfied(only.cs.witness())
+
+
+def test_values_only_data_witness_matches_full_build():
+    sets = ([hash1(1, TINY), hash1(2, TINY)], [hash1(3, TINY)], [hash1(4, TINY)])
+    shape = DataShape(data_capacity=3, unlearn_capacity=2, add_capacity=2, hash_cfg=TINY)
+    full = DataCircuit(shape, *sets)
+    only = DataCircuit(shape, *sets, values_only=True)
+    assert only.cs.witness() == full.cs.witness()
+    assert only.statement == full.statement
+
+
+def _raised(build):
+    with pytest.raises((FixedPointOverflow, WitnessSynthesisError)) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+def test_values_only_builds_raise_as_full_builds():
+    shape = _model_shape(capacity=2)
+    ds = Dataset(
+        (DataPoint(1, (enc(5000),), enc(1)), DataPoint(2, (enc(10000),), enc(1))), 1
+    )
+    full = _raised(lambda: ModelCircuit(shape, ds))
+    assert full[0] is FixedPointOverflow and "uid 2" in full[1]
+    assert _raised(lambda: ModelCircuit(shape, ds, values_only=True)) == full
+    shape = DataShape(data_capacity=2, unlearn_capacity=1, add_capacity=1, hash_cfg=TINY)
+    full = _raised(lambda: DataCircuit(shape, [3, 5], [], [5]))
+    assert full[0] is WitnessSynthesisError
+    assert _raised(lambda: DataCircuit(shape, [3, 5], [], [5], values_only=True)) == full

@@ -266,6 +266,9 @@ def test_bench_counts_scale_linearly(workspace, capsys):
     counts = [e["model_constraints"] for e in payload["entries"]]
     assert 1.8 <= counts[1] / counts[0] <= 2.2
     assert 1.8 <= counts[2] / counts[1] <= 2.2
+    # Each size times the full build and the values-only build update runs.
+    for e in payload["entries"]:
+        assert e["timings"]["build_s"] > 0 and e["timings"]["witness_s"] > 0
 
 
 def test_bench_accuracy_report(workspace, capsys):
@@ -461,6 +464,7 @@ def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch):
     count(circuits.ModelCircuit, "__init__", "model_build")
     count(circuits.DataCircuit, "__init__", "data_build")
     count(ConstraintSystem, "from_export", "parse")
+    count(ConstraintSystem, "export", "export")
     d, csv = str(workspace / "st"), str(workspace / "pts.csv")
     for args in (
         ("setup", "--dir", d, "--config", str(workspace / "conf")),
@@ -476,8 +480,11 @@ def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch):
     ):
         calls.clear()
         assert main(list(args)) == 0, args
-        if args[0] in ("setup", "update", "audit-setup"):
-            expected = {"model_build": 1, "data_build": 1}
+        if args[0] in ("setup", "audit-setup"):
+            expected = {"model_build": 1, "data_build": 1, "export": 2}
+        elif args[0] == "update":
+            # Values only: the rows come from the stored exports.
+            expected = {"model_build": 1, "data_build": 1, "parse": 2}
         elif args[0] == "verify-update" and args[-1] != "0":
             expected = {"parse": 2}
         else:
@@ -549,6 +556,27 @@ def test_stored_circuit_records_must_match_the_config(workspace, updated, capsys
     params.write_text(json.dumps(obj))
     assert run(workspace, "audit-setup", "--dir", d) == 1
     assert "MISMATCH: data params" in capsys.readouterr().out
+
+
+def test_same_shape_config_drift_fails_against_the_stored_circuit(workspace, updated, capsys):
+    # Another learning rate: the same wires, other rows.  update proves
+    # against the stored circuit, which refuses the witness.
+    d = str(updated)
+    params = updated / "pub" / "params.json"
+    obj = json.loads(params.read_text())
+    lr = obj["learning_rate"]
+    obj["learning_rate"] = f"{int(lr, 16) + 1:0{len(lr)}x}"
+    params.write_text(json.dumps(obj))
+    assert run(workspace, "add", "--dir", d, "--uid", "9", "--features", "0.5",
+               "--label", "1") == 0
+    before = snapshot(updated)
+    capsys.readouterr()
+    assert run(workspace, "update", "--dir", d) == 3
+    err = capsys.readouterr().err
+    wires = obj["circuits"]["model"]["wires"]
+    assert f"fingerprint {obj['circuits']['model']['fingerprint'][:12]}" in err
+    assert err.count(f"({wires} wires)") == 2
+    assert snapshot(updated) == before
 
 
 @pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])

@@ -16,6 +16,7 @@ from unlearn.proofsys import (
     get_backend,
 )
 from unlearn.r1cs import ConstraintSystem
+from unlearn.serialize import SetupStore
 
 
 def squaring_relation():
@@ -187,3 +188,46 @@ def test_witness_check_reads_constraints_only_after_statement_check(rel, honest)
     assert backend.verify(stored, sp, statement, blob)
     assert backend.verify(stored, sp, statement, blob)
     assert len(loads) == 1
+
+
+def test_loaded_relation_releases_its_circuit(rel):
+    loads = []
+
+    def load():
+        loads.append(1)
+        return rel.circuit
+
+    stored = RelationHandle(rel.fingerprint, load=load)
+    stored.circuit
+    stored.circuit
+    stored.release()
+    stored.circuit
+    assert len(loads) == 2
+    # A given circuit is kept.
+    circuit = rel.circuit
+    rel.release()
+    assert rel.circuit is circuit
+
+
+@pytest.mark.parametrize(
+    "make_backend",
+    [WitnessCheckBackend, pytest.param(lambda: Groth16Backend(seed=7), marks=needs_snark)],
+    ids=["witness-check", "snark"],
+)
+def test_prove_against_the_stored_export(rel, honest, tmp_path, make_backend):
+    # The relation a prover gets from pub/: loaded from the stored export
+    # and released after each proof, as protocol.prove_update does.
+    store = SetupStore(tmp_path)
+    fingerprint = store.save_circuit(rel.circuit.export())
+    stored = RelationHandle(fingerprint, load=lambda: store.load_circuit(fingerprint))
+    backend = make_backend()
+    sp = backend.setup(stored)
+    stored.release()
+    statement, witness = honest
+    blob = backend.prove(stored, sp, statement, witness)
+    stored.release()
+    assert backend.verify(stored, sp, statement, blob)
+    assert not backend.verify(stored, sp, (10,), blob)
+    stored.release()
+    with pytest.raises(UnsatisfiedWitness):
+        backend.prove(stored, sp, (10,), witness)

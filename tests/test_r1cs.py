@@ -8,6 +8,7 @@ from unlearn.r1cs import (
     MAGIC,
     BuildPhaseClosed,
     ConstraintSystem,
+    RowsNotRecorded,
     Witness,
 )
 
@@ -269,3 +270,39 @@ def test_built_and_loaded_agree_on_failures(fast_pub, name):
     # Only rows that read the flipped wire can fail.
     assert set(failing) <= set(loaded.constraints_touching(wire))
     assert not loaded.satisfied_at_wire(flipped, wire)
+
+
+def values_only_system():
+    cs = ConstraintSystem(P, values_only=True)
+    y = cs.alloc_public(9)
+    x = cs.alloc_private(3)
+    cs.enforce({x: 1}, {x: 1}, {y: 1})
+    cs.finalize()
+    return cs
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda cs: cs.export(),
+        lambda cs: cs.fingerprint(),
+        lambda cs: cs.is_satisfied(cs.witness()),
+        lambda cs: cs.failing_constraints(cs.witness()),
+        lambda cs: cs.constraints,
+    ],
+    ids=["export", "fingerprint", "is_satisfied", "failing_constraints", "constraints"],
+)
+def test_values_only_system_refuses_row_operations(read):
+    cs = values_only_system()
+    assert cs.witness() == Witness((1, 9, 3))
+    with pytest.raises(RowsNotRecorded):
+        read(cs)
+
+
+def test_values_only_system_keeps_its_other_checks():
+    cs = values_only_system()
+    # A short witness is refused as rowless, not judged unsatisfied.
+    with pytest.raises(RowsNotRecorded):
+        cs.is_satisfied(Witness((1,)))
+    with pytest.raises(BuildPhaseClosed):
+        cs.enforce({}, {}, {})
