@@ -7,16 +7,18 @@
 * Data circuit: public (h_D, h_U_prev, h_U), private digest sets.  Proves
   the committed roots match the private sets, that the new unlearnt root
   extends the previous chain (so the unlearnt set only ever grows), and
-  that the training and unlearnt sets are disjoint.
+  that the training and unlearnt sets are disjoint.  One array of
+  ``unlearn_capacity`` slots holds the previous and the appended digests.
 
 Each circuit is built from its inputs in one pass that yields both the
 constraints and the witness; the prover reads the trained model and the
 statement from it.  Circuit shapes are static: datasets are padded to a
 fixed capacity with dummy slots masked by per-slot presence bits, so the
 constraints do not depend on the inputs and one trusted setup, built from
-the empty input, serves every update that fits.  A prover that proves
-against the stored constraints builds with ``values_only=True``: the same
-pass computes the witness and records no rows.
+the empty input, serves every update that fits; inputs that do not fit
+raise ShapeOverflow.  A prover that proves against the stored constraints
+builds with ``values_only=True``: the same pass computes the witness and
+records no rows.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ class ShapeMismatch(ValueError):
     """Inputs do not fit the circuit's compiled shape."""
 
 
+class ShapeOverflow(ShapeMismatch):
+    """Inputs exceed the circuit's compiled capacity; re-run setup with a
+    larger shape."""
+
+
 @dataclass(frozen=True)
 class ModelShape:
     train: TrainConfig
@@ -50,9 +57,10 @@ class ModelCircuit:
     """R1CS form of the model-update statement, built with the witness for
     ``dataset`` (by default the empty one).  ``model`` is the trained
     model, ``digests`` the points' digests (the leaves under h_D) and
-    ``statement`` is (h_m, h_D).  Raises ShapeMismatch when the dataset
-    does not fit, and FixedPointOverflow, naming the point and the epoch
-    as ``train_model`` does, when training it crosses the value bound.
+    ``statement`` is (h_m, h_D).  Raises ShapeOverflow when the dataset
+    exceeds the capacity, ShapeMismatch when its arity differs, and
+    FixedPointOverflow, naming the point and the epoch as ``train_model``
+    does, when training it crosses the value bound.
     With ``values_only`` its constraint system records no rows."""
 
     @gc_paused()
@@ -70,8 +78,8 @@ class ModelCircuit:
                 f"dataset arity {dataset.arity} != circuit arity {train.arity}"
             )
         if len(points) > shape.capacity:
-            raise ShapeMismatch(
-                f"{len(points)} points exceed circuit capacity {shape.capacity}"
+            raise ShapeOverflow(
+                f"{len(points)} points exceed the compiled capacity {shape.capacity}"
             )
         absent = DataPoint(0, (0,) * train.arity, 0)
         slots = points + (absent,) * (shape.capacity - len(points))
@@ -140,7 +148,6 @@ class ModelCircuit:
 class DataShape:
     data_capacity: int
     unlearn_capacity: int
-    add_capacity: int
     hash_cfg: HashConfig = dc_field(default_factory=HashConfig)
 
 
@@ -148,8 +155,12 @@ class DataCircuit:
     """R1CS form of the dataset-update statement, built with the witness
     for the training-set digests, the previous unlearnt digests and the
     appended ones (by default all empty).  ``statement`` is (h_D,
-    h_U_prev, h_U).  Raises ShapeMismatch when a set does not fit, and
-    WitnessSynthesisError when the training set meets an unlearnt one.
+    h_U_prev, h_U).  The unlearnt digests, previous then appended, fill
+    one array of ``unlearn_capacity`` slots under two prefixes of bits:
+    presence marks every digest, and the previous bits, which never run
+    past it, mark the previous ones.  One chain fold gives both roots.
+    Raises ShapeOverflow when either set exceeds its capacity, and
+    WitnessSynthesisError when the training set meets the unlearnt one.
     With ``values_only`` its constraint system records no rows."""
 
     @gc_paused()
@@ -162,11 +173,14 @@ class DataCircuit:
         values_only: bool = False,
     ):
         self.shape = shape
-        caps = (shape.data_capacity, shape.unlearn_capacity, shape.add_capacity)
-        sets = (tuple(hashed_data), tuple(hashed_unlearnt_prev), tuple(hashed_unlearnt_add))
-        for cap, items, label in zip(caps, sets, ("hd", "huprev", "huadd")):
+        prev = tuple(hashed_unlearnt_prev)
+        sets = (tuple(hashed_data), prev + tuple(hashed_unlearnt_add))
+        caps = (shape.data_capacity, shape.unlearn_capacity)
+        for items, cap, label in zip(sets, caps, ("training", "unlearnt")):
             if len(items) > cap:
-                raise ShapeMismatch(f"{len(items)} digests exceed {label} capacity {cap}")
+                raise ShapeOverflow(
+                    f"{len(items)} {label} digests exceed the compiled capacity {cap}"
+                )
         cs = ConstraintSystem(shape.hash_cfg.modulus, values_only)
         scale = ScaleConfig(modulus=shape.hash_cfg.modulus)
         b = CircuitBuilder(cs, scale, shape.hash_cfg)
@@ -182,20 +196,20 @@ class DataCircuit:
             b.prefix_presence(pres)
             return pres, vals
 
-        (d_pres, d_vals), (u_pres, u_vals), (a_pres, a_vals) = map(alloc_set, sets, caps)
+        (d_pres, d_vals), (u_pres, u_vals) = map(alloc_set, sets, caps)
+        u_prev = [lc_wire(cs.alloc_private(int(j < len(prev)))) for j in range(len(u_pres))]
+        b.prefix_presence(u_prev, within=u_pres)
 
         b.bind(self.h_d_wire, b.merkle_root(d_vals, d_pres))
-        psi_prev = b.chain_root(lc_const(empty_root(shape.hash_cfg)), u_vals, u_pres)
+        psi_prev, psi = b.chain_root(lc_const(empty_root(shape.hash_cfg)), u_vals, u_pres, u_prev)
         b.bind(self.h_uprev_wire, psi_prev)
-        b.bind(self.h_u_wire, b.chain_root(psi_prev, a_vals, a_pres))
+        b.bind(self.h_u_wire, psi)
 
-        # Pairwise disjointness of the training digests against both the
-        # previous and the newly appended unlearnt digests.
+        # Pairwise disjointness of the training and unlearnt digests.
         for i in range(shape.data_capacity):
-            for pres, vals in ((u_pres, u_vals), (a_pres, a_vals)):
-                for j in range(len(vals)):
-                    active = b.mul(d_pres[i], pres[j])
-                    b.inverse_pair(b.sub(d_vals[i], vals[j]), active)
+            for j in range(shape.unlearn_capacity):
+                active = b.mul(d_pres[i], u_pres[j])
+                b.inverse_pair(b.sub(d_vals[i], u_vals[j]), active)
 
         cs.finalize()
         self.cs = cs

@@ -46,6 +46,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bench import DEFAULT_SIZES, bench_sizes
+from .circuits import ShapeOverflow
 from .field import ConfigError, FixedPointOverflow, ScaleConfig, fx_encode
 from .game import builtin_strategies, run_suite
 from .hashing import DataPoint, HashConfig, NotMemberError
@@ -56,7 +57,6 @@ from .protocol import (
     DuplicateAdd,
     ProtocolConfig,
     ReAddAfterDelete,
-    ShapeOverflow,
     build_data_circuit,
     build_model_circuit,
     global_setup,
@@ -102,7 +102,6 @@ CONFIG_DEFAULTS = {
     "unlearn_capacity": "8",
     "backend": "witness-check",
     "hash_rounds": "110",
-    "split": "0.8",
 }
 
 
@@ -138,9 +137,6 @@ def build_protocol_config(options: dict[str, str]) -> ProtocolConfig:
     opts.update(options)
     try:
         scale = ScaleConfig(gamma=int(opts["gamma"]))
-        split = float(opts["split"])
-        if not 0 < split < 1:
-            raise CliError("split must be in (0, 1)")
         kind = opts["kind"]
         hidden = int(opts["hidden"])
         arity = int(opts["arity"])
@@ -472,6 +468,12 @@ def cmd_game(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        split = float(args.split)
+    except ValueError:
+        split = 0.0  # not a number: refused below with the out-of-range ratios
+    if not 0 < split < 1:
+        raise CliError(f"bad --split {args.split!r}: expected a number in (0, 1)")
     if args.dir and StateDir(args.dir).params_file.exists():
         store = StateDir(args.dir)
         config = store.load_config()
@@ -497,7 +499,6 @@ def cmd_bench(args) -> int:
     if args.dataset:
         scale = config.train.scale
         ingested = ingest_dataset(args.dataset, scale)
-        split = float(args.split) if args.split else 0.8
         train_set, test_set = split_dataset(ingested.dataset, split)
         train_cfg = TrainConfig(
             kind=config.train.kind,
@@ -592,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--full", action="store_true", help="include |D|=1000")
             p.add_argument("--counts-only", action="store_true",
                            help="skip proving, report constraint counts")
-            p.add_argument("--split", help="train/test split ratio")
+            p.add_argument("--split", default="0.8", help="train/test split ratio")
     return parser
 
 

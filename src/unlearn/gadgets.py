@@ -214,22 +214,29 @@ class CircuitBuilder:
         return self.add(empty, self.mul(pres[0], self.sub(nodes[0], empty)))
 
     def chain_root(
-        self, base: LinComb, items: list[LinComb], presence: list[LinComb]
-    ) -> LinComb:
-        """Append-only chain fold over the present prefix, starting at base."""
-        psi = base
-        for item, pres in zip(items, presence):
+        self, base: LinComb, items: list[LinComb], presence: list[LinComb], marked: list[LinComb]
+    ) -> tuple[LinComb, LinComb]:
+        """Append-only chain folds from base over the marked and over the
+        present prefix.  Marked bits set only where presence bits are
+        (``prefix_presence`` with ``within``) keep the two folds equal up
+        to the marked end, so one hash per slot serves both."""
+        psi_marked = psi = base
+        for item, pres, mark in zip(items, presence, marked):
             h = self.hash2(psi, item)
+            psi_marked = self.add(psi_marked, self.mul(mark, self.sub(h, psi_marked)))
             psi = self.add(psi, self.mul(pres, self.sub(h, psi)))
-        return psi
+        return psi_marked, psi
 
-    def prefix_presence(self, presence: list[LinComb]) -> None:
+    def prefix_presence(self, presence: list[LinComb], within: list[LinComb] = ()) -> None:
         """Boolean presence bits forming a prefix: present slots precede
-        absent ones."""
+        absent ones.  Given ``within``, a bit is set only where the
+        matching ``within`` bit is."""
         for b in presence:
             self.enforce_boolean(b)
         for prev, nxt in zip(presence, presence[1:]):
             self.cs.enforce(nxt, self.sub(lc_const(1), prev), {})
+        for b, outer in zip(presence, within):
+            self.cs.enforce(b, self.sub(lc_const(1), outer), {})
 
     def inverse_pair(self, diff: LinComb, active: LinComb) -> None:
         """Enforce diff != 0 whenever the boolean product ``active`` is 1,

@@ -52,11 +52,6 @@ class CorruptState(ValueError):
     """The stored server state contradicts itself."""
 
 
-class ShapeOverflow(RuntimeError):
-    """The update exceeds the compiled circuit capacity; re-run setup with
-    a larger shape."""
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     train: TrainConfig
@@ -168,7 +163,6 @@ def build_data_circuit(
         DataShape(
             data_capacity=config.capacity,
             unlearn_capacity=config.unlearn_capacity,
-            add_capacity=config.unlearn_capacity,
             hash_cfg=config.hash_cfg,
         ),
         hashed_data,
@@ -219,12 +213,11 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
 
 @dataclass
 class ServerState:
-    """st_S: the training set, both hashed sets, the current chain root,
+    """st_S: the training set, the hashed unlearnt set and its chain root,
     the deployed model, and the pending request batches."""
 
     iteration: int
     dataset: Dataset
-    hashed_data: tuple[int, ...]
     hashed_unlearnt: tuple[int, ...]
     unlearnt_root: int
     model: ModelParams
@@ -242,7 +235,6 @@ def server_init(pub: PublicParams) -> tuple[ServerState, Commitment, str]:
     state = ServerState(
         iteration=0,
         dataset=Dataset((), pub.config.train.arity),
-        hashed_data=(),
         hashed_unlearnt=(),
         unlearnt_root=hash_unlearn((), cfg),
         model=empty_model,
@@ -329,30 +321,16 @@ def queue_delete(state: ServerState, d: DataPoint) -> ServerState:
 def prove_update(
     state: ServerState, pub: PublicParams
 ) -> tuple[ServerState, ModelParams, Commitment, UpdateProof]:
-    cfg = pub.hash_cfg
-    points = _batch_points(state)
-    if len(points) > pub.config.capacity:
-        raise ShapeOverflow(
-            f"{len(points)} points exceed the compiled capacity {pub.config.capacity}"
-        )
-    new_unlearnt = [hash_data_point(d, cfg) for d in state.pending_delete]
-    hashed_unlearnt = state.hashed_unlearnt + tuple(new_unlearnt)
-    if len(new_unlearnt) > pub.config.unlearn_capacity or len(
-        hashed_unlearnt
-    ) > pub.config.unlearn_capacity:
-        raise ShapeOverflow(
-            f"{len(hashed_unlearnt)} unlearnt digests exceed the compiled "
-            f"capacity {pub.config.unlearn_capacity}"
-        )
+    new_unlearnt = tuple(hash_data_point(d, pub.hash_cfg) for d in state.pending_delete)
     # Training happens inside the model circuit, which raises
     # FixedPointOverflow where native training would.  Both circuits are
-    # built for their values only, before any proof exists; each proof
-    # then checks its witness against the stored rows.
-    dataset = Dataset(tuple(points), pub.config.train.arity)
+    # built for their values only, before any proof exists, and raise
+    # ShapeOverflow for inputs beyond their capacities; each proof then
+    # checks its witness against the stored rows.
+    dataset = Dataset(tuple(_batch_points(state)), pub.config.train.arity)
     model_circuit = build_model_circuit(pub.config, dataset, values_only=True)
-    hashed_data = model_circuit.digests
     data_circuit = build_data_circuit(
-        pub.config, hashed_data, state.hashed_unlearnt, new_unlearnt, values_only=True
+        pub.config, model_circuit.digests, state.hashed_unlearnt, new_unlearnt, values_only=True
     )
     if data_circuit.statement[1] != state.unlearnt_root:
         # The proof would chain from a root no commitment holds.
@@ -366,8 +344,7 @@ def prove_update(
     new_state = ServerState(
         iteration=state.iteration + 1,
         dataset=dataset,
-        hashed_data=hashed_data,
-        hashed_unlearnt=hashed_unlearnt,
+        hashed_unlearnt=state.hashed_unlearnt + new_unlearnt,
         unlearnt_root=com.h_u,
         model=model_circuit.model,
         deleted_uids=state.deleted_uids | {d.uid for d in state.pending_delete},

@@ -31,7 +31,7 @@ from .protocol import (
 from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
 
-VERSION = 4
+VERSION = 5
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
@@ -188,7 +188,6 @@ def server_state_to_dict(state: ServerState, cfg: ScaleConfig) -> dict:
         "iteration": state.iteration,
         "arity": state.dataset.arity,
         "points": [data_point_to_dict(d, cfg) for d in state.dataset.points],
-        "hashed_data": _hexes(state.hashed_data, cfg),
         "hashed_unlearnt": _hexes(state.hashed_unlearnt, cfg),
         "unlearnt_root": to_hex(state.unlearnt_root, cfg),
         "model": model_params_to_dict(state.model, cfg),
@@ -205,7 +204,6 @@ def server_state_from_dict(obj: dict, cfg: ScaleConfig) -> ServerState:
         dataset=Dataset(
             tuple(data_point_from_dict(d, cfg) for d in obj["points"]), obj["arity"]
         ),
-        hashed_data=tuple(_unhexes(obj["hashed_data"], cfg)),
         hashed_unlearnt=tuple(_unhexes(obj["hashed_unlearnt"], cfg)),
         unlearnt_root=from_hex(obj["unlearnt_root"], cfg),
         model=model_params_from_dict(obj["model"], cfg),

@@ -9,6 +9,7 @@ from unlearn.circuits import (
     ModelCircuit,
     ModelShape,
     ShapeMismatch,
+    ShapeOverflow,
 )
 from unlearn.field import FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
 from unlearn.gadgets import CircuitBuilder, lc_const, lc_wire
@@ -22,6 +23,7 @@ from unlearn.hashing import (
     hash_model_weights,
     hash_unlearn,
 )
+from unlearn.cli import build_protocol_config
 from unlearn.protocol import build_data_circuit, build_model_circuit
 from unlearn.r1cs import ConstraintSystem, Witness, WitnessSynthesisError
 from unlearn.training import Dataset, default_train_config, train_model
@@ -131,14 +133,21 @@ def test_padded_merkle_root_matches_native(occupancy):
 
 @pytest.mark.parametrize("occupancy", range(0, 5))
 def test_padded_chain_matches_native(occupancy):
-    builder, cs = _builder()
-    values = [hash1(i + 7, TINY) for i in range(occupancy)]
     from unlearn.hashing import empty_root
 
-    psi = builder.chain_root(lc_const(empty_root(TINY)), *_padded(builder, cs, values, 4))
-    cs.finalize()
-    assert cs.is_satisfied(cs.witness())
-    assert cs.lc_value(psi) == hash_unlearn(values, TINY)
+    values = [hash1(i + 7, TINY) for i in range(occupancy)]
+    for marked in range(occupancy + 1):
+        builder, cs = _builder()
+        items, pres = _padded(builder, cs, values, 4)
+        marks = [lc_wire(cs.alloc_private(int(j < marked))) for j in range(4)]
+        builder.prefix_presence(marks, within=pres)
+        roots = builder.chain_root(lc_const(empty_root(TINY)), items, pres, marks)
+        cs.finalize()
+        assert cs.is_satisfied(cs.witness())
+        assert tuple(map(cs.lc_value, roots)) == (
+            hash_unlearn(values[:marked], TINY),
+            hash_unlearn(values, TINY),
+        )
 
 
 # -- model circuit -----------------------------------------------------------------
@@ -211,7 +220,7 @@ def test_model_circuit_wrong_model_hash_unsatisfiable():
 
 def test_model_circuit_shape_errors():
     shape = _model_shape(capacity=2)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeOverflow, match="3 points exceed the compiled capacity 2"):
         ModelCircuit(shape, _dataset(3))
     with pytest.raises(ShapeMismatch):
         ModelCircuit(shape, _dataset(2, arity=2))
@@ -241,17 +250,8 @@ def test_constraint_count_monotonicity():
 
 
 def _data_circuit(hd, prev, add, dcap=4, ucap=4):
-    return DataCircuit(
-        DataShape(
-            data_capacity=dcap,
-            unlearn_capacity=ucap,
-            add_capacity=ucap,
-            hash_cfg=TINY,
-        ),
-        hd,
-        prev,
-        add,
-    )
+    shape = DataShape(data_capacity=dcap, unlearn_capacity=ucap, hash_cfg=TINY)
+    return DataCircuit(shape, hd, prev, add)
 
 
 def test_data_circuit_honest_satisfiable():
@@ -326,10 +326,63 @@ def test_data_circuit_tampered_root_unsatisfiable():
 
 
 def test_data_circuit_capacity_errors():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeOverflow, match="3 training digests exceed the compiled capacity 2"):
         _data_circuit([1, 2, 3], [], [], dcap=2, ucap=1)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeOverflow, match="2 unlearnt digests exceed the compiled capacity 1"):
         _data_circuit([1], [2, 3], [], dcap=2, ucap=1)
+    # Previous and appended digests share the one unlearnt capacity: each
+    # fits alone, together they do not.
+    with pytest.raises(ShapeOverflow, match="4 unlearnt digests exceed the compiled capacity 3"):
+        _data_circuit([1], [2, 3], [4, 5], dcap=2, ucap=3)
+    full = _data_circuit([1], [2], [3, 4], dcap=2, ucap=3)
+    assert full.cs.is_satisfied(full.cs.witness())
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_data_circuit_every_split_of_the_unlearnt_digests(n):
+    # Any k previous digests followed by n - k appended ones give the
+    # roots of the first k and of all n, in the one array of 4 slots.
+    digests = [hash1(i + 20, TINY) for i in range(n)]
+    for k in range(n + 1):
+        circuit = _data_circuit([hash1(1, TINY)], digests[:k], digests[k:], dcap=1, ucap=4)
+        assert circuit.cs.is_satisfied(circuit.cs.witness())
+        assert circuit.statement[1:] == (
+            hash_unlearn(digests[:k], TINY),
+            hash_unlearn(digests, TINY),
+        )
+
+
+def test_previous_bits_never_run_past_presence():
+    # A forgery that claims the unlearnt set shrank: the previous-digest
+    # bits run one slot past the presence bits, and h_U_prev is recomputed
+    # to the chain that extends h_U by that slot.  Every row but the one
+    # tying that previous bit to its presence bit holds.
+    dcap, ucap, n = 1, 4, 2
+    unlearnt = [hash1(20, TINY), hash1(21, TINY)]
+    circuit = _data_circuit([hash1(1, TINY)], unlearnt, [], dcap=dcap, ucap=ucap)
+    cs, values = circuit.cs, list(circuit.cs.witness().values)
+    # Layout after the statement: training presence bits and digests, then
+    # unlearnt presence bits, unlearnt digests and previous-digest bits.
+    pres_n = circuit.h_u_wire + 1 + 2 * dcap + n
+    prev_n = pres_n + 2 * ucap
+    assert (values[pres_n], values[prev_n], values[prev_n - 1]) == (0, 0, 1)
+    values[prev_n] = 1
+    # The fold's product for that slot, previous bit times (h - psi_prev),
+    # and the h_U_prev it feeds.
+    [(a, b, c)] = [
+        (a, b, c) for a, b, c in cs.constraints if a == {prev_n: 1} and len(c) == 1
+    ]
+    [product] = c
+    values[product] = cs.lc_value(b, values)
+    values[circuit.h_uprev_wire] = (values[circuit.h_uprev_wire] + values[product]) % P
+    h_u = values[circuit.h_u_wire]
+    assert h_u == hash_unlearn(unlearnt, TINY)
+    assert values[circuit.h_uprev_wire] == hash_unlearn(unlearnt + [0], TINY)
+    forged = Witness(tuple(values))
+    failing = cs.failing_constraints(forged)
+    previous_within_presence = ({prev_n: 1}, {0: 1, pres_n: P - 1}, {})
+    assert [cs.constraints[i] for i in failing] == [previous_within_presence]
+    assert not cs.is_satisfied(forged)
 
 
 # -- mutation oracle --------------------------------------------------------------
@@ -415,25 +468,45 @@ def test_unit_constraint_costs(gadget, expected):
 
 def test_fast_pub_constraint_totals(fast_pub):
     assert fast_pub.model_circuit.cs.stats().constraint_count == 3809
-    assert fast_pub.data_circuit.cs.stats().constraint_count == 604
+    assert fast_pub.data_circuit.cs.stats().constraint_count == 388
+
+
+@pytest.mark.parametrize(
+    "epochs,capacity,model,data",
+    [
+        # cli-walkthrough: data 5,158 = hash 4,950 + disjoint 128 +
+        # presence 53 + select 24 + bindings 3.
+        (10, 8, (42749, 42111), (5158, 5146)),
+        # cli-unlearn: data 10,902 = hash 10,230 + disjoint 512 +
+        # presence 109 + select 48 + bindings 3.
+        (1, 16, (38757, 38631), (10902, 10874)),
+    ],
+    ids=["cli-walkthrough", "cli-unlearn"],
+)
+def test_benchmark_config_sizes(epochs, capacity, model, data):
+    # The benchmark workloads' configs, at the full hash: (constraints, wires).
+    config = build_protocol_config(
+        {"epochs": str(epochs), "capacity": str(capacity), "unlearn_capacity": str(capacity)}
+    )
+    for build, expected in ((build_model_circuit, model), (build_data_circuit, data)):
+        cs = build(config).cs
+        assert (cs.num_constraints, cs.num_wires) == expected
 
 
 def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
     assert model.fingerprint() == "e162c1eed7ca0416a95462e9665a7a036291155c4f53227e53d18796e4aacd21"
-    assert data.fingerprint() == "5dc9ab4c446feabde311065a11a9f3b1dfcc60faefb2e7d27fe0b91b103e7948"
+    assert data.fingerprint() == "dc793603789fa6592745f7018658da5e6714dae39caa6578f5adb1b1d08a68d9"
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.
     config = fast_pub.config
     full = build_model_circuit(config, _dataset(config.capacity))
     assert full.cs.export() == model.export()
-    digests = [hash1(i, TINY) for i in range(config.capacity + 2 * config.unlearn_capacity)]
+    digests = [hash1(i, TINY) for i in range(config.capacity + config.unlearn_capacity)]
+    half = config.capacity + config.unlearn_capacity // 2
     full = build_data_circuit(
-        config,
-        digests[: config.capacity],
-        digests[config.capacity : config.capacity + config.unlearn_capacity],
-        digests[config.capacity + config.unlearn_capacity :],
+        config, digests[: config.capacity], digests[config.capacity : half], digests[half:]
     )
     assert full.cs.export() == data.export()
 
@@ -461,7 +534,7 @@ def test_values_only_model_witness_matches_full_build(kind, arity, hidden, epoch
 
 def test_values_only_data_witness_matches_full_build():
     sets = ([hash1(1, TINY), hash1(2, TINY)], [hash1(3, TINY)], [hash1(4, TINY)])
-    shape = DataShape(data_capacity=3, unlearn_capacity=2, add_capacity=2, hash_cfg=TINY)
+    shape = DataShape(data_capacity=3, unlearn_capacity=2, hash_cfg=TINY)
     full = DataCircuit(shape, *sets)
     only = DataCircuit(shape, *sets, values_only=True)
     assert only.cs.witness() == full.cs.witness()
@@ -482,7 +555,7 @@ def test_values_only_builds_raise_as_full_builds():
     full = _raised(lambda: ModelCircuit(shape, ds))
     assert full[0] is FixedPointOverflow and "uid 2" in full[1]
     assert _raised(lambda: ModelCircuit(shape, ds, values_only=True)) == full
-    shape = DataShape(data_capacity=2, unlearn_capacity=1, add_capacity=1, hash_cfg=TINY)
+    shape = DataShape(data_capacity=2, unlearn_capacity=1, hash_cfg=TINY)
     full = _raised(lambda: DataCircuit(shape, [3, 5], [], [5]))
     assert full[0] is WitnessSynthesisError
     assert _raised(lambda: DataCircuit(shape, [3, 5], [], [5], values_only=True)) == full

@@ -354,6 +354,22 @@ def test_update_beyond_value_bound_writes_nothing(workspace, initialized, capsys
     assert snapshot(initialized) == before
 
 
+@pytest.mark.parametrize("over", ["points", "unlearnt"])
+def test_update_beyond_capacity_writes_nothing(workspace, initialized, capsys, over):
+    # Pending requests no circuit of this setup can hold (capacity 8 each),
+    # as in a state written by hand: the circuits refuse them.
+    store, scale = StateDir(initialized), ScaleConfig()
+    state = store.load_state(scale)
+    batch = tuple(DataPoint(uid, (0,), 0) for uid in range(1, 10))
+    pending = {"points": "pending_add", "unlearnt": "pending_delete"}[over]
+    store.save_state(dataclasses.replace(state, **{pending: batch}), scale)
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, "update", "--dir", str(initialized)) == 1
+    assert "exceed the compiled capacity 8" in capsys.readouterr().err
+    assert snapshot(initialized) == before
+
+
 def test_update_with_mismatched_unlearnt_root_writes_nothing(workspace, initialized, capsys):
     d = str(initialized)
     assert run(workspace, "add", "--dir", d, "--dataset", str(workspace / "pts.csv")) == 0
@@ -376,8 +392,10 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # Versions 1 and 2 recorded no circuits, and version 1 also carried
     # the retired quotient-width key; version 3 had today's fields but
     # fingerprinted text circuit exports.
-    for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3}):
-        obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] == 3}
+    # Version 4's data circuit held two unlearnt arrays.
+    for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
+                {"version": 4}):
+        obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))
         capsys.readouterr()
@@ -409,8 +427,17 @@ def test_malformed_params_are_corrupt_state(workspace, initialized, capsys, edit
 def test_config_keys():
     assert sorted(CONFIG_DEFAULTS) == [
         "arity", "backend", "capacity", "epochs", "gamma", "hash_rounds",
-        "hidden", "kind", "learning_rate", "split", "unlearn_capacity",
+        "hidden", "kind", "learning_rate", "unlearn_capacity",
     ]
+
+
+@pytest.mark.parametrize("split", ["abc", "0", "1", "1.5", "-0.2", "nan"])
+def test_bad_split_is_a_usage_error(workspace, capsys, split):
+    capsys.readouterr()
+    code = run(workspace, "bench", "--config", str(workspace / "conf"), "--sizes", "4",
+               "--counts-only", "--dataset", str(workspace / "pts.csv"), "--split", split)
+    assert code == 2
+    assert f"error: bad --split {split!r}: expected a number in (0, 1)" in capsys.readouterr().err
 
 
 def test_add_batch_trains_once(workspace, initialized, monkeypatch):

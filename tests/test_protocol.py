@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from unlearn.circuits import ShapeOverflow
 from unlearn.field import FixedPointOverflow, fx_encode
 from unlearn.hashing import (
     DataPoint,
@@ -14,7 +15,6 @@ from unlearn.protocol import (
     DuplicateAdd,
     INIT_MARKER,
     ReAddAfterDelete,
-    ShapeOverflow,
     prove_unlearn,
     prove_update,
     queue_add,
@@ -166,20 +166,32 @@ def test_unlearnt_set_grows_monotonically(fast_pub):
         state, _, _, _ = prove_update(state, fast_pub)
         assert state.hashed_unlearnt[: len(prefix)] == prefix
         prefix = state.hashed_unlearnt
-        assert not set(state.hashed_data) & set(state.hashed_unlearnt)
+        digests = {hash_data_point(p, fast_pub.hash_cfg) for p in state.dataset.points}
+        assert not digests & set(state.hashed_unlearnt)
 
 
 def test_shape_overflow(fast_pub):
+    # The circuits refuse inputs beyond their capacities.
     state, _, _ = server_init(fast_pub)
     for i in range(fast_pub.config.capacity + 1):
         state = queue_add(state, pt(fast_pub, i, 0.0, 0), fast_pub)
-    with pytest.raises(ShapeOverflow):
+    with pytest.raises(ShapeOverflow, match="9 points exceed the compiled capacity 8"):
         prove_update(state, fast_pub)
 
     state, _, _ = server_init(fast_pub)
     for i in range(fast_pub.config.unlearn_capacity + 1):
         state = queue_delete(state, pt(fast_pub, 100 + i, 0.0, 0))
-    with pytest.raises(ShapeOverflow):
+    with pytest.raises(ShapeOverflow, match="9 unlearnt digests exceed the compiled capacity 8"):
+        prove_update(state, fast_pub)
+
+    # Previous and appended digests share one capacity: 5 then 4 more.
+    state, _, _ = server_init(fast_pub)
+    for i in range(5):
+        state = queue_delete(state, pt(fast_pub, 100 + i, 0.0, 0))
+    state, _, _, _ = prove_update(state, fast_pub)
+    for i in range(5, 9):
+        state = queue_delete(state, pt(fast_pub, 100 + i, 0.0, 0))
+    with pytest.raises(ShapeOverflow, match="9 unlearnt digests exceed the compiled capacity 8"):
         prove_update(state, fast_pub)
 
 
