@@ -1,25 +1,29 @@
-"""Constraint-count and timing benchmarks for the statement circuits.
+"""Constraint counts and end-to-end timings of the protocol at given sizes.
 
 Mirrors the protocol's evaluation methodology: synthetic single-feature
 datasets of the requested sizes with 10% of points unlearnt (the unlearnt
-points are never added to the training set).  Each circuit is built once
-from its synthetic inputs, which yields its constraint count and its
-witness together (``build_s``, both circuits), and once more for its
-witness only, as ``update`` builds it (``witness_s``); the other timings
-cover setup, proving and verification on the selected backend.
+points are never added to the training set).  Each size runs what the
+commands run, in a temporary state directory: ``setup`` (``global_setup``
+and saving ``pub/``, ``setup_s``), one ``update`` that adds the dataset
+and unlearns the other points, proving against the stored circuits
+(``update_s``), and ``verify-update`` from the stored parameters
+(``verify_s``, with ``verified``).  Both later steps load ``pub/`` as the
+commands do, with its SHA-256-checked circuit exports.  The constraint
+and wire counts are those of the circuits ``global_setup`` built.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .field import ScaleConfig, fx_encode
-from .hashing import DataPoint, HashConfig, hash_data_point
-from .proofsys import RelationHandle, get_backend
-from .protocol import ProtocolConfig, build_data_circuit, build_model_circuit
-from .training import Dataset, TrainConfig
+from .hashing import DataPoint
+from .protocol import ProtocolConfig, global_setup, prove_update, server_init, verify_update
+from .serialize import StateDir
+from .training import Dataset
 
 DEFAULT_SIZES = (10, 100)
 
@@ -59,82 +63,60 @@ class BenchEntry:
 
 
 def bench_sizes(
-    sizes,
-    train_template: TrainConfig,
-    hash_cfg: HashConfig,
-    backend_name: str = "witness-check",
-    prove: bool = True,
-    seed: int = 0,
+    sizes, config: ProtocolConfig, counts_only: bool = False, seed: int = 0
 ) -> list[BenchEntry]:
+    """One entry per size, with ``config``'s training, hashing and backend
+    at capacity ``size`` and unlearn capacity ``size // 10`` (at least 1).
+    ``counts_only`` stops after the setup, on the witness-check backend
+    (counts do not depend on the backend), and records no timings."""
     entries = []
-    scale = train_template.scale
     for size in sizes:
-        unlearn_size = max(1, size // 10)
-        config = ProtocolConfig(
-            train=train_template,
-            capacity=size,
-            unlearn_capacity=unlearn_size,
-            backend=backend_name,
-            hash_cfg=hash_cfg,
-        )
-        dataset = synthetic_dataset(size, train_template.arity, scale, seed)
-        # The unlearnt points go straight to the unlearnt set.
-        ghosts = synthetic_dataset(unlearn_size, train_template.arity, scale, seed + 1)
-        unlearnt = [
-            hash_data_point(DataPoint(10**9 + g.uid, g.x, g.y), hash_cfg)
-            for g in ghosts.points
-        ]
-        timings: dict[str, float] = {}
-
-        t0 = time.perf_counter()
-        model_circuit = build_model_circuit(config, dataset)
-        data_circuit = build_data_circuit(config, model_circuit.digests, (), unlearnt)
-        timings["build_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        build_data_circuit(
-            config,
-            build_model_circuit(config, dataset, values_only=True).digests,
-            (),
-            unlearnt,
-            values_only=True,
-        )
-        timings["witness_s"] = time.perf_counter() - t0
-
-        entry = BenchEntry(
-            size=size,
-            unlearn_size=unlearn_size,
-            model_constraints=model_circuit.cs.stats().constraint_count,
-            data_constraints=data_circuit.cs.stats().constraint_count,
-            model_private_wires=model_circuit.cs.stats().private_count,
-            timings=timings,
-        )
-        entries.append(entry)
-        if not prove:
-            continue
-
-        backend = get_backend(backend_name)
-        model_rel = RelationHandle.of(model_circuit.cs)
-        data_rel = RelationHandle.of(data_circuit.cs)
-        t0 = time.perf_counter()
-        model_setup = backend.setup(model_rel)
-        data_setup = backend.setup(data_rel)
-        timings["setup_s"] = time.perf_counter() - t0
-
-        model_statement, model_witness = model_circuit.statement, model_circuit.cs.witness()
-        data_statement, data_witness = data_circuit.statement, data_circuit.cs.witness()
-        t0 = time.perf_counter()
-        model_proof = backend.prove(model_rel, model_setup, model_statement, model_witness)
-        timings["model_prove_s"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        data_proof = backend.prove(data_rel, data_setup, data_statement, data_witness)
-        timings["data_prove_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        ok_m = backend.verify(model_rel, model_setup, model_statement, model_proof)
-        timings["model_verify_s"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ok_d = backend.verify(data_rel, data_setup, data_statement, data_proof)
-        timings["data_verify_s"] = time.perf_counter() - t0
-        timings["verified"] = float(ok_m and ok_d)
+        sized = replace(config, capacity=size, unlearn_capacity=max(1, size // 10))
+        if counts_only:
+            sized = replace(sized, backend="witness-check")
+        with tempfile.TemporaryDirectory(prefix="unlearn-bench-") as tmp:
+            entries.append(_bench_size(sized, StateDir(tmp), counts_only, seed))
     return entries
+
+
+def _bench_size(
+    config: ProtocolConfig, store: StateDir, counts_only: bool, seed: int
+) -> BenchEntry:
+    t0 = time.perf_counter()
+    pub = global_setup(config, setup_store=store.setup_store)
+    store.save_params(pub)
+    setup_s = time.perf_counter() - t0
+    model_stats = pub.model_circuit.cs.stats()
+    entry = BenchEntry(
+        size=config.capacity,
+        unlearn_size=config.unlearn_capacity,
+        model_constraints=model_stats.constraint_count,
+        data_constraints=pub.data_circuit.cs.stats().constraint_count,
+        model_private_wires=model_stats.private_count,
+    )
+    if counts_only:
+        return entry
+    state, com_0, _ = server_init(pub)
+    # Update and verify-update load the stored parameters, as the commands do.
+    del pub
+
+    arity, scale = config.train.arity, config.train.scale
+    dataset = synthetic_dataset(config.capacity, arity, scale, seed)
+    ghosts = synthetic_dataset(config.unlearn_capacity, arity, scale, seed + 1)
+    # Unlearnt points that were never added, under uids no added point has.
+    unlearnt = tuple(DataPoint(10**9 + g.uid, g.x, g.y) for g in ghosts.points)
+    state = replace(state, pending_add=dataset.points, pending_delete=unlearnt)
+
+    t0 = time.perf_counter()
+    _, _, com, proof = prove_update(state, store.load_public_params())
+    update_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ok = verify_update(store.load_public_params(), com_0, com, proof)
+    verify_s = time.perf_counter() - t0
+    entry.timings = {
+        "setup_s": setup_s,
+        "update_s": update_s,
+        "verify_s": verify_s,
+        "verified": float(ok),
+    }
+    return entry

@@ -18,7 +18,8 @@ proof files.
 * ``setups/<backend>/<fingerprint>/``: the backend's setup artifacts.
 
 Only ``setup``, ``update`` and ``audit-setup`` build circuits (``game``
-and ``bench`` also do, to prove).  ``update`` builds each for its wire
+also does, to prove, and ``bench`` runs setup, update and verify-update
+in a temporary directory).  ``update`` builds each for its wire
 values only and proves against the stored export, after checking its
 SHA-256; a witness the stored rows refuse means the config no longer
 matches the circuit ``setup`` compiled, and ``update`` exits 3 without
@@ -38,6 +39,7 @@ the stored circuit).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fcntl
 import json
 import sys
@@ -482,34 +484,19 @@ def cmd_bench(args) -> int:
         if args.backend:
             options["backend"] = args.backend
         config = build_protocol_config(options)
-    sizes = (
-        tuple(int(s) for s in args.sizes.split(","))
-        if args.sizes
-        else DEFAULT_SIZES + ((1000,) if args.full else ())
-    )
-    entries = bench_sizes(
-        sizes,
-        config.train,
-        config.hash_cfg,
-        backend_name=config.backend,
-        prove=not args.counts_only,
-    )
+    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SIZES
+    entries = bench_sizes(sizes, config, counts_only=args.counts_only)
     payload = {"backend": config.backend, "entries": [e.to_dict() for e in entries]}
 
     if args.dataset:
         scale = config.train.scale
         ingested = ingest_dataset(args.dataset, scale)
         train_set, test_set = split_dataset(ingested.dataset, split)
-        train_cfg = TrainConfig(
-            kind=config.train.kind,
-            arity=ingested.dataset.arity,
-            hidden=config.train.hidden,
-            epochs=config.train.epochs,
-            learning_rate=config.train.learning_rate,
-            init_values=default_init_values(
-                config.train.kind, ingested.dataset.arity, config.train.hidden, scale
-            ),
-            scale=scale,
+        arity = ingested.dataset.arity
+        train_cfg = dataclasses.replace(
+            config.train,
+            arity=arity,
+            init_values=default_init_values(config.train.kind, arity, config.train.hidden, scale),
         )
         threshold = fx_encode(Fraction(1, 2), scale)
         try:
@@ -532,16 +519,19 @@ def cmd_bench(args) -> int:
                 f"model_constraints={e.model_constraints:9d} "
                 f"data_constraints={e.data_constraints:8d}"
             )
-            if "model_prove_s" in t:
+            if t:
                 line += (
-                    f" prove={t['model_prove_s'] + t['data_prove_s']:7.2f}s"
-                    f" verify={t['model_verify_s'] + t['data_verify_s']:6.3f}s"
+                    f" setup={t['setup_s']:7.2f}s update={t['update_s']:7.2f}s"
+                    f" verify={t['verify_s']:6.3f}s"
                 )
             print(line)
         if "accuracy" in payload:
             acc = payload["accuracy"]
             print(f"accuracy: train={acc['train']:.3f} test={acc['test']:.3f} "
                   f"(split {acc['split']:.2f})")
+    if any(e.timings.get("verified") == 0.0 for e in entries):
+        print("error: an honest update proof did not verify", file=sys.stderr)
+        return EXIT_REJECT
     return EXIT_OK
 
 
@@ -590,9 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if name == "bench":
             p.add_argument("--sizes", help="comma-separated dataset sizes")
-            p.add_argument("--full", action="store_true", help="include |D|=1000")
             p.add_argument("--counts-only", action="store_true",
-                           help="skip proving, report constraint counts")
+                           help="stop after a witness-check setup, report constraint counts")
             p.add_argument("--split", default="0.8", help="train/test split ratio")
     return parser
 

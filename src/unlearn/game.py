@@ -20,12 +20,11 @@ falsification tool for an implementation, not a proof of security.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .field import fx_encode
 from .hashing import DataPoint, hash_model_weights
-from .proofsys import ProofBlob
 from .protocol import (
     Commitment,
     PublicParams,
@@ -162,28 +161,17 @@ def honest_run(pub: PublicParams, seed: int) -> HonestRun:
     datasets = [state.dataset]
     updates: list[UpdateProof] = []
 
-    for d in pts[:3]:
-        state = queue_add(state, d, pub)
-    state, _, com, proof = prove_update(state, pub)
-    states.append(state)
-    commitments.append(com)
-    datasets.append(state.dataset)
-    updates.append(proof)
-
-    state = queue_delete(state, pts[1])
-    state, _, com, proof = prove_update(state, pub)
-    states.append(state)
-    commitments.append(com)
-    datasets.append(state.dataset)
-    updates.append(proof)
-    pi_u = prove_unlearn(pub, state, pts[1])
-
-    state = queue_add(state, pts[3], pub)
-    state, _, com, proof = prove_update(state, pub)
-    states.append(state)
-    commitments.append(com)
-    datasets.append(state.dataset)
-    updates.append(proof)
+    # Iteration 1 adds three points, 2 unlearns one (k = 2), 3 adds a fourth.
+    for adds, deletes in ((pts[:3], ()), ((), pts[1:2]), (pts[3:], ())):
+        for d in adds:
+            state = queue_add(state, d, pub)
+        for d in deletes:
+            state = queue_delete(state, d)
+        state, _, com, proof = prove_update(state, pub)
+        states.append(state)
+        commitments.append(com)
+        datasets.append(state.dataset)
+        updates.append(proof)
 
     return HonestRun(
         points=pts,
@@ -194,7 +182,7 @@ def honest_run(pub: PublicParams, seed: int) -> HonestRun:
         datasets=datasets,
         unlearned=pts[1],
         k=2,
-        unlearn_proof=pi_u,
+        unlearn_proof=prove_unlearn(pub, states[2], pts[1]),
     )
 
 
@@ -245,23 +233,14 @@ class WrongModelHash(Strategy):
         fake_weights = tuple((w + 1) % cfg.modulus for w in honest.weights)
         fake_h_m = hash_model_weights(fake_weights, cfg)
         com = run.commitments[-1]
-        forged_com = Commitment(h_m=fake_h_m, h_d=com.h_d, h_u=com.h_u)
+        forged_com = replace(com, h_m=fake_h_m)
         old = run.updates[-1]
-        forged_model_proof = ProofBlob(
-            backend=old.model_proof.backend,
-            fingerprint=old.model_proof.fingerprint,
-            public_inputs=(fake_h_m, com.h_d),
-            proof_bytes=old.model_proof.proof_bytes,
-        )
+        forged_model_proof = replace(old.model_proof, public_inputs=(fake_h_m, com.h_d))
         t = _transcript_of(run)
-        return AdversaryTranscript(
-            k=t.k,
-            d=t.d,
-            unlearn_proof=t.unlearn_proof,
+        return replace(
+            t,
             commitments=t.commitments[:-1] + (forged_com,),
-            init_marker=t.init_marker,
-            updates=t.updates[:-1] + (UpdateProof(forged_model_proof, old.data_proof),),
-            datasets=t.datasets,
+            updates=t.updates[:-1] + (replace(old, model_proof=forged_model_proof),),
         )
 
 
@@ -274,19 +253,10 @@ class ForgedUnlearnPath(Strategy):
 
     def build(self, pub, run):
         target = run.points[0]  # never deleted
-        t = _transcript_of(run)
         forged = UnlearnProof(
             path=run.unlearn_proof.path, iteration=run.k, uid=target.uid
         )
-        return AdversaryTranscript(
-            k=run.k,
-            d=target,
-            unlearn_proof=forged,
-            commitments=t.commitments,
-            init_marker=t.init_marker,
-            updates=t.updates,
-            datasets=t.datasets,
-        )
+        return replace(_transcript_of(run), d=target, unlearn_proof=forged)
 
 
 class StaleCommitmentSplice(Strategy):
@@ -298,15 +268,7 @@ class StaleCommitmentSplice(Strategy):
 
     def build(self, pub, run):
         t = _transcript_of(run)
-        return AdversaryTranscript(
-            k=t.k,
-            d=t.d,
-            unlearn_proof=t.unlearn_proof,
-            commitments=t.commitments,
-            init_marker=t.init_marker,
-            updates=t.updates[:-1] + (t.updates[-2],),
-            datasets=t.datasets,
-        )
+        return replace(t, updates=t.updates[:-1] + (t.updates[-2],))
 
 
 class ReAddAfterUnlearn(Strategy):
@@ -345,20 +307,11 @@ class ReAddAfterUnlearn(Strategy):
         except WitnessSynthesisError:
             # No witness exists for intersecting sets; splice in stale
             # proof bytes under the new statement.
-            stale = run.updates[1].data_proof
-            data_proof = ProofBlob(
-                backend=stale.backend,
-                fingerprint=stale.fingerprint,
-                public_inputs=data_statement,
-                proof_bytes=stale.proof_bytes,
-            )
+            data_proof = replace(run.updates[1].data_proof, public_inputs=data_statement)
         t = _transcript_of(run)
-        return AdversaryTranscript(
-            k=run.k,
-            d=run.unlearned,
-            unlearn_proof=run.unlearn_proof,
+        return replace(
+            t,
             commitments=t.commitments[:-1] + (com3,),
-            init_marker=t.init_marker,
             updates=t.updates[:-1] + (UpdateProof(model_proof, data_proof),),
             datasets=t.datasets[:-1] + (readded,),
         )
@@ -377,15 +330,7 @@ class CheatWithUnsoundBackend(Strategy):
         t = _transcript_of(run)
         last = t.datasets[-1]
         doctored = Dataset(last.points + (run.unlearned,), last.arity)
-        return AdversaryTranscript(
-            k=t.k,
-            d=t.d,
-            unlearn_proof=t.unlearn_proof,
-            commitments=t.commitments,
-            init_marker=t.init_marker,
-            updates=t.updates,
-            datasets=t.datasets[:-1] + (doctored,),
-        )
+        return replace(t, datasets=t.datasets[:-1] + (doctored,))
 
 
 def builtin_strategies() -> list[Strategy]:
@@ -403,8 +348,6 @@ def run_suite(
     pub: PublicParams,
     seeds: Sequence[int],
     strategies: Optional[Sequence[Strategy]] = None,
-    *,
-    check_commitments: bool = True,
 ) -> list[GameReport]:
     """Run every strategy against every seed; honest runs are built once
     per seed and shared across strategies."""
@@ -414,9 +357,7 @@ def run_suite(
         run = honest_run(pub, seed)
         for strategy in strategies:
             transcript = strategy.build(pub, run)
-            verdict, failing = run_game(
-                pub, transcript, check_commitments=check_commitments
-            )
+            verdict, failing = run_game(pub, transcript)
             reports.append(GameReport(strategy.name, seed, verdict, failing))
     return reports
 

@@ -39,7 +39,7 @@ class NotMemberError(KeyError):
 
 
 class EmptyModelError(ValueError):
-    """hash_model requires at least one parameter."""
+    """hash_model_weights requires at least one parameter."""
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,6 @@ def hash_model_weights(weights: Sequence[int], cfg: HashConfig) -> int:
     for w in weights[1:]:
         h = hash2(h, hash1(w, cfg), cfg)
     return h
-
-
-def hash_model(model, cfg: HashConfig) -> int:
-    """Hash a model's weights in their canonical flattened order."""
-    return hash_model_weights(model.weights, cfg)
 
 
 def hash_data(items: Sequence[int], cfg: HashConfig) -> int:

@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from unlearn import circuits, cli, game, protocol, training
+from unlearn import bench, circuits, cli, game, protocol, training
 from unlearn.cli import CONFIG_DEFAULTS, main
 from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint
@@ -266,9 +266,17 @@ def test_bench_counts_scale_linearly(workspace, capsys):
     counts = [e["model_constraints"] for e in payload["entries"]]
     assert 1.8 <= counts[1] / counts[0] <= 2.2
     assert 1.8 <= counts[2] / counts[1] <= 2.2
-    # Each size times the full build and the values-only build update runs.
-    for e in payload["entries"]:
-        assert e["timings"]["build_s"] > 0 and e["timings"]["witness_s"] > 0
+
+
+def test_bench_exits_1_when_an_honest_proof_is_rejected(workspace, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "verify_update", lambda *args: False)
+    capsys.readouterr()
+    code = run(workspace, "bench", "--config", str(workspace / "conf"), "--sizes", "4",
+               "--json")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["entries"][0]["timings"]["verified"] == 0.0
+    assert "did not verify" in captured.err
 
 
 def test_bench_accuracy_report(workspace, capsys):
@@ -476,7 +484,7 @@ def test_only_admission_trains_natively(workspace, initialized, monkeypatch):
     assert state.model == real(state.dataset, store.load_config().train)
 
 
-def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch):
+def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch, capsys):
     calls = collections.Counter()
 
     def count(owner, attr, key):
@@ -504,11 +512,20 @@ def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch):
         ("prove-unlearn", "--dir", d, "--uid", "2"),
         ("verify-unlearn", "--dir", d, "--uid", "2", "--iteration", "1", "--dataset", csv),
         ("audit-setup", "--dir", d),
+        ("bench", "--config", str(workspace / "conf"), "--sizes", "4", "--json"),
     ):
         calls.clear()
+        capsys.readouterr()
         assert main(list(args)) == 0, args
         if args[0] in ("setup", "audit-setup"):
             expected = {"model_build": 1, "data_build": 1, "export": 2}
+        elif args[0] == "bench":
+            # What setup, update and verify-update make together.
+            expected = {"model_build": 2, "data_build": 2, "export": 2, "parse": 4}
+            (entry,) = json.loads(capsys.readouterr().out)["entries"]
+            t = entry["timings"]
+            assert t["setup_s"] > 0 and t["update_s"] > 0 and t["verify_s"] > 0
+            assert t["verified"] == 1
         elif args[0] == "update":
             # Values only: the rows come from the stored exports.
             expected = {"model_build": 1, "data_build": 1, "parse": 2}

@@ -198,11 +198,3 @@ def test_paths_extend_under_appends():
     extra = [hash_data_point(p, H) for p in pts[4:]]
     extended = MembershipPath(path.nodes + tuple(extra))
     assert verify_tree_path(pts[1], hash_unlearn(hu + extra, H), extended, H)
-
-
-def test_hash_model_wrapper():
-    from unlearn.hashing import hash_model
-    from unlearn.training import ModelParams
-
-    m = ModelParams("linear", 1, (11, 22))
-    assert hash_model(m, H) == hash_model_weights([11, 22], H)
