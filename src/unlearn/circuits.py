@@ -10,25 +10,25 @@
   that the training and unlearnt sets are disjoint.  One array of
   ``unlearn_capacity`` slots holds the previous and the appended digests.
 
-Each circuit is built from its inputs in one pass that yields both the
-constraints and the witness; the prover reads the trained model and the
-statement from it.  Circuit shapes are static: datasets are padded to a
-fixed capacity with dummy slots masked by per-slot presence bits, so the
-constraints do not depend on the inputs and one trusted setup, built from
-the empty input, serves every update that fits; inputs that do not fit
-raise ShapeOverflow.  A prover that proves against the stored constraints
-builds with ``values_only=True``: the same pass computes the witness and
-records no rows.
+Each circuit is built from a ``ProtocolConfig`` and its inputs in one
+pass that yields both the constraints and the witness; the prover reads
+the trained model and the statement from it.  The config fixes the
+shape: datasets are padded to its capacities with dummy slots masked by
+per-slot presence bits, so the constraints do not depend on the inputs
+and one trusted setup, built from the empty input, serves every update
+that fits; inputs that do not fit raise ShapeOverflow.  A prover that
+proves against the stored constraints builds with ``values_only=True``:
+the same pass computes the witness and records no rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .field import FixedPointOverflow, ScaleConfig
+from .field import ConfigError, FixedPointOverflow
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
-from .hashing import DataPoint, HashConfig, empty_root
+from .hashing import DEFAULT_ROUNDS, DataPoint, HashConfig, empty_root
 from .r1cs import ConstraintSystem, Witness, gc_paused
 from .training import Dataset, ModelParams, TrainConfig, overflow_at, sgd_step_ops
 
@@ -43,14 +43,25 @@ class ShapeOverflow(ShapeMismatch):
 
 
 @dataclass(frozen=True)
-class ModelShape:
+class ProtocolConfig:
+    """The statement shape setup compiles: the training config, the
+    training-set and unlearnt-set capacities, the hash rounds, and the
+    proof backend.  The hash works over the training field."""
+
     train: TrainConfig
     capacity: int
-    hash_cfg: HashConfig = dc_field(default_factory=HashConfig)
+    unlearn_capacity: int
+    backend: str = "witness-check"
+    hash_rounds: int = DEFAULT_ROUNDS
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ShapeMismatch("capacity must be positive")
+        if self.capacity < 1 or self.unlearn_capacity < 1:
+            raise ConfigError("capacities must be positive")
+        self.hash_cfg  # HashConfig refuses rounds below 1: fail here, not at first use
+
+    @property
+    def hash_cfg(self) -> HashConfig:
+        return HashConfig(self.train.scale.modulus, self.hash_rounds)
 
 
 class ModelCircuit:
@@ -66,26 +77,26 @@ class ModelCircuit:
     @gc_paused()
     def __init__(
         self,
-        shape: ModelShape,
+        config: ProtocolConfig,
         dataset: Optional[Dataset] = None,
         values_only: bool = False,
     ):
-        self.shape = shape
-        train = shape.train
+        self.config = config
+        train = config.train
         points = dataset.points if dataset is not None else ()
         if dataset is not None and dataset.arity != train.arity:
             raise ShapeMismatch(
                 f"dataset arity {dataset.arity} != circuit arity {train.arity}"
             )
-        if len(points) > shape.capacity:
+        if len(points) > config.capacity:
             raise ShapeOverflow(
-                f"{len(points)} points exceed the compiled capacity {shape.capacity}"
+                f"{len(points)} points exceed the compiled capacity {config.capacity}"
             )
         absent = DataPoint(0, (0,) * train.arity, 0)
-        slots = points + (absent,) * (shape.capacity - len(points))
+        slots = points + (absent,) * (config.capacity - len(points))
         scale = train.scale
         cs = ConstraintSystem(scale.modulus, values_only)
-        b = CircuitBuilder(cs, scale, shape.hash_cfg)
+        b = CircuitBuilder(cs, scale, config.hash_cfg)
         ops = CircuitOps(b)
 
         # Statement wires first; b.bind gives them their values below.
@@ -144,21 +155,15 @@ class ModelCircuit:
         return _value_dependent_slack(self.builder, witness)
 
 
-@dataclass(frozen=True)
-class DataShape:
-    data_capacity: int
-    unlearn_capacity: int
-    hash_cfg: HashConfig = dc_field(default_factory=HashConfig)
-
-
 class DataCircuit:
     """R1CS form of the dataset-update statement, built with the witness
     for the training-set digests, the previous unlearnt digests and the
     appended ones (by default all empty).  ``statement`` is (h_D,
-    h_U_prev, h_U).  The unlearnt digests, previous then appended, fill
-    one array of ``unlearn_capacity`` slots under two prefixes of bits:
-    presence marks every digest, and the previous bits, which never run
-    past it, mark the previous ones.  One chain fold gives both roots.
+    h_U_prev, h_U).  The training digests fill ``capacity`` slots.  The
+    unlearnt digests, previous then appended, fill one array of
+    ``unlearn_capacity`` slots under two prefixes of bits: presence marks
+    every digest, and the previous bits, which never run past it, mark
+    the previous ones.  One chain fold gives both roots.
     Raises ShapeOverflow when either set exceeds its capacity, and
     WitnessSynthesisError when the training set meets the unlearnt one.
     With ``values_only`` its constraint system records no rows."""
@@ -166,24 +171,24 @@ class DataCircuit:
     @gc_paused()
     def __init__(
         self,
-        shape: DataShape,
+        config: ProtocolConfig,
         hashed_data: Sequence[int] = (),
         hashed_unlearnt_prev: Sequence[int] = (),
         hashed_unlearnt_add: Sequence[int] = (),
         values_only: bool = False,
     ):
-        self.shape = shape
+        self.config = config
         prev = tuple(hashed_unlearnt_prev)
         sets = (tuple(hashed_data), prev + tuple(hashed_unlearnt_add))
-        caps = (shape.data_capacity, shape.unlearn_capacity)
+        caps = (config.capacity, config.unlearn_capacity)
         for items, cap, label in zip(sets, caps, ("training", "unlearnt")):
             if len(items) > cap:
                 raise ShapeOverflow(
                     f"{len(items)} {label} digests exceed the compiled capacity {cap}"
                 )
-        cs = ConstraintSystem(shape.hash_cfg.modulus, values_only)
-        scale = ScaleConfig(modulus=shape.hash_cfg.modulus)
-        b = CircuitBuilder(cs, scale, shape.hash_cfg)
+        hash_cfg = config.hash_cfg
+        cs = ConstraintSystem(hash_cfg.modulus, values_only)
+        b = CircuitBuilder(cs, config.train.scale, hash_cfg)
 
         self.h_d_wire = cs.alloc_public()
         self.h_uprev_wire = cs.alloc_public()
@@ -201,13 +206,13 @@ class DataCircuit:
         b.prefix_presence(u_prev, within=u_pres)
 
         b.bind(self.h_d_wire, b.merkle_root(d_vals, d_pres))
-        psi_prev, psi = b.chain_root(lc_const(empty_root(shape.hash_cfg)), u_vals, u_pres, u_prev)
+        psi_prev, psi = b.chain_root(lc_const(empty_root(hash_cfg)), u_vals, u_pres, u_prev)
         b.bind(self.h_uprev_wire, psi_prev)
         b.bind(self.h_u_wire, psi)
 
         # Pairwise disjointness of the training and unlearnt digests.
-        for i in range(shape.data_capacity):
-            for j in range(shape.unlearn_capacity):
+        for i in range(config.capacity):
+            for j in range(config.unlearn_capacity):
                 active = b.mul(d_pres[i], u_pres[j])
                 b.inverse_pair(b.sub(d_vals[i], u_vals[j]), active)
 

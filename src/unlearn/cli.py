@@ -29,9 +29,11 @@ exports too; on the snark backend it needs only the verifying keys.
 the stored fingerprints, sizes and exports, for anyone who wants to tie
 ``pub/`` to the config.
 
-Exit codes: 0 success/accept, 1 reject (an ``audit-setup`` mismatch
-included), 2 usage error (an unreadable ``--config`` or ``--dataset``
-file included), 3 corrupt state (a state directory that cannot be read, a
+Each command accepts ``--dir``, ``--json`` and only the options it reads
+(``COMMANDS``).  Exit codes: 0 success/accept, 1 reject (an
+``audit-setup`` mismatch included), 2 usage error (an option the command
+does not read, or an unreadable ``--config`` or ``--dataset`` file
+included), 3 corrupt state (a state directory that cannot be read, a
 missing or altered circuit export, or a config that no longer matches
 the stored circuit).
 """
@@ -48,10 +50,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bench import DEFAULT_SIZES, bench_sizes
-from .circuits import ShapeOverflow
+from .circuits import DataCircuit, ModelCircuit, ShapeOverflow
 from .field import ConfigError, FixedPointOverflow, ScaleConfig, fx_encode
 from .game import builtin_strategies, run_suite
-from .hashing import DataPoint, HashConfig, NotMemberError
+from .hashing import DataPoint, NotMemberError
 from .ingest import ingest_csv, split_dataset
 from .proofsys import BackendUnavailable, FingerprintMismatch, WitnessCheckBackend
 from .protocol import (
@@ -59,8 +61,6 @@ from .protocol import (
     DuplicateAdd,
     ProtocolConfig,
     ReAddAfterDelete,
-    build_data_circuit,
-    build_model_circuit,
     global_setup,
     prove_unlearn,
     prove_update,
@@ -156,7 +156,7 @@ def build_protocol_config(options: dict[str, str]) -> ProtocolConfig:
             capacity=int(opts["capacity"]),
             unlearn_capacity=int(opts["unlearn_capacity"]),
             backend=opts["backend"],
-            hash_cfg=HashConfig(modulus=scale.modulus, rounds=int(opts["hash_rounds"])),
+            hash_rounds=int(opts["hash_rounds"]),
         )
     except (ValueError, ConfigError) as e:
         raise CliError(f"bad configuration: {e}") from e
@@ -426,8 +426,8 @@ def cmd_audit_setup(args) -> int:
     pub = load_pub(store)
     stored = read_json(store.params_file)["circuits"]
     checks = {}
-    for name, build in (("model", build_model_circuit), ("data", build_data_circuit)):
-        cs = build(pub.config).cs
+    for name, circuit in (("model", ModelCircuit), ("data", DataCircuit)):
+        cs = circuit(pub.config).cs
         exported = cs.export()
         path = store.setup_store.circuit_file(stored[name]["fingerprint"])
         checks[name] = {
@@ -476,15 +476,19 @@ def cmd_bench(args) -> int:
         split = 0.0  # not a number: refused below with the out-of-range ratios
     if not 0 < split < 1:
         raise CliError(f"bad --split {args.split!r}: expected a number in (0, 1)")
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SIZES
+    except ValueError:
+        sizes = (0,)  # not a list of integers: refused below with the non-positive sizes
+    if min(sizes) < 1:
+        raise CliError(f"bad --sizes {args.sizes!r}: expected comma-separated positive integers")
     if args.dir and StateDir(args.dir).params_file.exists():
-        store = StateDir(args.dir)
-        config = store.load_config()
+        config = load_pub(StateDir(args.dir)).config
     else:
         options = parse_config_file(args.config) if args.config else {}
         if args.backend:
             options["backend"] = args.backend
         config = build_protocol_config(options)
-    sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else DEFAULT_SIZES
     entries = bench_sizes(sizes, config, counts_only=args.counts_only)
     payload = {"backend": config.backend, "entries": [e.to_dict() for e in entries]}
 
@@ -535,41 +539,45 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# Each command's options beyond --dir and --json.
+OPTIONS = {
+    "--config": {"help": "flat key=value config file"},
+    "--backend": {"choices": ["witness-check", "snark"]},
+    "--dataset": {"help": "CSV file"},
+    "--uid": {"type": int},
+    "--iteration": {"type": int},
+    "--features": {"help": "comma-separated decimal features"},
+    "--label": {"help": "decimal label"},
+}
+
+COMMANDS = [
+    ("setup", cmd_setup, ("--config", "--backend")),
+    ("init", cmd_init, ()),
+    ("add", cmd_add, ("--dataset", "--uid", "--features", "--label")),
+    ("delete", cmd_delete, ("--uid", "--dataset")),
+    ("update", cmd_update, ()),
+    ("verify-update", cmd_verify_update, ("--iteration",)),
+    ("prove-unlearn", cmd_prove_unlearn, ("--uid", "--dataset")),
+    ("verify-unlearn", cmd_verify_unlearn, ("--uid", "--iteration", "--dataset")),
+    ("audit-setup", cmd_audit_setup, ()),
+    ("game", cmd_game, ()),
+    ("bench", cmd_bench, ("--config", "--backend", "--dataset")),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unlearn",
         description="Auditable machine unlearning with verifiable retraining",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, dir_required=True):
-        p.add_argument("--dir", required=dir_required, help="state directory")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--backend", choices=["witness-check", "snark"])
-        p.add_argument("--dataset", help="CSV file")
-        p.add_argument("--uid", type=int)
-        p.add_argument("--iteration", type=int)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    for name, fn in [
-        ("setup", cmd_setup),
-        ("init", cmd_init),
-        ("add", cmd_add),
-        ("delete", cmd_delete),
-        ("update", cmd_update),
-        ("verify-update", cmd_verify_update),
-        ("prove-unlearn", cmd_prove_unlearn),
-        ("verify-unlearn", cmd_verify_unlearn),
-        ("audit-setup", cmd_audit_setup),
-        ("game", cmd_game),
-        ("bench", cmd_bench),
-    ]:
+    for name, fn, options in COMMANDS:
         p = sub.add_parser(name)
-        common(p, dir_required=name not in ("bench",))
         p.set_defaults(fn=fn)
-        if name == "add":
-            p.add_argument("--features", help="comma-separated decimal features")
-            p.add_argument("--label", help="decimal label")
+        p.add_argument("--dir", required=name != "bench", help="state directory")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
         if name == "game":
             p.add_argument("--strategy", help="run a single builtin strategy")
             p.add_argument("--seeds", type=int, default=5)

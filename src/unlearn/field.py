@@ -54,8 +54,8 @@ class FixedPointOverflow(OverflowError):
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-# Cached: every ScaleConfig checks its modulus, and each data circuit
-# build makes one.
+# Cached: every ScaleConfig checks its modulus, and a process may make
+# several (each config it parses or loads, each test that builds one).
 @lru_cache(maxsize=8)
 def _is_probable_prime(n: int) -> bool:
     if n < 2:

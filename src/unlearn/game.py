@@ -23,6 +23,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from .circuits import DataCircuit, ModelCircuit
 from .field import fx_encode
 from .hashing import DataPoint, hash_model_weights
 from .protocol import (
@@ -31,8 +32,6 @@ from .protocol import (
     ServerState,
     UnlearnProof,
     UpdateProof,
-    build_data_circuit,
-    build_model_circuit,
     prove_unlearn,
     prove_update,
     queue_add,
@@ -284,7 +283,7 @@ class ReAddAfterUnlearn(Strategy):
     def build(self, pub, run):
         state2 = run.states[2]
         readded = Dataset(state2.dataset.points + (run.unlearned,), state2.dataset.arity)
-        model_circuit = build_model_circuit(pub.config, readded, values_only=True)
+        model_circuit = ModelCircuit(pub.config, readded, values_only=True)
         h_m, h_d = model_circuit.statement
         com3 = Commitment(h_m=h_m, h_d=h_d, h_u=state2.unlearnt_root)
         model_proof = pub.backend.prove(
@@ -295,7 +294,7 @@ class ReAddAfterUnlearn(Strategy):
         )
         data_statement = (com3.h_d, state2.unlearnt_root, com3.h_u)
         try:
-            data_circuit = build_data_circuit(
+            data_circuit = DataCircuit(
                 pub.config, model_circuit.digests, state2.hashed_unlearnt, values_only=True
             )
             data_proof = pub.backend.prove(

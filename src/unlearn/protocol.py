@@ -14,8 +14,8 @@ import hashlib
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Sequence, Union
 
-from .circuits import DataCircuit, DataShape, ModelCircuit, ModelShape
-from .field import ConfigError, FixedPointOverflow
+from .circuits import DataCircuit, ModelCircuit, ProtocolConfig
+from .field import FixedPointOverflow
 from .hashing import (
     DataPoint,
     HashConfig,
@@ -35,7 +35,7 @@ from .proofsys import (
     UnsatisfiedWitness,
     get_backend,
 )
-from .training import Dataset, ModelParams, TrainConfig, train_model
+from .training import Dataset, ModelParams, train_model
 
 INIT_MARKER = "empty"
 
@@ -50,21 +50,6 @@ class DuplicateAdd(ValueError):
 
 class CorruptState(ValueError):
     """The stored server state contradicts itself."""
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    train: TrainConfig
-    capacity: int
-    unlearn_capacity: int
-    backend: str = "witness-check"
-    hash_cfg: HashConfig = dc_field(default_factory=HashConfig)
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1 or self.unlearn_capacity < 1:
-            raise ConfigError("capacities must be positive")
-        if self.hash_cfg.modulus != self.train.scale.modulus:
-            raise ConfigError("hash and training configs disagree on the field")
 
 
 @dataclass(frozen=True)
@@ -136,49 +121,13 @@ class PublicParams:
         return hash_data(digests, self.hash_cfg)
 
 
-def build_model_circuit(
-    config: ProtocolConfig, dataset: Optional[Dataset] = None, values_only: bool = False
-) -> ModelCircuit:
-    """The model circuit of the configured shape, with the witness for
-    ``dataset`` (by default the empty one); with ``values_only``, the
-    witness only."""
-    return ModelCircuit(
-        ModelShape(train=config.train, capacity=config.capacity, hash_cfg=config.hash_cfg),
-        dataset,
-        values_only,
-    )
-
-
-def build_data_circuit(
-    config: ProtocolConfig,
-    hashed_data: Sequence[int] = (),
-    hashed_unlearnt_prev: Sequence[int] = (),
-    hashed_unlearnt_add: Sequence[int] = (),
-    values_only: bool = False,
-) -> DataCircuit:
-    """The data circuit of the configured shape, with the witness for the
-    given digest sets (by default all empty); with ``values_only``, the
-    witness only."""
-    return DataCircuit(
-        DataShape(
-            data_capacity=config.capacity,
-            unlearn_capacity=config.unlearn_capacity,
-            hash_cfg=config.hash_cfg,
-        ),
-        hashed_data,
-        hashed_unlearnt_prev,
-        hashed_unlearnt_add,
-        values_only,
-    )
-
-
 def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> PublicParams:
-    """Build both circuits for the configured shape and run the proving
-    setup for each.  ``setup_store`` (see ``serialize.SetupStore``) keeps
-    each circuit's export and its artifacts under its fingerprint, and
-    reuses artifacts already there."""
-    model_circuit = build_model_circuit(config)
-    data_circuit = build_data_circuit(config)
+    """Build both circuits from ``config`` and run the proving setup for
+    each.  ``setup_store`` (see ``serialize.SetupStore``) keeps each
+    circuit's export and its artifacts under its fingerprint, and reuses
+    artifacts already there."""
+    model_circuit = ModelCircuit(config)
+    data_circuit = DataCircuit(config)
     backend = backend or get_backend(config.backend)
 
     def relation(cs):
@@ -328,8 +277,8 @@ def prove_update(
     # ShapeOverflow for inputs beyond their capacities; each proof then
     # checks its witness against the stored rows.
     dataset = Dataset(tuple(_batch_points(state)), pub.config.train.arity)
-    model_circuit = build_model_circuit(pub.config, dataset, values_only=True)
-    data_circuit = build_data_circuit(
+    model_circuit = ModelCircuit(pub.config, dataset, values_only=True)
+    data_circuit = DataCircuit(
         pub.config, model_circuit.digests, state.hashed_unlearnt, new_unlearnt, values_only=True
     )
     if data_circuit.statement[1] != state.unlearnt_root:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .field import ScaleConfig, from_hex, to_hex
-from .hashing import DataPoint, HashConfig, MembershipPath
+from .hashing import DataPoint, MembershipPath
 from .proofsys import ProofBlob, RelationHandle, SetupArtifacts, get_backend
 from .protocol import (
     Commitment,
@@ -227,7 +227,7 @@ def protocol_config_to_dict(config: ProtocolConfig) -> dict:
         "gamma": t.scale.gamma,
         "modulus": f"{t.scale.modulus:x}",
         "max_abs": t.scale.max_abs,
-        "hash_rounds": config.hash_cfg.rounds,
+        "hash_rounds": config.hash_rounds,
         "capacity": config.capacity,
         "unlearn_capacity": config.unlearn_capacity,
         "backend": config.backend,
@@ -252,7 +252,7 @@ def protocol_config_from_dict(obj: dict) -> ProtocolConfig:
         capacity=obj["capacity"],
         unlearn_capacity=obj["unlearn_capacity"],
         backend=obj["backend"],
-        hash_cfg=HashConfig(modulus=scale.modulus, rounds=obj["hash_rounds"]),
+        hash_rounds=obj["hash_rounds"],
     )
 
 

@@ -1,7 +1,6 @@
 import pytest
 
 from unlearn.field import ScaleConfig
-from unlearn.hashing import HashConfig
 from unlearn.proofsys import snark_available
 from unlearn.protocol import ProtocolConfig, global_setup
 from unlearn.training import default_train_config
@@ -18,19 +17,14 @@ def scale():
 
 
 @pytest.fixture(scope="session")
-def tiny_hash():
-    return HashConfig(rounds=TINY_ROUNDS)
-
-
-@pytest.fixture(scope="session")
-def fast_pub(scale, tiny_hash):
+def fast_pub(scale):
     """Capacity-8 witness-check protocol: shared by protocol/game/CLI tests."""
     config = ProtocolConfig(
         train=default_train_config("linear", 1, epochs=1, scale=scale),
         capacity=8,
         unlearn_capacity=8,
         backend="witness-check",
-        hash_cfg=tiny_hash,
+        hash_rounds=TINY_ROUNDS,
     )
     return global_setup(config)
 

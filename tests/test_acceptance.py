@@ -17,7 +17,7 @@ import pytest
 
 from conftest import needs_snark
 from unlearn.bench import synthetic_dataset
-from unlearn.circuits import ModelCircuit, ModelShape
+from unlearn.circuits import DataCircuit, ModelCircuit
 from unlearn.field import ScaleConfig, fx_decode, fx_encode, sigmoid_approx
 from unlearn.game import builtin_strategies, run_completeness, run_suite
 from unlearn.hashing import (
@@ -33,8 +33,6 @@ from unlearn.hashing import (
 from unlearn.proofsys import Groth16Backend, RelationHandle, WitnessCheckBackend
 from unlearn.protocol import (
     ProtocolConfig,
-    build_data_circuit,
-    build_model_circuit,
     global_setup,
     prove_unlearn,
     prove_update,
@@ -68,7 +66,7 @@ def test_criterion_1_completeness_hundred_runs():
         capacity=8,
         unlearn_capacity=8,
         backend="witness-check",
-        hash_cfg=TINY_HASH,
+        hash_rounds=TINY_HASH.rounds,
     )
     pub = global_setup(config)
     started = time.monotonic()
@@ -102,7 +100,7 @@ def test_criterion_2_security_game_sound_backend():
         capacity=4,
         unlearn_capacity=4,
         backend="snark",
-        hash_cfg=FULL_HASH,
+        hash_rounds=FULL_HASH.rounds,
     )
     started = time.monotonic()
     pub = global_setup(config)
@@ -138,10 +136,10 @@ def test_criterion_3_exhaustive_witness_mutation():
         capacity=4,
         unlearn_capacity=4,
         backend="witness-check",
-        hash_cfg=TINY_HASH,
+        hash_rounds=TINY_HASH.rounds,
     )
     ds = synthetic_dataset(4, 1, SCALE, seed=5)
-    model_circuit = build_model_circuit(config, ds)
+    model_circuit = ModelCircuit(config, ds)
     w = model_circuit.cs.witness()
     assert model_circuit.cs.is_satisfied(w)
     slack = model_circuit.slack_wires(w)
@@ -154,7 +152,7 @@ def test_criterion_3_exhaustive_witness_mutation():
         hash_data_point(DataPoint(100 + i, (fx_encode(i, SCALE),), 0), TINY_HASH)
         for i in range(4)
     ]
-    data_circuit = build_data_circuit(config, digests, ghosts[:2], ghosts[2:])
+    data_circuit = DataCircuit(config, digests, ghosts[:2], ghosts[2:])
     wd = data_circuit.cs.witness()
     assert data_circuit.cs.is_satisfied(wd)
     survivors = _mutate_all(data_circuit.cs, wd, data_circuit.slack_wires(wd))
@@ -176,7 +174,7 @@ def test_criterion_3_exhaustive_witness_mutation():
                     overlap = {a, b} & {u1, u2}
                     if overlap:
                         with pytest.raises(WitnessSynthesisError):
-                            build_data_circuit(config, [a, b], [u1], [u2])
+                            DataCircuit(config, [a, b], [u1], [u2])
                         checked += 1
     assert checked > 0
     elapsed = time.monotonic() - started
@@ -260,7 +258,9 @@ def test_criterion_5_linear_scaling_and_constant_verification():
     circuits = {}
     for size in sizes:
         circuit = ModelCircuit(
-            ModelShape(train=train, capacity=size, hash_cfg=FULL_HASH),
+            ProtocolConfig(
+                train=train, capacity=size, unlearn_capacity=1, hash_rounds=FULL_HASH.rounds
+            ),
             synthetic_dataset(size, 1, SCALE),
         )
         circuits[size] = circuit
@@ -376,7 +376,7 @@ def test_criterion_7_end_to_end_snark_smoke():
         capacity=4,
         unlearn_capacity=4,
         backend="snark",
-        hash_cfg=FULL_HASH,
+        hash_rounds=FULL_HASH.rounds,
     )
     pub = global_setup(config)
     state, com0, marker = server_init(pub)

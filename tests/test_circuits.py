@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from unlearn.circuits import (
     DataCircuit,
-    DataShape,
     ModelCircuit,
-    ModelShape,
+    ProtocolConfig,
     ShapeMismatch,
     ShapeOverflow,
 )
@@ -24,7 +23,6 @@ from unlearn.hashing import (
     hash_unlearn,
 )
 from unlearn.cli import build_protocol_config
-from unlearn.protocol import build_data_circuit, build_model_circuit
 from unlearn.r1cs import ConstraintSystem, Witness, WitnessSynthesisError
 from unlearn.training import Dataset, default_train_config, train_model
 
@@ -153,11 +151,12 @@ def test_padded_chain_matches_native(occupancy):
 # -- model circuit -----------------------------------------------------------------
 
 
-def _model_shape(capacity=4, epochs=1, arity=1, kind="linear"):
-    return ModelShape(
-        train=default_train_config(kind, arity, epochs=epochs, scale=SCALE),
+def _config(capacity=4, epochs=1, arity=1, kind="linear", hidden=0, unlearn_capacity=1):
+    return ProtocolConfig(
+        train=default_train_config(kind, arity, hidden=hidden, epochs=epochs, scale=SCALE),
         capacity=capacity,
-        hash_cfg=TINY,
+        unlearn_capacity=unlearn_capacity,
+        hash_rounds=TINY.rounds,
     )
 
 
@@ -181,7 +180,7 @@ def _check_against_native(circuit, ds):
     native training gives, bit for bit, under the statement the native
     hashes give."""
     assert circuit.cs.is_satisfied(circuit.cs.witness())
-    model = train_model(ds, circuit.shape.train)
+    model = train_model(ds, circuit.config.train)
     assert circuit.model == model
     digests = [hash_data_point(d, TINY) for d in ds.points]
     assert circuit.digests == tuple(digests)
@@ -194,24 +193,18 @@ def _check_against_native(circuit, ds):
 @pytest.mark.parametrize("size", range(0, 5))
 def test_model_circuit_native_equivalence(size):
     ds = _dataset(size)
-    _check_against_native(ModelCircuit(_model_shape(capacity=4), ds), ds)
+    _check_against_native(ModelCircuit(_config(capacity=4), ds), ds)
 
 
 @pytest.mark.parametrize("kind,arity", [("logistic", 2), ("nn", 1)])
 def test_model_circuit_other_kinds(kind, arity):
-    shape = ModelShape(
-        train=default_train_config(
-            kind, arity, hidden=2 if kind == "nn" else 0, epochs=1, scale=SCALE
-        ),
-        capacity=2,
-        hash_cfg=TINY,
-    )
+    config = _config(capacity=2, arity=arity, kind=kind, hidden=2 if kind == "nn" else 0)
     ds = _dataset(2, arity=arity)
-    _check_against_native(ModelCircuit(shape, ds), ds)
+    _check_against_native(ModelCircuit(config, ds), ds)
 
 
 def test_model_circuit_wrong_model_hash_unsatisfiable():
-    circuit = ModelCircuit(_model_shape(), _dataset(3))
+    circuit = ModelCircuit(_config(), _dataset(3))
     w = circuit.cs.witness()
     mutated = list(w.values)
     mutated[circuit.h_m_wire] = (mutated[circuit.h_m_wire] + 1) % P
@@ -219,29 +212,29 @@ def test_model_circuit_wrong_model_hash_unsatisfiable():
 
 
 def test_model_circuit_shape_errors():
-    shape = _model_shape(capacity=2)
+    config = _config(capacity=2)
     with pytest.raises(ShapeOverflow, match="3 points exceed the compiled capacity 2"):
-        ModelCircuit(shape, _dataset(3))
+        ModelCircuit(config, _dataset(3))
     with pytest.raises(ShapeMismatch):
-        ModelCircuit(shape, _dataset(2, arity=2))
+        ModelCircuit(config, _dataset(2, arity=2))
 
 
 def test_model_circuit_deterministic_build():
-    a = ModelCircuit(_model_shape()).cs.export()
-    b = ModelCircuit(_model_shape()).cs.export()
+    a = ModelCircuit(_config()).cs.export()
+    b = ModelCircuit(_config()).cs.export()
     assert a == b
 
 
 def test_constraint_count_scales_linearly():
-    small = ModelCircuit(_model_shape(capacity=4)).cs.stats().constraint_count
-    large = ModelCircuit(_model_shape(capacity=8)).cs.stats().constraint_count
+    small = ModelCircuit(_config(capacity=4)).cs.stats().constraint_count
+    large = ModelCircuit(_config(capacity=8)).cs.stats().constraint_count
     assert 1.8 <= large / small <= 2.2
 
 
 def test_constraint_count_monotonicity():
-    base = ModelCircuit(_model_shape(capacity=4, epochs=1)).cs.stats().constraint_count
-    more_epochs = ModelCircuit(_model_shape(capacity=4, epochs=2)).cs.stats()
-    bigger_model = ModelCircuit(_model_shape(capacity=4, arity=2)).cs.stats()
+    base = ModelCircuit(_config(capacity=4, epochs=1)).cs.stats().constraint_count
+    more_epochs = ModelCircuit(_config(capacity=4, epochs=2)).cs.stats()
+    bigger_model = ModelCircuit(_config(capacity=4, arity=2)).cs.stats()
     assert more_epochs.constraint_count > base
     assert bigger_model.constraint_count > base
 
@@ -250,8 +243,7 @@ def test_constraint_count_monotonicity():
 
 
 def _data_circuit(hd, prev, add, dcap=4, ucap=4):
-    shape = DataShape(data_capacity=dcap, unlearn_capacity=ucap, hash_cfg=TINY)
-    return DataCircuit(shape, hd, prev, add)
+    return DataCircuit(_config(capacity=dcap, unlearn_capacity=ucap), hd, prev, add)
 
 
 def test_data_circuit_honest_satisfiable():
@@ -307,7 +299,7 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
     # Simulate the collision: overwrite the first training digest, which
     # follows the statement and the training presence bits, so a pair
     # matches.
-    hd_0 = circuit.h_u_wire + 1 + circuit.shape.data_capacity
+    hd_0 = circuit.h_u_wire + 1 + circuit.config.capacity
     assert values[hd_0] == 1
     values[hd_0] = 3
     for v_try in range(0, 50):
@@ -403,7 +395,7 @@ def _mutation_sweep(cs, witness, slack):
 
 
 def test_every_nonslack_wire_mutation_breaks_model_circuit():
-    circuit = ModelCircuit(_model_shape(capacity=4), _dataset(4))
+    circuit = ModelCircuit(_config(capacity=4), _dataset(4))
     w = circuit.cs.witness()
     surviving = _mutation_sweep(circuit.cs, w, circuit.slack_wires(w))
     assert surviving == []
@@ -438,14 +430,10 @@ def test_fx_mul_gadget_smallest_quotient_and_remainder():
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_model_circuit_equivalence_up_to_capacity_eight(arity):
-    shape = ModelShape(
-        train=default_train_config("linear", arity, epochs=1, scale=SCALE),
-        capacity=8,
-        hash_cfg=TINY,
-    )
+    config = _config(capacity=8, arity=arity)
     for size in (0, 1, 5, 8):
         ds = _dataset(size, arity=arity, seed=size)
-        _check_against_native(ModelCircuit(shape, ds), ds)
+        _check_against_native(ModelCircuit(config, ds), ds)
 
 
 # -- pinned constraint counts ----------------------------------------------------
@@ -488,8 +476,8 @@ def test_benchmark_config_sizes(epochs, capacity, model, data):
     config = build_protocol_config(
         {"epochs": str(epochs), "capacity": str(capacity), "unlearn_capacity": str(capacity)}
     )
-    for build, expected in ((build_model_circuit, model), (build_data_circuit, data)):
-        cs = build(config).cs
+    for circuit, expected in ((ModelCircuit, model), (DataCircuit, data)):
+        cs = circuit(config).cs
         assert (cs.num_constraints, cs.num_wires) == expected
 
 
@@ -501,11 +489,11 @@ def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.
     config = fast_pub.config
-    full = build_model_circuit(config, _dataset(config.capacity))
+    full = ModelCircuit(config, _dataset(config.capacity))
     assert full.cs.export() == model.export()
     digests = [hash1(i, TINY) for i in range(config.capacity + config.unlearn_capacity)]
     half = config.capacity + config.unlearn_capacity // 2
-    full = build_data_circuit(
+    full = DataCircuit(
         config, digests[: config.capacity], digests[config.capacity : half], digests[half:]
     )
     assert full.cs.export() == data.export()
@@ -519,14 +507,10 @@ def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     [("linear", 1, 0, 2), ("logistic", 2, 0, 1), ("nn", 1, 2, 1)],
 )
 def test_values_only_model_witness_matches_full_build(kind, arity, hidden, epochs):
-    shape = ModelShape(
-        train=default_train_config(kind, arity, hidden=hidden, epochs=epochs, scale=SCALE),
-        capacity=3,
-        hash_cfg=TINY,
-    )
+    config = _config(capacity=3, epochs=epochs, arity=arity, kind=kind, hidden=hidden)
     ds = _dataset(2, arity=arity)
-    full = ModelCircuit(shape, ds)
-    only = ModelCircuit(shape, ds, values_only=True)
+    full = ModelCircuit(config, ds)
+    only = ModelCircuit(config, ds, values_only=True)
     assert only.cs.witness() == full.cs.witness()
     assert (only.statement, only.model, only.digests) == (full.statement, full.model, full.digests)
     assert full.cs.is_satisfied(only.cs.witness())
@@ -534,9 +518,9 @@ def test_values_only_model_witness_matches_full_build(kind, arity, hidden, epoch
 
 def test_values_only_data_witness_matches_full_build():
     sets = ([hash1(1, TINY), hash1(2, TINY)], [hash1(3, TINY)], [hash1(4, TINY)])
-    shape = DataShape(data_capacity=3, unlearn_capacity=2, hash_cfg=TINY)
-    full = DataCircuit(shape, *sets)
-    only = DataCircuit(shape, *sets, values_only=True)
+    config = _config(capacity=3, unlearn_capacity=2)
+    full = DataCircuit(config, *sets)
+    only = DataCircuit(config, *sets, values_only=True)
     assert only.cs.witness() == full.cs.witness()
     assert only.statement == full.statement
 
@@ -548,14 +532,13 @@ def _raised(build):
 
 
 def test_values_only_builds_raise_as_full_builds():
-    shape = _model_shape(capacity=2)
+    config = _config(capacity=2)
     ds = Dataset(
         (DataPoint(1, (enc(5000),), enc(1)), DataPoint(2, (enc(10000),), enc(1))), 1
     )
-    full = _raised(lambda: ModelCircuit(shape, ds))
+    full = _raised(lambda: ModelCircuit(config, ds))
     assert full[0] is FixedPointOverflow and "uid 2" in full[1]
-    assert _raised(lambda: ModelCircuit(shape, ds, values_only=True)) == full
-    shape = DataShape(data_capacity=2, unlearn_capacity=1, hash_cfg=TINY)
-    full = _raised(lambda: DataCircuit(shape, [3, 5], [], [5]))
+    assert _raised(lambda: ModelCircuit(config, ds, values_only=True)) == full
+    full = _raised(lambda: DataCircuit(config, [3, 5], [], [5]))
     assert full[0] is WitnessSynthesisError
-    assert _raised(lambda: DataCircuit(shape, [3, 5], [], [5], values_only=True)) == full
+    assert _raised(lambda: DataCircuit(config, [3, 5], [], [5], values_only=True)) == full

@@ -2,8 +2,10 @@ import collections
 import dataclasses
 import json
 import os
+import shlex
 import stat
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -418,18 +420,23 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
         lambda obj: obj.update(circuits=[]),
         lambda obj: obj["circuits"]["model"].update(fingerprint="../../state"),
         lambda obj: obj.update(modulus=5),
+        lambda obj: obj.pop("kind"),
     ],
-    ids=["circuits-list", "fingerprint-path", "modulus-int"],
+    ids=["circuits-list", "fingerprint-path", "modulus-int", "kind-missing"],
 )
 def test_malformed_params_are_corrupt_state(workspace, initialized, capsys, edit):
     params = initialized / "pub" / "params.json"
     obj = json.loads(params.read_text())
     edit(obj)
     params.write_text(json.dumps(obj))
-    capsys.readouterr()
-    assert run(workspace, "add", "--dir", str(initialized), "--uid", "9", "--features",
-               "0.5", "--label", "1") == 3
-    assert "error: corrupt parameters: " in capsys.readouterr().err
+    # bench reads the config of an existing --dir as the other commands do.
+    for command in (
+        ("add", "--uid", "9", "--features", "0.5", "--label", "1"),
+        ("bench", "--sizes", "4", "--counts-only"),
+    ):
+        capsys.readouterr()
+        assert run(workspace, command[0], "--dir", str(initialized), *command[1:]) == 3, command
+        assert "error: corrupt parameters: " in capsys.readouterr().err
 
 
 def test_config_keys():
@@ -482,6 +489,83 @@ def test_only_admission_trains_natively(workspace, initialized, monkeypatch):
     state = store.load_state(ScaleConfig())
     assert len(state.dataset) == 4
     assert state.model == real(state.dataset, store.load_config().train)
+
+
+@pytest.mark.parametrize("sizes", ["abc", "0", "-4", "4,x"])
+def test_bad_sizes_is_a_usage_error(workspace, capsys, sizes):
+    capsys.readouterr()
+    code = run(workspace, "bench", "--config", str(workspace / "conf"), "--sizes", sizes,
+               "--counts-only")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: bad --sizes {sizes!r}: expected comma-separated positive integers" in err
+
+
+# The options each command reads, beyond --dir and --json.
+COMMAND_OPTIONS = {
+    "setup": {"--config", "--backend"},
+    "init": set(),
+    "add": {"--dataset", "--uid", "--features", "--label"},
+    "delete": {"--uid", "--dataset"},
+    "update": set(),
+    "verify-update": {"--iteration"},
+    "prove-unlearn": {"--uid", "--dataset"},
+    "verify-unlearn": {"--uid", "--iteration", "--dataset"},
+    "audit-setup": set(),
+    "game": set(),
+    "bench": {"--config", "--backend", "--dataset"},
+}
+SHARED_OPTIONS = {
+    "--config": "conf", "--backend": "snark", "--dataset": "pts.csv", "--uid": "1",
+    "--iteration": "1", "--features": "0.5", "--label": "1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_each_command_accepts_only_the_options_it_reads(command, capsys):
+    parser = cli.build_parser()
+    for option, value in SHARED_OPTIONS.items():
+        argv = [command, "--dir", "st", option, value]
+        if option in COMMAND_OPTIONS[command]:
+            assert getattr(parser.parse_args(argv), option[2:]) is not None
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("update", "--backend", "snark"),
+        ("update", "--config", "nosuch.conf"),
+        ("init", "--dataset", "nosuch.csv"),
+        ("verify-update", "--iteration", "0", "--backend", "snark"),
+    ],
+    ids=["update-backend", "update-config", "init-dataset", "verify-update-backend"],
+)
+def test_an_option_the_command_ignores_is_a_usage_error(workspace, initialized, args):
+    before = snapshot(initialized)
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], "--dir", str(initialized), *args[1:]])
+    assert exc.value.code == 2
+    assert snapshot(initialized) == before
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("unlearn ")
+    ]
+    assert len(commands) >= 15
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch, capsys):

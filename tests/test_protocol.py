@@ -240,13 +240,11 @@ def test_config_validation_errors():
     train = default_train_config("linear", 1, epochs=1)
     with pytest.raises(ConfigError):
         ProtocolConfig(train=train, capacity=0, unlearn_capacity=4)
-    with pytest.raises(ConfigError):
-        ProtocolConfig(
-            train=train,
-            capacity=4,
-            unlearn_capacity=4,
-            hash_cfg=HashConfig(modulus=2**127 - 1),
-        )
+    with pytest.raises(ValueError, match="rounds must be positive"):
+        ProtocolConfig(train=train, capacity=4, unlearn_capacity=4, hash_rounds=0)
+    # The hash works over the training field: there is no second modulus.
+    config = ProtocolConfig(train=train, capacity=4, unlearn_capacity=4, hash_rounds=4)
+    assert config.hash_cfg == HashConfig(train.scale.modulus, 4)
 
 
 def test_proof_from_foreign_circuit_rejected(fast_pub):

@@ -2,8 +2,8 @@ import struct
 
 import pytest
 
+from unlearn.circuits import DataCircuit
 from unlearn.field import BN254_SCALAR_FIELD as P
-from unlearn.protocol import build_data_circuit
 from unlearn.r1cs import (
     MAGIC,
     BuildPhaseClosed,
@@ -133,7 +133,7 @@ def _honest_witness(pub, name):
     circuit's for small digest sets."""
     if name == "model":
         return pub.model_circuit.cs.witness()
-    return build_data_circuit(pub.config, [5, 6], [7], [8]).cs.witness()
+    return DataCircuit(pub.config, [5, 6], [7], [8]).cs.witness()
 
 
 @pytest.mark.parametrize("name", ["model", "data"])

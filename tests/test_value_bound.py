@@ -7,7 +7,7 @@ import functools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from unlearn.circuits import ModelCircuit, ModelShape
+from unlearn.circuits import ModelCircuit
 from unlearn.field import FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
 from unlearn.gadgets import CircuitBuilder, lc_wire
 from unlearn.hashing import (
@@ -143,11 +143,12 @@ def test_forged_fx_mul_witnesses_rejected(a, b, k):
 
 
 @functools.cache
-def _model_shape(kind, epochs):
-    return ModelShape(
+def _model_config(kind, epochs):
+    return ProtocolConfig(
         train=default_train_config(kind, 1, epochs=epochs, scale=SCALE),
         capacity=3,
-        hash_cfg=TINY,
+        unlearn_capacity=1,
+        hash_rounds=TINY.rounds,
     )
 
 
@@ -176,16 +177,16 @@ VALUES = st.one_of(
 @example(kind="logistic", epochs=2, rows=[(enc(0.5), enc(1)), (enc(-0.25), 0)])
 @settings(max_examples=150, deadline=None)
 def test_native_overflow_iff_synthesis_fails(kind, epochs, rows):
-    shape = _model_shape(kind, epochs)
+    config = _model_config(kind, epochs)
     ds = Dataset(
         tuple(DataPoint(i + 1, (x % P,), y % P) for i, (x, y) in enumerate(rows)), 1
     )
     try:
-        model = train_model(ds, shape.train)
+        model = train_model(ds, config.train)
     except FixedPointOverflow as e:
         model, native_error = None, e
     try:
-        circuit = ModelCircuit(shape, ds)
+        circuit = ModelCircuit(config, ds)
     except FixedPointOverflow as e:
         circuit, circuit_error = None, e
     assert (model is None) == (circuit is None)
@@ -213,7 +214,7 @@ def pub():
             train=default_train_config("linear", 1, epochs=1, scale=SCALE),
             capacity=8,
             unlearn_capacity=8,
-            hash_cfg=TINY,
+            hash_rounds=TINY.rounds,
         )
     )
 
