@@ -32,7 +32,8 @@ the stored fingerprints, sizes and exports, for anyone who wants to tie
 Each command accepts ``--dir``, ``--json`` and only the options it reads
 (``COMMANDS``).  Exit codes: 0 success/accept, 1 reject (an
 ``audit-setup`` mismatch included), 2 usage error (an option the command
-does not read, or an unreadable ``--config`` or ``--dataset`` file
+does not read, ``bench --config`` or ``--backend`` with a ``--dir`` that
+holds parameters, or an unreadable ``--config`` or ``--dataset`` file
 included), 3 corrupt state (a state directory that cannot be read, a
 missing or altered circuit export, or a config that no longer matches
 the stored circuit).
@@ -483,6 +484,12 @@ def cmd_bench(args) -> int:
     if min(sizes) < 1:
         raise CliError(f"bad --sizes {args.sizes!r}: expected comma-separated positive integers")
     if args.dir and StateDir(args.dir).params_file.exists():
+        ignored = [f"--{name}" for name in ("config", "backend") if getattr(args, name)]
+        if ignored:
+            raise CliError(
+                f"{' and '.join(ignored)} cannot be combined with --dir {args.dir}, "
+                "which holds its own parameters"
+            )
         config = load_pub(StateDir(args.dir)).config
     else:
         options = parse_config_file(args.config) if args.config else {}

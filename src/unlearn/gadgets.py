@@ -167,23 +167,20 @@ class CircuitBuilder:
     def _compress(self, key: LinComb, msg: LinComb) -> LinComb:
         return self.add(self.add(self.mimc_permute(msg, key), key), msg)
 
-    def hash1(self, v: LinComb) -> LinComb:
-        return self._compress(lc_const(self.hash_cfg.tag_leaf), v)
+    def absorb(self, tag: int, items: list[LinComb]) -> LinComb:
+        h = lc_const(0)
+        for v in items:
+            h = self._compress(self.add(h, lc_const(tag)), v)
+        return h
 
     def hash2(self, l: LinComb, r: LinComb) -> LinComb:
         return self._compress(self.add(l, lc_const(self.hash_cfg.tag_node)), r)
 
     def hash_data_point(self, uid: LinComb, x: list[LinComb], y: LinComb) -> LinComb:
-        h = self.hash1(uid)
-        for xj in x:
-            h = self.hash2(h, self.hash1(xj))
-        return self.hash2(h, self.hash1(y))
+        return self.absorb(self.hash_cfg.tag_point, [uid, *x, y])
 
     def hash_model(self, weights: list[LinComb]) -> LinComb:
-        h = self.hash1(weights[0])
-        for w in weights[1:]:
-            h = self.hash2(h, self.hash1(w))
-        return h
+        return self.absorb(self.hash_cfg.tag_model, weights)
 
     def merkle_root(self, leaves: list[LinComb], presence: list[LinComb]) -> LinComb:
         """Root of the level-by-level tree over the present prefix of a

@@ -1,18 +1,28 @@
 """Collision-resistant hashing of data points, models, and hash sets.
 
 The hash is an MiMC-style permutation (x -> x^5 over the scalar field,
-Miyaguchi-Preneel chaining) so the exact same computation can be replayed
-inside an R1CS circuit.  Three structures are built on top of it:
+Miyaguchi-Preneel compression) so the exact same computation can be
+replayed inside an R1CS circuit.  Everything is built from the one
+compression ``_compress(key, message)``:
 
-* ``hash_data``     -- Merkle tree over the ordered training-set digests,
-* ``hash_unlearn``  -- append-only chain over the unlearnt-set digests,
+* ``absorb``        -- a keyed Merkle-Damgard chain over raw field
+  elements, h <- compress(h + tag, v) from h = 0, one compression per
+  element; ``hash_data_point`` absorbs (uid, x..., y) under the point
+  tag and ``hash_model_weights`` the weights under the model tag.  The
+  arity and the weight count are fixed by the compiled config, so no
+  length padding is needed;
+* ``hash2``         -- the binary node hash, keyed by left + node tag;
+* ``hash_data``     -- Merkle tree of ``hash2`` over the ordered
+  training-set digests,
+* ``hash_unlearn``  -- append-only ``hash2`` chain over the unlearnt-set
+  digests, from ``empty_root``,
 * ``compute_tree_path`` / ``verify_tree_path`` -- membership paths in the
   chain (path = intermediate root below the target plus every digest
   appended after it).
 
-Distinct tag constants separate the unary hash, the binary hash, and the
-empty-chain base so a crafted data point cannot collide with the chain
-base.  All functions are pure.
+Distinct tag constants offset the keys of the point chain, the model
+chain, the node hash and the empty-chain base, so the same elements hash
+differently in each role.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -52,8 +62,12 @@ class HashConfig:
             raise ValueError("rounds must be positive")
 
     @property
-    def tag_leaf(self) -> int:
-        return _tag("hash1", self.modulus)
+    def tag_point(self) -> int:
+        return _tag("point", self.modulus)
+
+    @property
+    def tag_model(self) -> int:
+        return _tag("model", self.modulus)
 
     @property
     def tag_node(self) -> int:
@@ -91,8 +105,13 @@ def _compress(key: int, message: int, cfg: HashConfig) -> int:
     return (mimc_permute(message, key, cfg) + key + message) % p
 
 
-def hash1(v: int, cfg: HashConfig) -> int:
-    return _compress(cfg.tag_leaf, v % cfg.modulus, cfg)
+def absorb(tag: int, items: Sequence[int], cfg: HashConfig) -> int:
+    """Keyed chain over raw elements: h <- compress(h + tag, v), h = 0."""
+    p = cfg.modulus
+    h = 0
+    for v in items:
+        h = _compress((h + tag) % p, v % p, cfg)
+    return h
 
 
 def hash2(l: int, r: int, cfg: HashConfig) -> int:
@@ -119,19 +138,13 @@ class DataPoint:
 
 
 def hash_data_point(d: DataPoint, cfg: HashConfig) -> int:
-    h = hash1(d.uid, cfg)
-    for xj in d.x:
-        h = hash2(h, hash1(xj, cfg), cfg)
-    return hash2(h, hash1(d.y, cfg), cfg)
+    return absorb(cfg.tag_point, (d.uid, *d.x, d.y), cfg)
 
 
 def hash_model_weights(weights: Sequence[int], cfg: HashConfig) -> int:
     if not weights:
         raise EmptyModelError("model has no parameters")
-    h = hash1(weights[0], cfg)
-    for w in weights[1:]:
-        h = hash2(h, hash1(w, cfg), cfg)
-    return h
+    return absorb(cfg.tag_model, weights, cfg)
 
 
 def hash_data(items: Sequence[int], cfg: HashConfig) -> int:

@@ -15,7 +15,6 @@ from unlearn.gadgets import CircuitBuilder, lc_const, lc_wire
 from unlearn.hashing import (
     DataPoint,
     HashConfig,
-    hash1,
     hash2,
     hash_data,
     hash_data_point,
@@ -98,16 +97,50 @@ def test_select_gadget():
 def test_hash_gadgets_match_native():
     builder, cs = _builder()
     v, l, r = (lc_wire(cs.alloc_private(x)) for x in (5, 6, 7))
-    h1 = builder.hash1(v)
     h2 = builder.hash2(l, r)
     hm = builder.hash_model([v, l])
     hd = builder.hash_data_point(v, [l], r)
     cs.finalize()
     assert cs.is_satisfied(cs.witness())
-    assert cs.lc_value(h1) == hash1(5, TINY)
     assert cs.lc_value(h2) == hash2(6, 7, TINY)
     assert cs.lc_value(hm) == hash_model_weights([5, 6], TINY)
     assert cs.lc_value(hd) == hash_data_point(DataPoint(5, (6,), 7), TINY)
+
+
+FULL = HashConfig()
+COMPRESS = 330  # one compression at the full rounds, as test_unit_constraint_costs pins
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_hash_data_point_gadget_matches_native(arity):
+    # Native and circuit digests agree, and a point costs one compression
+    # per element: uid, each feature and the label.
+    d = DataPoint(2**64 - 1, tuple(enc(-0.75 * j) for j in range(arity)), enc(-1))
+    cs = ConstraintSystem(P)
+    builder = CircuitBuilder(cs, SCALE, FULL)
+    uid, *x, y = (lc_wire(cs.alloc_private(v)) for v in (d.uid, *d.x, d.y))
+    digest = builder.hash_data_point(uid, x, y)
+    cs.finalize()
+    assert cs.is_satisfied(cs.witness())
+    assert cs.lc_value(digest) == hash_data_point(d, FULL)
+    assert cs.num_constraints == (arity + 2) * COMPRESS
+
+
+@pytest.mark.parametrize(
+    "kind,arity,hidden", [("linear", 1, 0), ("logistic", 2, 0), ("nn", 1, 2)]
+)
+def test_hash_model_gadget_matches_native(kind, arity, hidden):
+    # Native and circuit model hashes agree on trained weight vectors,
+    # at one compression per weight.
+    config = _config(capacity=3, arity=arity, kind=kind, hidden=hidden)
+    weights = train_model(_dataset(3, arity=arity), config.train).weights
+    cs = ConstraintSystem(P)
+    builder = CircuitBuilder(cs, SCALE, FULL)
+    h_m = builder.hash_model([lc_wire(cs.alloc_private(w)) for w in weights])
+    cs.finalize()
+    assert cs.is_satisfied(cs.witness())
+    assert cs.lc_value(h_m) == hash_model_weights(weights, FULL)
+    assert cs.num_constraints == len(weights) * COMPRESS
 
 
 def _padded(builder, cs, values, capacity):
@@ -122,7 +155,7 @@ def _padded(builder, cs, values, capacity):
 @pytest.mark.parametrize("occupancy", range(0, 6))
 def test_padded_merkle_root_matches_native(occupancy):
     builder, cs = _builder()
-    values = [hash1(i + 100, TINY) for i in range(occupancy)]
+    values = [hash2(i + 100, 0, TINY) for i in range(occupancy)]
     root = builder.merkle_root(*_padded(builder, cs, values, 5))
     cs.finalize()
     assert cs.is_satisfied(cs.witness())
@@ -133,7 +166,7 @@ def test_padded_merkle_root_matches_native(occupancy):
 def test_padded_chain_matches_native(occupancy):
     from unlearn.hashing import empty_root
 
-    values = [hash1(i + 7, TINY) for i in range(occupancy)]
+    values = [hash2(i + 7, 0, TINY) for i in range(occupancy)]
     for marked in range(occupancy + 1):
         builder, cs = _builder()
         items, pres = _padded(builder, cs, values, 4)
@@ -247,8 +280,8 @@ def _data_circuit(hd, prev, add, dcap=4, ucap=4):
 
 
 def test_data_circuit_honest_satisfiable():
-    hd = [hash1(3, TINY), hash1(5, TINY)]
-    hu_add = [hash1(9, TINY)]
+    hd = [hash2(3, 0, TINY), hash2(5, 0, TINY)]
+    hu_add = [hash2(9, 0, TINY)]
     circuit = _data_circuit(hd, [], hu_add)
     assert circuit.cs.is_satisfied(circuit.cs.witness())
     assert circuit.statement == (
@@ -259,9 +292,9 @@ def test_data_circuit_honest_satisfiable():
 
 
 def test_data_circuit_chain_extension():
-    hd = [hash1(1, TINY)]
-    prev = [hash1(2, TINY), hash1(3, TINY)]
-    add = [hash1(4, TINY)]
+    hd = [hash2(1, 0, TINY)]
+    prev = [hash2(2, 0, TINY), hash2(3, 0, TINY)]
+    add = [hash2(4, 0, TINY)]
     circuit = _data_circuit(hd, prev, add)
     assert circuit.cs.is_satisfied(circuit.cs.witness())
     assert circuit.statement[2] == hash_unlearn(prev + add, TINY)
@@ -309,7 +342,7 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
 
 
 def test_data_circuit_tampered_root_unsatisfiable():
-    circuit = _data_circuit([hash1(3, TINY)], [], [hash1(9, TINY)])
+    circuit = _data_circuit([hash2(3, 0, TINY)], [], [hash2(9, 0, TINY)])
     w = circuit.cs.witness()
     for wire in (circuit.h_d_wire, circuit.h_uprev_wire, circuit.h_u_wire):
         mutated = list(w.values)
@@ -334,9 +367,9 @@ def test_data_circuit_capacity_errors():
 def test_data_circuit_every_split_of_the_unlearnt_digests(n):
     # Any k previous digests followed by n - k appended ones give the
     # roots of the first k and of all n, in the one array of 4 slots.
-    digests = [hash1(i + 20, TINY) for i in range(n)]
+    digests = [hash2(i + 20, 0, TINY) for i in range(n)]
     for k in range(n + 1):
-        circuit = _data_circuit([hash1(1, TINY)], digests[:k], digests[k:], dcap=1, ucap=4)
+        circuit = _data_circuit([hash2(1, 0, TINY)], digests[:k], digests[k:], dcap=1, ucap=4)
         assert circuit.cs.is_satisfied(circuit.cs.witness())
         assert circuit.statement[1:] == (
             hash_unlearn(digests[:k], TINY),
@@ -350,8 +383,8 @@ def test_previous_bits_never_run_past_presence():
     # to the chain that extends h_U by that slot.  Every row but the one
     # tying that previous bit to its presence bit holds.
     dcap, ucap, n = 1, 4, 2
-    unlearnt = [hash1(20, TINY), hash1(21, TINY)]
-    circuit = _data_circuit([hash1(1, TINY)], unlearnt, [], dcap=dcap, ucap=ucap)
+    unlearnt = [hash2(20, 0, TINY), hash2(21, 0, TINY)]
+    circuit = _data_circuit([hash2(1, 0, TINY)], unlearnt, [], dcap=dcap, ucap=ucap)
     cs, values = circuit.cs, list(circuit.cs.witness().values)
     # Layout after the statement: training presence bits and digests, then
     # unlearnt presence bits, unlearnt digests and previous-digest bits.
@@ -455,19 +488,22 @@ def test_unit_constraint_costs(gadget, expected):
 
 
 def test_fast_pub_constraint_totals(fast_pub):
-    assert fast_pub.model_circuit.cs.stats().constraint_count == 3809
+    assert fast_pub.model_circuit.cs.stats().constraint_count == 3605
     assert fast_pub.data_circuit.cs.stats().constraint_count == 388
 
 
 @pytest.mark.parametrize(
     "epochs,capacity,model,data",
     [
-        # cli-walkthrough: data 5,158 = hash 4,950 + disjoint 128 +
-        # presence 53 + select 24 + bindings 3.
-        (10, 8, (42749, 42111), (5158, 5146)),
-        # cli-unlearn: data 10,902 = hash 10,230 + disjoint 512 +
-        # presence 109 + select 48 + bindings 3.
-        (1, 16, (38757, 38631), (10902, 10874)),
+        # cli-walkthrough: model 37,139 = range bits 24,304 + hash
+        # 10,890 + fx_mul 1,600 + select 328 + presence 15 + bindings 2;
+        # data 5,158 = hash 4,950 + disjoint 128 + presence 53 + select 24
+        # + bindings 3.
+        (10, 8, (37139, 36501), (5158, 5146)),
+        # cli-unlearn: model 27,867 = hash 21,450 + range bits 5,984 +
+        # fx_mul 320 + select 80 + presence 31 + bindings 2; data 10,902 =
+        # hash 10,230 + disjoint 512 + presence 109 + select 48 + bindings 3.
+        (1, 16, (27867, 27741), (10902, 10874)),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
 )
@@ -484,14 +520,14 @@ def test_benchmark_config_sizes(epochs, capacity, model, data):
 def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
-    assert model.fingerprint() == "e162c1eed7ca0416a95462e9665a7a036291155c4f53227e53d18796e4aacd21"
+    assert model.fingerprint() == "4aaf9412ded3ab9b6b7789f4e15096e554c5634cf58bbba88d6555b1c2143acd"
     assert data.fingerprint() == "dc793603789fa6592745f7018658da5e6714dae39caa6578f5adb1b1d08a68d9"
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.
     config = fast_pub.config
     full = ModelCircuit(config, _dataset(config.capacity))
     assert full.cs.export() == model.export()
-    digests = [hash1(i, TINY) for i in range(config.capacity + config.unlearn_capacity)]
+    digests = [hash2(i, 0, TINY) for i in range(config.capacity + config.unlearn_capacity)]
     half = config.capacity + config.unlearn_capacity // 2
     full = DataCircuit(
         config, digests[: config.capacity], digests[config.capacity : half], digests[half:]
@@ -517,7 +553,7 @@ def test_values_only_model_witness_matches_full_build(kind, arity, hidden, epoch
 
 
 def test_values_only_data_witness_matches_full_build():
-    sets = ([hash1(1, TINY), hash1(2, TINY)], [hash1(3, TINY)], [hash1(4, TINY)])
+    sets = ([hash2(1, 0, TINY), hash2(2, 0, TINY)], [hash2(3, 0, TINY)], [hash2(4, 0, TINY)])
     config = _config(capacity=3, unlearn_capacity=2)
     full = DataCircuit(config, *sets)
     only = DataCircuit(config, *sets, values_only=True)

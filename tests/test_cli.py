@@ -402,9 +402,10 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # Versions 1 and 2 recorded no circuits, and version 1 also carried
     # the retired quotient-width key; version 3 had today's fields but
     # fingerprinted text circuit exports.
-    # Version 4's data circuit held two unlearnt arrays.
+    # Version 4's data circuit held two unlearnt arrays.  Version 5 hashed
+    # every element before combining it into a point digest or model hash.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
-                {"version": 4}):
+                {"version": 4}, {"version": 5}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))
@@ -499,6 +500,30 @@ def test_bad_sizes_is_a_usage_error(workspace, capsys, sizes):
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: bad --sizes {sizes!r}: expected comma-separated positive integers" in err
+
+
+@pytest.mark.parametrize(
+    "options,named",
+    [
+        (("--config", "nosuch.conf"), "--config"),
+        (("--backend", "snark"), "--backend"),
+        (("--config", "nosuch.conf", "--backend", "snark"), "--config and --backend"),
+    ],
+    ids=["config", "backend", "both"],
+)
+def test_bench_dir_with_params_refuses_config_and_backend(
+    workspace, initialized, capsys, options, named
+):
+    # The directory's own parameters fix the config and the backend, so
+    # an option that would be ignored is a usage error.
+    capsys.readouterr()
+    code = run(workspace, "bench", "--dir", str(initialized), *options, "--sizes", "2",
+               "--counts-only")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {named} cannot be combined with --dir {initialized}" in err
+    assert run(workspace, "bench", "--dir", str(initialized), "--sizes", "2",
+               "--counts-only") == 0
 
 
 # The options each command reads, beyond --dir and --json.

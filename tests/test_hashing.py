@@ -10,9 +10,10 @@ from unlearn.hashing import (
     HashConfig,
     MembershipPath,
     NotMemberError,
+    _compress,
+    absorb,
     compute_tree_path,
     empty_root,
-    hash1,
     hash2,
     hash_data,
     hash_data_point,
@@ -24,26 +25,44 @@ from unlearn.hashing import (
 H = HashConfig()
 P = H.modulus
 
-# Golden value recorded from this implementation's first run, then pinned:
-# any change to the permutation, tags, or round constants must show up here.
-GOLDEN_HASH1_ZERO = 0x1C965D58702E08218D51E34CC4168AC62D85D78A64C1B0B4921D90005EB883E1
+# Golden values recorded from this implementation's first run, then pinned:
+# any change to the permutation, tags, round constants or the absorb must
+# show up here.
+GOLDEN_POINT = 0x1678B18FDF5CECE7396D5D5920B2090F97BF333A70AD784A4EA4C394274E8A50
+GOLDEN_MODEL = 0x21C6747C72B7B873FC42D17CD6EEA2BFF62430D8C27BF2F505B7D913EF7FCB9A
 GOLDEN_EMPTY_ROOT = 0x1C5CE00E415B68CA73E3320657C52E0A5B8B6E0BF58ECB18897976CA3F2CB5B2
 
 
 def test_golden_values_pinned():
-    assert hash1(0, H) == GOLDEN_HASH1_ZERO
+    assert hash_data_point(DataPoint(1, (50000,), 100000), H) == GOLDEN_POINT
+    assert hash_model_weights([11, 22], H) == GOLDEN_MODEL
     assert empty_root(H) == GOLDEN_EMPTY_ROOT
 
 
 def test_determinism():
     assert hash2(12, 34, H) == hash2(12, 34, H)
-    assert hash1(5, H) == hash1(5, H)
+    assert hash_model_weights([5], H) == hash_model_weights([5], H)
 
 
 def test_non_commutative_and_domain_separated():
     assert hash2(1, 2, H) != hash2(2, 1, H)
-    assert hash1(0, H) != empty_root(H)
-    assert hash1(7, H) != hash2(0, 7, H)
+    assert hash_model_weights([0], H) != empty_root(H)
+    assert len({H.tag_point, H.tag_model, H.tag_node, H.tag_empty}) == 4
+
+
+@pytest.mark.parametrize("x", [(), (3,), (3, 4)])
+def test_point_digest_is_domain_separated(x):
+    # A point digest is neither a node hash over its leading elements nor
+    # a model hash over the same sequence of elements.
+    d = DataPoint(7, x, 9)
+    elements = (d.uid, *d.x, d.y)
+    digest = hash_data_point(d, H)
+    assert digest != hash2(elements[0], elements[1], H)
+    nodes = elements[0]
+    for v in elements[1:]:
+        nodes = hash2(nodes, v, H)
+    assert digest != nodes
+    assert digest != hash_model_weights(elements, H)
 
 
 def test_collision_smoke():
@@ -57,18 +76,25 @@ def test_collision_smoke():
 
 
 def test_rounds_change_digest():
-    assert hash1(1, HashConfig(rounds=4)) != hash1(1, H)
+    assert hash_model_weights([1], HashConfig(rounds=4)) != hash_model_weights([1], H)
 
 
 # -- structure hashes ----------------------------------------------------------
 
 
 def test_hash_data_point_unrolled():
-    assert hash_data_point(DataPoint(7, (), 0), H) == hash2(hash1(7, H), hash1(0, H), H)
+    # One compression per element, keyed by the running digest plus the
+    # point tag, from zero.
+    t = H.tag_point
+    assert hash_data_point(DataPoint(7, (), 0), H) == _compress(
+        (_compress(t, 7, H) + t) % P, 0, H
+    )
     cfg = ScaleConfig()
     d = DataPoint(1, (50000,), 100000)
-    inner = hash2(hash1(1, H), hash1(50000, H), H)
-    assert hash_data_point(d, H) == hash2(inner, hash1(100000, H), H)
+    h = _compress(t, 1, H)
+    h = _compress((h + t) % P, 50000, H)
+    assert hash_data_point(d, H) == _compress((h + t) % P, 100000, H)
+    assert hash_data_point(d, H) == absorb(t, (1, 50000, 100000), H)
     assert cfg.gamma == 100000  # the encodings above are enc(0.5), enc(1)
 
 
@@ -84,15 +110,18 @@ def test_uid_range():
 
 
 def test_hash_model():
-    assert hash_model_weights([11], H) == hash1(11, H)
-    assert hash_model_weights([11, 22], H) == hash2(hash1(11, H), hash1(22, H), H)
+    t = H.tag_model
+    assert hash_model_weights([11], H) == _compress(t, 11, H)
+    assert hash_model_weights([11, 22], H) == _compress((_compress(t, 11, H) + t) % P, 22, H)
+    # Elements are reduced into the field before they are absorbed.
+    assert hash_model_weights([11 - P, 22 + P], H) == hash_model_weights([11, 22], H)
     assert hash_model_weights([11, 22], H) != hash_model_weights([22, 11], H)
     with pytest.raises(EmptyModelError):
         hash_model_weights([], H)
 
 
 def test_hash_data_examples():
-    a, b, c, d = (hash1(i, H) for i in range(4))
+    a, b, c, d = (hash_data_point(p, H) for p in _points(4))
     assert hash_data([], H) == empty_root(H)
     assert hash_data([a], H) == a
     assert hash_data([a, b], H) == hash2(a, b, H)
@@ -105,7 +134,7 @@ def test_hash_data_examples():
 
 def test_hash_unlearn_examples():
     base = empty_root(H)
-    h1, h2_ = hash1(1, H), hash1(2, H)
+    h1, h2_ = (hash_data_point(p, H) for p in _points(2))
     assert hash_unlearn([], H) == base
     assert hash_unlearn([h1], H) == hash2(base, h1, H)
     assert hash_unlearn([h1, h2_], H) == hash2(hash2(base, h1, H), h2_, H)
@@ -159,7 +188,7 @@ def test_wrong_root_rejected():
     pts = _points(4)
     hu = [hash_data_point(p, H) for p in pts]
     path = compute_tree_path(pts[2], hu, H)
-    assert not verify_tree_path(pts[2], hash1(99, H), path, H)
+    assert not verify_tree_path(pts[2], hash_unlearn(hu[:3], H), path, H)
 
 
 def test_all_single_node_mutations_rejected():
@@ -177,7 +206,7 @@ def test_all_single_node_mutations_rejected():
 def test_duplicate_digest_targets_first_occurrence():
     p = _points(1)[0]
     h = hash_data_point(p, H)
-    hu = [hash1(5, H), h, hash1(6, H), h]
+    hu = [hash2(5, 0, H), h, hash2(6, 0, H), h]
     path = compute_tree_path(p, hu, H)
     assert path.nodes[0] == hash_unlearn(hu[:1], H)
     assert len(path.nodes) == 3
