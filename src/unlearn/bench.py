@@ -8,8 +8,9 @@ and saving ``pub/``, ``setup_s``), one ``update`` that adds the dataset
 and unlearns the other points, proving against the stored circuits
 (``update_s``), and ``verify-update`` from the stored parameters
 (``verify_s``, with ``verified``).  Both later steps load ``pub/`` as the
-commands do, with its SHA-256-checked circuit exports.  The constraint
-and wire counts are those of the circuits ``global_setup`` built.
+commands do, with its SHA-256-checked circuit exports.  The constraint,
+private-wire and nonzero-term counts are those of the circuits
+``global_setup`` built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 import tempfile
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 from .field import ScaleConfig, fx_encode
 from .hashing import DataPoint
@@ -49,17 +50,17 @@ class BenchEntry:
     model_constraints: int
     data_constraints: int
     model_private_wires: int
+    data_private_wires: int
+    # Nonzero entries of A, B and C: the prover's and the witness-check
+    # verifier's work grows with these as well as with the constraints.
+    model_terms: int
+    data_terms: int
     timings: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "unlearn_size": self.unlearn_size,
-            "model_constraints": self.model_constraints,
-            "data_constraints": self.data_constraints,
-            "model_private_wires": self.model_private_wires,
-            "timings": {k: round(v, 4) for k, v in self.timings.items()},
-        }
+        out = asdict(self)
+        out["timings"] = {k: round(v, 4) for k, v in self.timings.items()}
+        return out
 
 
 def bench_sizes(
@@ -86,13 +87,16 @@ def _bench_size(
     pub = global_setup(config, setup_store=store.setup_store)
     store.save_params(pub)
     setup_s = time.perf_counter() - t0
-    model_stats = pub.model_circuit.cs.stats()
+    model, data = pub.model_circuit.cs.stats(), pub.data_circuit.cs.stats()
     entry = BenchEntry(
         size=config.capacity,
         unlearn_size=config.unlearn_capacity,
-        model_constraints=model_stats.constraint_count,
-        data_constraints=pub.data_circuit.cs.stats().constraint_count,
-        model_private_wires=model_stats.private_count,
+        model_constraints=model.constraint_count,
+        data_constraints=data.constraint_count,
+        model_private_wires=model.private_count,
+        data_private_wires=data.private_count,
+        model_terms=model.term_count,
+        data_terms=data.term_count,
     )
     if counts_only:
         return entry

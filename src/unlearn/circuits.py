@@ -61,7 +61,8 @@ class ProtocolConfig:
 
     @property
     def hash_cfg(self) -> HashConfig:
-        return HashConfig(self.train.scale.modulus, self.hash_rounds)
+        scale = self.train.scale
+        return HashConfig(scale.modulus, self.hash_rounds, scale.value_bits)
 
 
 class ModelCircuit:
@@ -110,13 +111,11 @@ class ModelCircuit:
             xs = [lc_wire(cs.alloc_private(x)) for x in d.x]
             y = lc_wire(cs.alloc_private(d.y))
             try:
-                for v in (*xs, y):
-                    b.value_range(v)
+                leaves.append(b.hash_data_point(uid, xs, y))
             except FixedPointOverflow as e:
                 raise overflow_at(e, d.uid) from None
             presence.append(pres)
             data.append((xs, y))
-            leaves.append(b.hash_data_point(uid, xs, y))
         b.prefix_presence(presence)
         self.digests = tuple(cs.lc_value(leaf) for leaf in leaves[: len(points)])
 

@@ -51,7 +51,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bench import DEFAULT_SIZES, bench_sizes
-from .circuits import DataCircuit, ModelCircuit, ShapeOverflow
+from .circuits import DataCircuit, ModelCircuit, ShapeMismatch, ShapeOverflow
 from .field import ConfigError, FixedPointOverflow, ScaleConfig, fx_encode
 from .game import builtin_strategies, run_suite
 from .hashing import DataPoint, NotMemberError
@@ -62,6 +62,7 @@ from .protocol import (
     DuplicateAdd,
     ProtocolConfig,
     ReAddAfterDelete,
+    check_point,
     global_setup,
     prove_unlearn,
     prove_update,
@@ -299,6 +300,11 @@ def cmd_delete(args) -> int:
             raise CliError(
                 f"uid {args.uid} not found; pass --dataset with the point's row"
             )
+        try:
+            check_point(pub, point)
+        except (FixedPointOverflow, ShapeMismatch) as e:
+            # update could not hash it or no verifier would accept its proof.
+            raise CliError(f"uid {args.uid} not queued: {e}", EXIT_REJECT)
         state = queue_delete(state, point)
         store.save_state(state, pub.scale)
     emit(args, {"queued_delete": args.uid}, f"queued deletion of uid {args.uid}")
@@ -380,7 +386,7 @@ def cmd_prove_unlearn(args) -> int:
             )
         try:
             proof = prove_unlearn(pub, state, point)
-        except NotMemberError as e:
+        except (NotMemberError, FixedPointOverflow, ShapeMismatch) as e:
             raise CliError(str(e), EXIT_REJECT)
         path = store.unlearn_proof_file(proof.iteration, args.uid)
         atomic_write_json(path, unlearn_proof_to_dict(proof, pub.scale))
@@ -412,11 +418,16 @@ def cmd_verify_unlearn(args) -> int:
         raise CliError(f"missing envelope: {e.filename}")
     except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise CliError(f"corrupt envelope: {e}", EXIT_CORRUPT)
-    ok = verify_unlearn(pub, point, com, proof)
-    detail = "" if ok else " (path mismatch: recomputed root differs from commitment)"
-    emit(args, {"iteration": args.iteration, "uid": args.uid, "accepted": ok},
+    try:
+        ok = verify_unlearn(pub, point, com, proof)
+        reason = "" if ok else "path mismatch: recomputed root differs from commitment"
+    except (FixedPointOverflow, ShapeMismatch) as e:
+        # The row is no point of this setup, so it was never unlearnt.
+        ok, reason = False, str(e)
+    payload = {"iteration": args.iteration, "uid": args.uid, "accepted": ok}
+    emit(args, payload | ({"reason": reason} if reason else {}),
          f"unlearning of uid {args.uid} at iteration {args.iteration}: "
-         f"{'accept' if ok else 'REJECT'}{detail}")
+         f"{'accept' if ok else 'REJECT'}{f' ({reason})' if reason else ''}")
     return EXIT_OK if ok else EXIT_REJECT
 
 

@@ -151,14 +151,24 @@ def fx_encode(r: Rational, cfg: ScaleConfig) -> int:
     return k % cfg.modulus
 
 
+def value_offset(v: int, value_bits: int, modulus: int) -> int:
+    """v + 2^B, in [0, 2^(B+1)), for an encoded feature or label v in
+    [-2^B, 2^B), B = value_bits: the (B+1)-bit form that the range check
+    decomposes and a point digest packs.  Raises FixedPointOverflow for v
+    outside that interval."""
+    limit = 1 << value_bits
+    u = (v + limit) % modulus
+    if u >> (value_bits + 1):
+        raise FixedPointOverflow(
+            f"a feature or label lies outside the {value_bits}-bit value bound"
+        )
+    return u
+
+
 def check_value_range(v: int, cfg: ScaleConfig) -> None:
     """Raise FixedPointOverflow unless an encoded feature or label lies in
     [-2^B, 2^B), B = cfg.value_bits."""
-    limit = 1 << cfg.value_bits
-    if not -limit <= signed_repr(v, cfg) < limit:
-        raise FixedPointOverflow(
-            f"a feature or label lies outside the {cfg.value_bits}-bit value bound"
-        )
+    value_offset(v, cfg.value_bits, cfg.modulus)
 
 
 def fx_decode(v: int, cfg: ScaleConfig) -> Fraction:

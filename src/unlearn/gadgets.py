@@ -14,8 +14,10 @@ they.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .field import ScaleConfig, check_value_range, fx_encode, rescale, signed_repr
-from .hashing import HashConfig, empty_root, round_constants
+from .hashing import UID_BITS, HashConfig, empty_root, point_layout, round_constants
 from .r1cs import ConstraintSystem, LinComb, WitnessSynthesisError
 
 
@@ -29,8 +31,8 @@ def lc_wire(w: int) -> LinComb:
 
 class CircuitBuilder:
     def __init__(self, cs: ConstraintSystem, scale: ScaleConfig, hash_cfg: HashConfig):
-        if hash_cfg.modulus != scale.modulus:
-            raise ValueError("hash and scale configs disagree on the field")
+        if (hash_cfg.modulus, hash_cfg.value_bits) != (scale.modulus, scale.value_bits):
+            raise ValueError("hash and scale configs disagree on the field or the value bound")
         self.cs = cs
         self.scale = scale
         self.hash_cfg = hash_cfg
@@ -96,13 +98,15 @@ class CircuitBuilder:
         self.enforce_eq({w: 1 << i for i, w in enumerate(wires)}, a)
         return wires
 
-    def value_range(self, a: LinComb) -> None:
+    def value_range(self, a: LinComb) -> LinComb:
         """Enforce a in [-2^B, 2^B), B = scale.value_bits: the interval
         native training accepts for features and labels.  Raises
-        FixedPointOverflow outside it, as native training does."""
+        FixedPointOverflow outside it, as native training does.  Returns
+        the range-checked a + 2^B."""
         check_value_range(self.cs.lc_value(a), self.scale)
-        limit = 1 << self.scale.value_bits
-        self.bits(self.add(a, lc_const(limit)), self.scale.value_bits + 1)
+        offset = self.add(a, lc_const(1 << self.scale.value_bits))
+        self.bits(offset, self.scale.value_bits + 1)
+        return offset
 
     def select(self, sel: LinComb, a: LinComb, b: LinComb) -> LinComb:
         """sel * a + (1 - sel) * b for boolean sel, costing one product."""
@@ -177,7 +181,17 @@ class CircuitBuilder:
         return self._compress(self.add(l, lc_const(self.hash_cfg.tag_node)), r)
 
     def hash_data_point(self, uid: LinComb, x: list[LinComb], y: LinComb) -> LinComb:
-        return self.absorb(self.hash_cfg.tag_point, [uid, *x, y])
+        """Range-check the uid to UID_BITS bits and each value to the value
+        bound, which makes packing them into limbs injective, then absorb
+        the limbs as ``hashing.hash_data_point`` does.  Raises
+        FixedPointOverflow for a value outside the bound."""
+        self.bits(uid, UID_BITS)
+        elements = [uid, *(self.value_range(v) for v in (*x, y))]
+        limbs = [
+            reduce(self.add, (self.scaled(elements[i], 1 << shift) for i, shift in limb))
+            for limb in point_layout(len(x), self.hash_cfg)
+        ]
+        return self.absorb(self.hash_cfg.tag_point, limbs)
 
     def hash_model(self, weights: list[LinComb]) -> LinComb:
         return self.absorb(self.hash_cfg.tag_model, weights)

@@ -5,12 +5,20 @@ Miyaguchi-Preneel compression) so the exact same computation can be
 replayed inside an R1CS circuit.  Everything is built from the one
 compression ``_compress(key, message)``:
 
-* ``absorb``        -- a keyed Merkle-Damgard chain over raw field
-  elements, h <- compress(h + tag, v) from h = 0, one compression per
-  element; ``hash_data_point`` absorbs (uid, x..., y) under the point
-  tag and ``hash_model_weights`` the weights under the model tag.  The
-  arity and the weight count are fixed by the compiled config, so no
-  length padding is needed;
+* ``absorb``        -- a keyed Merkle-Damgard chain over field elements,
+  h <- compress(h + tag, v) from h = 0, one compression per element.
+  ``hash_model_weights`` absorbs the weights under the model tag;
+  ``hash_data_point`` absorbs a point's limbs under the point tag;
+* ``point_layout``  -- how a point (uid, x..., y) packs into limbs: the
+  uid in ``UID_BITS`` bits, then each value v as v + 2^B in B + 1 bits
+  (B = ``HashConfig.value_bits``, the fixed-point value bound), greedily
+  into as few limbs of ``HashConfig.limb_bits`` bits as fit.  Each limb
+  lies below the modulus, so a point in range packs injectively; one limb
+  holds a point up to arity 3 at the default scale.  The model circuit
+  packs through the same layout, after range-checking what it packs.
+  The arity and the weight count are fixed by the compiled config, so no
+  length padding is needed; points of different arities can share a
+  digest, which is why ``protocol.check_point`` refuses another arity;
 * ``hash2``         -- the binary node hash, keyed by left + node tag;
 * ``hash_data``     -- Merkle tree of ``hash2`` over the ordered
   training-set digests,
@@ -32,9 +40,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .field import BN254_SCALAR_FIELD
+from .field import BN254_SCALAR_FIELD, ScaleConfig, value_offset
 
-MAX_UID = 2**64 - 1
+UID_BITS = 64
+MAX_UID = 2**UID_BITS - 1
 
 DEFAULT_ROUNDS = 110  # ceil(log5(2^254)) rounds for the x^5 round function
 
@@ -54,12 +63,26 @@ class EmptyModelError(ValueError):
 
 @dataclass(frozen=True)
 class HashConfig:
+    """The field, the rounds of the permutation, and the value bound B:
+    a point's features and label lie in [-2^B, 2^B)."""
+
     modulus: int = BN254_SCALAR_FIELD
     rounds: int = DEFAULT_ROUNDS
+    value_bits: int = ScaleConfig().value_bits
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
+        if max(UID_BITS, self.value_bits + 1) > self.limb_bits:
+            raise ValueError(
+                f"a {self.limb_bits}-bit limb cannot hold a {UID_BITS}-bit uid and "
+                f"{self.value_bits + 1}-bit values"
+            )
+
+    @property
+    def limb_bits(self) -> int:
+        # Every limb lies below 2^limb_bits <= modulus, so packing never wraps.
+        return self.modulus.bit_length() - 1
 
     @property
     def tag_point(self) -> int:
@@ -137,8 +160,31 @@ class DataPoint:
         object.__setattr__(self, "x", tuple(self.x))
 
 
+@lru_cache(maxsize=None)
+def point_layout(arity: int, cfg: HashConfig) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per limb, the (element, bit offset) pairs it packs, for the
+    elements (uid, x..., y) of a point of ``arity`` features: the uid
+    takes UID_BITS bits and each value B + 1, in order, a limb taking
+    elements while they fit in ``cfg.limb_bits`` bits."""
+    limbs, limb, used = [], [], 0
+    for i, width in enumerate((UID_BITS,) + (cfg.value_bits + 1,) * (arity + 1)):
+        if used + width > cfg.limb_bits:
+            limbs.append(tuple(limb))
+            limb, used = [], 0
+        limb.append((i, used))
+        used += width
+    limbs.append(tuple(limb))
+    return tuple(limbs)
+
+
 def hash_data_point(d: DataPoint, cfg: HashConfig) -> int:
-    return absorb(cfg.tag_point, (d.uid, *d.x, d.y), cfg)
+    """Absorb the point's limbs (``point_layout``) under the point tag.
+    Raises FixedPointOverflow for a feature or label outside [-2^B, 2^B)."""
+    elements = (d.uid, *(value_offset(v, cfg.value_bits, cfg.modulus) for v in (*d.x, d.y)))
+    limbs = [
+        sum(elements[i] << shift for i, shift in limb) for limb in point_layout(len(d.x), cfg)
+    ]
+    return absorb(cfg.tag_point, limbs, cfg)
 
 
 def hash_model_weights(weights: Sequence[int], cfg: HashConfig) -> int:

@@ -14,8 +14,8 @@ import hashlib
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Sequence, Union
 
-from .circuits import DataCircuit, ModelCircuit, ProtocolConfig
-from .field import FixedPointOverflow
+from .circuits import DataCircuit, ModelCircuit, ProtocolConfig, ShapeMismatch
+from .field import FixedPointOverflow, check_value_range
 from .hashing import (
     DataPoint,
     HashConfig,
@@ -260,6 +260,18 @@ def queue_adds(
         raise
 
 
+def check_point(pub: PublicParams, d: DataPoint) -> None:
+    """Raise ShapeMismatch for a point of another arity than the config's,
+    whose packed digest can equal that of a point of the config's arity,
+    and FixedPointOverflow for a feature or label outside the value bound,
+    which has no digest: neither can be a point of this setup."""
+    arity = pub.config.train.arity
+    if len(d.x) != arity:
+        raise ShapeMismatch(f"the point has {len(d.x)} features, the setup {arity}")
+    for v in (*d.x, d.y):
+        check_value_range(v, pub.scale)
+
+
 def queue_delete(state: ServerState, d: DataPoint) -> ServerState:
     # Idempotent: a point already unlearnt (or queued) is left alone.
     if d.uid in state.deleted_uids or any(p.uid == d.uid for p in state.pending_delete):
@@ -341,6 +353,10 @@ def verify_update(
 
 
 def prove_unlearn(pub: PublicParams, state: ServerState, d: DataPoint) -> UnlearnProof:
+    """``d``'s membership path in the unlearnt set.  Raises NotMemberError
+    if it was never unlearnt, and as ``check_point`` for a point that is
+    none of this setup."""
+    check_point(pub, d)
     path = compute_tree_path(d, state.hashed_unlearnt, pub.hash_cfg)
     return UnlearnProof(path=path, iteration=state.iteration, uid=d.uid)
 
@@ -348,4 +364,7 @@ def prove_unlearn(pub: PublicParams, state: ServerState, d: DataPoint) -> Unlear
 def verify_unlearn(
     pub: PublicParams, d: DataPoint, com: Commitment, proof: UnlearnProof
 ) -> bool:
+    """Whether ``proof`` places ``d``'s digest in ``com``'s unlearnt set.
+    Raises as ``check_point`` for a point that is none of this setup."""
+    check_point(pub, d)
     return verify_tree_path(d, com.h_u, proof.path, pub.hash_cfg)

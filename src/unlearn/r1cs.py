@@ -90,6 +90,7 @@ class CircuitStats:
     constraint_count: int
     public_count: int
     private_count: int
+    term_count: int  # nonzero entries of A, B and C together
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,8 @@ class ConstraintSystem:
         return tuple(out)
 
     def stats(self) -> CircuitStats:
-        return CircuitStats(self.num_constraints, self.num_public, self.num_private)
+        terms = sum(len(m.wires) for m in self._rows_recorded())
+        return CircuitStats(self.num_constraints, self.num_public, self.num_private, terms)
 
     def witness(self) -> Witness:
         """The values assigned while building."""

@@ -20,6 +20,7 @@ from unlearn.hashing import (
     hash_data_point,
     hash_model_weights,
     hash_unlearn,
+    point_layout,
 )
 from unlearn.cli import build_protocol_config
 from unlearn.r1cs import ConstraintSystem, Witness, WitnessSynthesisError
@@ -84,6 +85,13 @@ def test_bits_overflow_raises():
         builder.bits(lc_wire(cs.alloc_private(2**8)), 8)
 
 
+def test_builder_refuses_a_hash_config_of_another_bound():
+    # The point gadget packs values under the hash config's bound and
+    # range-checks them under the scale's: the two must agree.
+    with pytest.raises(ValueError, match="disagree"):
+        CircuitBuilder(ConstraintSystem(P), ScaleConfig(gamma=1000), TINY)
+
+
 def test_select_gadget():
     for sel, expected in ((1, 10), (0, 20)):
         builder, cs = _builder()
@@ -111,11 +119,15 @@ FULL = HashConfig()
 COMPRESS = 330  # one compression at the full rounds, as test_unit_constraint_costs pins
 
 
-@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
 def test_hash_data_point_gadget_matches_native(arity):
-    # Native and circuit digests agree, and a point costs one compression
-    # per element: uid, each feature and the label.
-    d = DataPoint(2**64 - 1, tuple(enc(-0.75 * j) for j in range(arity)), enc(-1))
+    # Native and circuit digests agree, at the bound's edges too, and a
+    # point costs one compression per limb, the 64-bit uid check and one
+    # (B+1)-bit range check per value.  Arity 4 needs a second limb.
+    B, limbs = SCALE.value_bits, 1 if arity <= 3 else 2
+    values = [-(2**B), 2**B - 1, enc(-0.75), 0, enc(1)]
+    d = DataPoint(2**64 - 1, tuple(v % P for v in values[:arity]), values[-1] % P)
+    assert len(point_layout(arity, FULL)) == limbs
     cs = ConstraintSystem(P)
     builder = CircuitBuilder(cs, SCALE, FULL)
     uid, *x, y = (lc_wire(cs.alloc_private(v)) for v in (d.uid, *d.x, d.y))
@@ -123,7 +135,35 @@ def test_hash_data_point_gadget_matches_native(arity):
     cs.finalize()
     assert cs.is_satisfied(cs.witness())
     assert cs.lc_value(digest) == hash_data_point(d, FULL)
-    assert cs.num_constraints == (arity + 2) * COMPRESS
+    assert cs.num_constraints == limbs * COMPRESS + 65 + (arity + 1) * (B + 2)
+
+
+def test_packing_forgery_fails_the_uid_range_check():
+    # uid + 2^64 and (x + 2^B) - 1 pack into the same limb, so the digest
+    # and every hash downstream stay the same; with x's bit wires
+    # recomputed, only the uid's 64-bit range check can tell.
+    circuit = ModelCircuit(_config(capacity=2), _dataset(2))
+    cs, B = circuit.cs, SCALE.value_bits
+    values = list(cs.witness().values)
+    # Slot 0, after the statement: presence, uid, x, y, then the gadget's
+    # 64 uid bits and x's B + 1 bits.
+    uid_w = circuit.h_d_wire + 2
+    x_w, x_bits = uid_w + 1, uid_w + 3 + 64
+    offset = (values[x_w] + 2**B) % P
+    assert [values[x_bits + i] for i in range(B + 1)] == [(offset >> i) & 1 for i in range(B + 1)]
+    values[uid_w] += 2**64
+    values[x_w] = (values[x_w] - 1) % P
+    for i in range(B + 1):
+        values[x_bits + i] = ((offset - 1) >> i) & 1
+    forged = Witness(tuple(values))
+    stored = ConstraintSystem.from_export(cs.export())
+    assert not stored.is_satisfied(forged)
+    first, *rest = stored.failing_constraints(forged)
+    uid_bits = {w: 1 << i for i, w in enumerate(range(uid_w + 3, uid_w + 3 + 64))}
+    # The uid check's last row: its 64 bits sum to the uid.
+    assert stored.constraints[first] == ({**uid_bits, uid_w: P - 1}, {0: 1}, {})
+    # Every hash row holds: the rest that fail are training rows reading x.
+    assert set(rest) <= set(stored.constraints_touching(x_w))
 
 
 @pytest.mark.parametrize(
@@ -488,22 +528,22 @@ def test_unit_constraint_costs(gadget, expected):
 
 
 def test_fast_pub_constraint_totals(fast_pub):
-    assert fast_pub.model_circuit.cs.stats().constraint_count == 3605
+    assert fast_pub.model_circuit.cs.stats().constraint_count == 3933
     assert fast_pub.data_circuit.cs.stats().constraint_count == 388
 
 
 @pytest.mark.parametrize(
     "epochs,capacity,model,data",
     [
-        # cli-walkthrough: model 37,139 = range bits 24,304 + hash
-        # 10,890 + fx_mul 1,600 + select 328 + presence 15 + bindings 2;
+        # cli-walkthrough: model 32,379 = range bits 24,824 + hash
+        # 5,610 + fx_mul 1,600 + select 328 + presence 15 + bindings 2;
         # data 5,158 = hash 4,950 + disjoint 128 + presence 53 + select 24
         # + bindings 3.
-        (10, 8, (37139, 36501), (5158, 5146)),
-        # cli-unlearn: model 27,867 = hash 21,450 + range bits 5,984 +
+        (10, 8, (32379, 31733), (5158, 5146)),
+        # cli-unlearn: model 18,347 = hash 10,890 + range bits 7,024 +
         # fx_mul 320 + select 80 + presence 31 + bindings 2; data 10,902 =
         # hash 10,230 + disjoint 512 + presence 109 + select 48 + bindings 3.
-        (1, 16, (27867, 27741), (10902, 10874)),
+        (1, 16, (18347, 18205), (10902, 10874)),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
 )
@@ -520,7 +560,7 @@ def test_benchmark_config_sizes(epochs, capacity, model, data):
 def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
-    assert model.fingerprint() == "4aaf9412ded3ab9b6b7789f4e15096e554c5634cf58bbba88d6555b1c2143acd"
+    assert model.fingerprint() == "1fc645097d0f021426277a7fb643e54434559a5d4e1e6daae45a3df3a238283c"
     assert data.fingerprint() == "dc793603789fa6592745f7018658da5e6714dae39caa6578f5adb1b1d08a68d9"
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.

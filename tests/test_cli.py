@@ -270,6 +270,23 @@ def test_bench_counts_scale_linearly(workspace, capsys):
     assert 1.8 <= counts[2] / counts[1] <= 2.2
 
 
+def test_bench_reports_wires_and_terms_of_both_circuits(workspace, capsys):
+    capsys.readouterr()
+    assert run(workspace, "bench", "--config", str(workspace / "conf"), "--sizes", "3",
+               "--counts-only", "--json") == 0
+    [entry] = json.loads(capsys.readouterr().out)["entries"]
+    config = dataclasses.replace(
+        cli.build_protocol_config(cli.parse_config_file(workspace / "conf")),
+        capacity=3, unlearn_capacity=1,
+    )
+    for name, circuit in (("model", circuits.ModelCircuit), ("data", circuits.DataCircuit)):
+        stats = circuit(config).cs.stats()
+        assert entry[f"{name}_constraints"] == stats.constraint_count
+        assert entry[f"{name}_private_wires"] == stats.private_count
+        assert entry[f"{name}_terms"] == stats.term_count
+    assert entry["timings"] == {}
+
+
 def test_bench_exits_1_when_an_honest_proof_is_rejected(workspace, capsys, monkeypatch):
     monkeypatch.setattr(bench, "verify_update", lambda *args: False)
     capsys.readouterr()
@@ -364,6 +381,56 @@ def test_update_beyond_value_bound_writes_nothing(workspace, initialized, capsys
     assert snapshot(initialized) == before
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "row,reason",
+    [
+        ("uid,f1,y\n2,2000000,0\n", "a feature or label lies outside the 37-bit value bound"),
+        # uid 2 is (-0.25, 0): this arity-2 row packs into the same limb.
+        ("uid,f1,f2,y\n2,-0.25,0,-1374389.53472\n", "the point has 2 features, the setup 1"),
+    ],
+    ids=["beyond-bound", "other-arity"],
+)
+def test_verify_unlearn_of_a_row_that_is_no_point_rejects(workspace, unlearnt, capsys,
+                                                          row, reason, as_json):
+    # Such a row was never unlearnt: a REJECT that names why, not a
+    # traceback, and not an accept through a digest of another arity.
+    bad = workspace / "bad.csv"
+    bad.write_text(row)
+    args = [*VERIFY_UNLEARN[:-1], str(bad), "--dir", str(unlearnt)] + ["--json"] * as_json
+    capsys.readouterr()
+    assert run(workspace, *args) == 1
+    out = capsys.readouterr().out
+    if as_json:
+        assert json.loads(out) == {"iteration": 2, "uid": 2, "accepted": False, "reason": reason}
+    else:
+        assert f"REJECT ({reason})" in out
+
+
+@pytest.mark.parametrize("command", ["delete", "prove-unlearn"])
+@pytest.mark.parametrize(
+    "row,reason",
+    [
+        ("uid,f1,y\n9,0.5,2000000\n", "a feature or label lies outside the 37-bit value bound"),
+        ("uid,f1,f2,y\n9,0.5,0.25,1\n", "the point has 2 features, the setup 1"),
+    ],
+    ids=["beyond-bound", "other-arity"],
+)
+def test_a_row_that_is_no_point_is_refused(workspace, initialized, capsys, command, row,
+                                           reason):
+    # update could never hash the first, so queueing it would stick every
+    # update; the second would take an unlearnt slot that verify-unlearn
+    # can never accept.  Neither has an unlearning proof.
+    bad = workspace / "bad.csv"
+    bad.write_text(row)
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, command, "--dir", str(initialized), "--uid", "9",
+               "--dataset", str(bad)) == 1
+    assert reason in capsys.readouterr().err
+    assert snapshot(initialized) == before
+
+
 @pytest.mark.parametrize("over", ["points", "unlearnt"])
 def test_update_beyond_capacity_writes_nothing(workspace, initialized, capsys, over):
     # Pending requests no circuit of this setup can hold (capacity 8 each),
@@ -404,8 +471,9 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # fingerprinted text circuit exports.
     # Version 4's data circuit held two unlearnt arrays.  Version 5 hashed
     # every element before combining it into a point digest or model hash.
+    # Version 6 absorbed a point's uid and values one element each.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
-                {"version": 4}, {"version": 5}):
+                {"version": 4}, {"version": 5}, {"version": 6}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))

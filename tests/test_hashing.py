@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unlearn.field import ScaleConfig
+from unlearn.field import FixedPointOverflow, ScaleConfig
 from unlearn.hashing import (
     DataPoint,
     EmptyModelError,
@@ -19,6 +20,7 @@ from unlearn.hashing import (
     hash_data_point,
     hash_model_weights,
     hash_unlearn,
+    point_layout,
     verify_tree_path,
 )
 
@@ -28,7 +30,7 @@ P = H.modulus
 # Golden values recorded from this implementation's first run, then pinned:
 # any change to the permutation, tags, round constants or the absorb must
 # show up here.
-GOLDEN_POINT = 0x1678B18FDF5CECE7396D5D5920B2090F97BF333A70AD784A4EA4C394274E8A50
+GOLDEN_POINT = 0x0F2A02D2E2C4CC27896449D51103CD0362A33A5C5DF25A082D23B7746C88B75C
 GOLDEN_MODEL = 0x21C6747C72B7B873FC42D17CD6EEA2BFF62430D8C27BF2F505B7D913EF7FCB9A
 GOLDEN_EMPTY_ROOT = 0x1C5CE00E415B68CA73E3320657C52E0A5B8B6E0BF58ECB18897976CA3F2CB5B2
 
@@ -83,19 +85,53 @@ def test_rounds_change_digest():
 
 
 def test_hash_data_point_unrolled():
-    # One compression per element, keyed by the running digest plus the
-    # point tag, from zero.
-    t = H.tag_point
-    assert hash_data_point(DataPoint(7, (), 0), H) == _compress(
-        (_compress(t, 7, H) + t) % P, 0, H
-    )
-    cfg = ScaleConfig()
-    d = DataPoint(1, (50000,), 100000)
-    h = _compress(t, 1, H)
-    h = _compress((h + t) % P, 50000, H)
-    assert hash_data_point(d, H) == _compress((h + t) % P, 100000, H)
-    assert hash_data_point(d, H) == absorb(t, (1, 50000, 100000), H)
-    assert cfg.gamma == 100000  # the encodings above are enc(0.5), enc(1)
+    # The uid, then each value plus 2^B in B + 1 bits, packed into limbs
+    # and absorbed one compression per limb under the point tag.
+    t, B = H.tag_point, H.value_bits
+    assert B == ScaleConfig().value_bits == 37
+    assert hash_data_point(DataPoint(7, (), 0), H) == _compress(t, 7 + (2**B << 64), H)
+    d = DataPoint(1, (50000,), 100000)  # enc(0.5), enc(1) at the default gamma
+    limb = 1 + ((50000 + 2**B) << 64) + ((100000 + 2**B) << (64 + B + 1))
+    assert hash_data_point(d, H) == _compress(t, limb, H)
+    assert point_layout(1, H) == (((0, 0), (1, 64), (2, 64 + B + 1)),)
+    # Negative values wrap mod p and pack as their offset below 2^B.
+    neg = DataPoint(1, (-50000 % P,), 0)
+    limb = 1 + ((2**B - 50000) << 64) + (2**B << (64 + B + 1))
+    assert hash_data_point(neg, H) == _compress(t, limb, H)
+    # Arity 4 fills a 216-bit limb with the uid and the features; the
+    # label goes into a second limb, absorbed after the first.
+    wide = DataPoint(3, (1, 2, 3, 4), 5)
+    first = 3 + sum((v + 2**B) << (64 + (B + 1) * j) for j, v in enumerate(wide.x))
+    assert H.limb_bits == 253 and point_layout(4, H)[1] == ((5, 0),)
+    assert hash_data_point(wide, H) == absorb(t, (first, 5 + 2**B), H)
+
+
+def test_point_packing_is_injective_at_the_bounds():
+    # At one arity (the compiled config fixes it), uid and values at their
+    # extremes give distinct digests, and a value outside [-2^B, 2^B) has
+    # none.
+    B = H.value_bits
+    uids, values = (0, 2**64 - 1), (-(2**B) % P, 0, 2**B - 1)
+    for arity in (1, 2, 4):
+        points = [
+            DataPoint(u, xs, y)
+            for u in uids
+            for xs in itertools.product(values, repeat=arity)
+            for y in values
+        ]
+        assert len({hash_data_point(d, H) for d in points}) == len(points)
+    for bad in (2**B, -(2**B) - 1, P // 2):
+        with pytest.raises(FixedPointOverflow, match="37-bit value bound"):
+            hash_data_point(DataPoint(1, (bad % P,), 0), H)
+        with pytest.raises(FixedPointOverflow, match="37-bit value bound"):
+            hash_data_point(DataPoint(1, (0,), bad % P), H)
+
+
+def test_limbs_must_hold_the_packed_elements():
+    with pytest.raises(ValueError, match="cannot hold"):
+        HashConfig(value_bits=H.limb_bits)
+    with pytest.raises(ValueError, match="cannot hold"):
+        HashConfig(modulus=2**61 - 1)
 
 
 def test_hash_data_point_feature_order_matters():

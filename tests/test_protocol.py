@@ -232,7 +232,8 @@ def test_global_setup_is_deterministic(fast_pub):
 
 
 def test_config_validation_errors():
-    from unlearn.field import ConfigError
+    from unlearn.circuits import ModelCircuit
+    from unlearn.field import ConfigError, ScaleConfig
     from unlearn.hashing import HashConfig
     from unlearn.protocol import ProtocolConfig
     from unlearn.training import default_train_config
@@ -242,9 +243,14 @@ def test_config_validation_errors():
         ProtocolConfig(train=train, capacity=0, unlearn_capacity=4)
     with pytest.raises(ValueError, match="rounds must be positive"):
         ProtocolConfig(train=train, capacity=4, unlearn_capacity=4, hash_rounds=0)
-    # The hash works over the training field: there is no second modulus.
+    # The hash works over the training field and packs points under the
+    # training value bound: there is no second modulus or bound.
     config = ProtocolConfig(train=train, capacity=4, unlearn_capacity=4, hash_rounds=4)
-    assert config.hash_cfg == HashConfig(train.scale.modulus, 4)
+    assert config.hash_cfg == HashConfig(train.scale.modulus, 4, train.scale.value_bits)
+    coarse = default_train_config("linear", 1, epochs=1, scale=ScaleConfig(gamma=1000))
+    config = ProtocolConfig(train=coarse, capacity=2, unlearn_capacity=1, hash_rounds=4)
+    assert config.hash_cfg.value_bits == coarse.scale.value_bits == 30
+    assert ModelCircuit(config).cs.num_constraints > 0
 
 
 def test_proof_from_foreign_circuit_rejected(fast_pub):

@@ -125,7 +125,7 @@ def test_constraints_touching_index():
 def test_stats():
     cs = squaring_system()
     s = cs.stats()
-    assert (s.constraint_count, s.public_count, s.private_count) == (1, 1, 1)
+    assert (s.constraint_count, s.public_count, s.private_count, s.term_count) == (1, 1, 1, 3)
 
 
 def _honest_witness(pub, name):
