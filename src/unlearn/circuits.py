@@ -231,13 +231,6 @@ class DataCircuit:
 
 def _value_dependent_slack(b: CircuitBuilder, witness: Witness) -> set[int]:
     """Wires a mutation cannot invalidate under this particular witness:
-    sign bits of zero products and inverse wires of inactive pairs."""
-    slack = set()
-    for prod_w, sigma_w in b.sign_wires:
-        if witness.values[prod_w] == 0:
-            slack.add(sigma_w)
-    for active_w, inv_w in b.inverse_wires:
-        if witness.values[active_w] == 0:
-            slack.add(inv_w)
-    return slack
+    inverse wires of inactive pairs."""
+    return {inv_w for active_w, inv_w in b.inverse_wires if witness.values[active_w] == 0}
 

@@ -101,7 +101,7 @@ CONFIG_DEFAULTS = {
     "arity": "1",
     "epochs": "10",
     "learning_rate": "0.1",
-    "gamma": "100000",
+    "gamma": "65536",
     "capacity": "8",
     "unlearn_capacity": "8",
     "backend": "witness-check",

@@ -1,9 +1,12 @@
 """Prime-field arithmetic and the gamma-scaled fixed-point codec.
 
 All field elements are plain Python ints, canonically reduced to [0, p).
-A fixed-point value is a field element encoding the signed rational k/gamma
-as k mod p (negatives wrap to p - |k|).  Every operation here is pure, so
-values can be shared freely across threads.
+A fixed-point value is a field element encoding the signed rational n/gamma
+as n mod p (negatives wrap to p - |n|), with gamma = 2^k.  Encoding and
+every product round half up, once: a product of two encoded values is
+(a*b + gamma/2) >> k, the same shift the circuit's ``fx_mul`` decomposes.
+Every operation here is pure, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 from typing import Union
 
 # Scalar field of the ALT_BN128 / BN254 pairing curve; R1CS statements and
@@ -19,15 +23,16 @@ BN254_SCALAR_FIELD = (
     21888242871839275222246405745257275088548364400416034343698204186575808495617
 )
 
-DEFAULT_GAMMA = 10**5
+DEFAULT_GAMMA = 2**16
 
 # Cubic surrogate for the sigmoid: c0 + c1*z + c3*z^3, fitted against the
 # true sigmoid on a 1001-point uniform grid over [-5, 5].  A plain
 # least-squares fit peaks at 0.061 absolute error on that grid, which blows
 # the 0.05 accuracy envelope, so the frozen coefficients come from the
 # minimax (equioscillating) fit instead; see tests/test_field.py for the
-# re-derivation.  Values are exact multiples of 1e-5 so they encode exactly
-# at the default gamma.
+# re-derivation.  Encoding rounds each to the nearest multiple of 1/gamma,
+# which moves the surrogate by at most (1 + 5 + 125)/(2*gamma), 0.001 at
+# the default gamma, on [-5, 5].
 SIGMOID_C0 = Fraction(50000, 100000)
 SIGMOID_C1 = Fraction(19751, 100000)
 SIGMOID_C3 = Fraction(-427, 100000)
@@ -82,7 +87,8 @@ def _is_probable_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Fixed-point scale gamma plus the prime field it embeds into.
+    """Fixed-point scale gamma, a power of two 2^k, plus the prime field it
+    embeds into.
 
     ``max_abs`` bounds the magnitude of any raw (unscaled) value expected
     during a training run; the constructor checks the overflow headroom
@@ -96,8 +102,8 @@ class ScaleConfig:
     max_abs: int = 2**20
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        if self.gamma < 2 or self.gamma & (self.gamma - 1):
+            raise ConfigError(f"gamma must be a power of two >= 2, not {self.gamma}")
         if not _is_probable_prime(self.modulus):
             raise ConfigError("field modulus must be prime")
         if self.modulus <= 2 * self.gamma**2 * self.max_abs**2:
@@ -122,9 +128,9 @@ class ScaleConfig:
         return (self.gamma * self.max_abs).bit_length()
 
     @property
-    def remainder_bits(self) -> int:
-        # ceil(log2(gamma)): width of the rescale remainder range check.
-        return (self.gamma - 1).bit_length()
+    def frac_bits(self) -> int:
+        # k = log2(gamma): the bits a rescale shifts out.
+        return self.gamma.bit_length() - 1
 
     @property
     def byte_length(self) -> int:
@@ -137,15 +143,10 @@ def signed_repr(v: int, cfg: ScaleConfig) -> int:
     return v if v <= cfg.half else v - cfg.modulus
 
 
-def _as_fraction(r: Rational) -> Fraction:
-    if isinstance(r, str):
-        return Fraction(r)
-    return Fraction(r)
-
-
 def fx_encode(r: Rational, cfg: ScaleConfig) -> int:
-    """Encode a rational as round(gamma * r) mod p."""
-    k = round(_as_fraction(r) * cfg.gamma)
+    """Encode a rational as floor(gamma * r + 1/2) mod p: rounded half up,
+    as ``rescale`` rounds."""
+    k = floor(Fraction(r) * cfg.gamma + Fraction(1, 2))
     if abs(k) >= cfg.encode_limit:
         raise OverflowError(f"{r} exceeds the fixed-point headroom")
     return k % cfg.modulus
@@ -175,41 +176,22 @@ def fx_decode(v: int, cfg: ScaleConfig) -> Fraction:
     return Fraction(signed_repr(v, cfg), cfg.gamma)
 
 
-def fx_add(a: int, b: int, cfg: ScaleConfig) -> int:
-    return (a + b) % cfg.modulus
-
-
-def fx_sub(a: int, b: int, cfg: ScaleConfig) -> int:
-    return (a - b) % cfg.modulus
-
-
-def fx_neg(a: int, cfg: ScaleConfig) -> int:
-    return -a % cfg.modulus
-
-
-def rescale(prod: int, cfg: ScaleConfig) -> tuple[int, int]:
-    """Quotient and remainder of |prod| by gamma, for a signed product.
-    Raises FixedPointOverflow when the quotient reaches 2^B, B =
-    cfg.value_bits."""
-    q, r = divmod(abs(prod), cfg.gamma)
-    if q >> cfg.value_bits:
+def rescale(prod: int, cfg: ScaleConfig) -> int:
+    """A signed product over gamma, rounded half up: (prod + gamma/2) >> k.
+    Raises FixedPointOverflow unless the result lies in [-2^B, 2^B), B =
+    cfg.value_bits, the interval ``check_value_range`` enforces."""
+    q = (prod + (cfg.gamma >> 1)) >> cfg.frac_bits
+    if not -(1 << cfg.value_bits) <= q < 1 << cfg.value_bits:
         raise FixedPointOverflow(
-            f"rescaled product needs {q.bit_length()} bits, over the "
-            f"{cfg.value_bits}-bit value bound"
+            f"rescaled product {q} lies outside the {cfg.value_bits}-bit value bound"
         )
-    return q, r
+    return q
 
 
 def fx_mul(a: int, b: int, cfg: ScaleConfig) -> int:
-    """gamma-rescaled product: trunc(signed(a) * signed(b) / gamma).
-
-    Truncation is toward zero on the signed representative, as in the
-    in-circuit quotient/remainder gadget, which rescales through the same
-    ``rescale``.
-    """
-    prod = signed_repr(a, cfg) * signed_repr(b, cfg)
-    q, _ = rescale(prod, cfg)
-    return (-q if prod < 0 else q) % cfg.modulus
+    """gamma-rescaled product of the signed representatives, rounded half
+    up through ``rescale``, as the circuit's ``fx_mul`` rounds."""
+    return rescale(signed_repr(a, cfg) * signed_repr(b, cfg), cfg) % cfg.modulus
 
 
 class NativeOps:
@@ -260,6 +242,9 @@ def sigmoid_approx(z: int, cfg: ScaleConfig) -> int:
     return sigmoid_poly(NativeOps(cfg), z)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
 def to_hex(v: int, cfg: ScaleConfig) -> str:
     """Canonical serialization: lowercase big-endian hex, zero-padded."""
     if not 0 <= v < cfg.modulus:
@@ -268,8 +253,12 @@ def to_hex(v: int, cfg: ScaleConfig) -> str:
 
 
 def from_hex(s: str, cfg: ScaleConfig) -> int:
+    """Parse exactly the text ``to_hex`` writes: 2 * byte_length lowercase
+    hex digits, so each element has one accepted encoding."""
     if len(s) != 2 * cfg.byte_length:
         raise ValueError("bad field element length")
+    if not set(s) <= _HEX_DIGITS:
+        raise ValueError("field element is not lowercase hex")
     v = int(s, 16)
     if v >= cfg.modulus:
         raise ValueError("field element out of range")

@@ -6,8 +6,8 @@ wires and constraints.  Each gadget computes the values of the wires it
 allocates from the values of its inputs as it allocates them, so a
 circuit built from its inputs carries its witness.  The hash gadgets
 replay the exact computation of ``hashing`` and the fixed-point multiply
-replays ``field.fx_mul`` via a sign bit, an absolute-value split, and
-quotient/remainder range checks against the value bound of
+replays ``field.fx_mul`` with one bit decomposition of the rounded,
+offset product, which is also its range check against the value bound of
 ``ScaleConfig``; where native training raises FixedPointOverflow, so do
 they.
 """
@@ -36,9 +36,6 @@ class CircuitBuilder:
         self.cs = cs
         self.scale = scale
         self.hash_cfg = hash_cfg
-        # (prod_wire, sigma_wire) pairs: sigma is unconstrained when the
-        # witness product is exactly zero (both signs encode zero).
-        self.sign_wires: list[tuple[int, int]] = []
         # (presence_product_wire, inverse_wire) pairs: the inverse is
         # unconstrained when the presence product is zero.
         self.inverse_wires: list[tuple[int, int]] = []
@@ -115,45 +112,27 @@ class CircuitBuilder:
     # -- fixed-point multiply ----------------------------------------------------
 
     def fx_mul(self, a: LinComb, b: LinComb) -> LinComb:
-        """Rescaled product: allocates sign, |product|, quotient and
-        remainder, enforcing prod = (1-2*sigma)*abs, abs = q*gamma + r,
-        0 <= r < gamma (bits of both r and gamma-1-r) and q < 2^B with
-        B = scale.value_bits.  Returns the signed encoding of the quotient.
+        """Rescaled product, rounded half up: with gamma = 2^k and B =
+        scale.value_bits, decomposes a*b + 2^(k-1) + 2^(B+k) into B+k+1
+        bits and returns one wire holding the high B+1 bits less 2^B.
 
-        The output is unique, so it equals ``field.fx_mul``: abs < 2^B *
-        gamma is far below p/2, which leaves one sign and one |product|
-        per nonzero product, and r < gamma leaves one (q, r) split.  No
+        The output is unique, so it equals ``field.fx_mul``: 2^(B+k+1) is
+        far below p, which leaves one decomposition per product.  No
         product wraps mod p either: the model circuit range-checks the
         data, every product is range-checked here, and every sum feeding
         a product adds up a number of such terms linear in capacity *
         epochs, so operands stay far below sqrt(p/2).  A product whose
-        quotient reaches 2^B raises FixedPointOverflow, through the same
-        ``field.rescale`` as native training."""
+        rounded quotient leaves [-2^B, 2^B) raises FixedPointOverflow,
+        through the same ``field.rescale`` as native training."""
         cs = self.cs
-        gamma = self.scale.gamma
-
+        k, bound = self.scale.frac_bits, self.scale.value_bits
         prod = self.mul(a, b)
-        prod_w = next(iter(prod))
-        signed = signed_repr(cs.values[prod_w], self.scale)
-        q_value, r_value = rescale(signed, self.scale)
-
-        sigma = cs.alloc_private(int(signed < 0))
-        self.enforce_boolean(lc_wire(sigma))
-        self.sign_wires.append((prod_w, sigma))
-
-        absval = cs.alloc_private(abs(signed))
-        one_minus_2s = self.sub(lc_const(1), self.scaled(lc_wire(sigma), 2))
-        cs.enforce(one_minus_2s, prod, lc_wire(absval))
-
-        q = cs.alloc_private(q_value)
-        r = cs.alloc_private(r_value)
-        cs.enforce(lc_wire(q), lc_const(gamma), self.sub(lc_wire(absval), lc_wire(r)))
-        self.bits(lc_wire(r), self.scale.remainder_bits)
-        self.bits(self.sub(lc_const(gamma - 1), lc_wire(r)), self.scale.remainder_bits)
-        self.bits(lc_wire(q), self.scale.value_bits)
-
-        out = cs.alloc_private(-q_value if signed < 0 else q_value)
-        cs.enforce(one_minus_2s, lc_wire(q), lc_wire(out))
+        q = rescale(signed_repr(cs.lc_value(prod), self.scale), self.scale)
+        offset = lc_const((1 << (k - 1)) + (1 << (bound + k)))
+        wires = self.bits(self.add(prod, offset), bound + k + 1)
+        out = cs.alloc_private(q % cs.modulus)
+        high = {w: 1 << i for i, w in enumerate(wires[k:])}
+        self.enforce_eq(self.sub(high, lc_const(1 << bound)), lc_wire(out))
         return lc_wire(out)
 
     # -- hash gadgets ---------------------------------------------------------

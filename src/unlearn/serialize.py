@@ -31,7 +31,7 @@ from .protocol import (
 from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
 
-VERSION = 7
+VERSION = 8
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 

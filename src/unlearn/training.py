@@ -1,10 +1,11 @@
 """Deterministic fixed-point SGD for the four supported model classes.
 
 Every arithmetic step goes through the ops interface from ``field``, so the
-exact computation — including each rescale truncation — can be replayed
-wire-for-wire inside the model circuit.  Training visits points in dataset
-order with batch size 1 and no shuffling; all randomness (the NN weight
-initialization) is a frozen constant vector.
+exact computation — including the half-up rounding of each rescaled
+product — can be replayed wire-for-wire inside the model circuit.
+Training visits points in dataset order with batch size 1 and no
+shuffling; all randomness (the NN weight initialization) is a frozen
+constant vector.
 """
 
 from __future__ import annotations

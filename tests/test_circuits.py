@@ -73,9 +73,14 @@ def test_fx_mul_gadget_rejects_mutated_quotient():
 
 
 def test_range_check_overflow_raises():
-    _fx_mul(enc(1000), enc(1000))  # 10^11 < 2^37
-    with pytest.raises(FixedPointOverflow, match="needs 38 bits"):
-        _fx_mul(enc(2000), enc(1000))
+    # Values lie in [-2^e, 2^e), e = B - k: 2^B / gamma with gamma = 2^k.
+    B = SCALE.value_bits
+    e = B - SCALE.frac_bits
+    lo, hi = 2 ** (e // 2), 2 ** (e - e // 2)
+    _fx_mul(enc(lo), enc(hi // 2))
+    _fx_mul(enc(-lo), enc(hi))  # -2^e, the bound's closed end
+    with pytest.raises(FixedPointOverflow, match=f"{1 << B} lies outside the {B}-bit value bound"):
+        _fx_mul(enc(lo), enc(hi))
 
 
 def test_bits_overflow_raises():
@@ -89,7 +94,7 @@ def test_builder_refuses_a_hash_config_of_another_bound():
     # The point gadget packs values under the hash config's bound and
     # range-checks them under the scale's: the two must agree.
     with pytest.raises(ValueError, match="disagree"):
-        CircuitBuilder(ConstraintSystem(P), ScaleConfig(gamma=1000), TINY)
+        CircuitBuilder(ConstraintSystem(P), ScaleConfig(gamma=1024), TINY)
 
 
 def test_select_gadget():
@@ -486,19 +491,20 @@ def test_mutation_fast_path_agrees_with_full_evaluation():
         assert circuit.cs.satisfied_at_wire(mw, wire) == circuit.cs.is_satisfied(mw)
 
 
-def test_fx_mul_gadget_smallest_quotient_and_remainder():
-    # enc(1/gamma) squared: integer product 1, quotient 0, remainder 1.
-    tiny = enc("0.00001")
-    builder, cs, out = _fx_mul(tiny, tiny)
+def test_fx_mul_gadget_smallest_product():
+    # enc(1/gamma) squared: integer product 1, under half a step, rounds to 0.
+    _, cs, out = _fx_mul(1, 1)
     w = cs.witness()
     assert cs.lc_value(out) == 0
-    prod_wire, sigma_wire = builder.sign_wires[0]
-    # gadget layout: prod, sigma, abs, quotient, remainder
+    # gadget layout after the operands (wires 1 and 2): the product, the
+    # B+k+1 bits of product + 2^(k-1) + 2^(B+k), the output.
+    k, B = SCALE.frac_bits, SCALE.value_bits
+    prod_wire, out_wire = 3, next(iter(out))
     assert w.values[prod_wire] == 1
-    assert w.values[sigma_wire] == 0
-    assert w.values[prod_wire + 2] == 1  # |product|
-    assert w.values[prod_wire + 3] == 0  # quotient
-    assert w.values[prod_wire + 4] == 1  # remainder
+    bits = w.values[prod_wire + 1 : out_wire]
+    assert len(bits) == B + k + 1
+    assert sum(v << i for i, v in enumerate(bits)) == 1 + (1 << (k - 1)) + (1 << (B + k))
+    assert out_wire == cs.num_wires - 1
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
@@ -516,7 +522,8 @@ def test_model_circuit_equivalence_up_to_capacity_eight(arity):
 
 @pytest.mark.parametrize(
     "gadget,expected",
-    [("fx_mul", 79), ("hash2", 330)],  # 330 = one compression
+    # fx_mul: the product, 54 booleans, the bits' sum and the output.
+    [("fx_mul", 57), ("hash2", 330)],  # 330 = one compression
 )
 def test_unit_constraint_costs(gadget, expected):
     scale, hash_cfg = ScaleConfig(), HashConfig()
@@ -528,39 +535,43 @@ def test_unit_constraint_costs(gadget, expected):
 
 
 def test_fast_pub_constraint_totals(fast_pub):
-    assert fast_pub.model_circuit.cs.stats().constraint_count == 3933
+    assert fast_pub.model_circuit.cs.stats().constraint_count == 3229
     assert fast_pub.data_circuit.cs.stats().constraint_count == 388
 
 
 @pytest.mark.parametrize(
     "epochs,capacity,model,data",
     [
-        # cli-walkthrough: model 32,379 = range bits 24,824 + hash
-        # 5,610 + fx_mul 1,600 + select 328 + presence 15 + bindings 2;
-        # data 5,158 = hash 4,950 + disjoint 128 + presence 53 + select 24
-        # + bindings 3.
-        (10, 8, (32379, 31733), (5158, 5146)),
-        # cli-unlearn: model 18,347 = hash 10,890 + range bits 7,024 +
-        # fx_mul 320 + select 80 + presence 31 + bindings 2; data 10,902 =
+        # cli-walkthrough: model 25,339 = range bits 18,744 + hash 5,610 +
+        # fx_mul 640 + select 328 + presence 15 + bindings 2; data 5,158 =
+        # hash 4,950 + disjoint 128 + presence 53 + select 24 + bindings 3.
+        (10, 8, (25339, 25013, 163267, (164, 162, 1)), (5158, 5146, 33536, (10, 17, 1))),
+        # cli-unlearn: model 16,939 = hash 10,890 + range bits 5,808 +
+        # fx_mul 128 + select 80 + presence 31 + bindings 2; data 10,902 =
         # hash 10,230 + disjoint 512 + presence 109 + select 48 + bindings 3.
-        (1, 16, (18347, 18205), (10902, 10874)),
+        (1, 16, (16939, 16861, 99957, (65, 34, 1)), (10902, 10874, 91934, (18, 33, 1))),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
 )
 def test_benchmark_config_sizes(epochs, capacity, model, data):
-    # The benchmark workloads' configs, at the full hash: (constraints, wires).
+    # The benchmark workloads' configs, at the full hash: constraints,
+    # wires, nonzero terms and the longest row of A, B and C.  The terms
+    # and rows catch a gadget that widens the rows reading its output, as
+    # an fx_mul returning its bits' combination would, or a combination
+    # that grows across the training loop.
     config = build_protocol_config(
         {"epochs": str(epochs), "capacity": str(capacity), "unlearn_capacity": str(capacity)}
     )
     for circuit, expected in ((ModelCircuit, model), (DataCircuit, data)):
         cs = circuit(config).cs
-        assert (cs.num_constraints, cs.num_wires) == expected
+        longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
+        assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest) == expected
 
 
 def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
-    assert model.fingerprint() == "1fc645097d0f021426277a7fb643e54434559a5d4e1e6daae45a3df3a238283c"
+    assert model.fingerprint() == "8f3f04dd3f372eb09754a5cb8fdc4cc1380a1a673611654a751c547d4c315baa"
     assert data.fingerprint() == "dc793603789fa6592745f7018658da5e6714dae39caa6578f5adb1b1d08a68d9"
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.

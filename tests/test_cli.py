@@ -27,6 +27,12 @@ unlearn_capacity = 8
 hash_rounds = 4
 """
 
+# The value bound on features and labels is [-2^B, 2^B) / gamma.
+SCALE = ScaleConfig()
+B = SCALE.value_bits
+BEYOND = str((1 << B) // SCALE.gamma)  # the least value past the bound
+OUT_OF_BOUND = f"a feature or label lies outside the {B}-bit value bound"
+
 CSV = """\
 uid,f1,y
 1,0.5,1
@@ -149,6 +155,14 @@ def test_unknown_config_key(workspace, capsys):
     bad.write_text("kind = linear\nturbo = yes\n")
     assert run(workspace, "setup", "--dir", str(workspace / "st"), "--config", str(bad)) == 2
     assert "turbo" in capsys.readouterr().err
+
+
+def test_gamma_must_be_a_power_of_two(workspace, capsys):
+    conf, d = workspace / "decimal.conf", workspace / "st"
+    conf.write_text(CONF + "gamma = 100000\n")
+    assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 2
+    assert "gamma must be a power of two" in capsys.readouterr().err
+    assert not d.exists()
 
 
 def test_corrupt_state_detected(workspace):
@@ -346,15 +360,15 @@ def test_bad_csv_is_a_usage_error(workspace, initialized, capsys, command, conte
 
 
 def test_add_beyond_value_bound_rejected(workspace, initialized, capsys):
-    # 2,000,000 encodes, but lies outside |v| < 2^37 / gamma.
+    # BEYOND encodes, but lies outside the value bound.
     d = str(initialized)
     big = workspace / "big.csv"
-    big.write_text("uid,f1,y\n1,0.5,1\n2,2000000,1\n")
+    big.write_text(f"uid,f1,y\n1,0.5,1\n2,{BEYOND},1\n")
     before = snapshot(initialized)
     capsys.readouterr()
     assert run(workspace, "add", "--dir", d, "--dataset", str(big)) == 1
     assert "uid 2 not admitted" in capsys.readouterr().err
-    assert run(workspace, "add", "--dir", d, "--uid", "3", "--features", "2000000",
+    assert run(workspace, "add", "--dir", d, "--uid", "3", "--features", BEYOND,
                "--label", "1") == 1
     assert "uid 3 not admitted" in capsys.readouterr().err
     assert snapshot(initialized) == before
@@ -385,9 +399,10 @@ def test_update_beyond_value_bound_writes_nothing(workspace, initialized, capsys
 @pytest.mark.parametrize(
     "row,reason",
     [
-        ("uid,f1,y\n2,2000000,0\n", "a feature or label lies outside the 37-bit value bound"),
-        # uid 2 is (-0.25, 0): this arity-2 row packs into the same limb.
-        ("uid,f1,f2,y\n2,-0.25,0,-1374389.53472\n", "the point has 2 features, the setup 1"),
+        (f"uid,f1,y\n2,{BEYOND},0\n", OUT_OF_BOUND),
+        # uid 2 is (-0.25, 0): this arity-2 row, its label at the bound's
+        # low end, packs into the same limb.
+        (f"uid,f1,f2,y\n2,-0.25,0,-{BEYOND}\n", "the point has 2 features, the setup 1"),
     ],
     ids=["beyond-bound", "other-arity"],
 )
@@ -411,7 +426,7 @@ def test_verify_unlearn_of_a_row_that_is_no_point_rejects(workspace, unlearnt, c
 @pytest.mark.parametrize(
     "row,reason",
     [
-        ("uid,f1,y\n9,0.5,2000000\n", "a feature or label lies outside the 37-bit value bound"),
+        (f"uid,f1,y\n9,0.5,{BEYOND}\n", OUT_OF_BOUND),
         ("uid,f1,f2,y\n9,0.5,0.25,1\n", "the point has 2 features, the setup 1"),
     ],
     ids=["beyond-bound", "other-arity"],
@@ -472,8 +487,9 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # Version 4's data circuit held two unlearnt arrays.  Version 5 hashed
     # every element before combining it into a point digest or model hash.
     # Version 6 absorbed a point's uid and values one element each.
+    # Version 7 took any positive gamma and truncated products toward zero.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
-                {"version": 4}, {"version": 5}, {"version": 6}):
+                {"version": 4}, {"version": 5}, {"version": 6}, {"version": 7}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))
@@ -850,3 +866,16 @@ def test_wrong_type_fields_are_corrupt(workspace, unlearnt, capsys, name, edit, 
         capsys.readouterr()
         assert run(workspace, command, "--dir", str(unlearnt), *rest) == 3
         assert "error: corrupt " in capsys.readouterr().err
+
+
+def test_non_canonical_hex_is_corrupt(workspace, updated, capsys):
+    # A 0x prefix at the canonical length: int(s, 16) reads it, and when
+    # the dropped digits are zeros it reads the same h_m.  The envelope
+    # takes the one text to_hex writes.
+    path = updated / "commitments" / "com_1.json"
+    obj = json.loads(path.read_text())
+    obj["h_m"] = "0x" + obj["h_m"][2:]
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
+    assert "error: corrupt envelope: field element is not lowercase hex" in capsys.readouterr().err

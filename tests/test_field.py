@@ -11,20 +11,19 @@ from unlearn.field import (
     SIGMOID_C0,
     SIGMOID_C1,
     SIGMOID_C3,
+    NativeOps,
     ScaleConfig,
     from_hex,
-    fx_add,
     fx_decode,
     fx_encode,
     fx_mul,
-    fx_neg,
-    fx_sub,
     sigmoid_approx,
     signed_repr,
     to_hex,
 )
 
 CFG = ScaleConfig()
+OPS = NativeOps(CFG)
 P = BN254_SCALAR_FIELD
 G = CFG.gamma
 
@@ -34,32 +33,48 @@ def enc(r):
 
 
 def test_encode_examples():
-    assert enc(0.5) == 50000
-    assert enc(-0.5) == P - 50000
-    assert enc(1.5) == 150000
+    assert enc(0.5) == G // 2
+    assert enc(-0.5) == P - G // 2
+    assert enc(1.5) == 3 * G // 2
     assert enc(0) == 0
 
 
+def test_encode_rounds_half_up():
+    # Python's round() would give 0, 0, 2 and -2: half to even.
+    assert enc(Fraction(1, 2 * G)) == 1
+    assert enc(Fraction(-1, 2 * G)) == 0
+    assert enc(Fraction(3, 2 * G)) == 2
+    assert enc(Fraction(-3, 2 * G)) == P - 1
+    # Just off the tie rounds to the nearest grid point either way.
+    assert enc(Fraction(G + 1, 2 * G * G)) == 1
+    assert enc(Fraction(-G - 1, 2 * G * G)) == P - 1
+
+
 def test_add_examples():
-    assert fx_add(enc(0.5), enc(0.25), CFG) == enc(0.75) == 75000
-    assert fx_add(enc(0.5), enc(-0.5), CFG) == 0
-    assert fx_add(enc(1.5), enc(2.5), CFG) == enc(4) == 400000
+    assert OPS.add(enc(0.5), enc(0.25)) == enc(0.75) == 3 * G // 4
+    assert OPS.add(enc(0.5), enc(-0.5)) == 0
+    assert OPS.add(enc(1.5), enc(2.5)) == enc(4) == 4 * G
 
 
 def test_mul_examples():
-    assert fx_mul(enc(0.5), enc(0.5), CFG) == enc(0.25) == 25000
-    assert fx_mul(enc(2), enc(3), CFG) == enc(6) == 600000
+    assert fx_mul(enc(0.5), enc(0.5), CFG) == enc(0.25) == G // 4
+    assert fx_mul(enc(2), enc(3), CFG) == enc(6) == 6 * G
 
 
-def test_mul_truncates_toward_zero():
-    # 1e-5 * 1e-5 = 1e-10, below the representable grid.  The rational
-    # oracle confirms truncation: |1*1| // gamma == 0.
-    tiny = enc("0.00001")
+def test_mul_rounds_half_up():
+    # 1/gamma squared lies below half a grid step: it rounds to 0.
+    tiny = enc(Fraction(1, G))
     assert signed_repr(tiny, CFG) == 1
-    assert abs(1 * 1) // G == 0
     assert fx_mul(tiny, tiny, CFG) == 0
-    # Negative side truncates toward zero as well (not toward -inf).
-    assert fx_mul(enc("-0.00001"), tiny, CFG) == 0
+    assert fx_mul(P - 1, tiny, CFG) == 0
+    # (1/gamma) * (1/2) is exactly half a step: ties round up, toward
+    # +inf, so the negative tie rounds to 0 and not to -1/gamma.
+    assert fx_mul(tiny, enc(0.5), CFG) == 1
+    assert fx_mul(P - 1, enc(0.5), CFG) == 0
+    assert fx_mul(tiny, enc(-0.5), CFG) == 0
+    # Three halves of a step round to 2 steps, minus three halves to -1.
+    assert fx_mul(3, enc(0.5), CFG) == 2
+    assert fx_mul(P - 3, enc(0.5), CFG) == P - 1
 
 
 def test_encode_overflow():
@@ -74,12 +89,15 @@ def test_mul_overflow():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ScaleConfig(gamma=0)
+    for gamma in (0, 1, 3, 10**5, -(2**16)):
+        with pytest.raises(ConfigError, match="power of two"):
+            ScaleConfig(gamma=gamma)
+    assert ScaleConfig(gamma=2).frac_bits == 1
+    assert CFG.frac_bits == 16 and CFG.gamma == 1 << CFG.frac_bits
     with pytest.raises(ConfigError):
         ScaleConfig(modulus=2**64)  # not prime
-    with pytest.raises(ConfigError):
-        ScaleConfig(modulus=101, gamma=10, max_abs=2)  # no headroom
+    with pytest.raises(ConfigError, match="headroom"):
+        ScaleConfig(modulus=101, gamma=8, max_abs=2)
 
 
 small_scaled = st.integers(min_value=-4 * G, max_value=4 * G)
@@ -93,20 +111,20 @@ def test_roundtrip_exact(k):
 @given(a=small_scaled, b=small_scaled, c=small_scaled)
 def test_ring_laws(a, b, c):
     ea, eb, ec = a % P, b % P, c % P
-    assert fx_add(ea, eb, CFG) == fx_add(eb, ea, CFG)
-    assert fx_add(fx_add(ea, eb, CFG), ec, CFG) == fx_add(ea, fx_add(eb, ec, CFG), CFG)
+    assert OPS.add(ea, eb) == OPS.add(eb, ea)
+    assert OPS.add(OPS.add(ea, eb), ec) == OPS.add(ea, OPS.add(eb, ec))
     assert fx_mul(ea, eb, CFG) == fx_mul(eb, ea, CFG)
-    # Distributivity up to one unit of truncation error per multiply.
-    lhs = fx_mul(ea, fx_add(eb, ec, CFG), CFG)
-    rhs = fx_add(fx_mul(ea, eb, CFG), fx_mul(ea, ec, CFG), CFG)
-    err = abs(fx_decode(fx_sub(lhs, rhs, CFG), CFG))
-    assert err <= Fraction(2, G)
+    # Distributivity up to half a unit of rounding error per multiply.
+    lhs = fx_mul(ea, OPS.add(eb, ec), CFG)
+    rhs = OPS.add(fx_mul(ea, eb, CFG), fx_mul(ea, ec, CFG))
+    err = abs(fx_decode(OPS.sub(lhs, rhs), CFG))
+    assert err <= Fraction(3, 2 * G)
 
 
 def _random_expr(rng, depth, limit):
     """Expression tree evaluated three ways: exact rationals, fixed point,
-    and an interval-style error bound (|a|*err_b + |b|*err_a + 1/gamma per
-    multiply).  ``muls`` counts multiplications."""
+    and an interval-style error bound (|a|*err_b + |b|*err_a + 1/(2 gamma)
+    per multiply).  ``muls`` counts multiplications."""
     if depth == 0 or rng.random() < 0.3:
         v = Fraction(rng.randint(-limit * G, limit * G), G)
         return v, enc(v), Fraction(0), 0
@@ -114,31 +132,31 @@ def _random_expr(rng, depth, limit):
     lv, le, lerr, lm = _random_expr(rng, depth - 1, limit)
     rv, re, rerr, rm = _random_expr(rng, depth - 1, limit)
     if op == "add" and abs(lv + rv) <= limit:
-        return lv + rv, fx_add(le, re, CFG), lerr + rerr, lm + rm
+        return lv + rv, OPS.add(le, re), lerr + rerr, lm + rm
     if op == "sub" and abs(lv - rv) <= limit:
-        return lv - rv, fx_sub(le, re, CFG), lerr + rerr, lm + rm
+        return lv - rv, OPS.sub(le, re), lerr + rerr, lm + rm
     if abs(lv * rv) > limit:
         return lv, le, lerr, lm
-    err = abs(lv) * rerr + abs(rv) * lerr + Fraction(1, G)
+    err = abs(lv) * rerr + abs(rv) * lerr + Fraction(1, 2 * G)
     return lv * rv, fx_mul(le, re, CFG), err, lm + rm + 1
 
 
 def test_expression_tree_matches_rational_oracle():
-    # Truncation errors amplify by the magnitude of the co-operand, so the
+    # Rounding errors amplify by the magnitude of the co-operand, so the
     # general bound is the propagated one; when every intermediate stays in
-    # [-1, 1] it collapses to (number of multiplications)/gamma.
+    # [-1, 1] it collapses to (number of multiplications)/(2 gamma).
     rng = random.Random(7)
     for _ in range(200):
         exact, encoded, bound, muls = _random_expr(rng, 8, limit=4)
-        assert abs(fx_decode(encoded, CFG) - exact) <= max(bound, Fraction(1, G))
+        assert abs(fx_decode(encoded, CFG) - exact) <= bound
     for _ in range(200):
         exact, encoded, _, muls = _random_expr(rng, 8, limit=1)
-        assert abs(fx_decode(encoded, CFG) - exact) <= Fraction(max(muls, 1), G)
+        assert abs(fx_decode(encoded, CFG) - exact) <= Fraction(muls, 2 * G)
 
 
 def test_negation():
-    assert fx_neg(enc(0.5), CFG) == enc(-0.5)
-    assert fx_neg(0, CFG) == 0
+    assert OPS.sub(0, enc(0.5)) == enc(-0.5)
+    assert OPS.sub(0, 0) == 0
 
 
 # -- sigmoid surrogate ---------------------------------------------------------
@@ -152,8 +170,8 @@ def test_sigmoid_at_zero_is_half():
 def test_sigmoid_antisymmetry_exact():
     for v in (0.25, 1.0, 2.5, 4.75):
         z = enc(v)
-        total = fx_add(sigmoid_approx(z, CFG), sigmoid_approx(fx_neg(z, CFG), CFG), CFG)
-        assert total == fx_add(enc(SIGMOID_C0), enc(SIGMOID_C0), CFG)
+        total = OPS.add(sigmoid_approx(z, CFG), sigmoid_approx(OPS.sub(0, z), CFG))
+        assert total == OPS.add(enc(SIGMOID_C0), enc(SIGMOID_C0))
 
 
 def test_sigmoid_near_true_sigmoid_at_two():
@@ -209,3 +227,12 @@ def test_hex_rejects_out_of_range():
         from_hex("ff" * 32, CFG)
     with pytest.raises(ValueError):
         from_hex("0b", CFG)
+    # Text that int(s, 16) reads as the same element as the canonical
+    # "00...0b", at the canonical length: one value has one encoding.
+    canonical = to_hex(11, CFG)
+    assert from_hex(canonical, CFG) == 11
+    for other in ("0x" + canonical[2:], "+" + canonical[1:], " " + canonical[1:],
+                  canonical[:-3] + "0_b", canonical[:-1] + "B"):
+        assert len(other) == len(canonical) and int(other, 16) == 11
+        with pytest.raises(ValueError, match="lowercase hex"):
+            from_hex(other, CFG)

@@ -90,7 +90,7 @@ def test_hash_data_point_unrolled():
     t, B = H.tag_point, H.value_bits
     assert B == ScaleConfig().value_bits == 37
     assert hash_data_point(DataPoint(7, (), 0), H) == _compress(t, 7 + (2**B << 64), H)
-    d = DataPoint(1, (50000,), 100000)  # enc(0.5), enc(1) at the default gamma
+    d = DataPoint(1, (50000,), 100000)  # two encoded values inside the bound
     limb = 1 + ((50000 + 2**B) << 64) + ((100000 + 2**B) << (64 + B + 1))
     assert hash_data_point(d, H) == _compress(t, limb, H)
     assert point_layout(1, H) == (((0, 0), (1, 64), (2, 64 + B + 1)),)

@@ -247,9 +247,9 @@ def test_config_validation_errors():
     # training value bound: there is no second modulus or bound.
     config = ProtocolConfig(train=train, capacity=4, unlearn_capacity=4, hash_rounds=4)
     assert config.hash_cfg == HashConfig(train.scale.modulus, 4, train.scale.value_bits)
-    coarse = default_train_config("linear", 1, epochs=1, scale=ScaleConfig(gamma=1000))
+    coarse = default_train_config("linear", 1, epochs=1, scale=ScaleConfig(gamma=1024))
     config = ProtocolConfig(train=coarse, capacity=2, unlearn_capacity=1, hash_rounds=4)
-    assert config.hash_cfg.value_bits == coarse.scale.value_bits == 30
+    assert config.hash_cfg.value_bits == coarse.scale.value_bits == 31
     assert ModelCircuit(config).cs.num_constraints > 0
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from unlearn.field import (
     ScaleConfig,
     fx_decode,
     fx_encode,
+    sigmoid_approx,
 )
 from unlearn.hashing import DataPoint, HashConfig, hash_model_weights
 from unlearn.training import (
@@ -115,8 +117,12 @@ def test_arity_mismatch():
 
 
 def test_predict_linear():
+    # w * 1 is exact, so yhat is w + b on the 1/gamma grid: 0.1 twice
+    # rounded, which need not be 0.2 rounded.
     m = ModelParams("linear", 1, (enc(0.1), enc(0.1)))
-    assert predict(m, (enc(1),), CFG) == enc(0.2)
+    assert predict(m, (enc(1),), CFG) == 2 * enc(0.1)
+    m = ModelParams("linear", 1, (enc(0.75), enc(-0.5)))
+    assert predict(m, (enc(2),), CFG) == enc(1)
 
 
 def test_predict_logistic_zero_weights():
@@ -125,17 +131,20 @@ def test_predict_logistic_zero_weights():
 
 
 def _sigma_frac(z: Fraction) -> Fraction:
-    """Rational oracle for the cubic surrogate with per-multiply truncation."""
+    """Rational oracle for the cubic surrogate: coefficients on the
+    1/gamma grid, and each product rounded half up to it."""
     g = CFG.gamma
 
-    def mul(a, b):
-        prod = (a * g) * (b * g)  # scaled integers
-        q = abs(prod) // g
-        return Fraction(-q if prod < 0 else q, g) / g
+    def grid(r):
+        return Fraction(math.floor(r * g + Fraction(1, 2)), g)
 
+    def mul(a, b):
+        return grid(a * b)
+
+    c0, c1, c3 = map(grid, (SIGMOID_C0, SIGMOID_C1, SIGMOID_C3))
     z2 = mul(z, z)
     z3 = mul(z2, z)
-    return SIGMOID_C0 + mul(SIGMOID_C1, z) + mul(SIGMOID_C3, z3)
+    return c0 + mul(c1, z) + mul(c3, z3)
 
 
 def test_predict_nn_all_zero_weights_matches_rational_oracle():
@@ -147,6 +156,12 @@ def test_predict_nn_all_zero_weights_matches_rational_oracle():
     h = _sigma_frac(Fraction(0))
     assert h == Fraction(1, 2)
     assert got == _sigma_frac(Fraction(0))
+
+
+@pytest.mark.parametrize("z", [Fraction(3, 7), Fraction(-5, 2), Fraction(9, 4)])
+def test_sigmoid_matches_rational_oracle(z):
+    on_grid = fx_decode(enc(z), CFG)
+    assert fx_decode(sigmoid_approx(enc(z), CFG), CFG) == _sigma_frac(on_grid)
 
 
 # -- accuracy ---------------------------------------------------------------------

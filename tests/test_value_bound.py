@@ -33,7 +33,9 @@ TINY = HashConfig(rounds=4)
 P = SCALE.modulus
 GAMMA = SCALE.gamma
 B = SCALE.value_bits
-R = SCALE.remainder_bits
+K = SCALE.frac_bits
+WIDTH = B + K + 1  # bits of the offset product
+OFFSET = (1 << (K - 1)) + (1 << (B + K))
 
 
 def enc(r):
@@ -42,17 +44,19 @@ def enc(r):
 
 def test_value_bits_at_defaults():
     assert B == (GAMMA * SCALE.max_abs).bit_length() == 37
+    assert GAMMA == 1 << K == 2**16
 
 
 def test_native_fx_mul_bound():
+    # Rescaled products lie in [-2^B, 2^B), as features and labels do.
     one = enc(1)
-    top = (1 << B) - 1
+    top, bottom = (1 << B) - 1, -(1 << B)
     assert fx_mul(top, one, SCALE) == top
-    assert fx_mul(-top % P, one, SCALE) == -top % P
+    assert fx_mul(bottom % P, one, SCALE) == bottom % P
     with pytest.raises(FixedPointOverflow):
         fx_mul(1 << B, one, SCALE)
     with pytest.raises(FixedPointOverflow):
-        fx_mul(-(1 << B) % P, one, SCALE)
+        fx_mul((bottom - 1) % P, one, SCALE)
     assert issubclass(FixedPointOverflow, OverflowError)
 
 
@@ -81,62 +85,85 @@ def _fx_mul_gadget(a, b):
     builder = CircuitBuilder(cs, SCALE, TINY)
     out = builder.fx_mul(lc_wire(cs.alloc_private(a)), lc_wire(cs.alloc_private(b)))
     cs.finalize()
-    return cs, builder, next(iter(out)), cs.witness()
+    return cs, next(iter(out)), cs.witness()
 
 
-def _forge(cs, builder, out_wire, honest, sigma, absval, q, r):
-    """Overwrite the gadget's witness with (sigma, |prod|, q, r) and
-    re-derive every bit wire and the output from them, so only the range
-    checks can tell the forgery apart."""
-    prod_w, sigma_w = builder.sign_wires[0]
+def _forge(honest, out_wire, t, prod=None):
+    """Overwrite the gadget's witness with the bits of the integer t and
+    the output they give, and its product wire with prod if given.  Every
+    boolean row and the output row then hold.  Gadget layout: the
+    product, the WIDTH bits of product + OFFSET, the output."""
     values = list(honest.values)
-    # gadget layout: prod, sigma, abs, quotient, remainder, then the bits
-    # of r, of gamma-1-r and of q, then the signed output.
-    values[sigma_w], values[prod_w + 2] = sigma, absval % P
-    values[prod_w + 3], values[prod_w + 4] = q % P, r % P
-    nxt = prod_w + 5
-    for v, width in ((r, R), (GAMMA - 1 - r, R), (q, B)):
-        v %= P
-        for i in range(width):
-            values[nxt + i] = (v >> i) & 1
-        nxt += width
-    assert nxt == out_wire
-    values[out_wire] = (-q if sigma else q) % P
+    first_bit = out_wire - WIDTH
+    for i in range(WIDTH):
+        values[first_bit + i] = (t >> i) & 1
+    values[out_wire] = ((t >> K) - (1 << B)) % P
+    if prod is not None:
+        values[first_bit - 1] = prod % P
     return Witness(tuple(values))
 
 
-def test_forged_remainder_witness_rejected():
-    # 1.5 * 2.00002 = 3.00003; (q-1, r+gamma) would prove 3.00002.
-    cs, builder, out_wire, honest = _fx_mul_gadget(enc("1.5"), enc("2.00002"))
-    assert cs.is_satisfied(honest)
-    assert honest.values[out_wire] == enc("3.00003")
-    prod_w, _ = builder.sign_wires[0]
-    absval, q, r = honest.values[prod_w + 2 : prod_w + 5]
-    assert r + GAMMA < 1 << R  # the old 2^17 remainder check admitted it
-    forged = _forge(cs, builder, out_wire, honest, 0, absval, q - 1, r + GAMMA)
-    assert forged.values[out_wire] == enc("3.00002")
-    assert not cs.is_satisfied(forged)
+# Operands whose product stays inside the bound after rescaling.
+HALF = (B + K) // 2
+BOUNDED = st.integers(min_value=-(1 << HALF), max_value=1 << HALF)
 
 
-BOUNDED = st.integers(min_value=-(10**8), max_value=10**8)
-
-
-@given(a=BOUNDED, b=BOUNDED, k=st.integers(min_value=-4, max_value=4).filter(bool))
+@given(a=BOUNDED, b=BOUNDED, j=st.integers(min_value=-4, max_value=4).filter(bool))
+@example(a=enc("1.5"), b=enc(2) + 1, j=-1)  # 3 + 1.5/gamma rounds up to 3 + 2/gamma
+@example(a=1, b=GAMMA // 2, j=-1)  # a tie: 1/2 step rounds up to 1
+@example(a=0, b=0, j=1)
 @settings(max_examples=60, deadline=None)
-def test_forged_fx_mul_witnesses_rejected(a, b, k):
-    cs, builder, out_wire, honest = _fx_mul_gadget(a, b)
+def test_forged_fx_mul_witnesses_rejected(a, b, j):
+    cs, out_wire, honest = _fx_mul_gadget(a, b)
     assert cs.is_satisfied(honest)
     assert honest.values[out_wire] == fx_mul(a % P, b % P, SCALE)
-    prod_w, sigma_w = builder.sign_wires[0]
-    sigma, absval = honest.values[sigma_w], honest.values[prod_w + 2]
-    q, r = divmod(absval, GAMMA)
-    shifted = _forge(cs, builder, out_wire, honest, sigma, absval, q - k, r + k * GAMMA)
-    assert not cs.is_satisfied(shifted)
+    t = a * b + OFFSET
+    assert _forge(honest, out_wire, t, prod=a * b) == honest
+    # The output moved by j steps with all its bits recomputed: only the
+    # row tying the bits to the product fails.
+    shifted = _forge(honest, out_wire, t + (j << K))
+    assert shifted.values[out_wire] == (honest.values[out_wire] + j) % P
+    [bits_row] = cs.failing_constraints(shifted)
+    # Moving the product wire along with them fails the product row.
+    moved = _forge(honest, out_wire, t + (j << K), prod=a * b + (j << K))
+    assert cs.failing_constraints(moved) not in ([], [bits_row])
+    # So does the negated product with its bits.
     if a * b:
-        flipped_abs = P - absval
-        fq, fr = divmod(flipped_abs, GAMMA)
-        flipped = _forge(cs, builder, out_wire, honest, 1 - sigma, flipped_abs, fq, fr)
-        assert not cs.is_satisfied(flipped)
+        negated = _forge(honest, out_wire, -a * b + OFFSET, prod=-a * b)
+        assert not cs.is_satisfied(negated)
+
+
+@pytest.mark.parametrize(
+    "a,b,expected",
+    [
+        # Ties, prod = 2^(k-1) mod 2^k, round up.
+        (1, GAMMA // 2, 1),
+        (-1, GAMMA // 2, 0),
+        (3, GAMMA // 2, 2),
+        (-3, GAMMA // 2, -1),
+        # The lowest and highest products that round into [-2^B, 2^B) ...
+        (-(1 << (B + K)) - (1 << (K - 1)), 1, -(1 << B)),
+        ((1 << (B + K)) - (1 << (K - 1)) - 1, 1, (1 << B) - 1),
+        # ... and the next ones out.
+        (-(1 << (B + K)) - (1 << (K - 1)) - 1, 1, None),
+        ((1 << (B + K)) - (1 << (K - 1)), 1, None),
+    ],
+    ids=["tie", "negative-tie", "tie-3", "negative-tie-3", "lowest", "highest",
+         "below-lowest", "above-highest"],
+)
+def test_native_and_circuit_round_alike_at_ties_and_bounds(a, b, expected):
+    a, b = a % P, b % P
+    if expected is None:
+        with pytest.raises(FixedPointOverflow) as native:
+            fx_mul(a, b, SCALE)
+        with pytest.raises(FixedPointOverflow) as circuit:
+            _fx_mul_gadget(a, b)
+        assert str(circuit.value) == str(native.value)
+        return
+    assert fx_mul(a, b, SCALE) == expected % P
+    cs, out_wire, honest = _fx_mul_gadget(a, b)
+    assert cs.is_satisfied(honest)
+    assert honest.values[out_wire] == expected % P
 
 
 # -- native training and the model circuit agree ---------------------------------------
