@@ -10,7 +10,8 @@ and unlearns the other points, proving against the stored circuits
 (``verify_s``, with ``verified``).  Both later steps load ``pub/`` as the
 commands do, with its SHA-256-checked circuit exports.  The constraint,
 private-wire and nonzero-term counts are those of the circuits
-``global_setup`` built.
+``global_setup`` built; ``update_proof_bytes`` is the length of the
+update-proof envelope ``update`` would write.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import random
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from typing import Optional
 
 from .field import ScaleConfig, fx_encode
 from .hashing import DataPoint
 from .protocol import ProtocolConfig, global_setup, prove_update, server_init, verify_update
-from .serialize import StateDir
+from .serialize import StateDir, json_bytes, update_proof_to_dict
 from .training import Dataset
 
 DEFAULT_SIZES = (10, 100)
@@ -55,6 +57,8 @@ class BenchEntry:
     # verifier's work grows with these as well as with the constraints.
     model_terms: int
     data_terms: int
+    # None when only the counts were taken.
+    update_proof_bytes: Optional[int] = None
     timings: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -117,6 +121,7 @@ def _bench_size(
     t0 = time.perf_counter()
     ok = verify_update(store.load_public_params(), com_0, com, proof)
     verify_s = time.perf_counter() - t0
+    entry.update_proof_bytes = len(json_bytes(update_proof_to_dict(proof, scale)))
     entry.timings = {
         "setup_s": setup_s,
         "update_s": update_s,

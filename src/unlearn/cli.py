@@ -75,6 +75,7 @@ from .protocol import (
 )
 from .r1cs import fingerprint_of
 from .serialize import (
+    UPDATE_PROOF_VERSION,
     VERSION,
     EnvelopeError,
     StateDir,
@@ -357,7 +358,9 @@ def cmd_verify_update(args) -> int:
                 read_json(store.commitment_file(i - 1)), pub.scale
             )
             com = commitment_from_dict(read_json(store.commitment_file(i)), pub.scale)
-            proof = update_proof_from_dict(read_json(store.update_proof_file(i)), pub.scale)
+            proof = update_proof_from_dict(
+                read_json(store.update_proof_file(i), UPDATE_PROOF_VERSION), pub.scale
+            )
             ok = verify_update(pub, com_prev, com, proof)
     except FileNotFoundError as e:
         raise CliError(f"missing envelope: {e.filename}")
@@ -544,7 +547,7 @@ def cmd_bench(args) -> int:
             if t:
                 line += (
                     f" setup={t['setup_s']:7.2f}s update={t['update_s']:7.2f}s"
-                    f" verify={t['verify_s']:6.3f}s"
+                    f" verify={t['verify_s']:6.3f}s proof={e.update_proof_bytes}B"
                 )
             print(line)
         if "accuracy" in payload:

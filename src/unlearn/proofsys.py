@@ -2,12 +2,13 @@
 
 Two interchangeable backends:
 
-* ``witness-check`` — development backend.  Proofs embed the full witness
-  and verification re-evaluates every constraint.  Not succinct and not
-  hiding, but exact and dependency-free; completeness and circuit-level
-  tests run on it.  A deliberately broken variant (``check=False``) that
-  accepts anything is available to the security harness as a negative
-  control.
+* ``witness-check`` — development backend.  Proofs carry the free wires
+  (``ConstraintSystem.project``); the verifier derives the rest in row
+  order and checks every other constraint (``ConstraintSystem.complete``).
+  Not succinct and not hiding, but exact and dependency-free;
+  completeness and circuit-level tests run on it.  A deliberately broken
+  variant (``check=False``) that accepts anything is available to the
+  security harness as a negative control.
 
 * ``snark`` — sound succinct backend: Groth16 over BN254 via the bundled
   ``unlearn-groth16`` helper binary (arkworks).  The trusted setup runs
@@ -24,6 +25,7 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -113,6 +115,15 @@ def _check_fingerprint(rel: RelationHandle, sp: SetupArtifacts) -> None:
         )
 
 
+def _witness_payload(values: Sequence[int]) -> bytes:
+    """A witness-check proof: version 2, then the projected wires as
+    lowercase hex without leading zeros.  The verifier accepts exactly
+    these bytes, so each projection has one accepted payload."""
+    return json.dumps(
+        {"v": 2, "wires": list(map(format, values, repeat("x")))}, separators=(",", ":")
+    ).encode()
+
+
 class WitnessCheckBackend:
     def __init__(self, check: bool = True):
         self.check = check
@@ -130,13 +141,13 @@ class WitnessCheckBackend:
     ) -> ProofBlob:
         _check_fingerprint(rel, sp)
         cs = rel.circuit
-        publics = tuple(witness.values[1 : 1 + cs.num_public])
-        if tuple(statement) != publics or not cs.is_satisfied(witness):
+        given = cs.project(witness)
+        publics = tuple(given[1 : 1 + cs.num_public])
+        # The verifier's walk rebuilds the witness exactly when the witness
+        # satisfies every row.
+        if tuple(statement) != publics or cs.complete(given) != witness:
             raise UnsatisfiedWitness("witness does not satisfy the statement")
-        payload = json.dumps(
-            {"v": 1, "wires": [f"{v:x}" for v in witness.values]},
-            separators=(",", ":"),
-        ).encode()
+        payload = _witness_payload(given)
         return ProofBlob(self.name, rel.fingerprint, tuple(statement), payload)
 
     def verify(
@@ -153,20 +164,20 @@ class WitnessCheckBackend:
             return False
         if not self.check:
             return True
-        cs = rel.circuit
         try:
-            payload = json.loads(blob.proof_bytes)
-            values = [int(v, 16) for v in payload["wires"]]
-            if payload.get("v") != 1:
-                return False
+            values = list(map(int, json.loads(blob.proof_bytes)["wires"], repeat(16)))
         except (ValueError, KeyError, TypeError):
             return False
-        if len(values) != cs.num_wires or any(not 0 <= v < cs.modulus for v in values):
+        # int() also reads "0x1", "+1", " 1", "1_0", "A" and "01": only the
+        # bytes the prover writes for these values are accepted.
+        if _witness_payload(values) != blob.proof_bytes:
             return False
-        witness = Witness(tuple(values))
+        cs = rel.circuit
+        if values and not (min(values) >= 0 and max(values) < cs.modulus):
+            return False
         if tuple(values[1 : 1 + cs.num_public]) != tuple(statement):
             return False
-        return cs.is_satisfied(witness)
+        return cs.complete(values) is not None
 
 
 def find_helper() -> Optional[str]:

@@ -22,6 +22,13 @@ only the values: a system made with ``values_only=True`` runs the same
 gadgets but ``enforce`` records nothing, and every operation that reads
 rows raises RowsNotRecorded rather than treat the empty row set as the
 circuit.
+
+Most private wires are fixed by the rows that read them first: a row
+whose C is one wire with coefficient 1, above every wire of its A, B and
+of all earlier rows, *defines* that wire as <A,z> * <B,z>.  ``project``
+keeps the constant, the statement and the other, *free*, wires of a
+witness; ``complete`` rebuilds the one satisfying witness with that
+projection, or finds there is none, in one walk over the rows.
 """
 
 from __future__ import annotations
@@ -193,6 +200,7 @@ class ConstraintSystem:
         self._matrices = tuple(_Matrix(_u32s(), _u32s(), _u32s()) for _ in range(3))
         self._finalized = False
         self._touch_index: Optional[list[list[int]]] = None
+        self._defining: Optional[list[tuple[int, int]]] = None
 
     # -- building ----------------------------------------------------------
 
@@ -296,10 +304,10 @@ class ConstraintSystem:
             values = self.values
         return sum(c * values[w] for w, c in lc.items()) % self.modulus
 
-    def _residues(self, values: Sequence[int]) -> Iterator[int]:
-        """(<A,z> * <B,z> - <C,z>) mod p for each row in turn; a row holds
-        iff its residue is 0.  Streams the flat arrays: each row's terms
-        are summed as they are read, and nothing is kept per row."""
+    def _row_sums(self, values: Sequence[int]) -> Iterator[Iterator[int]]:
+        """<A,z>, <B,z> and <C,z> of each row in turn, unreduced.  Streams
+        the flat arrays: each row's terms are read, from ``values`` as it
+        is then, only when its sum is taken, and nothing is kept per row."""
         table = self._coefficients()
 
         def sums(m: _Matrix) -> Iterator[int]:
@@ -307,7 +315,12 @@ class ConstraintSystem:
                         map(table.__getitem__, m.coefficients))
             return map(sum, map(islice, repeat(terms), m.counts))
 
-        a, b, c = map(sums, self._rows_recorded())
+        return map(sums, self._rows_recorded())
+
+    def _residues(self, values: Sequence[int]) -> Iterator[int]:
+        """(<A,z> * <B,z> - <C,z>) mod p for each row in turn; a row holds
+        iff its residue is 0."""
+        a, b, c = self._row_sums(values)
         return map(self.modulus.__rmod__, map(sub, map(mul, a, b), c))
 
     def _holds(self, i: int, values: Sequence[int]) -> bool:
@@ -322,6 +335,103 @@ class ConstraintSystem:
         if len(values) != self._num_wires or values[0] != 1:
             return False
         return not any(self._residues(values))
+
+    # -- free and derived wires ---------------------------------------------------
+
+    def _defining_rows(self) -> list[tuple[int, int]]:
+        """Each row that defines a wire, with that wire, in row order; kept
+        once the system is finalized, as rows can no longer change.  Row
+        i *defines* private wire w when C_i is exactly {w: 1} and w is above
+        every wire of A_i, B_i and of all earlier rows, so that w =
+        <A_i,z> * <B_i,z> follows from wires a walk in row order already
+        knows.  Every private wire no row defines is *free*.
+
+        Reads the rows only, never values, so every witness of one circuit
+        splits the same way.  Wire ids increase within a row, so a row's
+        largest wire in each matrix is its last term, read at the row's
+        end offset; an empty row reads the row before it, which raises no
+        maximum."""
+        if self._defining is not None:
+            return self._defining
+        a, b, c = self._rows_recorded()
+
+        def padded(values: array) -> array:
+            out = array(_U32_CODE, (0,))
+            out += values
+            return out
+
+        a_wires, b_wires, c_wires = padded(a.wires), padded(b.wires), padded(c.wires)
+        c_coefficients = padded(c.coefficients)
+        one = self._coefficient_ids.get(1, -1)
+        top = self.num_public  # the largest wire so far: only private ones are defined
+        defining = []
+        for row, end_a, end_b, end_c, c_terms in zip(
+            count(), accumulate(a.counts), accumulate(b.counts), accumulate(c.counts), c.counts
+        ):
+            if a_wires[end_a] > top:
+                top = a_wires[end_a]
+            if b_wires[end_b] > top:
+                top = b_wires[end_b]
+            w = c_wires[end_c]
+            if w > top:
+                top = w
+                if c_terms == 1 and c_coefficients[end_c] == one:
+                    defining.append((row, w))
+        if self._finalized:
+            self._defining = defining
+        return defining
+
+    def _kept(self) -> bytearray:
+        """1 for each wire a projection keeps: the constant, the statement
+        and the free wires."""
+        kept = bytearray(b"\x01") * self._num_wires
+        for _, w in self._defining_rows():
+            kept[w] = 0
+        return kept
+
+    def free_wires(self) -> list[int]:
+        """The private wires no row defines, in increasing order."""
+        start = 1 + self.num_public
+        return list(compress(range(start, self._num_wires), self._kept()[start:]))
+
+    def project(self, witness: Witness) -> list[int]:
+        """What ``complete`` rebuilds ``witness`` from: the values of the
+        constant, the statement, then the free wires in increasing order."""
+        return list(compress(witness.values, self._kept()))
+
+    def complete(self, given: Sequence[int]) -> Optional[Witness]:
+        """The one satisfying witness whose projection is ``given`` (field
+        elements, as ``project`` lists them), or None if there is none.
+        One walk over the rows: before each defining row, the free wires
+        below its wire take the next values of ``given``, the rows since
+        the last defining row must hold, and the row assigns its wire
+        <A_i,z> * <B_i,z> mod p.  Rows after the last defining row must
+        hold once every free wire is placed."""
+        placed = 1 + self.num_public
+        z = list(given[:placed])
+        if len(z) != placed or z[0] != 1:
+            return None
+        p = self.modulus
+        a, b, c = self._row_sums(z)
+        residues = map(p.__rmod__, map(sub, map(mul, a, b), c))
+        checked = 0  # rows walked so far
+        for row, w in self._defining_rows():
+            need = w - len(z)
+            if need:
+                z += given[placed:placed + need]
+                placed += need
+                if len(z) != w:
+                    return None
+            # These rows read only wires below w, all placed by now.
+            if any(islice(residues, row - checked)):
+                return None
+            z.append(next(a) * next(b) % p)
+            next(c)
+            checked = row + 1
+        z += given[placed:]
+        if len(z) != self._num_wires or any(residues):
+            return None
+        return Witness(z)
 
     def failing_constraints(self, witness: Witness) -> list[int]:
         return list(compress(count(), self._residues(witness.values)))

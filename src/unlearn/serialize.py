@@ -31,7 +31,13 @@ from .protocol import (
 from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
 
+# Each kind of envelope is versioned on its own: a change to one kind's
+# format bumps only that kind, so files of the other kinds stay readable.
+# Commitments, unlearn proofs, the init marker, model parameters, server
+# state, params.json and setup metadata are at VERSION.  Update proofs
+# moved to 9 when witness-check proofs began to carry only the free wires.
 VERSION = 8
+UPDATE_PROOF_VERSION = 9
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
@@ -63,14 +69,20 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
+def json_bytes(obj) -> bytes:
+    """The bytes ``atomic_write_json`` writes for ``obj``."""
+    return json.dumps(obj, indent=1, sort_keys=True).encode()
+
+
 def atomic_write_json(path: Path, obj) -> None:
-    atomic_write_bytes(path, json.dumps(obj, indent=1, sort_keys=True).encode())
+    atomic_write_bytes(path, json_bytes(obj))
 
 
-def read_json(path: Path):
+def read_json(path: Path, version: int = VERSION):
+    """The envelope in ``path``, which must be of ``version``."""
     with open(path, "rb") as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict) or obj.get("version") != VERSION:
+    if not isinstance(obj, dict) or obj.get("version") != version:
         raise EnvelopeError(f"{path}: unsupported envelope version")
     return obj
 
@@ -105,7 +117,6 @@ def commitment_from_dict(obj: dict, cfg: ScaleConfig) -> Commitment:
 
 def proof_blob_to_dict(blob: ProofBlob, cfg: ScaleConfig) -> dict:
     return {
-        "version": VERSION,
         "backend": blob.backend,
         "fingerprint": blob.fingerprint,
         "public_inputs": _hexes(blob.public_inputs, cfg),
@@ -123,7 +134,7 @@ def proof_blob_from_dict(obj: dict, cfg: ScaleConfig) -> ProofBlob:
 
 def update_proof_to_dict(proof: UpdateProof, cfg: ScaleConfig) -> dict:
     return {
-        "version": VERSION,
+        "version": UPDATE_PROOF_VERSION,
         "model_proof": proof_blob_to_dict(proof.model_proof, cfg),
         "data_proof": proof_blob_to_dict(proof.data_proof, cfg),
     }

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import os
 import shlex
@@ -15,7 +16,15 @@ from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint
 from unlearn.ingest import ingest_csv
 from unlearn.r1cs import ConstraintSystem
-from unlearn.serialize import VERSION, StateDir
+from unlearn.serialize import (
+    UPDATE_PROOF_VERSION,
+    VERSION,
+    StateDir,
+    json_bytes,
+    read_json,
+    update_proof_from_dict,
+    update_proof_to_dict,
+)
 
 CONF = """\
 # reduced-round profile keeps the suite quick
@@ -301,6 +310,21 @@ def test_bench_reports_wires_and_terms_of_both_circuits(workspace, capsys):
     assert entry["timings"] == {}
 
 
+def test_bench_reports_the_update_proof_size(workspace, capsys):
+    capsys.readouterr()
+    assert run(workspace, "bench", "--config", str(workspace / "conf"), "--sizes", "4,8",
+               "--json") == 0
+    small, large = json.loads(capsys.readouterr().out)["entries"]
+    # Free wires only: far below 32 bytes a wire for the whole witness.
+    for entry in (small, large):
+        wires = entry["model_private_wires"] + entry["data_private_wires"]
+        assert 0 < entry["update_proof_bytes"] < 32 * wires
+    assert small["update_proof_bytes"] < large["update_proof_bytes"]
+    assert run(workspace, "bench", "--config", str(workspace / "conf"), "--sizes", "4",
+               "--counts-only", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["entries"][0]["update_proof_bytes"] is None
+
+
 def test_bench_exits_1_when_an_honest_proof_is_rejected(workspace, capsys, monkeypatch):
     monkeypatch.setattr(bench, "verify_update", lambda *args: False)
     capsys.readouterr()
@@ -474,6 +498,48 @@ def test_update_with_mismatched_unlearnt_root_writes_nothing(workspace, initiali
     assert run(workspace, "update", "--dir", d) == 3
     assert "corrupt state" in capsys.readouterr().err
     assert snapshot(initialized) == before
+
+
+# SHA-256 of the commitments and state that a session of CONF (add
+# pts.csv, update, delete uid 2, update) wrote while every envelope kind
+# was at version 8, update proofs included.  Only update proofs changed
+# format since, so these files come out byte for byte the same.
+VERSION_8_FILES = {
+    "commitments/com_0.json": "254721afc9ead9f61c14383033c2dfa429de79a24b9e5e1bf5a62001fee3b23e",
+    "commitments/com_1.json": "46e7c347ef3d5185d1a0082a772fe751e4d69aab02b4c495a92fa48efda8aeb7",
+    "commitments/com_2.json": "8ce747ff3bfe7652dc371de293ee03680fa2e172871478f0524f3e98b4e83d66",
+    "state.json": "e4d8d0faa69d3de5bd55b2fd211ae41b1ab82245f5025fa5873780bc7c22ff59",
+}
+
+
+def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
+    d = workspace / "st"
+    conf, csv = str(workspace / "conf"), str(workspace / "pts.csv")
+    for args in (("setup", "--config", conf), ("init",), ("add", "--dataset", csv), ("update",),
+                 ("delete", "--uid", "2"), ("update",)):
+        assert run(workspace, args[0], "--dir", str(d), *args[1:]) == 0
+    for name, digest in VERSION_8_FILES.items():
+        assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
+    for name in ("pub/params.json", "proofs/update_0.json"):
+        assert json.loads((d / name).read_text())["version"] == VERSION == 8
+    for meta in (d / "pub" / "setups").rglob("meta.json"):
+        assert json.loads(meta.read_text())["version"] == VERSION
+    for i in range(3):
+        assert run(workspace, "verify-update", "--dir", str(d), "--iteration", str(i)) == 0
+    # bench's update_proof_bytes is the length of these bytes.
+    store, scale = StateDir(d), cli.load_pub(StateDir(d)).scale
+    written = store.update_proof_file(2).read_bytes()
+    decoded = update_proof_from_dict(read_json(store.update_proof_file(2), 9), scale)
+    assert json_bytes(update_proof_to_dict(decoded, scale)) == written
+    # An update proof of version 8 carried the whole witness: refused as
+    # corrupt (exit 3), not judged a false proof (exit 1).
+    proof = d / "proofs" / "update_2.json"
+    envelope = json.loads(proof.read_text())
+    assert envelope["version"] == UPDATE_PROOF_VERSION == 9
+    proof.write_text(json.dumps({**envelope, "version": 8}))
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
+    assert "unsupported envelope version" in capsys.readouterr().err
 
 
 def test_old_params_envelope_refused(workspace, initialized, capsys):

@@ -1,10 +1,14 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
 from conftest import needs_snark
+from unlearn.circuits import DataCircuit, ModelCircuit
 from unlearn.field import BN254_SCALAR_FIELD as P
+from unlearn.field import fx_encode
+from unlearn.hashing import DataPoint, hash_data_point
 from unlearn.proofsys import (
     FingerprintMismatch,
     Groth16Backend,
@@ -17,6 +21,7 @@ from unlearn.proofsys import (
 )
 from unlearn.r1cs import ConstraintSystem
 from unlearn.serialize import SetupStore
+from unlearn.training import Dataset
 
 
 def squaring_relation():
@@ -99,6 +104,134 @@ def test_unchecked_variant_accepts_garbage(rel, honest):
     garbage = ProofBlob(backend.name, rel.fingerprint, statement, b"\x00")
     assert backend.verify(rel, sp, statement, garbage)
     assert backend.name != WitnessCheckBackend().name
+
+
+def payload(wires, v=2) -> bytes:
+    return json.dumps({"v": v, "wires": wires}, separators=(",", ":")).encode()
+
+
+def test_witness_check_accepts_only_canonical_hex():
+    # x = 26 is free; y = 676 is the statement.
+    cs = ConstraintSystem(P)
+    y = cs.alloc_public(676)
+    x = cs.alloc_private(26)
+    cs.enforce({x: 1}, {x: 1}, {y: 1})
+    cs.finalize()
+    rel = RelationHandle.of(cs)
+    backend = WitnessCheckBackend()
+    sp = backend.setup(rel)
+    blob = backend.prove(rel, sp, (676,), cs.witness())
+    assert blob.proof_bytes == payload(["1", "2a4", "1a"])
+    assert backend.verify(rel, sp, (676,), blob)
+    # Each form reads as 26 with int(v, 16); only "1a" is accepted.
+    for form in ("0x1a", "0X1a", "+1a", " 1a", "1a ", "1_a", "1A", "01a"):
+        assert int(form, 16) == 26
+        forged = dataclasses.replace(blob, proof_bytes=payload(["1", "2a4", form]))
+        assert not backend.verify(rel, sp, (676,), forged), form
+    for other in (
+        payload(["01", "2a4", "1a"]),
+        payload(["1", "2A4", "1a"]),
+        json.dumps({"v": 2, "wires": ["1", "2a4", "1a"]}).encode(),
+        json.dumps({"v": 2.0, "wires": ["1", "2a4", "1a"]}, separators=(",", ":")).encode(),
+        json.dumps({"v": 2, "wires": ["1", "2a4", "1a"], "x": 0}, separators=(",", ":")).encode(),
+    ):
+        assert not backend.verify(rel, sp, (676,), dataclasses.replace(blob, proof_bytes=other))
+
+
+def _update_blobs(pub, xs, ghosts=(100, 101)):
+    """Honest witness-check proofs of both circuits for a dataset at
+    features ``xs`` and two unlearnt points, one from an earlier update;
+    with each circuit and its witness."""
+    scale = pub.config.train.scale
+    dataset = Dataset(
+        tuple(DataPoint(uid, (fx_encode(x, scale),), fx_encode(uid % 2, scale))
+              for uid, x in enumerate(xs, 1)),
+        1,
+    )
+    unlearnt = [
+        hash_data_point(DataPoint(uid, (fx_encode(0.5, scale),), 0), pub.hash_cfg)
+        for uid in ghosts
+    ]
+    model = ModelCircuit(pub.config, dataset, values_only=True)
+    data = DataCircuit(pub.config, model.digests, unlearnt[:1], unlearnt[1:], values_only=True)
+    out = []
+    for rel, setup, circuit in (
+        (pub.model_relation, pub.model_setup, model),
+        (pub.data_relation, pub.data_setup, data),
+    ):
+        witness = circuit.cs.witness()
+        blob = pub.backend.prove(rel, setup, circuit.statement, witness)
+        out.append((rel, setup, circuit, witness, blob))
+    return out
+
+
+def _absent_digest_wires(pub, trained: int, unlearnt: int) -> set[int]:
+    """The data circuit's wires for the digests of absent slots.  Its
+    private wires open with the training presence bits and digests, then
+    the unlearnt presence bits and digests, one per slot each."""
+    cap, ucap = pub.config.capacity, pub.config.unlearn_capacity
+    d_vals = 4 + cap
+    u_vals = d_vals + cap + ucap
+    return set(range(d_vals + trained, d_vals + cap)) | set(range(u_vals + unlearnt, u_vals + ucap))
+
+
+def test_witness_check_encoded_mutations_never_verify(fast_pub):
+    # Every single-entry change of a free wire (outside the value-dependent
+    # slack wires), and each malformed list, is rejected by the backend.
+    # The one exception: an absent slot's digest in the data circuit.  The
+    # tree and the chain hash it but select it away, and its disjointness
+    # pairs are inactive, so another value completes to another witness of
+    # the same statement.  Those are pinned as the only survivors.
+    backend = fast_pub.backend
+    mutated = 0
+    survivors = []
+    for rel, setup, circuit, witness, blob in _update_blobs(fast_pub, [0.5, -0.25, 1.0]):
+        statement = blob.public_inputs
+        assert backend.verify(rel, setup, statement, blob)
+        wires = json.loads(blob.proof_bytes)["wires"]
+        free = rel.circuit.free_wires()
+        first = 1 + len(statement)
+        assert len(wires) == first + len(free)
+        slack = circuit.slack_wires(witness)
+
+        def rejected(entries, v=2):
+            forged = dataclasses.replace(blob, proof_bytes=payload(entries, v))
+            return not backend.verify(rel, setup, statement, forged)
+
+        for k, wire in enumerate(free, first):
+            if wire in slack:
+                continue
+            entries = list(wires)
+            entries[k] = f"{(int(wires[k], 16) + 1) % P:x}"
+            if not rejected(entries):
+                survivors.append((rel.fingerprint, wire))
+            mutated += 1
+        assert rejected(wires[:-1])
+        assert rejected(wires + ["0"])
+        assert rejected(wires[:first] + wires[first + 1:])
+        assert rejected(wires[:first] + [f"{int(wires[first], 16) + P:x}"] + wires[first + 1:])
+        full = [f"{v:x}" for v in witness.values]
+        assert rejected(full, v=1)
+        assert rejected(full)
+    assert mutated > 1000
+    data = fast_pub.data_relation.fingerprint
+    assert sorted(survivors) == [(data, w) for w in sorted(_absent_digest_wires(fast_pub, 3, 2))]
+
+
+def test_witness_check_spliced_free_wires_never_verify(fast_pub):
+    # Another dataset's free wires under this dataset's statement.
+    backend = fast_pub.backend
+    ours = _update_blobs(fast_pub, [0.5, -0.25])
+    theirs = _update_blobs(fast_pub, [0.75, 1.0], ghosts=(102, 103))
+    for (rel, setup, _, _, blob), (_, _, _, _, other) in zip(ours, theirs):
+        statement = blob.public_inputs
+        assert other.public_inputs != statement
+        first = 1 + len(statement)
+        wires = json.loads(blob.proof_bytes)["wires"]
+        spliced = wires[:first] + json.loads(other.proof_bytes)["wires"][first:]
+        assert spliced != wires
+        forged = dataclasses.replace(blob, proof_bytes=payload(spliced))
+        assert not backend.verify(rel, setup, statement, forged)
 
 
 def test_setup_artifacts_schema_has_no_trapdoor():

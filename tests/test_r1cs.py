@@ -1,9 +1,15 @@
+import functools
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unlearn.circuits import DataCircuit
+from conftest import TINY_ROUNDS
+from unlearn.circuits import DataCircuit, ModelCircuit
 from unlearn.field import BN254_SCALAR_FIELD as P
+from unlearn.field import fx_encode
+from unlearn.hashing import DataPoint, hash_data_point
+from unlearn.protocol import ProtocolConfig
 from unlearn.r1cs import (
     MAGIC,
     BuildPhaseClosed,
@@ -11,6 +17,7 @@ from unlearn.r1cs import (
     RowsNotRecorded,
     Witness,
 )
+from unlearn.training import Dataset, default_train_config
 
 
 def squaring_system():
@@ -289,8 +296,13 @@ def values_only_system():
         lambda cs: cs.is_satisfied(cs.witness()),
         lambda cs: cs.failing_constraints(cs.witness()),
         lambda cs: cs.constraints,
+        lambda cs: cs.project(cs.witness()),
+        lambda cs: cs.complete((1, 9, 3)),
     ],
-    ids=["export", "fingerprint", "is_satisfied", "failing_constraints", "constraints"],
+    ids=[
+        "export", "fingerprint", "is_satisfied", "failing_constraints", "constraints",
+        "project", "complete",
+    ],
 )
 def test_values_only_system_refuses_row_operations(read):
     cs = values_only_system()
@@ -306,3 +318,139 @@ def test_values_only_system_keeps_its_other_checks():
         cs.is_satisfied(Witness((1,)))
     with pytest.raises(BuildPhaseClosed):
         cs.enforce({}, {}, {})
+
+
+# -- free and derived wires -------------------------------------------------------
+
+
+def chain_system():
+    """x free; x2 = x*x and x3 = x2*x are defined; s = x3 + x and t, with
+    2t = x, are free: s's row has two C terms, and t's row a coefficient
+    other than 1.  The statement y = s*s is checked, not defined."""
+    cs = ConstraintSystem(P)
+    y = cs.alloc_public(100)
+    x = cs.alloc_private(2)
+    x2 = cs.alloc_private(4)
+    cs.enforce({x: 1}, {x: 1}, {x2: 1})
+    x3 = cs.alloc_private(8)
+    cs.enforce({x2: 1}, {x: 1}, {x3: 1})
+    s = cs.alloc_private(10)
+    cs.enforce({0: 1}, {x3: 1}, {s: 1, x: -1})
+    t = cs.alloc_private(1)
+    cs.enforce({0: 1}, {x: 1}, {t: 2})
+    cs.enforce({s: 1}, {s: 1}, {y: 1})
+    # A row whose C wire is not above an earlier row's wire defines nothing.
+    cs.enforce({x: 1}, {0: 1}, {x: 1})
+    cs.finalize()
+    return cs
+
+
+def test_rule_splits_free_and_defined_wires():
+    cs = chain_system()
+    assert cs.free_wires() == [2, 5, 6]
+    witness = cs.witness()
+    assert cs.is_satisfied(witness)
+    assert cs.project(witness) == [1, 100, 2, 10, 1]
+    assert cs.complete([1, 100, 2, 10, 1]) == witness
+
+
+@pytest.mark.parametrize(
+    "given",
+    [
+        [1, 100, 2, 10],  # short
+        [1, 100, 2, 10, 1, 0],  # long
+        [2, 100, 2, 10, 1],  # the constant is not 1
+        [1, 100, 3, 10, 1],  # x3 + x != s
+        [1, 100, 2, 10, 2],  # 2t != x
+        [1, 101, 2, 10, 1],  # s*s != y
+        [],
+    ],
+)
+def test_complete_refuses_what_no_satisfying_witness_projects_to(given):
+    assert chain_system().complete(given) is None
+
+
+def test_a_wire_below_a_later_rows_wire_is_free():
+    # z's row comes after a row that reads a larger wire, so z is free.
+    cs = ConstraintSystem(P)
+    x = cs.alloc_private(3)
+    z = cs.alloc_private(9)
+    big = cs.alloc_private(5)
+    cs.enforce({0: 1}, {big: 1}, {big: 1})
+    cs.enforce({x: 1}, {x: 1}, {z: 1})
+    cs.finalize()
+    assert cs.free_wires() == [x, z, big]
+    assert cs.complete(cs.project(cs.witness())) == cs.witness()
+
+
+FAST_KINDS = {"linear": 0, "logistic": 0, "nn": 2}
+
+
+@functools.cache
+def fast_config(kind: str) -> ProtocolConfig:
+    return ProtocolConfig(
+        train=default_train_config(kind, 1, FAST_KINDS[kind], epochs=1),
+        capacity=3,
+        unlearn_capacity=3,
+        backend="witness-check",
+        hash_rounds=TINY_ROUNDS,
+    )
+
+
+@functools.cache
+def fast_rows(kind: str) -> tuple[ConstraintSystem, ConstraintSystem]:
+    """Both circuits' rows, as setup builds them."""
+    config = fast_config(kind)
+    return ModelCircuit(config).cs, DataCircuit(config).cs
+
+
+@given(
+    kind=st.sampled_from(sorted(FAST_KINDS)),
+    xs=st.lists(st.integers(-4, 4), max_size=6),
+    labels=st.lists(st.integers(0, 1), min_size=6, max_size=6),
+    trained=st.integers(0, 3),
+    previous=st.integers(0, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_free_wires_and_rows_rebuild_the_witness(kind, xs, labels, trained, previous):
+    # Points on a quarter grid: the first ``trained`` train the model, up to
+    # three more are unlearnt, ``previous`` of them in an earlier update.
+    config = fast_config(kind)
+    scale = config.train.scale
+    points = [
+        DataPoint(uid, (fx_encode(x / 4, scale),), fx_encode(y, scale))
+        for uid, (x, y) in enumerate(zip(xs, labels), 1)
+    ]
+    dataset = Dataset(tuple(points[:trained]), 1)
+    unlearnt = [hash_data_point(d, config.hash_cfg) for d in points[trained:trained + 3]]
+    model = ModelCircuit(config, dataset, values_only=True)
+    data = DataCircuit(
+        config, model.digests, unlearnt[:previous], unlearnt[previous:], values_only=True
+    )
+    for rows, circuit in zip(fast_rows(kind), (model, data)):
+        witness = circuit.cs.witness()
+        given_values = rows.project(witness)
+        assert len(given_values) == 1 + rows.num_public + len(rows.free_wires())
+        assert rows.complete(given_values) == witness
+
+
+def test_rule_reads_the_rows_only(fast_pub):
+    # The same free wires for setup's system, the one loaded from its
+    # export, and the systems built for two other datasets.
+    config = fast_pub.config
+    scale = config.train.scale
+    datasets = [
+        Dataset(tuple(DataPoint(u, (fx_encode(x, scale),), fx_encode(1, scale))
+                      for u, x in points), 1)
+        for points in ([(1, 0.5), (2, -0.25)], [(7, 1.0), (8, 0.75), (9, -1.0)])
+    ]
+    model_free = fast_pub.model_circuit.cs.free_wires()
+    loaded = ConstraintSystem.from_export(fast_pub.model_circuit.cs.export())
+    assert loaded.free_wires() == model_free
+    for dataset in datasets:
+        assert ModelCircuit(config, dataset).cs.free_wires() == model_free
+    data_free = fast_pub.data_circuit.cs.free_wires()
+    assert ConstraintSystem.from_export(fast_pub.data_circuit.cs.export()).free_wires() == data_free
+    assert DataCircuit(config, [5, 6], [7], [8]).cs.free_wires() == data_free
+    # Most of the data circuit's private wires are defined by its rows.
+    assert len(data_free) < fast_pub.data_circuit.cs.num_private / 2
