@@ -13,12 +13,14 @@
 Each circuit is built from a ``ProtocolConfig`` and its inputs in one
 pass that yields both the constraints and the witness; the prover reads
 the trained model and the statement from it.  The config fixes the
-shape: datasets are padded to its capacities with dummy slots masked by
+shape: datasets are padded to its capacities with absent slots masked by
 per-slot presence bits, so the constraints do not depend on the inputs
 and one trusted setup, built from the empty input, serves every update
-that fits; inputs that do not fit raise ShapeOverflow.  A prover that
-proves against the stored constraints builds with ``values_only=True``:
-the same pass computes the witness and records no rows.
+that fits; inputs that do not fit raise ShapeOverflow.  Every value in an
+absent slot is pinned to a constant, so each statement has exactly one
+witness.  A prover that proves against the stored constraints builds
+with ``values_only=True``: the same pass computes the witness and records
+no rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Sequence
 from .field import ConfigError, FixedPointOverflow
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
 from .hashing import DEFAULT_ROUNDS, DataPoint, HashConfig, empty_root
-from .r1cs import ConstraintSystem, Witness, gc_paused
+from .r1cs import ConstraintSystem, gc_paused
 from .training import Dataset, ModelParams, TrainConfig, overflow_at, sgd_step_ops
 
 
@@ -110,6 +112,8 @@ class ModelCircuit:
             uid = lc_wire(cs.alloc_private(d.uid))
             xs = [lc_wire(cs.alloc_private(x)) for x in d.x]
             y = lc_wire(cs.alloc_private(d.y))
+            for v in (uid, *xs, y):
+                b.pin_absent(v, pres, 0)
             try:
                 leaves.append(b.hash_data_point(uid, xs, y))
             except FixedPointOverflow as e:
@@ -143,15 +147,11 @@ class ModelCircuit:
 
         cs.finalize()
         self.cs = cs
-        self.builder = b
 
     @property
     def statement(self) -> tuple[int, int]:
         """(h_m, h_D) as computed from the inputs."""
         return self.cs.values[self.h_m_wire], self.cs.values[self.h_d_wire]
-
-    def slack_wires(self, witness: Witness) -> set[int]:
-        return _value_dependent_slack(self.builder, witness)
 
 
 class DataCircuit:
@@ -162,7 +162,10 @@ class DataCircuit:
     unlearnt digests, previous then appended, fill one array of
     ``unlearn_capacity`` slots under two prefixes of bits: presence marks
     every digest, and the previous bits, which never run past it, mark
-    the previous ones.  One chain fold gives both roots.
+    the previous ones.  One chain fold gives both roots.  Absent training
+    digests are 0 and absent unlearnt ones 1: an inactive disjointness
+    pair then differs, and its inverse is 0, unless its present digest is
+    the other array's constant.
     Raises ShapeOverflow when either set exceeds its capacity, and
     WitnessSynthesisError when the training set meets the unlearnt one.
     With ``values_only`` its constraint system records no rows."""
@@ -193,14 +196,16 @@ class DataCircuit:
         self.h_uprev_wire = cs.alloc_public()
         self.h_u_wire = cs.alloc_public()
 
-        def alloc_set(items, capacity: int):
-            padded = items + (0,) * (capacity - len(items))
+        def alloc_set(items, capacity: int, absent: int):
+            padded = items + (absent,) * (capacity - len(items))
             pres = [lc_wire(cs.alloc_private(int(i < len(items)))) for i in range(capacity)]
             vals = [lc_wire(cs.alloc_private(v)) for v in padded]
             b.prefix_presence(pres)
+            for v, p in zip(vals, pres):
+                b.pin_absent(v, p, absent)
             return pres, vals
 
-        (d_pres, d_vals), (u_pres, u_vals) = map(alloc_set, sets, caps)
+        (d_pres, d_vals), (u_pres, u_vals) = map(alloc_set, sets, caps, (0, 1))
         u_prev = [lc_wire(cs.alloc_private(int(j < len(prev)))) for j in range(len(u_pres))]
         b.prefix_presence(u_prev, within=u_pres)
 
@@ -217,20 +222,9 @@ class DataCircuit:
 
         cs.finalize()
         self.cs = cs
-        self.builder = b
 
     @property
     def statement(self) -> tuple[int, int, int]:
         """(h_D, h_U_prev, h_U) as computed from the inputs."""
         v = self.cs.values
         return v[self.h_d_wire], v[self.h_uprev_wire], v[self.h_u_wire]
-
-    def slack_wires(self, witness: Witness) -> set[int]:
-        return _value_dependent_slack(self.builder, witness)
-
-
-def _value_dependent_slack(b: CircuitBuilder, witness: Witness) -> set[int]:
-    """Wires a mutation cannot invalidate under this particular witness:
-    inverse wires of inactive pairs."""
-    return {inv_w for active_w, inv_w in b.inverse_wires if witness.values[active_w] == 0}
-

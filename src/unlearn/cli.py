@@ -75,6 +75,7 @@ from .protocol import (
 )
 from .r1cs import fingerprint_of
 from .serialize import (
+    PARAMS_VERSION,
     UPDATE_PROOF_VERSION,
     VERSION,
     EnvelopeError,
@@ -226,6 +227,9 @@ def cmd_setup(args) -> int:
         options["backend"] = args.backend
     config = build_protocol_config(options)
     with dir_lock(store):
+        # Another config would orphan the stored proofs.
+        if store.state_file.exists() and load_pub(store).config != config:
+            raise CliError(f"{store.root} is initialized under another config")
         pub = global_setup(config, setup_store=store.setup_store)
         store.save_params(pub)
     emit(
@@ -439,7 +443,7 @@ def cmd_audit_setup(args) -> int:
     its params.json entry (fingerprint and size) and its stored export."""
     store = StateDir(args.dir)
     pub = load_pub(store)
-    stored = read_json(store.params_file)["circuits"]
+    stored = read_json(store.params_file, PARAMS_VERSION)["circuits"]
     checks = {}
     for name, circuit in (("model", ModelCircuit), ("data", DataCircuit)):
         cs = circuit(pub.config).cs

@@ -9,7 +9,8 @@ replay the exact computation of ``hashing`` and the fixed-point multiply
 replays ``field.fx_mul`` with one bit decomposition of the rounded,
 offset product, which is also its range check against the value bound of
 ``ScaleConfig``; where native training raises FixedPointOverflow, so do
-they.
+they.  ``pin_absent`` fixes each value of an absent slot to a constant,
+so a padded circuit leaves no wire free of its inputs.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ class CircuitBuilder:
         self.cs = cs
         self.scale = scale
         self.hash_cfg = hash_cfg
-        # (presence_product_wire, inverse_wire) pairs: the inverse is
-        # unconstrained when the presence product is zero.
-        self.inverse_wires: list[tuple[int, int]] = []
 
     # -- linear-combination arithmetic (free) --------------------------------
 
@@ -228,11 +226,15 @@ class CircuitBuilder:
         for b, outer in zip(presence, within):
             self.cs.enforce(b, self.sub(lc_const(1), outer), {})
 
+    def pin_absent(self, v: LinComb, present: LinComb, const: int) -> None:
+        """Enforce v = const in an absent slot: (v - const) * (1 - present) = 0."""
+        self.cs.enforce(self.sub(v, lc_const(const)), self.sub(lc_const(1), present), {})
+
     def inverse_pair(self, diff: LinComb, active: LinComb) -> None:
         """Enforce diff != 0 whenever the boolean product ``active`` is 1,
-        via an inverse witness: diff * v = active."""
+        via an inverse witness: diff * v = active.  Where ``active`` is 0
+        and diff is not, v is forced to 0."""
         cs = self.cs
-        active_w = next(iter(active)) if len(active) == 1 and 0 not in active else None
         d = cs.lc_value(diff)
         if not cs.lc_value(active):
             v = cs.alloc_private(0)
@@ -241,8 +243,6 @@ class CircuitBuilder:
         else:
             raise WitnessSynthesisError("training and unlearnt sets intersect")
         cs.enforce(diff, lc_wire(v), active)
-        if active_w is not None:
-            self.inverse_wires.append((active_w, v))
 
 
 class CircuitOps:

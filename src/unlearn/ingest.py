@@ -75,6 +75,9 @@ def ingest_csv(
     if len(rows) < 2:
         raise SchemaError("CSV needs a header row and at least one data row")
     header = [h.strip() for h in rows[0]]
+    duplicate = next((n for i, n in enumerate(header) if n in header[:i]), None)
+    if duplicate is not None:
+        raise SchemaError(f"duplicate column {duplicate!r}")
     data = rows[1:]
     if any(len(r) != len(header) for r in data):
         raise SchemaError("ragged CSV: row length differs from header")

@@ -32,12 +32,11 @@ from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
 
 # Each kind of envelope is versioned on its own: a change to one kind's
-# format bumps only that kind, so files of the other kinds stay readable.
-# Commitments, unlearn proofs, the init marker, model parameters, server
-# state, params.json and setup metadata are at VERSION.  Update proofs
-# moved to 9 when witness-check proofs began to carry only the free wires.
+# format or meaning bumps only that kind.  Update proofs (free wires only)
+# and params.json (absent slots pinned) are at 9, every other kind at 8.
 VERSION = 8
 UPDATE_PROOF_VERSION = 9
+PARAMS_VERSION = 9
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
@@ -228,7 +227,7 @@ def server_state_from_dict(obj: dict, cfg: ScaleConfig) -> ServerState:
 def protocol_config_to_dict(config: ProtocolConfig) -> dict:
     t = config.train
     return {
-        "version": VERSION,
+        "version": PARAMS_VERSION,
         "kind": t.kind,
         "arity": t.arity,
         "hidden": t.hidden,
@@ -400,16 +399,13 @@ class StateDir:
     def save_params(self, pub: PublicParams) -> None:
         atomic_write_json(self.params_file, public_params_to_dict(pub))
 
-    def load_config(self) -> ProtocolConfig:
-        return protocol_config_from_dict(read_json(self.params_file))
-
     def load_public_params(self) -> PublicParams:
         """The parameters in ``pub/``, read without building or reading a
         circuit.  Each relation reads its stored export (see
         ``SetupStore.load_circuit``) when a prover or a verifier first
         needs the constraints; a prover computes only the witness from
         the config and its inputs (see ``protocol.prove_update``)."""
-        obj = read_json(self.params_file)
+        obj = read_json(self.params_file, PARAMS_VERSION)
         config = protocol_config_from_dict(obj)
         backend = get_backend(config.backend)
         store = self.setup_store

@@ -127,9 +127,9 @@ def test_criterion_2_security_game_sound_backend():
 
 
 def test_criterion_3_exhaustive_witness_mutation():
-    """On full-capacity 4-point circuits, every single-wire mutation of an
-    honest witness (outside value-dependent slack wires) breaks some
-    constraint, and intersecting sets admit no satisfying witness."""
+    """On capacity-4 circuits with an absent slot in each array, every
+    single-wire mutation of an honest witness breaks some constraint, and
+    intersecting sets admit no satisfying witness."""
     started = time.monotonic()
     config = ProtocolConfig(
         train=default_train_config("linear", 1, epochs=1, scale=SCALE),
@@ -138,12 +138,11 @@ def test_criterion_3_exhaustive_witness_mutation():
         backend="witness-check",
         hash_rounds=TINY_HASH.rounds,
     )
-    ds = synthetic_dataset(4, 1, SCALE, seed=5)
+    ds = synthetic_dataset(3, 1, SCALE, seed=5)
     model_circuit = ModelCircuit(config, ds)
     w = model_circuit.cs.witness()
     assert model_circuit.cs.is_satisfied(w)
-    slack = model_circuit.slack_wires(w)
-    survivors = _mutate_all(model_circuit.cs, w, slack)
+    survivors = _mutate_all(model_circuit.cs, w)
     assert survivors == [], f"unconstrained model-circuit wires: {survivors[:5]}"
     model_wires = model_circuit.cs.num_wires
 
@@ -152,10 +151,10 @@ def test_criterion_3_exhaustive_witness_mutation():
         hash_data_point(DataPoint(100 + i, (fx_encode(i, SCALE),), 0), TINY_HASH)
         for i in range(4)
     ]
-    data_circuit = DataCircuit(config, digests, ghosts[:2], ghosts[2:])
+    data_circuit = DataCircuit(config, digests, ghosts[:2], ghosts[2:3])
     wd = data_circuit.cs.witness()
     assert data_circuit.cs.is_satisfied(wd)
-    survivors = _mutate_all(data_circuit.cs, wd, data_circuit.slack_wires(wd))
+    survivors = _mutate_all(data_circuit.cs, wd)
     assert survivors == [], f"unconstrained data-circuit wires: {survivors[:5]}"
 
     # Intersecting sets: exhaustive over a small digest grid.
@@ -188,12 +187,10 @@ def test_criterion_3_exhaustive_witness_mutation():
     )
 
 
-def _mutate_all(cs, witness, slack):
+def _mutate_all(cs, witness):
     survivors = []
     values = list(witness.values)
     for wire in range(1, len(values)):
-        if wire in slack:
-            continue
         original = values[wire]
         values[wire] = (original + 1) % cs.modulus
         if cs.satisfied_at_wire(Witness(tuple(values)), wire):

@@ -371,17 +371,19 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
     # Brute-force the inverse wire on a colliding instance: no value in a
     # sampled grid (nor any other, since 0 * v == 0 != 1) satisfies it.
     circuit = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
-    idx = [i for i, (_, inv) in enumerate(circuit.builder.inverse_wires)]
-    assert idx, "disjointness gadget wires must be registered"
     values = list(circuit.cs.witness().values)
     # Simulate the collision: overwrite the first training digest, which
     # follows the statement and the training presence bits, so a pair
     # matches.
     hd_0 = circuit.h_u_wire + 1 + circuit.config.capacity
-    assert values[hd_0] == 1
+    # The first pair's row: (hd_0 - hu_0) * inverse = active.
+    inv_wire = next(
+        w for a, b, c in circuit.cs.constraints if len(a) == 2 and hd_0 in a and len(c) == 1
+        for w in b
+    )
+    assert values[hd_0] == 1 and values[inv_wire] * (1 - 3) % P == 1
     values[hd_0] = 3
     for v_try in range(0, 50):
-        _, inv_wire = circuit.builder.inverse_wires[0]
         values[inv_wire] = v_try
         assert not circuit.cs.is_satisfied(Witness(tuple(values)))
 
@@ -447,7 +449,8 @@ def test_previous_bits_never_run_past_presence():
     values[circuit.h_uprev_wire] = (values[circuit.h_uprev_wire] + values[product]) % P
     h_u = values[circuit.h_u_wire]
     assert h_u == hash_unlearn(unlearnt, TINY)
-    assert values[circuit.h_uprev_wire] == hash_unlearn(unlearnt + [0], TINY)
+    # The slot past the set is absent, so its digest is pinned to 1.
+    assert values[circuit.h_uprev_wire] == hash_unlearn(unlearnt + [1], TINY)
     forged = Witness(tuple(values))
     failing = cs.failing_constraints(forged)
     previous_within_presence = ({prev_n: 1}, {0: 1, pres_n: P - 1}, {})
@@ -458,12 +461,10 @@ def test_previous_bits_never_run_past_presence():
 # -- mutation oracle --------------------------------------------------------------
 
 
-def _mutation_sweep(cs, witness, slack):
+def _mutation_sweep(cs, witness):
     surviving = []
     values = list(witness.values)
     for wire in range(1, len(values)):
-        if wire in slack:
-            continue
         original = values[wire]
         values[wire] = (original + 1) % P
         if cs.satisfied_at_wire(Witness(tuple(values)), wire):
@@ -472,11 +473,11 @@ def _mutation_sweep(cs, witness, slack):
     return surviving
 
 
-def test_every_nonslack_wire_mutation_breaks_model_circuit():
-    circuit = ModelCircuit(_config(capacity=4), _dataset(4))
-    w = circuit.cs.witness()
-    surviving = _mutation_sweep(circuit.cs, w, circuit.slack_wires(w))
-    assert surviving == []
+def test_every_wire_mutation_breaks_model_circuit():
+    # Full and part-filled: the absent slots' pinned values count too.
+    for size in (4, 2):
+        circuit = ModelCircuit(_config(capacity=4), _dataset(size))
+        assert _mutation_sweep(circuit.cs, circuit.cs.witness()) == []
 
 
 def test_mutation_fast_path_agrees_with_full_evaluation():
@@ -535,21 +536,23 @@ def test_unit_constraint_costs(gadget, expected):
 
 
 def test_fast_pub_constraint_totals(fast_pub):
-    assert fast_pub.model_circuit.cs.stats().constraint_count == 3229
-    assert fast_pub.data_circuit.cs.stats().constraint_count == 388
+    assert fast_pub.model_circuit.cs.stats().constraint_count == 3253
+    assert fast_pub.data_circuit.cs.stats().constraint_count == 404
 
 
 @pytest.mark.parametrize(
     "epochs,capacity,model,data",
     [
-        # cli-walkthrough: model 25,339 = range bits 18,744 + hash 5,610 +
-        # fx_mul 640 + select 328 + presence 15 + bindings 2; data 5,158 =
-        # hash 4,950 + disjoint 128 + presence 53 + select 24 + bindings 3.
-        (10, 8, (25339, 25013, 163267, (164, 162, 1)), (5158, 5146, 33536, (10, 17, 1))),
-        # cli-unlearn: model 16,939 = hash 10,890 + range bits 5,808 +
-        # fx_mul 128 + select 80 + presence 31 + bindings 2; data 10,902 =
-        # hash 10,230 + disjoint 512 + presence 109 + select 48 + bindings 3.
-        (1, 16, (16939, 16861, 99957, (65, 34, 1)), (10902, 10874, 91934, (18, 33, 1))),
+        # cli-walkthrough: model 25,363 = range bits 18,744 + hash 5,610 +
+        # fx_mul 640 + select 328 + absent-slot pins 24 + presence 15 +
+        # bindings 2; data 5,174 = hash 4,950 + disjoint 128 + presence 53 +
+        # select 24 + absent-slot pins 16 + bindings 3.
+        (10, 8, (25363, 25013, 163339, (164, 162, 1)), (5174, 5146, 33592, (10, 17, 1))),
+        # cli-unlearn: model 16,987 = hash 10,890 + range bits 5,808 +
+        # fx_mul 128 + select 80 + absent-slot pins 48 + presence 31 +
+        # bindings 2; data 10,934 = hash 10,230 + disjoint 512 + presence
+        # 109 + select 48 + absent-slot pins 32 + bindings 3.
+        (1, 16, (16987, 16861, 100101, (65, 34, 1)), (10934, 10874, 92046, (18, 33, 1))),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
 )
@@ -571,8 +574,8 @@ def test_benchmark_config_sizes(epochs, capacity, model, data):
 def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
-    assert model.fingerprint() == "8f3f04dd3f372eb09754a5cb8fdc4cc1380a1a673611654a751c547d4c315baa"
-    assert data.fingerprint() == "dc793603789fa6592745f7018658da5e6714dae39caa6578f5adb1b1d08a68d9"
+    assert model.fingerprint() == "bbdbab450f92e0dfaf3cd8128c4a091ceb51ddad0dd725636ff97b6bb65c3268"
+    assert data.fingerprint() == "9a214ec6f9d1ae02b458dbd63d1286f9350ae242021b2468e21a6f2e4e666f2c"
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.
     config = fast_pub.config

@@ -17,6 +17,7 @@ from unlearn.hashing import DataPoint
 from unlearn.ingest import ingest_csv
 from unlearn.r1cs import ConstraintSystem
 from unlearn.serialize import (
+    PARAMS_VERSION,
     UPDATE_PROOF_VERSION,
     VERSION,
     StateDir,
@@ -103,6 +104,29 @@ def test_full_protocol_flow(workspace):
         )
         == 0
     )
+
+
+def test_setup_refuses_another_config_over_initialized_state(workspace, capsys):
+    d = str(workspace / "st")
+    conf, csv = str(workspace / "conf"), str(workspace / "pts.csv")
+    for args in (("setup", "--config", conf), ("init",), ("add", "--dataset", csv), ("update",)):
+        assert run(workspace, args[0], "--dir", d, *args[1:]) == 0
+    other = workspace / "other.conf"
+    other.write_text(CONF.replace("epochs = 1", "epochs = 2"))
+    before = snapshot(workspace / "st")
+    capsys.readouterr()
+    for args in (("--config", str(other)), ("--config", conf, "--backend", "snark")):
+        assert run(workspace, "setup", "--dir", d, *args) == 2
+        assert "initialized under another config" in capsys.readouterr().err
+    assert snapshot(workspace / "st") == before
+    # The same config reuses the stored artifacts, and the chain still verifies.
+    assert run(workspace, "setup", "--dir", d, "--config", conf) == 0
+    assert snapshot(workspace / "st") == before
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 0
+    # Before init, another config may replace the parameters.
+    fresh = str(workspace / "fresh")
+    assert run(workspace, "setup", "--dir", fresh, "--config", conf) == 0
+    assert run(workspace, "setup", "--dir", fresh, "--config", str(other)) == 0
 
 
 def test_single_point_add(workspace):
@@ -365,8 +389,9 @@ def test_bench_accuracy_report(workspace, capsys):
 @pytest.mark.parametrize("command", ["add", "delete", "prove-unlearn", "verify-unlearn"])
 @pytest.mark.parametrize(
     "content",
-    [None, "uid,f1,y\n5,1e300,1\n", "uid,f1,y\n5,0.5\n", "uid,f1\n5,0.5\n"],
-    ids=["missing", "unencodable", "ragged", "no-label"],
+    [None, "uid,f1,y\n5,1e300,1\n", "uid,f1,y\n5,0.5\n", "uid,f1\n5,0.5\n",
+     "uid,f1,f1,y\n5,0.5,-0.25,1\n"],
+    ids=["missing", "unencodable", "ragged", "no-label", "duplicate-column"],
 )
 def test_bad_csv_is_a_usage_error(workspace, initialized, capsys, command, content):
     bad = workspace / "bad.csv"
@@ -502,8 +527,9 @@ def test_update_with_mismatched_unlearnt_root_writes_nothing(workspace, initiali
 
 # SHA-256 of the commitments and state that a session of CONF (add
 # pts.csv, update, delete uid 2, update) wrote while every envelope kind
-# was at version 8, update proofs included.  Only update proofs changed
-# format since, so these files come out byte for byte the same.
+# was at version 8, update proofs included.  Only update proofs and
+# params.json changed since, so these files come out byte for byte the
+# same.
 VERSION_8_FILES = {
     "commitments/com_0.json": "254721afc9ead9f61c14383033c2dfa429de79a24b9e5e1bf5a62001fee3b23e",
     "commitments/com_1.json": "46e7c347ef3d5185d1a0082a772fe751e4d69aab02b4c495a92fa48efda8aeb7",
@@ -520,8 +546,8 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
         assert run(workspace, args[0], "--dir", str(d), *args[1:]) == 0
     for name, digest in VERSION_8_FILES.items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
-    for name in ("pub/params.json", "proofs/update_0.json"):
-        assert json.loads((d / name).read_text())["version"] == VERSION == 8
+    assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
+    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 9
     for meta in (d / "pub" / "setups").rglob("meta.json"):
         assert json.loads(meta.read_text())["version"] == VERSION
     for i in range(3):
@@ -639,7 +665,7 @@ def test_only_admission_trains_natively(workspace, initialized, monkeypatch):
     store = StateDir(initialized)
     state = store.load_state(ScaleConfig())
     assert len(state.dataset) == 4
-    assert state.model == real(state.dataset, store.load_config().train)
+    assert state.model == real(state.dataset, store.load_public_params().config.train)
 
 
 @pytest.mark.parametrize("sizes", ["abc", "0", "-4", "4,x"])

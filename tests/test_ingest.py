@@ -85,6 +85,16 @@ def test_duplicate_uid_rejected(tmp_path):
         ingest_csv(path, CFG)
 
 
+def test_duplicate_column_rejected(tmp_path):
+    # Read by name, the second "f" would shadow the first: x = (0.5, 0.5).
+    path = write(tmp_path, "uid,f,f,y\n1,0.5,-0.25,1\n")
+    with pytest.raises(SchemaError, match="duplicate column 'f'"):
+        ingest_csv(path, CFG)
+    path = write(tmp_path, "uid, f,f ,y\n1,0.5,-0.25,1\n", name="padded.csv")
+    with pytest.raises(SchemaError, match="duplicate column 'f'"):
+        ingest_csv(path, CFG)
+
+
 def test_ragged_rows_rejected(tmp_path):
     path = write(tmp_path, "a,b,y\n1,2,1\n1,0\n")
     with pytest.raises(SchemaError):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from conftest import needs_snark
-from unlearn.circuits import DataCircuit, ModelCircuit
+from conftest import TINY_ROUNDS, needs_snark
+from unlearn import circuits
+from unlearn.circuits import DataCircuit, ModelCircuit, ProtocolConfig
 from unlearn.field import BN254_SCALAR_FIELD as P
 from unlearn.field import fx_encode
 from unlearn.hashing import DataPoint, hash_data_point
@@ -19,9 +20,10 @@ from unlearn.proofsys import (
     WitnessCheckBackend,
     get_backend,
 )
-from unlearn.r1cs import ConstraintSystem
+from unlearn.protocol import global_setup
+from unlearn.r1cs import ConstraintSystem, Witness
 from unlearn.serialize import SetupStore
-from unlearn.training import Dataset
+from unlearn.training import Dataset, default_train_config
 
 
 def squaring_relation():
@@ -165,42 +167,27 @@ def _update_blobs(pub, xs, ghosts=(100, 101)):
     return out
 
 
-def _absent_digest_wires(pub, trained: int, unlearnt: int) -> set[int]:
-    """The data circuit's wires for the digests of absent slots.  Its
-    private wires open with the training presence bits and digests, then
-    the unlearnt presence bits and digests, one per slot each."""
-    cap, ucap = pub.config.capacity, pub.config.unlearn_capacity
-    d_vals = 4 + cap
-    u_vals = d_vals + cap + ucap
-    return set(range(d_vals + trained, d_vals + cap)) | set(range(u_vals + unlearnt, u_vals + ucap))
-
-
 def test_witness_check_encoded_mutations_never_verify(fast_pub):
-    # Every single-entry change of a free wire (outside the value-dependent
-    # slack wires), and each malformed list, is rejected by the backend.
-    # The one exception: an absent slot's digest in the data circuit.  The
-    # tree and the chain hash it but select it away, and its disjointness
-    # pairs are inactive, so another value completes to another witness of
-    # the same statement.  Those are pinned as the only survivors.
+    # Every single-entry change of a free wire, and each malformed list,
+    # is rejected by the backend.  The verifier derives every other wire,
+    # so a change to an absent slot's digest or to an inactive pair's
+    # inverse is a multi-wire forgery: the absent-slot pins reject it.
     backend = fast_pub.backend
     mutated = 0
     survivors = []
-    for rel, setup, circuit, witness, blob in _update_blobs(fast_pub, [0.5, -0.25, 1.0]):
+    for rel, setup, _, witness, blob in _update_blobs(fast_pub, [0.5, -0.25, 1.0]):
         statement = blob.public_inputs
         assert backend.verify(rel, setup, statement, blob)
         wires = json.loads(blob.proof_bytes)["wires"]
         free = rel.circuit.free_wires()
         first = 1 + len(statement)
         assert len(wires) == first + len(free)
-        slack = circuit.slack_wires(witness)
 
         def rejected(entries, v=2):
             forged = dataclasses.replace(blob, proof_bytes=payload(entries, v))
             return not backend.verify(rel, setup, statement, forged)
 
         for k, wire in enumerate(free, first):
-            if wire in slack:
-                continue
             entries = list(wires)
             entries[k] = f"{(int(wires[k], 16) + 1) % P:x}"
             if not rejected(entries):
@@ -214,8 +201,90 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
         assert rejected(full, v=1)
         assert rejected(full)
     assert mutated > 1000
-    data = fast_pub.data_relation.fingerprint
-    assert sorted(survivors) == [(data, w) for w in sorted(_absent_digest_wires(fast_pub, 3, 2))]
+    assert survivors == []
+
+
+# -- one witness per statement ------------------------------------------------------
+# A second witness of an honest statement, differing only where the
+# statement cannot see it, must satisfy no stored rows and give no proof
+# that verifies: the extractor's witness is then the one honest witness.
+
+
+def _unchecked_blob(rel, statement, given) -> ProofBlob:
+    """The witness-check proof of the projection ``given``, written without
+    the prover's self-check."""
+    return ProofBlob(
+        "witness-check", rel.fingerprint, tuple(statement), payload([f"{v:x}" for v in given])
+    )
+
+
+@pytest.mark.parametrize(
+    "kind,arity,hidden", [("linear", 1, 0), ("logistic", 2, 0), ("nn", 1, 2)]
+)
+def test_model_witness_with_other_absent_slot_data_never_verifies(
+    kind, arity, hidden, scale, monkeypatch
+):
+    pub = global_setup(
+        ProtocolConfig(
+            train=default_train_config(kind, arity, hidden=hidden, epochs=1, scale=scale),
+            capacity=4,
+            unlearn_capacity=1,
+            hash_rounds=TINY_ROUNDS,
+        )
+    )
+    dataset = Dataset(
+        tuple(DataPoint(uid, (fx_encode(0.5, scale),) * arity, fx_encode(uid % 2, scale))
+              for uid in (1, 2, 3)),
+        arity,
+    )
+    honest = ModelCircuit(pub.config, dataset, values_only=True)
+    # The same dataset, built with in-range data other than the padding in
+    # the absent slot: training skips it, so the statement is the same.
+    other = DataPoint(7, (fx_encode(-0.25, scale),) * arity, fx_encode(1, scale))
+    monkeypatch.setattr(circuits, "DataPoint", lambda *_: other)
+    forged = ModelCircuit(pub.config, dataset, values_only=True)
+    monkeypatch.undo()
+    assert forged.statement == honest.statement
+    assert forged.cs.values != honest.cs.values
+
+    rel, setup, backend = pub.model_relation, pub.model_setup, pub.backend
+    assert rel.circuit.is_satisfied(honest.cs.witness())
+    assert not rel.circuit.is_satisfied(forged.cs.witness())
+    statement, given = forged.statement, rel.circuit.project(forged.cs.witness())
+    assert rel.circuit.complete(given) is None
+    assert not backend.verify(rel, setup, statement, _unchecked_blob(rel, statement, given))
+    with pytest.raises(UnsatisfiedWitness):
+        backend.prove(rel, setup, statement, forged.cs.witness())
+
+
+def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
+    # Three training and two unlearnt digests in capacity-8 arrays.
+    [_, (rel, setup, circuit, witness, blob)] = _update_blobs(fast_pub, [0.5, -0.25, 1.0])
+    cs, backend = rel.circuit, fast_pub.backend
+    statement = blob.public_inputs
+    assert backend.verify(rel, setup, statement, blob)
+    cap = fast_pub.config.capacity
+    # After the statement: training presence bits and digests, then the
+    # unlearnt presence bits and digests.
+    d_absent = circuit.h_u_wire + 1 + cap + 3
+    u_absent = circuit.h_u_wire + 1 + 2 * cap + cap + 2
+    # The inverse wire of that both-absent pair: (d - u) * inverse = active.
+    [inverse] = [
+        w for a, b, c in cs.constraints if set(a) == {d_absent, u_absent} and len(c) == 1
+        for w in b
+    ]
+    free = cs.free_wires()
+    for wire in (d_absent, u_absent, inverse):
+        given = cs.project(witness)
+        k = 1 + len(statement) + free.index(wire)
+        given[k] = (given[k] + 5) % P
+        assert cs.complete(given) is None, wire
+        assert not backend.verify(rel, setup, statement, _unchecked_blob(rel, statement, given))
+    # The inverse feeds no other row, so that forgery is the honest
+    # witness with one wire changed.
+    values = list(witness.values)
+    values[inverse] = 5
+    assert not cs.is_satisfied(Witness(tuple(values)))
 
 
 def test_witness_check_spliced_free_wires_never_verify(fast_pub):
