@@ -4,7 +4,6 @@
 //!   setup  --r1cs F --pk OUT --vk OUT [--seed N]
 //!   prove  --r1cs F --pk F --witness F --proof OUT
 //!   verify --vk F --publics F --proof F
-//!   verify-batch --vk F --publics F --proofs F   (one hex proof per line)
 //!
 //! Exit codes: 0 accept/success, 1 reject, 2 usage or input error.
 
@@ -224,7 +223,7 @@ fn make_rng(opts: &HashMap<String, String>) -> Result<StdRng, String> {
 
 fn run() -> Result<i32, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().ok_or("usage: unlearn-groth16 <setup|prove|verify|verify-batch>")?;
+    let cmd = args.first().ok_or("usage: unlearn-groth16 <setup|prove|verify>")?;
     let opts = parse_args(&args[1..]);
     match cmd.as_str() {
         "setup" => {
@@ -275,27 +274,6 @@ fn run() -> Result<i32, String> {
             };
             println!("{}", if accepted { "OK" } else { "FAIL" });
             Ok(if accepted { 0 } else { 1 })
-        }
-        "verify-batch" => {
-            let vk_bytes = fs::read(required(&opts, "vk")?).map_err(|e| e.to_string())?;
-            let vk = ark_groth16::VerifyingKey::<Bn254>::deserialize_compressed(&vk_bytes[..])
-                .map_err(|e| format!("bad verifying key: {e}"))?;
-            let pvk = ark_groth16::prepare_verifying_key(&vk);
-            let publics = parse_values(required(&opts, "publics")?, "unlearn-pub v1")?;
-            let text = fs::read_to_string(required(&opts, "proofs")?).map_err(|e| e.to_string())?;
-            for line in text.lines() {
-                let accepted = hex::decode(line.trim())
-                    .ok()
-                    .and_then(|bytes| {
-                        ark_groth16::Proof::<Bn254>::deserialize_compressed(&bytes[..]).ok()
-                    })
-                    .map(|proof| {
-                        Groth16::<Bn254>::verify_proof(&pvk, &proof, &publics).unwrap_or(false)
-                    })
-                    .unwrap_or(false);
-                println!("{}", if accepted { "OK" } else { "FAIL" });
-            }
-            Ok(0)
         }
         other => Err(format!("unknown subcommand {other:?}")),
     }

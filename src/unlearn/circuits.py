@@ -32,11 +32,7 @@ from .field import ConfigError, FixedPointOverflow
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
 from .hashing import DEFAULT_ROUNDS, DataPoint, HashConfig, empty_root
 from .r1cs import ConstraintSystem, gc_paused
-from .training import Dataset, ModelParams, TrainConfig, overflow_at, sgd_step_ops
-
-
-class ShapeMismatch(ValueError):
-    """Inputs do not fit the circuit's compiled shape."""
+from .training import Dataset, ModelParams, ShapeMismatch, TrainConfig, overflow_at, sgd_step_ops
 
 
 class ShapeOverflow(ShapeMismatch):

@@ -141,6 +141,8 @@ def build_protocol_config(options: dict[str, str]) -> ProtocolConfig:
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
     opts.update(options)
+    if opts["kind"] == "nn" and "hidden" not in options:
+        raise CliError("bad configuration: kind = nn needs a hidden key (2 or 4)")
     try:
         scale = ScaleConfig(gamma=int(opts["gamma"]))
         kind = opts["kind"]
@@ -232,6 +234,9 @@ def cmd_setup(args) -> int:
             raise CliError(f"{store.root} is initialized under another config")
         pub = global_setup(config, setup_store=store.setup_store)
         store.save_params(pub)
+        store.setup_store.prune(
+            pub.backend.name, {pub.model_relation.fingerprint, pub.data_relation.fingerprint}
+        )
     emit(
         args,
         {

@@ -4,7 +4,9 @@ Columns are boolean (values in {0,1}), numeric (decimal, fx-encoded), or
 categorical (integer-coded by first appearance, then fx-encoded).  Row
 order is file order; uids come from a ``uid`` column or default to the row
 index.  The label column is recognized by name (y / label / target /
-class, case-insensitive) unless declared explicitly.
+class, case-insensitive) unless declared explicitly.  A file with two
+uid-named or, when the label is not declared, two label-named columns is
+refused.
 """
 
 from __future__ import annotations
@@ -63,6 +65,16 @@ def _infer_kind(values: list[str]) -> str:
     return "cat"
 
 
+def _named_column(header: list[str], names: tuple[str, ...], role: str) -> Optional[str]:
+    """The one column whose name is among ``names``, case-insensitive, or
+    None.  A second such column would silently become a feature, so it
+    raises SchemaError."""
+    found = [n for n in header if n.lower() in names]
+    if len(found) > 1:
+        raise SchemaError(f"{len(found)} {role} columns: {', '.join(map(repr, found))}")
+    return found[0] if found else None
+
+
 def ingest_csv(
     path: str | Path,
     scale: ScaleConfig,
@@ -83,15 +95,12 @@ def ingest_csv(
         raise SchemaError("ragged CSV: row length differs from header")
 
     if label_column is None:
-        for name in header:
-            if name.lower() in LABEL_NAMES:
-                label_column = name
-                break
+        label_column = _named_column(header, LABEL_NAMES, "label")
     if label_column is None or label_column not in header:
         raise SchemaError(
             f"missing label column (expected one of {', '.join(LABEL_NAMES)})"
         )
-    uid_column = next((n for n in header if n.lower() == "uid"), None)
+    uid_column = _named_column(header, ("uid",), "uid")
 
     feature_names = [n for n in header if n != label_column and n != uid_column]
     col_values = {n: [r[header.index(n)] for r in data] for n in header}

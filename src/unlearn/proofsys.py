@@ -14,6 +14,10 @@ Two interchangeable backends:
   ``unlearn-groth16`` helper binary (arkworks).  The trusted setup runs
   in-process per circuit shape and its trapdoor is never materialized
   outside the helper, which discards it on exit.
+
+Both backends' ``prove`` first check the witness against the rows with
+``ConstraintSystem.check`` and refuse, naming the first failing row, a
+witness that does not satisfy them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .r1cs import ConstraintSystem, Witness
+from .r1cs import ConstraintSystem, Unsatisfied, Witness
 
 HELPER_ENV = "UNLEARN_GROTH16_BIN"
 HELPER_NAME = "unlearn-groth16"
@@ -44,7 +48,12 @@ class BackendUnavailable(ProofSysError):
 
 
 class UnsatisfiedWitness(ProofSysError):
-    """Honest provers refuse to prove false statements."""
+    """Honest provers refuse to prove false statements.  ``row`` is the
+    first constraint the witness fails, when the statement matches."""
+
+    def __init__(self, message: str, row: Optional[int] = None):
+        super().__init__(message)
+        self.row = row
 
 
 class FingerprintMismatch(ProofSysError):
@@ -115,6 +124,17 @@ def _check_fingerprint(rel: RelationHandle, sp: SetupArtifacts) -> None:
         )
 
 
+def _self_check(cs: ConstraintSystem, statement: Sequence[int], witness: Witness) -> None:
+    """Raise UnsatisfiedWitness unless ``statement`` is the witness's
+    public wires and the witness satisfies every row of ``cs``."""
+    if tuple(statement) != witness.values[1 : 1 + cs.num_public]:
+        raise UnsatisfiedWitness("the statement is not the witness's public wires")
+    try:
+        cs.check(witness)
+    except Unsatisfied as e:
+        raise UnsatisfiedWitness(f"witness does not satisfy the circuit: {e}", e.row) from None
+
+
 def _witness_payload(values: Sequence[int]) -> bytes:
     """A witness-check proof: version 2, then the projected wires as
     lowercase hex without leading zeros.  The verifier accepts exactly
@@ -141,13 +161,8 @@ class WitnessCheckBackend:
     ) -> ProofBlob:
         _check_fingerprint(rel, sp)
         cs = rel.circuit
-        given = cs.project(witness)
-        publics = tuple(given[1 : 1 + cs.num_public])
-        # The verifier's walk rebuilds the witness exactly when the witness
-        # satisfies every row.
-        if tuple(statement) != publics or cs.complete(given) != witness:
-            raise UnsatisfiedWitness("witness does not satisfy the statement")
-        payload = _witness_payload(given)
+        _self_check(cs, statement, witness)
+        payload = _witness_payload(cs.project(witness))
         return ProofBlob(self.name, rel.fingerprint, tuple(statement), payload)
 
     def verify(
@@ -177,7 +192,11 @@ class WitnessCheckBackend:
             return False
         if tuple(values[1 : 1 + cs.num_public]) != tuple(statement):
             return False
-        return cs.complete(values) is not None
+        try:
+            cs.complete(values)
+        except Unsatisfied:
+            return False
+        return True
 
 
 def find_helper() -> Optional[str]:
@@ -193,10 +212,6 @@ def find_helper() -> Optional[str]:
     if candidate.is_file():
         return str(candidate)
     return None
-
-
-def snark_available() -> bool:
-    return find_helper() is not None
 
 
 def _write_values(path: Path, header: str, values: Sequence[int]) -> None:
@@ -270,10 +285,7 @@ class Groth16Backend:
         witness: Witness,
     ) -> ProofBlob:
         _check_fingerprint(rel, sp)
-        cs = rel.circuit
-        publics = tuple(witness.values[1 : 1 + cs.num_public])
-        if tuple(statement) != publics or not cs.is_satisfied(witness):
-            raise UnsatisfiedWitness("witness does not satisfy the statement")
+        _self_check(rel.circuit, statement, witness)
         work = self._work()
         with tempfile.TemporaryDirectory(dir=work) as tmp:
             tmp = Path(tmp)
@@ -316,31 +328,6 @@ class Groth16Backend:
                 "verify", "--vk", str(vk), "--publics", str(pub), "--proof", str(proof)
             )
             return proc.returncode == 0
-
-    def verify_many(
-        self,
-        rel: RelationHandle,
-        sp: SetupArtifacts,
-        statement: Sequence[int],
-        proofs: Sequence[bytes],
-    ) -> list[bool]:
-        """Verify many proof blobs against one statement in a single helper
-        call (used by the tamper-resistance smoke tests)."""
-        _check_fingerprint(rel, sp)
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            vk = tmp / "vk"
-            vk.write_bytes(sp.verifying_params)
-            pub = tmp / "publics"
-            _write_values(pub, "unlearn-pub v1", list(statement))
-            blobs = tmp / "proofs"
-            blobs.write_text("\n".join(p.hex() for p in proofs) + "\n")
-            proc = self._run(
-                "verify-batch", "--vk", str(vk), "--publics", str(pub), "--proofs", str(blobs)
-            )
-            if proc.returncode != 0:
-                raise ProofSysError(f"verify-batch failed: {proc.stderr.strip()}")
-            return [line.strip() == "OK" for line in proc.stdout.splitlines() if line.strip()]
 
 
 _BACKENDS = {

@@ -323,16 +323,18 @@ def _prove_stored(
     """Prove ``circuit``'s statement with its witness against the stored
     relation ``rel``, releasing the constraints loaded for it.  A witness
     the stored rows refuse raises FingerprintMismatch naming the stored
-    circuit; a drifted config is one cause, which ``audit-setup`` checks."""
+    circuit and the first row that fails; a drifted config is one cause,
+    which ``audit-setup`` checks."""
     witness = circuit.cs.witness()
     try:
         return pub.backend.prove(rel, setup, circuit.statement, witness)
-    except UnsatisfiedWitness:
+    except UnsatisfiedWitness as e:
+        where = "" if e.row is None else f" at row {e.row}"
         raise FingerprintMismatch(
             f"the witness computed from the config ({len(witness.values)} wires) does "
             f"not satisfy the stored circuit with fingerprint {rel.fingerprint[:12]} "
-            f"({rel.circuit.num_wires} wires); the config may differ from the one "
-            "setup compiled, which audit-setup checks"
+            f"({rel.circuit.num_wires} wires){where}; the config may differ from the "
+            "one setup compiled, which audit-setup checks"
         ) from None
     finally:
         rel.release()

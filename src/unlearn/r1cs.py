@@ -28,7 +28,9 @@ whose C is one wire with coefficient 1, above every wire of its A, B and
 of all earlier rows, *defines* that wire as <A,z> * <B,z>.  ``project``
 keeps the constant, the statement and the other, *free*, wires of a
 witness; ``complete`` rebuilds the one satisfying witness with that
-projection, or finds there is none, in one walk over the rows.
+projection in one walk over the rows, or raises Unsatisfied naming the
+first row that fails.  It is the only evaluator of rows: ``check``
+judges a whole witness by completing its projection.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from collections import deque
 from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice, repeat, tee
+from itertools import accumulate, compress, count, islice, repeat, tee
 from operator import ge, lt, mul, sub
 from typing import Iterator, Optional, Sequence
 
@@ -69,6 +71,19 @@ class BuildPhaseClosed(RuntimeError):
 
 class RowsNotRecorded(RuntimeError):
     """Raised when reading the rows of a values-only system."""
+
+
+class Unsatisfied(ValueError):
+    """No satisfying witness has the given values.  ``row`` is the first
+    row that fails, or None when the values have the wrong length or a
+    constant other than 1."""
+
+    def __init__(self, row: Optional[int]):
+        self.row = row
+        super().__init__(
+            "the wire values have the wrong length or constant" if row is None
+            else f"row {row} does not hold"
+        )
 
 
 class WitnessSynthesisError(ValueError):
@@ -150,10 +165,6 @@ class _Matrix:
             offsets = self._offsets = list(accumulate(self.counts, initial=0))
         return offsets[row], offsets[row + 1]
 
-    def row_ids(self) -> Iterator[int]:
-        """The row of each term, in term order."""
-        return chain.from_iterable(map(repeat, range(len(self.counts)), self.counts))
-
     def rows_increasing(self) -> bool:
         """Whether the wire ids increase strictly within every row: each
         term whose wire is not above the one before must start a row.
@@ -199,7 +210,6 @@ class ConstraintSystem:
         self._table: list[int] = []
         self._matrices = tuple(_Matrix(_u32s(), _u32s(), _u32s()) for _ in range(3))
         self._finalized = False
-        self._touch_index: Optional[list[list[int]]] = None
         self._defining: Optional[list[tuple[int, int]]] = None
 
     # -- building ----------------------------------------------------------
@@ -317,25 +327,6 @@ class ConstraintSystem:
 
         return map(sums, self._rows_recorded())
 
-    def _residues(self, values: Sequence[int]) -> Iterator[int]:
-        """(<A,z> * <B,z> - <C,z>) mod p for each row in turn; a row holds
-        iff its residue is 0."""
-        a, b, c = self._row_sums(values)
-        return map(self.modulus.__rmod__, map(sub, map(mul, a, b), c))
-
-    def _holds(self, i: int, values: Sequence[int]) -> bool:
-        a, b, c = self._row(i)
-        return (
-            self.lc_value(a, values) * self.lc_value(b, values) - self.lc_value(c, values)
-        ) % self.modulus == 0
-
-    def is_satisfied(self, witness: Witness) -> bool:
-        self._rows_recorded()
-        values = witness.values
-        if len(values) != self._num_wires or values[0] != 1:
-            return False
-        return not any(self._residues(values))
-
     # -- free and derived wires ---------------------------------------------------
 
     def _defining_rows(self) -> list[tuple[int, int]]:
@@ -399,18 +390,24 @@ class ConstraintSystem:
         constant, the statement, then the free wires in increasing order."""
         return list(compress(witness.values, self._kept()))
 
-    def complete(self, given: Sequence[int]) -> Optional[Witness]:
+    def complete(self, given: Sequence[int], expect: Optional[Sequence[int]] = None) -> Witness:
         """The one satisfying witness whose projection is ``given`` (field
-        elements, as ``project`` lists them), or None if there is none.
-        One walk over the rows: before each defining row, the free wires
-        below its wire take the next values of ``given``, the rows since
-        the last defining row must hold, and the row assigns its wire
-        <A_i,z> * <B_i,z> mod p.  Rows after the last defining row must
-        hold once every free wire is placed."""
+        elements, as ``project`` lists them); raises Unsatisfied, naming
+        the first row that fails, if there is none.  One walk over the
+        rows: before each defining row, the free wires below its wire take
+        the next values of ``given``, the rows since the last defining row
+        must hold, and the row assigns its wire <A_i,z> * <B_i,z> mod p.
+        Rows after the last defining row must hold once every free wire
+        is placed.
+
+        ``expect`` is a whole witness whose projection is ``given``.  A
+        defining row that assigns its wire another value than ``expect``
+        holds is the first row ``expect`` fails, as every wire it reads
+        agrees with ``expect``; the walk stops there."""
         placed = 1 + self.num_public
         z = list(given[:placed])
         if len(z) != placed or z[0] != 1:
-            return None
+            raise Unsatisfied(None)
         p = self.modulus
         a, b, c = self._row_sums(z)
         residues = map(p.__rmod__, map(sub, map(mul, a, b), c))
@@ -421,36 +418,33 @@ class ConstraintSystem:
                 z += given[placed:placed + need]
                 placed += need
                 if len(z) != w:
-                    return None
-            # These rows read only wires below w, all placed by now.
-            if any(islice(residues, row - checked)):
-                return None
-            z.append(next(a) * next(b) % p)
+                    raise Unsatisfied(None)
+            # These rows read only wires below w, all placed by now.  any()
+            # stops at the first that fails; the rows it left give its index.
+            rows = islice(residues, row - checked)
+            if any(rows):
+                raise Unsatisfied(row - 1 - sum(1 for _ in rows))
+            value = next(a) * next(b) % p
+            if expect is not None and value != expect[w]:
+                raise Unsatisfied(row)
+            z.append(value)
             next(c)
             checked = row + 1
         z += given[placed:]
-        if len(z) != self._num_wires or any(residues):
-            return None
+        if len(z) != self._num_wires:
+            raise Unsatisfied(None)
+        if any(residues):
+            raise Unsatisfied(self.num_constraints - 1 - sum(1 for _ in residues))
         return Witness(z)
 
-    def failing_constraints(self, witness: Witness) -> list[int]:
-        return list(compress(count(), self._residues(witness.values)))
-
-    def constraints_touching(self, wire: int) -> list[int]:
-        if self._touch_index is None:
-            index: list[list[int]] = [[] for _ in range(self._num_wires)]
-            for m in self._rows_recorded():
-                for w, i in zip(m.wires, m.row_ids()):
-                    index[w].append(i)
-            self._touch_index = [sorted(set(rows)) for rows in index]
-        return self._touch_index[wire]
-
-    def satisfied_at_wire(self, witness: Witness, wire: int) -> bool:
-        """Check only the constraints referencing one wire: sufficient to
-        decide satisfiability after a single-wire mutation of a witness
-        that satisfied the full system."""
-        values = witness.values
-        return all(self._holds(i, values) for i in self.constraints_touching(wire))
+    def check(self, witness: Witness) -> None:
+        """Raise Unsatisfied, naming the first row ``witness`` fails, unless
+        it satisfies every row: ``complete`` rebuilds it from its
+        projection."""
+        given = self.project(witness)
+        if len(witness.values) != self._num_wires:
+            raise Unsatisfied(None)
+        self.complete(given, expect=witness.values)
 
     # -- canonical export ------------------------------------------------------
 

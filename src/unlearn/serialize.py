@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -325,6 +326,18 @@ class SetupStore:
             return ConstraintSystem.from_export(exported)
         except ValueError as e:
             raise EnvelopeError(f"{path}: {e}") from None
+
+    def prune(self, backend: str, keep: set[str]) -> None:
+        """Remove every circuit export, and every set of ``backend``'s
+        setup artifacts, whose fingerprint is not in ``keep``: what an
+        earlier setup under another config left behind."""
+        for path in (self.root / "circuits").glob("*.r1cs"):
+            if path.stem not in keep:
+                path.unlink()
+        setups = self.root / "setups" / backend
+        for d in setups.iterdir() if setups.is_dir() else ():
+            if d.name not in keep:
+                shutil.rmtree(d)
 
     def load(self, backend: str, fingerprint: str) -> Optional[SetupArtifacts]:
         d = self._dir(backend, fingerprint)

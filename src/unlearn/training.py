@@ -30,8 +30,9 @@ from .hashing import DataPoint
 KINDS = ("linear", "logistic", "nn")
 
 
-class ArityMismatch(ValueError):
-    pass
+class ShapeMismatch(ValueError):
+    """Inputs do not fit the shape of a model or a circuit: a point or a
+    dataset of another arity."""
 
 
 class EmptyDataset(ValueError):
@@ -47,7 +48,7 @@ class Dataset:
         object.__setattr__(self, "points", tuple(self.points))
         for d in self.points:
             if len(d.x) != self.arity:
-                raise ArityMismatch(f"point {d.uid} has arity {len(d.x)}")
+                raise ShapeMismatch(f"point {d.uid} has arity {len(d.x)}")
         uids = [d.uid for d in self.points]
         if len(set(uids)) != len(uids):
             raise ValueError("duplicate uid in dataset")
@@ -223,7 +224,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> ModelParams:
     raises, with the same message.
     """
     if dataset.arity != cfg.arity:
-        raise ArityMismatch(
+        raise ShapeMismatch(
             f"dataset arity {dataset.arity} != config arity {cfg.arity}"
         )
     scale = cfg.scale
@@ -247,7 +248,7 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> ModelParams:
 
 def predict(m: ModelParams, x: Sequence[int], scale: ScaleConfig) -> int:
     if len(x) != m.arity:
-        raise ArityMismatch(f"expected {m.arity} features, got {len(x)}")
+        raise ShapeMismatch(f"expected {m.arity} features, got {len(x)}")
     yhat, _ = forward_ops(NativeOps(scale), m.kind, m.hidden, list(m.weights), list(x))
     return yhat
 

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from conftest import needs_snark
+from conftest import is_satisfied, needs_snark, satisfied_at_wire
 from unlearn.bench import synthetic_dataset
 from unlearn.circuits import DataCircuit, ModelCircuit
 from unlearn.field import ScaleConfig, fx_decode, fx_encode, sigmoid_approx
@@ -141,7 +141,7 @@ def test_criterion_3_exhaustive_witness_mutation():
     ds = synthetic_dataset(3, 1, SCALE, seed=5)
     model_circuit = ModelCircuit(config, ds)
     w = model_circuit.cs.witness()
-    assert model_circuit.cs.is_satisfied(w)
+    assert is_satisfied(model_circuit.cs, w)
     survivors = _mutate_all(model_circuit.cs, w)
     assert survivors == [], f"unconstrained model-circuit wires: {survivors[:5]}"
     model_wires = model_circuit.cs.num_wires
@@ -153,7 +153,7 @@ def test_criterion_3_exhaustive_witness_mutation():
     ]
     data_circuit = DataCircuit(config, digests, ghosts[:2], ghosts[2:3])
     wd = data_circuit.cs.witness()
-    assert data_circuit.cs.is_satisfied(wd)
+    assert is_satisfied(data_circuit.cs, wd)
     survivors = _mutate_all(data_circuit.cs, wd)
     assert survivors == [], f"unconstrained data-circuit wires: {survivors[:5]}"
 
@@ -193,7 +193,7 @@ def _mutate_all(cs, witness):
     for wire in range(1, len(values)):
         original = values[wire]
         values[wire] = (original + 1) % cs.modulus
-        if cs.satisfied_at_wire(Witness(tuple(values)), wire):
+        if satisfied_at_wire(cs, Witness(tuple(values)), wire):
             survivors.append(wire)
         values[wire] = original
     return survivors

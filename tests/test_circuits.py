@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import failing_rows, is_satisfied, rows_touching, satisfied_at_wire
 from unlearn.circuits import (
     DataCircuit,
     ModelCircuit,
@@ -58,7 +59,7 @@ def _fx_mul(a, b):
 @settings(max_examples=40, deadline=None)
 def test_fx_mul_gadget_matches_native(a, b):
     _, cs, out = _fx_mul(a, b)
-    assert cs.is_satisfied(cs.witness())
+    assert is_satisfied(cs, cs.witness())
     assert cs.lc_value(out) == fx_mul(a % P, b % P, SCALE)
 
 
@@ -69,7 +70,7 @@ def test_fx_mul_gadget_rejects_mutated_quotient():
     assert w.values[out_wire] == enc(0.25)
     mutated = list(w.values)
     mutated[out_wire] = (mutated[out_wire] + 1) % P
-    assert not cs.is_satisfied(Witness(tuple(mutated)))
+    assert not is_satisfied(cs, Witness(tuple(mutated)))
 
 
 def test_range_check_overflow_raises():
@@ -103,7 +104,7 @@ def test_select_gadget():
         s, a, b = (lc_wire(cs.alloc_private(v)) for v in (sel, 10, 20))
         out = builder.select(s, a, b)
         cs.finalize()
-        assert cs.is_satisfied(cs.witness())
+        assert is_satisfied(cs, cs.witness())
         assert cs.lc_value(out) == expected
 
 
@@ -114,7 +115,7 @@ def test_hash_gadgets_match_native():
     hm = builder.hash_model([v, l])
     hd = builder.hash_data_point(v, [l], r)
     cs.finalize()
-    assert cs.is_satisfied(cs.witness())
+    assert is_satisfied(cs, cs.witness())
     assert cs.lc_value(h2) == hash2(6, 7, TINY)
     assert cs.lc_value(hm) == hash_model_weights([5, 6], TINY)
     assert cs.lc_value(hd) == hash_data_point(DataPoint(5, (6,), 7), TINY)
@@ -138,7 +139,7 @@ def test_hash_data_point_gadget_matches_native(arity):
     uid, *x, y = (lc_wire(cs.alloc_private(v)) for v in (d.uid, *d.x, d.y))
     digest = builder.hash_data_point(uid, x, y)
     cs.finalize()
-    assert cs.is_satisfied(cs.witness())
+    assert is_satisfied(cs, cs.witness())
     assert cs.lc_value(digest) == hash_data_point(d, FULL)
     assert cs.num_constraints == limbs * COMPRESS + 65 + (arity + 1) * (B + 2)
 
@@ -162,13 +163,13 @@ def test_packing_forgery_fails_the_uid_range_check():
         values[x_bits + i] = ((offset - 1) >> i) & 1
     forged = Witness(tuple(values))
     stored = ConstraintSystem.from_export(cs.export())
-    assert not stored.is_satisfied(forged)
-    first, *rest = stored.failing_constraints(forged)
+    assert not is_satisfied(stored, forged)
+    first, *rest = failing_rows(stored, forged)
     uid_bits = {w: 1 << i for i, w in enumerate(range(uid_w + 3, uid_w + 3 + 64))}
     # The uid check's last row: its 64 bits sum to the uid.
     assert stored.constraints[first] == ({**uid_bits, uid_w: P - 1}, {0: 1}, {})
     # Every hash row holds: the rest that fail are training rows reading x.
-    assert set(rest) <= set(stored.constraints_touching(x_w))
+    assert set(rest) <= set(rows_touching(stored, x_w))
 
 
 @pytest.mark.parametrize(
@@ -183,7 +184,7 @@ def test_hash_model_gadget_matches_native(kind, arity, hidden):
     builder = CircuitBuilder(cs, SCALE, FULL)
     h_m = builder.hash_model([lc_wire(cs.alloc_private(w)) for w in weights])
     cs.finalize()
-    assert cs.is_satisfied(cs.witness())
+    assert is_satisfied(cs, cs.witness())
     assert cs.lc_value(h_m) == hash_model_weights(weights, FULL)
     assert cs.num_constraints == len(weights) * COMPRESS
 
@@ -203,7 +204,7 @@ def test_padded_merkle_root_matches_native(occupancy):
     values = [hash2(i + 100, 0, TINY) for i in range(occupancy)]
     root = builder.merkle_root(*_padded(builder, cs, values, 5))
     cs.finalize()
-    assert cs.is_satisfied(cs.witness())
+    assert is_satisfied(cs, cs.witness())
     assert cs.lc_value(root) == hash_data(values, TINY)
 
 
@@ -219,7 +220,7 @@ def test_padded_chain_matches_native(occupancy):
         builder.prefix_presence(marks, within=pres)
         roots = builder.chain_root(lc_const(empty_root(TINY)), items, pres, marks)
         cs.finalize()
-        assert cs.is_satisfied(cs.witness())
+        assert is_satisfied(cs, cs.witness())
         assert tuple(map(cs.lc_value, roots)) == (
             hash_unlearn(values[:marked], TINY),
             hash_unlearn(values, TINY),
@@ -257,7 +258,7 @@ def _check_against_native(circuit, ds):
     """The circuit built from ``ds`` is satisfied and trained the model
     native training gives, bit for bit, under the statement the native
     hashes give."""
-    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    assert is_satisfied(circuit.cs, circuit.cs.witness())
     model = train_model(ds, circuit.config.train)
     assert circuit.model == model
     digests = [hash_data_point(d, TINY) for d in ds.points]
@@ -286,7 +287,7 @@ def test_model_circuit_wrong_model_hash_unsatisfiable():
     w = circuit.cs.witness()
     mutated = list(w.values)
     mutated[circuit.h_m_wire] = (mutated[circuit.h_m_wire] + 1) % P
-    assert not circuit.cs.is_satisfied(Witness(tuple(mutated)))
+    assert not is_satisfied(circuit.cs, Witness(tuple(mutated)))
 
 
 def test_model_circuit_shape_errors():
@@ -328,7 +329,7 @@ def test_data_circuit_honest_satisfiable():
     hd = [hash2(3, 0, TINY), hash2(5, 0, TINY)]
     hu_add = [hash2(9, 0, TINY)]
     circuit = _data_circuit(hd, [], hu_add)
-    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    assert is_satisfied(circuit.cs, circuit.cs.witness())
     assert circuit.statement == (
         hash_data(hd, TINY),
         hash_unlearn([], TINY),
@@ -341,7 +342,7 @@ def test_data_circuit_chain_extension():
     prev = [hash2(2, 0, TINY), hash2(3, 0, TINY)]
     add = [hash2(4, 0, TINY)]
     circuit = _data_circuit(hd, prev, add)
-    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    assert is_satisfied(circuit.cs, circuit.cs.witness())
     assert circuit.statement[2] == hash_unlearn(prev + add, TINY)
 
 
@@ -367,7 +368,7 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
                         _data_circuit(hd, [], hu, dcap=2, ucap=2)
                 else:
                     circuit = _data_circuit(hd, [], hu, dcap=2, ucap=2)
-                    assert circuit.cs.is_satisfied(circuit.cs.witness())
+                    assert is_satisfied(circuit.cs, circuit.cs.witness())
     # Brute-force the inverse wire on a colliding instance: no value in a
     # sampled grid (nor any other, since 0 * v == 0 != 1) satisfies it.
     circuit = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
@@ -385,7 +386,7 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
     values[hd_0] = 3
     for v_try in range(0, 50):
         values[inv_wire] = v_try
-        assert not circuit.cs.is_satisfied(Witness(tuple(values)))
+        assert not is_satisfied(circuit.cs, Witness(tuple(values)))
 
 
 def test_data_circuit_tampered_root_unsatisfiable():
@@ -394,7 +395,7 @@ def test_data_circuit_tampered_root_unsatisfiable():
     for wire in (circuit.h_d_wire, circuit.h_uprev_wire, circuit.h_u_wire):
         mutated = list(w.values)
         mutated[wire] = (mutated[wire] + 1) % P
-        assert not circuit.cs.is_satisfied(Witness(tuple(mutated)))
+        assert not is_satisfied(circuit.cs, Witness(tuple(mutated)))
 
 
 def test_data_circuit_capacity_errors():
@@ -407,7 +408,7 @@ def test_data_circuit_capacity_errors():
     with pytest.raises(ShapeOverflow, match="4 unlearnt digests exceed the compiled capacity 3"):
         _data_circuit([1], [2, 3], [4, 5], dcap=2, ucap=3)
     full = _data_circuit([1], [2], [3, 4], dcap=2, ucap=3)
-    assert full.cs.is_satisfied(full.cs.witness())
+    assert is_satisfied(full.cs, full.cs.witness())
 
 
 @pytest.mark.parametrize("n", range(0, 5))
@@ -417,7 +418,7 @@ def test_data_circuit_every_split_of_the_unlearnt_digests(n):
     digests = [hash2(i + 20, 0, TINY) for i in range(n)]
     for k in range(n + 1):
         circuit = _data_circuit([hash2(1, 0, TINY)], digests[:k], digests[k:], dcap=1, ucap=4)
-        assert circuit.cs.is_satisfied(circuit.cs.witness())
+        assert is_satisfied(circuit.cs, circuit.cs.witness())
         assert circuit.statement[1:] == (
             hash_unlearn(digests[:k], TINY),
             hash_unlearn(digests, TINY),
@@ -452,10 +453,10 @@ def test_previous_bits_never_run_past_presence():
     # The slot past the set is absent, so its digest is pinned to 1.
     assert values[circuit.h_uprev_wire] == hash_unlearn(unlearnt + [1], TINY)
     forged = Witness(tuple(values))
-    failing = cs.failing_constraints(forged)
+    failing = failing_rows(cs, forged)
     previous_within_presence = ({prev_n: 1}, {0: 1, pres_n: P - 1}, {})
     assert [cs.constraints[i] for i in failing] == [previous_within_presence]
-    assert not cs.is_satisfied(forged)
+    assert not is_satisfied(cs, forged)
 
 
 # -- mutation oracle --------------------------------------------------------------
@@ -467,7 +468,7 @@ def _mutation_sweep(cs, witness):
     for wire in range(1, len(values)):
         original = values[wire]
         values[wire] = (original + 1) % P
-        if cs.satisfied_at_wire(Witness(tuple(values)), wire):
+        if satisfied_at_wire(cs, Witness(tuple(values)), wire):
             surviving.append(wire)
         values[wire] = original
     return surviving
@@ -489,7 +490,7 @@ def test_mutation_fast_path_agrees_with_full_evaluation():
         mutated = list(w.values)
         mutated[wire] = (mutated[wire] + rng.randrange(1, 5)) % P
         mw = Witness(tuple(mutated))
-        assert circuit.cs.satisfied_at_wire(mw, wire) == circuit.cs.is_satisfied(mw)
+        assert satisfied_at_wire(circuit.cs, mw, wire) == is_satisfied(circuit.cs, mw)
 
 
 def test_fx_mul_gadget_smallest_product():
@@ -603,7 +604,7 @@ def test_values_only_model_witness_matches_full_build(kind, arity, hidden, epoch
     only = ModelCircuit(config, ds, values_only=True)
     assert only.cs.witness() == full.cs.witness()
     assert (only.statement, only.model, only.digests) == (full.statement, full.model, full.digests)
-    assert full.cs.is_satisfied(only.cs.witness())
+    assert is_satisfied(full.cs, only.cs.witness())
 
 
 def test_values_only_data_witness_matches_full_build():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shlex
 import stat
 import struct
@@ -129,6 +130,23 @@ def test_setup_refuses_another_config_over_initialized_state(workspace, capsys):
     assert run(workspace, "setup", "--dir", fresh, "--config", str(other)) == 0
 
 
+def test_setup_removes_the_circuits_it_does_not_record(workspace):
+    # epochs changes the model circuit and not the data circuit: the first
+    # model's export and setup artifacts go, the shared data circuit's stay.
+    d = workspace / "st"
+    for epochs in (1, 2):
+        conf = workspace / f"epochs{epochs}.conf"
+        conf.write_text(CONF.replace("capacity = 8", "capacity = 4")
+                        .replace("epochs = 1", f"epochs = {epochs}"))
+        assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 0
+    circuits = json.loads((d / "pub" / "params.json").read_text())["circuits"]
+    recorded = {circuits[name]["fingerprint"] for name in ("model", "data")}
+    assert len(recorded) == 2
+    assert {p.stem for p in (d / "pub" / "circuits").iterdir()} == recorded
+    assert {p.name for p in (d / "pub" / "setups" / "witness-check").iterdir()} == recorded
+    assert run(workspace, "audit-setup", "--dir", str(d)) == 0
+
+
 def test_single_point_add(workspace):
     d = str(workspace / "st")
     assert run(workspace, "setup", "--dir", d, "--config", str(workspace / "conf")) == 0
@@ -196,6 +214,18 @@ def test_gamma_must_be_a_power_of_two(workspace, capsys):
     assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 2
     assert "gamma must be a power of two" in capsys.readouterr().err
     assert not d.exists()
+
+
+def test_nn_config_must_name_its_hidden_neurons(workspace, capsys):
+    conf, d = workspace / "nn.conf", workspace / "st"
+    conf.write_text(CONF.replace("kind = linear", "kind = nn"))
+    assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 2
+    assert "kind = nn needs a hidden key (2 or 4)" in capsys.readouterr().err
+    assert not d.exists()
+    # A hidden count the model does not support is still refused as such.
+    conf.write_text(CONF.replace("kind = linear", "kind = nn\nhidden = 3"))
+    assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 2
+    assert "NN models support 2 or 4 hidden neurons" in capsys.readouterr().err
 
 
 def test_corrupt_state_detected(workspace):
@@ -405,6 +435,27 @@ def test_bad_csv_is_a_usage_error(workspace, initialized, capsys, command, conte
     assert run(workspace, *args) == 2
     verb = "read" if content is None else "ingest"
     assert f"error: cannot {verb} {bad}: " in capsys.readouterr().err
+    assert snapshot(initialized) == before
+
+
+@pytest.mark.parametrize(
+    "header,refused",
+    [
+        ("uid,y,label", "2 label columns: 'y', 'label'"),
+        ("uid,UID,y", "2 uid columns: 'uid', 'UID'"),
+    ],
+    ids=["two-labels", "two-uids"],
+)
+def test_a_second_label_or_uid_column_is_a_usage_error(
+    workspace, initialized, capsys, header, refused
+):
+    # Either second column would otherwise be ingested as a feature.
+    bad = workspace / "bad.csv"
+    bad.write_text(f"{header}\n1,1,0\n")
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, "add", "--dir", str(initialized), "--dataset", str(bad)) == 2
+    assert f"error: cannot ingest {bad}: {refused}" in capsys.readouterr().err
     assert snapshot(initialized) == before
 
 
@@ -905,6 +956,8 @@ def test_same_shape_config_drift_fails_against_the_stored_circuit(workspace, upd
     wires = obj["circuits"]["model"]["wires"]
     assert f"fingerprint {obj['circuits']['model']['fingerprint'][:12]}" in err
     assert err.count(f"({wires} wires)") == 2
+    # The message names the first stored row the witness fails.
+    assert re.search(rf"\({wires} wires\) at row \d+; ", err)
     assert snapshot(updated) == before
 
 

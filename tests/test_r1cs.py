@@ -4,7 +4,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TINY_ROUNDS
+from conftest import TINY_ROUNDS, failing_rows, is_satisfied, rows_touching, satisfied_at_wire
 from unlearn.circuits import DataCircuit, ModelCircuit
 from unlearn.field import BN254_SCALAR_FIELD as P
 from unlearn.field import fx_encode
@@ -15,6 +15,7 @@ from unlearn.r1cs import (
     BuildPhaseClosed,
     ConstraintSystem,
     RowsNotRecorded,
+    Unsatisfied,
     Witness,
 )
 from unlearn.training import Dataset, default_train_config
@@ -31,8 +32,8 @@ def squaring_system():
 
 def test_squaring_constraint():
     cs = squaring_system()
-    assert cs.is_satisfied(Witness((1, 9, 3)))
-    assert not cs.is_satisfied(Witness((1, 10, 3)))
+    assert is_satisfied(cs, Witness((1, 9, 3)))
+    assert not is_satisfied(cs, Witness((1, 10, 3)))
 
 
 def test_boolean_gadget():
@@ -40,18 +41,18 @@ def test_boolean_gadget():
     b = cs.alloc_private(name="b")
     cs.enforce({b: 1}, {0: 1, b: -1}, {})
     cs.finalize()
-    assert cs.is_satisfied(Witness((1, 0)))
-    assert cs.is_satisfied(Witness((1, 1)))
-    assert not cs.is_satisfied(Witness((1, 2)))
+    assert is_satisfied(cs, Witness((1, 0)))
+    assert is_satisfied(cs, Witness((1, 1)))
+    assert not is_satisfied(cs, Witness((1, 2)))
 
 
 def test_empty_system_satisfied():
     cs = ConstraintSystem(P)
     cs.alloc_private(name="x")
     cs.finalize()
-    assert cs.is_satisfied(Witness((1, 42)))
-    assert not cs.is_satisfied(Witness((1,)))  # wrong length
-    assert not cs.is_satisfied(Witness((2, 42)))  # constant wire must be 1
+    assert is_satisfied(cs, Witness((1, 42)))
+    assert not is_satisfied(cs, Witness((1,)))  # wrong length
+    assert not is_satisfied(cs, Witness((2, 42)))  # constant wire must be 1
 
 
 def test_build_phase_closes():
@@ -85,11 +86,11 @@ def test_values_assigned_at_allocation():
     cs.enforce({sq: 1}, {0: 1}, {out: 1})
     # The statement wire comes first but gets its value once computed.
     assert cs.witness().values == (1, 0, 5, 25)
-    assert not cs.is_satisfied(cs.witness())
+    assert not is_satisfied(cs, cs.witness())
     cs.values[out] = cs.lc_value({sq: 1})
     cs.finalize()
     assert cs.witness().values == (1, 25, 5, 25)
-    assert cs.is_satisfied(cs.witness())
+    assert is_satisfied(cs, cs.witness())
     # Values are reduced mod p; a wire given none holds 0.
     assert cs.lc_value({x: 2, 0: P - 1}) == 9
     cs = ConstraintSystem(P)
@@ -121,12 +122,12 @@ def test_constraints_touching_index():
     cs.enforce({x: 1}, {x: 1}, {y: 1})
     cs.enforce({y: 1}, {0: 1}, {y: 1})
     cs.finalize()
-    assert cs.constraints_touching(x) == [0]
-    assert cs.constraints_touching(y) == [0, 1]
+    assert rows_touching(cs, x) == [0]
+    assert rows_touching(cs, y) == [0, 1]
     w = Witness((1, 1, 1))
-    assert cs.satisfied_at_wire(w, x)
+    assert satisfied_at_wire(cs, w, x)
     bad = Witness((1, 2, 1))
-    assert not cs.satisfied_at_wire(bad, x)
+    assert not satisfied_at_wire(cs, bad, x)
 
 
 def test_stats():
@@ -154,8 +155,8 @@ def test_from_export_roundtrip_and_verdicts(fast_pub, name):
     k = 1 + circuit.cs.num_public
     flipped = Witness(honest.values[:k] + ((honest.values[k] + 1) % P,) + honest.values[k + 1:])
     for witness, verdict in ((honest, True), (flipped, False)):
-        assert circuit.cs.is_satisfied(witness) is verdict
-        assert parsed.is_satisfied(witness) is verdict
+        assert is_satisfied(circuit.cs, witness) is verdict
+        assert is_satisfied(parsed, witness) is verdict
 
 
 def two_row_system():
@@ -271,12 +272,12 @@ def test_built_and_loaded_agree_on_failures(fast_pub, name):
     values = list(honest.values)
     values[wire] = (values[wire] + 1) % P
     flipped = Witness(tuple(values))
-    assert circuit.cs.failing_constraints(honest) == loaded.failing_constraints(honest) == []
-    failing = circuit.cs.failing_constraints(flipped)
-    assert failing and loaded.failing_constraints(flipped) == failing
+    assert failing_rows(circuit.cs, honest) == failing_rows(loaded, honest) == []
+    failing = failing_rows(circuit.cs, flipped)
+    assert failing and failing_rows(loaded, flipped) == failing
     # Only rows that read the flipped wire can fail.
-    assert set(failing) <= set(loaded.constraints_touching(wire))
-    assert not loaded.satisfied_at_wire(flipped, wire)
+    assert set(failing) <= set(rows_touching(loaded, wire))
+    assert not satisfied_at_wire(loaded, flipped, wire)
 
 
 def values_only_system():
@@ -293,8 +294,8 @@ def values_only_system():
     [
         lambda cs: cs.export(),
         lambda cs: cs.fingerprint(),
-        lambda cs: cs.is_satisfied(cs.witness()),
-        lambda cs: cs.failing_constraints(cs.witness()),
+        lambda cs: is_satisfied(cs, cs.witness()),
+        lambda cs: failing_rows(cs, cs.witness()),
         lambda cs: cs.constraints,
         lambda cs: cs.project(cs.witness()),
         lambda cs: cs.complete((1, 9, 3)),
@@ -315,7 +316,7 @@ def test_values_only_system_keeps_its_other_checks():
     cs = values_only_system()
     # A short witness is refused as rowless, not judged unsatisfied.
     with pytest.raises(RowsNotRecorded):
-        cs.is_satisfied(Witness((1,)))
+        is_satisfied(cs, Witness((1,)))
     with pytest.raises(BuildPhaseClosed):
         cs.enforce({}, {}, {})
 
@@ -349,7 +350,7 @@ def test_rule_splits_free_and_defined_wires():
     cs = chain_system()
     assert cs.free_wires() == [2, 5, 6]
     witness = cs.witness()
-    assert cs.is_satisfied(witness)
+    assert is_satisfied(cs, witness)
     assert cs.project(witness) == [1, 100, 2, 10, 1]
     assert cs.complete([1, 100, 2, 10, 1]) == witness
 
@@ -367,7 +368,76 @@ def test_rule_splits_free_and_defined_wires():
     ],
 )
 def test_complete_refuses_what_no_satisfying_witness_projects_to(given):
-    assert chain_system().complete(given) is None
+    with pytest.raises(Unsatisfied):
+        chain_system().complete(given)
+
+
+def test_complete_names_the_first_failing_row():
+    cs = chain_system()
+    # Rows: 0 and 1 define x2 and x3, 2 checks s, 3 t, 4 the statement and
+    # 5 x again.  No row when the length or the constant is wrong.
+    for given, row in (
+        ([1, 100, 2, 10], None),
+        ([1, 100, 2, 10, 1, 0], None),
+        ([2, 100, 2, 10, 1], None),
+        ([1, 100, 3, 10, 1], 2),  # x3 + x != s, and then 2t != x and s*s != y
+        ([1, 100, 2, 10, 2], 3),  # 2t != x
+        ([1, 101, 2, 10, 1], 4),  # s*s != y
+    ):
+        with pytest.raises(Unsatisfied) as refused:
+            cs.complete(given)
+        assert refused.value.row == row, given
+    # check names the first row the whole witness fails, as evaluating each
+    # row does: a wrong defined wire fails its defining row first, and x
+    # fails x2's row before the rows x2 and x3 feed.
+    honest = cs.witness().values
+    for wire, row in ((3, 0), (4, 1), (2, 0), (6, 3), (1, 4)):
+        values = list(honest)
+        values[wire] += 1
+        witness = Witness(tuple(values))
+        with pytest.raises(Unsatisfied) as refused:
+            cs.check(witness)
+        assert refused.value.row == row == failing_rows(cs, witness)[0], wire
+    cs.check(Witness(honest))
+    with pytest.raises(Unsatisfied) as refused:
+        cs.check(Witness(honest + (0,)))
+    assert refused.value.row is None
+
+
+def test_check_judges_every_single_wire_mutation_as_the_rows_do():
+    # Part-filled model and data circuits, each wire moved by one, defined
+    # wires included: check, through complete, refuses exactly the
+    # witnesses some row fails, and names the first such row.
+    config = ProtocolConfig(
+        train=default_train_config("linear", 1, epochs=1),
+        capacity=2,
+        unlearn_capacity=2,
+        backend="witness-check",
+        hash_rounds=TINY_ROUNDS,
+    )
+    scale = config.train.scale
+    points = [
+        DataPoint(uid, (fx_encode(x, scale),), fx_encode(1, scale))
+        for uid, x in ((1, 0.5), (2, -0.25))
+    ]
+    digests = [hash_data_point(d, config.hash_cfg) for d in points]
+    for circuit in (
+        ModelCircuit(config, Dataset(tuple(points[:1]), 1)),
+        DataCircuit(config, digests[:1], [], digests[1:]),
+    ):
+        cs = circuit.cs
+        honest = cs.witness().values
+        assert is_satisfied(cs, Witness(honest)) and failing_rows(cs, Witness(honest)) == []
+        for wire in range(1, cs.num_wires):
+            values = list(honest)
+            values[wire] = (values[wire] + 1) % P
+            witness = Witness(tuple(values))
+            failing = failing_rows(cs, witness)
+            assert is_satisfied(cs, witness) == (failing == []), wire
+            if failing:
+                with pytest.raises(Unsatisfied) as refused:
+                    cs.check(witness)
+                assert refused.value.row == failing[0], wire
 
 
 def test_a_wire_below_a_later_rows_wire_is_free():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from unlearn import circuits
 from unlearn.field import (
     SIGMOID_C0,
     SIGMOID_C1,
@@ -15,10 +16,10 @@ from unlearn.field import (
 )
 from unlearn.hashing import DataPoint, HashConfig, hash_model_weights
 from unlearn.training import (
-    ArityMismatch,
     Dataset,
     EmptyDataset,
     ModelParams,
+    ShapeMismatch,
     accuracy,
     default_init_values,
     default_train_config,
@@ -106,11 +107,14 @@ def test_param_count_formula(arity, hidden):
 
 def test_arity_mismatch():
     tc = default_train_config("linear", 2, epochs=1)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ShapeMismatch):
         train_model(_random_dataset(random.Random(0), 3, arity=1), tc)
     m = ModelParams("linear", 2, (0, 0, 0))
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ShapeMismatch):
         predict(m, (enc(1),), CFG)
+    # One class for every shape error, training's and the circuits'.
+    assert circuits.ShapeMismatch is ShapeMismatch
+    assert issubclass(circuits.ShapeOverflow, ShapeMismatch)
 
 
 # -- predict ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ import functools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import failing_rows, is_satisfied
 from unlearn.circuits import ModelCircuit
 from unlearn.field import FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
 from unlearn.gadgets import CircuitBuilder, lc_wire
@@ -115,7 +116,7 @@ BOUNDED = st.integers(min_value=-(1 << HALF), max_value=1 << HALF)
 @settings(max_examples=60, deadline=None)
 def test_forged_fx_mul_witnesses_rejected(a, b, j):
     cs, out_wire, honest = _fx_mul_gadget(a, b)
-    assert cs.is_satisfied(honest)
+    assert is_satisfied(cs, honest)
     assert honest.values[out_wire] == fx_mul(a % P, b % P, SCALE)
     t = a * b + OFFSET
     assert _forge(honest, out_wire, t, prod=a * b) == honest
@@ -123,14 +124,14 @@ def test_forged_fx_mul_witnesses_rejected(a, b, j):
     # row tying the bits to the product fails.
     shifted = _forge(honest, out_wire, t + (j << K))
     assert shifted.values[out_wire] == (honest.values[out_wire] + j) % P
-    [bits_row] = cs.failing_constraints(shifted)
+    [bits_row] = failing_rows(cs, shifted)
     # Moving the product wire along with them fails the product row.
     moved = _forge(honest, out_wire, t + (j << K), prod=a * b + (j << K))
-    assert cs.failing_constraints(moved) not in ([], [bits_row])
+    assert failing_rows(cs, moved) not in ([], [bits_row])
     # So does the negated product with its bits.
     if a * b:
         negated = _forge(honest, out_wire, -a * b + OFFSET, prod=-a * b)
-        assert not cs.is_satisfied(negated)
+        assert not is_satisfied(cs, negated)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +163,7 @@ def test_native_and_circuit_round_alike_at_ties_and_bounds(a, b, expected):
         return
     assert fx_mul(a, b, SCALE) == expected % P
     cs, out_wire, honest = _fx_mul_gadget(a, b)
-    assert cs.is_satisfied(honest)
+    assert is_satisfied(cs, honest)
     assert honest.values[out_wire] == expected % P
 
 
@@ -222,7 +223,7 @@ def test_native_overflow_iff_synthesis_fails(kind, epochs, rows):
         assert circuit_error.uid == native_error.uid is not None
         assert str(circuit_error) == str(native_error)
         return
-    assert circuit.cs.is_satisfied(circuit.cs.witness())
+    assert is_satisfied(circuit.cs, circuit.cs.witness())
     assert circuit.model == model
     digests = [hash_data_point(d, TINY) for d in ds.points]
     assert circuit.statement == (
