@@ -212,6 +212,28 @@ def ingest_dataset(path: str, scale: ScaleConfig):
         raise CliError(f"cannot ingest {path}: {e}")
 
 
+def find_point(args, pool, scale: ScaleConfig, missing: str) -> DataPoint:
+    """The --uid point from ``pool``, else from --dataset; else ``missing``."""
+    point = next((d for d in pool if d.uid == args.uid), None)
+    if point is None and args.dataset:
+        rows = ingest_dataset(args.dataset, scale).dataset.points
+        point = next((d for d in rows if d.uid == args.uid), None)
+    if point is None:
+        raise CliError(missing)
+    return point
+
+
+@contextmanager
+def reading_envelopes():
+    """A missing envelope is a usage error, an unreadable one corrupt state."""
+    try:
+        yield
+    except FileNotFoundError as e:
+        raise CliError(f"missing envelope: {e.filename}")
+    except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        raise CliError(f"corrupt envelope: {e}", EXIT_CORRUPT)
+
+
 def emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=1, sort_keys=True))
@@ -301,15 +323,10 @@ def cmd_delete(args) -> int:
         raise CliError("delete needs --uid")
     with dir_lock(store):
         state = load_state(store, pub.scale)
-        pool = list(state.dataset.points) + list(state.pending_add)
-        point = next((d for d in pool if d.uid == args.uid), None)
-        if point is None and args.dataset:
-            ingested = ingest_dataset(args.dataset, pub.scale)
-            point = next((d for d in ingested.dataset.points if d.uid == args.uid), None)
-        if point is None:
-            raise CliError(
-                f"uid {args.uid} not found; pass --dataset with the point's row"
-            )
+        point = find_point(
+            args, (*state.dataset.points, *state.pending_add), pub.scale,
+            f"uid {args.uid} not found; pass --dataset with the point's row",
+        )
         try:
             check_point(pub, point)
         except (FixedPointOverflow, ShapeMismatch) as e:
@@ -357,7 +374,7 @@ def cmd_verify_update(args) -> int:
     i = args.iteration
     if i is None:
         raise CliError("verify-update needs --iteration")
-    try:
+    with reading_envelopes():
         if i == 0:
             com0 = commitment_from_dict(read_json(store.commitment_file(0)), pub.scale)
             marker = read_json(store.init_marker_file)["marker"]
@@ -371,10 +388,6 @@ def cmd_verify_update(args) -> int:
                 read_json(store.update_proof_file(i), UPDATE_PROOF_VERSION), pub.scale
             )
             ok = verify_update(pub, com_prev, com, proof)
-    except FileNotFoundError as e:
-        raise CliError(f"missing envelope: {e.filename}")
-    except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise CliError(f"corrupt envelope: {e}", EXIT_CORRUPT)
     emit(args, {"iteration": i, "accepted": ok},
          f"iteration {i}: {'accept' if ok else 'REJECT'}")
     return EXIT_OK if ok else EXIT_REJECT
@@ -387,15 +400,11 @@ def cmd_prove_unlearn(args) -> int:
         raise CliError("prove-unlearn needs --uid")
     with dir_lock(store):
         state = load_state(store, pub.scale)
-        point = next((d for d in state.last_deleted if d.uid == args.uid), None)
-        if point is None and args.dataset:
-            ingested = ingest_dataset(args.dataset, pub.scale)
-            point = next((d for d in ingested.dataset.points if d.uid == args.uid), None)
-        if point is None:
-            raise CliError(
-                f"uid {args.uid} is not among the last update's deletions; "
-                "pass --dataset with the point's row"
-            )
+        point = find_point(
+            args, state.last_deleted, pub.scale,
+            f"uid {args.uid} is not among the last update's deletions; "
+            "pass --dataset with the point's row",
+        )
         try:
             proof = prove_unlearn(pub, state, point)
         except (NotMemberError, FixedPointOverflow, ShapeMismatch) as e:
@@ -415,21 +424,14 @@ def cmd_verify_unlearn(args) -> int:
     if not args.dataset:
         raise CliError("verify-unlearn needs --dataset with the point's row "
                        "(the verifying user supplies their own data point)")
-    ingested = ingest_dataset(args.dataset, pub.scale)
-    point = next((d for d in ingested.dataset.points if d.uid == args.uid), None)
-    if point is None:
-        raise CliError(f"uid {args.uid} not present in {args.dataset}")
-    try:
+    point = find_point(args, (), pub.scale, f"uid {args.uid} not present in {args.dataset}")
+    with reading_envelopes():
         com = commitment_from_dict(
             read_json(store.commitment_file(args.iteration)), pub.scale
         )
         proof = unlearn_proof_from_dict(
             read_json(store.unlearn_proof_file(args.iteration, args.uid)), pub.scale
         )
-    except FileNotFoundError as e:
-        raise CliError(f"missing envelope: {e.filename}")
-    except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise CliError(f"corrupt envelope: {e}", EXIT_CORRUPT)
     try:
         ok = verify_unlearn(pub, point, com, proof)
         reason = "" if ok else "path mismatch: recomputed root differs from commitment"

@@ -2,15 +2,19 @@
 
 Values inside a circuit are sparse linear combinations over wires, so
 additions and constant scaling are free; only multiplications allocate
-wires and constraints.  Each gadget computes the values of the wires it
-allocates from the values of its inputs as it allocates them, so a
-circuit built from its inputs carries its witness.  The hash gadgets
-replay the exact computation of ``hashing`` and the fixed-point multiply
-replays ``field.fx_mul`` with one bit decomposition of the rounded,
-offset product, which is also its range check against the value bound of
-``ScaleConfig``; where native training raises FixedPointOverflow, so do
-they.  ``pin_absent`` fixes each value of an absent slot to a constant,
-so a padded circuit leaves no wire free of its inputs.
+wires and constraints.  Every product gadget returns one new wire that
+its own row defines (``r1cs``): C is that wire less any terms added to
+the product.  No row then copies the combination that fed an earlier
+one, so no row grows with capacity or epochs.  Each gadget computes the
+values of the wires it allocates from the values of its inputs as it
+allocates them, so a circuit built from its inputs carries its witness.
+The hash gadgets replay the exact computation of ``hashing`` and the
+fixed-point multiply replays ``field.fx_mul`` with one bit decomposition
+of the rounded, offset product, which is also its range check against
+the value bound of ``ScaleConfig``; where native training raises
+FixedPointOverflow, so do they.  ``pin_absent`` fixes each value of an
+absent slot to a constant, so a padded circuit leaves no wire free of
+its inputs.
 """
 
 from __future__ import annotations
@@ -61,11 +65,11 @@ class CircuitBuilder:
 
     # -- core wire allocation -------------------------------------------------
 
-    def mul(self, a: LinComb, b: LinComb) -> LinComb:
-        """Plain field product as a new constrained wire."""
+    def mul(self, a: LinComb, b: LinComb, plus: LinComb = {}) -> LinComb:
+        """a * b + plus as a new wire, defined by its row a * b = w - plus."""
         cs = self.cs
-        w = cs.alloc_private(cs.lc_value(a) * cs.lc_value(b))
-        cs.enforce(a, b, lc_wire(w))
+        w = cs.alloc_private(cs.lc_value(a) * cs.lc_value(b) + cs.lc_value(plus))
+        cs.enforce(a, b, self.sub(lc_wire(w), plus))
         return lc_wire(w)
 
     def enforce_eq(self, a: LinComb, b: LinComb) -> None:
@@ -104,15 +108,17 @@ class CircuitBuilder:
         return offset
 
     def select(self, sel: LinComb, a: LinComb, b: LinComb) -> LinComb:
-        """sel * a + (1 - sel) * b for boolean sel, costing one product."""
-        return self.add(b, self.mul(sel, self.sub(a, b)))
+        """sel * a + (1 - sel) * b for boolean sel: one wire, from the row
+        sel * (a - b) = out - b."""
+        return self.mul(sel, self.sub(a, b), plus=b)
 
     # -- fixed-point multiply ----------------------------------------------------
 
     def fx_mul(self, a: LinComb, b: LinComb) -> LinComb:
         """Rescaled product, rounded half up: with gamma = 2^k and B =
         scale.value_bits, decomposes a*b + 2^(k-1) + 2^(B+k) into B+k+1
-        bits and returns one wire holding the high B+1 bits less 2^B.
+        bits and returns one wire holding the high B+1 bits less 2^B,
+        which its row (high - 2^B) * 1 = out defines.
 
         The output is unique, so it equals ``field.fx_mul``: 2^(B+k+1) is
         far below p, which leaves one decomposition per product.  No
@@ -125,13 +131,11 @@ class CircuitBuilder:
         cs = self.cs
         k, bound = self.scale.frac_bits, self.scale.value_bits
         prod = self.mul(a, b)
-        q = rescale(signed_repr(cs.lc_value(prod), self.scale), self.scale)
+        rescale(signed_repr(cs.lc_value(prod), self.scale), self.scale)  # the overflow check
         offset = lc_const((1 << (k - 1)) + (1 << (bound + k)))
         wires = self.bits(self.add(prod, offset), bound + k + 1)
-        out = cs.alloc_private(q % cs.modulus)
         high = {w: 1 << i for i, w in enumerate(wires[k:])}
-        self.enforce_eq(self.sub(high, lc_const(1 << bound)), lc_wire(out))
-        return lc_wire(out)
+        return self.mul(self.sub(high, lc_const(1 << bound)), lc_const(1))
 
     # -- hash gadgets ---------------------------------------------------------
 
@@ -180,26 +184,20 @@ class CircuitBuilder:
         Each level hashes every adjacent pair unconditionally (static
         shape), then selects per slot between the pair hash, the odd
         carried node, and absence, driven by the presence bits.  The
-        surviving slot-0 value equals the dynamic-length tree root.
+        surviving slot-0 value equals the dynamic-length tree root.  Each
+        choice is a ``select``, so every node is one wire.
         """
         empty = lc_const(empty_root(self.hash_cfg))
         nodes, pres = list(leaves), list(presence)
         while len(nodes) > 1:
-            nxt_nodes, nxt_pres = [], []
-            for j in range(0, len(nodes), 2):
-                if j + 1 == len(nodes):
-                    nxt_nodes.append(nodes[j])
-                    nxt_pres.append(pres[j])
-                    continue
+            # both present -> pair hash; lone left node -> carried up.
+            for j in range(0, len(nodes) - 1, 2):
                 h = self.hash2(nodes[j], nodes[j + 1])
-                # both present -> pair hash; lone left node -> carried up.
-                paired = self.mul(pres[j + 1], self.sub(h, nodes[j]))
-                nxt_nodes.append(self.add(nodes[j], paired))
-                nxt_pres.append(pres[j])
-            nodes, pres = nxt_nodes, nxt_pres
+                nodes[j] = self.select(pres[j + 1], h, nodes[j])
+            nodes, pres = nodes[::2], pres[::2]
         if not nodes:
             return empty
-        return self.add(empty, self.mul(pres[0], self.sub(nodes[0], empty)))
+        return self.select(pres[0], nodes[0], empty)
 
     def chain_root(
         self, base: LinComb, items: list[LinComb], presence: list[LinComb], marked: list[LinComb]
@@ -207,12 +205,13 @@ class CircuitBuilder:
         """Append-only chain folds from base over the marked and over the
         present prefix.  Marked bits set only where presence bits are
         (``prefix_presence`` with ``within``) keep the two folds equal up
-        to the marked end, so one hash per slot serves both."""
+        to the marked end, so one hash per slot serves both.  Each fold
+        step is a ``select``, so each running root is one wire."""
         psi_marked = psi = base
         for item, pres, mark in zip(items, presence, marked):
             h = self.hash2(psi, item)
-            psi_marked = self.add(psi_marked, self.mul(mark, self.sub(h, psi_marked)))
-            psi = self.add(psi, self.mul(pres, self.sub(h, psi)))
+            psi_marked = self.select(mark, h, psi_marked)
+            psi = self.select(pres, h, psi)
         return psi_marked, psi
 
     def prefix_presence(self, presence: list[LinComb], within: list[LinComb] = ()) -> None:

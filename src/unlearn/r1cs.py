@@ -24,8 +24,9 @@ rows raises RowsNotRecorded rather than treat the empty row set as the
 circuit.
 
 Most private wires are fixed by the rows that read them first: a row
-whose C is one wire with coefficient 1, above every wire of its A, B and
-of all earlier rows, *defines* that wire as <A,z> * <B,z>.  ``project``
+whose C ends in a wire with coefficient 1, above every wire of its A, B
+and of all earlier rows, *defines* that wire as <A,z> * <B,z> less the
+rest of C, which lies below it.  ``project``
 keeps the constant, the statement and the other, *free*, wires of a
 witness; ``complete`` rebuilds the one satisfying witness with that
 projection in one walk over the rows, or raises Unsatisfied naming the
@@ -332,10 +333,11 @@ class ConstraintSystem:
     def _defining_rows(self) -> list[tuple[int, int]]:
         """Each row that defines a wire, with that wire, in row order; kept
         once the system is finalized, as rows can no longer change.  Row
-        i *defines* private wire w when C_i is exactly {w: 1} and w is above
-        every wire of A_i, B_i and of all earlier rows, so that w =
-        <A_i,z> * <B_i,z> follows from wires a walk in row order already
-        knows.  Every private wire no row defines is *free*.
+        i *defines* private wire w when w is the last term of C_i, with
+        coefficient 1, and above every wire of A_i, B_i and of all earlier
+        rows, so that w = <A_i,z> * <B_i,z> - <C_i - w, z> follows from
+        wires a walk in row order already knows.  Every private wire no
+        row defines is *free*.
 
         Reads the rows only, never values, so every witness of one circuit
         splits the same way.  Wire ids increase within a row, so a row's
@@ -345,19 +347,14 @@ class ConstraintSystem:
         if self._defining is not None:
             return self._defining
         a, b, c = self._rows_recorded()
-
-        def padded(values: array) -> array:
-            out = array(_U32_CODE, (0,))
-            out += values
-            return out
-
-        a_wires, b_wires, c_wires = padded(a.wires), padded(b.wires), padded(c.wires)
-        c_coefficients = padded(c.coefficients)
+        a_wires, b_wires, c_wires, c_coefficients = (
+            array(_U32_CODE, (0,)) + v for v in (a.wires, b.wires, c.wires, c.coefficients)
+        )
         one = self._coefficient_ids.get(1, -1)
         top = self.num_public  # the largest wire so far: only private ones are defined
         defining = []
-        for row, end_a, end_b, end_c, c_terms in zip(
-            count(), accumulate(a.counts), accumulate(b.counts), accumulate(c.counts), c.counts
+        for row, end_a, end_b, end_c in zip(
+            count(), accumulate(a.counts), accumulate(b.counts), accumulate(c.counts)
         ):
             if a_wires[end_a] > top:
                 top = a_wires[end_a]
@@ -366,7 +363,7 @@ class ConstraintSystem:
             w = c_wires[end_c]
             if w > top:
                 top = w
-                if c_terms == 1 and c_coefficients[end_c] == one:
+                if c_coefficients[end_c] == one:
                     defining.append((row, w))
         if self._finalized:
             self._defining = defining
@@ -396,7 +393,8 @@ class ConstraintSystem:
         the first row that fails, if there is none.  One walk over the
         rows: before each defining row, the free wires below its wire take
         the next values of ``given``, the rows since the last defining row
-        must hold, and the row assigns its wire <A_i,z> * <B_i,z> mod p.
+        must hold, and the row assigns its wire w <A_i,z> * <B_i,z> -
+        <C_i - w, z> mod p: the sums are taken with w at 0.
         Rows after the last defining row must hold once every free wire
         is placed.
 
@@ -424,11 +422,11 @@ class ConstraintSystem:
             rows = islice(residues, row - checked)
             if any(rows):
                 raise Unsatisfied(row - 1 - sum(1 for _ in rows))
-            value = next(a) * next(b) % p
+            z.append(0)
+            value = (next(a) * next(b) - next(c)) % p
             if expect is not None and value != expect[w]:
                 raise Unsatisfied(row)
-            z.append(value)
-            next(c)
+            z[w] = value
             checked = row + 1
         z += given[placed:]
         if len(z) != self._num_wires:

@@ -33,11 +33,11 @@ from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
 
 # Each kind of envelope is versioned on its own: a change to one kind's
-# format or meaning bumps only that kind.  Update proofs (free wires only)
-# and params.json (absent slots pinned) are at 9, every other kind at 8.
+# format or meaning bumps only that kind.  params.json (one-wire selects)
+# is at 10, update proofs (free wires only) at 9, every other kind at 8.
 VERSION = 8
 UPDATE_PROOF_VERSION = 9
-PARAMS_VERSION = 9
+PARAMS_VERSION = 10
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 

@@ -440,14 +440,19 @@ def test_previous_bits_never_run_past_presence():
     prev_n = pres_n + 2 * ucap
     assert (values[pres_n], values[prev_n], values[prev_n - 1]) == (0, 0, 1)
     values[prev_n] = 1
-    # The fold's product for that slot, previous bit times (h - psi_prev),
-    # and the h_U_prev it feeds.
-    [(a, b, c)] = [
-        (a, b, c) for a, b, c in cs.constraints if a == {prev_n: 1} and len(c) == 1
-    ]
-    [product] = c
-    values[product] = cs.lc_value(b, values)
-    values[circuit.h_uprev_wire] = (values[circuit.h_uprev_wire] + values[product]) % P
+    # Each slot's previous-digest fold is one select row, previous bit
+    # times (h - psi_prev) = psi - psi_prev, whose last C wire is the new
+    # psi.  The forged bit's fold now takes the hash, and every later
+    # fold, whose bit is 0, carries it on to h_U_prev.
+    bits = range(prev_n, prev_n + ucap - n)  # the forged bit and the later ones
+    folds = [(a, b, c) for a, b, c in cs.constraints if c and len(a) == 1 and min(a) in bits]
+    assert [min(a) for a, _, _ in folds] == list(bits)
+    a, b, c = folds[0]
+    fold = max(c)
+    values[fold] = (cs.lc_value(a, values) * cs.lc_value(b, values)
+                    - cs.lc_value(c, values) + values[fold]) % P
+    for w in [max(c) for _, _, c in folds[1:]] + [circuit.h_uprev_wire]:
+        values[w] = values[fold]
     h_u = values[circuit.h_u_wire]
     assert h_u == hash_unlearn(unlearnt, TINY)
     # The slot past the set is absent, so its digest is pinned to 1.
@@ -548,12 +553,12 @@ def test_fast_pub_constraint_totals(fast_pub):
         # fx_mul 640 + select 328 + absent-slot pins 24 + presence 15 +
         # bindings 2; data 5,174 = hash 4,950 + disjoint 128 + presence 53 +
         # select 24 + absent-slot pins 16 + bindings 3.
-        (10, 8, (25363, 25013, 163339, (164, 162, 1)), (5174, 5146, 33592, (10, 17, 1))),
+        (10, 8, (25363, 25013, 120133, (65, 10, 6)), (5174, 5146, 25263, (3, 5, 2))),
         # cli-unlearn: model 16,987 = hash 10,890 + range bits 5,808 +
         # fx_mul 128 + select 80 + absent-slot pins 48 + presence 31 +
         # bindings 2; data 10,934 = hash 10,230 + disjoint 512 + presence
         # 109 + select 48 + absent-slot pins 32 + bindings 3.
-        (1, 16, (16987, 16861, 100101, (65, 34, 1)), (10934, 10874, 92046, (18, 33, 1))),
+        (1, 16, (16987, 16861, 83961, (65, 10, 6)), (10934, 10874, 53407, (3, 5, 2))),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
 )
@@ -572,11 +577,31 @@ def test_benchmark_config_sizes(epochs, capacity, model, data):
         assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest) == expected
 
 
+def test_longest_rows_do_not_grow_with_capacity_or_epochs():
+    # Every product gadget returns one wire that its own row defines, so
+    # no row copies a weight's history or a running root: each circuit's
+    # longest rows of A, B and C are the same at every capacity and epoch
+    # count.  The model's longest A row is the uid's 64-bit sum.
+    longest = {ModelCircuit: set(), DataCircuit: set()}
+    for capacity in (2, 4, 8):
+        for epochs in (1, 3):
+            config = build_protocol_config({
+                "epochs": str(epochs),
+                "capacity": str(capacity),
+                "unlearn_capacity": str(capacity),
+                "hash_rounds": str(TINY.rounds),
+            })
+            for circuit, seen in longest.items():
+                rows = circuit(config).cs.constraints
+                seen.add(tuple(max(len(row[m]) for row in rows) for m in range(3)))
+    assert longest == {ModelCircuit: {(65, 10, 6)}, DataCircuit: {(3, 5, 2)}}
+
+
 def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
-    assert model.fingerprint() == "bbdbab450f92e0dfaf3cd8128c4a091ceb51ddad0dd725636ff97b6bb65c3268"
-    assert data.fingerprint() == "9a214ec6f9d1ae02b458dbd63d1286f9350ae242021b2468e21a6f2e4e666f2c"
+    assert model.fingerprint() == "090af3aaa731ddaa4b24d97f4462851dbbd90026e43def7a279bf851b2142cf8"
+    assert data.fingerprint() == "20cd5316f065b58d431bee4cb85fd4588d84005ec21a202a3c9d69e6e5d25c94"
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.
     config = fast_pub.config

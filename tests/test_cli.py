@@ -598,7 +598,7 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     for name, digest in VERSION_8_FILES.items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
-    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 9
+    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 10
     for meta in (d / "pub" / "setups").rglob("meta.json"):
         assert json.loads(meta.read_text())["version"] == VERSION
     for i in range(3):
@@ -631,8 +631,11 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # every element before combining it into a point digest or model hash.
     # Version 6 absorbed a point's uid and values one element each.
     # Version 7 took any positive gamma and truncated products toward zero.
+    # Version 8 left absent slots unpinned.  Version 9's selects, Merkle
+    # carries and chain folds returned linear combinations, not one wire.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
-                {"version": 4}, {"version": 5}, {"version": 6}, {"version": 7}):
+                {"version": 4}, {"version": 5}, {"version": 6}, {"version": 7},
+                {"version": 8}, {"version": 9}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))

@@ -325,9 +325,10 @@ def test_values_only_system_keeps_its_other_checks():
 
 
 def chain_system():
-    """x free; x2 = x*x and x3 = x2*x are defined; s = x3 + x and t, with
-    2t = x, are free: s's row has two C terms, and t's row a coefficient
-    other than 1.  The statement y = s*s is checked, not defined."""
+    """x free; x2 = x*x and x3 = x2*x are defined, and so is s = x3 + x,
+    whose row's C is s - x; t, with 2t = x, is free, as its row's C
+    coefficient is not 1.  The statement y = s*s is checked, not
+    defined."""
     cs = ConstraintSystem(P)
     y = cs.alloc_public(100)
     x = cs.alloc_private(2)
@@ -348,22 +349,35 @@ def chain_system():
 
 def test_rule_splits_free_and_defined_wires():
     cs = chain_system()
-    assert cs.free_wires() == [2, 5, 6]
+    assert cs.free_wires() == [2, 6]
     witness = cs.witness()
     assert is_satisfied(cs, witness)
-    assert cs.project(witness) == [1, 100, 2, 10, 1]
-    assert cs.complete([1, 100, 2, 10, 1]) == witness
+    assert cs.project(witness) == [1, 100, 2, 1]
+    assert cs.complete([1, 100, 2, 1]) == witness
+
+
+def test_a_defining_row_places_the_free_wires_below_its_own():
+    # u is new in w's row, below w in C: it is free, and placed before the
+    # walk assigns w = x*x + u.
+    cs = ConstraintSystem(P)
+    x = cs.alloc_private(3)
+    u = cs.alloc_private(5)
+    w = cs.alloc_private(14)
+    cs.enforce({x: 1}, {x: 1}, {u: -1, w: 1})
+    cs.finalize()
+    assert cs.free_wires() == [x, u]
+    assert cs.complete([1, 3, 5]) == cs.witness()
 
 
 @pytest.mark.parametrize(
     "given",
     [
-        [1, 100, 2, 10],  # short
-        [1, 100, 2, 10, 1, 0],  # long
-        [2, 100, 2, 10, 1],  # the constant is not 1
-        [1, 100, 3, 10, 1],  # x3 + x != s
-        [1, 100, 2, 10, 2],  # 2t != x
-        [1, 101, 2, 10, 1],  # s*s != y
+        [1, 100, 2],  # short
+        [1, 100, 2, 1, 0],  # long
+        [2, 100, 2, 1],  # the constant is not 1
+        [1, 100, 3, 1],  # 2t != x, and s*s != y
+        [1, 100, 2, 2],  # 2t != x
+        [1, 101, 2, 1],  # s*s != y
         [],
     ],
 )
@@ -374,15 +388,15 @@ def test_complete_refuses_what_no_satisfying_witness_projects_to(given):
 
 def test_complete_names_the_first_failing_row():
     cs = chain_system()
-    # Rows: 0 and 1 define x2 and x3, 2 checks s, 3 t, 4 the statement and
-    # 5 x again.  No row when the length or the constant is wrong.
+    # Rows: 0, 1 and 2 define x2, x3 and s, 3 checks t, 4 the statement
+    # and 5 x again.  No row when the length or the constant is wrong.
     for given, row in (
-        ([1, 100, 2, 10], None),
-        ([1, 100, 2, 10, 1, 0], None),
-        ([2, 100, 2, 10, 1], None),
-        ([1, 100, 3, 10, 1], 2),  # x3 + x != s, and then 2t != x and s*s != y
-        ([1, 100, 2, 10, 2], 3),  # 2t != x
-        ([1, 101, 2, 10, 1], 4),  # s*s != y
+        ([1, 100, 2], None),
+        ([1, 100, 2, 1, 0], None),
+        ([2, 100, 2, 1], None),
+        ([1, 100, 3, 1], 3),  # 2t != x, and then s*s != y
+        ([1, 100, 2, 2], 3),  # 2t != x
+        ([1, 101, 2, 1], 4),  # s*s != y
     ):
         with pytest.raises(Unsatisfied) as refused:
             cs.complete(given)
@@ -391,7 +405,7 @@ def test_complete_names_the_first_failing_row():
     # row does: a wrong defined wire fails its defining row first, and x
     # fails x2's row before the rows x2 and x3 feed.
     honest = cs.witness().values
-    for wire, row in ((3, 0), (4, 1), (2, 0), (6, 3), (1, 4)):
+    for wire, row in ((3, 0), (4, 1), (5, 2), (2, 0), (6, 3), (1, 4)):
         values = list(honest)
         values[wire] += 1
         witness = Witness(tuple(values))
