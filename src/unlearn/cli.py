@@ -8,35 +8,41 @@ proof files.
 
 ``pub/`` is written once, by ``setup``:
 
-* ``params.json``: the protocol config and, for each circuit (model and
-  data), its fingerprint and its constraint, wire and public-input counts;
+* ``params.json``: the protocol config and each circuit's (model and
+  data) fingerprint;
 * ``circuits/<fingerprint>.r1cs``: each circuit's canonical binary
   export, the bytes its fingerprint (SHA-256) is taken over: a header
   (magic, modulus, wire, public, row and coefficient counts), the
   coefficient table, then per matrix A, B, C the row term counts, wire
   ids and coefficient ids as little-endian u32 arrays (see ``r1cs``);
-* ``setups/<backend>/<fingerprint>/``: the backend's setup artifacts.
+* ``setups/snark/<fingerprint>/pk.bin`` and ``vk.bin``: each circuit's
+  Groth16 proving and verifying keys.  The witness-check backend has no
+  keys and writes no ``setups/``.
 
-Only ``setup``, ``update`` and ``audit-setup`` build circuits (``game``
-also does, to prove, and ``bench`` runs setup, update and verify-update
-in a temporary directory).  ``update`` builds each for its wire
-values only and proves against the stored export, after checking its
-SHA-256; a witness the stored rows refuse means the config no longer
+Every command reads ``params.json``, and each other file only when it
+needs it.  Only ``setup``, ``update`` and ``audit-setup`` build circuits
+(``game`` also does, to prove, and ``bench`` runs setup, update and
+verify-update in a temporary directory).  ``update`` builds each for its
+wire values only and proves against the stored export, after checking
+its SHA-256; a witness the stored rows refuse means the config no longer
 matches the circuit ``setup`` compiled, and ``update`` exits 3 without
-writing.  ``verify-update`` on the witness-check backend reads the stored
-exports too; on the snark backend it needs only the verifying keys.
+writing.  On snark it reads the proving keys.  ``verify-update`` on the
+witness-check backend reads the stored exports too; on the snark backend
+it reads only the verifying keys.  ``init``, ``add``, ``delete``,
+``prove-unlearn`` and ``verify-unlearn`` read nothing under ``setups/``.
 ``audit-setup`` rebuilds both circuits from the stored config and checks
-the stored fingerprints, sizes and exports, for anyone who wants to tie
+the stored fingerprints and exports, for anyone who wants to tie
 ``pub/`` to the config.
 
 Each command accepts ``--dir``, ``--json`` and only the options it reads
 (``COMMANDS``).  Exit codes: 0 success/accept, 1 reject (an
 ``audit-setup`` mismatch included), 2 usage error (an option the command
 does not read, ``bench --config`` or ``--backend`` with a ``--dir`` that
-holds parameters, or an unreadable ``--config`` or ``--dataset`` file
-included), 3 corrupt state (a state directory that cannot be read, a
-missing or altered circuit export, or a config that no longer matches
-the stored circuit).
+holds parameters, an unreadable ``--config`` or ``--dataset`` file, or a
+``--dataset`` with a categorical column outside ``bench`` included), 3
+corrupt state (a state directory that cannot be read, a missing or
+altered circuit export, a missing, unreadable or malformed key file, or
+a config that no longer matches the stored circuit).
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .field import ConfigError, FixedPointOverflow, ScaleConfig, fx_encode
 from .game import builtin_strategies, run_suite
 from .hashing import DataPoint, NotMemberError
 from .ingest import ingest_csv, split_dataset
-from .proofsys import BackendUnavailable, FingerprintMismatch, WitnessCheckBackend
+from .proofsys import BackendUnavailable, ProofSysError, WitnessCheckBackend
 from .protocol import (
     CorruptState,
     DuplicateAdd,
@@ -75,13 +81,11 @@ from .protocol import (
 )
 from .r1cs import fingerprint_of
 from .serialize import (
-    PARAMS_VERSION,
     UPDATE_PROOF_VERSION,
     VERSION,
     EnvelopeError,
     StateDir,
     atomic_write_json,
-    circuit_record,
     commitment_from_dict,
     commitment_to_dict,
     read_json,
@@ -90,7 +94,7 @@ from .serialize import (
     update_proof_from_dict,
     update_proof_to_dict,
 )
-from .training import accuracy, default_init_values, train_model, TrainConfig
+from .training import accuracy, train_model, TrainConfig
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -145,16 +149,12 @@ def build_protocol_config(options: dict[str, str]) -> ProtocolConfig:
         raise CliError("bad configuration: kind = nn needs a hidden key (2 or 4)")
     try:
         scale = ScaleConfig(gamma=int(opts["gamma"]))
-        kind = opts["kind"]
-        hidden = int(opts["hidden"])
-        arity = int(opts["arity"])
         train = TrainConfig(
-            kind=kind,
-            arity=arity,
-            hidden=hidden,
+            kind=opts["kind"],
+            arity=int(opts["arity"]),
+            hidden=int(opts["hidden"]),
             epochs=int(opts["epochs"]),
             learning_rate=fx_encode(Fraction(opts["learning_rate"]), scale),
-            init_values=default_init_values(kind, arity, hidden, scale),
             scale=scale,
         )
         return ProtocolConfig(
@@ -200,12 +200,13 @@ def load_state(store: StateDir, scale):
         raise CliError(f"corrupt state: {e}", EXIT_CORRUPT)
 
 
-def ingest_dataset(path: str, scale: ScaleConfig):
+def ingest_dataset(path: str, scale: ScaleConfig, categorical: bool = False):
     """ingest_csv for a command's --dataset.  An unreadable file and bad
     input (a SchemaError or other ValueError, or a value too large to
-    encode) are usage errors."""
+    encode) are usage errors.  A categorical column's codes depend on the
+    file, so only ``categorical`` (bench's one-file report) accepts one."""
     try:
-        return ingest_csv(path, scale)
+        return ingest_csv(path, scale, categorical=categorical)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror}")
     except (ValueError, OverflowError) as e:
@@ -447,17 +448,18 @@ def cmd_verify_unlearn(args) -> int:
 
 def cmd_audit_setup(args) -> int:
     """Rebuild both circuits from the stored config and compare each with
-    its params.json entry (fingerprint and size) and its stored export."""
+    its params.json fingerprint and its stored export."""
     store = StateDir(args.dir)
     pub = load_pub(store)
-    stored = read_json(store.params_file, PARAMS_VERSION)["circuits"]
     checks = {}
-    for name, circuit in (("model", ModelCircuit), ("data", DataCircuit)):
-        cs = circuit(pub.config).cs
-        exported = cs.export()
-        path = store.setup_store.circuit_file(stored[name]["fingerprint"])
+    for name, circuit, rel in (
+        ("model", ModelCircuit, pub.model_relation),
+        ("data", DataCircuit, pub.data_relation),
+    ):
+        exported = circuit(pub.config).cs.export()
+        path = store.setup_store.circuit_file(rel.fingerprint)
         checks[name] = {
-            "params": circuit_record(fingerprint_of(exported), cs) == stored[name],
+            "fingerprint": fingerprint_of(exported) == rel.fingerprint,
             "export": path.is_file() and path.read_bytes() == exported,
         }
     failed = [f"{name} {what}" for name, c in checks.items() for what, ok in c.items() if not ok]
@@ -526,14 +528,9 @@ def cmd_bench(args) -> int:
 
     if args.dataset:
         scale = config.train.scale
-        ingested = ingest_dataset(args.dataset, scale)
+        ingested = ingest_dataset(args.dataset, scale, categorical=True)
         train_set, test_set = split_dataset(ingested.dataset, split)
-        arity = ingested.dataset.arity
-        train_cfg = dataclasses.replace(
-            config.train,
-            arity=arity,
-            init_values=default_init_values(config.train.kind, arity, config.train.hidden, scale),
-        )
+        train_cfg = dataclasses.replace(config.train, arity=ingested.dataset.arity)
         threshold = fx_encode(Fraction(1, 2), scale)
         try:
             model = train_model(train_set, train_cfg)
@@ -636,7 +633,9 @@ def main(argv=None) -> int:
     except BackendUnavailable as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FingerprintMismatch, EnvelopeError) as e:
+    except (ProofSysError, EnvelopeError) as e:
+        # ProofSysError: a config that no longer matches the stored circuit
+        # (FingerprintMismatch), or a stored key the helper cannot parse.
         print(f"error: corrupt state: {e}", file=sys.stderr)
         return EXIT_CORRUPT
     except OSError as e:

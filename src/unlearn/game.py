@@ -287,10 +287,7 @@ class ReAddAfterUnlearn(Strategy):
         h_m, h_d = model_circuit.statement
         com3 = Commitment(h_m=h_m, h_d=h_d, h_u=state2.unlearnt_root)
         model_proof = pub.backend.prove(
-            pub.model_relation,
-            pub.model_setup,
-            model_circuit.statement,
-            model_circuit.cs.witness(),
+            pub.model_relation, model_circuit.statement, model_circuit.cs.witness()
         )
         data_statement = (com3.h_d, state2.unlearnt_root, com3.h_u)
         try:
@@ -298,10 +295,7 @@ class ReAddAfterUnlearn(Strategy):
                 pub.config, model_circuit.digests, state2.hashed_unlearnt, values_only=True
             )
             data_proof = pub.backend.prove(
-                pub.data_relation,
-                pub.data_setup,
-                data_statement,
-                data_circuit.cs.witness(),
+                pub.data_relation, data_statement, data_circuit.cs.witness()
             )
         except WitnessSynthesisError:
             # No witness exists for intersecting sets; splice in stale

@@ -1,12 +1,14 @@
 """CSV ingestion into fixed-point datasets.
 
 Columns are boolean (values in {0,1}), numeric (decimal, fx-encoded), or
-categorical (integer-coded by first appearance, then fx-encoded).  Row
-order is file order; uids come from a ``uid`` column or default to the row
-index.  The label column is recognized by name (y / label / target /
-class, case-insensitive) unless declared explicitly.  A file with two
-uid-named or, when the label is not declared, two label-named columns is
-refused.
+categorical (integer-coded by first appearance, then fx-encoded).  A
+category's code depends on the rows of its file, so the same row can
+encode differently in another file; ``categorical=False`` refuses such a
+column for callers that hash points across files.  Row order is file
+order; uids come from a ``uid`` column or default to the row index.  The
+label column is recognized by name (y / label / target / class,
+case-insensitive) unless declared explicitly.  A file with two uid-named
+or, when the label is not declared, two label-named columns is refused.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ def ingest_csv(
     scale: ScaleConfig,
     schema: Optional[dict[str, str]] = None,
     label_column: Optional[str] = None,
+    categorical: bool = True,
 ) -> IngestedDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -118,6 +121,11 @@ def ingest_csv(
                 raise NonNumericCell(f"column {name!r}: cell {bad!r} is not numeric")
             encoded_features[name] = [fx_encode(v.strip(), scale) for v in values]
             columns.append(ColumnInfo(name, kind))
+        elif not categorical:
+            raise SchemaError(
+                f"column {name!r} is categorical: its codes depend on the file, "
+                "so a point would not hash the same in another one"
+            )
         else:
             codes: dict[str, int] = {}
             ints = []

@@ -13,7 +13,8 @@ Two interchangeable backends:
 * ``snark`` — sound succinct backend: Groth16 over BN254 via the bundled
   ``unlearn-groth16`` helper binary (arkworks).  The trusted setup runs
   in-process per circuit shape and its trapdoor is never materialized
-  outside the helper, which discards it on exit.
+  outside the helper, which discards it on exit.  ``prove`` reads only
+  the relation's proving key and ``verify`` only its verifying key.
 
 Both backends' ``prove`` first check the witness against the rows with
 ``ConstraintSystem.check`` and refuse, naming the first failing row, a
@@ -57,24 +58,39 @@ class UnsatisfiedWitness(ProofSysError):
 
 
 class FingerprintMismatch(ProofSysError):
-    """Setup artifacts belong to a different circuit."""
+    """The stored circuit refuses a witness computed from the config."""
+
+
+@dataclass(frozen=True)
+class SetupArtifacts:
+    """A circuit's setup keys.  The serialization schema has no trapdoor
+    field by construction."""
+
+    proving_params: bytes = b""
+    verifying_params: bytes = b""
 
 
 class RelationHandle:
-    """A circuit named by its fingerprint.  ``circuit`` is its constraint
-    system: either given, or produced on first use by ``load``, so a
-    verifier that stops at the fingerprint or statement check never
-    reads the constraints."""
+    """A circuit named by its fingerprint, with its rows and its setup
+    keys.  ``circuit`` is its constraint system: either given, or
+    produced on first use by ``load``, so a verifier that stops at the
+    fingerprint or statement check never reads the constraints.
+    ``keys`` has the ``SetupArtifacts`` fields; stored keys
+    (``serialize.StoredKeys``) read each file when it is first asked
+    for, so a prover reads only the proving key and a verifier only the
+    verifying key."""
 
     def __init__(
         self,
         fingerprint: str,
         circuit: Optional[ConstraintSystem] = None,
         load: Optional[Callable[[], ConstraintSystem]] = None,
+        keys: Optional[SetupArtifacts] = None,
     ):
         if (circuit is None) == (load is None):
             raise ValueError("give exactly one of circuit and load")
         self.fingerprint = fingerprint
+        self.keys = keys
         self._circuit = circuit
         self._load = load
 
@@ -96,17 +112,6 @@ class RelationHandle:
 
 
 @dataclass(frozen=True)
-class SetupArtifacts:
-    """Proving/verifying parameters.  The serialization schema has no
-    trapdoor field by construction."""
-
-    backend: str
-    fingerprint: str
-    proving_params: bytes = b""
-    verifying_params: bytes = b""
-
-
-@dataclass(frozen=True)
 class ProofBlob:
     backend: str
     fingerprint: str
@@ -115,13 +120,6 @@ class ProofBlob:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "public_inputs", tuple(self.public_inputs))
-
-
-def _check_fingerprint(rel: RelationHandle, sp: SetupArtifacts) -> None:
-    if sp.fingerprint != rel.fingerprint:
-        raise FingerprintMismatch(
-            f"artifacts for {sp.fingerprint[:12]} used with circuit {rel.fingerprint[:12]}"
-        )
 
 
 def _self_check(cs: ConstraintSystem, statement: Sequence[int], witness: Witness) -> None:
@@ -150,29 +148,16 @@ class WitnessCheckBackend:
         self.name = "witness-check" if check else "witness-check-unchecked"
 
     def setup(self, rel: RelationHandle) -> SetupArtifacts:
-        return SetupArtifacts(backend=self.name, fingerprint=rel.fingerprint)
+        """No keys: the verifier reads the rows themselves."""
+        return SetupArtifacts()
 
-    def prove(
-        self,
-        rel: RelationHandle,
-        sp: SetupArtifacts,
-        statement: Sequence[int],
-        witness: Witness,
-    ) -> ProofBlob:
-        _check_fingerprint(rel, sp)
+    def prove(self, rel: RelationHandle, statement: Sequence[int], witness: Witness) -> ProofBlob:
         cs = rel.circuit
         _self_check(cs, statement, witness)
         payload = _witness_payload(cs.project(witness))
         return ProofBlob(self.name, rel.fingerprint, tuple(statement), payload)
 
-    def verify(
-        self,
-        rel: RelationHandle,
-        sp: SetupArtifacts,
-        statement: Sequence[int],
-        blob: ProofBlob,
-    ) -> bool:
-        _check_fingerprint(rel, sp)
+    def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
         if blob.fingerprint != rel.fingerprint:
             return False
         if blob.public_inputs != tuple(statement):
@@ -270,28 +255,16 @@ class Groth16Backend:
         proc = self._run(*args)
         if proc.returncode != 0:
             raise ProofSysError(f"setup failed: {proc.stderr.strip()}")
-        return SetupArtifacts(
-            backend=self.name,
-            fingerprint=rel.fingerprint,
-            proving_params=pk.read_bytes(),
-            verifying_params=vk.read_bytes(),
-        )
+        return SetupArtifacts(proving_params=pk.read_bytes(), verifying_params=vk.read_bytes())
 
-    def prove(
-        self,
-        rel: RelationHandle,
-        sp: SetupArtifacts,
-        statement: Sequence[int],
-        witness: Witness,
-    ) -> ProofBlob:
-        _check_fingerprint(rel, sp)
+    def prove(self, rel: RelationHandle, statement: Sequence[int], witness: Witness) -> ProofBlob:
         _self_check(rel.circuit, statement, witness)
         work = self._work()
+        pk = work / f"{rel.fingerprint}.pk"
+        if not pk.exists():
+            pk.write_bytes(rel.keys.proving_params)
         with tempfile.TemporaryDirectory(dir=work) as tmp:
             tmp = Path(tmp)
-            pk = work / f"{sp.fingerprint}.pk"
-            if not pk.exists():
-                pk.write_bytes(sp.proving_params)
             wit = tmp / "witness"
             _write_values(wit, "unlearn-wit v1", witness.values)
             proof = tmp / "proof"
@@ -306,20 +279,13 @@ class Groth16Backend:
                 raise ProofSysError(f"prove failed: {proc.stderr.strip()}")
             return ProofBlob(self.name, rel.fingerprint, tuple(statement), proof.read_bytes())
 
-    def verify(
-        self,
-        rel: RelationHandle,
-        sp: SetupArtifacts,
-        statement: Sequence[int],
-        blob: ProofBlob,
-    ) -> bool:
-        _check_fingerprint(rel, sp)
+    def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
         if blob.fingerprint != rel.fingerprint or blob.public_inputs != tuple(statement):
             return False
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             vk = tmp / "vk"
-            vk.write_bytes(sp.verifying_params)
+            vk.write_bytes(rel.keys.verifying_params)
             pub = tmp / "publics"
             _write_values(pub, "unlearn-pub v1", list(statement))
             proof = tmp / "proof"

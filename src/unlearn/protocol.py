@@ -31,7 +31,6 @@ from .proofsys import (
     FingerprintMismatch,
     ProofBlob,
     RelationHandle,
-    SetupArtifacts,
     UnsatisfiedWitness,
     get_backend,
 )
@@ -82,20 +81,18 @@ class UnlearnProof:
 
 @dataclass
 class PublicParams:
-    """What verifiers need: the config, each circuit's fingerprint (in its
-    relation handle), the setup artifacts and the backend.  Parameters
-    from ``global_setup`` also hold the two circuits it built from the
-    empty input; those loaded from a state directory
-    (``serialize.StateDir``) hold none, and their relations load the
-    stored exports on first use.  Provers compute each circuit's witness
-    from their inputs and prove against these relations
-    (``prove_update``)."""
+    """What provers and verifiers need: the config, one relation handle
+    per circuit (its fingerprint, rows and setup keys) and the backend.
+    Parameters from ``global_setup`` also hold the two circuits it built
+    from the empty input; those loaded from a state directory
+    (``serialize.StateDir``) hold none, and their relations read the
+    stored exports and keys on first use.  Provers compute each
+    circuit's witness from their inputs and prove against these
+    relations (``prove_update``)."""
 
     config: ProtocolConfig
     model_relation: RelationHandle
     data_relation: RelationHandle
-    model_setup: SetupArtifacts
-    data_setup: SetupArtifacts
     backend: object
     model_circuit: Optional[ModelCircuit] = dc_field(default=None, repr=False)
     data_circuit: Optional[DataCircuit] = dc_field(default=None, repr=False)
@@ -122,38 +119,31 @@ class PublicParams:
 
 
 def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> PublicParams:
-    """Build both circuits from ``config`` and run the proving setup for
-    each.  ``setup_store`` (see ``serialize.SetupStore``) keeps each
-    circuit's export and its artifacts under its fingerprint, and reuses
-    artifacts already there."""
+    """Build both circuits from ``config`` and attach each one's setup
+    keys to its relation.  ``setup_store`` (see ``serialize.SetupStore``)
+    keeps each circuit's export and keys under its fingerprint, and
+    reuses keys already there."""
     model_circuit = ModelCircuit(config)
     data_circuit = DataCircuit(config)
     backend = backend or get_backend(config.backend)
 
     def relation(cs):
         if setup_store is None:
-            return RelationHandle.of(cs)
-        # One export is both the stored file and the fingerprint's preimage.
-        return RelationHandle(setup_store.save_circuit(cs.export()), cs)
+            rel = RelationHandle.of(cs)
+        else:
+            # One export is both the stored file and the fingerprint's preimage.
+            rel = RelationHandle(setup_store.save_circuit(cs.export()), cs)
+            rel.keys = setup_store.load(backend.name, rel.fingerprint)
+        if rel.keys is None:
+            rel.keys = backend.setup(rel)
+            if setup_store is not None:
+                setup_store.save(backend.name, rel.fingerprint, rel.keys)
+        return rel
 
-    def setup_for(rel):
-        if setup_store is not None:
-            cached = setup_store.load(backend.name, rel.fingerprint)
-            if cached is not None:
-                return cached
-        artifacts = backend.setup(rel)
-        if setup_store is not None:
-            setup_store.save(artifacts)
-        return artifacts
-
-    model_rel = relation(model_circuit.cs)
-    data_rel = relation(data_circuit.cs)
     return PublicParams(
         config=config,
-        model_relation=model_rel,
-        data_relation=data_rel,
-        model_setup=setup_for(model_rel),
-        data_setup=setup_for(data_rel),
+        model_relation=relation(model_circuit.cs),
+        data_relation=relation(data_circuit.cs),
         backend=backend,
         model_circuit=model_circuit,
         data_circuit=data_circuit,
@@ -299,8 +289,8 @@ def prove_update(
     h_m, h_d = model_circuit.statement
     com = Commitment(h_m=h_m, h_d=h_d, h_u=data_circuit.statement[2])
 
-    model_proof = _prove_stored(pub, pub.model_relation, pub.model_setup, model_circuit)
-    data_proof = _prove_stored(pub, pub.data_relation, pub.data_setup, data_circuit)
+    model_proof = _prove_stored(pub, pub.model_relation, model_circuit)
+    data_proof = _prove_stored(pub, pub.data_relation, data_circuit)
 
     new_state = ServerState(
         iteration=state.iteration + 1,
@@ -315,10 +305,7 @@ def prove_update(
 
 
 def _prove_stored(
-    pub: PublicParams,
-    rel: RelationHandle,
-    setup: SetupArtifacts,
-    circuit: Union[ModelCircuit, DataCircuit],
+    pub: PublicParams, rel: RelationHandle, circuit: Union[ModelCircuit, DataCircuit]
 ) -> ProofBlob:
     """Prove ``circuit``'s statement with its witness against the stored
     relation ``rel``, releasing the constraints loaded for it.  A witness
@@ -327,7 +314,7 @@ def _prove_stored(
     which ``audit-setup`` checks."""
     witness = circuit.cs.witness()
     try:
-        return pub.backend.prove(rel, setup, circuit.statement, witness)
+        return pub.backend.prove(rel, circuit.statement, witness)
     except UnsatisfiedWitness as e:
         where = "" if e.row is None else f" at row {e.row}"
         raise FingerprintMismatch(
@@ -348,10 +335,8 @@ def verify_update(
     if proof.data_statement != (com.h_d, com_prev.h_u, com.h_u):
         return False
     return pub.backend.verify(
-        pub.model_relation, pub.model_setup, proof.model_statement, proof.model_proof
-    ) and pub.backend.verify(
-        pub.data_relation, pub.data_setup, proof.data_statement, proof.data_proof
-    )
+        pub.model_relation, proof.model_statement, proof.model_proof
+    ) and pub.backend.verify(pub.data_relation, proof.data_statement, proof.data_proof)
 
 
 def prove_unlearn(pub: PublicParams, state: ServerState, d: DataPoint) -> UnlearnProof:

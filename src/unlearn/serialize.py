@@ -15,6 +15,7 @@ import re
 import shutil
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -33,11 +34,12 @@ from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
 
 # Each kind of envelope is versioned on its own: a change to one kind's
-# format or meaning bumps only that kind.  params.json (one-wire selects)
-# is at 10, update proofs (free wires only) at 9, every other kind at 8.
+# format or meaning bumps only that kind.  params.json (circuits named by
+# fingerprint alone) is at 11, update proofs (free wires only) at 9,
+# every other kind at 8.
 VERSION = 8
 UPDATE_PROOF_VERSION = 9
-PARAMS_VERSION = 10
+PARAMS_VERSION = 11
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
@@ -234,7 +236,6 @@ def protocol_config_to_dict(config: ProtocolConfig) -> dict:
         "hidden": t.hidden,
         "epochs": t.epochs,
         "learning_rate": to_hex(t.learning_rate, t.scale),
-        "init_values": _hexes(t.init_values, t.scale),
         "gamma": t.scale.gamma,
         "modulus": f"{t.scale.modulus:x}",
         "max_abs": t.scale.max_abs,
@@ -255,7 +256,6 @@ def protocol_config_from_dict(obj: dict) -> ProtocolConfig:
         hidden=obj["hidden"],
         epochs=obj["epochs"],
         learning_rate=from_hex(obj["learning_rate"], scale),
-        init_values=tuple(_unhexes(obj["init_values"], scale)),
         scale=scale,
     )
     return ProtocolConfig(
@@ -267,40 +267,62 @@ def protocol_config_from_dict(obj: dict) -> ProtocolConfig:
     )
 
 
-def circuit_record(fingerprint: str, cs: ConstraintSystem) -> dict:
-    """A circuit's entry in ``params.json``: its fingerprint and size."""
-    return {
-        "fingerprint": fingerprint,
-        "constraints": cs.num_constraints,
-        "wires": cs.num_wires,
-        "publics": cs.num_public,
-    }
-
-
 def public_params_to_dict(pub: PublicParams) -> dict:
-    """``params.json``: the protocol config and a record of each circuit."""
+    """``params.json``: the protocol config and each circuit's
+    fingerprint, which pins its export and so its sizes."""
     return {
         **protocol_config_to_dict(pub.config),
-        "circuits": {
-            name: circuit_record(rel.fingerprint, rel.circuit)
-            for name, rel in (("model", pub.model_relation), ("data", pub.data_relation))
-        },
+        "circuits": {"model": pub.model_relation.fingerprint, "data": pub.data_relation.fingerprint},
     }
 
 
 # -- setup store ----------------------------------------------------------------
 
 
+class StoredKeys:
+    """A setup's key files, each read when first asked for: a prover
+    reads only ``pk.bin`` and a verifier only ``vk.bin``.  A missing or
+    unreadable file raises EnvelopeError."""
+
+    def __init__(self, directory: Path):
+        self.dir = directory
+
+    def _read(self, name: str) -> bytes:
+        path = self.dir / name
+        try:
+            return path.read_bytes()
+        except OSError as e:
+            raise EnvelopeError(f"{path}: setup key unreadable: {e.strerror}") from None
+
+    @cached_property
+    def proving_params(self) -> bytes:
+        return self._read("pk.bin")
+
+    @cached_property
+    def verifying_params(self) -> bytes:
+        return self._read("vk.bin")
+
+
 class SetupStore:
     """Content-addressed files under ``pub/``, keyed by circuit
     fingerprint: each circuit's canonical export (``circuits/``) and its
-    setup artifacts per backend (``setups/``)."""
+    setup keys per backend (``setups/<backend>/<fingerprint>/``, only
+    for a backend that has keys)."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
 
     def _dir(self, backend: str, fingerprint: str) -> Path:
         return self.root / "setups" / backend / fingerprint
+
+    def relation(self, backend: str, fingerprint: str) -> RelationHandle:
+        """The stored circuit with this fingerprint: its rows and each of
+        its keys are read on first use."""
+        return RelationHandle(
+            fingerprint,
+            load=lambda: self.load_circuit(fingerprint),
+            keys=StoredKeys(self._dir(backend, fingerprint)),
+        )
 
     def circuit_file(self, fingerprint: str) -> Path:
         return self.root / "circuits" / f"{fingerprint}.r1cs"
@@ -329,8 +351,8 @@ class SetupStore:
 
     def prune(self, backend: str, keep: set[str]) -> None:
         """Remove every circuit export, and every set of ``backend``'s
-        setup artifacts, whose fingerprint is not in ``keep``: what an
-        earlier setup under another config left behind."""
+        setup keys, whose fingerprint is not in ``keep``: what an earlier
+        setup under another config left behind."""
         for path in (self.root / "circuits").glob("*.r1cs"):
             if path.stem not in keep:
                 path.unlink()
@@ -339,35 +361,20 @@ class SetupStore:
             if d.name not in keep:
                 shutil.rmtree(d)
 
-    def load(self, backend: str, fingerprint: str) -> Optional[SetupArtifacts]:
+    def load(self, backend: str, fingerprint: str) -> Optional[StoredKeys]:
+        """The stored keys, unread, or None unless ``vk.bin`` exists."""
         d = self._dir(backend, fingerprint)
-        if not (d / "meta.json").exists():
-            return None
-        meta = read_json(d / "meta.json")
-        pk = (d / "pk.bin").read_bytes() if (d / "pk.bin").exists() else b""
-        vk = (d / "vk.bin").read_bytes() if (d / "vk.bin").exists() else b""
-        return SetupArtifacts(
-            backend=meta["backend"],
-            fingerprint=meta["fingerprint"],
-            proving_params=pk,
-            verifying_params=vk,
-        )
+        return StoredKeys(d) if (d / "vk.bin").exists() else None
 
-    def save(self, artifacts: SetupArtifacts) -> None:
-        d = self._dir(artifacts.backend, artifacts.fingerprint)
-        d.mkdir(parents=True, exist_ok=True)
-        if artifacts.proving_params:
-            atomic_write_bytes(d / "pk.bin", artifacts.proving_params)
-        if artifacts.verifying_params:
-            atomic_write_bytes(d / "vk.bin", artifacts.verifying_params)
-        atomic_write_json(
-            d / "meta.json",
-            {
-                "version": VERSION,
-                "backend": artifacts.backend,
-                "fingerprint": artifacts.fingerprint,
-            },
-        )
+    def save(self, backend: str, fingerprint: str, keys: SetupArtifacts) -> None:
+        """Write ``pk.bin``, then ``vk.bin``: a setup counts as stored once
+        ``vk.bin`` exists, so one that a killed command left half written
+        is run again.  Keys without a verifying key (witness-check's)
+        write nothing."""
+        if keys.verifying_params:
+            d = self._dir(backend, fingerprint)
+            atomic_write_bytes(d / "pk.bin", keys.proving_params)
+            atomic_write_bytes(d / "vk.bin", keys.verifying_params)
 
 
 # -- state directory ----------------------------------------------------------
@@ -413,37 +420,26 @@ class StateDir:
         atomic_write_json(self.params_file, public_params_to_dict(pub))
 
     def load_public_params(self) -> PublicParams:
-        """The parameters in ``pub/``, read without building or reading a
-        circuit.  Each relation reads its stored export (see
+        """The parameters in ``params.json``, read without reading any
+        other file.  Each relation reads its stored export (see
         ``SetupStore.load_circuit``) when a prover or a verifier first
-        needs the constraints; a prover computes only the witness from
-        the config and its inputs (see ``protocol.prove_update``)."""
+        needs the constraints, and each key file when the backend first
+        needs that key; a prover computes only the witness from the
+        config and its inputs (see ``protocol.prove_update``)."""
         obj = read_json(self.params_file, PARAMS_VERSION)
         config = protocol_config_from_dict(obj)
         backend = get_backend(config.backend)
-        store = self.setup_store
 
         def relation(name: str) -> RelationHandle:
-            fingerprint = obj["circuits"][name]["fingerprint"]
+            fingerprint = obj["circuits"][name]
             if not isinstance(fingerprint, str) or not _FINGERPRINT.fullmatch(fingerprint):
                 raise EnvelopeError(f"{self.params_file}: malformed {name} fingerprint")
-            return RelationHandle(fingerprint, load=lambda: store.load_circuit(fingerprint))
+            return self.setup_store.relation(backend.name, fingerprint)
 
-        def artifacts(rel: RelationHandle) -> SetupArtifacts:
-            found = store.load(backend.name, rel.fingerprint)
-            if found is None:
-                raise EnvelopeError(
-                    f"no {backend.name} setup artifacts for circuit {rel.fingerprint[:12]}"
-                )
-            return found
-
-        model_rel, data_rel = relation("model"), relation("data")
         return PublicParams(
             config=config,
-            model_relation=model_rel,
-            data_relation=data_rel,
-            model_setup=artifacts(model_rel),
-            data_setup=artifacts(data_rel),
+            model_relation=relation("model"),
+            data_relation=relation("data"),
             backend=backend,
         )
 

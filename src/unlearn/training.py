@@ -86,23 +86,6 @@ class ModelParams:
             raise ValueError("weight count does not match kind and arity")
 
 
-def default_init_values(
-    kind: str, arity: int, hidden: int, scale: ScaleConfig
-) -> tuple[int, ...]:
-    """All zeros for linear/logistic; a frozen pseudo-random vector in
-    [-0.5, 0.5] for NNs (hashed from a fixed label, so every build of the
-    same shape hard-codes the same constants)."""
-    n = param_count(kind, arity, hidden)
-    if kind in ("linear", "logistic"):
-        return (0,) * n
-    vals = []
-    for i in range(n):
-        digest = hashlib.sha256(b"unlearn.nn-init.v1.%d" % i).digest()
-        k = int.from_bytes(digest, "big") % (scale.gamma + 1) - scale.gamma // 2
-        vals.append(fx_encode(Fraction(k, scale.gamma), scale))
-    return tuple(vals)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     kind: str
@@ -110,7 +93,6 @@ class TrainConfig:
     hidden: int = 0
     epochs: int = 10
     learning_rate: int = 0  # fixed-point encoded; see default_train_config
-    init_values: tuple[int, ...] = ()
     scale: ScaleConfig = dc_field(default_factory=ScaleConfig)
 
     def __post_init__(self) -> None:
@@ -120,9 +102,22 @@ class TrainConfig:
             raise ValueError("NN models support 2 or 4 hidden neurons")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        object.__setattr__(self, "init_values", tuple(self.init_values))
-        if len(self.init_values) != param_count(self.kind, self.arity, self.hidden):
-            raise ValueError("init_values length must match parameter count")
+
+    @property
+    def init_values(self) -> tuple[int, ...]:
+        """All zeros for linear/logistic; a frozen pseudo-random vector in
+        [-0.5, 0.5] for NNs (hashed from a fixed label, so every build of
+        the same shape hard-codes the same constants)."""
+        n = param_count(self.kind, self.arity, self.hidden)
+        if self.kind in ("linear", "logistic"):
+            return (0,) * n
+        gamma = self.scale.gamma
+        vals = []
+        for i in range(n):
+            digest = hashlib.sha256(b"unlearn.nn-init.v1.%d" % i).digest()
+            k = int.from_bytes(digest, "big") % (gamma + 1) - gamma // 2
+            vals.append(fx_encode(Fraction(k, gamma), self.scale))
+        return tuple(vals)
 
 
 def default_train_config(
@@ -140,7 +135,6 @@ def default_train_config(
         hidden=hidden,
         epochs=epochs,
         learning_rate=fx_encode(learning_rate, scale),
-        init_values=default_init_values(kind, arity, hidden, scale),
         scale=scale,
     )
 

@@ -278,14 +278,14 @@ def test_criterion_5_linear_scaling_and_constant_verification():
     for size in (8, 64):
         circuit = circuits[size]
         rel = RelationHandle.of(circuit.cs)
-        sp = backend.setup(rel)
+        rel.keys = backend.setup(rel)
         witness, statement = circuit.cs.witness(), circuit.statement
-        blob = backend.prove(rel, sp, statement, witness)
-        assert backend.verify(rel, sp, statement, blob)  # warmup
+        blob = backend.prove(rel, statement, witness)
+        assert backend.verify(rel, statement, blob)  # warmup
         samples = []
         for _ in range(9):
             t0 = time.perf_counter()
-            assert backend.verify(rel, sp, statement, blob)
+            assert backend.verify(rel, statement, blob)
             samples.append(time.perf_counter() - t0)
         # Verification does constant work at every size; min-of-N strips
         # the process-spawn jitter that dominates these few-ms calls.

@@ -5,13 +5,15 @@ import json
 import os
 import re
 import shlex
+import shutil
 import stat
 import struct
+import subprocess
 from pathlib import Path
 
 import pytest
 
-from unlearn import bench, circuits, cli, game, protocol, training
+from unlearn import bench, circuits, cli, game, proofsys, protocol, serialize, training
 from unlearn.cli import CONFIG_DEFAULTS, main
 from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint
@@ -132,7 +134,8 @@ def test_setup_refuses_another_config_over_initialized_state(workspace, capsys):
 
 def test_setup_removes_the_circuits_it_does_not_record(workspace):
     # epochs changes the model circuit and not the data circuit: the first
-    # model's export and setup artifacts go, the shared data circuit's stay.
+    # model's export goes, the shared data circuit's stays.  witness-check
+    # has no setup keys, so it writes no setups/.
     d = workspace / "st"
     for epochs in (1, 2):
         conf = workspace / f"epochs{epochs}.conf"
@@ -140,11 +143,103 @@ def test_setup_removes_the_circuits_it_does_not_record(workspace):
                         .replace("epochs = 1", f"epochs = {epochs}"))
         assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 0
     circuits = json.loads((d / "pub" / "params.json").read_text())["circuits"]
-    recorded = {circuits[name]["fingerprint"] for name in ("model", "data")}
+    recorded = {circuits["model"], circuits["data"]}
     assert len(recorded) == 2
     assert {p.stem for p in (d / "pub" / "circuits").iterdir()} == recorded
-    assert {p.name for p in (d / "pub" / "setups" / "witness-check").iterdir()} == recorded
+    assert not (d / "pub" / "setups").exists()
     assert run(workspace, "audit-setup", "--dir", str(d)) == 0
+
+
+def test_witness_check_commands_read_no_setups(workspace):
+    d, csv = str(workspace / "st"), str(workspace / "pts.csv")
+    assert run(workspace, "setup", "--dir", d, "--config", str(workspace / "conf")) == 0
+    shutil.rmtree(workspace / "st" / "pub" / "setups", ignore_errors=True)
+    for args in (
+        ("init",),
+        ("add", "--dataset", csv),
+        ("update",),
+        ("verify-update", "--iteration", "1"),
+        ("delete", "--uid", "2"),
+        ("update",),
+        ("verify-update", "--iteration", "2"),
+        ("prove-unlearn", "--uid", "2"),
+        ("verify-unlearn", "--uid", "2", "--iteration", "2", "--dataset", csv),
+    ):
+        assert run(workspace, args[0], "--dir", d, *args[1:]) == 0, args
+    assert not (workspace / "st" / "pub" / "setups").exists()
+
+
+def _fake_snark_keys(root) -> dict:
+    """Switch the parameters in ``root`` to snark, with a fake vk.bin for
+    each circuit and a pk.bin that is a directory, so reading it fails.
+    Returns params.json's circuits."""
+    params = root / "pub" / "params.json"
+    obj = json.loads(params.read_text())
+    params.write_text(json.dumps(obj | {"backend": "snark"}))
+    for fp in obj["circuits"].values():
+        keys = root / "pub" / "setups" / "snark" / fp
+        keys.mkdir(parents=True)
+        (keys / "vk.bin").write_bytes(b"fake vk " + fp.encode())
+        (keys / "pk.bin").mkdir()
+    return obj["circuits"]
+
+
+def test_setup_reuses_stored_snark_keys_without_reading_them(workspace, monkeypatch):
+    # No helper is needed: both circuits' keys are stored, so setup runs
+    # no Groth16 setup, and it reads neither key file.
+    d = workspace / "st"
+    conf = str(workspace / "conf")
+    assert run(workspace, "setup", "--dir", str(d), "--config", conf) == 0
+    _fake_snark_keys(d)
+    reads = []
+    real = serialize.StoredKeys._read
+    monkeypatch.setattr(serialize.StoredKeys, "_read",
+                        lambda self, name: reads.append(name) or real(self, name))
+    before = snapshot(d / "pub" / "setups")
+    assert run(workspace, "setup", "--dir", str(d), "--config", conf, "--backend", "snark") == 0
+    assert reads == []
+    assert snapshot(d / "pub" / "setups") == before
+    assert StateDir(d).load_public_params().backend.name == "snark"
+
+
+def test_snark_commands_read_only_the_key_they_use(workspace, unlearnt, capsys, monkeypatch):
+    # A witness-check chain switched to snark, with a fake vk.bin and a
+    # pk.bin that cannot be read: no helper is needed for any of this.
+    d, csv = str(unlearnt), str(workspace / "pts.csv")
+    circuits = _fake_snark_keys(unlearnt)
+    reads = []
+    real = serialize.StoredKeys._read
+    monkeypatch.setattr(serialize.StoredKeys, "_read",
+                        lambda self, name: reads.append(name) or real(self, name))
+    pub = StateDir(unlearnt).load_public_params()
+    assert reads == []
+    for rel in (pub.model_relation, pub.data_relation):
+        assert rel.keys.verifying_params == b"fake vk " + rel.fingerprint.encode()
+    reads.clear()
+    for args in (
+        ("add", "--uid", "9", "--features", "0.5", "--label", "1"),
+        ("delete", "--uid", "3"),
+        ("prove-unlearn", "--uid", "2"),
+        ("verify-unlearn", "--uid", "2", "--iteration", "2", "--dataset", csv),
+    ):
+        assert run(workspace, args[0], "--dir", d, *args[1:]) == 0, args
+    assert reads == []
+    # update proves, so it reads the proving key: here it cannot.
+    before = snapshot(unlearnt)
+    capsys.readouterr()
+    assert run(workspace, "update", "--dir", d) == 3
+    assert "pk.bin: setup key unreadable" in capsys.readouterr().err
+    assert reads == ["pk.bin"]
+    assert snapshot(unlearnt) == before
+    # verify-update reads the verifying key once the statement matches.
+    (unlearnt / "pub" / "setups" / "snark" / circuits["model"] / "vk.bin").unlink()
+    reads.clear()
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "2") == 3
+    assert "vk.bin: setup key unreadable" in capsys.readouterr().err
+    assert reads == ["vk.bin"]
+    reads.clear()
+    assert run(workspace, "init", "--dir", d) == 0
+    assert reads == []
 
 
 def test_single_point_add(workspace):
@@ -459,6 +554,36 @@ def test_a_second_label_or_uid_column_is_a_usage_error(
     assert snapshot(initialized) == before
 
 
+def test_categorical_columns_are_refused_outside_bench(workspace, capsys):
+    # A category is coded by where it first appears in its file, so the
+    # one-row file of uid 2 would code "blue" as 0 and the batch as 1: its
+    # digest would differ and verify-unlearn would reject.
+    conf = workspace / "arity2.conf"
+    conf.write_text(CONF.replace("arity = 1", "arity = 2"))
+    d = workspace / "st"
+    assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 0
+    assert run(workspace, "init", "--dir", str(d)) == 0
+    batch, row = workspace / "colors.csv", workspace / "row.csv"
+    batch.write_text("uid,f1,color,y\n1,0.5,red,1\n2,-0.25,blue,0\n3,1.0,red,1\n")
+    row.write_text("uid,f1,color,y\n2,-0.25,blue,0\n")
+    before = snapshot(d)
+    for args, path in (
+        (("add", "--dataset", batch), batch),
+        (("delete", "--uid", "2", "--dataset", row), row),
+        (("prove-unlearn", "--uid", "2", "--dataset", row), row),
+        (("verify-unlearn", "--uid", "2", "--iteration", "0", "--dataset", row), row),
+    ):
+        capsys.readouterr()
+        assert run(workspace, args[0], "--dir", str(d), *map(str, args[1:])) == 2, args
+        assert f"error: cannot ingest {path}: column 'color' is categorical" in (
+            capsys.readouterr().err
+        )
+    assert snapshot(d) == before
+    # bench's accuracy report reads one file, so it keeps the coding.
+    assert run(workspace, "bench", "--config", str(conf), "--sizes", "4", "--counts-only",
+               "--dataset", str(batch)) == 0
+
+
 def test_add_beyond_value_bound_rejected(workspace, initialized, capsys):
     # BEYOND encodes, but lies outside the value bound.
     d = str(initialized)
@@ -589,6 +714,20 @@ VERSION_8_FILES = {
 }
 
 
+def test_a_key_the_helper_cannot_parse_is_corrupt_state(workspace, updated, capsys,
+                                                       monkeypatch):
+    # The helper exits 2 on a verifying key it cannot deserialize; that is
+    # corrupt state (exit 3), not a traceback read as a reject.
+    _fake_snark_keys(updated)
+    monkeypatch.setattr(proofsys, "find_helper", lambda: "unlearn-groth16")
+    monkeypatch.setattr(proofsys.subprocess, "run", lambda argv, **_: subprocess.CompletedProcess(
+        argv, 2, "", "error: bad verifying key: SerializationError"))
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
+    assert ("error: corrupt state: groth16 helper error: error: bad verifying key"
+            in capsys.readouterr().err)
+
+
 def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     d = workspace / "st"
     conf, csv = str(workspace / "conf"), str(workspace / "pts.csv")
@@ -598,9 +737,7 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     for name, digest in VERSION_8_FILES.items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
-    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 10
-    for meta in (d / "pub" / "setups").rglob("meta.json"):
-        assert json.loads(meta.read_text())["version"] == VERSION
+    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 11
     for i in range(3):
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", str(i)) == 0
     # bench's update_proof_bytes is the length of these bytes.
@@ -633,9 +770,11 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # Version 7 took any positive gamma and truncated products toward zero.
     # Version 8 left absent slots unpinned.  Version 9's selects, Merkle
     # carries and chain folds returned linear combinations, not one wire.
+    # Version 10 recorded each circuit's counts and the initial weights,
+    # beside a meta.json per setup.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
                 {"version": 4}, {"version": 5}, {"version": 6}, {"version": 7},
-                {"version": 8}, {"version": 9}):
+                {"version": 8}, {"version": 9}, {"version": 10}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))
@@ -649,7 +788,7 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     "edit",
     [
         lambda obj: obj.update(circuits=[]),
-        lambda obj: obj["circuits"]["model"].update(fingerprint="../../state"),
+        lambda obj: obj["circuits"].update(model="../../state"),
         lambda obj: obj.update(modulus=5),
         lambda obj: obj.pop("kind"),
     ],
@@ -885,7 +1024,7 @@ def updated(workspace, initialized):
 
 def _model_export(root):
     params = json.loads((root / "pub" / "params.json").read_text())
-    return root / "pub" / "circuits" / f"{params['circuits']['model']['fingerprint']}.r1cs"
+    return root / "pub" / "circuits" / f"{params['circuits']['model']}.r1cs"
 
 
 @pytest.mark.parametrize("tamper", ["flip", "delete"])
@@ -932,13 +1071,13 @@ def test_stored_circuit_records_must_match_the_config(workspace, updated, capsys
     assert "fingerprint" in capsys.readouterr().err
     assert snapshot(updated) == before
     assert run(workspace, "audit-setup", "--dir", d) == 1
-    assert "MISMATCH: model params" in capsys.readouterr().out
-    # A recorded size that the built circuit does not have.
+    assert "MISMATCH: model fingerprint" in capsys.readouterr().out
+    # A recorded fingerprint of another stored circuit.
     obj = json.loads(original)
-    obj["circuits"]["data"]["constraints"] += 1
+    obj["circuits"]["data"] = obj["circuits"]["model"]
     params.write_text(json.dumps(obj))
     assert run(workspace, "audit-setup", "--dir", d) == 1
-    assert "MISMATCH: data params" in capsys.readouterr().out
+    assert "MISMATCH: data fingerprint, data export" in capsys.readouterr().out
 
 
 def test_same_shape_config_drift_fails_against_the_stored_circuit(workspace, updated, capsys):
@@ -956,8 +1095,8 @@ def test_same_shape_config_drift_fails_against_the_stored_circuit(workspace, upd
     capsys.readouterr()
     assert run(workspace, "update", "--dir", d) == 3
     err = capsys.readouterr().err
-    wires = obj["circuits"]["model"]["wires"]
-    assert f"fingerprint {obj['circuits']['model']['fingerprint'][:12]}" in err
+    wires = StateDir(updated).setup_store.load_circuit(obj["circuits"]["model"]).num_wires
+    assert f"fingerprint {obj['circuits']['model'][:12]}" in err
     assert err.count(f"({wires} wires)") == 2
     # The message names the first stored row the witness fails.
     assert re.search(rf"\({wires} wires\) at row \d+; ", err)

@@ -11,7 +11,6 @@ from unlearn.field import BN254_SCALAR_FIELD as P
 from unlearn.field import fx_encode
 from unlearn.hashing import DataPoint, hash_data_point
 from unlearn.proofsys import (
-    FingerprintMismatch,
     Groth16Backend,
     ProofBlob,
     RelationHandle,
@@ -46,65 +45,54 @@ def honest(rel):
     return (9,), rel.circuit.witness()
 
 
+def with_keys(rel, backend):
+    """``rel``'s circuit with keys from a fresh ``backend`` setup."""
+    return RelationHandle(rel.fingerprint, rel.circuit, keys=backend.setup(rel))
+
+
 def test_witness_check_roundtrip(rel, honest):
     backend = WitnessCheckBackend()
-    sp = backend.setup(rel)
+    assert backend.setup(rel) == SetupArtifacts()
     statement, witness = honest
-    blob = backend.prove(rel, sp, statement, witness)
-    assert backend.verify(rel, sp, statement, blob)
+    blob = backend.prove(rel, statement, witness)
+    assert backend.verify(rel, statement, blob)
 
 
 def test_witness_check_rejects_wrong_statement(rel, honest):
     backend = WitnessCheckBackend()
-    sp = backend.setup(rel)
     statement, witness = honest
-    blob = backend.prove(rel, sp, statement, witness)
-    assert not backend.verify(rel, sp, (10,), blob)
+    blob = backend.prove(rel, statement, witness)
+    assert not backend.verify(rel, (10,), blob)
     forged = dataclasses.replace(blob, public_inputs=(10,))
-    assert not backend.verify(rel, sp, (10,), forged)
+    assert not backend.verify(rel, (10,), forged)
 
 
 def test_prove_refuses_false_statement(rel, honest):
     backend = WitnessCheckBackend()
-    sp = backend.setup(rel)
     _, witness = honest
     with pytest.raises(UnsatisfiedWitness):
-        backend.prove(rel, sp, (10,), witness)
-
-
-def test_fingerprint_mismatch_raises(rel, honest):
-    backend = WitnessCheckBackend()
-    sp = backend.setup(rel)
-    other = dataclasses.replace(sp, fingerprint="0" * 64)
-    statement, witness = honest
-    with pytest.raises(FingerprintMismatch):
-        backend.prove(rel, other, statement, witness)
-    blob = backend.prove(rel, sp, statement, witness)
-    with pytest.raises(FingerprintMismatch):
-        backend.verify(rel, other, statement, blob)
+        backend.prove(rel, (10,), witness)
 
 
 def test_witness_check_blob_bitflips_never_verify(rel, honest):
     backend = WitnessCheckBackend()
-    sp = backend.setup(rel)
     statement, witness = honest
-    blob = backend.prove(rel, sp, statement, witness)
+    blob = backend.prove(rel, statement, witness)
     rng = random.Random(5)
     rejected = 0
     for _ in range(100):
         data = bytearray(blob.proof_bytes)
         data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
         tampered = dataclasses.replace(blob, proof_bytes=bytes(data))
-        rejected += not backend.verify(rel, sp, statement, tampered)
+        rejected += not backend.verify(rel, statement, tampered)
     assert rejected == 100
 
 
 def test_unchecked_variant_accepts_garbage(rel, honest):
     backend = WitnessCheckBackend(check=False)
-    sp = backend.setup(rel)
     statement, _ = honest
     garbage = ProofBlob(backend.name, rel.fingerprint, statement, b"\x00")
-    assert backend.verify(rel, sp, statement, garbage)
+    assert backend.verify(rel, statement, garbage)
     assert backend.name != WitnessCheckBackend().name
 
 
@@ -121,15 +109,14 @@ def test_witness_check_accepts_only_canonical_hex():
     cs.finalize()
     rel = RelationHandle.of(cs)
     backend = WitnessCheckBackend()
-    sp = backend.setup(rel)
-    blob = backend.prove(rel, sp, (676,), cs.witness())
+    blob = backend.prove(rel, (676,), cs.witness())
     assert blob.proof_bytes == payload(["1", "2a4", "1a"])
-    assert backend.verify(rel, sp, (676,), blob)
+    assert backend.verify(rel, (676,), blob)
     # Each form reads as 26 with int(v, 16); only "1a" is accepted.
     for form in ("0x1a", "0X1a", "+1a", " 1a", "1a ", "1_a", "1A", "01a"):
         assert int(form, 16) == 26
         forged = dataclasses.replace(blob, proof_bytes=payload(["1", "2a4", form]))
-        assert not backend.verify(rel, sp, (676,), forged), form
+        assert not backend.verify(rel, (676,), forged), form
     for other in (
         payload(["01", "2a4", "1a"]),
         payload(["1", "2A4", "1a"]),
@@ -137,7 +124,7 @@ def test_witness_check_accepts_only_canonical_hex():
         json.dumps({"v": 2.0, "wires": ["1", "2a4", "1a"]}, separators=(",", ":")).encode(),
         json.dumps({"v": 2, "wires": ["1", "2a4", "1a"], "x": 0}, separators=(",", ":")).encode(),
     ):
-        assert not backend.verify(rel, sp, (676,), dataclasses.replace(blob, proof_bytes=other))
+        assert not backend.verify(rel, (676,), dataclasses.replace(blob, proof_bytes=other))
 
 
 def _update_blobs(pub, xs, ghosts=(100, 101)):
@@ -157,13 +144,10 @@ def _update_blobs(pub, xs, ghosts=(100, 101)):
     model = ModelCircuit(pub.config, dataset, values_only=True)
     data = DataCircuit(pub.config, model.digests, unlearnt[:1], unlearnt[1:], values_only=True)
     out = []
-    for rel, setup, circuit in (
-        (pub.model_relation, pub.model_setup, model),
-        (pub.data_relation, pub.data_setup, data),
-    ):
+    for rel, circuit in ((pub.model_relation, model), (pub.data_relation, data)):
         witness = circuit.cs.witness()
-        blob = pub.backend.prove(rel, setup, circuit.statement, witness)
-        out.append((rel, setup, circuit, witness, blob))
+        blob = pub.backend.prove(rel, circuit.statement, witness)
+        out.append((rel, circuit, witness, blob))
     return out
 
 
@@ -175,9 +159,9 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
     backend = fast_pub.backend
     mutated = 0
     survivors = []
-    for rel, setup, _, witness, blob in _update_blobs(fast_pub, [0.5, -0.25, 1.0]):
+    for rel, _, witness, blob in _update_blobs(fast_pub, [0.5, -0.25, 1.0]):
         statement = blob.public_inputs
-        assert backend.verify(rel, setup, statement, blob)
+        assert backend.verify(rel, statement, blob)
         wires = json.loads(blob.proof_bytes)["wires"]
         free = rel.circuit.free_wires()
         first = 1 + len(statement)
@@ -185,7 +169,7 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
 
         def rejected(entries, v=2):
             forged = dataclasses.replace(blob, proof_bytes=payload(entries, v))
-            return not backend.verify(rel, setup, statement, forged)
+            return not backend.verify(rel, statement, forged)
 
         for k, wire in enumerate(free, first):
             entries = list(wires)
@@ -247,24 +231,24 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
     assert forged.statement == honest.statement
     assert forged.cs.values != honest.cs.values
 
-    rel, setup, backend = pub.model_relation, pub.model_setup, pub.backend
+    rel, backend = pub.model_relation, pub.backend
     assert is_satisfied(rel.circuit, honest.cs.witness())
     assert not is_satisfied(rel.circuit, forged.cs.witness())
     statement, given = forged.statement, rel.circuit.project(forged.cs.witness())
     with pytest.raises(Unsatisfied):
         rel.circuit.complete(given)
-    assert not backend.verify(rel, setup, statement, _unchecked_blob(rel, statement, given))
+    assert not backend.verify(rel, statement, _unchecked_blob(rel, statement, given))
     with pytest.raises(UnsatisfiedWitness) as refused:
-        backend.prove(rel, setup, statement, forged.cs.witness())
+        backend.prove(rel, statement, forged.cs.witness())
     assert refused.value.row == failing_rows(rel.circuit, forged.cs.witness())[0]
 
 
 def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
     # Three training and two unlearnt digests in capacity-8 arrays.
-    [_, (rel, setup, circuit, witness, blob)] = _update_blobs(fast_pub, [0.5, -0.25, 1.0])
+    [_, (rel, circuit, witness, blob)] = _update_blobs(fast_pub, [0.5, -0.25, 1.0])
     cs, backend = rel.circuit, fast_pub.backend
     statement = blob.public_inputs
-    assert backend.verify(rel, setup, statement, blob)
+    assert backend.verify(rel, statement, blob)
     cap = fast_pub.config.capacity
     # After the statement: training presence bits and digests, then the
     # unlearnt presence bits and digests.
@@ -283,7 +267,7 @@ def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
         with pytest.raises(Unsatisfied) as refused:
             cs.complete(given)
         assert refused.value.row is not None, wire
-        assert not backend.verify(rel, setup, statement, _unchecked_blob(rel, statement, given))
+        assert not backend.verify(rel, statement, _unchecked_blob(rel, statement, given))
     # The inverse feeds no other row, so that forgery is the honest
     # witness with one wire changed.
     values = list(witness.values)
@@ -296,7 +280,7 @@ def test_witness_check_spliced_free_wires_never_verify(fast_pub):
     backend = fast_pub.backend
     ours = _update_blobs(fast_pub, [0.5, -0.25])
     theirs = _update_blobs(fast_pub, [0.75, 1.0], ghosts=(102, 103))
-    for (rel, setup, _, _, blob), (_, _, _, _, other) in zip(ours, theirs):
+    for (rel, _, _, blob), (_, _, _, other) in zip(ours, theirs):
         statement = blob.public_inputs
         assert other.public_inputs != statement
         first = 1 + len(statement)
@@ -304,12 +288,12 @@ def test_witness_check_spliced_free_wires_never_verify(fast_pub):
         spliced = wires[:first] + json.loads(other.proof_bytes)["wires"][first:]
         assert spliced != wires
         forged = dataclasses.replace(blob, proof_bytes=payload(spliced))
-        assert not backend.verify(rel, setup, statement, forged)
+        assert not backend.verify(rel, statement, forged)
 
 
 def test_setup_artifacts_schema_has_no_trapdoor():
     fields = {f.name for f in dataclasses.fields(SetupArtifacts)}
-    assert fields == {"backend", "fingerprint", "proving_params", "verifying_params"}
+    assert fields == {"proving_params", "verifying_params"}
 
 
 def test_backend_registry():
@@ -328,17 +312,16 @@ def test_backend_registry():
 def test_groth16_roundtrip_and_agreement(rel, honest):
     snark = Groth16Backend(seed=7)
     wc = WitnessCheckBackend()
-    sp = snark.setup(rel)
-    sp_wc = wc.setup(rel)
+    keyed = with_keys(rel, snark)
     statement, witness = honest
-    blob = snark.prove(rel, sp, statement, witness)
+    blob = snark.prove(keyed, statement, witness)
     assert len(blob.proof_bytes) == 128  # compressed Groth16 proof
-    assert snark.verify(rel, sp, statement, blob)
-    assert not snark.verify(rel, sp, (10,), blob)
+    assert snark.verify(keyed, statement, blob)
+    assert not snark.verify(keyed, (10,), blob)
     # Backend agreement on the honest pair and on a mutated statement.
-    blob_wc = wc.prove(rel, sp_wc, statement, witness)
-    assert wc.verify(rel, sp_wc, statement, blob_wc)
-    assert not wc.verify(rel, sp_wc, (10,), blob_wc)
+    blob_wc = wc.prove(rel, statement, witness)
+    assert wc.verify(rel, statement, blob_wc)
+    assert not wc.verify(rel, (10,), blob_wc)
 
 
 @needs_snark
@@ -354,31 +337,29 @@ def test_groth16_seeded_setup_is_deterministic(rel):
 @needs_snark
 def test_groth16_refuses_false_statement(rel, honest):
     snark = Groth16Backend(seed=7)
-    sp = snark.setup(rel)
     _, witness = honest
     with pytest.raises(UnsatisfiedWitness):
-        snark.prove(rel, sp, (10,), witness)
+        snark.prove(with_keys(rel, snark), (10,), witness)
 
 
 @needs_snark
 def test_groth16_proof_bitflips_never_verify(rel, honest):
     snark = Groth16Backend(seed=7)
-    sp = snark.setup(rel)
+    keyed = with_keys(rel, snark)
     statement, witness = honest
-    blob = snark.prove(rel, sp, statement, witness)
+    blob = snark.prove(keyed, statement, witness)
     rng = random.Random(99)
     for _ in range(1000):
         data = bytearray(blob.proof_bytes)
         data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
         tampered = dataclasses.replace(blob, proof_bytes=bytes(data))
-        assert not snark.verify(rel, sp, statement, tampered)
+        assert not snark.verify(keyed, statement, tampered)
 
 
 def test_witness_check_reads_constraints_only_after_statement_check(rel, honest):
     backend = WitnessCheckBackend()
-    sp = backend.setup(rel)
     statement, witness = honest
-    blob = backend.prove(rel, sp, statement, witness)
+    blob = backend.prove(rel, statement, witness)
     loads = []
 
     def load():
@@ -386,10 +367,10 @@ def test_witness_check_reads_constraints_only_after_statement_check(rel, honest)
         return rel.circuit
 
     stored = RelationHandle(rel.fingerprint, load=load)
-    assert not backend.verify(stored, sp, (10,), blob)
+    assert not backend.verify(stored, (10,), blob)
     assert not loads
-    assert backend.verify(stored, sp, statement, blob)
-    assert backend.verify(stored, sp, statement, blob)
+    assert backend.verify(stored, statement, blob)
+    assert backend.verify(stored, statement, blob)
     assert len(loads) == 1
 
 
@@ -419,18 +400,18 @@ def test_loaded_relation_releases_its_circuit(rel):
 )
 def test_prove_against_the_stored_export(rel, honest, tmp_path, make_backend):
     # The relation a prover gets from pub/: loaded from the stored export
-    # and released after each proof, as protocol.prove_update does.
+    # and keys, and released after each proof, as protocol.prove_update
+    # does.
     store = SetupStore(tmp_path)
     fingerprint = store.save_circuit(rel.circuit.export())
-    stored = RelationHandle(fingerprint, load=lambda: store.load_circuit(fingerprint))
     backend = make_backend()
-    sp = backend.setup(stored)
-    stored.release()
+    store.save(backend.name, fingerprint, backend.setup(store.relation(backend.name, fingerprint)))
+    stored = store.relation(backend.name, fingerprint)
     statement, witness = honest
-    blob = backend.prove(stored, sp, statement, witness)
+    blob = backend.prove(stored, statement, witness)
     stored.release()
-    assert backend.verify(stored, sp, statement, blob)
-    assert not backend.verify(stored, sp, (10,), blob)
+    assert backend.verify(stored, statement, blob)
+    assert not backend.verify(stored, (10,), blob)
     stored.release()
     with pytest.raises(UnsatisfiedWitness):
-        backend.prove(stored, sp, (10,), witness)
+        backend.prove(stored, (10,), witness)

@@ -2,7 +2,7 @@ import pytest
 
 from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint, MembershipPath
-from unlearn.proofsys import ProofBlob
+from unlearn.proofsys import ProofBlob, SetupArtifacts
 from unlearn.protocol import Commitment, UnlearnProof, queue_add, prove_update, server_init
 from unlearn.serialize import (
     EnvelopeError,
@@ -62,13 +62,35 @@ def test_envelope_version_enforced(tmp_path):
 
 
 def test_setup_store_roundtrip(tmp_path):
-    from unlearn.proofsys import SetupArtifacts
+    # Fake keys: the store writes and reads bytes, whatever they hold.
+    store, fp = SetupStore(tmp_path), "f" * 64
+    keys_dir = tmp_path / "setups" / "snark" / fp
+    assert store.load("snark", fp) is None
+    store.save("snark", fp, SetupArtifacts(b"PKPK", b"VKVK"))
+    assert sorted(p.name for p in keys_dir.iterdir()) == ["pk.bin", "vk.bin"]
+    stored = store.load("snark", fp)
+    assert (stored.proving_params, stored.verifying_params) == (b"PKPK", b"VKVK")
+    # vk.bin is written last, so a setup killed before it is absent and
+    # runs again.
+    (keys_dir / "vk.bin").unlink()
+    assert store.load("snark", fp) is None
+    # Keys without a verifying key (witness-check's) write nothing.
+    store.save("witness-check", fp, SetupArtifacts())
+    assert not (tmp_path / "setups" / "witness-check").exists()
 
-    store = SetupStore(tmp_path)
-    artifacts = SetupArtifacts("snark", "f" * 64, b"PKPK", b"VKVK")
-    assert store.load("snark", "f" * 64) is None
-    store.save(artifacts)
-    assert store.load("snark", "f" * 64) == artifacts
+
+def test_stored_keys_are_read_one_file_at_a_time(tmp_path):
+    store, fp = SetupStore(tmp_path), "e" * 64
+    keys_dir = tmp_path / "setups" / "snark" / fp
+    (keys_dir / "pk.bin").mkdir(parents=True)
+    (keys_dir / "vk.bin").write_bytes(b"VK")
+    keys = store.relation("snark", fp).keys
+    assert keys.verifying_params == b"VK"
+    with pytest.raises(EnvelopeError, match="pk.bin: setup key unreadable"):
+        keys.proving_params
+    (keys_dir / "vk.bin").unlink()
+    with pytest.raises(EnvelopeError, match="vk.bin: setup key unreadable"):
+        store.relation("snark", fp).keys.verifying_params
 
 
 def test_state_dir_layout(tmp_path):

@@ -21,7 +21,6 @@ from unlearn.training import (
     ModelParams,
     ShapeMismatch,
     accuracy,
-    default_init_values,
     default_train_config,
     param_count,
     predict,
@@ -252,11 +251,13 @@ def test_fixed_point_matches_float_reference(kind):
 
 
 def test_nn_init_values_are_frozen_constants():
-    a = default_init_values("nn", 3, 2, CFG)
-    b = default_init_values("nn", 3, 2, CFG)
+    # Derived from kind, arity, hidden and scale alone.
+    a = default_train_config("nn", 3, hidden=2, epochs=1).init_values
+    b = default_train_config("nn", 3, hidden=2, epochs=5, learning_rate=0.5).init_values
     assert a == b
+    assert len(a) == param_count("nn", 3, 2)
     assert all(abs(float(fx_decode(v, CFG))) <= 0.5 for v in a)
-    assert default_init_values("linear", 3, 0, CFG) == (0, 0, 0, 0)
+    assert default_train_config("linear", 3).init_values == (0, 0, 0, 0)
 
 
 def test_nn_training_runs_and_is_deterministic():
