@@ -44,7 +44,7 @@ class ShapeOverflow(ShapeMismatch):
 class ProtocolConfig:
     """The statement shape setup compiles: the training config, the
     training-set and unlearnt-set capacities, the hash rounds, and the
-    proof backend.  The hash works over the training field."""
+    proof backend.  The hash works over the fixed-point format's field."""
 
     train: TrainConfig
     capacity: int
@@ -59,8 +59,7 @@ class ProtocolConfig:
 
     @property
     def hash_cfg(self) -> HashConfig:
-        scale = self.train.scale
-        return HashConfig(scale.modulus, self.hash_rounds, scale.value_bits)
+        return HashConfig(self.hash_rounds)
 
 
 class ModelCircuit:

@@ -9,7 +9,8 @@ proof files.
 ``pub/`` is written once, by ``setup``:
 
 * ``params.json``: the protocol config and each circuit's (model and
-  data) fingerprint;
+  data) fingerprint; the fixed-point format (``field``'s constants) is
+  not in it, and no config key sets it;
 * ``circuits/<fingerprint>.r1cs``: each circuit's canonical binary
   export, the bytes its fingerprint (SHA-256) is taken over: a header
   (magic, modulus, wire, public, row and coefficient counts), the
@@ -18,6 +19,10 @@ proof files.
 * ``setups/snark/<fingerprint>/pk.bin`` and ``vk.bin``: each circuit's
   Groth16 proving and verifying keys.  The witness-check backend has no
   keys and writes no ``setups/``.
+
+``setup`` then removes every export and every key that ``params.json``
+does not use: other circuits' exports, and the keys of other circuits
+or of another backend.
 
 Every command reads ``params.json``, and each other file only when it
 needs it.  Only ``setup``, ``update`` and ``audit-setup`` build circuits
@@ -37,12 +42,14 @@ the stored fingerprints and exports, for anyone who wants to tie
 Each command accepts ``--dir``, ``--json`` and only the options it reads
 (``COMMANDS``).  Exit codes: 0 success/accept, 1 reject (an
 ``audit-setup`` mismatch included), 2 usage error (an option the command
-does not read, ``bench --config`` or ``--backend`` with a ``--dir`` that
+does not read, a config key that does not exist or a value it cannot
+hold, ``bench --config`` or ``--backend`` with a ``--dir`` that
 holds parameters, an unreadable ``--config`` or ``--dataset`` file, or a
 ``--dataset`` with a categorical column outside ``bench`` included), 3
 corrupt state (a state directory that cannot be read, a missing or
-altered circuit export, a missing, unreadable or malformed key file, or
-a config that no longer matches the stored circuit).
+altered circuit export, a missing, unreadable or malformed key file, a
+config that no longer matches the stored circuit, or a state whose
+queued batch meets its unlearnt set).
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from pathlib import Path
 
 from .bench import DEFAULT_SIZES, bench_sizes
 from .circuits import DataCircuit, ModelCircuit, ShapeMismatch, ShapeOverflow
-from .field import ConfigError, FixedPointOverflow, ScaleConfig, fx_encode
+from .field import FixedPointOverflow, ScaleConfig, fx_encode
 from .game import builtin_strategies, run_suite
 from .hashing import DataPoint, NotMemberError
 from .ingest import ingest_csv, split_dataset
@@ -107,7 +114,6 @@ CONFIG_DEFAULTS = {
     "arity": "1",
     "epochs": "10",
     "learning_rate": "0.1",
-    "gamma": "65536",
     "capacity": "8",
     "unlearn_capacity": "8",
     "backend": "witness-check",
@@ -148,14 +154,12 @@ def build_protocol_config(options: dict[str, str]) -> ProtocolConfig:
     if opts["kind"] == "nn" and "hidden" not in options:
         raise CliError("bad configuration: kind = nn needs a hidden key (2 or 4)")
     try:
-        scale = ScaleConfig(gamma=int(opts["gamma"]))
         train = TrainConfig(
             kind=opts["kind"],
             arity=int(opts["arity"]),
             hidden=int(opts["hidden"]),
             epochs=int(opts["epochs"]),
-            learning_rate=fx_encode(Fraction(opts["learning_rate"]), scale),
-            scale=scale,
+            learning_rate=fx_encode(Fraction(opts["learning_rate"]), ScaleConfig()),
         )
         return ProtocolConfig(
             train=train,
@@ -164,7 +168,9 @@ def build_protocol_config(options: dict[str, str]) -> ProtocolConfig:
             backend=opts["backend"],
             hash_rounds=int(opts["hash_rounds"]),
         )
-    except (ValueError, ConfigError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        # ValueError covers ConfigError; a learning rate of 1/0 raises
+        # ZeroDivisionError, and one too large to encode OverflowError.
         raise CliError(f"bad configuration: {e}") from e
 
 

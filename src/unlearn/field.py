@@ -2,7 +2,8 @@
 
 All field elements are plain Python ints, canonically reduced to [0, p).
 A fixed-point value is a field element encoding the signed rational n/gamma
-as n mod p (negatives wrap to p - |n|), with gamma = 2^k.  Encoding and
+as n mod p (negatives wrap to p - |n|), with gamma = 2^16 and p the BN254
+scalar field: one format, fixed by the module constants.  Encoding and
 every product round half up, once: a product of two encoded values is
 (a*b + gamma/2) >> k, the same shift the circuit's ``fx_mul`` decomposes.
 Every operation here is pure, so values can be shared freely across
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import floor
 from typing import Union
 
@@ -23,7 +23,14 @@ BN254_SCALAR_FIELD = (
     21888242871839275222246405745257275088548364400416034343698204186575808495617
 )
 
-DEFAULT_GAMMA = 2**16
+# The one fixed-point format: a value is n/GAMMA, GAMMA = 2^FRAC_BITS, and
+# a raw (unscaled) training value stays below MAX_ABS in magnitude.  The
+# value bound B = VALUE_BITS, the bit length of GAMMA * MAX_ABS (37):
+# encoded training values lie in [-2^B, 2^B), rescaled products below 2^B.
+GAMMA = 2**16
+MAX_ABS = 2**20
+FRAC_BITS = GAMMA.bit_length() - 1
+VALUE_BITS = (GAMMA * MAX_ABS).bit_length()
 
 # Cubic surrogate for the sigmoid: c0 + c1*z + c3*z^3, fitted against the
 # true sigmoid on a 1001-point uniform grid over [-5, 5].  A plain
@@ -31,8 +38,8 @@ DEFAULT_GAMMA = 2**16
 # the 0.05 accuracy envelope, so the frozen coefficients come from the
 # minimax (equioscillating) fit instead; see tests/test_field.py for the
 # re-derivation.  Encoding rounds each to the nearest multiple of 1/gamma,
-# which moves the surrogate by at most (1 + 5 + 125)/(2*gamma), 0.001 at
-# the default gamma, on [-5, 5].
+# which moves the surrogate by at most (1 + 5 + 125)/(2*gamma), 0.001, on
+# [-5, 5].
 SIGMOID_C0 = Fraction(50000, 100000)
 SIGMOID_C1 = Fraction(19751, 100000)
 SIGMOID_C3 = Fraction(-427, 100000)
@@ -42,7 +49,7 @@ Rational = Union[int, float, str, Fraction]
 
 
 class ConfigError(ValueError):
-    """Raised when a ScaleConfig violates its own invariants."""
+    """Raised when a protocol config violates its own invariants."""
 
 
 class FixedPointOverflow(OverflowError):
@@ -56,85 +63,43 @@ class FixedPointOverflow(OverflowError):
         self.uid = uid
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-# Cached: every ScaleConfig checks its modulus, and a process may make
-# several (each config it parses or loads, each test that builds one).
-@lru_cache(maxsize=8)
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Fixed-point scale gamma, a power of two 2^k, plus the prime field it
-    embeds into.
+    """The fixed-point format, read from the module constants: scale
+    gamma = 2^k, the BN254 scalar field, and the value bound 2^B that
+    native training and the model circuit both enforce on every feature,
+    label and rescaled product.  It has no settable value; the constants
+    are pinned in tests/test_field.py (p prime, p > 2 * gamma^2 *
+    max_abs^2 so rescaled products never wrap, B = 37)."""
 
-    ``max_abs`` bounds the magnitude of any raw (unscaled) value expected
-    during a training run; the constructor checks the overflow headroom
-    p > 2 * gamma^2 * max_abs^2 so rescaled products never wrap.  It also
-    fixes the value bound 2^value_bits that native training and the model
-    circuit both enforce on every feature, label and rescaled product.
-    """
+    @property
+    def gamma(self) -> int:
+        return GAMMA
 
-    gamma: int = DEFAULT_GAMMA
-    modulus: int = BN254_SCALAR_FIELD
-    max_abs: int = 2**20
-
-    def __post_init__(self) -> None:
-        if self.gamma < 2 or self.gamma & (self.gamma - 1):
-            raise ConfigError(f"gamma must be a power of two >= 2, not {self.gamma}")
-        if not _is_probable_prime(self.modulus):
-            raise ConfigError("field modulus must be prime")
-        if self.modulus <= 2 * self.gamma**2 * self.max_abs**2:
-            raise ConfigError(
-                "field modulus leaves no overflow headroom for "
-                f"gamma={self.gamma}, max_abs={self.max_abs}"
-            )
+    @property
+    def modulus(self) -> int:
+        return BN254_SCALAR_FIELD
 
     @property
     def half(self) -> int:
-        return (self.modulus - 1) // 2
+        return (BN254_SCALAR_FIELD - 1) // 2
 
     @property
     def encode_limit(self) -> int:
         # |round(gamma * r)| must stay below p / (2*gamma).
-        return self.modulus // (2 * self.gamma)
+        return BN254_SCALAR_FIELD // (2 * GAMMA)
 
     @property
     def value_bits(self) -> int:
-        # B = bit length of gamma * max_abs (37 at the defaults): encoded
-        # training values lie in [-2^B, 2^B), rescaled products below 2^B.
-        return (self.gamma * self.max_abs).bit_length()
+        return VALUE_BITS
 
     @property
     def frac_bits(self) -> int:
-        # k = log2(gamma): the bits a rescale shifts out.
-        return self.gamma.bit_length() - 1
+        return FRAC_BITS
 
     @property
     def byte_length(self) -> int:
-        return (self.modulus.bit_length() + 7) // 8
+        return (BN254_SCALAR_FIELD.bit_length() + 7) // 8
 
 
 def signed_repr(v: int, cfg: ScaleConfig) -> int:

@@ -11,7 +11,7 @@ allocates them, so a circuit built from its inputs carries its witness.
 The hash gadgets replay the exact computation of ``hashing`` and the
 fixed-point multiply replays ``field.fx_mul`` with one bit decomposition
 of the rounded, offset product, which is also its range check against
-the value bound of ``ScaleConfig``; where native training raises
+the value bound of ``field``; where native training raises
 FixedPointOverflow, so do they.  ``pin_absent`` fixes each value of an
 absent slot to a constant, so a padded circuit leaves no wire free of
 its inputs.
@@ -36,8 +36,6 @@ def lc_wire(w: int) -> LinComb:
 
 class CircuitBuilder:
     def __init__(self, cs: ConstraintSystem, scale: ScaleConfig, hash_cfg: HashConfig):
-        if (hash_cfg.modulus, hash_cfg.value_bits) != (scale.modulus, scale.value_bits):
-            raise ValueError("hash and scale configs disagree on the field or the value bound")
         self.cs = cs
         self.scale = scale
         self.hash_cfg = hash_cfg

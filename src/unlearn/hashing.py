@@ -14,8 +14,8 @@ compression ``_compress(key, message)``:
   (B = ``HashConfig.value_bits``, the fixed-point value bound), greedily
   into as few limbs of ``HashConfig.limb_bits`` bits as fit.  Each limb
   lies below the modulus, so a point in range packs injectively; one limb
-  holds a point up to arity 3 at the default scale.  The model circuit
-  packs through the same layout, after range-checking what it packs.
+  holds a point up to arity 3.  The model circuit packs through the same
+  layout, after range-checking what it packs.
   The arity and the weight count are fixed by the compiled config, so no
   length padding is needed; points of different arities can share a
   digest, which is why ``protocol.check_point`` refuses another arity;
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .field import BN254_SCALAR_FIELD, ScaleConfig, value_offset
+from .field import BN254_SCALAR_FIELD, VALUE_BITS, value_offset
 
 UID_BITS = 64
 MAX_UID = 2**UID_BITS - 1
@@ -48,9 +48,9 @@ MAX_UID = 2**UID_BITS - 1
 DEFAULT_ROUNDS = 110  # ceil(log5(2^254)) rounds for the x^5 round function
 
 
-def _tag(label: str, modulus: int = BN254_SCALAR_FIELD) -> int:
+def _tag(label: str) -> int:
     digest = hashlib.sha256(b"unlearn.tag." + label.encode()).digest()
-    return int.from_bytes(digest, "big") % modulus
+    return int.from_bytes(digest, "big") % BN254_SCALAR_FIELD
 
 
 class NotMemberError(KeyError):
@@ -63,42 +63,46 @@ class EmptyModelError(ValueError):
 
 @dataclass(frozen=True)
 class HashConfig:
-    """The field, the rounds of the permutation, and the value bound B:
-    a point's features and label lie in [-2^B, 2^B)."""
+    """The rounds of the permutation.  The field and the value bound B (a
+    point's features and label lie in [-2^B, 2^B)) are the fixed-point
+    format's constants in ``field``."""
 
-    modulus: int = BN254_SCALAR_FIELD
     rounds: int = DEFAULT_ROUNDS
-    value_bits: int = ScaleConfig().value_bits
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
-        if max(UID_BITS, self.value_bits + 1) > self.limb_bits:
-            raise ValueError(
-                f"a {self.limb_bits}-bit limb cannot hold a {UID_BITS}-bit uid and "
-                f"{self.value_bits + 1}-bit values"
-            )
+
+    @property
+    def modulus(self) -> int:
+        return BN254_SCALAR_FIELD
+
+    @property
+    def value_bits(self) -> int:
+        return VALUE_BITS
 
     @property
     def limb_bits(self) -> int:
-        # Every limb lies below 2^limb_bits <= modulus, so packing never wraps.
+        # Every limb lies below 2^limb_bits <= modulus, so packing never
+        # wraps; tests/test_hashing.py pins that a limb holds a uid and a
+        # value.
         return self.modulus.bit_length() - 1
 
     @property
     def tag_point(self) -> int:
-        return _tag("point", self.modulus)
+        return _tag("point")
 
     @property
     def tag_model(self) -> int:
-        return _tag("model", self.modulus)
+        return _tag("model")
 
     @property
     def tag_node(self) -> int:
-        return _tag("hash2", self.modulus)
+        return _tag("hash2")
 
     @property
     def tag_empty(self) -> int:
-        return _tag("empty-chain-base", self.modulus)
+        return _tag("empty-chain-base")
 
 
 @lru_cache(maxsize=None)

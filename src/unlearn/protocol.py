@@ -34,6 +34,7 @@ from .proofsys import (
     UnsatisfiedWitness,
     get_backend,
 )
+from .r1cs import WitnessSynthesisError
 from .training import Dataset, ModelParams, train_model
 
 INIT_MARKER = "empty"
@@ -280,9 +281,15 @@ def prove_update(
     # checks its witness against the stored rows.
     dataset = Dataset(tuple(_batch_points(state)), pub.config.train.arity)
     model_circuit = ModelCircuit(pub.config, dataset, values_only=True)
-    data_circuit = DataCircuit(
-        pub.config, model_circuit.digests, state.hashed_unlearnt, new_unlearnt, values_only=True
-    )
+    try:
+        data_circuit = DataCircuit(
+            pub.config, model_circuit.digests, state.hashed_unlearnt, new_unlearnt,
+            values_only=True,
+        )
+    except WitnessSynthesisError as e:
+        # Admission never queues a deleted point again, so only a state
+        # written by hand makes the batch meet the unlearnt set.
+        raise CorruptState(str(e)) from None
     if data_circuit.statement[1] != state.unlearnt_root:
         # The proof would chain from a root no commitment holds.
         raise CorruptState("the unlearnt root does not match the hashed unlearnt set")

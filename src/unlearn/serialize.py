@@ -35,11 +35,11 @@ from .training import Dataset, ModelParams, TrainConfig
 
 # Each kind of envelope is versioned on its own: a change to one kind's
 # format or meaning bumps only that kind.  params.json (circuits named by
-# fingerprint alone) is at 11, update proofs (free wires only) at 9,
-# every other kind at 8.
+# fingerprint alone, and no fixed-point format, which is fixed) is at 12,
+# update proofs (free wires only) at 9, every other kind at 8.
 VERSION = 8
 UPDATE_PROOF_VERSION = 9
-PARAMS_VERSION = 11
+PARAMS_VERSION = 12
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
@@ -236,9 +236,6 @@ def protocol_config_to_dict(config: ProtocolConfig) -> dict:
         "hidden": t.hidden,
         "epochs": t.epochs,
         "learning_rate": to_hex(t.learning_rate, t.scale),
-        "gamma": t.scale.gamma,
-        "modulus": f"{t.scale.modulus:x}",
-        "max_abs": t.scale.max_abs,
         "hash_rounds": config.hash_rounds,
         "capacity": config.capacity,
         "unlearn_capacity": config.unlearn_capacity,
@@ -247,16 +244,12 @@ def protocol_config_to_dict(config: ProtocolConfig) -> dict:
 
 
 def protocol_config_from_dict(obj: dict) -> ProtocolConfig:
-    scale = ScaleConfig(
-        gamma=obj["gamma"], modulus=int(obj["modulus"], 16), max_abs=obj["max_abs"]
-    )
     train = TrainConfig(
         kind=obj["kind"],
         arity=obj["arity"],
         hidden=obj["hidden"],
         epochs=obj["epochs"],
-        learning_rate=from_hex(obj["learning_rate"], scale),
-        scale=scale,
+        learning_rate=from_hex(obj["learning_rate"], ScaleConfig()),
     )
     return ProtocolConfig(
         train=train,
@@ -350,15 +343,15 @@ class SetupStore:
             raise EnvelopeError(f"{path}: {e}") from None
 
     def prune(self, backend: str, keep: set[str]) -> None:
-        """Remove every circuit export, and every set of ``backend``'s
-        setup keys, whose fingerprint is not in ``keep``: what an earlier
-        setup under another config left behind."""
+        """Remove every circuit export whose fingerprint is not in
+        ``keep``, every other backend's setup keys, and every set of
+        ``backend``'s keys whose fingerprint is not in ``keep``: what an
+        earlier setup under another config or backend left behind."""
         for path in (self.root / "circuits").glob("*.r1cs"):
             if path.stem not in keep:
                 path.unlink()
-        setups = self.root / "setups" / backend
-        for d in setups.iterdir() if setups.is_dir() else ():
-            if d.name not in keep:
+        for d in (self.root / "setups").glob("*/*"):
+            if d.parent.name != backend or d.name not in keep:
                 shutil.rmtree(d)
 
     def load(self, backend: str, fingerprint: str) -> Optional[StoredKeys]:
@@ -436,12 +429,17 @@ class StateDir:
                 raise EnvelopeError(f"{self.params_file}: malformed {name} fingerprint")
             return self.setup_store.relation(backend.name, fingerprint)
 
-        return PublicParams(
+        pub = PublicParams(
             config=config,
             model_relation=relation("model"),
             data_relation=relation("data"),
             backend=backend,
         )
+        if public_params_to_dict(pub) != obj:
+            # A field this version does not write, such as an earlier
+            # version's modulus, would be silently ignored.
+            raise EnvelopeError(f"{self.params_file}: fields other than those it writes")
+        return pub
 
     def save_state(self, state: ServerState, cfg: ScaleConfig) -> None:
         atomic_write_json(self.state_file, server_state_to_dict(state, cfg))

@@ -11,7 +11,7 @@ constant vector.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -93,15 +93,20 @@ class TrainConfig:
     hidden: int = 0
     epochs: int = 10
     learning_rate: int = 0  # fixed-point encoded; see default_train_config
-    scale: ScaleConfig = dc_field(default_factory=ScaleConfig)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.arity < 0:
+            raise ValueError("arity must not be negative")
         if self.kind == "nn" and self.hidden not in (2, 4):
             raise ValueError("NN models support 2 or 4 hidden neurons")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+
+    @property
+    def scale(self) -> ScaleConfig:
+        return ScaleConfig()
 
     @property
     def init_values(self) -> tuple[int, ...]:
@@ -126,16 +131,13 @@ def default_train_config(
     hidden: int = 0,
     epochs: int = 10,
     learning_rate: Fraction | float | str = Fraction(1, 10),
-    scale: ScaleConfig | None = None,
 ) -> TrainConfig:
-    scale = scale or ScaleConfig()
     return TrainConfig(
         kind=kind,
         arity=arity,
         hidden=hidden,
         epochs=epochs,
-        learning_rate=fx_encode(learning_rate, scale),
-        scale=scale,
+        learning_rate=fx_encode(learning_rate, ScaleConfig()),
     )
 
 

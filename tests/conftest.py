@@ -20,10 +20,10 @@ def scale():
 
 
 @pytest.fixture(scope="session")
-def fast_pub(scale):
+def fast_pub():
     """Capacity-8 witness-check protocol: shared by protocol/game/CLI tests."""
     config = ProtocolConfig(
-        train=default_train_config("linear", 1, epochs=1, scale=scale),
+        train=default_train_config("linear", 1, epochs=1),
         capacity=8,
         unlearn_capacity=8,
         backend="witness-check",

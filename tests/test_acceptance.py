@@ -62,7 +62,7 @@ def test_criterion_1_completeness_hundred_runs():
     """100 randomized valid runs, <= 5 iterations of <= 8 points, linear
     regression, witness-check backend: zero verification failures."""
     config = ProtocolConfig(
-        train=default_train_config("linear", 1, epochs=1, scale=SCALE),
+        train=default_train_config("linear", 1, epochs=1),
         capacity=8,
         unlearn_capacity=8,
         backend="witness-check",
@@ -96,7 +96,7 @@ def test_criterion_2_security_game_sound_backend():
     """Every builtin adversary loses across 20 seeds on the sound backend;
     removing soundness lets at least one strategy win."""
     config = ProtocolConfig(
-        train=default_train_config("linear", 1, epochs=1, scale=SCALE),
+        train=default_train_config("linear", 1, epochs=1),
         capacity=4,
         unlearn_capacity=4,
         backend="snark",
@@ -132,7 +132,7 @@ def test_criterion_3_exhaustive_witness_mutation():
     intersecting sets admit no satisfying witness."""
     started = time.monotonic()
     config = ProtocolConfig(
-        train=default_train_config("linear", 1, epochs=1, scale=SCALE),
+        train=default_train_config("linear", 1, epochs=1),
         capacity=4,
         unlearn_capacity=4,
         backend="witness-check",
@@ -218,7 +218,7 @@ def test_criterion_4_fixed_point_fidelity():
     )
     worst_weight = 0.0
     for kind in ("linear", "logistic"):
-        cfg = default_train_config(kind, 1, epochs=1, scale=SCALE)
+        cfg = default_train_config(kind, 1, epochs=1)
         fixed = train_model(ds, cfg)
         ref = float_train(kind, pts, epochs=1, lr=0.1, arity=1)
         for wf, wr in zip(fixed.weights, ref):
@@ -249,7 +249,7 @@ def test_criterion_5_linear_scaling_and_constant_verification():
     doubling ratios within [1.8, 2.2]); succinct verification wall-time at
     |D|=8 vs |D|=64 within 2x."""
     np = pytest.importorskip("numpy")
-    train = default_train_config("linear", 1, epochs=1, scale=SCALE)
+    train = default_train_config("linear", 1, epochs=1)
     sizes = [8, 16, 32, 64]
     counts = []
     circuits = {}
@@ -369,7 +369,7 @@ def test_criterion_7_end_to_end_snark_smoke():
     update proofs, verification, and an unlearning round-trip all accept."""
     started = time.monotonic()
     config = ProtocolConfig(
-        train=default_train_config("linear", 1, epochs=1, scale=SCALE),
+        train=default_train_config("linear", 1, epochs=1),
         capacity=4,
         unlearn_capacity=4,
         backend="snark",

@@ -91,13 +91,6 @@ def test_bits_overflow_raises():
         builder.bits(lc_wire(cs.alloc_private(2**8)), 8)
 
 
-def test_builder_refuses_a_hash_config_of_another_bound():
-    # The point gadget packs values under the hash config's bound and
-    # range-checks them under the scale's: the two must agree.
-    with pytest.raises(ValueError, match="disagree"):
-        CircuitBuilder(ConstraintSystem(P), ScaleConfig(gamma=1024), TINY)
-
-
 def test_select_gadget():
     for sel, expected in ((1, 10), (0, 20)):
         builder, cs = _builder()
@@ -232,7 +225,7 @@ def test_padded_chain_matches_native(occupancy):
 
 def _config(capacity=4, epochs=1, arity=1, kind="linear", hidden=0, unlearn_capacity=1):
     return ProtocolConfig(
-        train=default_train_config(kind, arity, hidden=hidden, epochs=epochs, scale=SCALE),
+        train=default_train_config(kind, arity, hidden=hidden, epochs=epochs),
         capacity=capacity,
         unlearn_capacity=unlearn_capacity,
         hash_rounds=TINY.rounds,

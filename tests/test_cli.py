@@ -150,6 +150,22 @@ def test_setup_removes_the_circuits_it_does_not_record(workspace):
     assert run(workspace, "audit-setup", "--dir", str(d)) == 0
 
 
+def test_setup_removes_the_keys_of_another_backend(workspace):
+    # Snark keys in a witness-check directory, one set under a recorded
+    # fingerprint and one under another: params.json names no backend
+    # that reads them, so setup removes both.
+    d, conf = workspace / "st", str(workspace / "conf")
+    assert run(workspace, "setup", "--dir", str(d), "--config", conf) == 0
+    recorded = json.loads((d / "pub" / "params.json").read_text())["circuits"]["model"]
+    planted = [d / "pub" / "setups" / "snark" / fp / "vk.bin" for fp in (recorded, "ab" * 32)]
+    for path in planted:
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"stale vk")
+    assert run(workspace, "setup", "--dir", str(d), "--config", conf) == 0
+    assert not any(path.exists() for path in planted)
+    assert not [p for p in (d / "pub" / "setups").rglob("*") if p.is_file()]
+
+
 def test_witness_check_commands_read_no_setups(workspace):
     d, csv = str(workspace / "st"), str(workspace / "pts.csv")
     assert run(workspace, "setup", "--dir", d, "--config", str(workspace / "conf")) == 0
@@ -304,10 +320,35 @@ def test_unknown_config_key(workspace, capsys):
 
 
 def test_gamma_must_be_a_power_of_two(workspace, capsys):
+    # gamma is fixed at 2^16: a config that sets it, even to a power of
+    # two, names a key that does not exist.
     conf, d = workspace / "decimal.conf", workspace / "st"
-    conf.write_text(CONF + "gamma = 100000\n")
+    for gamma in ("100000", "65536"):
+        conf.write_text(CONF + f"gamma = {gamma}\n")
+        assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 2
+        assert "error: unknown config keys: gamma" in capsys.readouterr().err
+        assert not d.exists()
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        ("arity = -1", "arity must not be negative"),
+        ("learning_rate = 1/0", "bad configuration: "),
+        ("learning_rate = 1e80", "exceeds the fixed-point headroom"),
+        ("epochs = ten", "bad configuration: "),
+    ],
+    ids=["negative-arity", "zero-denominator", "too-large", "not-a-number"],
+)
+def test_malformed_config_values_are_usage_errors(workspace, capsys, line, reason):
+    key = line.split(" = ")[0]
+    conf, d = workspace / "bad.conf", workspace / "st"
+    kept = [row for row in CONF.splitlines() if not row.startswith(key)]
+    conf.write_text("\n".join([*kept, line]) + "\n")
+    capsys.readouterr()
     assert run(workspace, "setup", "--dir", str(d), "--config", str(conf)) == 2
-    assert "gamma must be a power of two" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration: ") and reason in err
     assert not d.exists()
 
 
@@ -701,6 +742,23 @@ def test_update_with_mismatched_unlearnt_root_writes_nothing(workspace, initiali
     assert snapshot(initialized) == before
 
 
+def test_update_of_a_batch_that_meets_the_unlearnt_set_writes_nothing(workspace, unlearnt,
+                                                                        capsys):
+    # A state edited by hand to queue again the point iteration 2 deleted:
+    # no data-circuit witness exists, so update exits 3 and writes nothing.
+    state = unlearnt / "state.json"
+    obj = json.loads(state.read_text())
+    state.write_text(json.dumps(obj | {"pending_add": obj["last_deleted"]}))
+    before = snapshot(unlearnt)
+    capsys.readouterr()
+    assert run(workspace, "update", "--dir", str(unlearnt)) == 3
+    assert ("error: corrupt state: training and unlearnt sets intersect"
+            in capsys.readouterr().err)
+    assert snapshot(unlearnt) == before
+    store = StateDir(unlearnt)
+    assert not store.commitment_file(3).exists() and not store.update_proof_file(3).exists()
+
+
 # SHA-256 of the commitments and state that a session of CONF (add
 # pts.csv, update, delete uid 2, update) wrote while every envelope kind
 # was at version 8, update proofs included.  Only update proofs and
@@ -737,7 +795,7 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     for name, digest in VERSION_8_FILES.items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
-    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 11
+    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 12
     for i in range(3):
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", str(i)) == 0
     # bench's update_proof_bytes is the length of these bytes.
@@ -784,6 +842,23 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
         assert "unsupported envelope version" in err and "KeyError" not in err
 
 
+def test_version_11_params_refused(workspace, updated, capsys):
+    # Version 11 also recorded the fixed-point format, which is now fixed:
+    # gamma, the field modulus and max_abs.
+    params = updated / "pub" / "params.json"
+    obj = json.loads(params.read_text())
+    assert not {"gamma", "modulus", "max_abs"} & set(obj)
+    obj |= {"version": 11, "gamma": 65536, "modulus": f"{SCALE.modulus:x}", "max_abs": 2**20}
+    params.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
+    assert "unsupported envelope version" in capsys.readouterr().err
+    # The same fields under version 12 are refused too, not ignored.
+    params.write_text(json.dumps(obj | {"version": 12}))
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
+    assert "error: corrupt parameters: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -811,7 +886,7 @@ def test_malformed_params_are_corrupt_state(workspace, initialized, capsys, edit
 
 def test_config_keys():
     assert sorted(CONFIG_DEFAULTS) == [
-        "arity", "backend", "capacity", "epochs", "gamma", "hash_rounds",
+        "arity", "backend", "capacity", "epochs", "hash_rounds",
         "hidden", "kind", "learning_rate", "unlearn_capacity",
     ]
 

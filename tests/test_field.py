@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from unlearn.field import (
     BN254_SCALAR_FIELD,
-    ConfigError,
+    FRAC_BITS,
+    GAMMA,
+    MAX_ABS,
     SIGMOID_C0,
     SIGMOID_C1,
     SIGMOID_C3,
     NativeOps,
+    VALUE_BITS,
     ScaleConfig,
     from_hex,
     fx_decode,
@@ -88,16 +91,54 @@ def test_mul_overflow():
         fx_mul(big, big, CFG)
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, exact below
+    3 * 10^23: the reference check that the field modulus is prime."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_reference_primality_check():
+    assert [n for n in range(40) if _is_probable_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert _is_probable_prime(2**61 - 1) and _is_probable_prime(101)
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7.
+    assert not _is_probable_prime(2**64) and not _is_probable_prime(3215031751)
+
+
 def test_config_validation():
-    for gamma in (0, 1, 3, 10**5, -(2**16)):
-        with pytest.raises(ConfigError, match="power of two"):
-            ScaleConfig(gamma=gamma)
-    assert ScaleConfig(gamma=2).frac_bits == 1
-    assert CFG.frac_bits == 16 and CFG.gamma == 1 << CFG.frac_bits
-    with pytest.raises(ConfigError):
-        ScaleConfig(modulus=2**64)  # not prime
-    with pytest.raises(ConfigError, match="headroom"):
-        ScaleConfig(modulus=101, gamma=8, max_abs=2)
+    # The fixed-point format is constant; what ScaleConfig once checked of
+    # each instance is pinned here once.  gamma is a power of two:
+    assert G == GAMMA == 2**16 and CFG.frac_bits == FRAC_BITS == 16
+    assert CFG.gamma == 1 << CFG.frac_bits
+    # The field is prime, and leaves rescaled products overflow headroom:
+    assert CFG.modulus == P and _is_probable_prime(P)
+    assert P > 2 * GAMMA**2 * MAX_ABS**2
+    # The value bound B is the bit length of gamma * max_abs.
+    assert CFG.value_bits == VALUE_BITS == (GAMMA * MAX_ABS).bit_length() == 37
+    assert CFG.half == (P - 1) // 2 and CFG.encode_limit == P // (2 * GAMMA)
+    assert CFG.byte_length == 32
 
 
 small_scaled = st.integers(min_value=-4 * G, max_value=4 * G)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from unlearn.field import FixedPointOverflow, ScaleConfig
 from unlearn.hashing import (
+    UID_BITS,
     DataPoint,
     EmptyModelError,
     HashConfig,
@@ -128,10 +129,11 @@ def test_point_packing_is_injective_at_the_bounds():
 
 
 def test_limbs_must_hold_the_packed_elements():
-    with pytest.raises(ValueError, match="cannot hold"):
-        HashConfig(value_bits=H.limb_bits)
-    with pytest.raises(ValueError, match="cannot hold"):
-        HashConfig(modulus=2**61 - 1)
+    # The packing never wraps only if a limb holds a 64-bit uid and a
+    # (B+1)-bit value: fixed by the constants, pinned here.
+    assert H.limb_bits == 253 and H.value_bits == 37
+    assert max(UID_BITS, H.value_bits + 1) <= H.limb_bits
+    assert 2**H.limb_bits <= H.modulus
 
 
 def test_hash_data_point_feature_order_matters():

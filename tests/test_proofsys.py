@@ -210,7 +210,7 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
 ):
     pub = global_setup(
         ProtocolConfig(
-            train=default_train_config(kind, arity, hidden=hidden, epochs=1, scale=scale),
+            train=default_train_config(kind, arity, hidden=hidden, epochs=1),
             capacity=4,
             unlearn_capacity=1,
             hash_rounds=TINY_ROUNDS,

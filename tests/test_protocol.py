@@ -232,8 +232,7 @@ def test_global_setup_is_deterministic(fast_pub):
 
 
 def test_config_validation_errors():
-    from unlearn.circuits import ModelCircuit
-    from unlearn.field import ConfigError, ScaleConfig
+    from unlearn.field import ConfigError
     from unlearn.hashing import HashConfig
     from unlearn.protocol import ProtocolConfig
     from unlearn.training import default_train_config
@@ -244,13 +243,11 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="rounds must be positive"):
         ProtocolConfig(train=train, capacity=4, unlearn_capacity=4, hash_rounds=0)
     # The hash works over the training field and packs points under the
-    # training value bound: there is no second modulus or bound.
+    # training value bound: the config sets only the rounds.
     config = ProtocolConfig(train=train, capacity=4, unlearn_capacity=4, hash_rounds=4)
-    assert config.hash_cfg == HashConfig(train.scale.modulus, 4, train.scale.value_bits)
-    coarse = default_train_config("linear", 1, epochs=1, scale=ScaleConfig(gamma=1024))
-    config = ProtocolConfig(train=coarse, capacity=2, unlearn_capacity=1, hash_rounds=4)
-    assert config.hash_cfg.value_bits == coarse.scale.value_bits == 31
-    assert ModelCircuit(config).cs.num_constraints > 0
+    assert config.hash_cfg == HashConfig(rounds=4)
+    assert (config.hash_cfg.modulus, config.hash_cfg.value_bits) == (
+        train.scale.modulus, train.scale.value_bits)
 
 
 def test_proof_from_foreign_circuit_rejected(fast_pub):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import failing_rows, is_satisfied
 from unlearn.circuits import ModelCircuit
-from unlearn.field import FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
+from unlearn.field import MAX_ABS, FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
 from unlearn.gadgets import CircuitBuilder, lc_wire
 from unlearn.hashing import (
     DataPoint,
@@ -44,7 +44,7 @@ def enc(r):
 
 
 def test_value_bits_at_defaults():
-    assert B == (GAMMA * SCALE.max_abs).bit_length() == 37
+    assert B == (GAMMA * MAX_ABS).bit_length() == 37
     assert GAMMA == 1 << K == 2**16
 
 
@@ -63,7 +63,7 @@ def test_native_fx_mul_bound():
 
 @pytest.mark.parametrize("field", ["x", "y"])
 def test_train_model_checks_data_interval(field):
-    cfg = default_train_config("linear", 1, epochs=1, scale=SCALE)
+    cfg = default_train_config("linear", 1, epochs=1)
 
     def point(v):
         x, y = (v, 0) if field == "x" else (0, v)
@@ -173,7 +173,7 @@ def test_native_and_circuit_round_alike_at_ties_and_bounds(a, b, expected):
 @functools.cache
 def _model_config(kind, epochs):
     return ProtocolConfig(
-        train=default_train_config(kind, 1, epochs=epochs, scale=SCALE),
+        train=default_train_config(kind, 1, epochs=epochs),
         capacity=3,
         unlearn_capacity=1,
         hash_rounds=TINY.rounds,
@@ -239,7 +239,7 @@ def test_native_overflow_iff_synthesis_fails(kind, epochs, rows):
 def pub():
     return global_setup(
         ProtocolConfig(
-            train=default_train_config("linear", 1, epochs=1, scale=SCALE),
+            train=default_train_config("linear", 1, epochs=1),
             capacity=8,
             unlearn_capacity=8,
             hash_rounds=TINY.rounds,
