@@ -138,9 +138,8 @@ class CircuitBuilder:
     # -- hash gadgets ---------------------------------------------------------
 
     def mimc_permute(self, x: LinComb, key: LinComb) -> LinComb:
-        p = self.cs.modulus
         t = x
-        for c in round_constants(p, self.hash_cfg.rounds):
+        for c in round_constants(self.hash_cfg.rounds):
             u = self.add(self.add(t, key), lc_const(c))
             u2 = self.mul(u, u)
             u4 = self.mul(u2, u2)

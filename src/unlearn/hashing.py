@@ -106,11 +106,11 @@ class HashConfig:
 
 
 @lru_cache(maxsize=None)
-def round_constants(modulus: int, rounds: int) -> tuple[int, ...]:
+def round_constants(rounds: int) -> tuple[int, ...]:
     cs = [0]
     for i in range(1, rounds):
         digest = hashlib.sha256(b"unlearn.mimc.v1.%d" % i).digest()
-        cs.append(int.from_bytes(digest, "big") % modulus)
+        cs.append(int.from_bytes(digest, "big") % BN254_SCALAR_FIELD)
     return tuple(cs)
 
 
@@ -119,7 +119,7 @@ def mimc_permute(x: int, key: int, cfg: HashConfig) -> int:
     p = cfg.modulus
     t = x % p
     key %= p
-    for c in round_constants(p, cfg.rounds):
+    for c in round_constants(cfg.rounds):
         u = (t + key + c) % p
         u2 = u * u % p
         t = u2 * u2 % p * u % p
