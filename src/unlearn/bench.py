@@ -10,7 +10,8 @@ and unlearns the other points, proving against the stored circuits
 (``verify_s``, with ``verified``).  Both later steps load ``pub/`` as the
 commands do, with its SHA-256-checked circuit exports.  The constraint,
 private-wire and nonzero-term counts are those of the circuits
-``global_setup`` built; ``update_proof_bytes`` is the length of the
+``global_setup`` built, with their free wires, whose values are what a
+witness-check proof carries; ``update_proof_bytes`` is the length of the
 update-proof envelope ``update`` would write.
 """
 
@@ -57,6 +58,9 @@ class BenchEntry:
     # verifier's work grows with these as well as with the constraints.
     model_terms: int
     data_terms: int
+    # The private wires no row defines: what a witness-check proof carries.
+    model_free_wires: int
+    data_free_wires: int
     # None when only the counts were taken.
     update_proof_bytes: Optional[int] = None
     timings: dict = dc_field(default_factory=dict)
@@ -101,6 +105,8 @@ def _bench_size(
         data_private_wires=data.private_count,
         model_terms=model.term_count,
         data_terms=data.term_count,
+        model_free_wires=len(pub.model_circuit.cs.free_wires()),
+        data_free_wires=len(pub.data_circuit.cs.free_wires()),
     )
     if counts_only:
         return entry

@@ -266,18 +266,19 @@ def cmd_setup(args) -> int:
         store.setup_store.prune(
             pub.backend.name, {pub.model_relation.fingerprint, pub.data_relation.fingerprint}
         )
-    emit(
-        args,
-        {
-            "dir": str(store.root),
-            "backend": config.backend,
-            "model_fingerprint": pub.model_relation.fingerprint,
-            "data_fingerprint": pub.data_relation.fingerprint,
-            "model_constraints": pub.model_circuit.cs.stats().constraint_count,
-            "data_constraints": pub.data_circuit.cs.stats().constraint_count,
-        },
-        f"setup complete in {store.root} (backend {config.backend})",
-    )
+    payload = {
+        "dir": str(store.root),
+        "backend": config.backend,
+        "model_fingerprint": pub.model_relation.fingerprint,
+        "data_fingerprint": pub.data_relation.fingerprint,
+        "model_constraints": pub.model_circuit.cs.stats().constraint_count,
+        "data_constraints": pub.data_circuit.cs.stats().constraint_count,
+    }
+    if args.json:
+        # Finding the free wires walks the rows: only --json reports them.
+        payload["model_free_wires"] = len(pub.model_circuit.cs.free_wires())
+        payload["data_free_wires"] = len(pub.data_circuit.cs.free_wires())
+    emit(args, payload, f"setup complete in {store.root} (backend {config.backend})")
     return EXIT_OK
 
 
@@ -475,6 +476,8 @@ def cmd_audit_setup(args) -> int:
 
 
 def cmd_game(args) -> int:
+    if args.seeds < 1:
+        raise CliError(f"bad --seeds {args.seeds}: expected a positive integer")
     store = StateDir(args.dir)
     pub = load_pub(store)
     if pub.config.capacity < 4:

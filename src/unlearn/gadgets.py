@@ -84,15 +84,18 @@ class CircuitBuilder:
 
     def bits(self, a: LinComb, width: int) -> list[int]:
         """Bit-decompose a into ``width`` boolean wires; raises
-        WitnessSynthesisError if its value does not fit."""
+        WitnessSynthesisError if its value does not fit.  The sum row a * 1
+        = sum 2^i b_i comes first, with the bits new in its C, so it
+        defines them as a's binary digits (``r1cs``); the boolean rows
+        follow."""
         cs = self.cs
         v = cs.lc_value(a)
         if v >> width:
             raise WitnessSynthesisError(f"value {v} exceeds {width}-bit range check")
         wires = [cs.alloc_private((v >> i) & 1) for i in range(width)]
+        cs.enforce(a, lc_const(1), {w: 1 << i for i, w in enumerate(wires)})
         for w in wires:
             self.enforce_boolean(lc_wire(w))
-        self.enforce_eq({w: 1 << i for i, w in enumerate(wires)}, a)
         return wires
 
     def value_range(self, a: LinComb) -> LinComb:

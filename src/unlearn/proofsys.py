@@ -3,8 +3,11 @@
 Two interchangeable backends:
 
 * ``witness-check`` — development backend.  Proofs carry the free wires
-  (``ConstraintSystem.project``); the verifier derives the rest in row
-  order and checks every other constraint (``ConstraintSystem.complete``).
+  (``ConstraintSystem.project``): for the update circuits, only each
+  slot's inputs and the data circuit's free wires.  The verifier derives
+  the rest in row order, each range check's bits as the binary digits
+  of its sum row, and checks every other constraint
+  (``ConstraintSystem.complete``).
   Not succinct and not hiding, but exact and dependency-free;
   completeness and circuit-level tests run on it.  A deliberately broken
   variant (``check=False``) that accepts anything is available to the
@@ -134,11 +137,11 @@ def _self_check(cs: ConstraintSystem, statement: Sequence[int], witness: Witness
 
 
 def _witness_payload(values: Sequence[int]) -> bytes:
-    """A witness-check proof: version 2, then the projected wires as
+    """A witness-check proof: version 3, then the projected wires as
     lowercase hex without leading zeros.  The verifier accepts exactly
     these bytes, so each projection has one accepted payload."""
     return json.dumps(
-        {"v": 2, "wires": list(map(format, values, repeat("x")))}, separators=(",", ":")
+        {"v": 3, "wires": list(map(format, values, repeat("x")))}, separators=(",", ":")
     ).encode()
 
 

@@ -23,15 +23,18 @@ gadgets but ``enforce`` records nothing, and every operation that reads
 rows raises RowsNotRecorded rather than treat the empty row set as the
 circuit.
 
-Most private wires are fixed by the rows that read them first: a row
+Most private wires are fixed by the rows that read them first.  A row
 whose C ends in a wire with coefficient 1, above every wire of its A, B
 and of all earlier rows, *defines* that wire as <A,z> * <B,z> less the
-rest of C, which lies below it.  ``project``
-keeps the constant, the statement and the other, *free*, wires of a
-witness; ``complete`` rebuilds the one satisfying witness with that
-projection in one walk over the rows, or raises Unsatisfied naming the
-first row that fails.  It is the only evaluator of rows: ``check``
-judges a whole witness by completing its projection.
+rest of C, which lies below it.  A row whose C ends in n >= 2 consecutive
+such new wires with coefficients 2^0 ... 2^(n-1), as a bit
+decomposition's sum row a * 1 = sum 2^i b_i does, defines all n as the
+binary digits of the rest of the row, and holds no value of 2^n or more.
+``project`` keeps the constant, the statement and the other, *free*,
+wires of a witness; ``complete`` rebuilds the one satisfying witness
+with that projection in one walk over the rows, or raises Unsatisfied
+naming the first row that fails.  It is the only evaluator of rows:
+``check`` judges a whole witness by completing its projection.
 """
 
 from __future__ import annotations
@@ -211,7 +214,7 @@ class ConstraintSystem:
         self._table: list[int] = []
         self._matrices = tuple(_Matrix(_u32s(), _u32s(), _u32s()) for _ in range(3))
         self._finalized = False
-        self._defining: Optional[list[tuple[int, int]]] = None
+        self._defining: Optional[list[tuple[int, int, int]]] = None
 
     # -- building ----------------------------------------------------------
 
@@ -330,14 +333,20 @@ class ConstraintSystem:
 
     # -- free and derived wires ---------------------------------------------------
 
-    def _defining_rows(self) -> list[tuple[int, int]]:
-        """Each row that defines a wire, with that wire, in row order; kept
-        once the system is finalized, as rows can no longer change.  Row
-        i *defines* private wire w when w is the last term of C_i, with
-        coefficient 1, and above every wire of A_i, B_i and of all earlier
-        rows, so that w = <A_i,z> * <B_i,z> - <C_i - w, z> follows from
-        wires a walk in row order already knows.  Every private wire no
-        row defines is *free*.
+    def _defining_rows(self) -> list[tuple[int, int, int]]:
+        """Each row that defines wires, with its first wire w and their
+        number n, in row order; kept once the system is finalized, as rows
+        can no longer change.  Row i *defines* private wire w (n = 1) when
+        w is the last term of C_i, with coefficient 1, and above every
+        wire of A_i, B_i and of all earlier rows, so that w = <A_i,z> *
+        <B_i,z> - <C_i - w, z> follows from wires a walk in row order
+        already knows.  It defines the n >= 2 wires w ... w+n-1 when they
+        are the last n terms of C_i, with coefficients 2^0 ... 2^(n-1), and
+        w is above every wire of A_i, B_i and of all earlier rows: they are
+        the binary digits of <A_i,z> * <B_i,z> less the rest of C_i, which
+        is below 2^n if the row holds.  n stays below the modulus's bit
+        length, so the digits are unique.  Every private wire no row
+        defines is *free*.
 
         Reads the rows only, never values, so every witness of one circuit
         splits the same way.  Wire ids increase within a row, so a row's
@@ -350,11 +359,15 @@ class ConstraintSystem:
         a_wires, b_wires, c_wires, c_coefficients = (
             array(_U32_CODE, (0,)) + v for v in (a.wires, b.wires, c.wires, c.coefficients)
         )
-        one = self._coefficient_ids.get(1, -1)
+        # The ids of 2^0, 2^1, ...: a defining row's last coefficients, in
+        # order, and the number of wires each id ends.
+        ids = self._coefficient_ids
+        powers = [ids.get(1 << i, -1) for i in range(self.modulus.bit_length() - 1)]
+        widths = dict(zip(powers, count(1)))
         top = self.num_public  # the largest wire so far: only private ones are defined
         defining = []
-        for row, end_a, end_b, end_c in zip(
-            count(), accumulate(a.counts), accumulate(b.counts), accumulate(c.counts)
+        for row, end_a, end_b, end_c, terms_c in zip(
+            count(), accumulate(a.counts), accumulate(b.counts), accumulate(c.counts), c.counts
         ):
             if a_wires[end_a] > top:
                 top = a_wires[end_a]
@@ -362,9 +375,14 @@ class ConstraintSystem:
                 top = b_wires[end_b]
             w = c_wires[end_c]
             if w > top:
+                n = widths.get(c_coefficients[end_c], 0)
+                if n == 1 or (
+                    1 < n <= terms_c
+                    and c_wires[end_c - n + 1] == w - n + 1 > top
+                    and c_coefficients[end_c - n + 1:end_c + 1].tolist() == powers[:n]
+                ):
+                    defining.append((row, w - n + 1, n))
                 top = w
-                if c_coefficients[end_c] == one:
-                    defining.append((row, w))
         if self._finalized:
             self._defining = defining
         return defining
@@ -373,8 +391,11 @@ class ConstraintSystem:
         """1 for each wire a projection keeps: the constant, the statement
         and the free wires."""
         kept = bytearray(b"\x01") * self._num_wires
-        for _, w in self._defining_rows():
-            kept[w] = 0
+        for _, w, n in self._defining_rows():
+            if n == 1:
+                kept[w] = 0
+            else:
+                kept[w:w + n] = bytes(n)
         return kept
 
     def free_wires(self) -> list[int]:
@@ -391,17 +412,21 @@ class ConstraintSystem:
         """The one satisfying witness whose projection is ``given`` (field
         elements, as ``project`` lists them); raises Unsatisfied, naming
         the first row that fails, if there is none.  One walk over the
-        rows: before each defining row, the free wires below its wire take
-        the next values of ``given``, the rows since the last defining row
-        must hold, and the row assigns its wire w <A_i,z> * <B_i,z> -
-        <C_i - w, z> mod p: the sums are taken with w at 0.
-        Rows after the last defining row must hold once every free wire
-        is placed.
+        rows: before each defining row, the free wires below its wires
+        take the next values of ``given``, the rows since the last
+        defining row must hold, and the row assigns its wires from r =
+        <A_i,z> * <B_i,z> - <C_i - its wires, z> mod p, the sums taken
+        with its wires at 0: one wire takes r, and n wires take the n
+        binary digits of r, which fails the row if r >= 2^n.  Rows after
+        the last defining row must hold once every free wire is placed.
 
         ``expect`` is a whole witness whose projection is ``given``.  A
-        defining row that assigns its wire another value than ``expect``
-        holds is the first row ``expect`` fails, as every wire it reads
-        agrees with ``expect``; the walk stops there."""
+        one-wire row that assigns another value than ``expect`` holds is
+        the first row ``expect`` fails, as every wire it reads agrees with
+        ``expect``.  A digit row takes ``expect``'s values whenever they
+        satisfy it, digits or not, so a later row names what they fail;
+        otherwise it is the first row ``expect`` fails.  The walk stops at
+        that row."""
         placed = 1 + self.num_public
         z = list(given[:placed])
         if len(z) != placed or z[0] != 1:
@@ -410,7 +435,7 @@ class ConstraintSystem:
         a, b, c = self._row_sums(z)
         residues = map(p.__rmod__, map(sub, map(mul, a, b), c))
         checked = 0  # rows walked so far
-        for row, w in self._defining_rows():
+        for row, w, n in self._defining_rows():
             need = w - len(z)
             if need:
                 z += given[placed:placed + need]
@@ -422,11 +447,23 @@ class ConstraintSystem:
             rows = islice(residues, row - checked)
             if any(rows):
                 raise Unsatisfied(row - 1 - sum(1 for _ in rows))
-            z.append(0)
-            value = (next(a) * next(b) - next(c)) % p
-            if expect is not None and value != expect[w]:
-                raise Unsatisfied(row)
-            z[w] = value
+            if n == 1:
+                z.append(0)
+                value = (next(a) * next(b) - next(c)) % p
+                if expect is not None and value != expect[w]:
+                    raise Unsatisfied(row)
+                z[w] = value
+            else:
+                z += [0] * n
+                value = (next(a) * next(b) - next(c)) % p
+                if expect is not None:
+                    z[w:] = expect[w:w + n]
+                    if sum(map(mul, z[w:], map((1).__lshift__, range(n)))) % p != value:
+                        raise Unsatisfied(row)
+                elif value >> n:
+                    raise Unsatisfied(row)
+                else:
+                    z[w:] = map(int, reversed(f"{value:0{n}b}"))
             checked = row + 1
         z += given[placed:]
         if len(z) != self._num_wires:

@@ -35,11 +35,12 @@ from .training import Dataset, ModelParams, TrainConfig
 
 # Each kind of envelope is versioned on its own: a change to one kind's
 # format or meaning bumps only that kind.  params.json (circuits named by
-# fingerprint alone, and no fixed-point format, which is fixed) is at 12,
-# update proofs (free wires only) at 9, every other kind at 8.
+# fingerprint alone, no fixed-point format, which is fixed, and each range
+# check's sum row before its boolean rows) is at 13, update proofs (free
+# wires only, range bits derived) at 10, every other kind at 8.
 VERSION = 8
-UPDATE_PROOF_VERSION = 9
-PARAMS_VERSION = 12
+UPDATE_PROOF_VERSION = 10
+PARAMS_VERSION = 13
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 

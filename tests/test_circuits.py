@@ -24,7 +24,7 @@ from unlearn.hashing import (
     point_layout,
 )
 from unlearn.cli import build_protocol_config
-from unlearn.r1cs import ConstraintSystem, Witness, WitnessSynthesisError
+from unlearn.r1cs import ConstraintSystem, Unsatisfied, Witness, WitnessSynthesisError
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -159,10 +159,14 @@ def test_packing_forgery_fails_the_uid_range_check():
     assert not is_satisfied(stored, forged)
     first, *rest = failing_rows(stored, forged)
     uid_bits = {w: 1 << i for i, w in enumerate(range(uid_w + 3, uid_w + 3 + 64))}
-    # The uid check's last row: its 64 bits sum to the uid.
-    assert stored.constraints[first] == ({**uid_bits, uid_w: P - 1}, {0: 1}, {})
+    # The uid check's first row: the uid is the sum of its 64 bits.
+    assert stored.constraints[first] == ({uid_w: 1}, {0: 1}, uid_bits)
     # Every hash row holds: the rest that fail are training rows reading x.
     assert set(rest) <= set(rows_touching(stored, x_w))
+    # A verifier derives the bits from the uid, and refuses at that row.
+    with pytest.raises(Unsatisfied) as refused:
+        stored.complete(stored.project(forged))
+    assert refused.value.row == first
 
 
 @pytest.mark.parametrize(
@@ -537,6 +541,11 @@ def test_unit_constraint_costs(gadget, expected):
 def test_fast_pub_constraint_totals(fast_pub):
     assert fast_pub.model_circuit.cs.stats().constraint_count == 3253
     assert fast_pub.data_circuit.cs.stats().constraint_count == 404
+    # The free wires, whose values a witness-check proof carries: each
+    # model slot's presence, uid, feature and label, and in the data
+    # circuit the presence bits, digests and inverses.
+    assert len(fast_pub.model_circuit.cs.free_wires()) == 8 * 4
+    assert len(fast_pub.data_circuit.cs.free_wires()) == 104
 
 
 @pytest.mark.parametrize(
@@ -546,35 +555,77 @@ def test_fast_pub_constraint_totals(fast_pub):
         # fx_mul 640 + select 328 + absent-slot pins 24 + presence 15 +
         # bindings 2; data 5,174 = hash 4,950 + disjoint 128 + presence 53 +
         # select 24 + absent-slot pins 16 + bindings 3.
-        (10, 8, (25363, 25013, 120133, (65, 10, 6)), (5174, 5146, 25263, (3, 5, 2))),
+        (10, 8, (25363, 25013, 120133, (39, 10, 64), 32), (5174, 5146, 25263, (3, 5, 2), 104)),
         # cli-unlearn: model 16,987 = hash 10,890 + range bits 5,808 +
         # fx_mul 128 + select 80 + absent-slot pins 48 + presence 31 +
         # bindings 2; data 10,934 = hash 10,230 + disjoint 512 + presence
         # 109 + select 48 + absent-slot pins 32 + bindings 3.
-        (1, 16, (16987, 16861, 83961, (65, 10, 6)), (10934, 10874, 53407, (3, 5, 2))),
+        (1, 16, (16987, 16861, 83961, (39, 10, 64), 64), (10934, 10874, 53407, (3, 5, 2), 336)),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
 )
 def test_benchmark_config_sizes(epochs, capacity, model, data):
     # The benchmark workloads' configs, at the full hash: constraints,
-    # wires, nonzero terms and the longest row of A, B and C.  The terms
-    # and rows catch a gadget that widens the rows reading its output, as
-    # an fx_mul returning its bits' combination would, or a combination
-    # that grows across the training loop.
+    # wires, nonzero terms, the longest row of A, B and C, and the free
+    # wires, whose values a witness-check proof carries.  The terms and
+    # rows catch a gadget that widens the rows reading its output, as an
+    # fx_mul returning its bits' combination would, or a combination that
+    # grows across the training loop.
     config = build_protocol_config(
         {"epochs": str(epochs), "capacity": str(capacity), "unlearn_capacity": str(capacity)}
     )
     for circuit, expected in ((ModelCircuit, model), (DataCircuit, data)):
         cs = circuit(config).cs
         longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
-        assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest) == expected
+        free = len(cs.free_wires())
+        assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
+
+
+@pytest.mark.parametrize(
+    "kind,arity,hidden", [("linear", 1, 0), ("logistic", 2, 0), ("nn", 1, 2)]
+)
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_model_free_wires_are_the_slot_inputs(kind, arity, hidden, epochs):
+    # Every row derives its wires from the slots' inputs: each range
+    # check's bits are its sum row's digits, and every product its row's.
+    # So the free wires are each slot's presence, uid, features and label,
+    # the same for the built system and the one loaded from its export.
+    capacity = 3
+    cs = ModelCircuit(
+        _config(capacity=capacity, epochs=epochs, arity=arity, kind=kind, hidden=hidden)
+    ).cs
+    free = cs.free_wires()
+    assert len(free) == capacity * (arity + 3)
+    assert ConstraintSystem.from_export(cs.export()).free_wires() == free
+
+
+@pytest.mark.parametrize("wire,value", [("uid", 2**64), ("x", 2**37), ("x", -(2**37) - 1)])
+def test_an_out_of_range_slot_input_fails_its_decomposition_row(wire, value):
+    # A projection whose slot input leaves its range check's width: the
+    # verifier's walk refuses it at that check's sum row, whose rest has
+    # no digits of that width.
+    circuit = ModelCircuit(_config(capacity=2), _dataset(2))
+    cs = ConstraintSystem.from_export(circuit.cs.export())
+    uid_w = circuit.h_d_wire + 2  # slot 0: presence, uid, x, y
+    target = uid_w if wire == "uid" else uid_w + 1
+    given = cs.project(circuit.cs.witness())
+    given[1 + cs.num_public + cs.free_wires().index(target)] = value % P
+    bits = 64 if wire == "uid" else SCALE.value_bits + 1
+    [row] = [
+        i for i, (a, b, c) in enumerate(cs.constraints)
+        if b == {0: 1} and len(c) == bits and target in a
+    ]
+    with pytest.raises(Unsatisfied) as refused:
+        cs.complete(given)
+    assert refused.value.row == row
 
 
 def test_longest_rows_do_not_grow_with_capacity_or_epochs():
     # Every product gadget returns one wire that its own row defines, so
     # no row copies a weight's history or a running root: each circuit's
     # longest rows of A, B and C are the same at every capacity and epoch
-    # count.  The model's longest A row is the uid's 64-bit sum.
+    # count.  The model's longest A row is an fx_mul's high B+1 bits less
+    # 2^B, and its longest C row the uid's 64 bits.
     longest = {ModelCircuit: set(), DataCircuit: set()}
     for capacity in (2, 4, 8):
         for epochs in (1, 3):
@@ -587,13 +638,13 @@ def test_longest_rows_do_not_grow_with_capacity_or_epochs():
             for circuit, seen in longest.items():
                 rows = circuit(config).cs.constraints
                 seen.add(tuple(max(len(row[m]) for row in rows) for m in range(3)))
-    assert longest == {ModelCircuit: {(65, 10, 6)}, DataCircuit: {(3, 5, 2)}}
+    assert longest == {ModelCircuit: {(39, 10, 64)}, DataCircuit: {(3, 5, 2)}}
 
 
 def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
-    assert model.fingerprint() == "090af3aaa731ddaa4b24d97f4462851dbbd90026e43def7a279bf851b2142cf8"
+    assert model.fingerprint() == "ffeda52f3ccae7e016b1039170068ef28d77faef5337155b6f54d6a0adb5c203"
     assert data.fingerprint() == "20cd5316f065b58d431bee4cb85fd4588d84005ec21a202a3c9d69e6e5d25c94"
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from unlearn import bench, circuits, cli, game, proofsys, protocol, serialize, training
+from unlearn import bench, circuits, cli, game, gadgets, proofsys, protocol, serialize, training
 from unlearn.cli import CONFIG_DEFAULTS, main
 from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint
@@ -465,6 +465,18 @@ def test_game_command(workspace, capsys):
     )
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_game_without_seeds_is_a_usage_error(workspace, capsys, seeds):
+    # No seed runs no strategy: a verdict from nothing would pass.
+    d = str(workspace / "st")
+    run(workspace, "setup", "--dir", d, "--config", str(workspace / "conf"))
+    capsys.readouterr()
+    for control in ((), ("--negative-control",)):
+        assert run(workspace, "game", "--dir", d, "--seeds", seeds, *control) == 2
+        captured = capsys.readouterr()
+        assert f"bad --seeds {seeds}" in captured.err and captured.out == ""
+
+
 def test_bench_counts_scale_linearly(workspace, capsys):
     conf = str(workspace / "conf")
     capsys.readouterr()
@@ -493,11 +505,25 @@ def test_bench_reports_wires_and_terms_of_both_circuits(workspace, capsys):
         capacity=3, unlearn_capacity=1,
     )
     for name, circuit in (("model", circuits.ModelCircuit), ("data", circuits.DataCircuit)):
-        stats = circuit(config).cs.stats()
+        cs = circuit(config).cs
+        stats = cs.stats()
         assert entry[f"{name}_constraints"] == stats.constraint_count
         assert entry[f"{name}_private_wires"] == stats.private_count
         assert entry[f"{name}_terms"] == stats.term_count
+        assert entry[f"{name}_free_wires"] == len(cs.free_wires())
+    # Each model slot's presence, uid, feature and label.
+    assert entry["model_free_wires"] == 3 * 4
     assert entry["timings"] == {}
+
+
+def test_setup_reports_the_free_wires_of_both_circuits(workspace, capsys):
+    d = str(workspace / "st")
+    capsys.readouterr()
+    assert run(workspace, "setup", "--dir", d, "--config", str(workspace / "conf"), "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    pub = cli.load_pub(StateDir(d))
+    assert payload["model_free_wires"] == len(pub.model_relation.circuit.free_wires()) == 8 * 4
+    assert payload["data_free_wires"] == len(pub.data_relation.circuit.free_wires()) == 104
 
 
 def test_bench_reports_the_update_proof_size(workspace, capsys):
@@ -795,23 +821,25 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     for name, digest in VERSION_8_FILES.items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
-    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 12
+    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 13
     for i in range(3):
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", str(i)) == 0
     # bench's update_proof_bytes is the length of these bytes.
     store, scale = StateDir(d), cli.load_pub(StateDir(d)).scale
     written = store.update_proof_file(2).read_bytes()
-    decoded = update_proof_from_dict(read_json(store.update_proof_file(2), 9), scale)
+    decoded = update_proof_from_dict(read_json(store.update_proof_file(2), 10), scale)
     assert json_bytes(update_proof_to_dict(decoded, scale)) == written
-    # An update proof of version 8 carried the whole witness: refused as
-    # corrupt (exit 3), not judged a false proof (exit 1).
+    # An update proof of version 8 carried the whole witness, and one of
+    # version 9 the range bits: refused as corrupt (exit 3), not judged a
+    # false proof (exit 1).
     proof = d / "proofs" / "update_2.json"
     envelope = json.loads(proof.read_text())
-    assert envelope["version"] == UPDATE_PROOF_VERSION == 9
-    proof.write_text(json.dumps({**envelope, "version": 8}))
-    capsys.readouterr()
-    assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
-    assert "unsupported envelope version" in capsys.readouterr().err
+    assert envelope["version"] == UPDATE_PROOF_VERSION == 10
+    for old in (8, 9):
+        proof.write_text(json.dumps({**envelope, "version": old}))
+        capsys.readouterr()
+        assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
+        assert "unsupported envelope version" in capsys.readouterr().err
 
 
 def test_old_params_envelope_refused(workspace, initialized, capsys):
@@ -829,10 +857,11 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # Version 8 left absent slots unpinned.  Version 9's selects, Merkle
     # carries and chain folds returned linear combinations, not one wire.
     # Version 10 recorded each circuit's counts and the initial weights,
-    # beside a meta.json per setup.
+    # beside a meta.json per setup.  Version 12's range checks summed their
+    # bits after the boolean rows, so no row defined the bits.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
                 {"version": 4}, {"version": 5}, {"version": 6}, {"version": 7},
-                {"version": 8}, {"version": 9}, {"version": 10}):
+                {"version": 8}, {"version": 9}, {"version": 10}, {"version": 12}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))
@@ -853,8 +882,8 @@ def test_version_11_params_refused(workspace, updated, capsys):
     capsys.readouterr()
     assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
     assert "unsupported envelope version" in capsys.readouterr().err
-    # The same fields under version 12 are refused too, not ignored.
-    params.write_text(json.dumps(obj | {"version": 12}))
+    # The same fields under the current version are refused too, not ignored.
+    params.write_text(json.dumps(obj | {"version": PARAMS_VERSION}))
     assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
     assert "error: corrupt parameters: " in capsys.readouterr().err
 
@@ -1241,3 +1270,52 @@ def test_non_canonical_hex_is_corrupt(workspace, updated, capsys):
     capsys.readouterr()
     assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
     assert "error: corrupt envelope: field element is not lowercase hex" in capsys.readouterr().err
+
+
+def _model_payload(store: StateDir, iteration: int) -> tuple[dict, dict, list[str]]:
+    """An update proof's envelope, its model proof and that proof's wires."""
+    envelope = json.loads(store.update_proof_file(iteration).read_text())
+    blob = envelope["model_proof"]
+    return envelope, blob, json.loads(bytes.fromhex(blob["proof_bytes"]))["wires"]
+
+
+def test_a_flipped_slot_input_in_the_model_payload_is_rejected(workspace, updated, capsys):
+    # The edit the benchmark's tamper check makes: entry 1 +
+    # len(public_inputs) of the model payload, slot 0's presence bit.
+    store = StateDir(updated)
+    envelope, blob, wires = _model_payload(store, 1)
+    k = 1 + len(blob["public_inputs"])
+    assert wires[k] == "1"
+    wires[k] = "0"
+    blob["proof_bytes"] = json.dumps({"v": 3, "wires": wires}, separators=(",", ":")).encode().hex()
+    store.update_proof_file(1).write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1
+
+
+def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monkeypatch):
+    # The honest witness listed as version 2 did: beside the free wires,
+    # every range bit, recorded here as ``bits`` allocates them.
+    store = StateDir(updated)
+    pub = cli.load_pub(store)
+    range_bits, bits = [], gadgets.CircuitBuilder.bits
+
+    def recording(self, a, width):
+        out = bits(self, a, width)
+        range_bits.extend(out)
+        return out
+
+    monkeypatch.setattr(gadgets.CircuitBuilder, "bits", recording)
+    circuits.ModelCircuit(pub.config)
+    monkeypatch.undo()
+    cs = pub.model_relation.circuit
+    envelope, blob, wires = _model_payload(store, 1)
+    witness = cs.complete([int(v, 16) for v in wires])
+    kept = sorted({*cs.free_wires(), *range_bits})
+    assert len(kept) == len(wires) - 1 - cs.num_public + len(range_bits)
+    values = [*witness.values[: 1 + cs.num_public], *(witness.values[w] for w in kept)]
+    old = json.dumps({"v": 2, "wires": [f"{v:x}" for v in values]}, separators=(",", ":"))
+    blob["proof_bytes"] = old.encode().hex()
+    store.update_proof_file(1).write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1

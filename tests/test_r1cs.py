@@ -467,6 +467,80 @@ def test_a_wire_below_a_later_rows_wire_is_free():
     assert cs.complete(cs.project(cs.witness())) == cs.witness()
 
 
+def digit_system(value: int, width: int, booleans: bool = True) -> ConstraintSystem:
+    """x * 1 = sum 2^i b_i over new wires b_0 ... b_{width-1}, as
+    ``CircuitBuilder.bits`` writes it, then optionally their boolean
+    rows; x = value is free."""
+    cs = ConstraintSystem(P)
+    x = cs.alloc_private(value)
+    bits = [cs.alloc_private((value >> i) & 1) for i in range(width)]
+    cs.enforce({x: 1}, {0: 1}, {b: 1 << i for i, b in enumerate(bits)})
+    if booleans:
+        for b in bits:
+            cs.enforce({b: 1}, {0: 1, b: -1}, {})
+    cs.finalize()
+    return cs
+
+
+def test_a_sum_row_defines_its_bits_as_binary_digits():
+    cs = digit_system(0b1011, 4)
+    assert cs.free_wires() == [1]
+    assert cs.project(cs.witness()) == [1, 0b1011]
+    assert cs.complete([1, 0b1011]) == cs.witness()
+    assert cs.complete([1, 0]).values == (1, 0, 0, 0, 0, 0)
+    # No four digits make 16, nor p - 1: the sum row is refused.
+    for value in (16, P - 1):
+        with pytest.raises(Unsatisfied) as refused:
+            cs.complete([1, value])
+        assert refused.value.row == 0
+
+
+def test_check_follows_satisfying_bits_that_are_not_digits():
+    # b_0 = 2, b_1 = 0 sums to x = 2 as the digits 0, 1 do: the sum row
+    # holds, so check goes on and names the boolean row that fails, as
+    # evaluating each row does.  Without boolean rows it holds.
+    for booleans, failing in ((True, [1]), (False, [])):
+        cs = digit_system(2, 2, booleans)
+        forged = Witness((1, 2, 2, 0))
+        assert failing_rows(cs, forged) == failing
+        if failing:
+            with pytest.raises(Unsatisfied) as refused:
+                cs.check(forged)
+            assert refused.value.row == failing[0]
+        else:
+            cs.check(forged)
+    # Bits that do not sum to x fail the sum row itself.
+    cs = digit_system(2, 2)
+    with pytest.raises(Unsatisfied) as refused:
+        cs.check(Witness((1, 2, 1, 1)))
+    assert refused.value.row == 0 == failing_rows(cs, Witness((1, 2, 1, 1)))[0]
+
+
+def test_only_consecutive_new_wires_with_powers_of_two_are_digits():
+    def free_of(coefficients, wires=None):
+        """The free wires of x * 1 = sum c_i w_i over new wires w_i:
+        wires 2, 3, ... unless given."""
+        cs = ConstraintSystem(P)
+        wires = wires or list(range(2, 2 + len(coefficients)))
+        x = cs.alloc_private(0)
+        for _ in range(max(wires) - 1):
+            cs.alloc_private(0)
+        cs.enforce({x: 1}, {0: 1}, dict(zip(wires, coefficients)))
+        cs.finalize()
+        return cs.free_wires()
+
+    assert free_of([1, 2, 4]) == [1]
+    # Out of order, or not from 2^0 up, the powers of two define nothing.
+    for coefficients in ([2, 1, 4], [1, 4, 8], [3, 2, 4], [2, 4]):
+        assert free_of(coefficients) == [1, 2, 3, 4][: 1 + len(coefficients)], coefficients
+    # Nor do 1 and 2 over wires with a gap between them.
+    assert free_of([1, 2], wires=[2, 4]) == [1, 2, 3, 4]
+    # A width whose digits need not be unique below p defines nothing.
+    width = P.bit_length()
+    assert len(free_of([1 << i for i in range(width)])) == 1 + width
+    assert free_of([1 << i for i in range(width - 1)]) == [1]
+
+
 FAST_KINDS = {"linear": 0, "logistic": 0, "nn": 2}
 
 
