@@ -11,16 +11,19 @@
   ``unlearn_capacity`` slots holds the previous and the appended digests.
 
 Each circuit is built from a ``ProtocolConfig`` and its inputs in one
-pass that yields both the constraints and the witness; the prover reads
-the trained model and the statement from it.  The config fixes the
-shape: datasets are padded to its capacities with absent slots masked by
-per-slot presence bits, so the constraints do not depend on the inputs
-and one trusted setup, built from the empty input, serves every update
-that fits; inputs that do not fit raise ShapeOverflow.  Every value in an
-absent slot is pinned to a constant, so each statement has exactly one
-witness.  A prover that proves against the stored constraints builds
-with ``values_only=True``: the same pass computes the witness and records
-no rows.
+pass that yields both the constraints and the witness.  The config fixes
+the shape: datasets are padded to its capacities with absent slots
+masked by per-slot presence bits, so the constraints do not depend on
+the inputs and one trusted setup, built from the empty input, serves
+every update that fits; inputs that do not fit raise ShapeOverflow.
+Every value in an absent slot is pinned to a constant, so each statement
+has exactly one witness.
+
+Setup and ``audit-setup`` build the circuits for their rows.  A prover
+needs only a witness's projection (``r1cs``): the statement and the free
+wires, which are the circuit's inputs.  ``model_projection`` and
+``data_projection`` compute it natively, each next to the class whose
+allocation order it mirrors, and the stored rows complete it.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from typing import Optional, Sequence
 
 from .field import ConfigError, FixedPointOverflow
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
-from .hashing import DEFAULT_ROUNDS, DataPoint, HashConfig, empty_root
-from .r1cs import ConstraintSystem, gc_paused
-from .training import Dataset, ModelParams, ShapeMismatch, TrainConfig, overflow_at, sgd_step_ops
+from .hashing import DEFAULT_ROUNDS, DataPoint, HashConfig, empty_root, hash_data
+from .hashing import hash_data_point, hash_model_weights, hash_unlearn
+from .r1cs import ConstraintSystem, WitnessSynthesisError, gc_paused
+from .training import Dataset, ModelParams, ShapeMismatch, TrainConfig, overflow_at
+from .training import sgd_step_ops, train_model
 
 
 class ShapeOverflow(ShapeMismatch):
@@ -62,68 +67,61 @@ class ProtocolConfig:
         return HashConfig(self.hash_rounds)
 
 
+def _model_slots(config: ProtocolConfig, dataset: Optional[Dataset]) -> list[tuple[int, DataPoint]]:
+    """Each of the ``capacity`` slots' presence bit and point: the
+    dataset's points, then the absent point, uid 0 with zero data.
+    Raises ShapeMismatch for another arity and ShapeOverflow beyond the
+    capacity."""
+    arity = config.train.arity
+    points = dataset.points if dataset is not None else ()
+    if dataset is not None and dataset.arity != arity:
+        raise ShapeMismatch(f"dataset arity {dataset.arity} != circuit arity {arity}")
+    if len(points) > config.capacity:
+        raise ShapeOverflow(f"{len(points)} points exceed the compiled capacity {config.capacity}")
+    absent = (0, DataPoint(0, (0,) * arity, 0))
+    return [(1, d) for d in points] + [absent] * (config.capacity - len(points))
+
+
 class ModelCircuit:
     """R1CS form of the model-update statement, built with the witness for
-    ``dataset`` (by default the empty one).  ``model`` is the trained
-    model, ``digests`` the points' digests (the leaves under h_D) and
-    ``statement`` is (h_m, h_D).  Raises ShapeOverflow when the dataset
-    exceeds the capacity, ShapeMismatch when its arity differs, and
-    FixedPointOverflow, naming the point and the epoch as ``train_model``
-    does, when training it crosses the value bound.
-    With ``values_only`` its constraint system records no rows."""
+    ``dataset`` (by default the empty one).  ``statement`` is (h_m, h_D).
+    Raises ShapeOverflow when the dataset exceeds the capacity,
+    ShapeMismatch when its arity differs, and FixedPointOverflow, naming
+    the point and the epoch as ``train_model`` does, when training it
+    crosses the value bound."""
 
     @gc_paused()
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        dataset: Optional[Dataset] = None,
-        values_only: bool = False,
-    ):
+    def __init__(self, config: ProtocolConfig, dataset: Optional[Dataset] = None):
         self.config = config
         train = config.train
-        points = dataset.points if dataset is not None else ()
-        if dataset is not None and dataset.arity != train.arity:
-            raise ShapeMismatch(
-                f"dataset arity {dataset.arity} != circuit arity {train.arity}"
-            )
-        if len(points) > config.capacity:
-            raise ShapeOverflow(
-                f"{len(points)} points exceed the compiled capacity {config.capacity}"
-            )
-        absent = DataPoint(0, (0,) * train.arity, 0)
-        slots = points + (absent,) * (config.capacity - len(points))
+        slots = _model_slots(config, dataset)
         scale = train.scale
-        cs = ConstraintSystem(scale.modulus, values_only)
+        cs = ConstraintSystem(scale.modulus)
         b = CircuitBuilder(cs, scale, config.hash_cfg)
         ops = CircuitOps(b)
 
         # Statement wires first; b.bind gives them their values below.
-        self.h_m_wire = cs.alloc_public()
-        self.h_d_wire = cs.alloc_public()
+        self.h_m_wire, self.h_d_wire = cs.alloc_public(), cs.alloc_public()
 
-        presence, leaves, data = [], [], []
-        for s, d in enumerate(slots):
-            pres = lc_wire(cs.alloc_private(int(s < len(points))))
-            uid = lc_wire(cs.alloc_private(d.uid))
-            xs = [lc_wire(cs.alloc_private(x)) for x in d.x]
-            y = lc_wire(cs.alloc_private(d.y))
+        inputs, leaves = [], []
+        for present, d in slots:
+            pres, uid, *xs, y = (lc_wire(cs.alloc_private(v)) for v in (present, d.uid, *d.x, d.y))
             for v in (uid, *xs, y):
                 b.pin_absent(v, pres, 0)
             try:
                 leaves.append(b.hash_data_point(uid, xs, y))
             except FixedPointOverflow as e:
                 raise overflow_at(e, d.uid) from None
-            presence.append(pres)
-            data.append((xs, y))
+            inputs.append((pres, xs, y))
+        presence = [pres for pres, _, _ in inputs]
         b.prefix_presence(presence)
-        self.digests = tuple(cs.lc_value(leaf) for leaf in leaves[: len(points)])
 
         b.bind(self.h_d_wire, b.merkle_root(leaves, presence))
 
         weights = [ops.const(w) for w in train.init_values]
         lr = ops.const(train.learning_rate)
         for epoch in range(1, train.epochs + 1):
-            for d, pres, (xs, y) in zip(slots, presence, data):
+            for (_, d), (pres, xs, y) in zip(slots, inputs):
                 # An absent slot steps from zero weights on its zero data,
                 # so its discarded products stay inside the value bound
                 # whatever the weights are: the circuit then raises exactly
@@ -134,9 +132,6 @@ class ModelCircuit:
                 except FixedPointOverflow as e:
                     raise overflow_at(e, d.uid, epoch) from None
                 weights = [b.select(pres, new, old) for new, old in zip(stepped, weights)]
-        self.model = ModelParams(
-            train.kind, train.arity, tuple(map(cs.lc_value, weights)), train.hidden
-        )
 
         b.bind(self.h_m_wire, b.hash_model(weights))
 
@@ -149,59 +144,82 @@ class ModelCircuit:
         return self.cs.values[self.h_m_wire], self.cs.values[self.h_d_wire]
 
 
+def model_projection(
+    config: ProtocolConfig, dataset: Dataset
+) -> tuple[list[int], ModelParams, tuple[int, ...]]:
+    """What ``ModelCircuit(config, dataset)``'s witness projects to, from
+    native training and hashing: [1, h_m, h_D], then each slot's presence
+    bit, uid, features and label; with the trained model and the points'
+    digests.  Raises as the build raises."""
+    slots = _model_slots(config, dataset)
+    model = train_model(dataset, config.train)
+    cfg = config.hash_cfg
+    digests = tuple(hash_data_point(d, cfg) for d in dataset.points)
+    statement = (hash_model_weights(model.weights, cfg), hash_data(digests, cfg))
+    free = (v % cfg.modulus for present, d in slots for v in (present, d.uid, *d.x, d.y))
+    return [1, *statement, *free], model, digests
+
+
+# What an absent digest slot is pinned to: 0 in the training array, 1 in
+# the unlearnt one.
+ABSENT_DIGESTS = (0, 1)
+
+
+def _digest_slots(config: ProtocolConfig, data=(), unlearnt_prev=(), unlearnt_add=()) -> tuple:
+    """Per array, training then unlearnt (previous, then appended), its
+    presence bits and its digests padded to its capacity with its
+    ``ABSENT_DIGESTS`` constant; then the unlearnt array's previous bits.
+    Raises ShapeOverflow when either set exceeds its capacity."""
+    sets = (tuple(data), (*unlearnt_prev, *unlearnt_add))
+    arrays = []
+    for items, cap, absent, label in zip(
+        sets, (config.capacity, config.unlearn_capacity), ABSENT_DIGESTS, ("training", "unlearnt")
+    ):
+        if len(items) > cap:
+            raise ShapeOverflow(f"{len(items)} {label} digests exceed the compiled capacity {cap}")
+        pad = cap - len(items)
+        arrays.append(([1] * len(items) + [0] * pad, [*items, *[absent] * pad]))
+    marks = [int(j < len(unlearnt_prev)) for j in range(config.unlearn_capacity)]
+    return arrays, marks
+
+
 class DataCircuit:
     """R1CS form of the dataset-update statement, built with the witness
-    for the training-set digests, the previous unlearnt digests and the
-    appended ones (by default all empty).  ``statement`` is (h_D,
-    h_U_prev, h_U).  The training digests fill ``capacity`` slots.  The
-    unlearnt digests, previous then appended, fill one array of
-    ``unlearn_capacity`` slots under two prefixes of bits: presence marks
-    every digest, and the previous bits, which never run past it, mark
-    the previous ones.  One chain fold gives both roots.  Absent training
-    digests are 0 and absent unlearnt ones 1: an inactive disjointness
-    pair then differs, and its inverse is 0, unless its present digest is
-    the other array's constant.
-    Raises ShapeOverflow when either set exceeds its capacity, and
-    WitnessSynthesisError when the training set meets the unlearnt one.
-    With ``values_only`` its constraint system records no rows."""
+    for ``digests``: the training-set digests, the previous unlearnt
+    digests and the appended ones, each by default empty.  ``statement``
+    is (h_D, h_U_prev, h_U).  The training digests fill ``capacity``
+    slots.  The unlearnt digests, previous then appended, fill one array
+    of ``unlearn_capacity`` slots under two prefixes of bits: presence
+    marks every digest, and the previous bits, which never run past it,
+    mark the previous ones.  One chain fold gives both roots.  Absent
+    digests are ``ABSENT_DIGESTS``: an inactive disjointness pair then
+    differs, and its inverse is 0, unless its present digest is the other
+    array's constant.  Raises ShapeOverflow when either set exceeds its
+    capacity, and WitnessSynthesisError when the training set meets the
+    unlearnt one."""
 
     @gc_paused()
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        hashed_data: Sequence[int] = (),
-        hashed_unlearnt_prev: Sequence[int] = (),
-        hashed_unlearnt_add: Sequence[int] = (),
-        values_only: bool = False,
-    ):
+    def __init__(self, config: ProtocolConfig, *digests: Sequence[int]):
         self.config = config
-        prev = tuple(hashed_unlearnt_prev)
-        sets = (tuple(hashed_data), prev + tuple(hashed_unlearnt_add))
-        caps = (config.capacity, config.unlearn_capacity)
-        for items, cap, label in zip(sets, caps, ("training", "unlearnt")):
-            if len(items) > cap:
-                raise ShapeOverflow(
-                    f"{len(items)} {label} digests exceed the compiled capacity {cap}"
-                )
+        arrays, marks = _digest_slots(config, *digests)
         hash_cfg = config.hash_cfg
-        cs = ConstraintSystem(hash_cfg.modulus, values_only)
+        cs = ConstraintSystem(hash_cfg.modulus)
         b = CircuitBuilder(cs, config.train.scale, hash_cfg)
 
-        self.h_d_wire = cs.alloc_public()
-        self.h_uprev_wire = cs.alloc_public()
-        self.h_u_wire = cs.alloc_public()
+        self.h_d_wire, self.h_uprev_wire, self.h_u_wire = (cs.alloc_public() for _ in range(3))
 
-        def alloc_set(items, capacity: int, absent: int):
-            padded = items + (absent,) * (capacity - len(items))
-            pres = [lc_wire(cs.alloc_private(int(i < len(items)))) for i in range(capacity)]
-            vals = [lc_wire(cs.alloc_private(v)) for v in padded]
+        def alloc(values) -> list:
+            return [lc_wire(cs.alloc_private(v)) for v in values]
+
+        wires = []
+        for (bits, items), absent in zip(arrays, ABSENT_DIGESTS):
+            pres, vals = alloc(bits), alloc(items)
             b.prefix_presence(pres)
             for v, p in zip(vals, pres):
                 b.pin_absent(v, p, absent)
-            return pres, vals
-
-        (d_pres, d_vals), (u_pres, u_vals) = map(alloc_set, sets, caps, (0, 1))
-        u_prev = [lc_wire(cs.alloc_private(int(j < len(prev)))) for j in range(len(u_pres))]
+            wires.append((pres, vals))
+        (d_pres, d_vals), (u_pres, u_vals) = wires
+        u_prev = alloc(marks)
         b.prefix_presence(u_prev, within=u_pres)
 
         b.bind(self.h_d_wire, b.merkle_root(d_vals, d_pres))
@@ -223,3 +241,30 @@ class DataCircuit:
         """(h_D, h_U_prev, h_U) as computed from the inputs."""
         v = self.cs.values
         return v[self.h_d_wire], v[self.h_uprev_wire], v[self.h_u_wire]
+
+
+def data_projection(config: ProtocolConfig, *digests: Sequence[int]) -> list[int]:
+    """What ``DataCircuit(config, *digests)``'s witness projects to, from
+    native hashing: [1, h_D, h_U_prev, h_U], each array's presence bits
+    and digests, the previous bits, then per pair of a training and an
+    unlearnt slot the inverse of their difference, or 0 if either slot
+    is absent.  Raises as the build raises."""
+    arrays, marks = _digest_slots(config, *digests)
+    (d_pres, d_vals), (u_pres, u_vals) = arrays
+    cfg = config.hash_cfg
+    p = cfg.modulus
+    inverses = []
+    for d, d_present in zip(d_vals, d_pres):
+        for u, u_present in zip(u_vals, u_pres):
+            active = d_present and u_present
+            if active and (d - u) % p == 0:
+                raise WitnessSynthesisError("training and unlearnt sets intersect")
+            inverses.append(pow(d - u, -1, p) if active else 0)
+    unlearnt = u_vals[:sum(u_pres)]
+    statement = (
+        hash_data(d_vals[:sum(d_pres)], cfg),
+        hash_unlearn(unlearnt[:sum(marks)], cfg),
+        hash_unlearn(unlearnt, cfg),
+    )
+    free = (v % p for v in (*d_pres, *d_vals, *u_pres, *u_vals, *marks, *inverses))
+    return [1, *statement, *free]

@@ -25,16 +25,17 @@ does not use: other circuits' exports, and the keys of other circuits
 or of another backend.
 
 Every command reads ``params.json``, and each other file only when it
-needs it.  Only ``setup``, ``update`` and ``audit-setup`` build circuits
-(``game`` also does, to prove, and ``bench`` runs setup, update and
-verify-update in a temporary directory).  ``update`` builds each for its
-wire values only and proves against the stored export, after checking
-its SHA-256; a witness the stored rows refuse means the config no longer
-matches the circuit ``setup`` compiled, and ``update`` exits 3 without
-writing.  On snark it reads the proving keys.  ``verify-update`` on the
-witness-check backend reads the stored exports too; on the snark backend
-it reads only the verifying keys.  ``init``, ``add``, ``delete``,
-``prove-unlearn`` and ``verify-unlearn`` read nothing under ``setups/``.
+needs it.  Only ``setup`` and ``audit-setup`` build circuits (``game
+--negative-control`` runs a setup of its own, and ``bench`` runs setup,
+update and verify-update in a temporary directory).  ``update`` computes
+each circuit's inputs from the config and the state, natively, and
+completes them against the stored export, after checking its SHA-256;
+inputs the stored rows refuse mean the config no longer matches the
+circuit ``setup`` compiled, and ``update`` exits 3 without writing.  On
+snark it reads the proving keys.  ``verify-update`` on the witness-check
+backend reads the stored exports too; on the snark backend it reads only
+the verifying keys.  ``init``, ``add``, ``delete``, ``prove-unlearn`` and
+``verify-unlearn`` read nothing under ``setups/``.
 ``audit-setup`` rebuilds both circuits from the stored config and checks
 the stored fingerprints and exports, for anyone who wants to tie
 ``pub/`` to the config.
@@ -43,8 +44,9 @@ Each command accepts ``--dir``, ``--json`` and only the options it reads
 (``COMMANDS``).  Exit codes: 0 success/accept, 1 reject (an
 ``audit-setup`` mismatch included), 2 usage error (an option the command
 does not read, a config key that does not exist or a value it cannot
-hold, ``bench --config`` or ``--backend`` with a ``--dir`` that
-holds parameters, an unreadable ``--config`` or ``--dataset`` file, or a
+hold, a ``--uid`` outside [0, 2^64) or a negative ``--iteration``,
+``bench --config`` or ``--backend`` with a ``--dir`` that holds
+parameters, an unreadable ``--config`` or ``--dataset`` file, or a
 ``--dataset`` with a categorical column outside ``bench`` included), 3
 corrupt state (a state directory that cannot be read, a missing or
 altered circuit export, a missing, unreadable or malformed key file, a
@@ -67,7 +69,7 @@ from .bench import DEFAULT_SIZES, bench_sizes
 from .circuits import DataCircuit, ModelCircuit, ShapeMismatch, ShapeOverflow
 from .field import FixedPointOverflow, ScaleConfig, fx_encode
 from .game import builtin_strategies, run_suite
-from .hashing import DataPoint, NotMemberError
+from .hashing import MAX_UID, DataPoint, NotMemberError
 from .ingest import ingest_csv, split_dataset
 from .proofsys import BackendUnavailable, ProofSysError, WitnessCheckBackend
 from .protocol import (
@@ -635,6 +637,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # argparse reads any integer: refuse what no uid or iteration is.
+        if not 0 <= (getattr(args, "uid", None) or 0) <= MAX_UID:
+            raise CliError(f"bad --uid {args.uid}: expected an integer from 0 to 2^64 - 1")
+        if (getattr(args, "iteration", None) or 0) < 0:
+            raise CliError(f"bad --iteration {args.iteration}: expected a non-negative integer")
         return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

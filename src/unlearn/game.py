@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .circuits import DataCircuit, ModelCircuit
+from .circuits import data_projection, model_projection
 from .field import fx_encode
 from .hashing import DataPoint, hash_model_weights
 from .protocol import (
@@ -273,7 +273,7 @@ class StaleCommitmentSplice(Strategy):
 class ReAddAfterUnlearn(Strategy):
     """Re-adds the unlearnt point in the final iteration and commits to
     the re-added dataset honestly.  The dataset-update statement is then
-    false (the sets intersect), building its witness fails,
+    false (the sets intersect), computing its projection fails,
     and the fabricated stand-in proof only passes if the proof system's
     soundness has been removed — in which case the game is won."""
 
@@ -283,20 +283,13 @@ class ReAddAfterUnlearn(Strategy):
     def build(self, pub, run):
         state2 = run.states[2]
         readded = Dataset(state2.dataset.points + (run.unlearned,), state2.dataset.arity)
-        model_circuit = ModelCircuit(pub.config, readded, values_only=True)
-        h_m, h_d = model_circuit.statement
-        com3 = Commitment(h_m=h_m, h_d=h_d, h_u=state2.unlearnt_root)
-        model_proof = pub.backend.prove(
-            pub.model_relation, model_circuit.statement, model_circuit.cs.witness()
-        )
+        model_given, _, digests = model_projection(pub.config, readded)
+        com3 = Commitment(h_m=model_given[1], h_d=model_given[2], h_u=state2.unlearnt_root)
+        model_proof = pub.backend.prove(pub.model_relation, model_given)
         data_statement = (com3.h_d, state2.unlearnt_root, com3.h_u)
         try:
-            data_circuit = DataCircuit(
-                pub.config, model_circuit.digests, state2.hashed_unlearnt, values_only=True
-            )
-            data_proof = pub.backend.prove(
-                pub.data_relation, data_statement, data_circuit.cs.witness()
-            )
+            data_given = data_projection(pub.config, digests, state2.hashed_unlearnt)
+            data_proof = pub.backend.prove(pub.data_relation, data_given)
         except WitnessSynthesisError:
             # No witness exists for intersecting sets; splice in stale
             # proof bytes under the new statement.

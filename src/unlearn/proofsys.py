@@ -19,9 +19,11 @@ Two interchangeable backends:
   outside the helper, which discards it on exit.  ``prove`` reads only
   the relation's proving key and ``verify`` only its verifying key.
 
-Both backends' ``prove`` first check the witness against the rows with
-``ConstraintSystem.check`` and refuse, naming the first failing row, a
-witness that does not satisfy them.
+Both backends' ``prove`` take a witness's projection, computed from the
+inputs (``circuits.model_projection`` and ``data_projection``), and
+complete it against the rows once (``ConstraintSystem.complete``), which
+refuses it, naming the first failing row, if no witness satisfies them.
+Witness-check writes the projection; Groth16 proves the completion.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class BackendUnavailable(ProofSysError):
 
 class UnsatisfiedWitness(ProofSysError):
     """Honest provers refuse to prove false statements.  ``row`` is the
-    first constraint the witness fails, when the statement matches."""
+    first constraint the projection fails, or None when it has the wrong
+    length or constant."""
 
     def __init__(self, message: str, row: Optional[int] = None):
         super().__init__(message)
@@ -61,7 +64,7 @@ class UnsatisfiedWitness(ProofSysError):
 
 
 class FingerprintMismatch(ProofSysError):
-    """The stored circuit refuses a witness computed from the config."""
+    """The stored circuit refuses the inputs computed from the config."""
 
 
 @dataclass(frozen=True)
@@ -125,15 +128,13 @@ class ProofBlob:
         object.__setattr__(self, "public_inputs", tuple(self.public_inputs))
 
 
-def _self_check(cs: ConstraintSystem, statement: Sequence[int], witness: Witness) -> None:
-    """Raise UnsatisfiedWitness unless ``statement`` is the witness's
-    public wires and the witness satisfies every row of ``cs``."""
-    if tuple(statement) != witness.values[1 : 1 + cs.num_public]:
-        raise UnsatisfiedWitness("the statement is not the witness's public wires")
+def _complete(cs: ConstraintSystem, given: Sequence[int]) -> Witness:
+    """The satisfying witness whose projection is ``given``; raises
+    UnsatisfiedWitness, naming the first row that fails, if none is."""
     try:
-        cs.check(witness)
+        return cs.complete(given)
     except Unsatisfied as e:
-        raise UnsatisfiedWitness(f"witness does not satisfy the circuit: {e}", e.row) from None
+        raise UnsatisfiedWitness(f"the projection satisfies no witness: {e}", e.row) from None
 
 
 def _witness_payload(values: Sequence[int]) -> bytes:
@@ -154,11 +155,11 @@ class WitnessCheckBackend:
         """No keys: the verifier reads the rows themselves."""
         return SetupArtifacts()
 
-    def prove(self, rel: RelationHandle, statement: Sequence[int], witness: Witness) -> ProofBlob:
-        cs = rel.circuit
-        _self_check(cs, statement, witness)
-        payload = _witness_payload(cs.project(witness))
-        return ProofBlob(self.name, rel.fingerprint, tuple(statement), payload)
+    def prove(self, rel: RelationHandle, given: Sequence[int]) -> ProofBlob:
+        """Prove the statement of the projection ``given``."""
+        witness = _complete(rel.circuit, given)
+        statement = witness.values[1 : 1 + rel.circuit.num_public]
+        return ProofBlob(self.name, rel.fingerprint, statement, _witness_payload(given))
 
     def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
         if blob.fingerprint != rel.fingerprint:
@@ -260,8 +261,9 @@ class Groth16Backend:
             raise ProofSysError(f"setup failed: {proc.stderr.strip()}")
         return SetupArtifacts(proving_params=pk.read_bytes(), verifying_params=vk.read_bytes())
 
-    def prove(self, rel: RelationHandle, statement: Sequence[int], witness: Witness) -> ProofBlob:
-        _self_check(rel.circuit, statement, witness)
+    def prove(self, rel: RelationHandle, given: Sequence[int]) -> ProofBlob:
+        """Prove the statement of the projection ``given``."""
+        witness = _complete(rel.circuit, given)
         work = self._work()
         pk = work / f"{rel.fingerprint}.pk"
         if not pk.exists():
@@ -280,7 +282,8 @@ class Groth16Backend:
             )
             if proc.returncode != 0:
                 raise ProofSysError(f"prove failed: {proc.stderr.strip()}")
-            return ProofBlob(self.name, rel.fingerprint, tuple(statement), proof.read_bytes())
+            statement = witness.values[1 : 1 + rel.circuit.num_public]
+            return ProofBlob(self.name, rel.fingerprint, statement, proof.read_bytes())
 
     def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
         if blob.fingerprint != rel.fingerprint or blob.public_inputs != tuple(statement):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .circuits import DataCircuit, ModelCircuit, ProtocolConfig, ShapeMismatch
+from .circuits import data_projection, model_projection
 from .field import FixedPointOverflow, check_value_range
 from .hashing import (
     DataPoint,
@@ -88,7 +89,7 @@ class PublicParams:
     from the empty input; those loaded from a state directory
     (``serialize.StateDir``) hold none, and their relations read the
     stored exports and keys on first use.  Provers compute each
-    circuit's witness from their inputs and prove against these
+    circuit's projection from their inputs and prove against these
     relations (``prove_update``)."""
 
     config: ProtocolConfig
@@ -274,61 +275,54 @@ def prove_update(
     state: ServerState, pub: PublicParams
 ) -> tuple[ServerState, ModelParams, Commitment, UpdateProof]:
     new_unlearnt = tuple(hash_data_point(d, pub.hash_cfg) for d in state.pending_delete)
-    # Training happens inside the model circuit, which raises
-    # FixedPointOverflow where native training would.  Both circuits are
-    # built for their values only, before any proof exists, and raise
-    # ShapeOverflow for inputs beyond their capacities; each proof then
-    # checks its witness against the stored rows.
+    # Native training raises FixedPointOverflow where the model circuit
+    # would, and both projections raise ShapeOverflow for inputs beyond
+    # the capacities, before any proof exists; each proof then completes
+    # its projection against the stored rows.
     dataset = Dataset(tuple(_batch_points(state)), pub.config.train.arity)
-    model_circuit = ModelCircuit(pub.config, dataset, values_only=True)
+    model_given, model, digests = model_projection(pub.config, dataset)
     try:
-        data_circuit = DataCircuit(
-            pub.config, model_circuit.digests, state.hashed_unlearnt, new_unlearnt,
-            values_only=True,
-        )
+        data_given = data_projection(pub.config, digests, state.hashed_unlearnt, new_unlearnt)
     except WitnessSynthesisError as e:
         # Admission never queues a deleted point again, so only a state
         # written by hand makes the batch meet the unlearnt set.
         raise CorruptState(str(e)) from None
-    if data_circuit.statement[1] != state.unlearnt_root:
+    _, h_d, h_u_prev, h_u = data_given[:4]
+    if h_u_prev != state.unlearnt_root:
         # The proof would chain from a root no commitment holds.
         raise CorruptState("the unlearnt root does not match the hashed unlearnt set")
-    h_m, h_d = model_circuit.statement
-    com = Commitment(h_m=h_m, h_d=h_d, h_u=data_circuit.statement[2])
+    com = Commitment(h_m=model_given[1], h_d=h_d, h_u=h_u)
 
-    model_proof = _prove_stored(pub, pub.model_relation, model_circuit)
-    data_proof = _prove_stored(pub, pub.data_relation, data_circuit)
+    model_proof = _prove_stored(pub, pub.model_relation, model_given)
+    data_proof = _prove_stored(pub, pub.data_relation, data_given)
 
     new_state = ServerState(
         iteration=state.iteration + 1,
         dataset=dataset,
         hashed_unlearnt=state.hashed_unlearnt + new_unlearnt,
         unlearnt_root=com.h_u,
-        model=model_circuit.model,
+        model=model,
         deleted_uids=state.deleted_uids | {d.uid for d in state.pending_delete},
         last_deleted=state.pending_delete,
     )
-    return new_state, model_circuit.model, com, UpdateProof(model_proof, data_proof)
+    return new_state, model, com, UpdateProof(model_proof, data_proof)
 
 
-def _prove_stored(
-    pub: PublicParams, rel: RelationHandle, circuit: Union[ModelCircuit, DataCircuit]
-) -> ProofBlob:
-    """Prove ``circuit``'s statement with its witness against the stored
-    relation ``rel``, releasing the constraints loaded for it.  A witness
-    the stored rows refuse raises FingerprintMismatch naming the stored
-    circuit and the first row that fails; a drifted config is one cause,
-    which ``audit-setup`` checks."""
-    witness = circuit.cs.witness()
+def _prove_stored(pub: PublicParams, rel: RelationHandle, given: list[int]) -> ProofBlob:
+    """Prove the projection ``given`` against the stored relation ``rel``,
+    releasing the constraints loaded for it.  A projection the stored
+    rows refuse raises FingerprintMismatch naming the stored circuit and
+    the first row that fails; a drifted config is one cause, which
+    ``audit-setup`` checks."""
     try:
-        return pub.backend.prove(rel, circuit.statement, witness)
+        return pub.backend.prove(rel, given)
     except UnsatisfiedWitness as e:
         where = "" if e.row is None else f" at row {e.row}"
         raise FingerprintMismatch(
-            f"the witness computed from the config ({len(witness.values)} wires) does "
-            f"not satisfy the stored circuit with fingerprint {rel.fingerprint[:12]} "
-            f"({rel.circuit.num_wires} wires){where}; the config may differ from the "
-            "one setup compiled, which audit-setup checks"
+            f"the {len(given)} inputs computed from the config do not satisfy the stored "
+            f"circuit with fingerprint {rel.fingerprint[:12]} ({rel.circuit.num_wires} "
+            f"wires){where}; the config may differ from the one setup compiled, which "
+            "audit-setup checks"
         ) from None
     finally:
         rel.release()

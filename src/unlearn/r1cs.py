@@ -17,12 +17,6 @@ also yields its witness (``witness``).  The rows never depend on the
 values, so every input gives the same export.  Statement wires are
 allocated first and assigned once the body that computes them is built.
 
-A prover that already holds the rows (the export ``setup`` stored) needs
-only the values: a system made with ``values_only=True`` runs the same
-gadgets but ``enforce`` records nothing, and every operation that reads
-rows raises RowsNotRecorded rather than treat the empty row set as the
-circuit.
-
 Most private wires are fixed by the rows that read them first.  A row
 whose C ends in a wire with coefficient 1, above every wire of its A, B
 and of all earlier rows, *defines* that wire as <A,z> * <B,z> less the
@@ -33,8 +27,10 @@ binary digits of the rest of the row, and holds no value of 2^n or more.
 ``project`` keeps the constant, the statement and the other, *free*,
 wires of a witness; ``complete`` rebuilds the one satisfying witness
 with that projection in one walk over the rows, or raises Unsatisfied
-naming the first row that fails.  It is the only evaluator of rows:
-``check`` judges a whole witness by completing its projection.
+naming the first row that fails.  It is the only evaluator of rows: a
+prover that holds the stored rows computes a projection from its inputs
+and completes it, which is also its check, and a witness-check verifier
+completes the projection a proof carries.
 """
 
 from __future__ import annotations
@@ -71,10 +67,6 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 class BuildPhaseClosed(RuntimeError):
     """Raised when allocating or enforcing after finalization."""
-
-
-class RowsNotRecorded(RuntimeError):
-    """Raised when reading the rows of a values-only system."""
 
 
 class Unsatisfied(ValueError):
@@ -201,9 +193,8 @@ class _Rows(SequenceABC):
 
 
 class ConstraintSystem:
-    def __init__(self, modulus: int, values_only: bool = False):
+    def __init__(self, modulus: int):
         self.modulus = modulus
-        self.values_only = values_only
         # The value of each wire, reduced mod p; wire 0 is the constant 1.
         self.values: list[int] = [1]
         self.num_public = 0
@@ -241,8 +232,6 @@ class ConstraintSystem:
     def enforce(self, a: LinComb, b: LinComb, c: LinComb) -> None:
         if self._finalized:
             raise BuildPhaseClosed("constraint system is finalized")
-        if self.values_only:
-            return
         rows = (sorted(a.items()), sorted(b.items()), sorted(c.items()))
         for terms in rows:
             if terms and not (terms[0][0] >= 0 and terms[-1][0] < self._num_wires):
@@ -263,11 +252,6 @@ class ConstraintSystem:
     def finalize(self) -> None:
         self._finalized = True
 
-    def _rows_recorded(self) -> tuple[_Matrix, _Matrix, _Matrix]:
-        if self.values_only:
-            raise RowsNotRecorded("a values-only constraint system records no rows")
-        return self._matrices
-
     # -- introspection ------------------------------------------------------
 
     @property
@@ -280,11 +264,10 @@ class ConstraintSystem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows_recorded()[0].counts)
+        return len(self._matrices[0].counts)
 
     @property
     def constraints(self) -> _Rows:
-        self._rows_recorded()
         return _Rows(self)
 
     def _coefficients(self) -> list[int]:
@@ -302,7 +285,7 @@ class ConstraintSystem:
         return tuple(out)
 
     def stats(self) -> CircuitStats:
-        terms = sum(len(m.wires) for m in self._rows_recorded())
+        terms = sum(len(m.wires) for m in self._matrices)
         return CircuitStats(self.num_constraints, self.num_public, self.num_private, terms)
 
     def witness(self) -> Witness:
@@ -329,7 +312,7 @@ class ConstraintSystem:
                         map(table.__getitem__, m.coefficients))
             return map(sum, map(islice, repeat(terms), m.counts))
 
-        return map(sums, self._rows_recorded())
+        return map(sums, self._matrices)
 
     # -- free and derived wires ---------------------------------------------------
 
@@ -355,7 +338,7 @@ class ConstraintSystem:
         maximum."""
         if self._defining is not None:
             return self._defining
-        a, b, c = self._rows_recorded()
+        a, b, c = self._matrices
         a_wires, b_wires, c_wires, c_coefficients = (
             array(_U32_CODE, (0,)) + v for v in (a.wires, b.wires, c.wires, c.coefficients)
         )
@@ -408,7 +391,7 @@ class ConstraintSystem:
         constant, the statement, then the free wires in increasing order."""
         return list(compress(witness.values, self._kept()))
 
-    def complete(self, given: Sequence[int], expect: Optional[Sequence[int]] = None) -> Witness:
+    def complete(self, given: Sequence[int]) -> Witness:
         """The one satisfying witness whose projection is ``given`` (field
         elements, as ``project`` lists them); raises Unsatisfied, naming
         the first row that fails, if there is none.  One walk over the
@@ -418,15 +401,7 @@ class ConstraintSystem:
         <A_i,z> * <B_i,z> - <C_i - its wires, z> mod p, the sums taken
         with its wires at 0: one wire takes r, and n wires take the n
         binary digits of r, which fails the row if r >= 2^n.  Rows after
-        the last defining row must hold once every free wire is placed.
-
-        ``expect`` is a whole witness whose projection is ``given``.  A
-        one-wire row that assigns another value than ``expect`` holds is
-        the first row ``expect`` fails, as every wire it reads agrees with
-        ``expect``.  A digit row takes ``expect``'s values whenever they
-        satisfy it, digits or not, so a later row names what they fail;
-        otherwise it is the first row ``expect`` fails.  The walk stops at
-        that row."""
+        the last defining row must hold once every free wire is placed."""
         placed = 1 + self.num_public
         z = list(given[:placed])
         if len(z) != placed or z[0] != 1:
@@ -447,23 +422,14 @@ class ConstraintSystem:
             rows = islice(residues, row - checked)
             if any(rows):
                 raise Unsatisfied(row - 1 - sum(1 for _ in rows))
+            z += [0] * n
+            value = (next(a) * next(b) - next(c)) % p
             if n == 1:
-                z.append(0)
-                value = (next(a) * next(b) - next(c)) % p
-                if expect is not None and value != expect[w]:
-                    raise Unsatisfied(row)
                 z[w] = value
+            elif value >> n:
+                raise Unsatisfied(row)
             else:
-                z += [0] * n
-                value = (next(a) * next(b) - next(c)) % p
-                if expect is not None:
-                    z[w:] = expect[w:w + n]
-                    if sum(map(mul, z[w:], map((1).__lshift__, range(n)))) % p != value:
-                        raise Unsatisfied(row)
-                elif value >> n:
-                    raise Unsatisfied(row)
-                else:
-                    z[w:] = map(int, reversed(f"{value:0{n}b}"))
+                z[w:] = map(int, reversed(f"{value:0{n}b}"))
             checked = row + 1
         z += given[placed:]
         if len(z) != self._num_wires:
@@ -471,15 +437,6 @@ class ConstraintSystem:
         if any(residues):
             raise Unsatisfied(self.num_constraints - 1 - sum(1 for _ in residues))
         return Witness(z)
-
-    def check(self, witness: Witness) -> None:
-        """Raise Unsatisfied, naming the first row ``witness`` fails, unless
-        it satisfies every row: ``complete`` rebuilds it from its
-        projection."""
-        given = self.project(witness)
-        if len(witness.values) != self._num_wires:
-            raise Unsatisfied(None)
-        self.complete(given, expect=witness.values)
 
     # -- canonical export ------------------------------------------------------
 
@@ -502,7 +459,6 @@ class ConstraintSystem:
         """The binary layout above: the preimage of the circuit
         fingerprint, the file ``setup`` stores for verifiers (read back
         by ``from_export``) and the external proving backend's input."""
-        self._rows_recorded()
         self._sort_table()
         p = self.modulus
         k = (p.bit_length() + 7) // 8

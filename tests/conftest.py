@@ -46,13 +46,13 @@ needs_snark = pytest.mark.skipif(
 
 
 def is_satisfied(cs, witness) -> bool:
-    """Whether ``witness`` satisfies every row, judged as the provers judge
-    it: by completing its projection (``ConstraintSystem.check``)."""
+    """Whether ``witness`` is the satisfying witness its projection
+    completes to, judged as provers and verifiers judge a projection:
+    by ``ConstraintSystem.complete``."""
     try:
-        cs.check(witness)
+        return cs.complete(cs.project(witness)) == witness
     except Unsatisfied:
         return False
-    return True
 
 
 def _holds(cs, row, values) -> bool:

@@ -279,8 +279,8 @@ def test_criterion_5_linear_scaling_and_constant_verification():
         circuit = circuits[size]
         rel = RelationHandle.of(circuit.cs)
         rel.keys = backend.setup(rel)
-        witness, statement = circuit.cs.witness(), circuit.statement
-        blob = backend.prove(rel, statement, witness)
+        statement = circuit.statement
+        blob = backend.prove(rel, circuit.cs.project(circuit.cs.witness()))
         assert backend.verify(rel, statement, blob)  # warmup
         samples = []
         for _ in range(9):

@@ -10,6 +10,8 @@ from unlearn.circuits import (
     ProtocolConfig,
     ShapeMismatch,
     ShapeOverflow,
+    data_projection,
+    model_projection,
 )
 from unlearn.field import FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
 from unlearn.gadgets import CircuitBuilder, lc_const, lc_wire
@@ -252,18 +254,18 @@ def _dataset(n, arity=1, seed=0):
 
 
 def _check_against_native(circuit, ds):
-    """The circuit built from ``ds`` is satisfied and trained the model
-    native training gives, bit for bit, under the statement the native
-    hashes give."""
+    """The circuit built from ``ds`` is satisfied under the statement the
+    native hashes of native training give, and its witness projects to
+    what ``model_projection`` computes natively."""
     assert is_satisfied(circuit.cs, circuit.cs.witness())
     model = train_model(ds, circuit.config.train)
-    assert circuit.model == model
-    digests = [hash_data_point(d, TINY) for d in ds.points]
-    assert circuit.digests == tuple(digests)
+    digests = tuple(hash_data_point(d, TINY) for d in ds.points)
     assert circuit.statement == (
         hash_model_weights(model.weights, TINY),
         hash_data(digests, TINY),
     )
+    given = circuit.cs.project(circuit.cs.witness())
+    assert model_projection(circuit.config, ds) == (given, model, digests)
 
 
 @pytest.mark.parametrize("size", range(0, 5))
@@ -659,46 +661,41 @@ def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     assert full.cs.export() == data.export()
 
 
-# -- values-only builds -------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "kind,arity,hidden,epochs",
-    [("linear", 1, 0, 2), ("logistic", 2, 0, 1), ("nn", 1, 2, 1)],
-)
-def test_values_only_model_witness_matches_full_build(kind, arity, hidden, epochs):
-    config = _config(capacity=3, epochs=epochs, arity=arity, kind=kind, hidden=hidden)
-    ds = _dataset(2, arity=arity)
-    full = ModelCircuit(config, ds)
-    only = ModelCircuit(config, ds, values_only=True)
-    assert only.cs.witness() == full.cs.witness()
-    assert (only.statement, only.model, only.digests) == (full.statement, full.model, full.digests)
-    assert is_satisfied(full.cs, only.cs.witness())
-
-
-def test_values_only_data_witness_matches_full_build():
-    sets = ([hash2(1, 0, TINY), hash2(2, 0, TINY)], [hash2(3, 0, TINY)], [hash2(4, 0, TINY)])
-    config = _config(capacity=3, unlearn_capacity=2)
-    full = DataCircuit(config, *sets)
-    only = DataCircuit(config, *sets, values_only=True)
-    assert only.cs.witness() == full.cs.witness()
-    assert only.statement == full.statement
+# -- the provers' projections ------------------------------------------------------
 
 
 def _raised(build):
-    with pytest.raises((FixedPointOverflow, WitnessSynthesisError)) as err:
+    with pytest.raises((ShapeMismatch, FixedPointOverflow, WitnessSynthesisError)) as err:
         build()
-    return type(err.value), str(err.value)
+    return type(err.value), str(err.value), getattr(err.value, "uid", None)
 
 
-def test_values_only_builds_raise_as_full_builds():
-    config = _config(capacity=2)
-    ds = Dataset(
-        (DataPoint(1, (enc(5000),), enc(1)), DataPoint(2, (enc(10000),), enc(1))), 1
-    )
-    full = _raised(lambda: ModelCircuit(config, ds))
-    assert full[0] is FixedPointOverflow and "uid 2" in full[1]
-    assert _raised(lambda: ModelCircuit(config, ds, values_only=True)) == full
-    full = _raised(lambda: DataCircuit(config, [3, 5], [], [5]))
-    assert full[0] is WitnessSynthesisError
-    assert _raised(lambda: DataCircuit(config, [3, 5], [], [5], values_only=True)) == full
+def test_projections_raise_as_full_builds():
+    # Each input beyond the shape, beyond the value bound or meeting the
+    # unlearnt set: the native projection raises the build's error, with
+    # its message and the uid it names.
+    config = _config(capacity=2, unlearn_capacity=2)
+    model_cases = [
+        (_dataset(3), ShapeOverflow, "3 points exceed the compiled capacity 2"),
+        (_dataset(2, arity=2), ShapeMismatch, "dataset arity 2 != circuit arity 1"),
+        # The product w * x of the second point crosses the bound.
+        (Dataset((DataPoint(1, (enc(5000),), enc(1)), DataPoint(2, (enc(10000),), enc(1))), 1),
+         FixedPointOverflow, "uid 2, epoch 1: "),
+        # A feature beyond the bound, before any training.
+        (Dataset((DataPoint(1, (enc(0.5),), enc(1)), DataPoint(3, (2**37,), enc(1))), 1),
+         FixedPointOverflow, "uid 3: "),
+    ]
+    for ds, kind, message in model_cases:
+        full = _raised(lambda: ModelCircuit(config, ds))
+        assert full[0] is kind and message in full[1], full
+        assert _raised(lambda: model_projection(config, ds)) == full
+    data_cases = [
+        (([3, 5, 7], [], []), ShapeOverflow, "3 training digests exceed"),
+        (([3], [5], [6, 8]), ShapeOverflow, "3 unlearnt digests exceed"),
+        (([3, 5], [], [5]), WitnessSynthesisError, "sets intersect"),
+        (([3, 5], [3], []), WitnessSynthesisError, "sets intersect"),
+    ]
+    for sets, kind, message in data_cases:
+        full = _raised(lambda: DataCircuit(config, *sets))
+        assert full[0] is kind and message in full[1], full
+        assert _raised(lambda: data_projection(config, *sets)) == full

@@ -312,6 +312,29 @@ def test_usage_errors(workspace, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("uid", ["-1", str(2**64)])
+def test_add_refuses_a_uid_outside_64_bits(workspace, initialized, capsys, uid):
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, "add", "--dir", str(initialized), "--uid", uid, "--features", "0.5",
+               "--label", "1") == 2
+    err = capsys.readouterr().err
+    assert f"error: bad --uid {uid}: " in err and "--features" not in err
+    assert snapshot(initialized) == before
+
+
+@pytest.mark.parametrize(
+    "command", [("verify-update",), ("verify-unlearn", "--uid", "2", "--dataset", "pts.csv")]
+)
+def test_a_negative_iteration_is_a_usage_error(workspace, initialized, capsys, command):
+    # Refused as the option it is, not as a missing com_-1.json or com_-2.json.
+    capsys.readouterr()
+    name, *rest = command
+    assert run(workspace, name, "--dir", str(initialized), "--iteration", "-1", *rest) == 2
+    err = capsys.readouterr().err
+    assert "error: bad --iteration -1: " in err and "com_" not in err
+
+
 def test_unknown_config_key(workspace, capsys):
     bad = workspace / "bad.conf"
     bad.write_text("kind = linear\nturbo = yes\n")
@@ -1103,15 +1126,14 @@ def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch, c
             expected = {"model_build": 1, "data_build": 1, "export": 2}
         elif args[0] == "bench":
             # What setup, update and verify-update make together.
-            expected = {"model_build": 2, "data_build": 2, "export": 2, "parse": 4}
+            expected = {"model_build": 1, "data_build": 1, "export": 2, "parse": 4}
             (entry,) = json.loads(capsys.readouterr().out)["entries"]
             t = entry["timings"]
             assert t["setup_s"] > 0 and t["update_s"] > 0 and t["verify_s"] > 0
             assert t["verified"] == 1
-        elif args[0] == "update":
-            # Values only: the rows come from the stored exports.
-            expected = {"model_build": 1, "data_build": 1, "parse": 2}
-        elif args[0] == "verify-update" and args[-1] != "0":
+        elif args[0] == "update" or args[0] == "verify-update" and args[-1] != "0":
+            # update builds no circuit: it computes each projection natively
+            # and completes it against the stored export.
             expected = {"parse": 2}
         else:
             expected = {}
@@ -1186,7 +1208,7 @@ def test_stored_circuit_records_must_match_the_config(workspace, updated, capsys
 
 def test_same_shape_config_drift_fails_against_the_stored_circuit(workspace, updated, capsys):
     # Another learning rate: the same wires, other rows.  update proves
-    # against the stored circuit, which refuses the witness.
+    # against the stored circuit, which refuses the inputs.
     d = str(updated)
     params = updated / "pub" / "params.json"
     obj = json.loads(params.read_text())
@@ -1199,11 +1221,14 @@ def test_same_shape_config_drift_fails_against_the_stored_circuit(workspace, upd
     capsys.readouterr()
     assert run(workspace, "update", "--dir", d) == 3
     err = capsys.readouterr().err
-    wires = StateDir(updated).setup_store.load_circuit(obj["circuits"]["model"]).num_wires
+    stored = StateDir(updated).setup_store.load_circuit(obj["circuits"]["model"])
+    # The projection update computed: the constant, the statement and the
+    # free wires.
+    inputs = 1 + stored.num_public + len(stored.free_wires())
+    assert f"the {inputs} inputs computed from the config do not satisfy" in err
     assert f"fingerprint {obj['circuits']['model'][:12]}" in err
-    assert err.count(f"({wires} wires)") == 2
-    # The message names the first stored row the witness fails.
-    assert re.search(rf"\({wires} wires\) at row \d+; ", err)
+    # The message names the first stored row the inputs fail.
+    assert re.search(rf"\({stored.num_wires} wires\) at row \d+; ", err)
     assert snapshot(updated) == before
 
 

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import TINY_ROUNDS, failing_rows, is_satisfied, needs_snark
+from conftest import TINY_ROUNDS, failing_rows, is_satisfied, needs_snark, rows_touching
 from unlearn import circuits
-from unlearn.circuits import DataCircuit, ModelCircuit, ProtocolConfig
+from unlearn.circuits import ModelCircuit, ProtocolConfig, data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD as P
 from unlearn.field import fx_encode
 from unlearn.hashing import DataPoint, hash_data_point
@@ -42,7 +42,12 @@ def rel():
 
 @pytest.fixture(scope="module")
 def honest(rel):
-    return (9,), rel.circuit.witness()
+    """The statement and the honest projection [1, y, x]."""
+    return (9,), rel.circuit.project(rel.circuit.witness())
+
+
+# The projection of y = 10 with x = 3: no witness has it.
+FALSE = [1, 10, 3]
 
 
 def with_keys(rel, backend):
@@ -53,15 +58,16 @@ def with_keys(rel, backend):
 def test_witness_check_roundtrip(rel, honest):
     backend = WitnessCheckBackend()
     assert backend.setup(rel) == SetupArtifacts()
-    statement, witness = honest
-    blob = backend.prove(rel, statement, witness)
+    statement, given = honest
+    blob = backend.prove(rel, given)
+    assert blob.public_inputs == statement
     assert backend.verify(rel, statement, blob)
 
 
 def test_witness_check_rejects_wrong_statement(rel, honest):
     backend = WitnessCheckBackend()
-    statement, witness = honest
-    blob = backend.prove(rel, statement, witness)
+    statement, given = honest
+    blob = backend.prove(rel, given)
     assert not backend.verify(rel, (10,), blob)
     forged = dataclasses.replace(blob, public_inputs=(10,))
     assert not backend.verify(rel, (10,), forged)
@@ -69,15 +75,15 @@ def test_witness_check_rejects_wrong_statement(rel, honest):
 
 def test_prove_refuses_false_statement(rel, honest):
     backend = WitnessCheckBackend()
-    _, witness = honest
-    with pytest.raises(UnsatisfiedWitness):
-        backend.prove(rel, (10,), witness)
+    with pytest.raises(UnsatisfiedWitness) as refused:
+        backend.prove(rel, FALSE)
+    assert refused.value.row == 0
 
 
 def test_witness_check_blob_bitflips_never_verify(rel, honest):
     backend = WitnessCheckBackend()
-    statement, witness = honest
-    blob = backend.prove(rel, statement, witness)
+    statement, given = honest
+    blob = backend.prove(rel, given)
     rng = random.Random(5)
     rejected = 0
     for _ in range(100):
@@ -109,7 +115,7 @@ def test_witness_check_accepts_only_canonical_hex():
     cs.finalize()
     rel = RelationHandle.of(cs)
     backend = WitnessCheckBackend()
-    blob = backend.prove(rel, (676,), cs.witness())
+    blob = backend.prove(rel, [1, 676, 26])
     assert blob.proof_bytes == payload(["1", "2a4", "1a"])
     assert backend.verify(rel, (676,), blob)
     # Each form reads as 26 with int(v, 16); only "1a" is accepted.
@@ -131,7 +137,7 @@ def test_witness_check_accepts_only_canonical_hex():
 def _update_blobs(pub, xs, ghosts=(100, 101)):
     """Honest witness-check proofs of both circuits for a dataset at
     features ``xs`` and two unlearnt points, one from an earlier update;
-    with each circuit and its witness."""
+    with each relation and its completed witness."""
     scale = pub.config.train.scale
     dataset = Dataset(
         tuple(DataPoint(uid, (fx_encode(x, scale),), fx_encode(uid % 2, scale))
@@ -142,13 +148,12 @@ def _update_blobs(pub, xs, ghosts=(100, 101)):
         hash_data_point(DataPoint(uid, (fx_encode(0.5, scale),), 0), pub.hash_cfg)
         for uid in ghosts
     ]
-    model = ModelCircuit(pub.config, dataset, values_only=True)
-    data = DataCircuit(pub.config, model.digests, unlearnt[:1], unlearnt[1:], values_only=True)
+    model_given, _, digests = model_projection(pub.config, dataset)
+    data_given = data_projection(pub.config, digests, unlearnt[:1], unlearnt[1:])
     out = []
-    for rel, circuit in ((pub.model_relation, model), (pub.data_relation, data)):
-        witness = circuit.cs.witness()
-        blob = pub.backend.prove(rel, circuit.statement, witness)
-        out.append((rel, circuit, witness, blob))
+    for rel, given in ((pub.model_relation, model_given), (pub.data_relation, data_given)):
+        blob = pub.backend.prove(rel, given)
+        out.append((rel, rel.circuit.complete(given), blob))
     return out
 
 
@@ -160,7 +165,7 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
     backend = fast_pub.backend
     mutated = 0
     survivors = []
-    for rel, _, witness, blob in _update_blobs(fast_pub, [0.5, -0.25, 1.0]):
+    for rel, witness, blob in _update_blobs(fast_pub, [0.5, -0.25, 1.0]):
         statement = blob.public_inputs
         assert backend.verify(rel, statement, blob)
         wires = json.loads(blob.proof_bytes)["wires"]
@@ -199,7 +204,7 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
 
 def _unchecked_blob(rel, statement, given) -> ProofBlob:
     """The witness-check proof of the projection ``given``, written without
-    the prover's self-check."""
+    the prover completing it first."""
     return ProofBlob(
         "witness-check", rel.fingerprint, tuple(statement), payload([f"{v:x}" for v in given])
     )
@@ -224,12 +229,13 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
               for uid in (1, 2, 3)),
         arity,
     )
-    honest = ModelCircuit(pub.config, dataset, values_only=True)
+    honest = ModelCircuit(pub.config, dataset)
     # The same dataset, built with in-range data other than the padding in
     # the absent slot: training skips it, so the statement is the same.
     other = DataPoint(7, (fx_encode(-0.25, scale),) * arity, fx_encode(1, scale))
     monkeypatch.setattr(circuits, "DataPoint", lambda *_: other)
-    forged = ModelCircuit(pub.config, dataset, values_only=True)
+    forged = ModelCircuit(pub.config, dataset)
+    forged_given = circuits.model_projection(pub.config, dataset)[0]
     monkeypatch.undo()
     assert forged.statement == honest.statement
     assert forged.cs.values != honest.cs.values
@@ -238,17 +244,19 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
     assert is_satisfied(rel.circuit, honest.cs.witness())
     assert not is_satisfied(rel.circuit, forged.cs.witness())
     statement, given = forged.statement, rel.circuit.project(forged.cs.witness())
+    assert given == forged_given
     with pytest.raises(Unsatisfied):
         rel.circuit.complete(given)
     assert not backend.verify(rel, statement, _unchecked_blob(rel, statement, given))
     with pytest.raises(UnsatisfiedWitness) as refused:
-        backend.prove(rel, statement, forged.cs.witness())
+        backend.prove(rel, given)
     assert refused.value.row == failing_rows(rel.circuit, forged.cs.witness())[0]
 
 
 def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
     # Three training and two unlearnt digests in capacity-8 arrays.
-    [_, (rel, circuit, witness, blob)] = _update_blobs(fast_pub, [0.5, -0.25, 1.0])
+    [_, (rel, witness, blob)] = _update_blobs(fast_pub, [0.5, -0.25, 1.0])
+    circuit = fast_pub.data_circuit
     cs, backend = rel.circuit, fast_pub.backend
     statement = blob.public_inputs
     assert backend.verify(rel, statement, blob)
@@ -283,7 +291,7 @@ def test_witness_check_spliced_free_wires_never_verify(fast_pub):
     backend = fast_pub.backend
     ours = _update_blobs(fast_pub, [0.5, -0.25])
     theirs = _update_blobs(fast_pub, [0.75, 1.0], ghosts=(102, 103))
-    for (rel, _, _, blob), (_, _, _, other) in zip(ours, theirs):
+    for (rel, _, blob), (_, _, other) in zip(ours, theirs):
         statement = blob.public_inputs
         assert other.public_inputs != statement
         first = 1 + len(statement)
@@ -292,6 +300,24 @@ def test_witness_check_spliced_free_wires_never_verify(fast_pub):
         assert spliced != wires
         forged = dataclasses.replace(blob, proof_bytes=payload(spliced))
         assert not backend.verify(rel, statement, forged)
+
+
+@pytest.mark.parametrize("backend", [WitnessCheckBackend(), Groth16Backend()], ids=["wc", "snark"])
+def test_prove_refuses_an_h_m_off_by_one_at_its_bind_row(fast_pub, backend):
+    # The model projection with h_m moved by one: every wire the walk
+    # derives is the honest one, and the one row that reads h_m, the bind
+    # (hash of the weights - h_m) * 1 = 0, fails.  Groth16 refuses it
+    # before it reads a key or runs the helper.
+    [(rel, witness, _), _] = _update_blobs(fast_pub, [0.5, -0.25])
+    h_m = fast_pub.model_circuit.h_m_wire
+    given = rel.circuit.project(witness)
+    given[h_m] = (given[h_m] + 1) % P
+    [bind] = rows_touching(rel.circuit, h_m)
+    a, b, c = rel.circuit.constraints[bind]
+    assert a[h_m] == P - 1 and b == {0: 1} and c == {}
+    with pytest.raises(UnsatisfiedWitness) as refused:
+        backend.prove(rel, given)
+    assert refused.value.row == bind
 
 
 def test_setup_artifacts_schema_has_no_trapdoor():
@@ -316,13 +342,14 @@ def test_groth16_roundtrip_and_agreement(rel, honest):
     snark = Groth16Backend(seed=7)
     wc = WitnessCheckBackend()
     keyed = with_keys(rel, snark)
-    statement, witness = honest
-    blob = snark.prove(keyed, statement, witness)
+    statement, given = honest
+    blob = snark.prove(keyed, given)
+    assert blob.public_inputs == statement
     assert len(blob.proof_bytes) == 128  # compressed Groth16 proof
     assert snark.verify(keyed, statement, blob)
     assert not snark.verify(keyed, (10,), blob)
     # Backend agreement on the honest pair and on a mutated statement.
-    blob_wc = wc.prove(rel, statement, witness)
+    blob_wc = wc.prove(rel, given)
     assert wc.verify(rel, statement, blob_wc)
     assert not wc.verify(rel, (10,), blob_wc)
 
@@ -340,17 +367,16 @@ def test_groth16_seeded_setup_is_deterministic(rel):
 @needs_snark
 def test_groth16_refuses_false_statement(rel, honest):
     snark = Groth16Backend(seed=7)
-    _, witness = honest
     with pytest.raises(UnsatisfiedWitness):
-        snark.prove(with_keys(rel, snark), (10,), witness)
+        snark.prove(with_keys(rel, snark), FALSE)
 
 
 @needs_snark
 def test_groth16_proof_bitflips_never_verify(rel, honest):
     snark = Groth16Backend(seed=7)
     keyed = with_keys(rel, snark)
-    statement, witness = honest
-    blob = snark.prove(keyed, statement, witness)
+    statement, given = honest
+    blob = snark.prove(keyed, given)
     rng = random.Random(99)
     for _ in range(1000):
         data = bytearray(blob.proof_bytes)
@@ -361,8 +387,8 @@ def test_groth16_proof_bitflips_never_verify(rel, honest):
 
 def test_witness_check_reads_constraints_only_after_statement_check(rel, honest):
     backend = WitnessCheckBackend()
-    statement, witness = honest
-    blob = backend.prove(rel, statement, witness)
+    statement, given = honest
+    blob = backend.prove(rel, given)
     loads = []
 
     def load():
@@ -410,11 +436,11 @@ def test_prove_against_the_stored_export(rel, honest, tmp_path, make_backend):
     backend = make_backend()
     store.save(backend.name, fingerprint, backend.setup(store.relation(backend.name, fingerprint)))
     stored = store.relation(backend.name, fingerprint)
-    statement, witness = honest
-    blob = backend.prove(stored, statement, witness)
+    statement, given = honest
+    blob = backend.prove(stored, given)
     stored.release()
     assert backend.verify(stored, statement, blob)
     assert not backend.verify(stored, (10,), blob)
     stored.release()
     with pytest.raises(UnsatisfiedWitness):
-        backend.prove(stored, (10,), witness)
+        backend.prove(stored, FALSE)

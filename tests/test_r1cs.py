@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TINY_ROUNDS, failing_rows, is_satisfied, rows_touching, satisfied_at_wire
-from unlearn.circuits import DataCircuit, ModelCircuit
+from unlearn.circuits import DataCircuit, ModelCircuit, data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD as P
 from unlearn.field import fx_encode
 from unlearn.hashing import DataPoint, hash_data_point
@@ -14,11 +14,10 @@ from unlearn.r1cs import (
     MAGIC,
     BuildPhaseClosed,
     ConstraintSystem,
-    RowsNotRecorded,
     Unsatisfied,
     Witness,
 )
-from unlearn.training import Dataset, default_train_config
+from unlearn.training import Dataset, default_train_config, train_model
 
 
 def squaring_system():
@@ -280,47 +279,6 @@ def test_built_and_loaded_agree_on_failures(fast_pub, name):
     assert not satisfied_at_wire(loaded, flipped, wire)
 
 
-def values_only_system():
-    cs = ConstraintSystem(P, values_only=True)
-    y = cs.alloc_public(9)
-    x = cs.alloc_private(3)
-    cs.enforce({x: 1}, {x: 1}, {y: 1})
-    cs.finalize()
-    return cs
-
-
-@pytest.mark.parametrize(
-    "read",
-    [
-        lambda cs: cs.export(),
-        lambda cs: cs.fingerprint(),
-        lambda cs: is_satisfied(cs, cs.witness()),
-        lambda cs: failing_rows(cs, cs.witness()),
-        lambda cs: cs.constraints,
-        lambda cs: cs.project(cs.witness()),
-        lambda cs: cs.complete((1, 9, 3)),
-    ],
-    ids=[
-        "export", "fingerprint", "is_satisfied", "failing_constraints", "constraints",
-        "project", "complete",
-    ],
-)
-def test_values_only_system_refuses_row_operations(read):
-    cs = values_only_system()
-    assert cs.witness() == Witness((1, 9, 3))
-    with pytest.raises(RowsNotRecorded):
-        read(cs)
-
-
-def test_values_only_system_keeps_its_other_checks():
-    cs = values_only_system()
-    # A short witness is refused as rowless, not judged unsatisfied.
-    with pytest.raises(RowsNotRecorded):
-        is_satisfied(cs, Witness((1,)))
-    with pytest.raises(BuildPhaseClosed):
-        cs.enforce({}, {}, {})
-
-
 # -- free and derived wires -------------------------------------------------------
 
 
@@ -401,27 +359,24 @@ def test_complete_names_the_first_failing_row():
         with pytest.raises(Unsatisfied) as refused:
             cs.complete(given)
         assert refused.value.row == row, given
-    # check names the first row the whole witness fails, as evaluating each
-    # row does: a wrong defined wire fails its defining row first, and x
-    # fails x2's row before the rows x2 and x3 feed.
+    # A witness with any one wire moved fails some row, and is not the one
+    # its projection completes to: a wrong defined wire fails its defining
+    # row first, and x fails x2's row before the rows x2 and x3 feed.
     honest = cs.witness().values
     for wire, row in ((3, 0), (4, 1), (5, 2), (2, 0), (6, 3), (1, 4)):
         values = list(honest)
         values[wire] += 1
         witness = Witness(tuple(values))
-        with pytest.raises(Unsatisfied) as refused:
-            cs.check(witness)
-        assert refused.value.row == row == failing_rows(cs, witness)[0], wire
-    cs.check(Witness(honest))
-    with pytest.raises(Unsatisfied) as refused:
-        cs.check(Witness(honest + (0,)))
-    assert refused.value.row is None
+        assert failing_rows(cs, witness)[0] == row, wire
+        assert not is_satisfied(cs, witness), wire
+    assert is_satisfied(cs, Witness(honest))
+    assert not is_satisfied(cs, Witness(honest + (0,)))
 
 
 def test_check_judges_every_single_wire_mutation_as_the_rows_do():
     # Part-filled model and data circuits, each wire moved by one, defined
-    # wires included: check, through complete, refuses exactly the
-    # witnesses some row fails, and names the first such row.
+    # wires included: complete, from the projection, refuses exactly the
+    # witnesses some row fails.
     config = ProtocolConfig(
         train=default_train_config("linear", 1, epochs=1),
         capacity=2,
@@ -446,12 +401,7 @@ def test_check_judges_every_single_wire_mutation_as_the_rows_do():
             values = list(honest)
             values[wire] = (values[wire] + 1) % P
             witness = Witness(tuple(values))
-            failing = failing_rows(cs, witness)
-            assert is_satisfied(cs, witness) == (failing == []), wire
-            if failing:
-                with pytest.raises(Unsatisfied) as refused:
-                    cs.check(witness)
-                assert refused.value.row == failing[0], wire
+            assert is_satisfied(cs, witness) == (failing_rows(cs, witness) == []), wire
 
 
 def test_a_wire_below_a_later_rows_wire_is_free():
@@ -497,23 +447,22 @@ def test_a_sum_row_defines_its_bits_as_binary_digits():
 
 def test_check_follows_satisfying_bits_that_are_not_digits():
     # b_0 = 2, b_1 = 0 sums to x = 2 as the digits 0, 1 do: the sum row
-    # holds, so check goes on and names the boolean row that fails, as
-    # evaluating each row does.  Without boolean rows it holds.
+    # holds, and the boolean row that fails is the first failing row.
+    # Without boolean rows every row holds.  Either way the projection
+    # [1, 2] completes to the digits, so no prover or verifier sees the
+    # forged bits.
+    digits = Witness((1, 2, 0, 1))
     for booleans, failing in ((True, [1]), (False, [])):
         cs = digit_system(2, 2, booleans)
         forged = Witness((1, 2, 2, 0))
         assert failing_rows(cs, forged) == failing
-        if failing:
-            with pytest.raises(Unsatisfied) as refused:
-                cs.check(forged)
-            assert refused.value.row == failing[0]
-        else:
-            cs.check(forged)
+        assert cs.project(forged) == [1, 2]
+        assert cs.complete([1, 2]) == digits
+        assert not is_satisfied(cs, forged)
     # Bits that do not sum to x fail the sum row itself.
     cs = digit_system(2, 2)
-    with pytest.raises(Unsatisfied) as refused:
-        cs.check(Witness((1, 2, 1, 1)))
-    assert refused.value.row == 0 == failing_rows(cs, Witness((1, 2, 1, 1)))[0]
+    assert failing_rows(cs, Witness((1, 2, 1, 1)))[0] == 0
+    assert not is_satisfied(cs, Witness((1, 2, 1, 1)))
 
 
 def test_only_consecutive_new_wires_with_powers_of_two_are_digits():
@@ -579,15 +528,20 @@ def test_free_wires_and_rows_rebuild_the_witness(kind, xs, labels, trained, prev
         DataPoint(uid, (fx_encode(x / 4, scale),), fx_encode(y, scale))
         for uid, (x, y) in enumerate(zip(xs, labels), 1)
     ]
+    # Each circuit's projection, computed natively from its inputs, is
+    # that of the witness a build for them gives, and the rows complete
+    # it to that witness.
     dataset = Dataset(tuple(points[:trained]), 1)
     unlearnt = [hash_data_point(d, config.hash_cfg) for d in points[trained:trained + 3]]
-    model = ModelCircuit(config, dataset, values_only=True)
-    data = DataCircuit(
-        config, model.digests, unlearnt[:previous], unlearnt[previous:], values_only=True
-    )
-    for rows, circuit in zip(fast_rows(kind), (model, data)):
+    model_given, model, digests = model_projection(config, dataset)
+    assert model == train_model(dataset, config.train)
+    assert digests == tuple(hash_data_point(d, config.hash_cfg) for d in dataset.points)
+    sets = (digests, unlearnt[:previous], unlearnt[previous:])
+    built = (ModelCircuit(config, dataset), DataCircuit(config, *sets))
+    projections = (model_given, data_projection(config, *sets))
+    for rows, circuit, given_values in zip(fast_rows(kind), built, projections):
         witness = circuit.cs.witness()
-        given_values = rows.project(witness)
+        assert given_values == rows.project(witness)
         assert len(given_values) == 1 + rows.num_public + len(rows.free_wires())
         assert rows.complete(given_values) == witness
 

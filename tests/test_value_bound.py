@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import failing_rows, is_satisfied
-from unlearn.circuits import ModelCircuit
+from unlearn.circuits import ModelCircuit, model_projection
 from unlearn.field import MAX_ABS, FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
 from unlearn.gadgets import CircuitBuilder, lc_wire
 from unlearn.hashing import (
@@ -222,14 +222,18 @@ def test_native_overflow_iff_synthesis_fails(kind, epochs, rows):
         # Both name the same point, epoch and cause.
         assert circuit_error.uid == native_error.uid is not None
         assert str(circuit_error) == str(native_error)
+        with pytest.raises(FixedPointOverflow) as refused:
+            model_projection(config, ds)
+        assert str(refused.value) == str(circuit_error)
         return
     assert is_satisfied(circuit.cs, circuit.cs.witness())
-    assert circuit.model == model
-    digests = [hash_data_point(d, TINY) for d in ds.points]
+    digests = tuple(hash_data_point(d, TINY) for d in ds.points)
     assert circuit.statement == (
         hash_model_weights(model.weights, TINY),
         hash_data(digests, TINY),
     )
+    given = circuit.cs.project(circuit.cs.witness())
+    assert model_projection(config, ds) == (given, model, digests)
 
 
 # -- admission ---------------------------------------------------------------------
