@@ -7,8 +7,9 @@
 * Data circuit: public (h_D, h_U_prev, h_U), private digest sets.  Proves
   the committed roots match the private sets, that the new unlearnt root
   extends the previous chain (so the unlearnt set only ever grows), and
-  that the training and unlearnt sets are disjoint.  One array of
-  ``unlearn_capacity`` slots holds the previous and the appended digests.
+  that the training and unlearnt sets are disjoint: the product of every
+  pairwise difference has an inverse.  One array of ``unlearn_capacity``
+  slots holds the previous and the appended digests.
 
 Each circuit is built from a ``ProtocolConfig`` and its inputs in one
 pass that yields both the constraints and the witness.  The config fixes
@@ -17,7 +18,8 @@ masked by per-slot presence bits, so the constraints do not depend on
 the inputs and one trusted setup, built from the empty input, serves
 every update that fits; inputs that do not fit raise ShapeOverflow.
 Every value in an absent slot is pinned to a constant, so each statement
-has exactly one witness.
+has exactly one witness.  Each circuit's statement is its public wires,
+allocated first.
 
 Setup and ``audit-setup`` build the circuits for their rows.  A prover
 needs only a witness's projection (``r1cs``): the statement and the free
@@ -33,7 +35,7 @@ from typing import Optional, Sequence
 
 from .field import ConfigError, FixedPointOverflow
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
-from .hashing import DEFAULT_ROUNDS, DataPoint, HashConfig, empty_root, hash_data
+from .hashing import DEFAULT_ROUNDS, DataPoint, HashConfig, _tag, empty_root, hash_data
 from .hashing import hash_data_point, hash_model_weights, hash_unlearn
 from .r1cs import ConstraintSystem, WitnessSynthesisError, gc_paused
 from .training import Dataset, ModelParams, ShapeMismatch, TrainConfig, overflow_at
@@ -83,8 +85,8 @@ def _model_slots(config: ProtocolConfig, dataset: Optional[Dataset]) -> list[tup
 
 
 class ModelCircuit:
-    """R1CS form of the model-update statement, built with the witness for
-    ``dataset`` (by default the empty one).  ``statement`` is (h_m, h_D).
+    """R1CS form of the model-update statement (h_m, h_D), built with the
+    witness for ``dataset`` (by default the empty one).
     Raises ShapeOverflow when the dataset exceeds the capacity,
     ShapeMismatch when its arity differs, and FixedPointOverflow, naming
     the point and the epoch as ``train_model`` does, when training it
@@ -101,7 +103,7 @@ class ModelCircuit:
         ops = CircuitOps(b)
 
         # Statement wires first; b.bind gives them their values below.
-        self.h_m_wire, self.h_d_wire = cs.alloc_public(), cs.alloc_public()
+        h_m_wire, h_d_wire = cs.alloc_public(), cs.alloc_public()
 
         inputs, leaves = [], []
         for present, d in slots:
@@ -116,7 +118,7 @@ class ModelCircuit:
         presence = [pres for pres, _, _ in inputs]
         b.prefix_presence(presence)
 
-        b.bind(self.h_d_wire, b.merkle_root(leaves, presence))
+        b.bind(h_d_wire, b.merkle_root(leaves, presence))
 
         weights = [ops.const(w) for w in train.init_values]
         lr = ops.const(train.learning_rate)
@@ -133,15 +135,10 @@ class ModelCircuit:
                     raise overflow_at(e, d.uid, epoch) from None
                 weights = [b.select(pres, new, old) for new, old in zip(stepped, weights)]
 
-        b.bind(self.h_m_wire, b.hash_model(weights))
+        b.bind(h_m_wire, b.hash_model(weights))
 
         cs.finalize()
         self.cs = cs
-
-    @property
-    def statement(self) -> tuple[int, int]:
-        """(h_m, h_D) as computed from the inputs."""
-        return self.cs.values[self.h_m_wire], self.cs.values[self.h_d_wire]
 
 
 def model_projection(
@@ -163,6 +160,12 @@ def model_projection(
 # What an absent digest slot is pinned to: 0 in the training array, 1 in
 # the unlearnt one.
 ABSENT_DIGESTS = (0, 1)
+# What the disjointness product reads for an absent slot instead, per
+# array: distinct tagged constants, so a pair with an absent slot differs
+# unless its present digest is the other array's tag, which admission
+# refuses (``protocol``).
+ABSENT_TAGS = (_tag("absent-training-digest"), _tag("absent-unlearnt-digest"))
+INTERSECT = "training and unlearnt sets intersect"
 
 
 def _digest_slots(config: ProtocolConfig, data=(), unlearnt_prev=(), unlearnt_add=()) -> tuple:
@@ -184,19 +187,21 @@ def _digest_slots(config: ProtocolConfig, data=(), unlearnt_prev=(), unlearnt_ad
 
 
 class DataCircuit:
-    """R1CS form of the dataset-update statement, built with the witness
-    for ``digests``: the training-set digests, the previous unlearnt
-    digests and the appended ones, each by default empty.  ``statement``
-    is (h_D, h_U_prev, h_U).  The training digests fill ``capacity``
-    slots.  The unlearnt digests, previous then appended, fill one array
-    of ``unlearn_capacity`` slots under two prefixes of bits: presence
-    marks every digest, and the previous bits, which never run past it,
-    mark the previous ones.  One chain fold gives both roots.  Absent
-    digests are ``ABSENT_DIGESTS``: an inactive disjointness pair then
-    differs, and its inverse is 0, unless its present digest is the other
-    array's constant.  Raises ShapeOverflow when either set exceeds its
-    capacity, and WitnessSynthesisError when the training set meets the
-    unlearnt one."""
+    """R1CS form of the dataset-update statement (h_D, h_U_prev, h_U),
+    built with the witness for ``digests``: the training-set digests, the
+    previous unlearnt digests and the appended ones, each by default
+    empty.  The training digests fill ``capacity`` slots.  The unlearnt
+    digests, previous then appended, fill one array of
+    ``unlearn_capacity`` slots under two prefixes of bits: presence marks
+    every digest, and the previous bits, which never run past it, mark the
+    previous ones.  One chain fold gives both roots.  Absent digests are
+    ``ABSENT_DIGESTS``.  One ``select`` per slot maps an absent digest to
+    its array's ``ABSENT_TAGS`` constant, one row per pair multiplies the
+    pair's difference into a running product, and one inverse proves the
+    product nonzero: the field has no zero divisors, so every pair
+    differs.  Raises ShapeOverflow when either set exceeds its capacity,
+    and WitnessSynthesisError when the training set meets the unlearnt
+    one."""
 
     @gc_paused()
     def __init__(self, config: ProtocolConfig, *digests: Sequence[int]):
@@ -206,7 +211,7 @@ class DataCircuit:
         cs = ConstraintSystem(hash_cfg.modulus)
         b = CircuitBuilder(cs, config.train.scale, hash_cfg)
 
-        self.h_d_wire, self.h_uprev_wire, self.h_u_wire = (cs.alloc_public() for _ in range(3))
+        h_d_wire, h_uprev_wire, h_u_wire = (cs.alloc_public() for _ in range(3))
 
         def alloc(values) -> list:
             return [lc_wire(cs.alloc_private(v)) for v in values]
@@ -222,49 +227,51 @@ class DataCircuit:
         u_prev = alloc(marks)
         b.prefix_presence(u_prev, within=u_pres)
 
-        b.bind(self.h_d_wire, b.merkle_root(d_vals, d_pres))
+        b.bind(h_d_wire, b.merkle_root(d_vals, d_pres))
         psi_prev, psi = b.chain_root(lc_const(empty_root(hash_cfg)), u_vals, u_pres, u_prev)
-        b.bind(self.h_uprev_wire, psi_prev)
-        b.bind(self.h_u_wire, psi)
+        b.bind(h_uprev_wire, psi_prev)
+        b.bind(h_u_wire, psi)
 
         # Pairwise disjointness of the training and unlearnt digests.
-        for i in range(config.capacity):
-            for j in range(config.unlearn_capacity):
-                active = b.mul(d_pres[i], u_pres[j])
-                b.inverse_pair(b.sub(d_vals[i], u_vals[j]), active)
+        d_tagged, u_tagged = (
+            [b.select(p, v, lc_const(tag)) for p, v in zip(pres, vals)]
+            for (pres, vals), tag in zip(wires, ABSENT_TAGS)
+        )
+        diffs = (b.sub(d, u) for d in d_tagged for u in u_tagged)
+        product = next(diffs)
+        for diff in diffs:
+            product = b.mul(product, diff)
+        b.nonzero(product, INTERSECT)
 
         cs.finalize()
         self.cs = cs
-
-    @property
-    def statement(self) -> tuple[int, int, int]:
-        """(h_D, h_U_prev, h_U) as computed from the inputs."""
-        v = self.cs.values
-        return v[self.h_d_wire], v[self.h_uprev_wire], v[self.h_u_wire]
 
 
 def data_projection(config: ProtocolConfig, *digests: Sequence[int]) -> list[int]:
     """What ``DataCircuit(config, *digests)``'s witness projects to, from
     native hashing: [1, h_D, h_U_prev, h_U], each array's presence bits
-    and digests, the previous bits, then per pair of a training and an
-    unlearnt slot the inverse of their difference, or 0 if either slot
-    is absent.  Raises as the build raises."""
+    and digests, the previous bits, then the inverse of the product of
+    every pair's difference, an absent slot reading its ``ABSENT_TAGS``
+    constant.  Raises as the build raises."""
     arrays, marks = _digest_slots(config, *digests)
     (d_pres, d_vals), (u_pres, u_vals) = arrays
     cfg = config.hash_cfg
     p = cfg.modulus
-    inverses = []
-    for d, d_present in zip(d_vals, d_pres):
-        for u, u_present in zip(u_vals, u_pres):
-            active = d_present and u_present
-            if active and (d - u) % p == 0:
-                raise WitnessSynthesisError("training and unlearnt sets intersect")
-            inverses.append(pow(d - u, -1, p) if active else 0)
+    d_tagged, u_tagged = (
+        [v if present else tag for present, v in zip(pres, vals)]
+        for (pres, vals), tag in zip(arrays, ABSENT_TAGS)
+    )
+    product = 1
+    for d in d_tagged:
+        for u in u_tagged:
+            product = product * (d - u) % p
+    if not product:
+        raise WitnessSynthesisError(INTERSECT)
     unlearnt = u_vals[:sum(u_pres)]
     statement = (
         hash_data(d_vals[:sum(d_pres)], cfg),
         hash_unlearn(unlearnt[:sum(marks)], cfg),
         hash_unlearn(unlearnt, cfg),
     )
-    free = (v % p for v in (*d_pres, *d_vals, *u_pres, *u_vals, *marks, *inverses))
-    return [1, *statement, *free]
+    free = (v % p for v in (*d_pres, *d_vals, *u_pres, *u_vals, *marks))
+    return [1, *statement, *free, pow(product, -1, p)]

@@ -229,19 +229,14 @@ class CircuitBuilder:
         """Enforce v = const in an absent slot: (v - const) * (1 - present) = 0."""
         self.cs.enforce(self.sub(v, lc_const(const)), self.sub(lc_const(1), present), {})
 
-    def inverse_pair(self, diff: LinComb, active: LinComb) -> None:
-        """Enforce diff != 0 whenever the boolean product ``active`` is 1,
-        via an inverse witness: diff * v = active.  Where ``active`` is 0
-        and diff is not, v is forced to 0."""
+    def nonzero(self, a: LinComb, why: str) -> None:
+        """Enforce a != 0 via its inverse witness v: a * v = 1.  Raises
+        WitnessSynthesisError(why) when a is 0, which has no inverse."""
         cs = self.cs
-        d = cs.lc_value(diff)
-        if not cs.lc_value(active):
-            v = cs.alloc_private(0)
-        elif d:
-            v = cs.alloc_private(pow(d, -1, cs.modulus))
-        else:
-            raise WitnessSynthesisError("training and unlearnt sets intersect")
-        cs.enforce(diff, lc_wire(v), active)
+        value = cs.lc_value(a)
+        if not value:
+            raise WitnessSynthesisError(why)
+        cs.enforce(a, lc_wire(cs.alloc_private(pow(value, -1, cs.modulus))), lc_const(1))
 
 
 class CircuitOps:

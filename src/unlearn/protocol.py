@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Sequence
 
-from .circuits import DataCircuit, ModelCircuit, ProtocolConfig, ShapeMismatch
+from .circuits import ABSENT_TAGS, DataCircuit, ModelCircuit, ProtocolConfig, ShapeMismatch
 from .circuits import data_projection, model_projection
 from .field import FixedPointOverflow, check_value_range
 from .hashing import (
@@ -47,6 +47,11 @@ class ReAddAfterDelete(ValueError):
 
 class DuplicateAdd(ValueError):
     """The same point cannot be added twice."""
+
+
+class ReservedDigest(ValueError):
+    """A point whose digest is one of the data circuit's ``ABSENT_TAGS``:
+    it would zero the disjointness product, so no update could prove it."""
 
 
 class CorruptState(ValueError):
@@ -208,9 +213,9 @@ def _batch_points(state: ServerState) -> list[DataPoint]:
 
 
 def _admit(state: ServerState, points: Sequence[DataPoint], pub: PublicParams) -> ServerState:
-    """Queue ``points`` if each is new and the would-be set, with all of
-    them, trains within the value bound.  Raises, leaving the state
-    unchanged, otherwise."""
+    """Queue ``points`` if each is new, the would-be set, with all of
+    them, trains within the value bound, and no digest is reserved.
+    Raises, leaving the state unchanged, otherwise."""
     arity = state.dataset.arity
     banned = state.deleted_uids | {p.uid for p in state.pending_delete}
     present = {p.uid for p in state.dataset.points} | {p.uid for p in state.pending_add}
@@ -223,6 +228,10 @@ def _admit(state: ServerState, points: Sequence[DataPoint], pub: PublicParams) -
             raise DuplicateAdd(f"uid {d.uid} is already in the training set")
         present.add(d.uid)
     train_model(Dataset(tuple(_batch_points(state)) + tuple(points), arity), pub.config.train)
+    for d in points:
+        # Training checked the values' range, so each point has a digest.
+        if hash_data_point(d, pub.hash_cfg) in ABSENT_TAGS:
+            raise ReservedDigest(f"uid {d.uid} not admitted: its digest is a reserved constant")
     return replace(state, pending_add=state.pending_add + tuple(points))
 
 

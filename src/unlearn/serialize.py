@@ -35,12 +35,13 @@ from .training import Dataset, ModelParams, TrainConfig
 
 # Each kind of envelope is versioned on its own: a change to one kind's
 # format or meaning bumps only that kind.  params.json (circuits named by
-# fingerprint alone, no fixed-point format, which is fixed, and each range
-# check's sum row before its boolean rows) is at 13, update proofs (free
-# wires only, range bits derived) at 10, every other kind at 8.
+# fingerprint alone, no fixed-point format, which is fixed, each range
+# check's sum row before its boolean rows, and disjointness as one product
+# with one inverse) is at 14, update proofs (free wires only, range bits
+# derived, one disjointness inverse) at 11, every other kind at 8.
 VERSION = 8
-UPDATE_PROOF_VERSION = 10
-PARAMS_VERSION = 13
+UPDATE_PROOF_VERSION = 11
+PARAMS_VERSION = 14
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 

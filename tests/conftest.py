@@ -94,3 +94,9 @@ def satisfied_at_wire(cs, witness, wire: int) -> bool:
     single-wire mutation of a witness that satisfied every row."""
     rows, touching = _read(cs)
     return all(_holds(cs, rows[i], witness.values) for i in touching[wire])
+
+
+def statement_of(cs) -> tuple[int, ...]:
+    """A built circuit's statement: the values of its public wires, which
+    each circuit allocates first."""
+    return tuple(cs.values[1 : 1 + cs.num_public])

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from conftest import is_satisfied, needs_snark, satisfied_at_wire
+from conftest import is_satisfied, needs_snark, satisfied_at_wire, statement_of
 from unlearn.bench import synthetic_dataset
 from unlearn.circuits import DataCircuit, ModelCircuit
 from unlearn.field import ScaleConfig, fx_decode, fx_encode, sigmoid_approx
@@ -279,7 +279,7 @@ def test_criterion_5_linear_scaling_and_constant_verification():
         circuit = circuits[size]
         rel = RelationHandle.of(circuit.cs)
         rel.keys = backend.setup(rel)
-        statement = circuit.statement
+        statement = statement_of(circuit.cs)
         blob = backend.prove(rel, circuit.cs.project(circuit.cs.witness()))
         assert backend.verify(rel, statement, blob)  # warmup
         samples = []

@@ -1,9 +1,10 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import failing_rows, is_satisfied, rows_touching, satisfied_at_wire
+from conftest import failing_rows, is_satisfied, rows_touching, satisfied_at_wire, statement_of
 from unlearn.circuits import (
     DataCircuit,
     ModelCircuit,
@@ -148,7 +149,7 @@ def test_packing_forgery_fails_the_uid_range_check():
     values = list(cs.witness().values)
     # Slot 0, after the statement: presence, uid, x, y, then the gadget's
     # 64 uid bits and x's B + 1 bits.
-    uid_w = circuit.h_d_wire + 2
+    uid_w = cs.num_public + 2
     x_w, x_bits = uid_w + 1, uid_w + 3 + 64
     offset = (values[x_w] + 2**B) % P
     assert [values[x_bits + i] for i in range(B + 1)] == [(offset >> i) & 1 for i in range(B + 1)]
@@ -260,7 +261,7 @@ def _check_against_native(circuit, ds):
     assert is_satisfied(circuit.cs, circuit.cs.witness())
     model = train_model(ds, circuit.config.train)
     digests = tuple(hash_data_point(d, TINY) for d in ds.points)
-    assert circuit.statement == (
+    assert statement_of(circuit.cs) == (
         hash_model_weights(model.weights, TINY),
         hash_data(digests, TINY),
     )
@@ -285,7 +286,7 @@ def test_model_circuit_wrong_model_hash_unsatisfiable():
     circuit = ModelCircuit(_config(), _dataset(3))
     w = circuit.cs.witness()
     mutated = list(w.values)
-    mutated[circuit.h_m_wire] = (mutated[circuit.h_m_wire] + 1) % P
+    mutated[1] = (mutated[1] + 1) % P  # h_m, the first statement wire
     assert not is_satisfied(circuit.cs, Witness(tuple(mutated)))
 
 
@@ -329,7 +330,7 @@ def test_data_circuit_honest_satisfiable():
     hu_add = [hash2(9, 0, TINY)]
     circuit = _data_circuit(hd, [], hu_add)
     assert is_satisfied(circuit.cs, circuit.cs.witness())
-    assert circuit.statement == (
+    assert statement_of(circuit.cs) == (
         hash_data(hd, TINY),
         hash_unlearn([], TINY),
         hash_unlearn(hu_add, TINY),
@@ -342,7 +343,7 @@ def test_data_circuit_chain_extension():
     add = [hash2(4, 0, TINY)]
     circuit = _data_circuit(hd, prev, add)
     assert is_satisfied(circuit.cs, circuit.cs.witness())
-    assert circuit.statement[2] == hash_unlearn(prev + add, TINY)
+    assert statement_of(circuit.cs)[2] == hash_unlearn(prev + add, TINY)
 
 
 def test_data_circuit_intersection_has_no_witness():
@@ -353,10 +354,10 @@ def test_data_circuit_intersection_has_no_witness():
 
 
 def test_data_circuit_intersection_unsatisfiable_over_grid():
-    # For every overlapping pair of small digest sets, the disjointness
-    # row for the colliding pair reads (a - b) * v = 1 with a == b, which
-    # no field element v can satisfy: the honest-witness search over a
-    # value grid plus the algebraic scan both come up empty.
+    # For every overlapping pair of small digest sets, the colliding pair's
+    # difference zeroes the running product, whose row acc * v = 1 no field
+    # element v can satisfy: the honest-witness search over a value grid
+    # plus the algebraic scan both come up empty.
     grid = [1, 2, 3]
     for a in grid:
         for b in grid:
@@ -371,27 +372,83 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
     # Brute-force the inverse wire on a colliding instance: no value in a
     # sampled grid (nor any other, since 0 * v == 0 != 1) satisfies it.
     circuit = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
-    values = list(circuit.cs.witness().values)
-    # Simulate the collision: overwrite the first training digest, which
-    # follows the statement and the training presence bits, so a pair
-    # matches.
-    hd_0 = circuit.h_u_wire + 1 + circuit.config.capacity
-    # The first pair's row: (hd_0 - hu_0) * inverse = active.
-    inv_wire = next(
-        w for a, b, c in circuit.cs.constraints if len(a) == 2 and hd_0 in a and len(c) == 1
-        for w in b
-    )
-    assert values[hd_0] == 1 and values[inv_wire] * (1 - 3) % P == 1
-    values[hd_0] = 3
+    cs = circuit.cs
+    given = cs.project(cs.witness())
+    # Simulate the collision: overwrite the first training digest, the
+    # free wire after the training presence bits, so a pair matches, and
+    # h_D with the root of the forged set.
+    hd_0 = 1 + cs.num_public + circuit.config.capacity
+    assert given[hd_0] == 1
+    given[hd_0], given[1] = 3, hash_data([3, 2], TINY)
+    # The last row is the product's: acc * v = 1, with v the last free wire.
+    acc, [inverse], one = cs.constraints[-1]
+    assert one == {0: 1} and inverse == cs.free_wires()[-1] == cs.num_wires - 1
     for v_try in range(0, 50):
-        values[inv_wire] = v_try
-        assert not is_satisfied(circuit.cs, Witness(tuple(values)))
+        given[-1] = v_try
+        # The walk derives every select and product wire from the forged
+        # digest, and every row before the product's holds.
+        with pytest.raises(Unsatisfied) as refused:
+            cs.complete(given)
+        assert refused.value.row == cs.num_constraints - 1
+
+
+@pytest.mark.parametrize("sets", [([3, 5], [], [5]), ([3, 5], [3], []), ([7], [2, 7], [7])])
+def test_intersecting_sets_with_every_product_wire_recomputed_fail_only_the_inverse_row(
+    monkeypatch, sets
+):
+    # A multi-wire forgery: the build's nonzero gadget, replaced, puts v
+    # on the inverse wire and never raises, so every select, product and
+    # hash wire is what the gadgets compute for the intersecting sets.
+    # Each row but the product's holds, and the product is 0, which no v
+    # inverts.
+    rng = random.Random(1)
+    for v in (0, 1, P - 1, *(rng.randrange(P) for _ in range(5))):
+        monkeypatch.setattr(
+            CircuitBuilder, "nonzero",
+            lambda b, a, why: b.cs.enforce(a, lc_wire(b.cs.alloc_private(v)), lc_const(1)),
+        )
+        cs = _data_circuit(*sets, dcap=2, ucap=3).cs
+        monkeypatch.undo()
+        witness = cs.witness()
+        acc, _, _ = cs.constraints[-1]
+        assert cs.lc_value(acc) == 0
+        assert failing_rows(cs, witness) == [cs.num_constraints - 1]
+        assert not is_satisfied(cs, witness)
+
+
+@functools.cache
+def _data_rows(dcap: int, ucap: int) -> ConstraintSystem:
+    """The data circuit's rows, as setup builds them."""
+    return _data_circuit([], [], [], dcap=dcap, ucap=ucap).cs
+
+
+@given(data=st.data(), dcap=st.integers(1, 4), ucap=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_data_projection_completes_exactly_when_disjoint(data, dcap, ucap):
+    # Part-filled digest sets, drawn small enough to meet often, with 0 and
+    # 1, the absent slots' pins, among them: the native projection
+    # completes against setup's rows to the built witness exactly when the
+    # sets are disjoint, and both raise otherwise.
+    digest = st.integers(0, 5)
+    trained = data.draw(st.lists(digest, max_size=dcap))
+    unlearnt = data.draw(st.lists(digest, max_size=ucap))
+    previous = data.draw(st.integers(0, len(unlearnt)))
+    sets = (trained, unlearnt[:previous], unlearnt[previous:])
+    config = _config(capacity=dcap, unlearn_capacity=ucap)
+    if set(trained) & set(unlearnt):
+        with pytest.raises(WitnessSynthesisError, match="sets intersect"):
+            data_projection(config, *sets)
+        with pytest.raises(WitnessSynthesisError, match="sets intersect"):
+            DataCircuit(config, *sets)
+    else:
+        witness = DataCircuit(config, *sets).cs.witness()
+        assert _data_rows(dcap, ucap).complete(data_projection(config, *sets)) == witness
 
 
 def test_data_circuit_tampered_root_unsatisfiable():
     circuit = _data_circuit([hash2(3, 0, TINY)], [], [hash2(9, 0, TINY)])
     w = circuit.cs.witness()
-    for wire in (circuit.h_d_wire, circuit.h_uprev_wire, circuit.h_u_wire):
+    for wire in range(1, 1 + circuit.cs.num_public):
         mutated = list(w.values)
         mutated[wire] = (mutated[wire] + 1) % P
         assert not is_satisfied(circuit.cs, Witness(tuple(mutated)))
@@ -418,7 +475,7 @@ def test_data_circuit_every_split_of_the_unlearnt_digests(n):
     for k in range(n + 1):
         circuit = _data_circuit([hash2(1, 0, TINY)], digests[:k], digests[k:], dcap=1, ucap=4)
         assert is_satisfied(circuit.cs, circuit.cs.witness())
-        assert circuit.statement[1:] == (
+        assert statement_of(circuit.cs)[1:] == (
             hash_unlearn(digests[:k], TINY),
             hash_unlearn(digests, TINY),
         )
@@ -435,7 +492,8 @@ def test_previous_bits_never_run_past_presence():
     cs, values = circuit.cs, list(circuit.cs.witness().values)
     # Layout after the statement: training presence bits and digests, then
     # unlearnt presence bits, unlearnt digests and previous-digest bits.
-    pres_n = circuit.h_u_wire + 1 + 2 * dcap + n
+    _, h_uprev_wire, h_u_wire = range(1, 1 + cs.num_public)
+    pres_n = h_u_wire + 1 + 2 * dcap + n
     prev_n = pres_n + 2 * ucap
     assert (values[pres_n], values[prev_n], values[prev_n - 1]) == (0, 0, 1)
     values[prev_n] = 1
@@ -450,12 +508,12 @@ def test_previous_bits_never_run_past_presence():
     fold = max(c)
     values[fold] = (cs.lc_value(a, values) * cs.lc_value(b, values)
                     - cs.lc_value(c, values) + values[fold]) % P
-    for w in [max(c) for _, _, c in folds[1:]] + [circuit.h_uprev_wire]:
+    for w in [max(c) for _, _, c in folds[1:]] + [h_uprev_wire]:
         values[w] = values[fold]
-    h_u = values[circuit.h_u_wire]
+    h_u = values[h_u_wire]
     assert h_u == hash_unlearn(unlearnt, TINY)
     # The slot past the set is absent, so its digest is pinned to 1.
-    assert values[circuit.h_uprev_wire] == hash_unlearn(unlearnt + [1], TINY)
+    assert values[h_uprev_wire] == hash_unlearn(unlearnt + [1], TINY)
     forged = Witness(tuple(values))
     failing = failing_rows(cs, forged)
     previous_within_presence = ({prev_n: 1}, {0: 1, pres_n: P - 1}, {})
@@ -542,12 +600,12 @@ def test_unit_constraint_costs(gadget, expected):
 
 def test_fast_pub_constraint_totals(fast_pub):
     assert fast_pub.model_circuit.cs.stats().constraint_count == 3253
-    assert fast_pub.data_circuit.cs.stats().constraint_count == 404
+    assert fast_pub.data_circuit.cs.stats().constraint_count == 356
     # The free wires, whose values a witness-check proof carries: each
     # model slot's presence, uid, feature and label, and in the data
-    # circuit the presence bits, digests and inverses.
+    # circuit the presence bits, digests, previous bits and one inverse.
     assert len(fast_pub.model_circuit.cs.free_wires()) == 8 * 4
-    assert len(fast_pub.data_circuit.cs.free_wires()) == 104
+    assert len(fast_pub.data_circuit.cs.free_wires()) == 5 * 8 + 1
 
 
 @pytest.mark.parametrize(
@@ -555,14 +613,16 @@ def test_fast_pub_constraint_totals(fast_pub):
     [
         # cli-walkthrough: model 25,363 = range bits 18,744 + hash 5,610 +
         # fx_mul 640 + select 328 + absent-slot pins 24 + presence 15 +
-        # bindings 2; data 5,174 = hash 4,950 + disjoint 128 + presence 53 +
-        # select 24 + absent-slot pins 16 + bindings 3.
-        (10, 8, (25363, 25013, 120133, (39, 10, 64), 32), (5174, 5146, 25263, (3, 5, 2), 104)),
+        # bindings 2; data 5,126 = hash 4,950 + disjoint products 63 +
+        # presence 53 + select 40 + absent-slot pins 16 + bindings 3 +
+        # nonzero 1.
+        (10, 8, (25363, 25013, 120133, (39, 10, 64), 32), (5126, 5098, 25151, (3, 5, 2), 41)),
         # cli-unlearn: model 16,987 = hash 10,890 + range bits 5,808 +
         # fx_mul 128 + select 80 + absent-slot pins 48 + presence 31 +
-        # bindings 2; data 10,934 = hash 10,230 + disjoint 512 + presence
-        # 109 + select 48 + absent-slot pins 32 + bindings 3.
-        (1, 16, (16987, 16861, 83961, (39, 10, 64), 64), (10934, 10874, 53407, (3, 5, 2), 336)),
+        # bindings 2; data 10,710 = hash 10,230 + disjoint products 255 +
+        # presence 109 + select 80 + absent-slot pins 32 + bindings 3 +
+        # nonzero 1.
+        (1, 16, (16987, 16861, 83961, (39, 10, 64), 64), (10710, 10650, 52799, (3, 5, 2), 81)),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
 )
@@ -581,6 +641,17 @@ def test_benchmark_config_sizes(epochs, capacity, model, data):
         longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
         free = len(cs.free_wires())
         assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
+
+
+def test_data_circuit_size_at_capacity_100():
+    # bench's default size, |D| = 100 and |U| = 10 at the full hash: 37,560
+    # rows = hash 35,970 + disjoint products 999 + presence 247 + select
+    # 230 + absent-slot pins 110 + bindings 3 + nonzero 1; 231 free wires
+    # = each array's presence bits and digests, the previous bits, and the
+    # one inverse.  With one inverse per pair they were 38,450 and 1,230.
+    config = build_protocol_config({"capacity": "100", "unlearn_capacity": "10"})
+    cs = DataCircuit(config).cs
+    assert (cs.num_constraints, len(cs.free_wires())) == (37560, 2 * 100 + 3 * 10 + 1)
 
 
 @pytest.mark.parametrize(
@@ -608,7 +679,7 @@ def test_an_out_of_range_slot_input_fails_its_decomposition_row(wire, value):
     # no digits of that width.
     circuit = ModelCircuit(_config(capacity=2), _dataset(2))
     cs = ConstraintSystem.from_export(circuit.cs.export())
-    uid_w = circuit.h_d_wire + 2  # slot 0: presence, uid, x, y
+    uid_w = cs.num_public + 2  # slot 0: presence, uid, x, y
     target = uid_w if wire == "uid" else uid_w + 1
     given = cs.project(circuit.cs.witness())
     given[1 + cs.num_public + cs.free_wires().index(target)] = value % P
@@ -647,7 +718,7 @@ def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
     assert model.fingerprint() == "ffeda52f3ccae7e016b1039170068ef28d77faef5337155b6f54d6a0adb5c203"
-    assert data.fingerprint() == "20cd5316f065b58d431bee4cb85fd4588d84005ec21a202a3c9d69e6e5d25c94"
+    assert data.fingerprint() == "2f29ad08afe4322ad5f8292aa15aadfeb03e87506798426a0b89f683176a9f00"
     # setup builds from the empty input; a full-capacity input gives the
     # same export, so the constraints do not depend on the values.
     config = fast_pub.config

@@ -546,7 +546,9 @@ def test_setup_reports_the_free_wires_of_both_circuits(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     pub = cli.load_pub(StateDir(d))
     assert payload["model_free_wires"] == len(pub.model_relation.circuit.free_wires()) == 8 * 4
-    assert payload["data_free_wires"] == len(pub.data_relation.circuit.free_wires()) == 104
+    # The data circuit's presence bits, digests and previous bits, and one
+    # disjointness inverse.
+    assert payload["data_free_wires"] == len(pub.data_relation.circuit.free_wires()) == 5 * 8 + 1
 
 
 def test_bench_reports_the_update_proof_size(workspace, capsys):
@@ -690,6 +692,23 @@ def test_add_beyond_value_bound_rejected(workspace, initialized, capsys):
     # A value too large to encode at all is bad input.
     assert run(workspace, "add", "--dir", d, "--uid", "3", "--features", "1e300",
                "--label", "1") == 2
+    assert snapshot(initialized) == before
+
+
+def test_add_refuses_a_reserved_digest_and_writes_nothing(workspace, initialized, capsys,
+                                                         monkeypatch):
+    # A point whose digest is the data circuit's absent-slot tag (the
+    # digest forced here) would make every later update unprovable.
+    d = str(initialized)
+    digest = protocol.hash_data_point
+    monkeypatch.setattr(
+        protocol, "hash_data_point",
+        lambda p, cfg: circuits.ABSENT_TAGS[1] if p.uid == 2 else digest(p, cfg),
+    )
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, "add", "--dir", d, "--dataset", str(workspace / "pts.csv")) == 1
+    assert "uid 2 not admitted" in capsys.readouterr().err
     assert snapshot(initialized) == before
 
 
@@ -844,21 +863,23 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     for name, digest in VERSION_8_FILES.items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
-    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 13
+    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 14
     for i in range(3):
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", str(i)) == 0
     # bench's update_proof_bytes is the length of these bytes.
     store, scale = StateDir(d), cli.load_pub(StateDir(d)).scale
     written = store.update_proof_file(2).read_bytes()
-    decoded = update_proof_from_dict(read_json(store.update_proof_file(2), 10), scale)
+    stored = read_json(store.update_proof_file(2), UPDATE_PROOF_VERSION)
+    decoded = update_proof_from_dict(stored, scale)
     assert json_bytes(update_proof_to_dict(decoded, scale)) == written
-    # An update proof of version 8 carried the whole witness, and one of
-    # version 9 the range bits: refused as corrupt (exit 3), not judged a
-    # false proof (exit 1).
+    # An update proof of version 8 carried the whole witness, one of
+    # version 9 the range bits, and one of version 10 an inverse per pair
+    # of a training and an unlearnt slot: refused as corrupt (exit 3), not
+    # judged a false proof (exit 1).
     proof = d / "proofs" / "update_2.json"
     envelope = json.loads(proof.read_text())
-    assert envelope["version"] == UPDATE_PROOF_VERSION == 10
-    for old in (8, 9):
+    assert envelope["version"] == UPDATE_PROOF_VERSION == 11
+    for old in (8, 9, 10):
         proof.write_text(json.dumps({**envelope, "version": old}))
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
@@ -881,10 +902,12 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # carries and chain folds returned linear combinations, not one wire.
     # Version 10 recorded each circuit's counts and the initial weights,
     # beside a meta.json per setup.  Version 12's range checks summed their
-    # bits after the boolean rows, so no row defined the bits.
+    # bits after the boolean rows, so no row defined the bits.  Version
+    # 13's data circuit proved disjointness with one inverse per pair.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
                 {"version": 4}, {"version": 5}, {"version": 6}, {"version": 7},
-                {"version": 8}, {"version": 9}, {"version": 10}, {"version": 12}):
+                {"version": 8}, {"version": 9}, {"version": 10}, {"version": 12},
+                {"version": 13}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))

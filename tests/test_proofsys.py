@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import TINY_ROUNDS, failing_rows, is_satisfied, needs_snark, rows_touching
+from conftest import statement_of
 from unlearn import circuits
 from unlearn.circuits import ModelCircuit, ProtocolConfig, data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD as P
@@ -160,8 +161,8 @@ def _update_blobs(pub, xs, ghosts=(100, 101)):
 def test_witness_check_encoded_mutations_never_verify(fast_pub):
     # Every single-entry change of a free wire, and each malformed list,
     # is rejected by the backend.  The verifier derives every other wire,
-    # so a change to an absent slot's digest or to an inactive pair's
-    # inverse is a multi-wire forgery: the absent-slot pins reject it.
+    # so a change to an absent slot's digest is a multi-wire forgery: the
+    # absent-slot pins reject it.
     backend = fast_pub.backend
     mutated = 0
     survivors = []
@@ -191,8 +192,9 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
         assert rejected(full, v=1)
         assert rejected(full)
     # The model's 8 slots of presence, uid, feature and label, and the
-    # data circuit's 104 free wires.
-    assert mutated == 8 * 4 + 104
+    # data circuit's presence bits, digests and previous bits of 8 slots
+    # and one inverse.
+    assert mutated == 8 * 4 + 5 * 8 + 1
     assert survivors == []
 
 
@@ -237,13 +239,13 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
     forged = ModelCircuit(pub.config, dataset)
     forged_given = circuits.model_projection(pub.config, dataset)[0]
     monkeypatch.undo()
-    assert forged.statement == honest.statement
+    assert statement_of(forged.cs) == statement_of(honest.cs)
     assert forged.cs.values != honest.cs.values
 
     rel, backend = pub.model_relation, pub.backend
     assert is_satisfied(rel.circuit, honest.cs.witness())
     assert not is_satisfied(rel.circuit, forged.cs.witness())
-    statement, given = forged.statement, rel.circuit.project(forged.cs.witness())
+    statement, given = statement_of(forged.cs), rel.circuit.project(forged.cs.witness())
     assert given == forged_given
     with pytest.raises(Unsatisfied):
         rel.circuit.complete(given)
@@ -256,20 +258,17 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
 def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
     # Three training and two unlearnt digests in capacity-8 arrays.
     [_, (rel, witness, blob)] = _update_blobs(fast_pub, [0.5, -0.25, 1.0])
-    circuit = fast_pub.data_circuit
     cs, backend = rel.circuit, fast_pub.backend
     statement = blob.public_inputs
     assert backend.verify(rel, statement, blob)
     cap = fast_pub.config.capacity
     # After the statement: training presence bits and digests, then the
     # unlearnt presence bits and digests.
-    d_absent = circuit.h_u_wire + 1 + cap + 3
-    u_absent = circuit.h_u_wire + 1 + 2 * cap + cap + 2
-    # The inverse wire of that both-absent pair: (d - u) * inverse = active.
-    [inverse] = [
-        w for a, b, c in cs.constraints if set(a) == {d_absent, u_absent} and len(c) == 1
-        for w in b
-    ]
+    d_absent = cs.num_public + 1 + cap + 3
+    u_absent = cs.num_public + 1 + 2 * cap + cap + 2
+    # The product's inverse, the last wire: acc * inverse = 1.
+    acc, [inverse], one = cs.constraints[-1]
+    assert one == {0: 1} and inverse == cs.num_wires - 1
     free = cs.free_wires()
     for wire in (d_absent, u_absent, inverse):
         given = cs.project(witness)
@@ -281,6 +280,7 @@ def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
         assert not backend.verify(rel, statement, _unchecked_blob(rel, statement, given))
     # The inverse feeds no other row, so that forgery is the honest
     # witness with one wire changed.
+    assert rows_touching(cs, inverse) == [cs.num_constraints - 1]
     values = list(witness.values)
     values[inverse] = 5
     assert not is_satisfied(cs, Witness(tuple(values)))
@@ -309,7 +309,7 @@ def test_prove_refuses_an_h_m_off_by_one_at_its_bind_row(fast_pub, backend):
     # (hash of the weights - h_m) * 1 = 0, fails.  Groth16 refuses it
     # before it reads a key or runs the helper.
     [(rel, witness, _), _] = _update_blobs(fast_pub, [0.5, -0.25])
-    h_m = fast_pub.model_circuit.h_m_wire
+    h_m = 1  # the first statement wire
     given = rel.circuit.project(witness)
     given[h_m] = (given[h_m] + 1) % P
     [bind] = rows_touching(rel.circuit, h_m)

@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from unlearn.circuits import ShapeOverflow
+from unlearn import protocol
+from unlearn.circuits import ABSENT_TAGS, ShapeOverflow, data_projection
 from unlearn.field import FixedPointOverflow, fx_encode
 from unlearn.hashing import (
     DataPoint,
@@ -15,6 +16,7 @@ from unlearn.protocol import (
     DuplicateAdd,
     INIT_MARKER,
     ReAddAfterDelete,
+    ReservedDigest,
     prove_unlearn,
     prove_update,
     queue_add,
@@ -25,6 +27,7 @@ from unlearn.protocol import (
     verify_unlearn,
     verify_update,
 )
+from unlearn.r1cs import WitnessSynthesisError
 
 
 def pt(pub, uid, x, y):
@@ -287,3 +290,29 @@ def test_queue_adds_checks_each_point(fast_pub):
     with pytest.raises(ValueError, match="arity"):
         queue_adds(state, [DataPoint(uid=4, x=(1, 2), y=0)], fast_pub)
     assert queue_adds(state, [], fast_pub) == state
+
+
+@pytest.mark.parametrize("tag", ABSENT_TAGS, ids=["training-tag", "unlearnt-tag"])
+def test_admission_refuses_a_digest_equal_to_an_absent_slot_tag(fast_pub, monkeypatch, tag):
+    # Either tag as a digest zeroes the disjointness product, once the
+    # point is in the other array than the tag's: the training tag as an
+    # unlearnt digest against an absent training slot, and the unlearnt
+    # tag as a training digest against an absent unlearnt slot.  An
+    # admitted point can land in either array, so admission refuses both
+    # tags, naming the uid and leaving the state unchanged.
+    sets = ([], [], [tag]) if tag == ABSENT_TAGS[0] else ([tag], [], [])
+    with pytest.raises(WitnessSynthesisError):
+        data_projection(fast_pub.config, *sets)
+    state, _, _ = server_init(fast_pub)
+    state = queue_add(state, pt(fast_pub, 1, 0.5, 1), fast_pub)
+    digest = protocol.hash_data_point
+    monkeypatch.setattr(
+        protocol, "hash_data_point", lambda d, cfg: tag if d.uid == 3 else digest(d, cfg)
+    )
+    points = [pt(fast_pub, 2, 0.25, 0), pt(fast_pub, 3, -0.25, 1)]
+    for admit in (lambda: queue_adds(state, points, fast_pub),
+                  lambda: queue_add(state, points[1], fast_pub)):
+        with pytest.raises(ReservedDigest, match="uid 3 not admitted"):
+            admit()
+    assert state.pending_add == (pt(fast_pub, 1, 0.5, 1),)
+    assert queue_add(state, points[0], fast_pub).pending_add[-1] == points[0]

@@ -7,7 +7,7 @@ import functools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import failing_rows, is_satisfied
+from conftest import failing_rows, is_satisfied, statement_of
 from unlearn.circuits import ModelCircuit, model_projection
 from unlearn.field import MAX_ABS, FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
 from unlearn.gadgets import CircuitBuilder, lc_wire
@@ -228,7 +228,7 @@ def test_native_overflow_iff_synthesis_fails(kind, epochs, rows):
         return
     assert is_satisfied(circuit.cs, circuit.cs.witness())
     digests = tuple(hash_data_point(d, TINY) for d in ds.points)
-    assert circuit.statement == (
+    assert statement_of(circuit.cs) == (
         hash_model_weights(model.weights, TINY),
         hash_data(digests, TINY),
     )
