@@ -5,25 +5,25 @@ additions and constant scaling are free; only multiplications allocate
 wires and constraints.  Every product gadget returns one new wire that
 its own row defines (``r1cs``): C is that wire less any terms added to
 the product.  No row then copies the combination that fed an earlier
-one, so no row grows with capacity or epochs.  Each gadget computes the
-values of the wires it allocates from the values of its inputs as it
-allocates them, so a circuit built from its inputs carries its witness.
-The hash gadgets replay the exact computation of ``hashing`` and the
-fixed-point multiply replays ``field.fx_mul`` with one bit decomposition
-of the rounded, offset product, which is also its range check against
-the value bound of ``field``; where native training raises
-FixedPointOverflow, so do they.  ``pin_absent`` fixes each value of an
-absent slot to a constant, so a padded circuit leaves no wire free of
-its inputs.
+one, so no row grows with capacity or epochs.  Gadgets write rows only:
+they compute no wire values, and the rows derive every wire a gadget
+allocates from its inputs (``ConstraintSystem.complete``).  The hash
+gadgets' rows encode the exact computation of ``hashing``.  The
+fixed-point multiply's rows encode ``field.fx_mul``, with one bit
+decomposition of the rounded, offset product, which is also its range
+check against the value bound of ``field``: where native training raises
+FixedPointOverflow, no witness satisfies them.  ``pin_absent`` fixes
+each value of an absent slot to a constant, so a padded circuit leaves
+no wire free of its inputs.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .field import ScaleConfig, check_value_range, fx_encode, rescale, signed_repr
+from .field import ScaleConfig, fx_encode
 from .hashing import UID_BITS, HashConfig, empty_root, point_layout, round_constants
-from .r1cs import ConstraintSystem, LinComb, WitnessSynthesisError
+from .r1cs import ConstraintSystem, LinComb
 
 
 def lc_const(v: int) -> LinComb:
@@ -65,34 +65,24 @@ class CircuitBuilder:
 
     def mul(self, a: LinComb, b: LinComb, plus: LinComb = {}) -> LinComb:
         """a * b + plus as a new wire, defined by its row a * b = w - plus."""
-        cs = self.cs
-        w = cs.alloc_private(cs.lc_value(a) * cs.lc_value(b) + cs.lc_value(plus))
-        cs.enforce(a, b, self.sub(lc_wire(w), plus))
+        w = self.cs.alloc_private()
+        self.cs.enforce(a, b, self.sub(lc_wire(w), plus))
         return lc_wire(w)
 
     def enforce_eq(self, a: LinComb, b: LinComb) -> None:
         self.cs.enforce(self.sub(a, b), lc_const(1), {})
 
-    def bind(self, wire: int, a: LinComb) -> None:
-        """Give a statement wire, allocated before the body that computes
-        ``a``, the value of ``a``, and enforce that they are equal."""
-        self.cs.values[wire] = self.cs.lc_value(a)
-        self.enforce_eq(a, lc_wire(wire))
-
     def enforce_boolean(self, a: LinComb) -> None:
         self.cs.enforce(a, self.sub(lc_const(1), a), {})
 
     def bits(self, a: LinComb, width: int) -> list[int]:
-        """Bit-decompose a into ``width`` boolean wires; raises
-        WitnessSynthesisError if its value does not fit.  The sum row a * 1
+        """Bit-decompose a into ``width`` boolean wires.  The sum row a * 1
         = sum 2^i b_i comes first, with the bits new in its C, so it
-        defines them as a's binary digits (``r1cs``); the boolean rows
-        follow."""
+        defines them as a's binary digits (``r1cs``), and no witness
+        satisfies it when a does not fit in ``width`` bits; the boolean
+        rows follow."""
         cs = self.cs
-        v = cs.lc_value(a)
-        if v >> width:
-            raise WitnessSynthesisError(f"value {v} exceeds {width}-bit range check")
-        wires = [cs.alloc_private((v >> i) & 1) for i in range(width)]
+        wires = [cs.alloc_private() for _ in range(width)]
         cs.enforce(a, lc_const(1), {w: 1 << i for i, w in enumerate(wires)})
         for w in wires:
             self.enforce_boolean(lc_wire(w))
@@ -100,10 +90,9 @@ class CircuitBuilder:
 
     def value_range(self, a: LinComb) -> LinComb:
         """Enforce a in [-2^B, 2^B), B = scale.value_bits: the interval
-        native training accepts for features and labels.  Raises
-        FixedPointOverflow outside it, as native training does.  Returns
-        the range-checked a + 2^B."""
-        check_value_range(self.cs.lc_value(a), self.scale)
+        native training accepts for features and labels: outside it, where
+        native training raises FixedPointOverflow, no witness satisfies
+        the decomposition's sum row.  Returns the range-checked a + 2^B."""
         offset = self.add(a, lc_const(1 << self.scale.value_bits))
         self.bits(offset, self.scale.value_bits + 1)
         return offset
@@ -127,12 +116,11 @@ class CircuitBuilder:
         data, every product is range-checked here, and every sum feeding
         a product adds up a number of such terms linear in capacity *
         epochs, so operands stay far below sqrt(p/2).  A product whose
-        rounded quotient leaves [-2^B, 2^B) raises FixedPointOverflow,
-        through the same ``field.rescale`` as native training."""
-        cs = self.cs
+        rounded quotient leaves [-2^B, 2^B), where native training raises
+        FixedPointOverflow, has no B+k+1 digits, so no witness satisfies
+        the decomposition's sum row."""
         k, bound = self.scale.frac_bits, self.scale.value_bits
         prod = self.mul(a, b)
-        rescale(signed_repr(cs.lc_value(prod), self.scale), self.scale)  # the overflow check
         offset = lc_const((1 << (k - 1)) + (1 << (bound + k)))
         wires = self.bits(self.add(prod, offset), bound + k + 1)
         high = {w: 1 << i for i, w in enumerate(wires[k:])}
@@ -164,8 +152,7 @@ class CircuitBuilder:
     def hash_data_point(self, uid: LinComb, x: list[LinComb], y: LinComb) -> LinComb:
         """Range-check the uid to UID_BITS bits and each value to the value
         bound, which makes packing them into limbs injective, then absorb
-        the limbs as ``hashing.hash_data_point`` does.  Raises
-        FixedPointOverflow for a value outside the bound."""
+        the limbs as ``hashing.hash_data_point`` does."""
         self.bits(uid, UID_BITS)
         elements = [uid, *(self.value_range(v) for v in (*x, y))]
         limbs = [
@@ -229,14 +216,11 @@ class CircuitBuilder:
         """Enforce v = const in an absent slot: (v - const) * (1 - present) = 0."""
         self.cs.enforce(self.sub(v, lc_const(const)), self.sub(lc_const(1), present), {})
 
-    def nonzero(self, a: LinComb, why: str) -> None:
-        """Enforce a != 0 via its inverse witness v: a * v = 1.  Raises
-        WitnessSynthesisError(why) when a is 0, which has no inverse."""
+    def nonzero(self, a: LinComb) -> None:
+        """Enforce a != 0 via its inverse v, a free wire: a * v = 1, which
+        no v satisfies when a is 0."""
         cs = self.cs
-        value = cs.lc_value(a)
-        if not value:
-            raise WitnessSynthesisError(why)
-        cs.enforce(a, lc_wire(cs.alloc_private(pow(value, -1, cs.modulus))), lc_const(1))
+        cs.enforce(a, lc_wire(cs.alloc_private()), lc_const(1))
 
 
 class CircuitOps:

@@ -84,7 +84,9 @@ def ingest_csv(
     label_column: Optional[str] = None,
     categorical: bool = True,
 ) -> IngestedDataset:
-    with open(path, newline="") as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise hide the
+    # first column's name (``uid``, say) behind it.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
     if len(rows) < 2:
@@ -122,6 +124,11 @@ def ingest_csv(
             encoded_features[name] = [fx_encode(v.strip(), scale) for v in values]
             columns.append(ColumnInfo(name, kind))
         elif not categorical:
+            bad = next((v for v in values if not _is_number(v.strip())), None)
+            if bad is not None and any(_is_number(v.strip()) for v in values):
+                # Numeric cells beside a bad one: a numeric column with a
+                # bad cell, not a categorical column.
+                raise NonNumericCell(f"column {name!r}: cell {bad!r} is not numeric")
             raise SchemaError(
                 f"column {name!r} is categorical: its codes depend on the file, "
                 "so a point would not hash the same in another one"

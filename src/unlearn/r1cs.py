@@ -11,11 +11,9 @@ distinct nonzero coefficients.  Those arrays are also the export format,
 so building, fingerprinting, storing, loading and evaluating all use one
 encoding.
 
-Each wire gets its value when it is allocated: gadgets compute it from
-the values of the wires they read, so building a circuit for given inputs
-also yields its witness (``witness``).  The rows never depend on the
-values, so every input gives the same export.  Statement wires are
-allocated first and assigned once the body that computes them is built.
+A system holds rows only, never wire values: a circuit is built once
+from its shape, and every input gives the same export.  Statement wires
+are allocated first.  A witness comes from the rows alone, as below.
 
 Most private wires are fixed by the rows that read them first.  A row
 whose C ends in a wire with coefficient 1, above every wire of its A, B
@@ -83,8 +81,9 @@ class Unsatisfied(ValueError):
 
 
 class WitnessSynthesisError(ValueError):
-    """A wire has no valid value for the given inputs (e.g. the inverse of
-    zero, or a value too wide for its range check)."""
+    """A circuit's inputs have no witness.  Only ``data_projection``
+    raises it: intersecting training and unlearnt sets zero the data
+    circuit's disjointness product, which has no inverse."""
 
 
 @contextmanager
@@ -195,10 +194,8 @@ class _Rows(SequenceABC):
 class ConstraintSystem:
     def __init__(self, modulus: int):
         self.modulus = modulus
-        # The value of each wire, reduced mod p; wire 0 is the constant 1.
-        self.values: list[int] = [1]
         self.num_public = 0
-        self._num_wires = 1
+        self._num_wires = 1  # wire 0 is the constant 1
         # Coefficient -> id, in id order; _table is the same list of
         # coefficients, brought up to date when read.
         self._coefficient_ids: dict[int, int] = {}
@@ -209,7 +206,7 @@ class ConstraintSystem:
 
     # -- building ----------------------------------------------------------
 
-    def _alloc(self, is_public: bool, value: int) -> int:
+    def _alloc(self, is_public: bool) -> int:
         if self._finalized:
             raise BuildPhaseClosed("constraint system is finalized")
         idx = self._num_wires
@@ -217,17 +214,16 @@ class ConstraintSystem:
             if idx != self.num_public + 1:
                 raise ValueError("public wires must be allocated first")
             self.num_public += 1
-        self.values.append(value % self.modulus)
         self._num_wires += 1
         return idx
 
-    def alloc_public(self, value: int = 0) -> int:
-        return self._alloc(True, value)
+    def alloc_public(self) -> int:
+        return self._alloc(True)
 
-    def alloc_private(self, value: int = 0, name: Optional[str] = None) -> int:
-        """A private wire holding ``value``.  ``name`` only labels the call
-        site; it is not stored."""
-        return self._alloc(False, value)
+    def alloc_private(self, *, name: Optional[str] = None) -> int:
+        """A new private wire.  ``name`` only labels the call site; it is
+        not stored."""
+        return self._alloc(False)
 
     def enforce(self, a: LinComb, b: LinComb, c: LinComb) -> None:
         if self._finalized:
@@ -288,18 +284,7 @@ class ConstraintSystem:
         terms = sum(len(m.wires) for m in self._matrices)
         return CircuitStats(self.num_constraints, self.num_public, self.num_private, terms)
 
-    def witness(self) -> Witness:
-        """The values assigned while building."""
-        return Witness(self.values)
-
     # -- evaluation ----------------------------------------------------------
-
-    def lc_value(self, lc: LinComb, values: Optional[Sequence[int]] = None) -> int:
-        """Value of a linear combination under ``values``, by default the
-        values assigned so far."""
-        if values is None:
-            values = self.values
-        return sum(c * values[w] for w, c in lc.items()) % self.modulus
 
     def _row_sums(self, values: Sequence[int]) -> Iterator[Iterator[int]]:
         """<A,z>, <B,z> and <C,z> of each row in turn, unreduced.  Streams
@@ -478,8 +463,7 @@ class ConstraintSystem:
 
     @classmethod
     def from_export(cls, data: bytes) -> "ConstraintSystem":
-        """Load ``export()`` output into a finalized system that evaluates
-        witnesses; it has no wire values of its own.  Strict: input that
+        """Load ``export()`` output into a finalized system.  Strict: input that
         ``export()`` would not write raises ValueError, so
         ``from_export(x).export() == x`` whenever it returns."""
         # Slices of a view copy nothing: loading holds the input and the
@@ -530,7 +514,6 @@ class ConstraintSystem:
         if len(used) != num_coefficients:
             raise ValueError("r1cs coefficient table has unused entries")
         cs = cls(modulus)
-        cs.values = []
         cs._num_wires = num_wires
         cs.num_public = num_public
         cs._coefficient_ids = dict(zip(table, count()))

@@ -216,8 +216,8 @@ def train_model(dataset: Dataset, cfg: TrainConfig) -> ModelParams:
 
     Raises FixedPointOverflow, naming the point, when a feature or label
     lies outside [-2^B, 2^B) or a rescaled product reaches 2^B, with
-    B = cfg.scale.value_bits: exactly where building the model circuit
-    raises, with the same message.
+    B = cfg.scale.value_bits: exactly where the model circuit's rows have
+    no witness for the dataset.
     """
     if dataset.arity != cfg.arity:
         raise ShapeMismatch(

@@ -1,11 +1,16 @@
+import functools
 import weakref
 
 import pytest
 
-from unlearn.field import ScaleConfig
+from unlearn.circuits import ABSENT_DIGESTS, DataCircuit, ModelCircuit
+from unlearn.circuits import data_projection, model_projection
+from unlearn.field import FixedPointOverflow, ScaleConfig
+from unlearn.gadgets import CircuitBuilder, lc_wire
+from unlearn.hashing import HashConfig, hash_data, hash_data_point, hash_unlearn
 from unlearn.proofsys import find_helper
 from unlearn.protocol import ProtocolConfig, global_setup
-from unlearn.r1cs import Unsatisfied
+from unlearn.r1cs import ConstraintSystem, Unsatisfied
 from unlearn.training import default_train_config
 
 # Reduced-round hash profile: structurally identical to the default, an
@@ -38,11 +43,93 @@ needs_snark = pytest.mark.skipif(
 )
 
 
+# -- witnesses from the rows ---------------------------------------------------------
+
+
+def gadget_witness(build, inputs, rounds=TINY_ROUNDS):
+    """Allocate ``inputs`` as free private wires, call ``build(builder,
+    *wires)`` with each wire as a linear combination, finalize, and
+    complete [1, *inputs]: the gadget's rows derive every other wire.
+    Returns the system, the completed witness and ``build``'s result."""
+    scale = ScaleConfig()
+    cs = ConstraintSystem(scale.modulus)
+    builder = CircuitBuilder(cs, scale, HashConfig(rounds))
+    wires = [lc_wire(cs.alloc_private()) for _ in inputs]
+    out = build(builder, *wires)
+    cs.finalize()
+    return cs, cs.complete([1, *(v % cs.modulus for v in inputs)]), out
+
+
+@functools.cache
+def circuit_rows(circuit, config) -> ConstraintSystem:
+    """``circuit(config)``'s rows, built once per config as setup builds
+    them: they do not depend on any input."""
+    return circuit(config).cs
+
+
+def model_witness(config, dataset):
+    """The model circuit's rows and the witness they complete from the
+    native projection for ``dataset``."""
+    cs = circuit_rows(ModelCircuit, config)
+    return cs, cs.complete(model_projection(config, dataset)[0])
+
+
+def data_witness(config, *sets):
+    """The data circuit's rows and the witness they complete from the
+    native projection for the digest sets (training, previous unlearnt,
+    appended)."""
+    cs = circuit_rows(DataCircuit, config)
+    return cs, cs.complete(data_projection(config, *sets))
+
+
+def model_slot_projection(config, dataset, h_m=0) -> list[int]:
+    """A model projection with ``dataset``'s slot inputs, laid out as
+    ``model_projection`` lays them out but whether or not native training
+    accepts them: the given h_m, and the native h_D, or 0 where a value
+    has no digest."""
+    cfg = config.hash_cfg
+    try:
+        h_d = hash_data([hash_data_point(d, cfg) for d in dataset.points], cfg)
+    except FixedPointOverflow:
+        h_d = 0
+    slots = [v % cfg.modulus for d in dataset.points for v in (1, d.uid, *d.x, d.y)]
+    slots += [0] * ((config.capacity - len(dataset.points)) * (dataset.arity + 3))
+    return [1, h_m % cfg.modulus, h_d, *slots]
+
+
+def data_slot_projection(config, data, prev, add, inverse) -> list[int]:
+    """A data projection for the digest sets, laid out as
+    ``data_projection`` lays it out but whether or not they are disjoint:
+    the native roots, then ``inverse`` as the product's inverse."""
+    cfg = config.hash_cfg
+    unlearnt = [*prev, *add]
+    given = [1, hash_data(data, cfg), hash_unlearn(prev, cfg), hash_unlearn(unlearnt, cfg)]
+    for items, cap, absent in zip(
+        (data, unlearnt), (config.capacity, config.unlearn_capacity), ABSENT_DIGESTS
+    ):
+        pad = cap - len(items)
+        given += [1] * len(items) + [0] * pad + [v % cfg.modulus for v in items] + [absent] * pad
+    given += [int(j < len(prev)) for j in range(config.unlearn_capacity)]
+    return [*given, inverse % cfg.modulus]
+
+
+def is_sum_row(row) -> bool:
+    """Whether ``row`` is a bit decomposition's sum row, a * 1 = sum 2^i
+    b_i, as ``CircuitBuilder.bits`` writes it."""
+    _, b, c = row
+    return b == {0: 1} and len(c) > 1 and list(c.values()) == [1 << i for i in range(len(c))]
+
+
 # -- reading rows one by one ------------------------------------------------------
 #
 # ``ConstraintSystem.complete`` is the program's one evaluator of rows.  These
-# helpers read the rows through ``cs.constraints`` and ``cs.lc_value``
-# instead, row by row, so tests can ask which rows fail and compare the two.
+# helpers read the rows through ``cs.constraints`` and ``lc_value`` instead,
+# row by row, so tests can ask which rows fail and compare the two.
+
+
+def lc_value(cs, lc, values) -> int:
+    """Value of a linear combination under the wire values ``values``."""
+    return sum(c * values[w] for w, c in lc.items()) % cs.modulus
 
 
 def is_satisfied(cs, witness) -> bool:
@@ -57,8 +144,8 @@ def is_satisfied(cs, witness) -> bool:
 
 def _holds(cs, row, values) -> bool:
     a, b, c = row
-    product = cs.lc_value(a, values) * cs.lc_value(b, values)
-    return (product - cs.lc_value(c, values)) % cs.modulus == 0
+    product = lc_value(cs, a, values) * lc_value(cs, b, values)
+    return (product - lc_value(cs, c, values)) % cs.modulus == 0
 
 
 # cs -> its rows, then the rows that read each wire.  Rows are only ever
@@ -96,7 +183,7 @@ def satisfied_at_wire(cs, witness, wire: int) -> bool:
     return all(_holds(cs, rows[i], witness.values) for i in touching[wire])
 
 
-def statement_of(cs) -> tuple[int, ...]:
-    """A built circuit's statement: the values of its public wires, which
-    each circuit allocates first."""
-    return tuple(cs.values[1 : 1 + cs.num_public])
+def statement_of(cs, witness) -> tuple[int, ...]:
+    """A completed witness's statement: the values of its public wires,
+    which each circuit allocates first."""
+    return tuple(witness.values[1 : 1 + cs.num_public])

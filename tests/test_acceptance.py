@@ -15,9 +15,10 @@ import time
 
 import pytest
 
-from conftest import is_satisfied, needs_snark, satisfied_at_wire, statement_of
+from conftest import data_slot_projection, data_witness, is_satisfied, model_witness, needs_snark
+from conftest import satisfied_at_wire
 from unlearn.bench import synthetic_dataset
-from unlearn.circuits import DataCircuit, ModelCircuit
+from unlearn.circuits import ModelCircuit, data_projection, model_projection
 from unlearn.field import ScaleConfig, fx_decode, fx_encode, sigmoid_approx
 from unlearn.game import builtin_strategies, run_completeness, run_suite
 from unlearn.hashing import (
@@ -43,7 +44,7 @@ from unlearn.protocol import (
     verify_unlearn,
     verify_update,
 )
-from unlearn.r1cs import Witness
+from unlearn.r1cs import Unsatisfied, Witness, WitnessSynthesisError
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -129,7 +130,8 @@ def test_criterion_2_security_game_sound_backend():
 def test_criterion_3_exhaustive_witness_mutation():
     """On capacity-4 circuits with an absent slot in each array, every
     single-wire mutation of an honest witness breaks some constraint, and
-    intersecting sets admit no satisfying witness."""
+    intersecting sets admit no satisfying witness: no inverse completes
+    their projection."""
     started = time.monotonic()
     config = ProtocolConfig(
         train=default_train_config("linear", 1, epochs=1),
@@ -139,27 +141,25 @@ def test_criterion_3_exhaustive_witness_mutation():
         hash_rounds=TINY_HASH.rounds,
     )
     ds = synthetic_dataset(3, 1, SCALE, seed=5)
-    model_circuit = ModelCircuit(config, ds)
-    w = model_circuit.cs.witness()
-    assert is_satisfied(model_circuit.cs, w)
-    survivors = _mutate_all(model_circuit.cs, w)
+    model_cs, w = model_witness(config, ds)
+    assert is_satisfied(model_cs, w)
+    survivors = _mutate_all(model_cs, w)
     assert survivors == [], f"unconstrained model-circuit wires: {survivors[:5]}"
-    model_wires = model_circuit.cs.num_wires
+    model_wires = model_cs.num_wires
 
     digests = [hash_data_point(d, TINY_HASH) for d in ds.points]
     ghosts = [
         hash_data_point(DataPoint(100 + i, (fx_encode(i, SCALE),), 0), TINY_HASH)
         for i in range(4)
     ]
-    data_circuit = DataCircuit(config, digests, ghosts[:2], ghosts[2:3])
-    wd = data_circuit.cs.witness()
-    assert is_satisfied(data_circuit.cs, wd)
-    survivors = _mutate_all(data_circuit.cs, wd)
+    data_cs, wd = data_witness(config, digests, ghosts[:2], ghosts[2:3])
+    assert is_satisfied(data_cs, wd)
+    survivors = _mutate_all(data_cs, wd)
     assert survivors == [], f"unconstrained data-circuit wires: {survivors[:5]}"
 
-    # Intersecting sets: exhaustive over a small digest grid.
-    from unlearn.r1cs import WitnessSynthesisError
-
+    # Intersecting sets: exhaustive over a small digest grid.  The native
+    # projection raises, and the rows refuse the product's row, the last,
+    # under any inverse.
     grid = [1, 2, 3, 4]
     checked = 0
     for a in grid:
@@ -172,8 +172,13 @@ def test_criterion_3_exhaustive_witness_mutation():
                         continue
                     overlap = {a, b} & {u1, u2}
                     if overlap:
+                        sets = ([a, b], [u1], [u2])
                         with pytest.raises(WitnessSynthesisError):
-                            DataCircuit(config, [a, b], [u1], [u2])
+                            data_projection(config, *sets)
+                        for inverse in (0, 1, a - u1):
+                            with pytest.raises(Unsatisfied) as refused:
+                                data_cs.complete(data_slot_projection(config, *sets, inverse))
+                            assert refused.value.row == data_cs.num_constraints - 1
                         checked += 1
     assert checked > 0
     elapsed = time.monotonic() - started
@@ -181,7 +186,7 @@ def test_criterion_3_exhaustive_witness_mutation():
     _announce(
         3,
         f"mutated {model_wires - 1} model-circuit and "
-        f"{data_circuit.cs.num_wires - 1} data-circuit wires with zero "
+        f"{data_cs.num_wires - 1} data-circuit wires with zero "
         f"survivors; {checked} overlapping-set instances unsatisfiable "
         f"({elapsed:.1f}s)",
     )
@@ -254,13 +259,11 @@ def test_criterion_5_linear_scaling_and_constant_verification():
     counts = []
     circuits = {}
     for size in sizes:
-        circuit = ModelCircuit(
-            ProtocolConfig(
-                train=train, capacity=size, unlearn_capacity=1, hash_rounds=FULL_HASH.rounds
-            ),
-            synthetic_dataset(size, 1, SCALE),
+        config = ProtocolConfig(
+            train=train, capacity=size, unlearn_capacity=1, hash_rounds=FULL_HASH.rounds
         )
-        circuits[size] = circuit
+        circuit = ModelCircuit(config)
+        circuits[size] = (circuit.cs, model_projection(config, synthetic_dataset(size, 1, SCALE))[0])
         counts.append(circuit.cs.stats().constraint_count)
 
     for small, large in zip(counts, counts[1:]):
@@ -276,11 +279,11 @@ def test_criterion_5_linear_scaling_and_constant_verification():
     backend = Groth16Backend()
     verify_times = {}
     for size in (8, 64):
-        circuit = circuits[size]
-        rel = RelationHandle.of(circuit.cs)
+        cs, given = circuits[size]
+        rel = RelationHandle.of(cs)
         rel.keys = backend.setup(rel)
-        statement = statement_of(circuit.cs)
-        blob = backend.prove(rel, circuit.cs.project(circuit.cs.witness()))
+        statement = tuple(given[1 : 1 + cs.num_public])
+        blob = backend.prove(rel, given)
         assert backend.verify(rel, statement, blob)  # warmup
         samples = []
         for _ in range(9):

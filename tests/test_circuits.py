@@ -1,10 +1,23 @@
-import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import failing_rows, is_satisfied, rows_touching, satisfied_at_wire, statement_of
+from conftest import (
+    circuit_rows,
+    data_slot_projection,
+    data_witness,
+    failing_rows,
+    gadget_witness,
+    is_satisfied,
+    is_sum_row,
+    lc_value,
+    model_slot_projection,
+    model_witness,
+    rows_touching,
+    satisfied_at_wire,
+    statement_of,
+)
 from unlearn.circuits import (
     DataCircuit,
     ModelCircuit,
@@ -39,17 +52,10 @@ def enc(r):
     return fx_encode(r, SCALE)
 
 
-def _builder():
-    cs = ConstraintSystem(P)
-    return CircuitBuilder(cs, SCALE, TINY), cs
-
-
 def _fx_mul(a, b):
-    """fx_mul on two private wires holding a and b."""
-    builder, cs = _builder()
-    out = builder.fx_mul(lc_wire(cs.alloc_private(a)), lc_wire(cs.alloc_private(b)))
-    cs.finalize()
-    return builder, cs, out
+    """fx_mul on two free wires holding a and b, and the witness its rows
+    complete."""
+    return gadget_witness(CircuitBuilder.fx_mul, [a, b])
 
 
 # -- gadget-level agreement with the native implementations ---------------------
@@ -61,14 +67,13 @@ def _fx_mul(a, b):
 )
 @settings(max_examples=40, deadline=None)
 def test_fx_mul_gadget_matches_native(a, b):
-    _, cs, out = _fx_mul(a, b)
-    assert is_satisfied(cs, cs.witness())
-    assert cs.lc_value(out) == fx_mul(a % P, b % P, SCALE)
+    cs, w, out = _fx_mul(a, b)
+    assert is_satisfied(cs, w)
+    assert lc_value(cs, out, w.values) == fx_mul(a % P, b % P, SCALE)
 
 
 def test_fx_mul_gadget_rejects_mutated_quotient():
-    _, cs, out = _fx_mul(enc(0.5), enc(0.5))
-    w = cs.witness()
+    cs, w, out = _fx_mul(enc(0.5), enc(0.5))
     out_wire = next(iter(out))
     assert w.values[out_wire] == enc(0.25)
     mutated = list(w.values)
@@ -84,37 +89,43 @@ def test_range_check_overflow_raises():
     _fx_mul(enc(lo), enc(hi // 2))
     _fx_mul(enc(-lo), enc(hi))  # -2^e, the bound's closed end
     with pytest.raises(FixedPointOverflow, match=f"{1 << B} lies outside the {B}-bit value bound"):
+        fx_mul(enc(lo), enc(hi), SCALE)
+    # The rounded product 2^e has no B+k+1 digits once offset: the walk
+    # refuses the decomposition's sum row, the row after the product's.
+    with pytest.raises(Unsatisfied) as refused:
         _fx_mul(enc(lo), enc(hi))
+    cs, _, _ = _fx_mul(0, 0)
+    assert refused.value.row == 1 and is_sum_row(cs.constraints[1])
 
 
 def test_bits_overflow_raises():
-    builder, cs = _builder()
-    assert len(builder.bits(lc_wire(cs.alloc_private(2**8 - 1)), 8)) == 8
-    with pytest.raises(WitnessSynthesisError, match="exceeds 8-bit range check"):
-        builder.bits(lc_wire(cs.alloc_private(2**8)), 8)
+    def bits8(builder, a):
+        return builder.bits(a, 8)
+
+    cs, w, bits = gadget_witness(bits8, [2**8 - 1])
+    assert len(bits) == 8 and [w.values[b] for b in bits] == [1] * 8
+    # 2^8 has no 8 digits: the walk refuses the sum row, row 0.
+    with pytest.raises(Unsatisfied) as refused:
+        gadget_witness(bits8, [2**8])
+    assert refused.value.row == 0 and is_sum_row(cs.constraints[0])
 
 
 def test_select_gadget():
     for sel, expected in ((1, 10), (0, 20)):
-        builder, cs = _builder()
-        s, a, b = (lc_wire(cs.alloc_private(v)) for v in (sel, 10, 20))
-        out = builder.select(s, a, b)
-        cs.finalize()
-        assert is_satisfied(cs, cs.witness())
-        assert cs.lc_value(out) == expected
+        cs, w, out = gadget_witness(CircuitBuilder.select, [sel, 10, 20])
+        assert is_satisfied(cs, w)
+        assert lc_value(cs, out, w.values) == expected
 
 
 def test_hash_gadgets_match_native():
-    builder, cs = _builder()
-    v, l, r = (lc_wire(cs.alloc_private(x)) for x in (5, 6, 7))
-    h2 = builder.hash2(l, r)
-    hm = builder.hash_model([v, l])
-    hd = builder.hash_data_point(v, [l], r)
-    cs.finalize()
-    assert is_satisfied(cs, cs.witness())
-    assert cs.lc_value(h2) == hash2(6, 7, TINY)
-    assert cs.lc_value(hm) == hash_model_weights([5, 6], TINY)
-    assert cs.lc_value(hd) == hash_data_point(DataPoint(5, (6,), 7), TINY)
+    def hashes(builder, v, l, r):
+        return builder.hash2(l, r), builder.hash_model([v, l]), builder.hash_data_point(v, [l], r)
+
+    cs, w, (h2, hm, hd) = gadget_witness(hashes, [5, 6, 7])
+    assert is_satisfied(cs, w)
+    assert lc_value(cs, h2, w.values) == hash2(6, 7, TINY)
+    assert lc_value(cs, hm, w.values) == hash_model_weights([5, 6], TINY)
+    assert lc_value(cs, hd, w.values) == hash_data_point(DataPoint(5, (6,), 7), TINY)
 
 
 FULL = HashConfig()
@@ -130,13 +141,13 @@ def test_hash_data_point_gadget_matches_native(arity):
     values = [-(2**B), 2**B - 1, enc(-0.75), 0, enc(1)]
     d = DataPoint(2**64 - 1, tuple(v % P for v in values[:arity]), values[-1] % P)
     assert len(point_layout(arity, FULL)) == limbs
-    cs = ConstraintSystem(P)
-    builder = CircuitBuilder(cs, SCALE, FULL)
-    uid, *x, y = (lc_wire(cs.alloc_private(v)) for v in (d.uid, *d.x, d.y))
-    digest = builder.hash_data_point(uid, x, y)
-    cs.finalize()
-    assert is_satisfied(cs, cs.witness())
-    assert cs.lc_value(digest) == hash_data_point(d, FULL)
+    cs, w, digest = gadget_witness(
+        lambda builder, uid, *values: builder.hash_data_point(uid, values[:-1], values[-1]),
+        [d.uid, *d.x, d.y],
+        rounds=FULL.rounds,
+    )
+    assert is_satisfied(cs, w)
+    assert lc_value(cs, digest, w.values) == hash_data_point(d, FULL)
     assert cs.num_constraints == limbs * COMPRESS + 65 + (arity + 1) * (B + 2)
 
 
@@ -144,9 +155,9 @@ def test_packing_forgery_fails_the_uid_range_check():
     # uid + 2^64 and (x + 2^B) - 1 pack into the same limb, so the digest
     # and every hash downstream stay the same; with x's bit wires
     # recomputed, only the uid's 64-bit range check can tell.
-    circuit = ModelCircuit(_config(capacity=2), _dataset(2))
-    cs, B = circuit.cs, SCALE.value_bits
-    values = list(cs.witness().values)
+    cs, honest = model_witness(_config(capacity=2), _dataset(2))
+    B = SCALE.value_bits
+    values = list(honest.values)
     # Slot 0, after the statement: presence, uid, x, y, then the gadget's
     # 64 uid bits and x's B + 1 bits.
     uid_w = cs.num_public + 2
@@ -180,48 +191,48 @@ def test_hash_model_gadget_matches_native(kind, arity, hidden):
     # at one compression per weight.
     config = _config(capacity=3, arity=arity, kind=kind, hidden=hidden)
     weights = train_model(_dataset(3, arity=arity), config.train).weights
-    cs = ConstraintSystem(P)
-    builder = CircuitBuilder(cs, SCALE, FULL)
-    h_m = builder.hash_model([lc_wire(cs.alloc_private(w)) for w in weights])
-    cs.finalize()
-    assert is_satisfied(cs, cs.witness())
-    assert cs.lc_value(h_m) == hash_model_weights(weights, FULL)
+    cs, w, h_m = gadget_witness(
+        lambda builder, *ws: builder.hash_model(list(ws)), weights, rounds=FULL.rounds
+    )
+    assert is_satisfied(cs, w)
+    assert lc_value(cs, h_m, w.values) == hash_model_weights(weights, FULL)
     assert cs.num_constraints == len(weights) * COMPRESS
 
 
-def _padded(builder, cs, values, capacity):
-    """Private item and presence wires for ``values`` padded to capacity."""
-    padded = values + [0] * (capacity - len(values))
-    items = [lc_wire(cs.alloc_private(v)) for v in padded]
-    pres = [lc_wire(cs.alloc_private(int(i < len(values)))) for i in range(capacity)]
-    builder.prefix_presence(pres)
-    return items, pres
+def _padded(values, capacity):
+    """``values`` padded to capacity with 0, then their presence bits."""
+    return values + [0] * (capacity - len(values)) + [int(i < len(values)) for i in range(capacity)]
 
 
 @pytest.mark.parametrize("occupancy", range(0, 6))
 def test_padded_merkle_root_matches_native(occupancy):
-    builder, cs = _builder()
+    def root(builder, *wires):
+        items, pres = wires[:5], wires[5:]
+        builder.prefix_presence(pres)
+        return builder.merkle_root(items, pres)
+
     values = [hash2(i + 100, 0, TINY) for i in range(occupancy)]
-    root = builder.merkle_root(*_padded(builder, cs, values, 5))
-    cs.finalize()
-    assert is_satisfied(cs, cs.witness())
-    assert cs.lc_value(root) == hash_data(values, TINY)
+    cs, w, out = gadget_witness(root, _padded(values, 5))
+    assert is_satisfied(cs, w)
+    assert lc_value(cs, out, w.values) == hash_data(values, TINY)
 
 
 @pytest.mark.parametrize("occupancy", range(0, 5))
 def test_padded_chain_matches_native(occupancy):
     from unlearn.hashing import empty_root
 
+    def roots(builder, *wires):
+        items, pres, marks = wires[:4], wires[4:8], wires[8:]
+        builder.prefix_presence(pres)
+        builder.prefix_presence(marks, within=pres)
+        return builder.chain_root(lc_const(empty_root(TINY)), items, pres, marks)
+
     values = [hash2(i + 7, 0, TINY) for i in range(occupancy)]
     for marked in range(occupancy + 1):
-        builder, cs = _builder()
-        items, pres = _padded(builder, cs, values, 4)
-        marks = [lc_wire(cs.alloc_private(int(j < marked))) for j in range(4)]
-        builder.prefix_presence(marks, within=pres)
-        roots = builder.chain_root(lc_const(empty_root(TINY)), items, pres, marks)
-        cs.finalize()
-        assert is_satisfied(cs, cs.witness())
-        assert tuple(map(cs.lc_value, roots)) == (
+        marks = [int(j < marked) for j in range(4)]
+        cs, w, out = gadget_witness(roots, _padded(values, 4) + marks)
+        assert is_satisfied(cs, w)
+        assert tuple(lc_value(cs, root, w.values) for root in out) == (
             hash_unlearn(values[:marked], TINY),
             hash_unlearn(values, TINY),
         )
@@ -254,48 +265,45 @@ def _dataset(n, arity=1, seed=0):
     )
 
 
-def _check_against_native(circuit, ds):
-    """The circuit built from ``ds`` is satisfied under the statement the
-    native hashes of native training give, and its witness projects to
-    what ``model_projection`` computes natively."""
-    assert is_satisfied(circuit.cs, circuit.cs.witness())
-    model = train_model(ds, circuit.config.train)
-    digests = tuple(hash_data_point(d, TINY) for d in ds.points)
-    assert statement_of(circuit.cs) == (
+def _check_against_native(config, ds):
+    """The rows complete the native projection for ``ds``: the model and
+    training-set hashes they derive from its slot inputs are the native
+    ones, and the statement is that of native training."""
+    given, model, digests = model_projection(config, ds)
+    cs, witness = model_witness(config, ds)
+    assert is_satisfied(cs, witness) and cs.project(witness) == given
+    assert model == train_model(ds, config.train)
+    assert digests == tuple(hash_data_point(d, TINY) for d in ds.points)
+    assert statement_of(cs, witness) == (
         hash_model_weights(model.weights, TINY),
         hash_data(digests, TINY),
     )
-    given = circuit.cs.project(circuit.cs.witness())
-    assert model_projection(circuit.config, ds) == (given, model, digests)
 
 
 @pytest.mark.parametrize("size", range(0, 5))
 def test_model_circuit_native_equivalence(size):
-    ds = _dataset(size)
-    _check_against_native(ModelCircuit(_config(capacity=4), ds), ds)
+    _check_against_native(_config(capacity=4), _dataset(size))
 
 
 @pytest.mark.parametrize("kind,arity", [("logistic", 2), ("nn", 1)])
 def test_model_circuit_other_kinds(kind, arity):
     config = _config(capacity=2, arity=arity, kind=kind, hidden=2 if kind == "nn" else 0)
-    ds = _dataset(2, arity=arity)
-    _check_against_native(ModelCircuit(config, ds), ds)
+    _check_against_native(config, _dataset(2, arity=arity))
 
 
 def test_model_circuit_wrong_model_hash_unsatisfiable():
-    circuit = ModelCircuit(_config(), _dataset(3))
-    w = circuit.cs.witness()
+    cs, w = model_witness(_config(), _dataset(3))
     mutated = list(w.values)
     mutated[1] = (mutated[1] + 1) % P  # h_m, the first statement wire
-    assert not is_satisfied(circuit.cs, Witness(tuple(mutated)))
+    assert not is_satisfied(cs, Witness(tuple(mutated)))
 
 
 def test_model_circuit_shape_errors():
     config = _config(capacity=2)
     with pytest.raises(ShapeOverflow, match="3 points exceed the compiled capacity 2"):
-        ModelCircuit(config, _dataset(3))
+        model_projection(config, _dataset(3))
     with pytest.raises(ShapeMismatch):
-        ModelCircuit(config, _dataset(2, arity=2))
+        model_projection(config, _dataset(2, arity=2))
 
 
 def test_model_circuit_deterministic_build():
@@ -322,15 +330,17 @@ def test_constraint_count_monotonicity():
 
 
 def _data_circuit(hd, prev, add, dcap=4, ucap=4):
-    return DataCircuit(_config(capacity=dcap, unlearn_capacity=ucap), hd, prev, add)
+    """The data circuit's rows and the witness they complete from the
+    native projection for the digest sets."""
+    return data_witness(_config(capacity=dcap, unlearn_capacity=ucap), hd, prev, add)
 
 
 def test_data_circuit_honest_satisfiable():
     hd = [hash2(3, 0, TINY), hash2(5, 0, TINY)]
     hu_add = [hash2(9, 0, TINY)]
-    circuit = _data_circuit(hd, [], hu_add)
-    assert is_satisfied(circuit.cs, circuit.cs.witness())
-    assert statement_of(circuit.cs) == (
+    cs, w = _data_circuit(hd, [], hu_add)
+    assert is_satisfied(cs, w)
+    assert statement_of(cs, w) == (
         hash_data(hd, TINY),
         hash_unlearn([], TINY),
         hash_unlearn(hu_add, TINY),
@@ -341,16 +351,22 @@ def test_data_circuit_chain_extension():
     hd = [hash2(1, 0, TINY)]
     prev = [hash2(2, 0, TINY), hash2(3, 0, TINY)]
     add = [hash2(4, 0, TINY)]
-    circuit = _data_circuit(hd, prev, add)
-    assert is_satisfied(circuit.cs, circuit.cs.witness())
-    assert statement_of(circuit.cs)[2] == hash_unlearn(prev + add, TINY)
+    cs, w = _data_circuit(hd, prev, add)
+    assert is_satisfied(cs, w)
+    assert statement_of(cs, w)[2] == hash_unlearn(prev + add, TINY)
 
 
 def test_data_circuit_intersection_has_no_witness():
-    with pytest.raises(WitnessSynthesisError):
-        _data_circuit([3, 5], [], [5])
-    with pytest.raises(WitnessSynthesisError):
-        _data_circuit([3, 5], [3], [])
+    config = _config(capacity=4, unlearn_capacity=4)
+    cs = circuit_rows(DataCircuit, config)
+    for sets in (([3, 5], [], [5]), ([3, 5], [3], [])):
+        with pytest.raises(WitnessSynthesisError):
+            data_projection(config, *sets)
+        # Whatever the inverse, the walk refuses the product's row, the last.
+        for inverse in (0, 1, P - 1):
+            with pytest.raises(Unsatisfied) as refused:
+                cs.complete(data_slot_projection(config, *sets, inverse))
+            assert refused.value.row == cs.num_constraints - 1
 
 
 def test_data_circuit_intersection_unsatisfiable_over_grid():
@@ -367,17 +383,17 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
                     with pytest.raises(WitnessSynthesisError):
                         _data_circuit(hd, [], hu, dcap=2, ucap=2)
                 else:
-                    circuit = _data_circuit(hd, [], hu, dcap=2, ucap=2)
-                    assert is_satisfied(circuit.cs, circuit.cs.witness())
+                    cs, w = _data_circuit(hd, [], hu, dcap=2, ucap=2)
+                    assert is_satisfied(cs, w)
     # Brute-force the inverse wire on a colliding instance: no value in a
     # sampled grid (nor any other, since 0 * v == 0 != 1) satisfies it.
-    circuit = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
-    cs = circuit.cs
-    given = cs.project(cs.witness())
+    config = _config(capacity=2, unlearn_capacity=2)
+    cs = circuit_rows(DataCircuit, config)
+    given = data_projection(config, [1, 2], [], [3])
     # Simulate the collision: overwrite the first training digest, the
     # free wire after the training presence bits, so a pair matches, and
     # h_D with the root of the forged set.
-    hd_0 = 1 + cs.num_public + circuit.config.capacity
+    hd_0 = 1 + cs.num_public + config.capacity
     assert given[hd_0] == 1
     given[hd_0], given[1] = 3, hash_data([3, 2], TINY)
     # The last row is the product's: acc * v = 1, with v the last free wire.
@@ -396,75 +412,76 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
 def test_intersecting_sets_with_every_product_wire_recomputed_fail_only_the_inverse_row(
     monkeypatch, sets
 ):
-    # A multi-wire forgery: the build's nonzero gadget, replaced, puts v
-    # on the inverse wire and never raises, so every select, product and
-    # hash wire is what the gadgets compute for the intersecting sets.
-    # Each row but the product's holds, and the product is 0, which no v
-    # inverts.
+    # A multi-wire forgery: the rows without the nonzero gadget's, which
+    # end the circuit, derive every select, product and hash wire from
+    # the intersecting sets, and v goes on the inverse wire.  Each row
+    # but the product's holds, and the product is 0, which no v inverts.
+    config = _config(capacity=2, unlearn_capacity=3)
+    cs = circuit_rows(DataCircuit, config)
+    monkeypatch.setattr(CircuitBuilder, "nonzero", lambda b, a: None)
+    open_rows = DataCircuit(config).cs
+    monkeypatch.undo()
+    assert (open_rows.num_constraints, open_rows.num_wires) == (
+        cs.num_constraints - 1, cs.num_wires - 1
+    )
     rng = random.Random(1)
     for v in (0, 1, P - 1, *(rng.randrange(P) for _ in range(5))):
-        monkeypatch.setattr(
-            CircuitBuilder, "nonzero",
-            lambda b, a, why: b.cs.enforce(a, lc_wire(b.cs.alloc_private(v)), lc_const(1)),
-        )
-        cs = _data_circuit(*sets, dcap=2, ucap=3).cs
-        monkeypatch.undo()
-        witness = cs.witness()
+        given = data_slot_projection(config, *sets, v)
+        witness = Witness(open_rows.complete(given[:-1]).values + (v,))
         acc, _, _ = cs.constraints[-1]
-        assert cs.lc_value(acc) == 0
+        assert lc_value(cs, acc, witness.values) == 0
         assert failing_rows(cs, witness) == [cs.num_constraints - 1]
         assert not is_satisfied(cs, witness)
-
-
-@functools.cache
-def _data_rows(dcap: int, ucap: int) -> ConstraintSystem:
-    """The data circuit's rows, as setup builds them."""
-    return _data_circuit([], [], [], dcap=dcap, ucap=ucap).cs
 
 
 @given(data=st.data(), dcap=st.integers(1, 4), ucap=st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_data_projection_completes_exactly_when_disjoint(data, dcap, ucap):
     # Part-filled digest sets, drawn small enough to meet often, with 0 and
-    # 1, the absent slots' pins, among them: the native projection
-    # completes against setup's rows to the built witness exactly when the
-    # sets are disjoint, and both raise otherwise.
+    # 1, the absent slots' pins, among them: the native projection exists
+    # and completes against setup's rows exactly when the sets are
+    # disjoint.  Otherwise native raises, and no inverse completes a
+    # projection of those sets: the walk refuses the product's row.
     digest = st.integers(0, 5)
     trained = data.draw(st.lists(digest, max_size=dcap))
     unlearnt = data.draw(st.lists(digest, max_size=ucap))
     previous = data.draw(st.integers(0, len(unlearnt)))
+    inverse = data.draw(st.integers(0, P - 1))
     sets = (trained, unlearnt[:previous], unlearnt[previous:])
     config = _config(capacity=dcap, unlearn_capacity=ucap)
+    rows = circuit_rows(DataCircuit, config)
     if set(trained) & set(unlearnt):
         with pytest.raises(WitnessSynthesisError, match="sets intersect"):
             data_projection(config, *sets)
-        with pytest.raises(WitnessSynthesisError, match="sets intersect"):
-            DataCircuit(config, *sets)
+        with pytest.raises(Unsatisfied) as refused:
+            rows.complete(data_slot_projection(config, *sets, inverse))
+        assert refused.value.row == rows.num_constraints - 1
     else:
-        witness = DataCircuit(config, *sets).cs.witness()
-        assert _data_rows(dcap, ucap).complete(data_projection(config, *sets)) == witness
+        given = data_projection(config, *sets)
+        assert given[:-1] == data_slot_projection(config, *sets, 0)[:-1]
+        assert rows.project(rows.complete(given)) == given
 
 
 def test_data_circuit_tampered_root_unsatisfiable():
-    circuit = _data_circuit([hash2(3, 0, TINY)], [], [hash2(9, 0, TINY)])
-    w = circuit.cs.witness()
-    for wire in range(1, 1 + circuit.cs.num_public):
+    cs, w = _data_circuit([hash2(3, 0, TINY)], [], [hash2(9, 0, TINY)])
+    for wire in range(1, 1 + cs.num_public):
         mutated = list(w.values)
         mutated[wire] = (mutated[wire] + 1) % P
-        assert not is_satisfied(circuit.cs, Witness(tuple(mutated)))
+        assert not is_satisfied(cs, Witness(tuple(mutated)))
 
 
 def test_data_circuit_capacity_errors():
     with pytest.raises(ShapeOverflow, match="3 training digests exceed the compiled capacity 2"):
-        _data_circuit([1, 2, 3], [], [], dcap=2, ucap=1)
+        data_projection(_config(capacity=2, unlearn_capacity=1), [1, 2, 3], [], [])
     with pytest.raises(ShapeOverflow, match="2 unlearnt digests exceed the compiled capacity 1"):
-        _data_circuit([1], [2, 3], [], dcap=2, ucap=1)
+        data_projection(_config(capacity=2, unlearn_capacity=1), [1], [2, 3], [])
     # Previous and appended digests share the one unlearnt capacity: each
     # fits alone, together they do not.
+    config = _config(capacity=2, unlearn_capacity=3)
     with pytest.raises(ShapeOverflow, match="4 unlearnt digests exceed the compiled capacity 3"):
-        _data_circuit([1], [2, 3], [4, 5], dcap=2, ucap=3)
-    full = _data_circuit([1], [2], [3, 4], dcap=2, ucap=3)
-    assert is_satisfied(full.cs, full.cs.witness())
+        data_projection(config, [1], [2, 3], [4, 5])
+    cs, full = _data_circuit([1], [2], [3, 4], dcap=2, ucap=3)
+    assert is_satisfied(cs, full)
 
 
 @pytest.mark.parametrize("n", range(0, 5))
@@ -473,9 +490,9 @@ def test_data_circuit_every_split_of_the_unlearnt_digests(n):
     # roots of the first k and of all n, in the one array of 4 slots.
     digests = [hash2(i + 20, 0, TINY) for i in range(n)]
     for k in range(n + 1):
-        circuit = _data_circuit([hash2(1, 0, TINY)], digests[:k], digests[k:], dcap=1, ucap=4)
-        assert is_satisfied(circuit.cs, circuit.cs.witness())
-        assert statement_of(circuit.cs)[1:] == (
+        cs, w = _data_circuit([hash2(1, 0, TINY)], digests[:k], digests[k:], dcap=1, ucap=4)
+        assert is_satisfied(cs, w)
+        assert statement_of(cs, w)[1:] == (
             hash_unlearn(digests[:k], TINY),
             hash_unlearn(digests, TINY),
         )
@@ -488,8 +505,8 @@ def test_previous_bits_never_run_past_presence():
     # tying that previous bit to its presence bit holds.
     dcap, ucap, n = 1, 4, 2
     unlearnt = [hash2(20, 0, TINY), hash2(21, 0, TINY)]
-    circuit = _data_circuit([hash2(1, 0, TINY)], unlearnt, [], dcap=dcap, ucap=ucap)
-    cs, values = circuit.cs, list(circuit.cs.witness().values)
+    cs, honest = _data_circuit([hash2(1, 0, TINY)], unlearnt, [], dcap=dcap, ucap=ucap)
+    values = list(honest.values)
     # Layout after the statement: training presence bits and digests, then
     # unlearnt presence bits, unlearnt digests and previous-digest bits.
     _, h_uprev_wire, h_u_wire = range(1, 1 + cs.num_public)
@@ -506,8 +523,8 @@ def test_previous_bits_never_run_past_presence():
     assert [min(a) for a, _, _ in folds] == list(bits)
     a, b, c = folds[0]
     fold = max(c)
-    values[fold] = (cs.lc_value(a, values) * cs.lc_value(b, values)
-                    - cs.lc_value(c, values) + values[fold]) % P
+    values[fold] = (lc_value(cs, a, values) * lc_value(cs, b, values)
+                    - lc_value(cs, c, values) + values[fold]) % P
     for w in [max(c) for _, _, c in folds[1:]] + [h_uprev_wire]:
         values[w] = values[fold]
     h_u = values[h_u_wire]
@@ -539,27 +556,24 @@ def _mutation_sweep(cs, witness):
 def test_every_wire_mutation_breaks_model_circuit():
     # Full and part-filled: the absent slots' pinned values count too.
     for size in (4, 2):
-        circuit = ModelCircuit(_config(capacity=4), _dataset(size))
-        assert _mutation_sweep(circuit.cs, circuit.cs.witness()) == []
+        assert _mutation_sweep(*model_witness(_config(capacity=4), _dataset(size))) == []
 
 
 def test_mutation_fast_path_agrees_with_full_evaluation():
-    circuit = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
-    w = circuit.cs.witness()
+    cs, w = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
     rng = random.Random(0)
     for _ in range(25):
         wire = rng.randrange(1, len(w.values))
         mutated = list(w.values)
         mutated[wire] = (mutated[wire] + rng.randrange(1, 5)) % P
         mw = Witness(tuple(mutated))
-        assert satisfied_at_wire(circuit.cs, mw, wire) == is_satisfied(circuit.cs, mw)
+        assert satisfied_at_wire(cs, mw, wire) == is_satisfied(cs, mw)
 
 
 def test_fx_mul_gadget_smallest_product():
     # enc(1/gamma) squared: integer product 1, under half a step, rounds to 0.
-    _, cs, out = _fx_mul(1, 1)
-    w = cs.witness()
-    assert cs.lc_value(out) == 0
+    cs, w, out = _fx_mul(1, 1)
+    assert lc_value(cs, out, w.values) == 0
     # gadget layout after the operands (wires 1 and 2): the product, the
     # B+k+1 bits of product + 2^(k-1) + 2^(B+k), the output.
     k, B = SCALE.frac_bits, SCALE.value_bits
@@ -575,8 +589,7 @@ def test_fx_mul_gadget_smallest_product():
 def test_model_circuit_equivalence_up_to_capacity_eight(arity):
     config = _config(capacity=8, arity=arity)
     for size in (0, 1, 5, 8):
-        ds = _dataset(size, arity=arity, seed=size)
-        _check_against_native(ModelCircuit(config, ds), ds)
+        _check_against_native(config, _dataset(size, arity=arity, seed=size))
 
 
 # -- pinned constraint counts ----------------------------------------------------
@@ -609,38 +622,46 @@ def test_fast_pub_constraint_totals(fast_pub):
 
 
 @pytest.mark.parametrize(
-    "epochs,capacity,model,data",
+    "epochs,capacity,model,data,fingerprints",
     [
         # cli-walkthrough: model 25,363 = range bits 18,744 + hash 5,610 +
         # fx_mul 640 + select 328 + absent-slot pins 24 + presence 15 +
         # bindings 2; data 5,126 = hash 4,950 + disjoint products 63 +
         # presence 53 + select 40 + absent-slot pins 16 + bindings 3 +
         # nonzero 1.
-        (10, 8, (25363, 25013, 120133, (39, 10, 64), 32), (5126, 5098, 25151, (3, 5, 2), 41)),
+        (10, 8, (25363, 25013, 120133, (39, 10, 64), 32), (5126, 5098, 25151, (3, 5, 2), 41), (
+            "c3826ddae7469ecd5813274edc7b2856f55c5c6ae43be18db1f8f9acd12a8434",
+            "ed2fa63882fc0dc38ed3466ecffc7b98a72d9c89b0640cf510a751a61106319f",
+        )),
         # cli-unlearn: model 16,987 = hash 10,890 + range bits 5,808 +
         # fx_mul 128 + select 80 + absent-slot pins 48 + presence 31 +
         # bindings 2; data 10,710 = hash 10,230 + disjoint products 255 +
         # presence 109 + select 80 + absent-slot pins 32 + bindings 3 +
         # nonzero 1.
-        (1, 16, (16987, 16861, 83961, (39, 10, 64), 64), (10710, 10650, 52799, (3, 5, 2), 81)),
+        (1, 16, (16987, 16861, 83961, (39, 10, 64), 64), (10710, 10650, 52799, (3, 5, 2), 81), (
+            "6cc874e96bc21fb8286b3cb88076dbc7011572a58602f898a3aedc94df900059",
+            "dc5cb1e30d86c6845389e23c5457a9dbbede37eb104d6d7ce0c7cd0d3a7395ac",
+        )),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
 )
-def test_benchmark_config_sizes(epochs, capacity, model, data):
+def test_benchmark_config_sizes(epochs, capacity, model, data, fingerprints):
     # The benchmark workloads' configs, at the full hash: constraints,
-    # wires, nonzero terms, the longest row of A, B and C, and the free
-    # wires, whose values a witness-check proof carries.  The terms and
-    # rows catch a gadget that widens the rows reading its output, as an
-    # fx_mul returning its bits' combination would, or a combination that
-    # grows across the training loop.
+    # wires, nonzero terms, the longest row of A, B and C, the free
+    # wires, whose values a witness-check proof carries, and the
+    # fingerprint of the export setup stores.  The terms and rows catch a
+    # gadget that widens the rows reading its output, as an fx_mul
+    # returning its bits' combination would, or a combination that grows
+    # across the training loop.
     config = build_protocol_config(
         {"epochs": str(epochs), "capacity": str(capacity), "unlearn_capacity": str(capacity)}
     )
-    for circuit, expected in ((ModelCircuit, model), (DataCircuit, data)):
+    for circuit, expected, fingerprint in zip((ModelCircuit, DataCircuit), (model, data), fingerprints):
         cs = circuit(config).cs
         longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
         free = len(cs.free_wires())
         assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
+        assert cs.fingerprint() == fingerprint
 
 
 def test_data_circuit_size_at_capacity_100():
@@ -677,11 +698,11 @@ def test_an_out_of_range_slot_input_fails_its_decomposition_row(wire, value):
     # A projection whose slot input leaves its range check's width: the
     # verifier's walk refuses it at that check's sum row, whose rest has
     # no digits of that width.
-    circuit = ModelCircuit(_config(capacity=2), _dataset(2))
-    cs = ConstraintSystem.from_export(circuit.cs.export())
+    config = _config(capacity=2)
+    cs = ConstraintSystem.from_export(circuit_rows(ModelCircuit, config).export())
     uid_w = cs.num_public + 2  # slot 0: presence, uid, x, y
     target = uid_w if wire == "uid" else uid_w + 1
-    given = cs.project(circuit.cs.witness())
+    given = model_projection(config, _dataset(2))[0]
     given[1 + cs.num_public + cs.free_wires().index(target)] = value % P
     bits = 64 if wire == "uid" else SCALE.value_bits + 1
     [row] = [
@@ -719,17 +740,15 @@ def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
     assert model.fingerprint() == "ffeda52f3ccae7e016b1039170068ef28d77faef5337155b6f54d6a0adb5c203"
     assert data.fingerprint() == "2f29ad08afe4322ad5f8292aa15aadfeb03e87506798426a0b89f683176a9f00"
-    # setup builds from the empty input; a full-capacity input gives the
-    # same export, so the constraints do not depend on the values.
+    # Setup builds the rows from the config alone, and they serve every
+    # input that fits: full-capacity projections complete against them.
     config = fast_pub.config
-    full = ModelCircuit(config, _dataset(config.capacity))
-    assert full.cs.export() == model.export()
+    model.complete(model_projection(config, _dataset(config.capacity))[0])
     digests = [hash2(i, 0, TINY) for i in range(config.capacity + config.unlearn_capacity)]
     half = config.capacity + config.unlearn_capacity // 2
-    full = DataCircuit(
+    data.complete(data_projection(
         config, digests[: config.capacity], digests[config.capacity : half], digests[half:]
-    )
-    assert full.cs.export() == data.export()
+    ))
 
 
 # -- the provers' projections ------------------------------------------------------
@@ -741,25 +760,49 @@ def _raised(build):
     return type(err.value), str(err.value), getattr(err.value, "uid", None)
 
 
-def test_projections_raise_as_full_builds():
+def _refused_row(cs, given):
+    """The row at which ``cs`` refuses the projection ``given``, or None
+    if it completes."""
+    try:
+        cs.complete(given)
+    except Unsatisfied as e:
+        return e.row
+    return None
+
+
+def test_projections_raise_where_no_witness_exists():
     # Each input beyond the shape, beyond the value bound or meeting the
-    # unlearnt set: the native projection raises the build's error, with
-    # its message and the uid it names.
+    # unlearnt set: the native projection raises, naming the cause and
+    # the uid.  Beyond the shape there is no slot for the input; beyond
+    # the bound, the rows refuse its slot inputs at a range check's sum
+    # row, before the h_m binding row, the last; meeting the unlearnt
+    # set, they refuse every inverse at the product's row.
     config = _config(capacity=2, unlearn_capacity=2)
+    model_rows = circuit_rows(ModelCircuit, config)
+    data_rows = circuit_rows(DataCircuit, config)
     model_cases = [
-        (_dataset(3), ShapeOverflow, "3 points exceed the compiled capacity 2"),
-        (_dataset(2, arity=2), ShapeMismatch, "dataset arity 2 != circuit arity 1"),
+        (_dataset(3), ShapeOverflow, "3 points exceed the compiled capacity 2", None),
+        (_dataset(2, arity=2), ShapeMismatch, "dataset arity 2 != circuit arity 1", None),
         # The product w * x of the second point crosses the bound.
         (Dataset((DataPoint(1, (enc(5000),), enc(1)), DataPoint(2, (enc(10000),), enc(1))), 1),
-         FixedPointOverflow, "uid 2, epoch 1: "),
+         FixedPointOverflow, "uid 2, epoch 1: ", 2),
         # A feature beyond the bound, before any training.
         (Dataset((DataPoint(1, (enc(0.5),), enc(1)), DataPoint(3, (2**37,), enc(1))), 1),
-         FixedPointOverflow, "uid 3: "),
+         FixedPointOverflow, "uid 3: ", 3),
     ]
-    for ds, kind, message in model_cases:
-        full = _raised(lambda: ModelCircuit(config, ds))
-        assert full[0] is kind and message in full[1], full
-        assert _raised(lambda: model_projection(config, ds)) == full
+    for ds, kind, message, uid in model_cases:
+        raised = _raised(lambda: model_projection(config, ds))
+        assert raised[0] is kind and message in raised[1] and raised[2] == uid, raised
+        if kind is FixedPointOverflow:
+            row = _refused_row(model_rows, model_slot_projection(config, ds))
+            assert row < model_rows.num_constraints - 1
+            assert is_sum_row(model_rows.constraints[row])
+    # Inputs inside the bound are refused only at the h_m binding row when
+    # h_m is wrong.
+    given = model_projection(config, _dataset(2))[0]
+    assert model_slot_projection(config, _dataset(2), given[1]) == given
+    row = _refused_row(model_rows, model_slot_projection(config, _dataset(2), given[1] + 1))
+    assert row == model_rows.num_constraints - 1
     data_cases = [
         (([3, 5, 7], [], []), ShapeOverflow, "3 training digests exceed"),
         (([3], [5], [6, 8]), ShapeOverflow, "3 unlearnt digests exceed"),
@@ -767,6 +810,9 @@ def test_projections_raise_as_full_builds():
         (([3, 5], [3], []), WitnessSynthesisError, "sets intersect"),
     ]
     for sets, kind, message in data_cases:
-        full = _raised(lambda: DataCircuit(config, *sets))
-        assert full[0] is kind and message in full[1], full
-        assert _raised(lambda: data_projection(config, *sets)) == full
+        raised = _raised(lambda: data_projection(config, *sets))
+        assert raised[0] is kind and message in raised[1], raised
+        if kind is WitnessSynthesisError:
+            for inverse in (0, 1, P - 1):
+                row = _refused_row(data_rows, data_slot_projection(config, *sets, inverse))
+                assert row == data_rows.num_constraints - 1

@@ -605,12 +605,16 @@ def test_bench_accuracy_report(workspace, capsys):
 
 @pytest.mark.parametrize("command", ["add", "delete", "prove-unlearn", "verify-unlearn"])
 @pytest.mark.parametrize(
-    "content",
-    [None, "uid,f1,y\n5,1e300,1\n", "uid,f1,y\n5,0.5\n", "uid,f1\n5,0.5\n",
-     "uid,f1,f1,y\n5,0.5,-0.25,1\n"],
-    ids=["missing", "unencodable", "ragged", "no-label", "duplicate-column"],
+    "content,named",
+    [(None, None), ("uid,f1,y\n5,1e300,1\n", None), ("uid,f1,y\n5,0.5\n", None),
+     ("uid,f1\n5,0.5\n", None), ("uid,f1,f1,y\n5,0.5,-0.25,1\n", None),
+     # A numeric column's one bad cell is named, not taken for a category.
+     *((f"uid,f1,y\n5,0.5,1\n6,{cell},0\n", f"column 'f1': cell {cell!r} is not numeric")
+       for cell in ("nan", "inf", "0.5x"))],
+    ids=["missing", "unencodable", "ragged", "no-label", "duplicate-column",
+         "nan-cell", "inf-cell", "bad-cell"],
 )
-def test_bad_csv_is_a_usage_error(workspace, initialized, capsys, command, content):
+def test_bad_csv_is_a_usage_error(workspace, initialized, capsys, command, content, named):
     bad = workspace / "bad.csv"
     if content is not None:
         bad.write_text(content)
@@ -621,8 +625,19 @@ def test_bad_csv_is_a_usage_error(workspace, initialized, capsys, command, conte
     capsys.readouterr()
     assert run(workspace, *args) == 2
     verb = "read" if content is None else "ingest"
-    assert f"error: cannot {verb} {bad}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: cannot {verb} {bad}: {named or ''}" in err
     assert snapshot(initialized) == before
+
+
+def test_a_byte_order_mark_keeps_the_uid_column(workspace, initialized, capsys):
+    # Behind a UTF-8 byte-order mark the header's first name is still
+    # "uid": the point keeps uid 7 and one feature.
+    csv = workspace / "bom.csv"
+    csv.write_bytes(b"\xef\xbb\xbfuid,f1,y\n7,0.5,1\n")
+    assert run(workspace, "add", "--dir", str(initialized), "--dataset", str(csv)) == 0
+    state = StateDir(initialized).load_state(SCALE)
+    assert state.pending_add == (DataPoint(7, (fx_encode(0.5, SCALE),), fx_encode(1, SCALE)),)
 
 
 @pytest.mark.parametrize(

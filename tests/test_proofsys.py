@@ -6,10 +6,10 @@ import pytest
 
 from conftest import TINY_ROUNDS, failing_rows, is_satisfied, needs_snark, rows_touching
 from conftest import statement_of
-from unlearn import circuits
 from unlearn.circuits import ModelCircuit, ProtocolConfig, data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD as P
 from unlearn.field import fx_encode
+from unlearn.gadgets import CircuitBuilder
 from unlearn.hashing import DataPoint, hash_data_point
 from unlearn.proofsys import (
     Groth16Backend,
@@ -27,10 +27,10 @@ from unlearn.training import Dataset, default_train_config
 
 
 def squaring_relation():
-    """y = x^2, built with x = 3."""
+    """y = x^2."""
     cs = ConstraintSystem(P)
-    y = cs.alloc_public(9)
-    x = cs.alloc_private(3)
+    y = cs.alloc_public()
+    x = cs.alloc_private(name="x")
     cs.enforce({x: 1}, {x: 1}, {y: 1})
     cs.finalize()
     return RelationHandle.of(cs)
@@ -43,8 +43,8 @@ def rel():
 
 @pytest.fixture(scope="module")
 def honest(rel):
-    """The statement and the honest projection [1, y, x]."""
-    return (9,), rel.circuit.project(rel.circuit.witness())
+    """The statement y = 9 and the honest projection [1, y, x]."""
+    return (9,), [1, 9, 3]
 
 
 # The projection of y = 10 with x = 3: no witness has it.
@@ -110,8 +110,8 @@ def payload(wires, v=3) -> bytes:
 def test_witness_check_accepts_only_canonical_hex():
     # x = 26 is free; y = 676 is the statement.
     cs = ConstraintSystem(P)
-    y = cs.alloc_public(676)
-    x = cs.alloc_private(26)
+    y = cs.alloc_public()
+    x = cs.alloc_private(name="x")
     cs.enforce({x: 1}, {x: 1}, {y: 1})
     cs.finalize()
     rel = RelationHandle.of(cs)
@@ -231,28 +231,33 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
               for uid in (1, 2, 3)),
         arity,
     )
-    honest = ModelCircuit(pub.config, dataset)
-    # The same dataset, built with in-range data other than the padding in
-    # the absent slot: training skips it, so the statement is the same.
-    other = DataPoint(7, (fx_encode(-0.25, scale),) * arity, fx_encode(1, scale))
-    monkeypatch.setattr(circuits, "DataPoint", lambda *_: other)
-    forged = ModelCircuit(pub.config, dataset)
-    forged_given = circuits.model_projection(pub.config, dataset)[0]
-    monkeypatch.undo()
-    assert statement_of(forged.cs) == statement_of(honest.cs)
-    assert forged.cs.values != honest.cs.values
-
     rel, backend = pub.model_relation, pub.backend
-    assert is_satisfied(rel.circuit, honest.cs.witness())
-    assert not is_satisfied(rel.circuit, forged.cs.witness())
-    statement, given = statement_of(forged.cs), rel.circuit.project(forged.cs.witness())
-    assert given == forged_given
+    honest_given = model_projection(pub.config, dataset)[0]
+    honest = rel.circuit.complete(honest_given)
+    # The same dataset with in-range data other than the padding in the
+    # absent slot, the last: presence 0, then its uid, features and label.
+    other = DataPoint(7, (fx_encode(-0.25, scale),) * arity, fx_encode(1, scale))
+    given = list(honest_given)
+    given[-(arity + 2):] = [v % P for v in (other.uid, *other.x, other.y)]
+    # The rows without the absent-slot pins, which allocate no wires,
+    # derive every other wire from it under the honest statement:
+    # training skips the slot, so the statement is the same.
+    monkeypatch.setattr(CircuitBuilder, "pin_absent", lambda *_: None)
+    forged = ModelCircuit(pub.config).cs.complete(given)
+    monkeypatch.undo()
+    statement = statement_of(rel.circuit, honest)
+    assert statement_of(rel.circuit, forged) == statement
+    assert forged != honest
+
+    assert is_satisfied(rel.circuit, honest)
+    assert not is_satisfied(rel.circuit, forged)
+    assert rel.circuit.project(forged) == given
     with pytest.raises(Unsatisfied):
         rel.circuit.complete(given)
     assert not backend.verify(rel, statement, _unchecked_blob(rel, statement, given))
     with pytest.raises(UnsatisfiedWitness) as refused:
         backend.prove(rel, given)
-    assert refused.value.row == failing_rows(rel.circuit, forged.cs.witness())[0]
+    assert refused.value.row == failing_rows(rel.circuit, forged)[0]
 
 
 def test_data_witness_with_other_absent_values_never_verifies(fast_pub):

@@ -4,7 +4,8 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TINY_ROUNDS, failing_rows, is_satisfied, rows_touching, satisfied_at_wire
+from conftest import TINY_ROUNDS, data_witness, failing_rows, is_satisfied, model_witness
+from conftest import rows_touching, satisfied_at_wire
 from unlearn.circuits import DataCircuit, ModelCircuit, data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD as P
 from unlearn.field import fx_encode
@@ -76,28 +77,16 @@ def test_unallocated_wire_rejected():
         cs.enforce({5: 1}, {}, {})
 
 
-def test_values_assigned_at_allocation():
+def test_wires_take_no_values():
+    # A system holds rows only: a value passed where a wire is allocated
+    # raises, instead of becoming a label.
     cs = ConstraintSystem(P)
-    out = cs.alloc_public()
-    x = cs.alloc_private(5)
-    sq = cs.alloc_private(cs.lc_value({x: 1}) ** 2)
-    cs.enforce({x: 1}, {x: 1}, {sq: 1})
-    cs.enforce({sq: 1}, {0: 1}, {out: 1})
-    # The statement wire comes first but gets its value once computed.
-    assert cs.witness().values == (1, 0, 5, 25)
-    assert not is_satisfied(cs, cs.witness())
-    cs.values[out] = cs.lc_value({sq: 1})
-    cs.finalize()
-    assert cs.witness().values == (1, 25, 5, 25)
-    assert is_satisfied(cs, cs.witness())
-    # Values are reduced mod p; a wire given none holds 0.
-    assert cs.lc_value({x: 2, 0: P - 1}) == 9
-    cs = ConstraintSystem(P)
-    cs.alloc_private(-1)
-    cs.alloc_private(name="unset")
-    assert cs.witness().values == (1, P - 1, 0)
-    # A loaded system has the wires but none of their values.
-    assert ConstraintSystem.from_export(squaring_system().export()).values == []
+    with pytest.raises(TypeError):
+        cs.alloc_public(9)
+    with pytest.raises(TypeError):
+        cs.alloc_private(3)
+    assert (cs.alloc_public(), cs.alloc_private(name="x")) == (1, 2)
+    assert not hasattr(cs, "values") and not hasattr(cs, "witness")
 
 
 def test_export_and_fingerprint_deterministic():
@@ -137,10 +126,11 @@ def test_stats():
 
 def _honest_witness(pub, name):
     """The model circuit's witness for the empty dataset, or the data
-    circuit's for small digest sets."""
+    circuit's for small digest sets, each completed from its native
+    projection."""
     if name == "model":
-        return pub.model_circuit.cs.witness()
-    return DataCircuit(pub.config, [5, 6], [7], [8]).cs.witness()
+        return model_witness(pub.config, Dataset((), pub.config.train.arity))[1]
+    return data_witness(pub.config, [5, 6], [7], [8])[1]
 
 
 @pytest.mark.parametrize("name", ["model", "data"])
@@ -288,15 +278,15 @@ def chain_system():
     coefficient is not 1.  The statement y = s*s is checked, not
     defined."""
     cs = ConstraintSystem(P)
-    y = cs.alloc_public(100)
-    x = cs.alloc_private(2)
-    x2 = cs.alloc_private(4)
+    y = cs.alloc_public()
+    x = cs.alloc_private(name="x")
+    x2 = cs.alloc_private(name="x2")
     cs.enforce({x: 1}, {x: 1}, {x2: 1})
-    x3 = cs.alloc_private(8)
+    x3 = cs.alloc_private(name="x3")
     cs.enforce({x2: 1}, {x: 1}, {x3: 1})
-    s = cs.alloc_private(10)
+    s = cs.alloc_private(name="s")
     cs.enforce({0: 1}, {x3: 1}, {s: 1, x: -1})
-    t = cs.alloc_private(1)
+    t = cs.alloc_private(name="t")
     cs.enforce({0: 1}, {x: 1}, {t: 2})
     cs.enforce({s: 1}, {s: 1}, {y: 1})
     # A row whose C wire is not above an earlier row's wire defines nothing.
@@ -305,11 +295,15 @@ def chain_system():
     return cs
 
 
+# chain_system's witness for x = 2: y = 100, x2 = 4, x3 = 8, s = 10, t = 1.
+CHAIN = Witness((1, 100, 2, 4, 8, 10, 1))
+
+
 def test_rule_splits_free_and_defined_wires():
     cs = chain_system()
     assert cs.free_wires() == [2, 6]
-    witness = cs.witness()
-    assert is_satisfied(cs, witness)
+    witness = CHAIN
+    assert is_satisfied(cs, witness) and failing_rows(cs, witness) == []
     assert cs.project(witness) == [1, 100, 2, 1]
     assert cs.complete([1, 100, 2, 1]) == witness
 
@@ -318,13 +312,13 @@ def test_a_defining_row_places_the_free_wires_below_its_own():
     # u is new in w's row, below w in C: it is free, and placed before the
     # walk assigns w = x*x + u.
     cs = ConstraintSystem(P)
-    x = cs.alloc_private(3)
-    u = cs.alloc_private(5)
-    w = cs.alloc_private(14)
+    x = cs.alloc_private(name="x")
+    u = cs.alloc_private(name="u")
+    w = cs.alloc_private(name="w")
     cs.enforce({x: 1}, {x: 1}, {u: -1, w: 1})
     cs.finalize()
     assert cs.free_wires() == [x, u]
-    assert cs.complete([1, 3, 5]) == cs.witness()
+    assert cs.complete([1, 3, 5]) == Witness((1, 3, 5, 14))
 
 
 @pytest.mark.parametrize(
@@ -362,7 +356,7 @@ def test_complete_names_the_first_failing_row():
     # A witness with any one wire moved fails some row, and is not the one
     # its projection completes to: a wrong defined wire fails its defining
     # row first, and x fails x2's row before the rows x2 and x3 feed.
-    honest = cs.witness().values
+    honest = CHAIN.values
     for wire, row in ((3, 0), (4, 1), (5, 2), (2, 0), (6, 3), (1, 4)):
         values = list(honest)
         values[wire] += 1
@@ -390,12 +384,11 @@ def test_check_judges_every_single_wire_mutation_as_the_rows_do():
         for uid, x in ((1, 0.5), (2, -0.25))
     ]
     digests = [hash_data_point(d, config.hash_cfg) for d in points]
-    for circuit in (
-        ModelCircuit(config, Dataset(tuple(points[:1]), 1)),
-        DataCircuit(config, digests[:1], [], digests[1:]),
+    for cs, witness in (
+        model_witness(config, Dataset(tuple(points[:1]), 1)),
+        data_witness(config, digests[:1], [], digests[1:]),
     ):
-        cs = circuit.cs
-        honest = cs.witness().values
+        honest = witness.values
         assert is_satisfied(cs, Witness(honest)) and failing_rows(cs, Witness(honest)) == []
         for wire in range(1, cs.num_wires):
             values = list(honest)
@@ -407,23 +400,25 @@ def test_check_judges_every_single_wire_mutation_as_the_rows_do():
 def test_a_wire_below_a_later_rows_wire_is_free():
     # z's row comes after a row that reads a larger wire, so z is free.
     cs = ConstraintSystem(P)
-    x = cs.alloc_private(3)
-    z = cs.alloc_private(9)
-    big = cs.alloc_private(5)
+    x = cs.alloc_private(name="x")
+    z = cs.alloc_private(name="z")
+    big = cs.alloc_private(name="big")
     cs.enforce({0: 1}, {big: 1}, {big: 1})
     cs.enforce({x: 1}, {x: 1}, {z: 1})
     cs.finalize()
     assert cs.free_wires() == [x, z, big]
-    assert cs.complete(cs.project(cs.witness())) == cs.witness()
+    witness = Witness((1, 3, 9, 5))
+    assert cs.project(witness) == list(witness.values)
+    assert cs.complete(cs.project(witness)) == witness
 
 
-def digit_system(value: int, width: int, booleans: bool = True) -> ConstraintSystem:
+def digit_system(width: int, booleans: bool = True) -> ConstraintSystem:
     """x * 1 = sum 2^i b_i over new wires b_0 ... b_{width-1}, as
     ``CircuitBuilder.bits`` writes it, then optionally their boolean
-    rows; x = value is free."""
+    rows; x is free."""
     cs = ConstraintSystem(P)
-    x = cs.alloc_private(value)
-    bits = [cs.alloc_private((value >> i) & 1) for i in range(width)]
+    x = cs.alloc_private(name="x")
+    bits = [cs.alloc_private(name="b") for _ in range(width)]
     cs.enforce({x: 1}, {0: 1}, {b: 1 << i for i, b in enumerate(bits)})
     if booleans:
         for b in bits:
@@ -433,10 +428,12 @@ def digit_system(value: int, width: int, booleans: bool = True) -> ConstraintSys
 
 
 def test_a_sum_row_defines_its_bits_as_binary_digits():
-    cs = digit_system(0b1011, 4)
+    cs = digit_system(4)
+    digits = Witness((1, 0b1011, 1, 1, 0, 1))
     assert cs.free_wires() == [1]
-    assert cs.project(cs.witness()) == [1, 0b1011]
-    assert cs.complete([1, 0b1011]) == cs.witness()
+    assert is_satisfied(cs, digits) and failing_rows(cs, digits) == []
+    assert cs.project(digits) == [1, 0b1011]
+    assert cs.complete([1, 0b1011]) == digits
     assert cs.complete([1, 0]).values == (1, 0, 0, 0, 0, 0)
     # No four digits make 16, nor p - 1: the sum row is refused.
     for value in (16, P - 1):
@@ -453,14 +450,14 @@ def test_check_follows_satisfying_bits_that_are_not_digits():
     # forged bits.
     digits = Witness((1, 2, 0, 1))
     for booleans, failing in ((True, [1]), (False, [])):
-        cs = digit_system(2, 2, booleans)
+        cs = digit_system(2, booleans)
         forged = Witness((1, 2, 2, 0))
         assert failing_rows(cs, forged) == failing
         assert cs.project(forged) == [1, 2]
         assert cs.complete([1, 2]) == digits
         assert not is_satisfied(cs, forged)
     # Bits that do not sum to x fail the sum row itself.
-    cs = digit_system(2, 2)
+    cs = digit_system(2)
     assert failing_rows(cs, Witness((1, 2, 1, 1)))[0] == 0
     assert not is_satisfied(cs, Witness((1, 2, 1, 1)))
 
@@ -471,9 +468,9 @@ def test_only_consecutive_new_wires_with_powers_of_two_are_digits():
         wires 2, 3, ... unless given."""
         cs = ConstraintSystem(P)
         wires = wires or list(range(2, 2 + len(coefficients)))
-        x = cs.alloc_private(0)
+        x = cs.alloc_private(name="x")
         for _ in range(max(wires) - 1):
-            cs.alloc_private(0)
+            cs.alloc_private(name="w")
         cs.enforce({x: 1}, {0: 1}, dict(zip(wires, coefficients)))
         cs.finalize()
         return cs.free_wires()
@@ -528,27 +525,27 @@ def test_free_wires_and_rows_rebuild_the_witness(kind, xs, labels, trained, prev
         DataPoint(uid, (fx_encode(x / 4, scale),), fx_encode(y, scale))
         for uid, (x, y) in enumerate(zip(xs, labels), 1)
     ]
-    # Each circuit's projection, computed natively from its inputs, is
-    # that of the witness a build for them gives, and the rows complete
-    # it to that witness.
+    # Each circuit's projection, computed natively from its inputs, has
+    # one value per free wire, and the rows complete it to a witness that
+    # projects back to it and satisfies every row read on its own.
     dataset = Dataset(tuple(points[:trained]), 1)
     unlearnt = [hash_data_point(d, config.hash_cfg) for d in points[trained:trained + 3]]
     model_given, model, digests = model_projection(config, dataset)
     assert model == train_model(dataset, config.train)
     assert digests == tuple(hash_data_point(d, config.hash_cfg) for d in dataset.points)
     sets = (digests, unlearnt[:previous], unlearnt[previous:])
-    built = (ModelCircuit(config, dataset), DataCircuit(config, *sets))
     projections = (model_given, data_projection(config, *sets))
-    for rows, circuit, given_values in zip(fast_rows(kind), built, projections):
-        witness = circuit.cs.witness()
-        assert given_values == rows.project(witness)
+    for rows, given_values in zip(fast_rows(kind), projections):
         assert len(given_values) == 1 + rows.num_public + len(rows.free_wires())
-        assert rows.complete(given_values) == witness
+        witness = rows.complete(given_values)
+        assert rows.project(witness) == given_values
+        assert failing_rows(rows, witness) == []
 
 
 def test_rule_reads_the_rows_only(fast_pub):
     # The same free wires for setup's system, the one loaded from its
-    # export, and the systems built for two other datasets.
+    # export, and a second build; and every projection has one value
+    # for each.
     config = fast_pub.config
     scale = config.train.scale
     datasets = [
@@ -559,10 +556,12 @@ def test_rule_reads_the_rows_only(fast_pub):
     model_free = fast_pub.model_circuit.cs.free_wires()
     loaded = ConstraintSystem.from_export(fast_pub.model_circuit.cs.export())
     assert loaded.free_wires() == model_free
+    assert ModelCircuit(config).cs.free_wires() == model_free
     for dataset in datasets:
-        assert ModelCircuit(config, dataset).cs.free_wires() == model_free
+        assert len(model_projection(config, dataset)[0]) == 3 + len(model_free)
     data_free = fast_pub.data_circuit.cs.free_wires()
     assert ConstraintSystem.from_export(fast_pub.data_circuit.cs.export()).free_wires() == data_free
-    assert DataCircuit(config, [5, 6], [7], [8]).cs.free_wires() == data_free
+    assert DataCircuit(config).cs.free_wires() == data_free
+    assert len(data_projection(config, [5, 6], [7], [8])) == 4 + len(data_free)
     # Most of the data circuit's private wires are defined by its rows.
     assert len(data_free) < fast_pub.data_circuit.cs.num_private / 2

@@ -7,10 +7,19 @@ import functools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import failing_rows, is_satisfied, statement_of
+from conftest import (
+    circuit_rows,
+    failing_rows,
+    gadget_witness,
+    is_satisfied,
+    is_sum_row,
+    model_slot_projection,
+    model_witness,
+    statement_of,
+)
 from unlearn.circuits import ModelCircuit, model_projection
 from unlearn.field import MAX_ABS, FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
-from unlearn.gadgets import CircuitBuilder, lc_wire
+from unlearn.gadgets import CircuitBuilder
 from unlearn.hashing import (
     DataPoint,
     HashConfig,
@@ -26,7 +35,7 @@ from unlearn.protocol import (
     server_init,
     verify_update,
 )
-from unlearn.r1cs import ConstraintSystem, Witness
+from unlearn.r1cs import Unsatisfied, Witness
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -81,12 +90,10 @@ def test_train_model_checks_data_interval(field):
 
 
 def _fx_mul_gadget(a, b):
-    """fx_mul on private wires holding a and b, and its honest witness."""
-    cs = ConstraintSystem(P)
-    builder = CircuitBuilder(cs, SCALE, TINY)
-    out = builder.fx_mul(lc_wire(cs.alloc_private(a)), lc_wire(cs.alloc_private(b)))
-    cs.finalize()
-    return cs, next(iter(out)), cs.witness()
+    """fx_mul on free wires holding a and b, and the honest witness its
+    rows complete."""
+    cs, witness, out = gadget_witness(CircuitBuilder.fx_mul, [a, b])
+    return cs, next(iter(out)), witness
 
 
 def _forge(honest, out_wire, t, prod=None):
@@ -155,11 +162,14 @@ def test_forged_fx_mul_witnesses_rejected(a, b, j):
 def test_native_and_circuit_round_alike_at_ties_and_bounds(a, b, expected):
     a, b = a % P, b % P
     if expected is None:
-        with pytest.raises(FixedPointOverflow) as native:
+        with pytest.raises(FixedPointOverflow, match=f"outside the {B}-bit value bound"):
             fx_mul(a, b, SCALE)
-        with pytest.raises(FixedPointOverflow) as circuit:
+        # The offset product has no WIDTH digits: the rows refuse the
+        # decomposition's sum row, the row after the product's.
+        with pytest.raises(Unsatisfied) as refused:
             _fx_mul_gadget(a, b)
-        assert str(circuit.value) == str(native.value)
+        cs, _, _ = _fx_mul_gadget(0, 0)
+        assert refused.value.row == 1 and is_sum_row(cs.constraints[1])
         return
     assert fx_mul(a, b, SCALE) == expected % P
     cs, out_wire, honest = _fx_mul_gadget(a, b)
@@ -209,31 +219,37 @@ def test_native_overflow_iff_synthesis_fails(kind, epochs, rows):
     ds = Dataset(
         tuple(DataPoint(i + 1, (x % P,), y % P) for i, (x, y) in enumerate(rows)), 1
     )
+    # The rows refuse a projection with these slot inputs, the native h_D
+    # where it exists and h_m = 0 before the h_m binding row, the last,
+    # exactly when native training raises.
+    rows = circuit_rows(ModelCircuit, config)
+    with pytest.raises(Unsatisfied) as refused:
+        rows.complete(model_slot_projection(config, ds))
+    refused_row = refused.value.row
     try:
         model = train_model(ds, config.train)
     except FixedPointOverflow as e:
         model, native_error = None, e
-    try:
-        circuit = ModelCircuit(config, ds)
-    except FixedPointOverflow as e:
-        circuit, circuit_error = None, e
-    assert (model is None) == (circuit is None)
-    if circuit is None:
-        # Both name the same point, epoch and cause.
-        assert circuit_error.uid == native_error.uid is not None
-        assert str(circuit_error) == str(native_error)
+    assert (model is None) == (refused_row < rows.num_constraints - 1)
+    if model is None:
+        # A range check refuses: a value or a rescaled product leaves the
+        # bound.  The projection raises training's error, naming the
+        # point, the epoch and the cause.
+        assert is_sum_row(rows.constraints[refused_row])
+        assert native_error.uid is not None
         with pytest.raises(FixedPointOverflow) as refused:
             model_projection(config, ds)
-        assert str(refused.value) == str(circuit_error)
+        assert str(refused.value) == str(native_error)
+        assert refused.value.uid == native_error.uid
         return
-    assert is_satisfied(circuit.cs, circuit.cs.witness())
+    cs, witness = model_witness(config, ds)
+    assert is_satisfied(cs, witness)
     digests = tuple(hash_data_point(d, TINY) for d in ds.points)
-    assert statement_of(circuit.cs) == (
+    assert statement_of(cs, witness) == (
         hash_model_weights(model.weights, TINY),
         hash_data(digests, TINY),
     )
-    given = circuit.cs.project(circuit.cs.witness())
-    assert model_projection(config, ds) == (given, model, digests)
+    assert model_projection(config, ds) == (cs.project(witness), model, digests)
 
 
 # -- admission ---------------------------------------------------------------------
