@@ -32,17 +32,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .field import ConfigError
+from .field import BN254_SCALAR_FIELD, ConfigError
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
 from .hashing import DEFAULT_ROUNDS, HashConfig, _tag, empty_root, hash_data
 from .hashing import hash_data_point, hash_model_weights, hash_unlearn
-from .r1cs import ConstraintSystem, WitnessSynthesisError, gc_paused
+from .r1cs import ConstraintSystem, gc_paused
 from .training import Dataset, ModelParams, ShapeMismatch, TrainConfig, sgd_step_ops, train_model
 
 
 class ShapeOverflow(ShapeMismatch):
     """Inputs exceed the circuit's compiled capacity; re-run setup with a
     larger shape."""
+
+
+class WitnessSynthesisError(ValueError):
+    """A circuit's inputs have no witness.  Only ``data_projection``
+    raises it: intersecting training and unlearnt sets zero the data
+    circuit's disjointness product, which has no inverse."""
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,8 @@ class ModelCircuit:
     @gc_paused()
     def __init__(self, config: ProtocolConfig):
         train = config.train
-        scale = train.scale
-        cs = ConstraintSystem(scale.modulus)
-        b = CircuitBuilder(cs, scale, config.hash_cfg)
+        cs = ConstraintSystem(BN254_SCALAR_FIELD)
+        b = CircuitBuilder(cs, train.scale, config.hash_cfg)
         ops = CircuitOps(b)
 
         # Statement wires first; the body computes what each must equal.
@@ -134,7 +139,7 @@ def model_projection(
     cfg = config.hash_cfg
     digests = tuple(hash_data_point(d, cfg) for d in points)
     statement = (hash_model_weights(model.weights, cfg), hash_data(digests, cfg))
-    free = [v % cfg.modulus for d in points for v in (1, d.uid, *d.x, d.y)]
+    free = [v % BN254_SCALAR_FIELD for d in points for v in (1, d.uid, *d.x, d.y)]
     free += [0] * ((config.capacity - len(points)) * (arity + 3))
     return [1, *statement, *free], model, digests
 
@@ -165,7 +170,7 @@ class DataCircuit:
     @gc_paused()
     def __init__(self, config: ProtocolConfig):
         hash_cfg = config.hash_cfg
-        cs = ConstraintSystem(hash_cfg.modulus)
+        cs = ConstraintSystem(BN254_SCALAR_FIELD)
         b = CircuitBuilder(cs, config.train.scale, hash_cfg)
 
         h_d_wire, h_uprev_wire, h_u_wire = (cs.alloc_public() for _ in range(3))
@@ -218,8 +223,7 @@ def data_projection(
     absent slot reading its ``ABSENT_TAGS`` constant.  Raises
     ShapeOverflow when either set exceeds its capacity, and
     WitnessSynthesisError when the sets intersect."""
-    cfg = config.hash_cfg
-    p = cfg.modulus
+    cfg, p = config.hash_cfg, BN254_SCALAR_FIELD
     unlearnt = (*unlearnt_prev, *unlearnt_add)
     free, tagged = [], []
     for items, cap, absent, tag, label in zip(

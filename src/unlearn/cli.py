@@ -46,8 +46,9 @@ Each command accepts ``--dir``, ``--json`` and only the options it reads
 does not read, a config key that does not exist or a value it cannot
 hold, a ``--uid`` outside [0, 2^64) or a negative ``--iteration``,
 ``bench --config`` or ``--backend`` with a ``--dir`` that holds
-parameters, an unreadable ``--config`` or ``--dataset`` file, or a
-``--dataset`` with a categorical column outside ``bench`` included), 3
+parameters, ``init`` on an initialized directory, an unreadable
+``--config`` or ``--dataset`` file, or a ``--dataset`` with a
+categorical column outside ``bench`` included), 3
 corrupt state (a state directory that cannot be read, a missing or
 altered circuit export, a missing, unreadable or malformed key file, a
 config that no longer matches the stored circuit, or a state whose
@@ -288,6 +289,10 @@ def cmd_init(args) -> int:
     store = StateDir(args.dir)
     pub = load_pub(store)
     with dir_lock(store):
+        # A second init would reset the iteration and the deleted uids
+        # under the stored commitments and proofs.
+        if store.state_file.exists():
+            raise CliError(f"{store.root} is already initialized")
         state, com, marker = server_init(pub)
         atomic_write_json(store.commitment_file(0), commitment_to_dict(com, pub.scale))
         atomic_write_json(store.init_marker_file, {"version": VERSION, "marker": marker})

@@ -157,7 +157,7 @@ class CircuitBuilder:
         elements = [uid, *(self.value_range(v) for v in (*x, y))]
         limbs = [
             reduce(self.add, (self.scaled(elements[i], 1 << shift) for i, shift in limb))
-            for limb in point_layout(len(x), self.hash_cfg)
+            for limb in point_layout(len(x))
         ]
         return self.absorb(self.hash_cfg.tag_point, limbs)
 

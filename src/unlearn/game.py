@@ -23,8 +23,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .circuits import data_projection, model_projection
-from .field import fx_encode
+from .circuits import WitnessSynthesisError, data_projection, model_projection
+from .field import BN254_SCALAR_FIELD, fx_encode
 from .hashing import DataPoint, hash_model_weights
 from .protocol import (
     Commitment,
@@ -41,7 +41,6 @@ from .protocol import (
     verify_unlearn,
     verify_update,
 )
-from .r1cs import WitnessSynthesisError
 from .training import Dataset
 
 
@@ -229,7 +228,7 @@ class WrongModelHash(Strategy):
     def build(self, pub, run):
         cfg = pub.hash_cfg
         honest = run.states[-1].model
-        fake_weights = tuple((w + 1) % cfg.modulus for w in honest.weights)
+        fake_weights = tuple((w + 1) % BN254_SCALAR_FIELD for w in honest.weights)
         fake_h_m = hash_model_weights(fake_weights, cfg)
         com = run.commitments[-1]
         forged_com = replace(com, h_m=fake_h_m)

@@ -11,8 +11,8 @@ compression ``_compress(key, message)``:
   ``hash_data_point`` absorbs a point's limbs under the point tag;
 * ``point_layout``  -- how a point (uid, x..., y) packs into limbs: the
   uid in ``UID_BITS`` bits, then each value v as v + 2^B in B + 1 bits
-  (B = ``HashConfig.value_bits``, the fixed-point value bound), greedily
-  into as few limbs of ``HashConfig.limb_bits`` bits as fit.  Each limb
+  (B = ``field.VALUE_BITS``, the fixed-point value bound), greedily
+  into as few limbs of ``LIMB_BITS`` bits as fit.  Each limb
   lies below the modulus, so a point in range packs injectively; one limb
   holds a point up to arity 3.  The model circuit packs through the same
   layout, after range-checking what it packs.
@@ -45,6 +45,10 @@ from .field import BN254_SCALAR_FIELD, VALUE_BITS, value_offset
 UID_BITS = 64
 MAX_UID = 2**UID_BITS - 1
 
+# Every limb lies below 2^LIMB_BITS <= the modulus, so packing never
+# wraps; tests/test_hashing.py pins that a limb holds a uid and a value.
+LIMB_BITS = BN254_SCALAR_FIELD.bit_length() - 1
+
 DEFAULT_ROUNDS = 110  # ceil(log5(2^254)) rounds for the x^5 round function
 
 
@@ -63,30 +67,15 @@ class EmptyModelError(ValueError):
 
 @dataclass(frozen=True)
 class HashConfig:
-    """The rounds of the permutation.  The field and the value bound B (a
-    point's features and label lie in [-2^B, 2^B)) are the fixed-point
-    format's constants in ``field``."""
+    """The rounds of the permutation, and its tags.  The field and the
+    value bound B (a point's features and label lie in [-2^B, 2^B)) are
+    the fixed-point format's constants in ``field``."""
 
     rounds: int = DEFAULT_ROUNDS
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
-
-    @property
-    def modulus(self) -> int:
-        return BN254_SCALAR_FIELD
-
-    @property
-    def value_bits(self) -> int:
-        return VALUE_BITS
-
-    @property
-    def limb_bits(self) -> int:
-        # Every limb lies below 2^limb_bits <= modulus, so packing never
-        # wraps; tests/test_hashing.py pins that a limb holds a uid and a
-        # value.
-        return self.modulus.bit_length() - 1
 
     @property
     def tag_point(self) -> int:
@@ -116,7 +105,7 @@ def round_constants(rounds: int) -> tuple[int, ...]:
 
 def mimc_permute(x: int, key: int, cfg: HashConfig) -> int:
     """Keyed permutation: rounds of t -> (t + key + c_i)^5, then t + key."""
-    p = cfg.modulus
+    p = BN254_SCALAR_FIELD
     t = x % p
     key %= p
     for c in round_constants(cfg.rounds):
@@ -128,13 +117,12 @@ def mimc_permute(x: int, key: int, cfg: HashConfig) -> int:
 
 def _compress(key: int, message: int, cfg: HashConfig) -> int:
     # Miyaguchi-Preneel: H = E_k(m) + k + m.
-    p = cfg.modulus
-    return (mimc_permute(message, key, cfg) + key + message) % p
+    return (mimc_permute(message, key, cfg) + key + message) % BN254_SCALAR_FIELD
 
 
 def absorb(tag: int, items: Sequence[int], cfg: HashConfig) -> int:
     """Keyed chain over raw elements: h <- compress(h + tag, v), h = 0."""
-    p = cfg.modulus
+    p = BN254_SCALAR_FIELD
     h = 0
     for v in items:
         h = _compress((h + tag) % p, v % p, cfg)
@@ -142,7 +130,8 @@ def absorb(tag: int, items: Sequence[int], cfg: HashConfig) -> int:
 
 
 def hash2(l: int, r: int, cfg: HashConfig) -> int:
-    return _compress((l + cfg.tag_node) % cfg.modulus, r % cfg.modulus, cfg)
+    p = BN254_SCALAR_FIELD
+    return _compress((l + cfg.tag_node) % p, r % p, cfg)
 
 
 def empty_root(cfg: HashConfig) -> int:
@@ -165,14 +154,14 @@ class DataPoint:
 
 
 @lru_cache(maxsize=None)
-def point_layout(arity: int, cfg: HashConfig) -> tuple[tuple[tuple[int, int], ...], ...]:
+def point_layout(arity: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per limb, the (element, bit offset) pairs it packs, for the
     elements (uid, x..., y) of a point of ``arity`` features: the uid
     takes UID_BITS bits and each value B + 1, in order, a limb taking
-    elements while they fit in ``cfg.limb_bits`` bits."""
+    elements while they fit in LIMB_BITS bits."""
     limbs, limb, used = [], [], 0
-    for i, width in enumerate((UID_BITS,) + (cfg.value_bits + 1,) * (arity + 1)):
-        if used + width > cfg.limb_bits:
+    for i, width in enumerate((UID_BITS,) + (VALUE_BITS + 1,) * (arity + 1)):
+        if used + width > LIMB_BITS:
             limbs.append(tuple(limb))
             limb, used = [], 0
         limb.append((i, used))
@@ -184,10 +173,8 @@ def point_layout(arity: int, cfg: HashConfig) -> tuple[tuple[tuple[int, int], ..
 def hash_data_point(d: DataPoint, cfg: HashConfig) -> int:
     """Absorb the point's limbs (``point_layout``) under the point tag.
     Raises FixedPointOverflow for a feature or label outside [-2^B, 2^B)."""
-    elements = (d.uid, *(value_offset(v, cfg.value_bits, cfg.modulus) for v in (*d.x, d.y)))
-    limbs = [
-        sum(elements[i] << shift for i, shift in limb) for limb in point_layout(len(d.x), cfg)
-    ]
+    elements = (d.uid, *(value_offset(v, VALUE_BITS, BN254_SCALAR_FIELD) for v in (*d.x, d.y)))
+    limbs = [sum(elements[i] << shift for i, shift in limb) for limb in point_layout(len(d.x))]
     return absorb(cfg.tag_point, limbs, cfg)
 
 
@@ -205,7 +192,7 @@ def hash_data(items: Sequence[int], cfg: HashConfig) -> int:
     """
     if not items:
         return empty_root(cfg)
-    level = [v % cfg.modulus for v in items]
+    level = [v % BN254_SCALAR_FIELD for v in items]
     while len(level) > 1:
         nxt = [hash2(level[i], level[i + 1], cfg) for i in range(0, len(level) - 1, 2)]
         if len(level) % 2 == 1:
@@ -218,7 +205,7 @@ def hash_unlearn(items: Sequence[int], cfg: HashConfig) -> int:
     """Append-only chain root: psi <- hash2(psi, h) folded over the list."""
     psi = empty_root(cfg)
     for h in items:
-        psi = hash2(psi, h % cfg.modulus, cfg)
+        psi = hash2(psi, h % BN254_SCALAR_FIELD, cfg)
     return psi
 
 

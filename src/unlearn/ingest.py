@@ -7,8 +7,8 @@ encode differently in another file; ``categorical=False`` refuses such a
 column for callers that hash points across files.  Row order is file
 order; uids come from a ``uid`` column or default to the row index.  The
 label column is recognized by name (y / label / target / class,
-case-insensitive) unless declared explicitly.  A file with two uid-named
-or, when the label is not declared, two label-named columns is refused.
+case-insensitive).  A file with two uid-named or two label-named columns
+is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .hashing import DataPoint
 from .training import Dataset
 
 LABEL_NAMES = ("y", "label", "target", "class")
-COLUMN_KINDS = ("bool", "num", "cat")
 
 
 class SchemaError(ValueError):
@@ -77,13 +76,7 @@ def _named_column(header: list[str], names: tuple[str, ...], role: str) -> Optio
     return found[0] if found else None
 
 
-def ingest_csv(
-    path: str | Path,
-    scale: ScaleConfig,
-    schema: Optional[dict[str, str]] = None,
-    label_column: Optional[str] = None,
-    categorical: bool = True,
-) -> IngestedDataset:
+def ingest_csv(path: str | Path, scale: ScaleConfig, categorical: bool = True) -> IngestedDataset:
     # utf-8-sig drops a byte-order mark, which would otherwise hide the
     # first column's name (``uid``, say) behind it.
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -99,9 +92,8 @@ def ingest_csv(
     if any(len(r) != len(header) for r in data):
         raise SchemaError("ragged CSV: row length differs from header")
 
+    label_column = _named_column(header, LABEL_NAMES, "label")
     if label_column is None:
-        label_column = _named_column(header, LABEL_NAMES, "label")
-    if label_column is None or label_column not in header:
         raise SchemaError(
             f"missing label column (expected one of {', '.join(LABEL_NAMES)})"
         )
@@ -114,13 +106,8 @@ def ingest_csv(
     encoded_features: dict[str, list[int]] = {}
     for name in feature_names:
         values = col_values[name]
-        kind = (schema or {}).get(name) or _infer_kind(values)
-        if kind not in COLUMN_KINDS:
-            raise SchemaError(f"unknown column kind {kind!r} for {name!r}")
+        kind = _infer_kind(values)
         if kind in ("bool", "num"):
-            bad = next((v for v in values if not _is_number(v.strip())), None)
-            if bad is not None:
-                raise NonNumericCell(f"column {name!r}: cell {bad!r} is not numeric")
             encoded_features[name] = [fx_encode(v.strip(), scale) for v in values]
             columns.append(ColumnInfo(name, kind))
         elif not categorical:

@@ -2,12 +2,12 @@
 
 Two interchangeable backends:
 
-* ``witness-check`` — development backend.  Proofs carry the free wires
-  (``ConstraintSystem.project``): for the update circuits, only each
-  slot's inputs and the data circuit's free wires.  The verifier derives
-  the rest in row order, each range check's bits as the binary digits
-  of its sum row, and checks every other constraint
-  (``ConstraintSystem.complete``).
+* ``witness-check`` — development backend.  Proofs carry a witness's
+  projection (``r1cs``): the constant, the statement and the free wires,
+  for the update circuits only each slot's inputs and the data circuit's
+  free wires.  The verifier derives the rest in row order, each range
+  check's bits as the binary digits of its sum row, and checks every
+  other constraint (``ConstraintSystem.complete``).
   Not succinct and not hiding, but exact and dependency-free;
   completeness and circuit-level tests run on it.  A deliberately broken
   variant (``check=False``) that accepts anything is available to the
@@ -22,8 +22,9 @@ Two interchangeable backends:
 Both backends' ``prove`` take a witness's projection, computed from the
 inputs (``circuits.model_projection`` and ``data_projection``), and
 complete it against the rows once (``ConstraintSystem.complete``), which
-refuses it, naming the first failing row, if no witness satisfies them.
-Witness-check writes the projection; Groth16 proves the completion.
+raises ``r1cs.Unsatisfied``, naming the first failing row, if no witness
+satisfies them.  Witness-check writes the projection; Groth16 proves the
+completion.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .r1cs import ConstraintSystem, Unsatisfied, Witness
+from .r1cs import ConstraintSystem, Unsatisfied
 
 HELPER_ENV = "UNLEARN_GROTH16_BIN"
 HELPER_NAME = "unlearn-groth16"
@@ -51,16 +52,6 @@ class ProofSysError(RuntimeError):
 
 class BackendUnavailable(ProofSysError):
     pass
-
-
-class UnsatisfiedWitness(ProofSysError):
-    """Honest provers refuse to prove false statements.  ``row`` is the
-    first constraint the projection fails, or None when it has the wrong
-    length or constant."""
-
-    def __init__(self, message: str, row: Optional[int] = None):
-        super().__init__(message)
-        self.row = row
 
 
 class FingerprintMismatch(ProofSysError):
@@ -128,15 +119,6 @@ class ProofBlob:
         object.__setattr__(self, "public_inputs", tuple(self.public_inputs))
 
 
-def _complete(cs: ConstraintSystem, given: Sequence[int]) -> Witness:
-    """The satisfying witness whose projection is ``given``; raises
-    UnsatisfiedWitness, naming the first row that fails, if none is."""
-    try:
-        return cs.complete(given)
-    except Unsatisfied as e:
-        raise UnsatisfiedWitness(f"the projection satisfies no witness: {e}", e.row) from None
-
-
 def _witness_payload(values: Sequence[int]) -> bytes:
     """A witness-check proof: version 3, then the projected wires as
     lowercase hex without leading zeros.  The verifier accepts exactly
@@ -156,9 +138,11 @@ class WitnessCheckBackend:
         return SetupArtifacts()
 
     def prove(self, rel: RelationHandle, given: Sequence[int]) -> ProofBlob:
-        """Prove the statement of the projection ``given``."""
-        witness = _complete(rel.circuit, given)
-        statement = witness.values[1 : 1 + rel.circuit.num_public]
+        """Prove the statement of the projection ``given``.  Raises
+        Unsatisfied, naming the first row that fails, if no witness
+        completes it."""
+        witness = rel.circuit.complete(given)
+        statement = witness[1 : 1 + rel.circuit.num_public]
         return ProofBlob(self.name, rel.fingerprint, statement, _witness_payload(given))
 
     def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
@@ -262,8 +246,10 @@ class Groth16Backend:
         return SetupArtifacts(proving_params=pk.read_bytes(), verifying_params=vk.read_bytes())
 
     def prove(self, rel: RelationHandle, given: Sequence[int]) -> ProofBlob:
-        """Prove the statement of the projection ``given``."""
-        witness = _complete(rel.circuit, given)
+        """Prove the statement of the projection ``given``.  Raises
+        Unsatisfied, naming the first row that fails, if no witness
+        completes it."""
+        witness = rel.circuit.complete(given)
         work = self._work()
         pk = work / f"{rel.fingerprint}.pk"
         if not pk.exists():
@@ -271,7 +257,7 @@ class Groth16Backend:
         with tempfile.TemporaryDirectory(dir=work) as tmp:
             tmp = Path(tmp)
             wit = tmp / "witness"
-            _write_values(wit, "unlearn-wit v1", witness.values)
+            _write_values(wit, "unlearn-wit v1", witness)
             proof = tmp / "proof"
             proc = self._run(
                 "prove",
@@ -282,7 +268,7 @@ class Groth16Backend:
             )
             if proc.returncode != 0:
                 raise ProofSysError(f"prove failed: {proc.stderr.strip()}")
-            statement = witness.values[1 : 1 + rel.circuit.num_public]
+            statement = witness[1 : 1 + rel.circuit.num_public]
             return ProofBlob(self.name, rel.fingerprint, statement, proof.read_bytes())
 
     def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:

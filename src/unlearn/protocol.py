@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Sequence
 
 from .circuits import ABSENT_TAGS, DataCircuit, ModelCircuit, ProtocolConfig, ShapeMismatch
-from .circuits import data_projection, model_projection
-from .field import FixedPointOverflow, check_value_range
+from .circuits import WitnessSynthesisError, data_projection, model_projection
+from .field import BN254_SCALAR_FIELD, FixedPointOverflow, check_value_range
 from .hashing import (
     DataPoint,
     HashConfig,
@@ -28,14 +28,8 @@ from .hashing import (
     hash_unlearn,
     verify_tree_path,
 )
-from .proofsys import (
-    FingerprintMismatch,
-    ProofBlob,
-    RelationHandle,
-    UnsatisfiedWitness,
-    get_backend,
-)
-from .r1cs import WitnessSynthesisError
+from .proofsys import FingerprintMismatch, ProofBlob, RelationHandle, get_backend
+from .r1cs import Unsatisfied
 from .training import Dataset, ModelParams, train_model
 
 INIT_MARKER = "empty"
@@ -116,7 +110,7 @@ class PublicParams:
         """Distinguished sentinel model hashed into com_0; its single
         weight is a tagged constant no training run can produce."""
         digest = hashlib.sha256(b"unlearn.tag.empty-model").digest()
-        weight = int.from_bytes(digest, "big") % self.hash_cfg.modulus
+        weight = int.from_bytes(digest, "big") % BN254_SCALAR_FIELD
         return ModelParams(kind="empty", arity=0, weights=(weight,))
 
     def commit_dataset(self, dataset: Dataset) -> int:
@@ -325,7 +319,7 @@ def _prove_stored(pub: PublicParams, rel: RelationHandle, given: list[int]) -> P
     ``audit-setup`` checks."""
     try:
         return pub.backend.prove(rel, given)
-    except UnsatisfiedWitness as e:
+    except Unsatisfied as e:
         where = "" if e.row is None else f" at row {e.row}"
         raise FingerprintMismatch(
             f"the {len(given)} inputs computed from the config do not satisfy the stored "

@@ -22,13 +22,13 @@ rest of C, which lies below it.  A row whose C ends in n >= 2 consecutive
 such new wires with coefficients 2^0 ... 2^(n-1), as a bit
 decomposition's sum row a * 1 = sum 2^i b_i does, defines all n as the
 binary digits of the rest of the row, and holds no value of 2^n or more.
-``project`` keeps the constant, the statement and the other, *free*,
-wires of a witness; ``complete`` rebuilds the one satisfying witness
-with that projection in one walk over the rows, or raises Unsatisfied
-naming the first row that fails.  It is the only evaluator of rows: a
-prover that holds the stored rows computes a projection from its inputs
-and completes it, which is also its check, and a witness-check verifier
-completes the projection a proof carries.
+A witness's *projection* is its constant, its statement and its other,
+*free*, wires (``free_wires``); ``complete`` rebuilds the one satisfying
+witness, a tuple of wire values, from its projection in one walk over
+the rows, or raises Unsatisfied naming the first row that fails.  It is
+the only evaluator of rows: a prover that holds the stored rows computes
+a projection from its inputs and completes it, which is also its check,
+and a witness-check verifier completes the projection a proof carries.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ class Unsatisfied(ValueError):
         )
 
 
-class WitnessSynthesisError(ValueError):
-    """A circuit's inputs have no witness.  Only ``data_projection``
-    raises it: intersecting training and unlearnt sets zero the data
-    circuit's disjointness product, which has no inverse."""
-
-
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector for a block that allocates many
@@ -108,16 +102,6 @@ class CircuitStats:
     public_count: int
     private_count: int
     term_count: int  # nonzero entries of A, B and C together
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Full wire assignment: constant 1, then public, then private."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
 
 
 def _u32s(data=b"") -> array:
@@ -355,30 +339,18 @@ class ConstraintSystem:
             self._defining = defining
         return defining
 
-    def _kept(self) -> bytearray:
-        """1 for each wire a projection keeps: the constant, the statement
-        and the free wires."""
-        kept = bytearray(b"\x01") * self._num_wires
-        for _, w, n in self._defining_rows():
-            if n == 1:
-                kept[w] = 0
-            else:
-                kept[w:w + n] = bytes(n)
-        return kept
-
     def free_wires(self) -> list[int]:
         """The private wires no row defines, in increasing order."""
+        free = bytearray(b"\x01") * self._num_wires
+        for _, w, n in self._defining_rows():
+            free[w:w + n] = bytes(n)
         start = 1 + self.num_public
-        return list(compress(range(start, self._num_wires), self._kept()[start:]))
+        return list(compress(range(start, self._num_wires), free[start:]))
 
-    def project(self, witness: Witness) -> list[int]:
-        """What ``complete`` rebuilds ``witness`` from: the values of the
-        constant, the statement, then the free wires in increasing order."""
-        return list(compress(witness.values, self._kept()))
-
-    def complete(self, given: Sequence[int]) -> Witness:
-        """The one satisfying witness whose projection is ``given`` (field
-        elements, as ``project`` lists them); raises Unsatisfied, naming
+    def complete(self, given: Sequence[int]) -> tuple[int, ...]:
+        """The wire values of the one satisfying witness whose projection
+        is ``given``: field elements, the constant, the statement, then
+        the free wires in increasing order.  Raises Unsatisfied, naming
         the first row that fails, if there is none.  One walk over the
         rows: before each defining row, the free wires below its wires
         take the next values of ``given``, the rows since the last
@@ -421,7 +393,7 @@ class ConstraintSystem:
             raise Unsatisfied(None)
         if any(residues):
             raise Unsatisfied(self.num_constraints - 1 - sum(1 for _ in residues))
-        return Witness(z)
+        return tuple(z)
 
     # -- canonical export ------------------------------------------------------
 

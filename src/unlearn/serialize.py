@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .field import ScaleConfig, from_hex, to_hex
-from .hashing import DataPoint, MembershipPath
+from .hashing import MAX_UID, DataPoint, MembershipPath
 from .proofsys import ProofBlob, RelationHandle, SetupArtifacts, get_backend
 from .protocol import (
     Commitment,
@@ -214,15 +214,23 @@ def server_state_to_dict(state: ServerState, cfg: ScaleConfig) -> dict:
 
 
 def server_state_from_dict(obj: dict, cfg: ScaleConfig) -> ServerState:
+    iteration, deleted = obj["iteration"], obj["deleted_uids"]
+    # bool is an int: type() refuses it too.
+    if type(iteration) is not int or iteration < 0:
+        raise EnvelopeError(f"state iteration {iteration!r} is not a non-negative integer")
+    if type(deleted) is not list or not all(
+        type(u) is int and 0 <= u <= MAX_UID for u in deleted
+    ):
+        raise EnvelopeError("state deleted_uids holds a value that is not a 64-bit uid")
     return ServerState(
-        iteration=obj["iteration"],
+        iteration=iteration,
         dataset=Dataset(
             tuple(data_point_from_dict(d, cfg) for d in obj["points"]), obj["arity"]
         ),
         hashed_unlearnt=tuple(_unhexes(obj["hashed_unlearnt"], cfg)),
         unlearnt_root=from_hex(obj["unlearnt_root"], cfg),
         model=model_params_from_dict(obj["model"], cfg),
-        deleted_uids=frozenset(obj["deleted_uids"]),
+        deleted_uids=frozenset(deleted),
         pending_add=tuple(data_point_from_dict(d, cfg) for d in obj["pending_add"]),
         pending_delete=tuple(data_point_from_dict(d, cfg) for d in obj["pending_delete"]),
         last_deleted=tuple(data_point_from_dict(d, cfg) for d in obj["last_deleted"]),

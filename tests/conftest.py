@@ -5,7 +5,7 @@ import pytest
 
 from unlearn.circuits import ABSENT_DIGESTS, DataCircuit, ModelCircuit
 from unlearn.circuits import data_projection, model_projection
-from unlearn.field import FixedPointOverflow, ScaleConfig
+from unlearn.field import BN254_SCALAR_FIELD, FixedPointOverflow, ScaleConfig
 from unlearn.gadgets import CircuitBuilder, lc_wire
 from unlearn.hashing import HashConfig, hash_data, hash_data_point, hash_unlearn
 from unlearn.proofsys import find_helper
@@ -44,6 +44,13 @@ needs_snark = pytest.mark.skipif(
 
 
 # -- witnesses from the rows ---------------------------------------------------------
+
+
+def project(cs, witness) -> list[int]:
+    """What ``cs.complete`` rebuilds the wire values ``witness`` from: the
+    constant, the statement, then the free wires in increasing order."""
+    free = set(cs.free_wires())
+    return [v for w, v in enumerate(witness) if w <= cs.num_public or w in free]
 
 
 def gadget_witness(build, inputs, rounds=TINY_ROUNDS):
@@ -92,25 +99,25 @@ def model_slot_projection(config, dataset, h_m=0) -> list[int]:
         h_d = hash_data([hash_data_point(d, cfg) for d in dataset.points], cfg)
     except FixedPointOverflow:
         h_d = 0
-    slots = [v % cfg.modulus for d in dataset.points for v in (1, d.uid, *d.x, d.y)]
+    slots = [v % BN254_SCALAR_FIELD for d in dataset.points for v in (1, d.uid, *d.x, d.y)]
     slots += [0] * ((config.capacity - len(dataset.points)) * (dataset.arity + 3))
-    return [1, h_m % cfg.modulus, h_d, *slots]
+    return [1, h_m % BN254_SCALAR_FIELD, h_d, *slots]
 
 
 def data_slot_projection(config, data, prev, add, inverse) -> list[int]:
     """A data projection for the digest sets, laid out as
     ``data_projection`` lays it out but whether or not they are disjoint:
     the native roots, then ``inverse`` as the product's inverse."""
-    cfg = config.hash_cfg
+    cfg, p = config.hash_cfg, BN254_SCALAR_FIELD
     unlearnt = [*prev, *add]
     given = [1, hash_data(data, cfg), hash_unlearn(prev, cfg), hash_unlearn(unlearnt, cfg)]
     for items, cap, absent in zip(
         (data, unlearnt), (config.capacity, config.unlearn_capacity), ABSENT_DIGESTS
     ):
         pad = cap - len(items)
-        given += [1] * len(items) + [0] * pad + [v % cfg.modulus for v in items] + [absent] * pad
+        given += [1] * len(items) + [0] * pad + [v % p for v in items] + [absent] * pad
     given += [int(j < len(prev)) for j in range(config.unlearn_capacity)]
-    return [*given, inverse % cfg.modulus]
+    return [*given, inverse % p]
 
 
 def is_sum_row(row) -> bool:
@@ -137,7 +144,7 @@ def is_satisfied(cs, witness) -> bool:
     completes to, judged as provers and verifiers judge a projection:
     by ``ConstraintSystem.complete``."""
     try:
-        return cs.complete(cs.project(witness)) == witness
+        return cs.complete(project(cs, witness)) == tuple(witness)
     except Unsatisfied:
         return False
 
@@ -167,8 +174,7 @@ def _read(cs) -> tuple[list, list[list[int]]]:
 
 def failing_rows(cs, witness) -> list[int]:
     """Every row ``witness`` fails, each evaluated on its own."""
-    values = witness.values
-    return [i for i, row in enumerate(_read(cs)[0]) if not _holds(cs, row, values)]
+    return [i for i, row in enumerate(_read(cs)[0]) if not _holds(cs, row, witness)]
 
 
 def rows_touching(cs, wire: int) -> list[int]:
@@ -180,10 +186,10 @@ def satisfied_at_wire(cs, witness, wire: int) -> bool:
     """Whether the rows that read ``wire`` hold: enough to judge a
     single-wire mutation of a witness that satisfied every row."""
     rows, touching = _read(cs)
-    return all(_holds(cs, rows[i], witness.values) for i in touching[wire])
+    return all(_holds(cs, rows[i], witness) for i in touching[wire])
 
 
 def statement_of(cs, witness) -> tuple[int, ...]:
     """A completed witness's statement: the values of its public wires,
     which each circuit allocates first."""
-    return tuple(witness.values[1 : 1 + cs.num_public])
+    return tuple(witness[1 : 1 + cs.num_public])

@@ -18,8 +18,8 @@ import pytest
 from conftest import data_slot_projection, data_witness, is_satisfied, model_witness, needs_snark
 from conftest import satisfied_at_wire
 from unlearn.bench import synthetic_dataset
-from unlearn.circuits import ModelCircuit, data_projection, model_projection
-from unlearn.field import ScaleConfig, fx_decode, fx_encode, sigmoid_approx
+from unlearn.circuits import ModelCircuit, WitnessSynthesisError, data_projection, model_projection
+from unlearn.field import BN254_SCALAR_FIELD, ScaleConfig, fx_decode, fx_encode, sigmoid_approx
 from unlearn.game import builtin_strategies, run_completeness, run_suite
 from unlearn.hashing import (
     DataPoint,
@@ -44,7 +44,7 @@ from unlearn.protocol import (
     verify_unlearn,
     verify_update,
 )
-from unlearn.r1cs import Unsatisfied, Witness, WitnessSynthesisError
+from unlearn.r1cs import Unsatisfied
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -194,11 +194,11 @@ def test_criterion_3_exhaustive_witness_mutation():
 
 def _mutate_all(cs, witness):
     survivors = []
-    values = list(witness.values)
+    values = list(witness)
     for wire in range(1, len(values)):
         original = values[wire]
         values[wire] = (original + 1) % cs.modulus
-        if satisfied_at_wire(cs, Witness(tuple(values)), wire):
+        if satisfied_at_wire(cs, tuple(values), wire):
             survivors.append(wire)
         values[wire] = original
     return survivors
@@ -314,8 +314,8 @@ def test_criterion_6_append_only_laws():
     rng = random.Random("acceptance-6")
 
     for trial in range(20):
-        hu = [rng.randrange(cfg.modulus) for _ in range(rng.randint(0, 64))]
-        extra = rng.randrange(cfg.modulus)
+        hu = [rng.randrange(BN254_SCALAR_FIELD) for _ in range(rng.randint(0, 64))]
+        extra = rng.randrange(BN254_SCALAR_FIELD)
         assert hash_unlearn(hu + [extra], cfg) == hash2(hash_unlearn(hu, cfg), extra, cfg)
 
     points = [
@@ -336,7 +336,7 @@ def test_criterion_6_append_only_laws():
         path = compute_tree_path(p, digests, cfg)
         for i in range(len(path.nodes)):
             nodes = list(path.nodes)
-            nodes[i] = (nodes[i] + 1) % cfg.modulus
+            nodes[i] = (nodes[i] + 1) % BN254_SCALAR_FIELD
             assert not verify_tree_path(p, root64, MembershipPath(tuple(nodes)), cfg)
             mutations += 1
     # Exhaustive member x position sweeps: every path position at the full
@@ -350,7 +350,7 @@ def test_criterion_6_append_only_laws():
             path = compute_tree_path(p, hu, profile)
             for i in range(len(path.nodes)):
                 nodes = list(path.nodes)
-                nodes[i] = (nodes[i] + 1) % profile.modulus
+                nodes[i] = (nodes[i] + 1) % BN254_SCALAR_FIELD
                 assert not verify_tree_path(
                     p, root, MembershipPath(tuple(nodes)), profile
                 )

@@ -14,6 +14,7 @@ from conftest import (
     lc_value,
     model_slot_projection,
     model_witness,
+    project,
     rows_touching,
     satisfied_at_wire,
     statement_of,
@@ -24,6 +25,7 @@ from unlearn.circuits import (
     ProtocolConfig,
     ShapeMismatch,
     ShapeOverflow,
+    WitnessSynthesisError,
     data_projection,
     model_projection,
 )
@@ -40,7 +42,7 @@ from unlearn.hashing import (
     point_layout,
 )
 from unlearn.cli import build_protocol_config
-from unlearn.r1cs import ConstraintSystem, Unsatisfied, Witness, WitnessSynthesisError
+from unlearn.r1cs import ConstraintSystem, Unsatisfied
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -69,16 +71,16 @@ def _fx_mul(a, b):
 def test_fx_mul_gadget_matches_native(a, b):
     cs, w, out = _fx_mul(a, b)
     assert is_satisfied(cs, w)
-    assert lc_value(cs, out, w.values) == fx_mul(a % P, b % P, SCALE)
+    assert lc_value(cs, out, w) == fx_mul(a % P, b % P, SCALE)
 
 
 def test_fx_mul_gadget_rejects_mutated_quotient():
     cs, w, out = _fx_mul(enc(0.5), enc(0.5))
     out_wire = next(iter(out))
-    assert w.values[out_wire] == enc(0.25)
-    mutated = list(w.values)
+    assert w[out_wire] == enc(0.25)
+    mutated = list(w)
     mutated[out_wire] = (mutated[out_wire] + 1) % P
-    assert not is_satisfied(cs, Witness(tuple(mutated)))
+    assert not is_satisfied(cs, tuple(mutated))
 
 
 def test_range_check_overflow_raises():
@@ -103,7 +105,7 @@ def test_bits_overflow_raises():
         return builder.bits(a, 8)
 
     cs, w, bits = gadget_witness(bits8, [2**8 - 1])
-    assert len(bits) == 8 and [w.values[b] for b in bits] == [1] * 8
+    assert len(bits) == 8 and [w[b] for b in bits] == [1] * 8
     # 2^8 has no 8 digits: the walk refuses the sum row, row 0.
     with pytest.raises(Unsatisfied) as refused:
         gadget_witness(bits8, [2**8])
@@ -114,7 +116,7 @@ def test_select_gadget():
     for sel, expected in ((1, 10), (0, 20)):
         cs, w, out = gadget_witness(CircuitBuilder.select, [sel, 10, 20])
         assert is_satisfied(cs, w)
-        assert lc_value(cs, out, w.values) == expected
+        assert lc_value(cs, out, w) == expected
 
 
 def test_hash_gadgets_match_native():
@@ -123,9 +125,9 @@ def test_hash_gadgets_match_native():
 
     cs, w, (h2, hm, hd) = gadget_witness(hashes, [5, 6, 7])
     assert is_satisfied(cs, w)
-    assert lc_value(cs, h2, w.values) == hash2(6, 7, TINY)
-    assert lc_value(cs, hm, w.values) == hash_model_weights([5, 6], TINY)
-    assert lc_value(cs, hd, w.values) == hash_data_point(DataPoint(5, (6,), 7), TINY)
+    assert lc_value(cs, h2, w) == hash2(6, 7, TINY)
+    assert lc_value(cs, hm, w) == hash_model_weights([5, 6], TINY)
+    assert lc_value(cs, hd, w) == hash_data_point(DataPoint(5, (6,), 7), TINY)
 
 
 FULL = HashConfig()
@@ -140,14 +142,14 @@ def test_hash_data_point_gadget_matches_native(arity):
     B, limbs = SCALE.value_bits, 1 if arity <= 3 else 2
     values = [-(2**B), 2**B - 1, enc(-0.75), 0, enc(1)]
     d = DataPoint(2**64 - 1, tuple(v % P for v in values[:arity]), values[-1] % P)
-    assert len(point_layout(arity, FULL)) == limbs
+    assert len(point_layout(arity)) == limbs
     cs, w, digest = gadget_witness(
         lambda builder, uid, *values: builder.hash_data_point(uid, values[:-1], values[-1]),
         [d.uid, *d.x, d.y],
         rounds=FULL.rounds,
     )
     assert is_satisfied(cs, w)
-    assert lc_value(cs, digest, w.values) == hash_data_point(d, FULL)
+    assert lc_value(cs, digest, w) == hash_data_point(d, FULL)
     assert cs.num_constraints == limbs * COMPRESS + 65 + (arity + 1) * (B + 2)
 
 
@@ -157,7 +159,7 @@ def test_packing_forgery_fails_the_uid_range_check():
     # recomputed, only the uid's 64-bit range check can tell.
     cs, honest = model_witness(_config(capacity=2), _dataset(2))
     B = SCALE.value_bits
-    values = list(honest.values)
+    values = list(honest)
     # Slot 0, after the statement: presence, uid, x, y, then the gadget's
     # 64 uid bits and x's B + 1 bits.
     uid_w = cs.num_public + 2
@@ -168,7 +170,7 @@ def test_packing_forgery_fails_the_uid_range_check():
     values[x_w] = (values[x_w] - 1) % P
     for i in range(B + 1):
         values[x_bits + i] = ((offset - 1) >> i) & 1
-    forged = Witness(tuple(values))
+    forged = tuple(values)
     stored = ConstraintSystem.from_export(cs.export())
     assert not is_satisfied(stored, forged)
     first, *rest = failing_rows(stored, forged)
@@ -179,7 +181,7 @@ def test_packing_forgery_fails_the_uid_range_check():
     assert set(rest) <= set(rows_touching(stored, x_w))
     # A verifier derives the bits from the uid, and refuses at that row.
     with pytest.raises(Unsatisfied) as refused:
-        stored.complete(stored.project(forged))
+        stored.complete(project(stored, forged))
     assert refused.value.row == first
 
 
@@ -195,7 +197,7 @@ def test_hash_model_gadget_matches_native(kind, arity, hidden):
         lambda builder, *ws: builder.hash_model(list(ws)), weights, rounds=FULL.rounds
     )
     assert is_satisfied(cs, w)
-    assert lc_value(cs, h_m, w.values) == hash_model_weights(weights, FULL)
+    assert lc_value(cs, h_m, w) == hash_model_weights(weights, FULL)
     assert cs.num_constraints == len(weights) * COMPRESS
 
 
@@ -214,7 +216,7 @@ def test_padded_merkle_root_matches_native(occupancy):
     values = [hash2(i + 100, 0, TINY) for i in range(occupancy)]
     cs, w, out = gadget_witness(root, _padded(values, 5))
     assert is_satisfied(cs, w)
-    assert lc_value(cs, out, w.values) == hash_data(values, TINY)
+    assert lc_value(cs, out, w) == hash_data(values, TINY)
 
 
 @pytest.mark.parametrize("occupancy", range(0, 5))
@@ -232,7 +234,7 @@ def test_padded_chain_matches_native(occupancy):
         marks = [int(j < marked) for j in range(4)]
         cs, w, out = gadget_witness(roots, _padded(values, 4) + marks)
         assert is_satisfied(cs, w)
-        assert tuple(lc_value(cs, root, w.values) for root in out) == (
+        assert tuple(lc_value(cs, root, w) for root in out) == (
             hash_unlearn(values[:marked], TINY),
             hash_unlearn(values, TINY),
         )
@@ -271,7 +273,7 @@ def _check_against_native(config, ds):
     ones, and the statement is that of native training."""
     given, model, digests = model_projection(config, ds)
     cs, witness = model_witness(config, ds)
-    assert is_satisfied(cs, witness) and cs.project(witness) == given
+    assert is_satisfied(cs, witness) and project(cs, witness) == given
     assert model == train_model(ds, config.train)
     assert digests == tuple(hash_data_point(d, TINY) for d in ds.points)
     assert statement_of(cs, witness) == (
@@ -293,9 +295,9 @@ def test_model_circuit_other_kinds(kind, arity):
 
 def test_model_circuit_wrong_model_hash_unsatisfiable():
     cs, w = model_witness(_config(), _dataset(3))
-    mutated = list(w.values)
+    mutated = list(w)
     mutated[1] = (mutated[1] + 1) % P  # h_m, the first statement wire
-    assert not is_satisfied(cs, Witness(tuple(mutated)))
+    assert not is_satisfied(cs, tuple(mutated))
 
 
 def test_model_circuit_shape_errors():
@@ -427,9 +429,9 @@ def test_intersecting_sets_with_every_product_wire_recomputed_fail_only_the_inve
     rng = random.Random(1)
     for v in (0, 1, P - 1, *(rng.randrange(P) for _ in range(5))):
         given = data_slot_projection(config, *sets, v)
-        witness = Witness(open_rows.complete(given[:-1]).values + (v,))
+        witness = open_rows.complete(given[:-1]) + (v,)
         acc, _, _ = cs.constraints[-1]
-        assert lc_value(cs, acc, witness.values) == 0
+        assert lc_value(cs, acc, witness) == 0
         assert failing_rows(cs, witness) == [cs.num_constraints - 1]
         assert not is_satisfied(cs, witness)
 
@@ -459,15 +461,15 @@ def test_data_projection_completes_exactly_when_disjoint(data, dcap, ucap):
     else:
         given = data_projection(config, *sets)
         assert given[:-1] == data_slot_projection(config, *sets, 0)[:-1]
-        assert rows.project(rows.complete(given)) == given
+        assert project(rows, rows.complete(given)) == given
 
 
 def test_data_circuit_tampered_root_unsatisfiable():
     cs, w = _data_circuit([hash2(3, 0, TINY)], [], [hash2(9, 0, TINY)])
     for wire in range(1, 1 + cs.num_public):
-        mutated = list(w.values)
+        mutated = list(w)
         mutated[wire] = (mutated[wire] + 1) % P
-        assert not is_satisfied(cs, Witness(tuple(mutated)))
+        assert not is_satisfied(cs, tuple(mutated))
 
 
 def test_data_circuit_capacity_errors():
@@ -506,7 +508,7 @@ def test_previous_bits_never_run_past_presence():
     dcap, ucap, n = 1, 4, 2
     unlearnt = [hash2(20, 0, TINY), hash2(21, 0, TINY)]
     cs, honest = _data_circuit([hash2(1, 0, TINY)], unlearnt, [], dcap=dcap, ucap=ucap)
-    values = list(honest.values)
+    values = list(honest)
     # Layout after the statement: training presence bits and digests, then
     # unlearnt presence bits, unlearnt digests and previous-digest bits.
     _, h_uprev_wire, h_u_wire = range(1, 1 + cs.num_public)
@@ -531,7 +533,7 @@ def test_previous_bits_never_run_past_presence():
     assert h_u == hash_unlearn(unlearnt, TINY)
     # The slot past the set is absent, so its digest is pinned to 1.
     assert values[h_uprev_wire] == hash_unlearn(unlearnt + [1], TINY)
-    forged = Witness(tuple(values))
+    forged = tuple(values)
     failing = failing_rows(cs, forged)
     previous_within_presence = ({prev_n: 1}, {0: 1, pres_n: P - 1}, {})
     assert [cs.constraints[i] for i in failing] == [previous_within_presence]
@@ -543,11 +545,11 @@ def test_previous_bits_never_run_past_presence():
 
 def _mutation_sweep(cs, witness):
     surviving = []
-    values = list(witness.values)
+    values = list(witness)
     for wire in range(1, len(values)):
         original = values[wire]
         values[wire] = (original + 1) % P
-        if satisfied_at_wire(cs, Witness(tuple(values)), wire):
+        if satisfied_at_wire(cs, tuple(values), wire):
             surviving.append(wire)
         values[wire] = original
     return surviving
@@ -563,23 +565,23 @@ def test_mutation_fast_path_agrees_with_full_evaluation():
     cs, w = _data_circuit([1, 2], [], [3], dcap=2, ucap=2)
     rng = random.Random(0)
     for _ in range(25):
-        wire = rng.randrange(1, len(w.values))
-        mutated = list(w.values)
+        wire = rng.randrange(1, len(w))
+        mutated = list(w)
         mutated[wire] = (mutated[wire] + rng.randrange(1, 5)) % P
-        mw = Witness(tuple(mutated))
+        mw = tuple(mutated)
         assert satisfied_at_wire(cs, mw, wire) == is_satisfied(cs, mw)
 
 
 def test_fx_mul_gadget_smallest_product():
     # enc(1/gamma) squared: integer product 1, under half a step, rounds to 0.
     cs, w, out = _fx_mul(1, 1)
-    assert lc_value(cs, out, w.values) == 0
+    assert lc_value(cs, out, w) == 0
     # gadget layout after the operands (wires 1 and 2): the product, the
     # B+k+1 bits of product + 2^(k-1) + 2^(B+k), the output.
     k, B = SCALE.frac_bits, SCALE.value_bits
     prod_wire, out_wire = 3, next(iter(out))
-    assert w.values[prod_wire] == 1
-    bits = w.values[prod_wire + 1 : out_wire]
+    assert w[prod_wire] == 1
+    bits = w[prod_wire + 1 : out_wire]
     assert len(bits) == B + k + 1
     assert sum(v << i for i, v in enumerate(bits)) == 1 + (1 << (k - 1)) + (1 << (B + k))
     assert out_wire == cs.num_wires - 1

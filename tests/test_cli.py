@@ -132,6 +132,20 @@ def test_setup_refuses_another_config_over_initialized_state(workspace, capsys):
     assert run(workspace, "setup", "--dir", fresh, "--config", str(other)) == 0
 
 
+def test_init_refuses_an_initialized_directory(workspace, unlearnt, capsys):
+    # A second init would reset the iteration to 0 and forget the deleted
+    # uids: uid 2 could be added again, and the next update would
+    # overwrite com_1.json.
+    d = str(unlearnt)
+    before = snapshot(unlearnt)
+    capsys.readouterr()
+    assert run(workspace, "init", "--dir", d) == 2
+    assert "is already initialized" in capsys.readouterr().err
+    assert snapshot(unlearnt) == before
+    assert run(workspace, "add", "--dir", d, "--uid", "2", "--features", "-0.25",
+               "--label", "0") == 1
+
+
 def test_setup_removes_the_circuits_it_does_not_record(workspace):
     # epochs changes the model circuit and not the data circuit: the first
     # model's export goes, the shared data circuit's stays.  witness-check
@@ -254,7 +268,7 @@ def test_snark_commands_read_only_the_key_they_use(workspace, unlearnt, capsys, 
     assert "vk.bin: setup key unreadable" in capsys.readouterr().err
     assert reads == ["vk.bin"]
     reads.clear()
-    assert run(workspace, "init", "--dir", d) == 0
+    assert run(workspace, "init", "--dir", d) == 2
     assert reads == []
 
 
@@ -853,6 +867,17 @@ VERSION_8_FILES = {
     "commitments/com_2.json": "8ce747ff3bfe7652dc371de293ee03680fa2e172871478f0524f3e98b4e83d66",
     "state.json": "e4d8d0faa69d3de5bd55b2fd211ae41b1ab82245f5025fa5873780bc7c22ff59",
 }
+# SHA-256 of the other envelopes the same session writes, with the
+# unlearning proof of uid 2 after it: update proofs at version 11,
+# params.json at 14.  A change to the rows, their order, the hash or a
+# format changes some of them; it bumps that kind's version and re-pins.
+CURRENT_FILES = {
+    "proofs/update_0.json": "1ef47f71c1e2fcc52962f572e6ea0ebccbd5f9c0afa8c48e12114a31b9fb301d",
+    "proofs/update_1.json": "a67b8097bb197f8fafd871cea17c4ab09801e475973733aa4030a5df6aef7681",
+    "proofs/update_2.json": "69ec4426e5cfccba0e36084834d5384cb22a56a07cfe9020b240e6f038a0ced5",
+    "proofs/unlearn_2_2.json": "1f30502291a3c9a6a2b3edbb236b0254f7d5cc2511ccc6ef4ed7bac438cb041a",
+    "pub/params.json": "f674ae94c1d4447207522d3bcf68f2efdf837a0b98f8a46becda973420230d17",
+}
 
 
 def test_a_key_the_helper_cannot_parse_is_corrupt_state(workspace, updated, capsys,
@@ -873,9 +898,9 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     d = workspace / "st"
     conf, csv = str(workspace / "conf"), str(workspace / "pts.csv")
     for args in (("setup", "--config", conf), ("init",), ("add", "--dataset", csv), ("update",),
-                 ("delete", "--uid", "2"), ("update",)):
+                 ("delete", "--uid", "2"), ("update",), ("prove-unlearn", "--uid", "2")):
         assert run(workspace, args[0], "--dir", str(d), *args[1:]) == 0
-    for name, digest in VERSION_8_FILES.items():
+    for name, digest in (VERSION_8_FILES | CURRENT_FILES).items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
     assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 14
@@ -1322,6 +1347,28 @@ def test_wrong_type_fields_are_corrupt(workspace, unlearnt, capsys, name, edit, 
         assert "error: corrupt " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("iteration", "1"), ("iteration", -5), ("iteration", True),
+     ("deleted_uids", ["2"]), ("deleted_uids", [2**64]), ("deleted_uids", "2")],
+    ids=["iteration-text", "iteration-negative", "iteration-bool", "uid-text", "uid-65-bits",
+         "uids-text"],
+)
+def test_state_fields_of_the_wrong_type_are_corrupt(workspace, unlearnt, capsys, field, value):
+    # Unchecked, an iteration of "1" crashed update with a TypeError, -5
+    # made it write com_-4.json, and a uid of "2" dropped the ban on adding
+    # uid 2 again.
+    state = unlearnt / "state.json"
+    state.write_text(json.dumps(json.loads(state.read_text()) | {field: value}))
+    before = snapshot(unlearnt)
+    for command, *rest in (("update",), ("add", "--uid", "2", "--features", "-0.25",
+                                         "--label", "0")):
+        capsys.readouterr()
+        assert run(workspace, command, "--dir", str(unlearnt), *rest) == 3
+        assert "error: corrupt state: " in capsys.readouterr().err
+    assert snapshot(unlearnt) == before
+
+
 def test_non_canonical_hex_is_corrupt(workspace, updated, capsys):
     # A 0x prefix at the canonical length: int(s, 16) reads it, and when
     # the dropped digits are zeros it reads the same h_m.  The envelope
@@ -1376,7 +1423,7 @@ def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monke
     witness = cs.complete([int(v, 16) for v in wires])
     kept = sorted({*cs.free_wires(), *range_bits})
     assert len(kept) == len(wires) - 1 - cs.num_public + len(range_bits)
-    values = [*witness.values[: 1 + cs.num_public], *(witness.values[w] for w in kept)]
+    values = [*witness[: 1 + cs.num_public], *(witness[w] for w in kept)]
     old = json.dumps({"v": 2, "wires": [f"{v:x}" for v in values]}, separators=(",", ":"))
     blob["proof_bytes"] = old.encode().hex()
     store.update_proof_file(1).write_text(json.dumps(envelope))

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unlearn.field import FixedPointOverflow, ScaleConfig
+from unlearn.field import BN254_SCALAR_FIELD, VALUE_BITS, FixedPointOverflow, ScaleConfig
 from unlearn.hashing import (
+    LIMB_BITS,
     UID_BITS,
     DataPoint,
     EmptyModelError,
@@ -26,7 +27,7 @@ from unlearn.hashing import (
 )
 
 H = HashConfig()
-P = H.modulus
+P = BN254_SCALAR_FIELD
 
 # Golden values recorded from this implementation's first run, then pinned:
 # any change to the permutation, tags, round constants or the absorb must
@@ -88,13 +89,13 @@ def test_rounds_change_digest():
 def test_hash_data_point_unrolled():
     # The uid, then each value plus 2^B in B + 1 bits, packed into limbs
     # and absorbed one compression per limb under the point tag.
-    t, B = H.tag_point, H.value_bits
+    t, B = H.tag_point, VALUE_BITS
     assert B == ScaleConfig().value_bits == 37
     assert hash_data_point(DataPoint(7, (), 0), H) == _compress(t, 7 + (2**B << 64), H)
     d = DataPoint(1, (50000,), 100000)  # two encoded values inside the bound
     limb = 1 + ((50000 + 2**B) << 64) + ((100000 + 2**B) << (64 + B + 1))
     assert hash_data_point(d, H) == _compress(t, limb, H)
-    assert point_layout(1, H) == (((0, 0), (1, 64), (2, 64 + B + 1)),)
+    assert point_layout(1) == (((0, 0), (1, 64), (2, 64 + B + 1)),)
     # Negative values wrap mod p and pack as their offset below 2^B.
     neg = DataPoint(1, (-50000 % P,), 0)
     limb = 1 + ((2**B - 50000) << 64) + (2**B << (64 + B + 1))
@@ -103,7 +104,7 @@ def test_hash_data_point_unrolled():
     # label goes into a second limb, absorbed after the first.
     wide = DataPoint(3, (1, 2, 3, 4), 5)
     first = 3 + sum((v + 2**B) << (64 + (B + 1) * j) for j, v in enumerate(wide.x))
-    assert H.limb_bits == 253 and point_layout(4, H)[1] == ((5, 0),)
+    assert LIMB_BITS == 253 and point_layout(4)[1] == ((5, 0),)
     assert hash_data_point(wide, H) == absorb(t, (first, 5 + 2**B), H)
 
 
@@ -111,7 +112,7 @@ def test_point_packing_is_injective_at_the_bounds():
     # At one arity (the compiled config fixes it), uid and values at their
     # extremes give distinct digests, and a value outside [-2^B, 2^B) has
     # none.
-    B = H.value_bits
+    B = VALUE_BITS
     uids, values = (0, 2**64 - 1), (-(2**B) % P, 0, 2**B - 1)
     for arity in (1, 2, 4):
         points = [
@@ -131,9 +132,9 @@ def test_point_packing_is_injective_at_the_bounds():
 def test_limbs_must_hold_the_packed_elements():
     # The packing never wraps only if a limb holds a 64-bit uid and a
     # (B+1)-bit value: fixed by the constants, pinned here.
-    assert H.limb_bits == 253 and H.value_bits == 37
-    assert max(UID_BITS, H.value_bits + 1) <= H.limb_bits
-    assert 2**H.limb_bits <= H.modulus
+    assert LIMB_BITS == 253 and VALUE_BITS == 37
+    assert max(UID_BITS, VALUE_BITS + 1) <= LIMB_BITS
+    assert 2**LIMB_BITS <= P
 
 
 def test_hash_data_point_feature_order_matters():

@@ -64,16 +64,10 @@ def test_categorical_coding_first_appearance(tmp_path):
     assert xs == [fx_encode(i, CFG) for i in (0, 1, 0, 2)]
 
 
-def test_declared_schema_overrides_inference(tmp_path):
-    path = write(tmp_path, "f,y\n1,1\n2,0\n")
-    ingested = ingest_csv(path, CFG, schema={"f": "cat"})
-    assert ingested.columns[0].kind == "cat"
-
-
 def test_non_numeric_cell(tmp_path):
     path = write(tmp_path, "f,y\n1.5,1\noops,0\n")
     with pytest.raises(NonNumericCell):
-        ingest_csv(path, CFG, schema={"f": "num"})
+        ingest_csv(path, CFG, categorical=False)
     path = write(tmp_path, "f,y\n1,abc\n", name="bad_label.csv")
     with pytest.raises(NonNumericCell):
         ingest_csv(path, CFG)

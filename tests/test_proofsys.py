@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import TINY_ROUNDS, failing_rows, is_satisfied, needs_snark, rows_touching
+from conftest import TINY_ROUNDS, failing_rows, is_satisfied, needs_snark, project, rows_touching
 from conftest import statement_of
 from unlearn.circuits import ModelCircuit, ProtocolConfig, data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD as P
@@ -16,12 +16,11 @@ from unlearn.proofsys import (
     ProofBlob,
     RelationHandle,
     SetupArtifacts,
-    UnsatisfiedWitness,
     WitnessCheckBackend,
     get_backend,
 )
 from unlearn.protocol import global_setup
-from unlearn.r1cs import ConstraintSystem, Unsatisfied, Witness
+from unlearn.r1cs import ConstraintSystem, Unsatisfied
 from unlearn.serialize import SetupStore
 from unlearn.training import Dataset, default_train_config
 
@@ -76,7 +75,7 @@ def test_witness_check_rejects_wrong_statement(rel, honest):
 
 def test_prove_refuses_false_statement(rel, honest):
     backend = WitnessCheckBackend()
-    with pytest.raises(UnsatisfiedWitness) as refused:
+    with pytest.raises(Unsatisfied) as refused:
         backend.prove(rel, FALSE)
     assert refused.value.row == 0
 
@@ -188,7 +187,7 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
         assert rejected(wires + ["0"])
         assert rejected(wires[:first] + wires[first + 1:])
         assert rejected(wires[:first] + [f"{int(wires[first], 16) + P:x}"] + wires[first + 1:])
-        full = [f"{v:x}" for v in witness.values]
+        full = [f"{v:x}" for v in witness]
         assert rejected(full, v=1)
         assert rejected(full)
     # The model's 8 slots of presence, uid, feature and label, and the
@@ -251,11 +250,11 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
 
     assert is_satisfied(rel.circuit, honest)
     assert not is_satisfied(rel.circuit, forged)
-    assert rel.circuit.project(forged) == given
+    assert project(rel.circuit, forged) == given
     with pytest.raises(Unsatisfied):
         rel.circuit.complete(given)
     assert not backend.verify(rel, statement, _unchecked_blob(rel, statement, given))
-    with pytest.raises(UnsatisfiedWitness) as refused:
+    with pytest.raises(Unsatisfied) as refused:
         backend.prove(rel, given)
     assert refused.value.row == failing_rows(rel.circuit, forged)[0]
 
@@ -276,7 +275,7 @@ def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
     assert one == {0: 1} and inverse == cs.num_wires - 1
     free = cs.free_wires()
     for wire in (d_absent, u_absent, inverse):
-        given = cs.project(witness)
+        given = project(cs, witness)
         k = 1 + len(statement) + free.index(wire)
         given[k] = (given[k] + 5) % P
         with pytest.raises(Unsatisfied) as refused:
@@ -286,9 +285,9 @@ def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
     # The inverse feeds no other row, so that forgery is the honest
     # witness with one wire changed.
     assert rows_touching(cs, inverse) == [cs.num_constraints - 1]
-    values = list(witness.values)
+    values = list(witness)
     values[inverse] = 5
-    assert not is_satisfied(cs, Witness(tuple(values)))
+    assert not is_satisfied(cs, tuple(values))
 
 
 def test_witness_check_spliced_free_wires_never_verify(fast_pub):
@@ -315,12 +314,12 @@ def test_prove_refuses_an_h_m_off_by_one_at_its_bind_row(fast_pub, backend):
     # before it reads a key or runs the helper.
     [(rel, witness, _), _] = _update_blobs(fast_pub, [0.5, -0.25])
     h_m = 1  # the first statement wire
-    given = rel.circuit.project(witness)
+    given = project(rel.circuit, witness)
     given[h_m] = (given[h_m] + 1) % P
     [bind] = rows_touching(rel.circuit, h_m)
     a, b, c = rel.circuit.constraints[bind]
     assert a[h_m] == P - 1 and b == {0: 1} and c == {}
-    with pytest.raises(UnsatisfiedWitness) as refused:
+    with pytest.raises(Unsatisfied) as refused:
         backend.prove(rel, given)
     assert refused.value.row == bind
 
@@ -372,7 +371,7 @@ def test_groth16_seeded_setup_is_deterministic(rel):
 @needs_snark
 def test_groth16_refuses_false_statement(rel, honest):
     snark = Groth16Backend(seed=7)
-    with pytest.raises(UnsatisfiedWitness):
+    with pytest.raises(Unsatisfied):
         snark.prove(with_keys(rel, snark), FALSE)
 
 
@@ -447,5 +446,5 @@ def test_prove_against_the_stored_export(rel, honest, tmp_path, make_backend):
     assert backend.verify(stored, statement, blob)
     assert not backend.verify(stored, (10,), blob)
     stored.release()
-    with pytest.raises(UnsatisfiedWitness):
+    with pytest.raises(Unsatisfied):
         backend.prove(stored, FALSE)

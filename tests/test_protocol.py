@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
-from unlearn import protocol
-from unlearn.circuits import ABSENT_TAGS, ShapeOverflow, data_projection
+from unlearn import hashing, protocol
+from unlearn.circuits import ABSENT_TAGS, ShapeOverflow, WitnessSynthesisError, data_projection
 from unlearn.field import FixedPointOverflow, fx_encode
 from unlearn.hashing import (
     DataPoint,
@@ -27,7 +27,6 @@ from unlearn.protocol import (
     verify_unlearn,
     verify_update,
 )
-from unlearn.r1cs import WitnessSynthesisError
 
 
 def pt(pub, uid, x, y):
@@ -249,7 +248,7 @@ def test_config_validation_errors():
     # training value bound: the config sets only the rounds.
     config = ProtocolConfig(train=train, capacity=4, unlearn_capacity=4, hash_rounds=4)
     assert config.hash_cfg == HashConfig(rounds=4)
-    assert (config.hash_cfg.modulus, config.hash_cfg.value_bits) == (
+    assert (hashing.BN254_SCALAR_FIELD, hashing.VALUE_BITS) == (
         train.scale.modulus, train.scale.value_bits)
 
 

@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TINY_ROUNDS, data_witness, failing_rows, is_satisfied, model_witness
-from conftest import rows_touching, satisfied_at_wire
+from conftest import project, rows_touching, satisfied_at_wire
 from unlearn.circuits import DataCircuit, ModelCircuit, data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD as P
 from unlearn.field import fx_encode
 from unlearn.hashing import DataPoint, hash_data_point
 from unlearn.protocol import ProtocolConfig
-from unlearn.r1cs import (
-    MAGIC,
-    BuildPhaseClosed,
-    ConstraintSystem,
-    Unsatisfied,
-    Witness,
-)
+from unlearn.r1cs import MAGIC, BuildPhaseClosed, ConstraintSystem, Unsatisfied
 from unlearn.training import Dataset, default_train_config, train_model
 
 
@@ -32,8 +26,8 @@ def squaring_system():
 
 def test_squaring_constraint():
     cs = squaring_system()
-    assert is_satisfied(cs, Witness((1, 9, 3)))
-    assert not is_satisfied(cs, Witness((1, 10, 3)))
+    assert is_satisfied(cs, (1, 9, 3))
+    assert not is_satisfied(cs, (1, 10, 3))
 
 
 def test_boolean_gadget():
@@ -41,18 +35,18 @@ def test_boolean_gadget():
     b = cs.alloc_private(name="b")
     cs.enforce({b: 1}, {0: 1, b: -1}, {})
     cs.finalize()
-    assert is_satisfied(cs, Witness((1, 0)))
-    assert is_satisfied(cs, Witness((1, 1)))
-    assert not is_satisfied(cs, Witness((1, 2)))
+    assert is_satisfied(cs, (1, 0))
+    assert is_satisfied(cs, (1, 1))
+    assert not is_satisfied(cs, (1, 2))
 
 
 def test_empty_system_satisfied():
     cs = ConstraintSystem(P)
     cs.alloc_private(name="x")
     cs.finalize()
-    assert is_satisfied(cs, Witness((1, 42)))
-    assert not is_satisfied(cs, Witness((1,)))  # wrong length
-    assert not is_satisfied(cs, Witness((2, 42)))  # constant wire must be 1
+    assert is_satisfied(cs, (1, 42))
+    assert not is_satisfied(cs, (1,))  # wrong length
+    assert not is_satisfied(cs, (2, 42))  # constant wire must be 1
 
 
 def test_build_phase_closes():
@@ -112,9 +106,9 @@ def test_constraints_touching_index():
     cs.finalize()
     assert rows_touching(cs, x) == [0]
     assert rows_touching(cs, y) == [0, 1]
-    w = Witness((1, 1, 1))
+    w = (1, 1, 1)
     assert satisfied_at_wire(cs, w, x)
-    bad = Witness((1, 2, 1))
+    bad = (1, 2, 1)
     assert not satisfied_at_wire(cs, bad, x)
 
 
@@ -142,7 +136,7 @@ def test_from_export_roundtrip_and_verdicts(fast_pub, name):
     assert parsed.stats() == circuit.cs.stats()
     honest = _honest_witness(fast_pub, name)
     k = 1 + circuit.cs.num_public
-    flipped = Witness(honest.values[:k] + ((honest.values[k] + 1) % P,) + honest.values[k + 1:])
+    flipped = honest[:k] + ((honest[k] + 1) % P,) + honest[k + 1:]
     for witness, verdict in ((honest, True), (flipped, False)):
         assert is_satisfied(circuit.cs, witness) is verdict
         assert is_satisfied(parsed, witness) is verdict
@@ -258,9 +252,9 @@ def test_built_and_loaded_agree_on_failures(fast_pub, name):
     loaded = ConstraintSystem.from_export(circuit.cs.export())
     honest = _honest_witness(fast_pub, name)
     wire = 1 + circuit.cs.num_public
-    values = list(honest.values)
+    values = list(honest)
     values[wire] = (values[wire] + 1) % P
-    flipped = Witness(tuple(values))
+    flipped = tuple(values)
     assert failing_rows(circuit.cs, honest) == failing_rows(loaded, honest) == []
     failing = failing_rows(circuit.cs, flipped)
     assert failing and failing_rows(loaded, flipped) == failing
@@ -296,7 +290,7 @@ def chain_system():
 
 
 # chain_system's witness for x = 2: y = 100, x2 = 4, x3 = 8, s = 10, t = 1.
-CHAIN = Witness((1, 100, 2, 4, 8, 10, 1))
+CHAIN = (1, 100, 2, 4, 8, 10, 1)
 
 
 def test_rule_splits_free_and_defined_wires():
@@ -304,7 +298,7 @@ def test_rule_splits_free_and_defined_wires():
     assert cs.free_wires() == [2, 6]
     witness = CHAIN
     assert is_satisfied(cs, witness) and failing_rows(cs, witness) == []
-    assert cs.project(witness) == [1, 100, 2, 1]
+    assert project(cs, witness) == [1, 100, 2, 1]
     assert cs.complete([1, 100, 2, 1]) == witness
 
 
@@ -318,7 +312,7 @@ def test_a_defining_row_places_the_free_wires_below_its_own():
     cs.enforce({x: 1}, {x: 1}, {u: -1, w: 1})
     cs.finalize()
     assert cs.free_wires() == [x, u]
-    assert cs.complete([1, 3, 5]) == Witness((1, 3, 5, 14))
+    assert cs.complete([1, 3, 5]) == (1, 3, 5, 14)
 
 
 @pytest.mark.parametrize(
@@ -356,15 +350,15 @@ def test_complete_names_the_first_failing_row():
     # A witness with any one wire moved fails some row, and is not the one
     # its projection completes to: a wrong defined wire fails its defining
     # row first, and x fails x2's row before the rows x2 and x3 feed.
-    honest = CHAIN.values
+    honest = CHAIN
     for wire, row in ((3, 0), (4, 1), (5, 2), (2, 0), (6, 3), (1, 4)):
         values = list(honest)
         values[wire] += 1
-        witness = Witness(tuple(values))
+        witness = tuple(values)
         assert failing_rows(cs, witness)[0] == row, wire
         assert not is_satisfied(cs, witness), wire
-    assert is_satisfied(cs, Witness(honest))
-    assert not is_satisfied(cs, Witness(honest + (0,)))
+    assert is_satisfied(cs, honest)
+    assert not is_satisfied(cs, honest + (0,))
 
 
 def test_check_judges_every_single_wire_mutation_as_the_rows_do():
@@ -388,12 +382,12 @@ def test_check_judges_every_single_wire_mutation_as_the_rows_do():
         model_witness(config, Dataset(tuple(points[:1]), 1)),
         data_witness(config, digests[:1], [], digests[1:]),
     ):
-        honest = witness.values
-        assert is_satisfied(cs, Witness(honest)) and failing_rows(cs, Witness(honest)) == []
+        honest = witness
+        assert is_satisfied(cs, honest) and failing_rows(cs, honest) == []
         for wire in range(1, cs.num_wires):
             values = list(honest)
             values[wire] = (values[wire] + 1) % P
-            witness = Witness(tuple(values))
+            witness = tuple(values)
             assert is_satisfied(cs, witness) == (failing_rows(cs, witness) == []), wire
 
 
@@ -407,9 +401,9 @@ def test_a_wire_below_a_later_rows_wire_is_free():
     cs.enforce({x: 1}, {x: 1}, {z: 1})
     cs.finalize()
     assert cs.free_wires() == [x, z, big]
-    witness = Witness((1, 3, 9, 5))
-    assert cs.project(witness) == list(witness.values)
-    assert cs.complete(cs.project(witness)) == witness
+    witness = (1, 3, 9, 5)
+    assert project(cs, witness) == list(witness)
+    assert cs.complete(project(cs, witness)) == witness
 
 
 def digit_system(width: int, booleans: bool = True) -> ConstraintSystem:
@@ -429,12 +423,12 @@ def digit_system(width: int, booleans: bool = True) -> ConstraintSystem:
 
 def test_a_sum_row_defines_its_bits_as_binary_digits():
     cs = digit_system(4)
-    digits = Witness((1, 0b1011, 1, 1, 0, 1))
+    digits = (1, 0b1011, 1, 1, 0, 1)
     assert cs.free_wires() == [1]
     assert is_satisfied(cs, digits) and failing_rows(cs, digits) == []
-    assert cs.project(digits) == [1, 0b1011]
+    assert project(cs, digits) == [1, 0b1011]
     assert cs.complete([1, 0b1011]) == digits
-    assert cs.complete([1, 0]).values == (1, 0, 0, 0, 0, 0)
+    assert cs.complete([1, 0]) == (1, 0, 0, 0, 0, 0)
     # No four digits make 16, nor p - 1: the sum row is refused.
     for value in (16, P - 1):
         with pytest.raises(Unsatisfied) as refused:
@@ -448,18 +442,18 @@ def test_check_follows_satisfying_bits_that_are_not_digits():
     # Without boolean rows every row holds.  Either way the projection
     # [1, 2] completes to the digits, so no prover or verifier sees the
     # forged bits.
-    digits = Witness((1, 2, 0, 1))
+    digits = (1, 2, 0, 1)
     for booleans, failing in ((True, [1]), (False, [])):
         cs = digit_system(2, booleans)
-        forged = Witness((1, 2, 2, 0))
+        forged = (1, 2, 2, 0)
         assert failing_rows(cs, forged) == failing
-        assert cs.project(forged) == [1, 2]
+        assert project(cs, forged) == [1, 2]
         assert cs.complete([1, 2]) == digits
         assert not is_satisfied(cs, forged)
     # Bits that do not sum to x fail the sum row itself.
     cs = digit_system(2)
-    assert failing_rows(cs, Witness((1, 2, 1, 1)))[0] == 0
-    assert not is_satisfied(cs, Witness((1, 2, 1, 1)))
+    assert failing_rows(cs, (1, 2, 1, 1))[0] == 0
+    assert not is_satisfied(cs, (1, 2, 1, 1))
 
 
 def test_only_consecutive_new_wires_with_powers_of_two_are_digits():
@@ -538,7 +532,7 @@ def test_free_wires_and_rows_rebuild_the_witness(kind, xs, labels, trained, prev
     for rows, given_values in zip(fast_rows(kind), projections):
         assert len(given_values) == 1 + rows.num_public + len(rows.free_wires())
         witness = rows.complete(given_values)
-        assert rows.project(witness) == given_values
+        assert project(rows, witness) == given_values
         assert failing_rows(rows, witness) == []
 
 

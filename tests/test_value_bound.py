@@ -15,6 +15,7 @@ from conftest import (
     is_sum_row,
     model_slot_projection,
     model_witness,
+    project,
     statement_of,
 )
 from unlearn.circuits import ModelCircuit, model_projection
@@ -35,7 +36,7 @@ from unlearn.protocol import (
     server_init,
     verify_update,
 )
-from unlearn.r1cs import Unsatisfied, Witness
+from unlearn.r1cs import Unsatisfied
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -101,14 +102,14 @@ def _forge(honest, out_wire, t, prod=None):
     the output they give, and its product wire with prod if given.  Every
     boolean row and the output row then hold.  Gadget layout: the
     product, the WIDTH bits of product + OFFSET, the output."""
-    values = list(honest.values)
+    values = list(honest)
     first_bit = out_wire - WIDTH
     for i in range(WIDTH):
         values[first_bit + i] = (t >> i) & 1
     values[out_wire] = ((t >> K) - (1 << B)) % P
     if prod is not None:
         values[first_bit - 1] = prod % P
-    return Witness(tuple(values))
+    return tuple(values)
 
 
 # Operands whose product stays inside the bound after rescaling.
@@ -124,13 +125,13 @@ BOUNDED = st.integers(min_value=-(1 << HALF), max_value=1 << HALF)
 def test_forged_fx_mul_witnesses_rejected(a, b, j):
     cs, out_wire, honest = _fx_mul_gadget(a, b)
     assert is_satisfied(cs, honest)
-    assert honest.values[out_wire] == fx_mul(a % P, b % P, SCALE)
+    assert honest[out_wire] == fx_mul(a % P, b % P, SCALE)
     t = a * b + OFFSET
     assert _forge(honest, out_wire, t, prod=a * b) == honest
     # The output moved by j steps with all its bits recomputed: only the
     # row tying the bits to the product fails.
     shifted = _forge(honest, out_wire, t + (j << K))
-    assert shifted.values[out_wire] == (honest.values[out_wire] + j) % P
+    assert shifted[out_wire] == (honest[out_wire] + j) % P
     [bits_row] = failing_rows(cs, shifted)
     # Moving the product wire along with them fails the product row.
     moved = _forge(honest, out_wire, t + (j << K), prod=a * b + (j << K))
@@ -174,7 +175,7 @@ def test_native_and_circuit_round_alike_at_ties_and_bounds(a, b, expected):
     assert fx_mul(a, b, SCALE) == expected % P
     cs, out_wire, honest = _fx_mul_gadget(a, b)
     assert is_satisfied(cs, honest)
-    assert honest.values[out_wire] == expected % P
+    assert honest[out_wire] == expected % P
 
 
 # -- native training and the model circuit agree ---------------------------------------
@@ -249,7 +250,7 @@ def test_native_overflow_iff_synthesis_fails(kind, epochs, rows):
         hash_model_weights(model.weights, TINY),
         hash_data(digests, TINY),
     )
-    assert model_projection(config, ds) == (cs.project(witness), model, digests)
+    assert model_projection(config, ds) == (project(cs, witness), model, digests)
 
 
 # -- admission ---------------------------------------------------------------------
