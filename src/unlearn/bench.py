@@ -32,18 +32,17 @@ from .training import Dataset
 DEFAULT_SIZES = (10, 100)
 
 
+def random_point(rng: random.Random, uid: int, arity: int, scale: ScaleConfig) -> DataPoint:
+    """A point of ``arity`` features on the quarter grid in [-1, 1] and a
+    0/1 label, drawn from ``rng`` in that order."""
+    grid = [i / 4 for i in range(-4, 5)]
+    x = tuple(fx_encode(rng.choice(grid), scale) for _ in range(arity))
+    return DataPoint(uid=uid, x=x, y=fx_encode(rng.choice((0, 1)), scale))
+
+
 def synthetic_dataset(size: int, arity: int, scale: ScaleConfig, seed: int = 0) -> Dataset:
     rng = random.Random(f"unlearn-bench-{seed}")
-    grid = [i / 4 for i in range(-4, 5)]
-    points = tuple(
-        DataPoint(
-            uid=i,
-            x=tuple(fx_encode(rng.choice(grid), scale) for _ in range(arity)),
-            y=fx_encode(rng.choice((0, 1)), scale),
-        )
-        for i in range(size)
-    )
-    return Dataset(points, arity)
+    return Dataset(tuple(random_point(rng, i, arity, scale) for i in range(size)), arity)
 
 
 @dataclass

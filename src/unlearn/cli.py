@@ -69,7 +69,7 @@ from pathlib import Path
 from .bench import DEFAULT_SIZES, bench_sizes
 from .circuits import DataCircuit, ModelCircuit, ShapeMismatch, ShapeOverflow
 from .field import FixedPointOverflow, ScaleConfig, fx_encode
-from .game import builtin_strategies, run_suite
+from .game import BUILTIN_STRATEGIES, run_suite
 from .hashing import MAX_UID, DataPoint, NotMemberError
 from .ingest import ingest_csv, split_dataset
 from .proofsys import BackendUnavailable, ProofSysError, WitnessCheckBackend
@@ -104,7 +104,7 @@ from .serialize import (
     update_proof_from_dict,
     update_proof_to_dict,
 )
-from .training import accuracy, train_model, TrainConfig
+from .training import accuracy, default_train_config, train_model
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -157,12 +157,12 @@ def build_protocol_config(options: dict[str, str]) -> ProtocolConfig:
     if opts["kind"] == "nn" and "hidden" not in options:
         raise CliError("bad configuration: kind = nn needs a hidden key (2 or 4)")
     try:
-        train = TrainConfig(
-            kind=opts["kind"],
-            arity=int(opts["arity"]),
+        train = default_train_config(
+            opts["kind"],
+            int(opts["arity"]),
             hidden=int(opts["hidden"]),
             epochs=int(opts["epochs"]),
-            learning_rate=fx_encode(Fraction(opts["learning_rate"]), ScaleConfig()),
+            learning_rate=Fraction(opts["learning_rate"]),
         )
         return ProtocolConfig(
             train=train,
@@ -199,14 +199,22 @@ def load_pub(store: StateDir):
         raise CliError(f"corrupt parameters: {e}", EXIT_CORRUPT)
 
 
-def load_state(store: StateDir, scale):
+def load_state(store: StateDir, pub):
+    """The stored server state, which must hold points of the config's arity."""
     try:
-        return store.load_state(scale)
+        state = store.load_state(pub.scale)
     except FileNotFoundError:
         raise CliError("no server state (run init first)")
     except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         # A field of the wrong type raises TypeError.
         raise CliError(f"corrupt state: {e}", EXIT_CORRUPT)
+    arity = pub.config.train.arity
+    if state.dataset.arity != arity:
+        raise CliError(
+            f"corrupt state: state arity {state.dataset.arity} is not the config's arity {arity}",
+            EXIT_CORRUPT,
+        )
+    return state
 
 
 def ingest_dataset(path: str, scale: ScaleConfig, categorical: bool = False):
@@ -317,7 +325,7 @@ def cmd_add(args) -> int:
     store = StateDir(args.dir)
     pub = load_pub(store)
     with dir_lock(store):
-        state = load_state(store, pub.scale)
+        state = load_state(store, pub)
         if args.dataset:
             points = ingest_dataset(args.dataset, pub.scale).dataset.points
         else:
@@ -337,7 +345,7 @@ def cmd_delete(args) -> int:
     if args.uid is None:
         raise CliError("delete needs --uid")
     with dir_lock(store):
-        state = load_state(store, pub.scale)
+        state = load_state(store, pub)
         point = find_point(
             args, (*state.dataset.points, *state.pending_add), pub.scale,
             f"uid {args.uid} not found; pass --dataset with the point's row",
@@ -357,7 +365,7 @@ def cmd_update(args) -> int:
     store = StateDir(args.dir)
     pub = load_pub(store)
     with dir_lock(store):
-        state = load_state(store, pub.scale)
+        state = load_state(store, pub)
         try:
             state, model, com, proof = prove_update(state, pub)
         except (ShapeOverflow, FixedPointOverflow) as e:
@@ -414,7 +422,7 @@ def cmd_prove_unlearn(args) -> int:
     if args.uid is None:
         raise CliError("prove-unlearn needs --uid")
     with dir_lock(store):
-        state = load_state(store, pub.scale)
+        state = load_state(store, pub)
         point = find_point(
             args, state.last_deleted, pub.scale,
             f"uid {args.uid} is not among the last update's deletions; "
@@ -489,11 +497,11 @@ def cmd_game(args) -> int:
     pub = load_pub(store)
     if pub.config.capacity < 4:
         raise CliError("the game needs a capacity >= 4 setup")
-    strategies = builtin_strategies()
+    strategies = BUILTIN_STRATEGIES
     if args.strategy:
-        strategies = [s for s in strategies if s.name == args.strategy]
+        strategies = [s for s in BUILTIN_STRATEGIES if s.name == args.strategy]
         if not strategies:
-            names = ", ".join(s.name for s in builtin_strategies())
+            names = ", ".join(s.name for s in BUILTIN_STRATEGIES)
             raise CliError(f"unknown strategy {args.strategy!r} (choose from {names})")
     if args.negative_control:
         pub = global_setup(pub.config, backend=WitnessCheckBackend(check=False),
@@ -526,7 +534,7 @@ def cmd_bench(args) -> int:
         sizes = (0,)  # not a list of integers: refused below with the non-positive sizes
     if min(sizes) < 1:
         raise CliError(f"bad --sizes {args.sizes!r}: expected comma-separated positive integers")
-    if args.dir and StateDir(args.dir).params_file.exists():
+    if args.dir:
         ignored = [f"--{name}" for name in ("config", "backend") if getattr(args, name)]
         if ignored:
             raise CliError(
@@ -545,7 +553,10 @@ def cmd_bench(args) -> int:
     if args.dataset:
         scale = config.train.scale
         ingested = ingest_dataset(args.dataset, scale, categorical=True)
-        train_set, test_set = split_dataset(ingested.dataset, split)
+        try:
+            train_set, test_set = split_dataset(ingested.dataset, split)
+        except ValueError as e:
+            raise CliError(f"cannot report accuracy on {args.dataset}: {e}")
         train_cfg = dataclasses.replace(config.train, arity=ingested.dataset.arity)
         threshold = fx_encode(Fraction(1, 2), scale)
         try:

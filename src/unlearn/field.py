@@ -43,7 +43,6 @@ VALUE_BITS = (GAMMA * MAX_ABS).bit_length()
 SIGMOID_C0 = Fraction(50000, 100000)
 SIGMOID_C1 = Fraction(19751, 100000)
 SIGMOID_C3 = Fraction(-427, 100000)
-SIGMOID_FIT_RANGE = (-5, 5)
 
 Rational = Union[int, float, str, Fraction]
 
@@ -137,10 +136,6 @@ def check_value_range(v: int, cfg: ScaleConfig) -> None:
     value_offset(v, cfg.value_bits, cfg.modulus)
 
 
-def fx_decode(v: int, cfg: ScaleConfig) -> Fraction:
-    return Fraction(signed_repr(v, cfg), cfg.gamma)
-
-
 def rescale(prod: int, cfg: ScaleConfig) -> int:
     """A signed product over gamma, rounded half up: (prod + gamma/2) >> k.
     Raises FixedPointOverflow unless the result lies in [-2^B, 2^B), B =
@@ -201,10 +196,6 @@ def sigmoid_deriv_poly(ops, z):
     d3 = ops.encode(3 * SIGMOID_C3)
     z2 = ops.mul(z, z)
     return ops.add(c1, ops.mul(d3, z2))
-
-
-def sigmoid_approx(z: int, cfg: ScaleConfig) -> int:
-    return sigmoid_poly(NativeOps(cfg), z)
 
 
 _HEX_DIGITS = frozenset("0123456789abcdef")

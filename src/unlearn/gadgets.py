@@ -22,7 +22,8 @@ from __future__ import annotations
 from functools import reduce
 
 from .field import ScaleConfig, fx_encode
-from .hashing import UID_BITS, HashConfig, empty_root, point_layout, round_constants
+from .hashing import TAG_MODEL, TAG_NODE, TAG_POINT, UID_BITS, HashConfig, empty_root
+from .hashing import point_layout, round_constants
 from .r1cs import ConstraintSystem, LinComb
 
 
@@ -147,7 +148,7 @@ class CircuitBuilder:
         return h
 
     def hash2(self, l: LinComb, r: LinComb) -> LinComb:
-        return self._compress(self.add(l, lc_const(self.hash_cfg.tag_node)), r)
+        return self._compress(self.add(l, lc_const(TAG_NODE)), r)
 
     def hash_data_point(self, uid: LinComb, x: list[LinComb], y: LinComb) -> LinComb:
         """Range-check the uid to UID_BITS bits and each value to the value
@@ -159,10 +160,10 @@ class CircuitBuilder:
             reduce(self.add, (self.scaled(elements[i], 1 << shift) for i, shift in limb))
             for limb in point_layout(len(x))
         ]
-        return self.absorb(self.hash_cfg.tag_point, limbs)
+        return self.absorb(TAG_POINT, limbs)
 
     def hash_model(self, weights: list[LinComb]) -> LinComb:
-        return self.absorb(self.hash_cfg.tag_model, weights)
+        return self.absorb(TAG_MODEL, weights)
 
     def merkle_root(self, leaves: list[LinComb], presence: list[LinComb]) -> LinComb:
         """Root of the level-by-level tree over the present prefix of a

@@ -28,8 +28,9 @@ compression ``_compress(key, message)``:
   chain (path = intermediate root below the target plus every digest
   appended after it).
 
-Distinct tag constants offset the keys of the point chain, the model
-chain, the node hash and the empty-chain base, so the same elements hash
+Distinct tag constants (``TAG_POINT``, ``TAG_MODEL``, ``TAG_NODE``,
+``TAG_EMPTY``) offset the keys of the point chain, the model chain, the
+node hash and the empty-chain base, so the same elements hash
 differently in each role.  All functions are pure.
 """
 
@@ -57,6 +58,12 @@ def _tag(label: str) -> int:
     return int.from_bytes(digest, "big") % BN254_SCALAR_FIELD
 
 
+TAG_POINT = _tag("point")
+TAG_MODEL = _tag("model")
+TAG_NODE = _tag("hash2")
+TAG_EMPTY = _tag("empty-chain-base")
+
+
 class NotMemberError(KeyError):
     """The data point's digest does not occur in the unlearnt set."""
 
@@ -67,31 +74,16 @@ class EmptyModelError(ValueError):
 
 @dataclass(frozen=True)
 class HashConfig:
-    """The rounds of the permutation, and its tags.  The field and the
-    value bound B (a point's features and label lie in [-2^B, 2^B)) are
-    the fixed-point format's constants in ``field``."""
+    """The rounds of the permutation.  The tags are the ``TAG_*``
+    constants, and the field and the value bound B (a point's features
+    and label lie in [-2^B, 2^B)) are the fixed-point format's constants
+    in ``field``."""
 
     rounds: int = DEFAULT_ROUNDS
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
-
-    @property
-    def tag_point(self) -> int:
-        return _tag("point")
-
-    @property
-    def tag_model(self) -> int:
-        return _tag("model")
-
-    @property
-    def tag_node(self) -> int:
-        return _tag("hash2")
-
-    @property
-    def tag_empty(self) -> int:
-        return _tag("empty-chain-base")
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +123,12 @@ def absorb(tag: int, items: Sequence[int], cfg: HashConfig) -> int:
 
 def hash2(l: int, r: int, cfg: HashConfig) -> int:
     p = BN254_SCALAR_FIELD
-    return _compress((l + cfg.tag_node) % p, r % p, cfg)
+    return _compress((l + TAG_NODE) % p, r % p, cfg)
 
 
 def empty_root(cfg: HashConfig) -> int:
     """hash of the designated empty sentinel: base of both structures."""
-    return _compress(cfg.tag_empty, 0, cfg)
+    return _compress(TAG_EMPTY, 0, cfg)
 
 
 @dataclass(frozen=True)
@@ -175,13 +167,13 @@ def hash_data_point(d: DataPoint, cfg: HashConfig) -> int:
     Raises FixedPointOverflow for a feature or label outside [-2^B, 2^B)."""
     elements = (d.uid, *(value_offset(v, VALUE_BITS, BN254_SCALAR_FIELD) for v in (*d.x, d.y)))
     limbs = [sum(elements[i] << shift for i, shift in limb) for limb in point_layout(len(d.x))]
-    return absorb(cfg.tag_point, limbs, cfg)
+    return absorb(TAG_POINT, limbs, cfg)
 
 
 def hash_model_weights(weights: Sequence[int], cfg: HashConfig) -> int:
     if not weights:
         raise EmptyModelError("model has no parameters")
-    return absorb(cfg.tag_model, weights, cfg)
+    return absorb(TAG_MODEL, weights, cfg)
 
 
 def hash_data(items: Sequence[int], cfg: HashConfig) -> int:

@@ -1,14 +1,13 @@
 """CSV ingestion into fixed-point datasets.
 
-Columns are boolean (values in {0,1}), numeric (decimal, fx-encoded), or
-categorical (integer-coded by first appearance, then fx-encoded).  A
-category's code depends on the rows of its file, so the same row can
-encode differently in another file; ``categorical=False`` refuses such a
-column for callers that hash points across files.  Row order is file
-order; uids come from a ``uid`` column or default to the row index.  The
-label column is recognized by name (y / label / target / class,
-case-insensitive).  A file with two uid-named or two label-named columns
-is refused.
+Columns are numeric (decimal, fx-encoded) or categorical (integer-coded
+by first appearance, then fx-encoded).  A category's code depends on the
+rows of its file, so the same row can encode differently in another
+file; ``categorical=False`` refuses such a column for callers that hash
+points across files.  Row order is file order; uids come from a ``uid``
+column or default to the row index.  The label column is recognized by
+name (y / label / target / class, case-insensitive).  A file with two
+uid-named or two label-named columns is refused.
 """
 
 from __future__ import annotations
@@ -35,18 +34,11 @@ class NonNumericCell(ValueError):
 
 
 @dataclass(frozen=True)
-class ColumnInfo:
-    name: str
-    kind: str  # bool | num | cat
-    categories: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class IngestedDataset:
+    """What ``ingest_csv`` read.  Only the dataset: perfbench's tracer
+    counts the rows of ``ingest_csv(...).dataset``."""
+
     dataset: Dataset
-    columns: tuple[ColumnInfo, ...]
-    label_column: str
-    uid_column: Optional[str]
 
 
 def _is_number(cell: str) -> bool:
@@ -55,15 +47,6 @@ def _is_number(cell: str) -> bool:
         return True
     except (ValueError, ZeroDivisionError):
         return False
-
-
-def _infer_kind(values: list[str]) -> str:
-    stripped = [v.strip() for v in values]
-    if all(v in ("0", "1") for v in stripped):
-        return "bool"
-    if all(_is_number(v) for v in stripped):
-        return "num"
-    return "cat"
 
 
 def _named_column(header: list[str], names: tuple[str, ...], role: str) -> Optional[str]:
@@ -102,14 +85,11 @@ def ingest_csv(path: str | Path, scale: ScaleConfig, categorical: bool = True) -
     feature_names = [n for n in header if n != label_column and n != uid_column]
     col_values = {n: [r[header.index(n)] for r in data] for n in header}
 
-    columns = []
     encoded_features: dict[str, list[int]] = {}
     for name in feature_names:
         values = col_values[name]
-        kind = _infer_kind(values)
-        if kind in ("bool", "num"):
+        if all(_is_number(v.strip()) for v in values):
             encoded_features[name] = [fx_encode(v.strip(), scale) for v in values]
-            columns.append(ColumnInfo(name, kind))
         elif not categorical:
             bad = next((v for v in values if not _is_number(v.strip())), None)
             if bad is not None and any(_is_number(v.strip()) for v in values):
@@ -128,7 +108,6 @@ def ingest_csv(path: str | Path, scale: ScaleConfig, categorical: bool = True) -
                 codes.setdefault(v, len(codes))
                 ints.append(codes[v])
             encoded_features[name] = [fx_encode(i, scale) for i in ints]
-            columns.append(ColumnInfo(name, "cat", tuple(codes)))
 
     labels = col_values[label_column]
     bad = next((v for v in labels if not _is_number(v.strip())), None)
@@ -154,19 +133,17 @@ def ingest_csv(path: str | Path, scale: ScaleConfig, categorical: bool = True) -
         )
         for i in range(len(data))
     )
-    return IngestedDataset(
-        dataset=Dataset(points, len(feature_names)),
-        columns=tuple(columns),
-        label_column=label_column,
-        uid_column=uid_column,
-    )
+    return IngestedDataset(Dataset(points, len(feature_names)))
 
 
 def split_dataset(dataset: Dataset, ratio: float) -> tuple[Dataset, Dataset]:
     """Deterministic train/test split: the first ratio-fraction of rows
-    trains, the rest tests (row order is the file order)."""
+    trains, the rest tests (row order is the file order).  Each side
+    keeps at least one row, so fewer than two rows raise ValueError."""
     if not 0 < ratio < 1:
         raise ValueError("split ratio must be in (0, 1)")
+    if len(dataset.points) < 2:
+        raise ValueError(f"cannot split {len(dataset.points)} row(s) into a train and a test set")
     cut = max(1, min(len(dataset.points) - 1, round(len(dataset.points) * ratio)))
     return (
         Dataset(dataset.points[:cut], dataset.arity),

@@ -214,19 +214,19 @@ def server_state_to_dict(state: ServerState, cfg: ScaleConfig) -> dict:
 
 
 def server_state_from_dict(obj: dict, cfg: ScaleConfig) -> ServerState:
-    iteration, deleted = obj["iteration"], obj["deleted_uids"]
+    iteration, arity, deleted = obj["iteration"], obj["arity"], obj["deleted_uids"]
     # bool is an int: type() refuses it too.
     if type(iteration) is not int or iteration < 0:
         raise EnvelopeError(f"state iteration {iteration!r} is not a non-negative integer")
+    if type(arity) is not int or arity < 0:
+        raise EnvelopeError(f"state arity {arity!r} is not a non-negative integer")
     if type(deleted) is not list or not all(
         type(u) is int and 0 <= u <= MAX_UID for u in deleted
     ):
         raise EnvelopeError("state deleted_uids holds a value that is not a 64-bit uid")
     return ServerState(
         iteration=iteration,
-        dataset=Dataset(
-            tuple(data_point_from_dict(d, cfg) for d in obj["points"]), obj["arity"]
-        ),
+        dataset=Dataset(tuple(data_point_from_dict(d, cfg) for d in obj["points"]), arity),
         hashed_unlearnt=tuple(_unhexes(obj["hashed_unlearnt"], cfg)),
         unlearnt_root=from_hex(obj["unlearnt_root"], cfg),
         model=model_params_from_dict(obj["model"], cfg),

@@ -1,15 +1,22 @@
 import functools
+import random
 import weakref
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
+from unlearn.bench import random_point
 from unlearn.circuits import ABSENT_DIGESTS, DataCircuit, ModelCircuit
 from unlearn.circuits import data_projection, model_projection
-from unlearn.field import BN254_SCALAR_FIELD, FixedPointOverflow, ScaleConfig
+from unlearn.field import BN254_SCALAR_FIELD, FixedPointOverflow, NativeOps, ScaleConfig
+from unlearn.field import sigmoid_poly, signed_repr
 from unlearn.gadgets import CircuitBuilder, lc_wire
-from unlearn.hashing import HashConfig, hash_data, hash_data_point, hash_unlearn
+from unlearn.hashing import DataPoint, HashConfig, hash_data, hash_data_point, hash_unlearn
 from unlearn.proofsys import find_helper
-from unlearn.protocol import ProtocolConfig, global_setup
+from unlearn.protocol import ProtocolConfig, PublicParams, global_setup, prove_unlearn
+from unlearn.protocol import prove_update, queue_add, queue_delete, server_init
+from unlearn.protocol import verify_init, verify_unlearn, verify_update
 from unlearn.r1cs import ConstraintSystem, Unsatisfied
 from unlearn.training import default_train_config
 
@@ -41,6 +48,100 @@ needs_snark = pytest.mark.skipif(
     find_helper() is None,
     reason="unlearn-groth16 helper not built (cargo build --release in native/groth16)",
 )
+
+
+# -- fixed-point values read back ---------------------------------------------------
+
+
+def fx_decode(v: int, cfg: ScaleConfig) -> Fraction:
+    """The rational an encoded fixed-point value stands for."""
+    return Fraction(signed_repr(v, cfg), cfg.gamma)
+
+
+def sigmoid_approx(z: int, cfg: ScaleConfig) -> int:
+    """The native cubic sigmoid surrogate at the encoded value ``z``."""
+    return sigmoid_poly(NativeOps(cfg), z)
+
+
+# -- completeness driver -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompletenessReport:
+    seed: int
+    iterations: int
+    points_added: int
+    points_deleted: int
+    init_ok: bool
+    updates_verified: int
+    unlearns_verified: int
+    failures: int
+
+
+def run_completeness(
+    pub: PublicParams, seed: int, iters: int, max_points: int = 8
+) -> CompletenessReport:
+    """Drive a random valid request sequence end-to-end and verify every
+    proof the server emits.  The generator never violates validity: fresh
+    uids per addition, deletions drawn from live or never-added points,
+    and the compiled capacities are respected."""
+    rng = random.Random(f"unlearn-completeness-{seed}")
+    arity, scale = pub.config.train.arity, pub.scale
+    capacity, unlearn_capacity = pub.config.capacity, pub.config.unlearn_capacity
+
+    state, com, marker = server_init(pub)
+    init_ok = verify_init(pub, com, marker)
+    failures = 0 if init_ok else 1
+
+    next_uid = 0
+    added = deleted = updates_ok = unlearns_ok = 0
+    unlearned_points: list[DataPoint] = []
+
+    for _ in range(iters):
+        live = list(state.dataset.points)
+        n_add = rng.randint(0, max(0, min(capacity - len(live), max_points)))
+        batch_add = []
+        for _ in range(n_add):
+            d = random_point(rng, next_uid, arity, scale)
+            next_uid += 1
+            state = queue_add(state, d, pub)
+            batch_add.append(d)
+            added += 1
+
+        unlearn_room = unlearn_capacity - len(state.hashed_unlearnt)
+        candidates = live + batch_add
+        n_del = rng.randint(0, max(0, min(len(candidates), unlearn_room, max_points)))
+        batch_del = rng.sample(candidates, n_del)
+        if unlearn_room > n_del and rng.random() < 0.25:
+            # Exercise deletion of a never-added point (permanently bans it).
+            batch_del.append(random_point(rng, next_uid, arity, scale))
+            next_uid += 1
+        for d in batch_del:
+            state = queue_delete(state, d)
+            deleted += 1
+
+        state, _, next_com, proof = prove_update(state, pub)
+        ok = verify_update(pub, com, next_com, proof)
+        updates_ok += ok
+        failures += not ok
+        com = next_com
+
+        for d in batch_del:
+            ok = verify_unlearn(pub, d, com, prove_unlearn(pub, state, d))
+            unlearns_ok += ok
+            failures += not ok
+            unlearned_points.append(d)
+
+        if unlearned_points and rng.random() < 0.5:
+            # Old deletions stay provable against the latest commitment.
+            d = rng.choice(unlearned_points)
+            ok = verify_unlearn(pub, d, com, prove_unlearn(pub, state, d))
+            unlearns_ok += ok
+            failures += not ok
+
+    return CompletenessReport(
+        seed, iters, added, deleted, init_ok, updates_ok, unlearns_ok, failures
+    )
 
 
 # -- witnesses from the rows ---------------------------------------------------------

@@ -16,11 +16,11 @@ import time
 import pytest
 
 from conftest import data_slot_projection, data_witness, is_satisfied, model_witness, needs_snark
-from conftest import satisfied_at_wire
+from conftest import fx_decode, run_completeness, satisfied_at_wire, sigmoid_approx
 from unlearn.bench import synthetic_dataset
 from unlearn.circuits import ModelCircuit, WitnessSynthesisError, data_projection, model_projection
-from unlearn.field import BN254_SCALAR_FIELD, ScaleConfig, fx_decode, fx_encode, sigmoid_approx
-from unlearn.game import builtin_strategies, run_completeness, run_suite
+from unlearn.field import BN254_SCALAR_FIELD, ScaleConfig, fx_encode
+from unlearn.game import BUILTIN_STRATEGIES, run_suite
 from unlearn.hashing import (
     DataPoint,
     HashConfig,
@@ -108,7 +108,7 @@ def test_criterion_2_security_game_sound_backend():
     seeds = list(range(20))
     reports = run_suite(pub, seeds)
     losses = [r for r in reports if r.verdict == 0]
-    assert len(losses) == len(reports) == 20 * len(builtin_strategies())
+    assert len(losses) == len(reports) == 20 * len(BUILTIN_STRATEGIES)
 
     unsound = global_setup(config, backend=WitnessCheckBackend(check=False))
     control = run_suite(unsound, seeds=[0])

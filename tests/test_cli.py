@@ -1085,6 +1085,27 @@ def test_bench_dir_with_params_refuses_config_and_backend(
                "--counts-only") == 0
 
 
+def test_bench_dir_without_params_is_a_usage_error(workspace, capsys):
+    # Such a --dir was ignored, and bench measured the default config.
+    missing = workspace / "nosuch"
+    capsys.readouterr()
+    assert run(workspace, "bench", "--dir", str(missing), "--sizes", "2", "--counts-only") == 2
+    assert f"error: {missing} is not initialized (run setup first)" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_bench_accuracy_on_one_row_is_a_usage_error(workspace, capsys):
+    # One row leaves no test set: accuracy raised EmptyDataset through main.
+    one = workspace / "one.csv"
+    one.write_text("uid,f1,y\n1,0.5,1\n")
+    capsys.readouterr()
+    code = run(workspace, "bench", "--config", str(workspace / "conf"), "--sizes", "2",
+               "--counts-only", "--dataset", str(one))
+    assert code == 2
+    assert (f"error: cannot report accuracy on {one}: cannot split 1 row(s) into a train "
+            "and a test set") in capsys.readouterr().err
+
+
 # The options each command reads, beyond --dir and --json.
 COMMAND_OPTIONS = {
     "setup": {"--config", "--backend"},
@@ -1367,6 +1388,31 @@ def test_state_fields_of_the_wrong_type_are_corrupt(workspace, unlearnt, capsys,
         assert run(workspace, command, "--dir", str(unlearnt), *rest) == 3
         assert "error: corrupt state: " in capsys.readouterr().err
     assert snapshot(unlearnt) == before
+
+
+def test_a_state_arity_other_than_the_configs_is_corrupt(workspace, initialized, capsys):
+    # Unchecked, an arity of "1" beside stored points was reported as a
+    # point of the wrong arity, and an empty state of arity 2 under this
+    # arity-1 config refused every valid point as a reject (exit 1).
+    d = str(initialized)
+    state = initialized / "state.json"
+    empty = json.loads(state.read_text())
+    add_csv = ("add", "--dataset", str(workspace / "pts.csv"))
+    assert run(workspace, add_csv[0], "--dir", d, *add_csv[1:]) == 0
+    assert run(workspace, "update", "--dir", d) == 0
+    with_points = json.loads(state.read_text())
+    assert with_points["points"]
+    for obj, message in (
+        (empty | {"arity": 2}, "state arity 2 is not the config's arity 1"),
+        (with_points | {"arity": "1"}, "state arity '1' is not a non-negative integer"),
+    ):
+        state.write_text(json.dumps(obj))
+        before = snapshot(initialized)
+        for command, *rest in (add_csv, ("update",)):
+            capsys.readouterr()
+            assert run(workspace, command, "--dir", d, *rest) == 3
+            assert f"error: corrupt state: {message}" in capsys.readouterr().err
+        assert snapshot(initialized) == before
 
 
 def test_non_canonical_hex_is_corrupt(workspace, updated, capsys):

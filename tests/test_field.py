@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fx_decode, sigmoid_approx
 from unlearn.field import (
     BN254_SCALAR_FIELD,
     FRAC_BITS,
@@ -17,10 +18,8 @@ from unlearn.field import (
     VALUE_BITS,
     ScaleConfig,
     from_hex,
-    fx_decode,
     fx_encode,
     fx_mul,
-    sigmoid_approx,
     signed_repr,
     to_hex,
 )

@@ -2,14 +2,14 @@ import dataclasses
 
 import pytest
 
+from conftest import run_completeness
 from unlearn.game import (
+    BUILTIN_STRATEGIES,
     CheatWithUnsoundBackend,
     HonestServer,
     MalformedTranscript,
     ReAddAfterUnlearn,
-    builtin_strategies,
     honest_run,
-    run_completeness,
     run_game,
     run_suite,
 )
@@ -26,7 +26,7 @@ REQUIRED_STRATEGIES = {
 
 
 def test_builtin_suite_contains_required_strategies():
-    names = {s.name for s in builtin_strategies()}
+    names = {s.name for s in BUILTIN_STRATEGIES}
     assert REQUIRED_STRATEGIES <= names
 
 
@@ -37,7 +37,7 @@ def test_all_builtins_lose_under_checked_backend(fast_pub):
 
 def test_each_strategy_fails_at_its_targeted_check(fast_pub):
     run = honest_run(fast_pub, seed=0)
-    for strategy in builtin_strategies():
+    for strategy in BUILTIN_STRATEGIES:
         transcript = strategy.build(fast_pub, run)
         verdict, failing = run_game(fast_pub, transcript)
         assert verdict == 0
@@ -48,7 +48,7 @@ def test_honest_server_passes_all_verifications(fast_pub):
     # The game rejects the honest transcript only at the winning predicate:
     # every verification line passes.
     run = honest_run(fast_pub, seed=3)
-    verdict, failing = run_game(fast_pub, HonestServer().build(fast_pub, run))
+    verdict, failing = run_game(fast_pub, HonestServer.build(fast_pub, run))
     assert (verdict, failing) == (0, "winning_predicate")
 
 
@@ -61,14 +61,14 @@ def test_negative_control_unsound_backend_wins(fast_pub):
 
 def test_negative_control_commitment_line(fast_pub):
     run = honest_run(fast_pub, seed=1)
-    cheat = CheatWithUnsoundBackend().build(fast_pub, run)
+    cheat = CheatWithUnsoundBackend.build(fast_pub, run)
     assert run_game(fast_pub, cheat) == (0, "commitments")
     assert run_game(fast_pub, cheat, check_commitments=False) == (1, None)
 
 
 def test_readd_strategy_surrenders_true_datasets(fast_pub):
     run = honest_run(fast_pub, seed=2)
-    transcript = ReAddAfterUnlearn().build(fast_pub, run)
+    transcript = ReAddAfterUnlearn.build(fast_pub, run)
     # The re-added dataset is surrendered honestly (the lie lives in the
     # forged proof, not the extraction), so the commitment line passes and
     # rejection happens at the update proof.
@@ -78,7 +78,7 @@ def test_readd_strategy_surrenders_true_datasets(fast_pub):
 
 def test_malformed_transcripts_rejected(fast_pub):
     run = honest_run(fast_pub, seed=0)
-    t = HonestServer().build(fast_pub, run)
+    t = HonestServer.build(fast_pub, run)
     with pytest.raises(MalformedTranscript):
         run_game(fast_pub, dataclasses.replace(t, k=9))
     with pytest.raises(MalformedTranscript):
@@ -88,7 +88,7 @@ def test_malformed_transcripts_rejected(fast_pub):
 
 
 def test_report_shape(fast_pub):
-    reports = run_suite(fast_pub, seeds=[4], strategies=[HonestServer()])
+    reports = run_suite(fast_pub, seeds=[4], strategies=[HonestServer])
     payload = reports[0].to_dict()
     assert set(payload) == {"strategy", "seed", "verdict", "failing_check"}
 

@@ -25,6 +25,7 @@ from unlearn.hashing import (
     point_layout,
     verify_tree_path,
 )
+from unlearn.hashing import TAG_EMPTY, TAG_MODEL, TAG_NODE, TAG_POINT
 
 H = HashConfig()
 P = BN254_SCALAR_FIELD
@@ -51,7 +52,7 @@ def test_determinism():
 def test_non_commutative_and_domain_separated():
     assert hash2(1, 2, H) != hash2(2, 1, H)
     assert hash_model_weights([0], H) != empty_root(H)
-    assert len({H.tag_point, H.tag_model, H.tag_node, H.tag_empty}) == 4
+    assert len({TAG_POINT, TAG_MODEL, TAG_NODE, TAG_EMPTY}) == 4
 
 
 @pytest.mark.parametrize("x", [(), (3,), (3, 4)])
@@ -89,7 +90,7 @@ def test_rounds_change_digest():
 def test_hash_data_point_unrolled():
     # The uid, then each value plus 2^B in B + 1 bits, packed into limbs
     # and absorbed one compression per limb under the point tag.
-    t, B = H.tag_point, VALUE_BITS
+    t, B = TAG_POINT, VALUE_BITS
     assert B == ScaleConfig().value_bits == 37
     assert hash_data_point(DataPoint(7, (), 0), H) == _compress(t, 7 + (2**B << 64), H)
     d = DataPoint(1, (50000,), 100000)  # two encoded values inside the bound
@@ -149,7 +150,7 @@ def test_uid_range():
 
 
 def test_hash_model():
-    t = H.tag_model
+    t = TAG_MODEL
     assert hash_model_weights([11], H) == _compress(t, 11, H)
     assert hash_model_weights([11, 22], H) == _compress((_compress(t, 11, H) + t) % P, 22, H)
     # Elements are reduced into the field before they are absorbed.

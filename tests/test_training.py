@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fx_decode, sigmoid_approx
 from unlearn import circuits
 from unlearn.field import (
     SIGMOID_C0,
     SIGMOID_C1,
     SIGMOID_C3,
     ScaleConfig,
-    fx_decode,
     fx_encode,
-    sigmoid_approx,
 )
 from unlearn.hashing import DataPoint, HashConfig, hash_model_weights
 from unlearn.training import (
