@@ -94,7 +94,7 @@ def _bench_size(
     pub = global_setup(config, setup_store=store.setup_store)
     store.save_params(pub)
     setup_s = time.perf_counter() - t0
-    model, data = pub.model_circuit.cs.stats(), pub.data_circuit.cs.stats()
+    model, data = pub.model_relation.circuit.stats(), pub.data_relation.circuit.stats()
     entry = BenchEntry(
         size=config.capacity,
         unlearn_size=config.unlearn_capacity,
@@ -104,8 +104,8 @@ def _bench_size(
         data_private_wires=data.private_count,
         model_terms=model.term_count,
         data_terms=data.term_count,
-        model_free_wires=len(pub.model_circuit.cs.free_wires()),
-        data_free_wires=len(pub.data_circuit.cs.free_wires()),
+        model_free_wires=len(pub.model_relation.circuit.free_wires()),
+        data_free_wires=len(pub.data_relation.circuit.free_wires()),
     )
     if counts_only:
         return entry

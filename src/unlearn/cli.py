@@ -1,10 +1,13 @@
 """Operator command line: protocol driving, proof files, games, benchmarks.
 
-State lives in a directory of versioned JSON envelopes (see ``serialize``):
+State lives in a directory of versioned JSON envelopes:
 ``pub/`` holds the public parameters, ``commitments/`` and ``proofs/`` the
 per-iteration outputs, and ``state.json`` the server state.  Files are the
 wire format: a verifier needs only ``pub/``, the commitments, and the
-proof files.
+proof files.  ``serialize.StateDir`` owns them: their envelopes and
+versions, and the write order that makes ``state.json`` the commit point
+of ``init`` and ``update``.  Commands parse their options, call
+``protocol`` and print.
 
 ``pub/`` is written once, by ``setup``:
 
@@ -90,20 +93,7 @@ from .protocol import (
     verify_update,
 )
 from .r1cs import fingerprint_of
-from .serialize import (
-    UPDATE_PROOF_VERSION,
-    VERSION,
-    EnvelopeError,
-    StateDir,
-    atomic_write_json,
-    commitment_from_dict,
-    commitment_to_dict,
-    read_json,
-    unlearn_proof_from_dict,
-    unlearn_proof_to_dict,
-    update_proof_from_dict,
-    update_proof_to_dict,
-)
+from .serialize import EnvelopeError, StateDir, commitment_to_dict
 from .training import accuracy, default_train_config, train_model
 
 EXIT_OK = 0
@@ -202,11 +192,12 @@ def load_pub(store: StateDir):
 def load_state(store: StateDir, pub):
     """The stored server state, which must hold points of the config's arity."""
     try:
-        state = store.load_state(pub.scale)
+        state = store.load_state()
     except FileNotFoundError:
         raise CliError("no server state (run init first)")
-    except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        # A field of the wrong type raises TypeError.
+    except (KeyError, TypeError, ValueError) as e:
+        # ValueError covers EnvelopeError and a JSON decode error; a field
+        # of the wrong type raises TypeError.
         raise CliError(f"corrupt state: {e}", EXIT_CORRUPT)
     arity = pub.config.train.arity
     if state.dataset.arity != arity:
@@ -248,7 +239,7 @@ def reading_envelopes():
         yield
     except FileNotFoundError as e:
         raise CliError(f"missing envelope: {e.filename}")
-    except (EnvelopeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"corrupt envelope: {e}", EXIT_CORRUPT)
 
 
@@ -274,21 +265,18 @@ def cmd_setup(args) -> int:
             raise CliError(f"{store.root} is initialized under another config")
         pub = global_setup(config, setup_store=store.setup_store)
         store.save_params(pub)
-        store.setup_store.prune(
-            pub.backend.name, {pub.model_relation.fingerprint, pub.data_relation.fingerprint}
-        )
     payload = {
         "dir": str(store.root),
         "backend": config.backend,
         "model_fingerprint": pub.model_relation.fingerprint,
         "data_fingerprint": pub.data_relation.fingerprint,
-        "model_constraints": pub.model_circuit.cs.stats().constraint_count,
-        "data_constraints": pub.data_circuit.cs.stats().constraint_count,
+        "model_constraints": pub.model_relation.circuit.stats().constraint_count,
+        "data_constraints": pub.data_relation.circuit.stats().constraint_count,
     }
     if args.json:
         # Finding the free wires walks the rows: only --json reports them.
-        payload["model_free_wires"] = len(pub.model_circuit.cs.free_wires())
-        payload["data_free_wires"] = len(pub.data_circuit.cs.free_wires())
+        payload["model_free_wires"] = len(pub.model_relation.circuit.free_wires())
+        payload["data_free_wires"] = len(pub.data_relation.circuit.free_wires())
     emit(args, payload, f"setup complete in {store.root} (backend {config.backend})")
     return EXIT_OK
 
@@ -302,9 +290,7 @@ def cmd_init(args) -> int:
         if store.state_file.exists():
             raise CliError(f"{store.root} is already initialized")
         state, com, marker = server_init(pub)
-        atomic_write_json(store.commitment_file(0), commitment_to_dict(com, pub.scale))
-        atomic_write_json(store.init_marker_file, {"version": VERSION, "marker": marker})
-        store.save_state(state, pub.scale)
+        store.save_iteration(state, com, marker)
     emit(args, {"iteration": 0, "commitment": commitment_to_dict(com, pub.scale)},
          "initialized: com_0 written")
     return EXIT_OK
@@ -334,7 +320,7 @@ def cmd_add(args) -> int:
             state = queue_adds(state, points, pub)
         except (ReAddAfterDelete, DuplicateAdd, ValueError, FixedPointOverflow) as e:
             raise CliError(str(e), EXIT_REJECT)
-        store.save_state(state, pub.scale)
+        store.save_state(state)
     emit(args, {"queued_add": len(points)}, f"queued {len(points)} addition(s)")
     return EXIT_OK
 
@@ -356,7 +342,7 @@ def cmd_delete(args) -> int:
             # update could not hash it or no verifier would accept its proof.
             raise CliError(f"uid {args.uid} not queued: {e}", EXIT_REJECT)
         state = queue_delete(state, point)
-        store.save_state(state, pub.scale)
+        store.save_state(state)
     emit(args, {"queued_delete": args.uid}, f"queued deletion of uid {args.uid}")
     return EXIT_OK
 
@@ -372,11 +358,8 @@ def cmd_update(args) -> int:
             raise CliError(str(e), EXIT_REJECT)
         except CorruptState as e:
             raise CliError(f"corrupt state: {e}", EXIT_CORRUPT)
-        i = state.iteration
-        atomic_write_json(store.commitment_file(i), commitment_to_dict(com, pub.scale))
-        atomic_write_json(store.update_proof_file(i), update_proof_to_dict(proof, pub.scale))
-        # state.json last: it is the commit point for the update.
-        store.save_state(state, pub.scale)
+        store.save_iteration(state, com, proof)
+    i = state.iteration
     emit(
         args,
         {
@@ -399,18 +382,10 @@ def cmd_verify_update(args) -> int:
         raise CliError("verify-update needs --iteration")
     with reading_envelopes():
         if i == 0:
-            com0 = commitment_from_dict(read_json(store.commitment_file(0)), pub.scale)
-            marker = read_json(store.init_marker_file)["marker"]
-            ok = verify_init(pub, com0, marker)
+            ok = verify_init(pub, store.load_commitment(0), store.load_init_marker())
         else:
-            com_prev = commitment_from_dict(
-                read_json(store.commitment_file(i - 1)), pub.scale
-            )
-            com = commitment_from_dict(read_json(store.commitment_file(i)), pub.scale)
-            proof = update_proof_from_dict(
-                read_json(store.update_proof_file(i), UPDATE_PROOF_VERSION), pub.scale
-            )
-            ok = verify_update(pub, com_prev, com, proof)
+            com_prev, com = store.load_commitment(i - 1), store.load_commitment(i)
+            ok = verify_update(pub, com_prev, com, store.load_update_proof(i))
     emit(args, {"iteration": i, "accepted": ok},
          f"iteration {i}: {'accept' if ok else 'REJECT'}")
     return EXIT_OK if ok else EXIT_REJECT
@@ -432,8 +407,7 @@ def cmd_prove_unlearn(args) -> int:
             proof = prove_unlearn(pub, state, point)
         except (NotMemberError, FixedPointOverflow, ShapeMismatch) as e:
             raise CliError(str(e), EXIT_REJECT)
-        path = store.unlearn_proof_file(proof.iteration, args.uid)
-        atomic_write_json(path, unlearn_proof_to_dict(proof, pub.scale))
+        path = store.save_unlearn_proof(proof)
     emit(args, {"iteration": proof.iteration, "uid": args.uid, "file": str(path)},
          f"unlearning proof for uid {args.uid} written ({path.name})")
     return EXIT_OK
@@ -449,12 +423,8 @@ def cmd_verify_unlearn(args) -> int:
                        "(the verifying user supplies their own data point)")
     point = find_point(args, (), pub.scale, f"uid {args.uid} not present in {args.dataset}")
     with reading_envelopes():
-        com = commitment_from_dict(
-            read_json(store.commitment_file(args.iteration)), pub.scale
-        )
-        proof = unlearn_proof_from_dict(
-            read_json(store.unlearn_proof_file(args.iteration, args.uid)), pub.scale
-        )
+        com = store.load_commitment(args.iteration)
+        proof = store.load_unlearn_proof(args.iteration, args.uid)
     try:
         ok = verify_unlearn(pub, point, com, proof)
         reason = "" if ok else "path mismatch: recomputed root differs from commitment"
@@ -547,10 +517,9 @@ def cmd_bench(args) -> int:
         if args.backend:
             options["backend"] = args.backend
         config = build_protocol_config(options)
-    entries = bench_sizes(sizes, config, counts_only=args.counts_only)
-    payload = {"backend": config.backend, "entries": [e.to_dict() for e in entries]}
-
+    report = None
     if args.dataset:
+        # Before the benchmark, so a bad file is refused at once.
         scale = config.train.scale
         ingested = ingest_dataset(args.dataset, scale, categorical=True)
         try:
@@ -561,13 +530,17 @@ def cmd_bench(args) -> int:
         threshold = fx_encode(Fraction(1, 2), scale)
         try:
             model = train_model(train_set, train_cfg)
-            payload["accuracy"] = {
+            report = {
                 "train": float(accuracy(model, train_set, threshold, scale)),
                 "test": float(accuracy(model, test_set, threshold, scale)),
                 "split": split,
             }
         except FixedPointOverflow as e:
             raise CliError(f"cannot train on {args.dataset}: {e}", EXIT_REJECT)
+    entries = bench_sizes(sizes, config, counts_only=args.counts_only)
+    payload = {"backend": config.backend, "entries": [e.to_dict() for e in entries]}
+    if report:
+        payload["accuracy"] = report
 
     if args.json:
         print(json.dumps(payload, indent=1))

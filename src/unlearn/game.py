@@ -66,18 +66,8 @@ class GameReport:
         return asdict(self)
 
 
-def run_game(
-    pub: PublicParams,
-    transcript: AdversaryTranscript,
-    *,
-    check_commitments: bool = True,
-) -> tuple[int, Optional[str]]:
-    """Returns (verdict, failing_check); failing_check is None on a win.
-
-    ``check_commitments=False`` removes the commitment-validity line — a
-    negative control demonstrating that line is load-bearing, never used
-    in real verification.
-    """
+def run_game(pub: PublicParams, transcript: AdversaryTranscript) -> tuple[int, Optional[str]]:
+    """Returns (verdict, failing_check); failing_check is None on a win."""
     t = transcript
     ell = len(t.commitments) - 1
     if ell < 1 or len(t.datasets) != ell + 1 or len(t.updates) != ell:
@@ -88,10 +78,9 @@ def run_game(
     # Pre-processing: recompute the k-th unlearnt batch from the datasets.
     unlearnt_at_k = [d for d in t.datasets[t.k - 1].points if d not in set(t.datasets[t.k].points)]
 
-    if check_commitments:
-        for i, (com, dataset) in enumerate(zip(t.commitments, t.datasets)):
-            if pub.commit_dataset(dataset) != com.h_d:
-                return 0, "commitments"
+    for com, dataset in zip(t.commitments, t.datasets):
+        if pub.commit_dataset(dataset) != com.h_d:
+            return 0, "commitments"
 
     if not verify_init(pub, t.commitments[0], t.init_marker):
         return 0, "init"

@@ -64,14 +64,6 @@ class UpdateProof:
     model_proof: ProofBlob
     data_proof: ProofBlob
 
-    @property
-    def model_statement(self) -> tuple[int, ...]:
-        return self.model_proof.public_inputs
-
-    @property
-    def data_statement(self) -> tuple[int, ...]:
-        return self.data_proof.public_inputs
-
 
 @dataclass(frozen=True)
 class UnlearnProof:
@@ -334,13 +326,14 @@ def _prove_stored(pub: PublicParams, rel: RelationHandle, given: list[int]) -> P
 def verify_update(
     pub: PublicParams, com_prev: Commitment, com: Commitment, proof: UpdateProof
 ) -> bool:
-    if proof.model_statement != (com.h_m, com.h_d):
+    model_inputs, data_inputs = proof.model_proof.public_inputs, proof.data_proof.public_inputs
+    if model_inputs != (com.h_m, com.h_d):
         return False
-    if proof.data_statement != (com.h_d, com_prev.h_u, com.h_u):
+    if data_inputs != (com.h_d, com_prev.h_u, com.h_u):
         return False
     return pub.backend.verify(
-        pub.model_relation, proof.model_statement, proof.model_proof
-    ) and pub.backend.verify(pub.data_relation, proof.data_statement, proof.data_proof)
+        pub.model_relation, model_inputs, proof.model_proof
+    ) and pub.backend.verify(pub.data_relation, data_inputs, proof.data_proof)
 
 
 def prove_unlearn(pub: PublicParams, state: ServerState, d: DataPoint) -> UnlearnProof:

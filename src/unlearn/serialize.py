@@ -2,9 +2,13 @@
 
 These files are the wire format: server and verifiers exchange exactly
 these envelopes.  Digests use the canonical field-element hex encoding.
-Every write goes through a temp-file-plus-rename so a killed command
-leaves the previous state intact; ``state.json`` is always written last
-and acts as the commit point for an update.
+``StateDir`` is the only code that reads or writes a file under a state
+directory: it picks each file's envelope kind and version, encodes and
+decodes it, and orders the writes.  Every write goes through a
+temp-file-plus-rename, and ``StateDir.save_iteration`` writes
+``state.json`` after the iteration's commitment and proof, so the state
+is the commit point and a killed command leaves the previous state
+intact.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ VERSION = 8
 UPDATE_PROOF_VERSION = 11
 PARAMS_VERSION = 14
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
+# The fixed-point format is ``field``'s constants, so one scale encodes
+# every envelope ``StateDir`` reads or writes.
+_SCALE = ScaleConfig()
 
 
 class EnvelopeError(ValueError):
@@ -410,17 +417,19 @@ class StateDir:
         return self.root / "commitments" / f"com_{i}.json"
 
     def update_proof_file(self, i: int) -> Path:
+        """Iteration ``i``'s update proof; at iteration 0, the init marker."""
         return self.root / "proofs" / f"update_{i}.json"
 
     def unlearn_proof_file(self, i: int, uid: int) -> Path:
         return self.root / "proofs" / f"unlearn_{i}_{uid}.json"
 
-    @property
-    def init_marker_file(self) -> Path:
-        return self.root / "proofs" / "update_0.json"
-
     def save_params(self, pub: PublicParams) -> None:
+        """Write ``params.json``, then remove every export and key it
+        does not name (see ``SetupStore.prune``)."""
         atomic_write_json(self.params_file, public_params_to_dict(pub))
+        self.setup_store.prune(
+            pub.backend.name, {pub.model_relation.fingerprint, pub.data_relation.fingerprint}
+        )
 
     def load_public_params(self) -> PublicParams:
         """The parameters in ``params.json``, read without reading any
@@ -451,8 +460,41 @@ class StateDir:
             raise EnvelopeError(f"{self.params_file}: fields other than those it writes")
         return pub
 
-    def save_state(self, state: ServerState, cfg: ScaleConfig) -> None:
-        atomic_write_json(self.state_file, server_state_to_dict(state, cfg))
+    def save_state(self, state: ServerState) -> None:
+        atomic_write_json(self.state_file, server_state_to_dict(state, _SCALE))
 
-    def load_state(self, cfg: ScaleConfig) -> ServerState:
-        return server_state_from_dict(read_json(self.state_file), cfg)
+    def load_state(self) -> ServerState:
+        return server_state_from_dict(read_json(self.state_file), _SCALE)
+
+    def save_iteration(self, state: ServerState, com: Commitment, proof: UpdateProof | str) -> None:
+        """Commit iteration ``state.iteration``: its commitment, then its
+        proof (the init marker at iteration 0, else the update proof),
+        then ``state.json`` last.  The state is the commit point: a
+        command killed before it leaves the previous state, and running
+        it again rewrites the same files."""
+        i = state.iteration
+        atomic_write_json(self.commitment_file(i), commitment_to_dict(com, _SCALE))
+        if i == 0:
+            atomic_write_json(self.update_proof_file(0), {"version": VERSION, "marker": proof})
+        else:
+            atomic_write_json(self.update_proof_file(i), update_proof_to_dict(proof, _SCALE))
+        self.save_state(state)
+
+    def load_commitment(self, i: int) -> Commitment:
+        return commitment_from_dict(read_json(self.commitment_file(i)), _SCALE)
+
+    def load_init_marker(self) -> str:
+        return read_json(self.update_proof_file(0))["marker"]
+
+    def load_update_proof(self, i: int) -> UpdateProof:
+        obj = read_json(self.update_proof_file(i), UPDATE_PROOF_VERSION)
+        return update_proof_from_dict(obj, _SCALE)
+
+    def save_unlearn_proof(self, proof: UnlearnProof) -> Path:
+        """Write ``proof`` and return its path."""
+        path = self.unlearn_proof_file(proof.iteration, proof.uid)
+        atomic_write_json(path, unlearn_proof_to_dict(proof, _SCALE))
+        return path
+
+    def load_unlearn_proof(self, i: int, uid: int) -> UnlearnProof:
+        return unlearn_proof_from_dict(read_json(self.unlearn_proof_file(i, uid)), _SCALE)

@@ -474,6 +474,30 @@ def test_crash_leaves_previous_state_intact(workspace, monkeypatch):
     assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 0
 
 
+def test_killed_init_leaves_no_state_and_replays(workspace, monkeypatch):
+    d = str(workspace / "st")
+    store = StateDir(d)
+    assert run(workspace, "setup", "--dir", d, "--config", str(workspace / "conf")) == 0
+    real_replace = os.replace
+
+    def dying_replace(src, dst):
+        # state.json is written last; kill the command just before it.
+        if str(dst).endswith("state.json"):
+            raise RuntimeError("injected crash")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", dying_replace)
+    with pytest.raises(RuntimeError):
+        main(["init", "--dir", d])
+    monkeypatch.undo()
+    assert not store.state_file.exists()
+    written = {p: p.read_bytes() for p in (store.commitment_file(0), store.update_proof_file(0))}
+    # The interrupted init replays cleanly and writes the same files.
+    assert run(workspace, "init", "--dir", d) == 0
+    assert {p: p.read_bytes() for p in written} == written
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "0") == 0
+
+
 def test_lock_excludes_concurrent_writers(workspace):
     import fcntl
 
@@ -650,7 +674,7 @@ def test_a_byte_order_mark_keeps_the_uid_column(workspace, initialized, capsys):
     csv = workspace / "bom.csv"
     csv.write_bytes(b"\xef\xbb\xbfuid,f1,y\n7,0.5,1\n")
     assert run(workspace, "add", "--dir", str(initialized), "--dataset", str(csv)) == 0
-    state = StateDir(initialized).load_state(SCALE)
+    state = StateDir(initialized).load_state()
     assert state.pending_add == (DataPoint(7, (fx_encode(0.5, SCALE),), fx_encode(1, SCALE)),)
 
 
@@ -745,12 +769,12 @@ def test_update_beyond_value_bound_writes_nothing(workspace, initialized, capsys
     # A pending batch whose training overflows, as in a state written
     # before admission checked the bound.
     store, scale = StateDir(initialized), ScaleConfig()
-    state = store.load_state(scale)
+    state = store.load_state()
     batch = tuple(
         DataPoint(uid, (fx_encode(x, scale),), fx_encode(1, scale))
         for uid, x in ((4, 5000), (5, 10000))
     )
-    store.save_state(dataclasses.replace(state, pending_add=batch), scale)
+    store.save_state(dataclasses.replace(state, pending_add=batch))
     before = snapshot(initialized)
     capsys.readouterr()
     assert run(workspace, "update", "--dir", str(initialized)) == 1
@@ -813,11 +837,11 @@ def test_a_row_that_is_no_point_is_refused(workspace, initialized, capsys, comma
 def test_update_beyond_capacity_writes_nothing(workspace, initialized, capsys, over):
     # Pending requests no circuit of this setup can hold (capacity 8 each),
     # as in a state written by hand: the circuits refuse them.
-    store, scale = StateDir(initialized), ScaleConfig()
-    state = store.load_state(scale)
+    store = StateDir(initialized)
+    state = store.load_state()
     batch = tuple(DataPoint(uid, (0,), 0) for uid in range(1, 10))
     pending = {"points": "pending_add", "unlearnt": "pending_delete"}[over]
-    store.save_state(dataclasses.replace(state, **{pending: batch}), scale)
+    store.save_state(dataclasses.replace(state, **{pending: batch}))
     before = snapshot(initialized)
     capsys.readouterr()
     assert run(workspace, "update", "--dir", str(initialized)) == 1
@@ -829,9 +853,9 @@ def test_update_with_mismatched_unlearnt_root_writes_nothing(workspace, initiali
     d = str(initialized)
     assert run(workspace, "add", "--dir", d, "--dataset", str(workspace / "pts.csv")) == 0
     assert run(workspace, "delete", "--dir", d, "--uid", "2") == 0
-    store, scale = StateDir(initialized), ScaleConfig()
-    state = store.load_state(scale)
-    store.save_state(dataclasses.replace(state, unlearnt_root=state.unlearnt_root + 1), scale)
+    store = StateDir(initialized)
+    state = store.load_state()
+    store.save_state(dataclasses.replace(state, unlearnt_root=state.unlearnt_root + 1))
     before = snapshot(initialized)
     capsys.readouterr()
     assert run(workspace, "update", "--dir", d) == 3
@@ -1021,7 +1045,7 @@ def test_add_batch_trains_once(workspace, initialized, monkeypatch):
     csv.write_text("uid,f1,y\n" + "\n".join(rows) + "\n")
     store = StateDir(initialized)
     pub = store.load_public_params()
-    looped = store.load_state(pub.scale)
+    looped = store.load_state()
     for d in ingest_csv(csv, pub.scale).dataset.points:
         looped = protocol.queue_add(looped, d, pub)
     calls = []
@@ -1029,7 +1053,7 @@ def test_add_batch_trains_once(workspace, initialized, monkeypatch):
     monkeypatch.setattr(protocol, "train_model", lambda *a: calls.append(a) or train_model(*a))
     assert run(workspace, "add", "--dir", str(initialized), "--dataset", str(csv)) == 0
     assert len(calls) == 1
-    assert store.load_state(pub.scale).pending_add == looped.pending_add
+    assert store.load_state().pending_add == looped.pending_add
 
 
 def test_only_admission_trains_natively(workspace, initialized, monkeypatch):
@@ -1046,7 +1070,7 @@ def test_only_admission_trains_natively(workspace, initialized, monkeypatch):
     assert run(workspace, "update", "--dir", d) == 0
     assert len(calls) == 1
     store = StateDir(initialized)
-    state = store.load_state(ScaleConfig())
+    state = store.load_state()
     assert len(state.dataset) == 4
     assert state.model == real(state.dataset, store.load_public_params().config.train)
 
@@ -1104,6 +1128,29 @@ def test_bench_accuracy_on_one_row_is_a_usage_error(workspace, capsys):
     assert code == 2
     assert (f"error: cannot report accuracy on {one}: cannot split 1 row(s) into a train "
             "and a test set") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,refused",
+    [
+        ("uid,f1\n1,0.5\n2,0.25\n", "missing label column"),
+        ("uid,f1,y\n1,0.5,1\n", "cannot split 1 row(s)"),
+    ],
+)
+def test_bench_refuses_a_bad_dataset_before_benchmarking(workspace, monkeypatch, capsys, text,
+                                                         refused):
+    # The file is ingested and split before any --sizes entry runs.
+    bad = workspace / "bad.csv"
+    bad.write_text(text)
+
+    def no_bench(*args, **kwargs):
+        raise AssertionError("benchmarked before refusing --dataset")
+
+    monkeypatch.setattr(cli, "bench_sizes", no_bench)
+    capsys.readouterr()
+    assert run(workspace, "bench", "--config", str(workspace / "conf"),
+               "--dataset", str(bad)) == 2
+    assert refused in capsys.readouterr().err
 
 
 # The options each command reads, beyond --dir and --json.

@@ -14,7 +14,7 @@ from unlearn.game import (
     run_suite,
 )
 from unlearn.proofsys import WitnessCheckBackend
-from unlearn.protocol import global_setup
+from unlearn.protocol import PublicParams, global_setup
 
 REQUIRED_STRATEGIES = {
     "WrongModelHash",
@@ -59,11 +59,16 @@ def test_negative_control_unsound_backend_wins(fast_pub):
     assert "ReAddAfterUnlearn" in wins
 
 
-def test_negative_control_commitment_line(fast_pub):
+def test_negative_control_commitment_line(fast_pub, monkeypatch):
     run = honest_run(fast_pub, seed=1)
     cheat = CheatWithUnsoundBackend.build(fast_pub, run)
     assert run_game(fast_pub, cheat) == (0, "commitments")
-    assert run_game(fast_pub, cheat, check_commitments=False) == (1, None)
+    # With every dataset committing to its transcript commitment's h_d,
+    # the commitment line passes and the cheat wins: that line is what
+    # stops it.
+    h_ds = iter(com.h_d for com in cheat.commitments)
+    monkeypatch.setattr(PublicParams, "commit_dataset", lambda self, dataset: next(h_ds))
+    assert run_game(fast_pub, cheat) == (1, None)
 
 
 def test_readd_strategy_surrenders_true_datasets(fast_pub):

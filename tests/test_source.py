@@ -48,3 +48,16 @@ def test_every_top_level_name_is_read_by_the_program():
         if reads[name] == sum(_reads(node)[name] for node in nodes)
     )
     assert unread == [], f"top-level names no program code reads: {', '.join(unread)}"
+
+
+def test_only_serialize_reads_and_writes_state_files():
+    # StateDir owns the state directory's envelopes, their versions and
+    # the order of the writes: other modules go through it.
+    owned = {"read_json", "atomic_write_json", "atomic_write_bytes",
+             "VERSION", "UPDATE_PROOF_VERSION", "PARAMS_VERSION"}
+    offenders = {
+        path.stem: sorted(owned & set(_reads(ast.parse(path.read_text()))))
+        for path in sorted((ROOT / "src" / "unlearn").glob("*.py"))
+        if path.stem != "serialize"
+    }
+    assert {m: names for m, names in offenders.items() if names} == {}
