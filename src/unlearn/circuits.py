@@ -29,48 +29,22 @@ every other wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .field import BN254_SCALAR_FIELD, ConfigError
+from .field import BN254_SCALAR_FIELD
 from .gadgets import CircuitBuilder, CircuitOps, lc_const, lc_wire
-from .hashing import DEFAULT_ROUNDS, HashConfig, _tag, empty_root, hash_data
-from .hashing import hash_data_point, hash_model_weights, hash_unlearn
+from .hashing import ABSENT_TAGS, empty_root, hash_data, hash_data_point, hash_model_weights
+from .hashing import hash_unlearn
+from .protocol import ProtocolConfig
 from .r1cs import ConstraintSystem, gc_paused
-from .training import Dataset, ModelParams, ShapeMismatch, TrainConfig, sgd_step_ops, train_model
-
-
-class ShapeOverflow(ShapeMismatch):
-    """Inputs exceed the circuit's compiled capacity; re-run setup with a
-    larger shape."""
+from .training import Dataset, ModelParams, ShapeMismatch, ShapeOverflow, sgd_step_ops
+from .training import train_model
 
 
 class WitnessSynthesisError(ValueError):
     """A circuit's inputs have no witness.  Only ``data_projection``
     raises it: intersecting training and unlearnt sets zero the data
     circuit's disjointness product, which has no inverse."""
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """The statement shape setup compiles: the training config, the
-    training-set and unlearnt-set capacities, the hash rounds, and the
-    proof backend.  The hash works over the fixed-point format's field."""
-
-    train: TrainConfig
-    capacity: int
-    unlearn_capacity: int
-    backend: str = "witness-check"
-    hash_rounds: int = DEFAULT_ROUNDS
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1 or self.unlearn_capacity < 1:
-            raise ConfigError("capacities must be positive")
-        self.hash_cfg  # HashConfig refuses rounds below 1: fail here, not at first use
-
-    @property
-    def hash_cfg(self) -> HashConfig:
-        return HashConfig(self.hash_rounds)
 
 
 class ModelCircuit:
@@ -145,13 +119,9 @@ def model_projection(
 
 
 # What an absent digest slot is pinned to: 0 in the training array, 1 in
-# the unlearnt one.
+# the unlearnt one.  The disjointness product reads the array's
+# ``hashing.ABSENT_TAGS`` constant instead.
 ABSENT_DIGESTS = (0, 1)
-# What the disjointness product reads for an absent slot instead, per
-# array: distinct tagged constants, so a pair with an absent slot differs
-# unless its present digest is the other array's tag, which admission
-# refuses (``protocol``).
-ABSENT_TAGS = (_tag("absent-training-digest"), _tag("absent-unlearnt-digest"))
 
 
 class DataCircuit:

@@ -38,21 +38,23 @@ circuit ``setup`` compiled, and ``update`` exits 3 without writing.  On
 snark it reads the proving keys.  ``verify-update`` on the witness-check
 backend reads the stored exports too; on the snark backend it reads only
 the verifying keys.  ``init``, ``add``, ``delete``, ``prove-unlearn`` and
-``verify-unlearn`` read nothing under ``setups/``.
+``verify-unlearn`` read nothing under ``setups/``.  The circuit,
+benchmark and game modules are imported only by the commands that run
+them, so the others start without them.
 ``audit-setup`` rebuilds both circuits from the stored config and checks
 the stored fingerprints and exports, for anyone who wants to tie
 ``pub/`` to the config.
 
 Each command accepts ``--dir``, ``--json`` and only the options it reads
 (``COMMANDS``).  Exit codes: 0 success/accept, 1 reject (an
-``audit-setup`` mismatch included), 2 usage error (an option the command
-does not read, a config key that does not exist or a value it cannot
-hold, a ``--uid`` outside [0, 2^64) or a negative ``--iteration``,
-``bench --config`` or ``--backend`` with a ``--dir`` that holds
-parameters, ``init`` on an initialized directory, an unreadable
-``--config`` or ``--dataset`` file, or a ``--dataset`` with a
-categorical column outside ``bench`` included), 3
-corrupt state (a state directory that cannot be read, a missing or
+``audit-setup`` mismatch included, and an ``add`` or ``delete`` that
+would leave the next update beyond a compiled capacity), 2 usage error
+(an option the command does not read, a config key that does not exist
+or a value it cannot hold, a ``--uid`` outside [0, 2^64) or a negative
+``--iteration``, ``bench --config`` or ``--backend`` with a ``--dir``
+that holds parameters, ``init`` on an initialized directory, an
+unreadable ``--config`` or ``--dataset`` file, or a ``--dataset`` with a
+categorical column outside ``bench`` included), 3 corrupt state (a state directory that cannot be read, a missing or
 altered circuit export, a missing, unreadable or malformed key file, a
 config that no longer matches the stored circuit, or a state whose
 queued batch meets its unlearnt set).
@@ -69,10 +71,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from .bench import DEFAULT_SIZES, bench_sizes
-from .circuits import DataCircuit, ModelCircuit, ShapeMismatch, ShapeOverflow
 from .field import FixedPointOverflow, ScaleConfig, fx_encode
-from .game import BUILTIN_STRATEGIES, run_suite
 from .hashing import MAX_UID, DataPoint, NotMemberError
 from .ingest import ingest_csv, split_dataset
 from .proofsys import BackendUnavailable, ProofSysError, WitnessCheckBackend
@@ -81,6 +80,7 @@ from .protocol import (
     DuplicateAdd,
     ProtocolConfig,
     ReAddAfterDelete,
+    check_capacity,
     check_point,
     global_setup,
     prove_unlearn,
@@ -92,9 +92,8 @@ from .protocol import (
     verify_unlearn,
     verify_update,
 )
-from .r1cs import fingerprint_of
 from .serialize import EnvelopeError, StateDir, commitment_to_dict
-from .training import accuracy, default_train_config, train_model
+from .training import ShapeMismatch, ShapeOverflow, accuracy, default_train_config, train_model
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -318,6 +317,7 @@ def cmd_add(args) -> int:
             points = (_point_from_args(args, pub),)
         try:
             state = queue_adds(state, points, pub)
+            check_capacity(state, pub)
         except (ReAddAfterDelete, DuplicateAdd, ValueError, FixedPointOverflow) as e:
             raise CliError(str(e), EXIT_REJECT)
         store.save_state(state)
@@ -338,10 +338,12 @@ def cmd_delete(args) -> int:
         )
         try:
             check_point(pub, point)
+            state = queue_delete(state, point)
+            check_capacity(state, pub)
         except (FixedPointOverflow, ShapeMismatch) as e:
-            # update could not hash it or no verifier would accept its proof.
+            # update could not hash it, no verifier would accept its proof,
+            # or no update could prove the unlearnt set it would make.
             raise CliError(f"uid {args.uid} not queued: {e}", EXIT_REJECT)
-        state = queue_delete(state, point)
         store.save_state(state)
     emit(args, {"queued_delete": args.uid}, f"queued deletion of uid {args.uid}")
     return EXIT_OK
@@ -441,6 +443,9 @@ def cmd_verify_unlearn(args) -> int:
 def cmd_audit_setup(args) -> int:
     """Rebuild both circuits from the stored config and compare each with
     its params.json fingerprint and its stored export."""
+    from .circuits import DataCircuit, ModelCircuit
+    from .r1cs import fingerprint_of
+
     store = StateDir(args.dir)
     pub = load_pub(store)
     checks = {}
@@ -461,6 +466,8 @@ def cmd_audit_setup(args) -> int:
 
 
 def cmd_game(args) -> int:
+    from .game import BUILTIN_STRATEGIES, run_suite
+
     if args.seeds < 1:
         raise CliError(f"bad --seeds {args.seeds}: expected a positive integer")
     store = StateDir(args.dir)
@@ -492,6 +499,8 @@ def cmd_game(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import DEFAULT_SIZES, bench_sizes
+
     try:
         split = float(args.split)
     except ValueError:

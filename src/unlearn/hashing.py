@@ -62,6 +62,11 @@ TAG_POINT = _tag("point")
 TAG_MODEL = _tag("model")
 TAG_NODE = _tag("hash2")
 TAG_EMPTY = _tag("empty-chain-base")
+# What the data circuit's disjointness product reads for an absent slot,
+# per array (training, unlearnt): distinct tagged constants, so a pair
+# with an absent slot differs unless its present digest is the other
+# array's tag, which admission refuses (``protocol``).
+ABSENT_TAGS = (_tag("absent-training-digest"), _tag("absent-unlearnt-digest"))
 
 
 class NotMemberError(KeyError):

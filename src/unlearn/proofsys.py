@@ -3,11 +3,13 @@
 Two interchangeable backends:
 
 * ``witness-check`` — development backend.  Proofs carry a witness's
-  projection (``r1cs``): the constant, the statement and the free wires,
-  for the update circuits only each slot's inputs and the data circuit's
-  free wires.  The verifier derives the rest in row order, each range
-  check's bits as the binary digits of its sum row, and checks every
-  other constraint (``ConstraintSystem.complete``).
+  free wires (``r1cs``), for the update circuits each slot's inputs and
+  the data circuit's one inverse, each written once as the signed hex of
+  its representative in (-p/2, p/2]: the constant is 1 and the statement
+  is the blob's ``public_inputs``, so neither is repeated.  The verifier
+  rebuilds the projection from them, derives the rest in row order, each
+  range check's bits as the binary digits of its sum row, and checks
+  every other constraint (``ConstraintSystem.complete``).
   Not succinct and not hiding, but exact and dependency-free;
   completeness and circuit-level tests run on it.  A deliberately broken
   variant (``check=False``) that accepts anything is available to the
@@ -23,8 +25,8 @@ Both backends' ``prove`` take a witness's projection, computed from the
 inputs (``circuits.model_projection`` and ``data_projection``), and
 complete it against the rows once (``ConstraintSystem.complete``), which
 raises ``r1cs.Unsatisfied``, naming the first failing row, if no witness
-satisfies them.  Witness-check writes the projection; Groth16 proves the
-completion.
+satisfies them.  Witness-check writes the projection's free wires;
+Groth16 proves the completion.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .r1cs import ConstraintSystem, Unsatisfied
+if TYPE_CHECKING:
+    from .r1cs import ConstraintSystem
 
 HELPER_ENV = "UNLEARN_GROTH16_BIN"
 HELPER_NAME = "unlearn-groth16"
@@ -119,13 +121,16 @@ class ProofBlob:
         object.__setattr__(self, "public_inputs", tuple(self.public_inputs))
 
 
-def _witness_payload(values: Sequence[int]) -> bytes:
-    """A witness-check proof: version 3, then the projected wires as
-    lowercase hex without leading zeros.  The verifier accepts exactly
-    these bytes, so each projection has one accepted payload."""
-    return json.dumps(
-        {"v": 3, "wires": list(map(format, values, repeat("x")))}, separators=(",", ":")
-    ).encode()
+def _witness_payload(free: Sequence[int], modulus: int) -> bytes:
+    """A witness-check proof: version 4, then the free wires, each as the
+    lowercase hex of its signed representative in (-p/2, p/2], so -0.5 in
+    fixed point is ``-8000``.  The verifier accepts exactly these bytes,
+    so each projection has one accepted payload."""
+    wires = []
+    for v in free:
+        v %= modulus
+        wires.append(format(v - modulus if v > modulus >> 1 else v, "x"))
+    return json.dumps({"v": 4, "wires": wires}, separators=(",", ":")).encode()
 
 
 class WitnessCheckBackend:
@@ -141,9 +146,11 @@ class WitnessCheckBackend:
         """Prove the statement of the projection ``given``.  Raises
         Unsatisfied, naming the first row that fails, if no witness
         completes it."""
-        witness = rel.circuit.complete(given)
-        statement = witness[1 : 1 + rel.circuit.num_public]
-        return ProofBlob(self.name, rel.fingerprint, statement, _witness_payload(given))
+        cs = rel.circuit
+        witness = cs.complete(given)
+        placed = 1 + cs.num_public
+        payload = _witness_payload(given[placed:], cs.modulus)
+        return ProofBlob(self.name, rel.fingerprint, witness[1:placed], payload)
 
     def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
         if blob.fingerprint != rel.fingerprint:
@@ -152,21 +159,22 @@ class WitnessCheckBackend:
             return False
         if not self.check:
             return True
+        from .r1cs import Unsatisfied
+
+        cs = rel.circuit
+        if len(statement) != cs.num_public:
+            return False
         try:
-            values = list(map(int, json.loads(blob.proof_bytes)["wires"], repeat(16)))
+            free = [int(w, 16) % cs.modulus for w in json.loads(blob.proof_bytes)["wires"]]
         except (ValueError, KeyError, TypeError):
             return False
-        # int() also reads "0x1", "+1", " 1", "1_0", "A" and "01": only the
-        # bytes the prover writes for these values are accepted.
-        if _witness_payload(values) != blob.proof_bytes:
-            return False
-        cs = rel.circuit
-        if values and not (min(values) >= 0 and max(values) < cs.modulus):
-            return False
-        if tuple(values[1 : 1 + cs.num_public]) != tuple(statement):
+        # int() also reads "0x1", "+1", "-0", " 1", "1_0", "A", "01" and
+        # the positive spelling of a negative value: only the bytes the
+        # prover writes for these values are accepted.
+        if _witness_payload(free, cs.modulus) != blob.proof_bytes:
             return False
         try:
-            cs.complete(values)
+            cs.complete((1, *statement, *free))
         except Unsatisfied:
             return False
         return True

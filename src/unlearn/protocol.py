@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .circuits import ABSENT_TAGS, DataCircuit, ModelCircuit, ProtocolConfig, ShapeMismatch
-from .circuits import WitnessSynthesisError, data_projection, model_projection
-from .field import BN254_SCALAR_FIELD, FixedPointOverflow, check_value_range
+from .field import BN254_SCALAR_FIELD, ConfigError, FixedPointOverflow, check_value_range
 from .hashing import (
+    ABSENT_TAGS,
+    DEFAULT_ROUNDS,
     DataPoint,
     HashConfig,
     MembershipPath,
@@ -29,8 +29,11 @@ from .hashing import (
     verify_tree_path,
 )
 from .proofsys import FingerprintMismatch, ProofBlob, RelationHandle, get_backend
-from .r1cs import Unsatisfied
-from .training import Dataset, ModelParams, train_model
+from .training import Dataset, ModelParams, ShapeMismatch, ShapeOverflow, TrainConfig
+from .training import train_model
+
+if TYPE_CHECKING:
+    from .circuits import DataCircuit, ModelCircuit
 
 INIT_MARKER = "empty"
 
@@ -50,6 +53,28 @@ class ReservedDigest(ValueError):
 
 class CorruptState(ValueError):
     """The stored server state contradicts itself."""
+
+
+@dataclass(frozen=True)
+class ProtocolConfig:
+    """The statement shape setup compiles: the training config, the
+    training-set and unlearnt-set capacities, the hash rounds, and the
+    proof backend.  The hash works over the fixed-point format's field."""
+
+    train: TrainConfig
+    capacity: int
+    unlearn_capacity: int
+    backend: str = "witness-check"
+    hash_rounds: int = DEFAULT_ROUNDS
+
+    def __post_init__(self) -> None:
+        if self.capacity < 1 or self.unlearn_capacity < 1:
+            raise ConfigError("capacities must be positive")
+        self.hash_cfg  # HashConfig refuses rounds below 1: fail here, not at first use
+
+    @property
+    def hash_cfg(self) -> HashConfig:
+        return HashConfig(self.hash_rounds)
 
 
 @dataclass(frozen=True)
@@ -116,6 +141,8 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
     keys to its relation.  ``setup_store`` (see ``serialize.SetupStore``)
     keeps each circuit's export and keys under its fingerprint, and
     reuses keys already there."""
+    from .circuits import DataCircuit, ModelCircuit
+
     model_circuit = ModelCircuit(config)
     data_circuit = DataCircuit(config)
     backend = backend or get_backend(config.backend)
@@ -247,6 +274,21 @@ def queue_adds(
         raise
 
 
+def check_capacity(state: ServerState, pub: PublicParams) -> None:
+    """Raise ShapeOverflow if the next update would hold more points or
+    more unlearnt digests than the circuits were compiled for: no update
+    could prove it, so admission refuses the request that gets there."""
+    config = pub.config
+    for n, cap, label in (
+        (len(_batch_points(state)), config.capacity, "points"),
+        (len(state.hashed_unlearnt) + len(state.pending_delete), config.unlearn_capacity,
+         "unlearnt digests"),
+    ):
+        if n > cap:
+            raise ShapeOverflow(f"{n} {label} at the next update would exceed the compiled "
+                                f"capacity {cap}")
+
+
 def check_point(pub: PublicParams, d: DataPoint) -> None:
     """Raise ShapeMismatch for a point of another arity than the config's,
     whose packed digest can equal that of a point of the config's arity,
@@ -269,6 +311,8 @@ def queue_delete(state: ServerState, d: DataPoint) -> ServerState:
 def prove_update(
     state: ServerState, pub: PublicParams
 ) -> tuple[ServerState, ModelParams, Commitment, UpdateProof]:
+    from .circuits import WitnessSynthesisError, data_projection, model_projection
+
     new_unlearnt = tuple(hash_data_point(d, pub.hash_cfg) for d in state.pending_delete)
     # Native training raises FixedPointOverflow where the model circuit
     # would, and both projections raise ShapeOverflow for inputs beyond
@@ -309,6 +353,8 @@ def _prove_stored(pub: PublicParams, rel: RelationHandle, given: list[int]) -> P
     rows refuse raises FingerprintMismatch naming the stored circuit and
     the first row that fails; a drifted config is one cause, which
     ``audit-setup`` checks."""
+    from .r1cs import Unsatisfied
+
     try:
         return pub.backend.prove(rel, given)
     except Unsatisfied as e:

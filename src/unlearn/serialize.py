@@ -21,7 +21,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .field import ScaleConfig, from_hex, to_hex
 from .hashing import MAX_UID, DataPoint, MembershipPath
@@ -34,17 +34,20 @@ from .protocol import (
     UnlearnProof,
     UpdateProof,
 )
-from .r1cs import ConstraintSystem, fingerprint_of
 from .training import Dataset, ModelParams, TrainConfig
+
+if TYPE_CHECKING:
+    from .r1cs import ConstraintSystem
 
 # Each kind of envelope is versioned on its own: a change to one kind's
 # format or meaning bumps only that kind.  params.json (circuits named by
 # fingerprint alone, no fixed-point format, which is fixed, each range
 # check's sum row before its boolean rows, and disjointness as one product
 # with one inverse) is at 14, update proofs (free wires only, range bits
-# derived, one disjointness inverse) at 11, every other kind at 8.
+# derived, one disjointness inverse, and a witness-check payload that
+# lists only the free wires, in signed hex) at 12, every other kind at 8.
 VERSION = 8
-UPDATE_PROOF_VERSION = 11
+UPDATE_PROOF_VERSION = 12
 PARAMS_VERSION = 14
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 # The fixed-point format is ``field``'s constants, so one scale encodes
@@ -339,6 +342,8 @@ class SetupStore:
 
     def save_circuit(self, exported: bytes) -> str:
         """Store a circuit export; returns its fingerprint."""
+        from .r1cs import fingerprint_of
+
         fingerprint = fingerprint_of(exported)
         atomic_write_bytes(self.circuit_file(fingerprint), exported)
         return fingerprint
@@ -347,6 +352,8 @@ class SetupStore:
         """The stored constraint system with this fingerprint.  A missing
         file, one whose SHA-256 is not the fingerprint, or one that
         ``ConstraintSystem.from_export`` refuses raises EnvelopeError."""
+        from .r1cs import ConstraintSystem, fingerprint_of
+
         path = self.circuit_file(fingerprint)
         try:
             exported = path.read_bytes()

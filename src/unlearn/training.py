@@ -35,6 +35,11 @@ class ShapeMismatch(ValueError):
     dataset of another arity."""
 
 
+class ShapeOverflow(ShapeMismatch):
+    """Inputs exceed the circuit's compiled capacity; re-run setup with a
+    larger shape."""
+
+
 class EmptyDataset(ValueError):
     pass
 

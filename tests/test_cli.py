@@ -9,6 +9,7 @@ import shutil
 import stat
 import struct
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -849,6 +850,55 @@ def test_update_beyond_capacity_writes_nothing(workspace, initialized, capsys, o
     assert snapshot(initialized) == before
 
 
+def test_an_add_past_the_capacity_is_refused(workspace, initialized, capsys):
+    # A ninth point at capacity 8 would leave every later update unable to
+    # prove: add refuses it and writes nothing.
+    d = str(initialized)
+    eight = workspace / "eight.csv"
+    eight.write_text("uid,f1,y\n" + "".join(f"{uid},0.25,1\n" for uid in range(1, 9)))
+    assert run(workspace, "add", "--dir", d, "--dataset", str(eight)) == 0
+    before = snapshot(initialized)
+    capsys.readouterr()
+    ninth = ("--uid", "9", "--features", "0.5", "--label", "0")
+    assert run(workspace, "add", "--dir", d, *ninth) == 1
+    assert ("error: 9 points at the next update would exceed the compiled capacity 8"
+            in capsys.readouterr().err)
+    assert snapshot(initialized) == before
+    # A queued deletion frees its slot at the next update.
+    assert run(workspace, "delete", "--dir", d, "--uid", "1") == 0
+    assert run(workspace, "add", "--dir", d, *ninth) == 0
+    assert run(workspace, "update", "--dir", d) == 0
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 0
+
+
+def test_a_delete_past_the_unlearn_capacity_is_refused(workspace, capsys):
+    # With room for 2 unlearnt digests a third delete was queued, and every
+    # later update exited 1, those of later additions too.
+    conf = workspace / "narrow.conf"
+    conf.write_text(CONF.replace("unlearn_capacity = 8", "unlearn_capacity = 2"))
+    root = workspace / "narrow"
+    d, csv = str(root), str(workspace / "pts.csv")
+    for args in (("setup", "--config", str(conf)), ("init",), ("add", "--dataset", csv),
+                 ("update",), ("delete", "--uid", "1"), ("delete", "--uid", "2")):
+        assert run(workspace, args[0], "--dir", d, *args[1:]) == 0
+    before = snapshot(root)
+    capsys.readouterr()
+    assert run(workspace, "delete", "--dir", d, "--uid", "3") == 1
+    assert ("error: uid 3 not queued: 3 unlearnt digests at the next update would exceed "
+            "the compiled capacity 2") in capsys.readouterr().err
+    assert snapshot(root) == before
+    # Deleting a queued point again adds no digest.
+    assert run(workspace, "delete", "--dir", d, "--uid", "2") == 0
+    assert run(workspace, "update", "--dir", d) == 0
+    # The unlearnt set is full, and updates of later additions still prove.
+    assert run(workspace, "delete", "--dir", d, "--uid", "3") == 1
+    assert run(workspace, "add", "--dir", d, "--uid", "5", "--features", "0.25",
+               "--label", "0") == 0
+    assert run(workspace, "update", "--dir", d) == 0
+    for i in ("1", "2", "3"):
+        assert run(workspace, "verify-update", "--dir", d, "--iteration", i) == 0
+
+
 def test_update_with_mismatched_unlearnt_root_writes_nothing(workspace, initialized, capsys):
     d = str(initialized)
     assert run(workspace, "add", "--dir", d, "--dataset", str(workspace / "pts.csv")) == 0
@@ -892,13 +942,13 @@ VERSION_8_FILES = {
     "state.json": "e4d8d0faa69d3de5bd55b2fd211ae41b1ab82245f5025fa5873780bc7c22ff59",
 }
 # SHA-256 of the other envelopes the same session writes, with the
-# unlearning proof of uid 2 after it: update proofs at version 11,
+# unlearning proof of uid 2 after it: update proofs at version 12,
 # params.json at 14.  A change to the rows, their order, the hash or a
 # format changes some of them; it bumps that kind's version and re-pins.
 CURRENT_FILES = {
     "proofs/update_0.json": "1ef47f71c1e2fcc52962f572e6ea0ebccbd5f9c0afa8c48e12114a31b9fb301d",
-    "proofs/update_1.json": "a67b8097bb197f8fafd871cea17c4ab09801e475973733aa4030a5df6aef7681",
-    "proofs/update_2.json": "69ec4426e5cfccba0e36084834d5384cb22a56a07cfe9020b240e6f038a0ced5",
+    "proofs/update_1.json": "bbc9b991284df3c281781c353a528e3661941713613c3299d78d77d41cf077b0",
+    "proofs/update_2.json": "f0acbb4c2afd0a8cbaf941d16768e74b0cd98b92f529a6e5fd60216988abea09",
     "proofs/unlearn_2_2.json": "1f30502291a3c9a6a2b3edbb236b0254f7d5cc2511ccc6ef4ed7bac438cb041a",
     "pub/params.json": "f674ae94c1d4447207522d3bcf68f2efdf837a0b98f8a46becda973420230d17",
 }
@@ -937,13 +987,14 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     decoded = update_proof_from_dict(stored, scale)
     assert json_bytes(update_proof_to_dict(decoded, scale)) == written
     # An update proof of version 8 carried the whole witness, one of
-    # version 9 the range bits, and one of version 10 an inverse per pair
-    # of a training and an unlearnt slot: refused as corrupt (exit 3), not
-    # judged a false proof (exit 1).
+    # version 9 the range bits, one of version 10 an inverse per pair of a
+    # training and an unlearnt slot, and one of version 11 the constant
+    # and the statement beside the free wires, unsigned: refused as
+    # corrupt (exit 3), not judged a false proof (exit 1).
     proof = d / "proofs" / "update_2.json"
     envelope = json.loads(proof.read_text())
-    assert envelope["version"] == UPDATE_PROOF_VERSION == 11
-    for old in (8, 9, 10):
+    assert envelope["version"] == UPDATE_PROOF_VERSION == 12
+    for old in (8, 9, 10, 11):
         proof.write_text(json.dumps({**envelope, "version": old}))
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
@@ -1039,10 +1090,17 @@ def test_bad_split_is_a_usage_error(workspace, capsys, split):
     assert f"error: bad --split {split!r}: expected a number in (0, 1)" in capsys.readouterr().err
 
 
-def test_add_batch_trains_once(workspace, initialized, monkeypatch):
+def test_add_batch_trains_once(workspace, monkeypatch):
     csv = workspace / "many.csv"
     rows = [f"{uid},{(uid % 9 - 4) / 4},{uid % 2}" for uid in range(1, 201)]
     csv.write_text("uid,f1,y\n" + "\n".join(rows) + "\n")
+    # A capacity that holds the batch: add refuses one the next update
+    # could not prove.
+    conf = workspace / "wide.conf"
+    conf.write_text(CONF.replace("capacity = 8\nunlearn", "capacity = 200\nunlearn"))
+    initialized = workspace / "wide"
+    assert run(workspace, "setup", "--dir", str(initialized), "--config", str(conf)) == 0
+    assert run(workspace, "init", "--dir", str(initialized)) == 0
     store = StateDir(initialized)
     pub = store.load_public_params()
     looped = store.load_state()
@@ -1146,11 +1204,46 @@ def test_bench_refuses_a_bad_dataset_before_benchmarking(workspace, monkeypatch,
     def no_bench(*args, **kwargs):
         raise AssertionError("benchmarked before refusing --dataset")
 
-    monkeypatch.setattr(cli, "bench_sizes", no_bench)
+    monkeypatch.setattr(bench, "bench_sizes", no_bench)
     capsys.readouterr()
     assert run(workspace, "bench", "--config", str(workspace / "conf"),
                "--dataset", str(bad)) == 2
     assert refused in capsys.readouterr().err
+
+
+def test_bench_pins_the_update_proof_size(capsys):
+    # bench's points are seeded, so the default config's update proof at
+    # size 10 has the same length on every run: a format change shows
+    # here as a number.
+    assert main(["bench", "--sizes", "10", "--json"]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["entries"]
+    assert (entry["model_free_wires"], entry["data_free_wires"]) == (40, 24)
+    assert entry["timings"]["verified"] == 1.0
+    assert entry["update_proof_bytes"] == 2930
+
+
+def test_commands_import_only_what_they_run(workspace, initialized):
+    # Importing the CLI loads no benchmark, game or circuit code, and the
+    # commands that build no circuit leave it unloaded.
+    script = (
+        "import json, sys\n"
+        "from unlearn.cli import main\n"
+        "loaded = [set(sys.modules)]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded.append(set(sys.modules))\n"
+        "print(json.dumps([sorted(m for m in s if m.startswith('unlearn')) for s in loaded]))\n"
+    )
+    d, csv = str(initialized), str(workspace / "pts.csv")
+    commands = [["add", "--dir", d, "--dataset", csv], ["delete", "--dir", d, "--uid", "2"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, check=True)
+    on_import, after_commands = json.loads(proc.stdout.splitlines()[-1])
+    unneeded = {f"unlearn.{m}" for m in ("bench", "game", "circuits", "gadgets", "r1cs")}
+    assert "unlearn.cli" in on_import
+    assert not unneeded & set(on_import)
+    assert not unneeded & set(after_commands)
 
 
 # The options each command reads, beyond --dir and --json.
@@ -1482,18 +1575,31 @@ def _model_payload(store: StateDir, iteration: int) -> tuple[dict, dict, list[st
     return envelope, blob, json.loads(bytes.fromhex(blob["proof_bytes"]))["wires"]
 
 
+def _write_payload(store: StateDir, iteration: int, envelope: dict, payload: dict) -> None:
+    envelope["model_proof"]["proof_bytes"] = (
+        json.dumps(payload, separators=(",", ":")).encode().hex()
+    )
+    store.update_proof_file(iteration).write_text(json.dumps(envelope))
+
+
 def test_a_flipped_slot_input_in_the_model_payload_is_rejected(workspace, updated, capsys):
-    # The edit the benchmark's tamper check makes: entry 1 +
-    # len(public_inputs) of the model payload, slot 0's presence bit.
+    # The benchmark's tamper check edits entry 1 + len(public_inputs) of
+    # the model payload, which lists only the free wires: slot 0's label
+    # (uid 1's 1.0).  Entry 0 is slot 0's presence bit.  Both edits stay
+    # canonical, so only the constraints can reject them.
     store = StateDir(updated)
-    envelope, blob, wires = _model_payload(store, 1)
-    k = 1 + len(blob["public_inputs"])
-    assert wires[k] == "1"
-    wires[k] = "0"
-    blob["proof_bytes"] = json.dumps({"v": 3, "wires": wires}, separators=(",", ":")).encode().hex()
-    store.update_proof_file(1).write_text(json.dumps(envelope))
-    capsys.readouterr()
-    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1
+    honest = store.update_proof_file(1).read_text()
+    _, blob, _ = _model_payload(store, 1)
+    label = 1 + len(blob["public_inputs"])
+    for entry, value, flipped in ((label, "10000", "10001"), (0, "1", "0")):
+        envelope, _, wires = _model_payload(store, 1)
+        assert wires[entry] == value
+        wires[entry] = flipped
+        _write_payload(store, 1, envelope, {"v": 4, "wires": wires})
+        capsys.readouterr()
+        assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1
+        store.update_proof_file(1).write_text(honest)
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 0
 
 
 def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monkeypatch):
@@ -1513,12 +1619,16 @@ def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monke
     monkeypatch.undo()
     cs = pub.model_relation.circuit
     envelope, blob, wires = _model_payload(store, 1)
-    witness = cs.complete([int(v, 16) for v in wires])
+    statement = [int(v, 16) for v in blob["public_inputs"]]
+    projection = [1, *statement, *(int(v, 16) % SCALE.modulus for v in wires)]
+    witness = cs.complete(projection)
     kept = sorted({*cs.free_wires(), *range_bits})
-    assert len(kept) == len(wires) - 1 - cs.num_public + len(range_bits)
+    assert len(kept) == len(wires) + len(range_bits)
     values = [*witness[: 1 + cs.num_public], *(witness[w] for w in kept)]
-    old = json.dumps({"v": 2, "wires": [f"{v:x}" for v in values]}, separators=(",", ":"))
-    blob["proof_bytes"] = old.encode().hex()
-    store.update_proof_file(1).write_text(json.dumps(envelope))
-    capsys.readouterr()
-    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1
+    # Version 3 listed the constant, the statement and the free wires,
+    # each as an unsigned field element.
+    for old in ({"v": 2, "wires": [f"{v:x}" for v in values]},
+                {"v": 3, "wires": [f"{v:x}" for v in projection]}):
+        _write_payload(store, 1, envelope, old)
+        capsys.readouterr()
+        assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY_ROUNDS, failing_rows, is_satisfied, needs_snark, project, rows_touching
 from conftest import statement_of
@@ -102,36 +104,99 @@ def test_unchecked_variant_accepts_garbage(rel, honest):
     assert backend.name != WitnessCheckBackend().name
 
 
-def payload(wires, v=3) -> bytes:
+def payload(wires, v=4) -> bytes:
     return json.dumps({"v": v, "wires": wires}, separators=(",", ":")).encode()
 
 
-def test_witness_check_accepts_only_canonical_hex():
-    # x = 26 is free; y = 676 is the statement.
+def signed_hex(v: int) -> str:
+    """The one spelling a version-4 payload accepts for the field element
+    ``v``: the hex of its representative in (-P/2, P/2]."""
+    v %= P
+    return format(v - P if v > P // 2 else v, "x")
+
+
+def identity_relation() -> RelationHandle:
+    """y = x, with x free: every field element is some proof's wire."""
     cs = ConstraintSystem(P)
     y = cs.alloc_public()
     x = cs.alloc_private(name="x")
-    cs.enforce({x: 1}, {x: 1}, {y: 1})
+    cs.enforce({x: 1}, {0: 1}, {y: 1})
     cs.finalize()
-    rel = RelationHandle.of(cs)
+    return RelationHandle.of(cs)
+
+
+def test_witness_check_accepts_only_canonical_hex():
+    # x = 26 is free; y = 676 is the statement, which the payload does not
+    # repeat, nor the constant.
+    rel = squaring_relation()
     backend = WitnessCheckBackend()
     blob = backend.prove(rel, [1, 676, 26])
-    assert blob.proof_bytes == payload(["1", "2a4", "1a"])
+    assert blob.proof_bytes == payload(["1a"])
     assert backend.verify(rel, (676,), blob)
     # Each form reads as 26 with int(v, 16); only "1a" is accepted.
-    for form in ("0x1a", "0X1a", "+1a", " 1a", "1a ", "1_a", "1A", "01a"):
-        assert int(form, 16) == 26
-        forged = dataclasses.replace(blob, proof_bytes=payload(["1", "2a4", form]))
+    for form in ("0x1a", "0X1a", "+1a", " 1a", "1a ", "1_a", "1A", "01a", f"{P + 26:x}"):
+        assert int(form, 16) % P == 26
+        forged = dataclasses.replace(blob, proof_bytes=payload([form]))
         assert not backend.verify(rel, (676,), forged), form
+    # x = -26 squares to the same y: it is written signed, and its
+    # positive spelling p - 26 is refused.
+    negative = backend.prove(rel, [1, 676, P - 26])
+    assert negative.proof_bytes == payload(["-1a"])
+    assert backend.verify(rel, (676,), negative)
+    for form in (f"{P - 26:x}", "-01a", "-0x1a", "-1A", "-1_a", f"-{P + 26:x}"):
+        assert int(form, 16) % P == P - 26
+        forged = dataclasses.replace(negative, proof_bytes=payload([form]))
+        assert not backend.verify(rel, (676,), forged), form
+    zero = backend.prove(rel, [1, 0, 0])
+    assert zero.proof_bytes == payload(["0"])
+    for form in ("-0", "+0", "00", "0x0", f"{P:x}"):
+        assert not backend.verify(rel, (0,), dataclasses.replace(zero, proof_bytes=payload([form])))
     for other in (
-        payload(["01", "2a4", "1a"]),
-        payload(["1", "2A4", "1a"]),
-        payload(["1", "2a4", "1a"], v=2),
-        json.dumps({"v": 3, "wires": ["1", "2a4", "1a"]}).encode(),
-        json.dumps({"v": 3.0, "wires": ["1", "2a4", "1a"]}, separators=(",", ":")).encode(),
-        json.dumps({"v": 3, "wires": ["1", "2a4", "1a"], "x": 0}, separators=(",", ":")).encode(),
+        payload(["1a"], v=3),
+        payload(["1", "2a4", "1a"], v=3),
+        payload(["1", "2a4", "1a"]),
+        payload(["2a4", "1a"]),
+        payload([]),
+        payload(["1a", "0"]),
+        payload([26]),
+        json.dumps({"v": 4, "wires": ["1a"]}).encode(),
+        json.dumps({"v": 4.0, "wires": ["1a"]}, separators=(",", ":")).encode(),
+        json.dumps({"v": 4, "wires": ["1a"], "x": 0}, separators=(",", ":")).encode(),
+        json.dumps({"v": 4, "wires": "1a"}, separators=(",", ":")).encode(),
+        json.dumps([4, ["1a"]]).encode(),
+        b"\xff",
     ):
-        assert not backend.verify(rel, (676,), dataclasses.replace(blob, proof_bytes=other))
+        assert not backend.verify(rel, (676,), dataclasses.replace(blob, proof_bytes=other)), other
+
+
+HALF = (P - 1) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([0, 1, HALF, HALF + 1, P - 1]), st.integers(0, P - 1)))
+def test_witness_check_payload_round_trips_every_field_element(v):
+    # The prover writes the signed representative; the verifier accepts
+    # those bytes and refuses every other spelling of the same value.
+    rel, backend = identity_relation(), WitnessCheckBackend()
+    blob = backend.prove(rel, [1, v, v])
+    canonical = signed_hex(v)
+    assert blob.proof_bytes == payload([canonical])
+    assert int(canonical, 16) % P == v and abs(int(canonical, 16)) <= HALF
+    assert backend.verify(rel, (v,), blob)
+    magnitude = canonical.removeprefix("-")
+    sign = canonical[: len(canonical) - len(magnitude)]
+    others = {
+        f"{v:x}", f"{v - P:x}", f"{v + P:x}",  # the other representatives
+        f"{sign}0{magnitude}", f"{sign}0x{magnitude}", f"{sign}{magnitude.upper()}",
+        f"{sign or '+'}{magnitude}", f" {canonical}",
+    }
+    if v == 0:
+        others.add("-0")
+    others.discard(canonical)
+    for form in others:
+        assert int(form, 16) % P == v
+        forged = dataclasses.replace(blob, proof_bytes=payload([form]))
+        assert not backend.verify(rel, (v,), forged), form
 
 
 def _update_blobs(pub, xs, ghosts=(100, 101)):
@@ -170,23 +235,27 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
         assert backend.verify(rel, statement, blob)
         wires = json.loads(blob.proof_bytes)["wires"]
         free = rel.circuit.free_wires()
-        first = 1 + len(statement)
-        assert len(wires) == first + len(free)
+        # Only the free wires: the constant and the statement are not repeated.
+        assert wires == [signed_hex(witness[w]) for w in free]
 
-        def rejected(entries, v=3):
+        def rejected(entries, v=4):
             forged = dataclasses.replace(blob, proof_bytes=payload(entries, v))
             return not backend.verify(rel, statement, forged)
 
-        for k, wire in enumerate(free, first):
+        for k, wire in enumerate(free):
             entries = list(wires)
-            entries[k] = f"{(int(wires[k], 16) + 1) % P:x}"
+            entries[k] = signed_hex(int(wires[k], 16) + 1)
             if not rejected(entries):
                 survivors.append((rel.fingerprint, wire))
             mutated += 1
         assert rejected(wires[:-1])
         assert rejected(wires + ["0"])
-        assert rejected(wires[:first] + wires[first + 1:])
-        assert rejected(wires[:first] + [f"{int(wires[first], 16) + P:x}"] + wires[first + 1:])
+        assert rejected(wires[1:])
+        assert rejected([f"{int(wires[0], 16) + P:x}"] + wires[1:])
+        projection = [signed_hex(v) for v in (1, *statement)] + wires
+        assert rejected(projection)
+        assert rejected([f"{v:x}" for v in (1, *statement)] + [f"{witness[w]:x}" for w in free],
+                        v=3)
         full = [f"{v:x}" for v in witness]
         assert rejected(full, v=1)
         assert rejected(full)
@@ -206,8 +275,9 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
 def _unchecked_blob(rel, statement, given) -> ProofBlob:
     """The witness-check proof of the projection ``given``, written without
     the prover completing it first."""
+    free = given[1 + len(statement):]
     return ProofBlob(
-        "witness-check", rel.fingerprint, tuple(statement), payload([f"{v:x}" for v in given])
+        "witness-check", rel.fingerprint, tuple(statement), payload(list(map(signed_hex, free)))
     )
 
 
@@ -298,11 +368,9 @@ def test_witness_check_spliced_free_wires_never_verify(fast_pub):
     for (rel, _, blob), (_, _, other) in zip(ours, theirs):
         statement = blob.public_inputs
         assert other.public_inputs != statement
-        first = 1 + len(statement)
-        wires = json.loads(blob.proof_bytes)["wires"]
-        spliced = wires[:first] + json.loads(other.proof_bytes)["wires"][first:]
-        assert spliced != wires
-        forged = dataclasses.replace(blob, proof_bytes=payload(spliced))
+        # The payload is the free wires alone: all of theirs.
+        assert other.proof_bytes != blob.proof_bytes
+        forged = dataclasses.replace(blob, proof_bytes=other.proof_bytes)
         assert not backend.verify(rel, statement, forged)
 
 
