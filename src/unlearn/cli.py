@@ -316,8 +316,10 @@ def cmd_add(args) -> int:
         else:
             points = (_point_from_args(args, pub),)
         try:
+            # Refuse a batch past the capacity before training it.
+            batch = dataclasses.replace(state, pending_add=(*state.pending_add, *points))
+            check_capacity(batch, pub)
             state = queue_adds(state, points, pub)
-            check_capacity(state, pub)
         except (ReAddAfterDelete, DuplicateAdd, ValueError, FixedPointOverflow) as e:
             raise CliError(str(e), EXIT_REJECT)
         store.save_state(state)

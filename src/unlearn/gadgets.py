@@ -15,16 +15,25 @@ check against the value bound of ``field``: where native training raises
 FixedPointOverflow, no witness satisfies them.  ``pin_absent`` fixes
 each value of an absent slot to a constant, so a padded circuit leaves
 no wire free of its inputs.
+
+Most rows of every circuit are range-check booleans and MiMC rounds.
+``bits`` and ``mimc_permute`` build each call's rows sorted and reduced
+and write them with one ``ConstraintSystem.enforce_block``, which checks
+the block as a whole; every other row goes through
+``ConstraintSystem.enforce``, which checks it term by term.  Written row
+by row through ``enforce``, both gadgets give the same export: that is
+the reference the tests hold them to.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 
 from .field import ScaleConfig, fx_encode
 from .hashing import TAG_MODEL, TAG_NODE, TAG_POINT, UID_BITS, HashConfig, empty_root
 from .hashing import point_layout, round_constants
-from .r1cs import ConstraintSystem, LinComb
+from .r1cs import Block, ConstraintSystem, LinComb
 
 
 def lc_const(v: int) -> LinComb:
@@ -33,6 +42,28 @@ def lc_const(v: int) -> LinComb:
 
 def lc_wire(w: int) -> LinComb:
     return {w: 1}
+
+
+def _terms(lc: LinComb, p: int) -> tuple[list[int], list[int]]:
+    """A linear combination's wires, increasing, and their coefficients
+    mod p, zeros dropped: the terms ``enforce`` would store for it."""
+    terms = sorted((w, v % p) for w, v in lc.items() if v % p)
+    return [w for w, _ in terms], [v for _, v in terms]
+
+
+def bit_rows(a: LinComb, wires: list[int], p: int) -> tuple[Block, Block, Block]:
+    """``CircuitBuilder.bits``' block for a and the bits ``wires``: the
+    sum row a * 1 = sum 2^i b_i, then b * (1 - b) = 0 for each bit b,
+    whose B is the constant and b with coefficient -1."""
+    n = len(wires)
+    a_wires, a_coefficients = _terms(a, p)
+    b_wires = [0] * (2 * n + 1)
+    b_wires[2::2] = wires
+    return (
+        ([len(a_wires), *repeat(1, n)], [*a_wires, *wires], [*a_coefficients, *repeat(1, n)]),
+        ([1, *repeat(2, n)], b_wires, [1, *(1, p - 1) * n]),
+        ([n, *repeat(0, n)], wires, [1 << i for i in range(n)]),
+    )
 
 
 class CircuitBuilder:
@@ -67,7 +98,7 @@ class CircuitBuilder:
     def mul(self, a: LinComb, b: LinComb, plus: LinComb = {}) -> LinComb:
         """a * b + plus as a new wire, defined by its row a * b = w - plus."""
         w = self.cs.alloc_private()
-        self.cs.enforce(a, b, self.sub(lc_wire(w), plus))
+        self.cs.enforce(a, b, self.sub(lc_wire(w), plus) if plus else lc_wire(w))
         return lc_wire(w)
 
     def enforce_eq(self, a: LinComb, b: LinComb) -> None:
@@ -81,12 +112,10 @@ class CircuitBuilder:
         = sum 2^i b_i comes first, with the bits new in its C, so it
         defines them as a's binary digits (``r1cs``), and no witness
         satisfies it when a does not fit in ``width`` bits; the boolean
-        rows follow."""
+        rows b * (1 - b) = 0 follow.  All width + 1 rows are one block."""
         cs = self.cs
         wires = [cs.alloc_private() for _ in range(width)]
-        cs.enforce(a, lc_const(1), {w: 1 << i for i, w in enumerate(wires)})
-        for w in wires:
-            self.enforce_boolean(lc_wire(w))
+        cs.enforce_block(*bit_rows(a, wires, cs.modulus))
         return wires
 
     def value_range(self, a: LinComb) -> LinComb:
@@ -130,13 +159,43 @@ class CircuitBuilder:
     # -- hash gadgets ---------------------------------------------------------
 
     def mimc_permute(self, x: LinComb, key: LinComb) -> LinComb:
-        t = x
-        for c in round_constants(self.hash_cfg.rounds):
-            u = self.add(self.add(t, key), lc_const(c))
-            u2 = self.mul(u, u)
-            u4 = self.mul(u2, u2)
-            t = self.mul(u4, u)
-        return self.add(t, key)
+        """``hashing.mimc_permute``: per round, u = t + key + c and the rows
+        u * u = u2, u2 * u2 = u4 and u4 * u = t', each defining its new
+        wire; then t + key.  After the first round t is one wire above
+        every wire of key, so u is key's sorted terms with c added to its
+        constant, then t.  All rounds' rows are one block."""
+        cs = self.cs
+        p = cs.modulus
+        wires, coefficients = _terms(key, p)
+        constant = 0
+        if wires[:1] == [0]:
+            del wires[0]
+            constant = coefficients.pop(0)
+        a, b, c = ([], [], []), ([], [], []), ([], [], [])
+        t = None  # the last round's output wire
+        for const in round_constants(self.hash_cfg.rounds):
+            if t is None:
+                u, u_coefficients = _terms(self.add(self.add(x, key), lc_const(const)), p)
+                if u and u[-1] >= cs.num_wires:
+                    # Refused before this call allocates it, as enforce would.
+                    raise ValueError(f"unallocated wire {u[-1]}")
+            elif k := (constant + const) % p:
+                u, u_coefficients = [0, *wires, t], [k, *coefficients, 1]
+            else:
+                u, u_coefficients = [*wires, t], [*coefficients, 1]
+            u2, u4, t = cs.alloc_private(), cs.alloc_private(), cs.alloc_private()
+            n = len(u)
+            a[0].extend((n, 1, 1))
+            a[1].extend((*u, u2, u4))
+            a[2].extend((*u_coefficients, 1, 1))
+            b[0].extend((n, 1, n))
+            b[1].extend((*u, u2, *u))
+            b[2].extend((*u_coefficients, 1, *u_coefficients))
+            c[1].extend((u2, u4, t))
+        c[0].extend(repeat(1, len(c[1])))
+        c[2].extend(repeat(1, len(c[1])))
+        cs.enforce_block(a, b, c)
+        return self.add(lc_wire(t), key)
 
     def _compress(self, key: LinComb, msg: LinComb) -> LinComb:
         return self.add(self.add(self.mimc_permute(msg, key), key), msg)

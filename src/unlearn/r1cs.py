@@ -2,14 +2,24 @@
 
 Constraints have the form <A,z> * <B,z> = <C,z> where z is the wire vector:
 wire 0 is the constant 1, wires 1..num_public are the statement, and the
-remainder are private.  Gadgets build linear combinations as sparse dicts
-{wire: coeff}; ``enforce`` stores each row straight into flat arrays in
-compressed sparse row form.  Per matrix A, B and C there are three
-``array('I')``: the term count of each row, the wire ids (strictly
-increasing within a row) and coefficient ids into one table of the
-distinct nonzero coefficients.  Those arrays are also the export format,
-so building, fingerprinting, storing, loading and evaluating all use one
-encoding.
+remainder are private.  Rows are stored in flat arrays in compressed
+sparse row form.  Per matrix A, B and C there are three ``array('I')``:
+the term count of each row, the wire ids (strictly increasing within a
+row) and coefficient ids into one table of the distinct nonzero
+coefficients.  Those arrays are also the export format, so building,
+fingerprinting, storing, loading and evaluating all use one encoding.
+
+Two methods write rows.  ``enforce`` takes one row as three sparse dicts
+{wire: coeff}: it sorts each, reduces the coefficients, drops zeros and
+checks that every wire is allocated.  It is the reference, and any row
+may go through it.  ``enforce_block`` takes a block of rows already in
+the stored layout, sorted and reduced, and checks the block as a whole
+instead of term by term: no wire or count negative (the unsigned arrays
+refuse one), every wire allocated (by the greatest), the wires strictly
+increasing within each row, the terms adding up to the counts, and each
+coefficient new to the table in [1, p).  The gadgets that write most of a circuit's rows, bit
+decompositions and MiMC rounds, write each call's rows as one block,
+the same rows ``enforce`` would store one by one.
 
 A system holds rows only, never wire values: a circuit is built once
 from its shape, and every input gives the same export.  Statement wires
@@ -42,11 +52,14 @@ from collections import deque
 from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, repeat, tee
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, tee
 from operator import ge, lt, mul, sub
 from typing import Iterator, Optional, Sequence
 
 LinComb = dict[int, int]
+# A block of rows in one matrix: each row's term count, then each term's
+# wire id and coefficient, row after row (``enforce_block``).
+Block = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 # export() layout, every integer little-endian:
 #   magic "unlearn-r1cs v2\n"
@@ -123,6 +136,18 @@ def _increasing(values) -> bool:
     ahead, behind = tee(values)
     next(ahead, None)
     return all(map(lt, behind, ahead))
+
+
+def _block_rows_increasing(counts: Sequence[int], wires: Sequence[int]) -> bool:
+    """Whether the wire ids of a block increase strictly within every row:
+    those of the whole block do, or each term whose wire is not above the
+    one before starts a row.  A block has few rows, so its row starts go
+    into a set; a whole matrix marks them in a bytearray instead
+    (``_Matrix.rows_increasing``)."""
+    if all(map(lt, wires, islice(wires, 1, None))):
+        return True
+    drops = compress(count(1), map(ge, wires, islice(wires, 1, None)))
+    return set(accumulate(counts)).issuperset(drops)
 
 
 class _Matrix:
@@ -228,6 +253,55 @@ class ConstraintSystem:
                     m.coefficients.append(ids.setdefault(v, len(ids)))
                     n += 1
             m.counts.append(n)
+
+    def enforce_block(self, a: Block, b: Block, c: Block) -> None:
+        """Append a block of rows at once: for each of A, B and C, the
+        rows' term counts, then every term's wire and coefficient, row
+        after row, in the flat layout the system stores.  The rows are
+        those ``enforce`` would store one by one, so each row's wires
+        must increase strictly and each coefficient lie in [1, modulus).
+        The block is checked as a whole, not term by term, before
+        anything is stored, and refused as ``enforce`` refuses a row:
+        BuildPhaseClosed once finalized, ValueError for an unallocated
+        wire; and ValueError for terms that do not add up to the counts,
+        a negative count or wire, a repeated or unordered wire in a row,
+        or a coefficient out of range.  Coefficients already in the table
+        were checked when they entered it, so only new ones are."""
+        if self._finalized:
+            raise BuildPhaseClosed("constraint system is finalized")
+        blocks = (a, b, c)
+        rows = len(a[0])
+        arrays = []  # each matrix's counts and wire ids
+        for name, (counts, wires, coefficients) in zip("ABC", blocks):
+            if len(counts) != rows or not sum(counts) == len(wires) == len(coefficients):
+                raise ValueError(f"block {name}: terms do not match the row counts")
+            try:
+                arrays.append((array(_U32_CODE, counts), array(_U32_CODE, wires)))
+            except OverflowError:
+                raise ValueError(f"block {name}: a negative count or wire") from None
+            if wires:
+                if max(wires) >= self._num_wires:
+                    raise ValueError(f"unallocated wire {max(wires)}")
+                if not _block_rows_increasing(counts, wires):
+                    raise ValueError(f"block {name}: wires repeated or out of order in a row")
+        ids = self._coefficient_ids
+
+        def numbered() -> list[array]:
+            return [array(_U32_CODE, map(ids.__getitem__, block[2])) for block in blocks]
+
+        try:
+            coefficient_ids = numbered()
+        except KeyError:
+            # New coefficients: checked, then numbered in first-use order.
+            fresh = list(filterfalse(ids.__contains__, dict.fromkeys(chain(a[2], b[2], c[2]))))
+            if not (min(fresh) > 0 and max(fresh) < self.modulus):
+                raise ValueError("block coefficient is zero or not reduced") from None
+            ids.update(zip(fresh, count(len(ids))))
+            coefficient_ids = numbered()
+        for m, (counts, wires), coefficients in zip(self._matrices, arrays, coefficient_ids):
+            m.counts.extend(counts)
+            m.wires.extend(wires)
+            m.coefficients.extend(coefficients)
 
     def finalize(self) -> None:
         self._finalized = True

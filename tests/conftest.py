@@ -11,8 +11,9 @@ from unlearn.circuits import ABSENT_DIGESTS, DataCircuit, ModelCircuit
 from unlearn.circuits import data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD, FixedPointOverflow, NativeOps, ScaleConfig
 from unlearn.field import sigmoid_poly, signed_repr
-from unlearn.gadgets import CircuitBuilder, lc_wire
+from unlearn.gadgets import CircuitBuilder, lc_const, lc_wire
 from unlearn.hashing import DataPoint, HashConfig, hash_data, hash_data_point, hash_unlearn
+from unlearn.hashing import round_constants
 from unlearn.proofsys import find_helper
 from unlearn.protocol import ProtocolConfig, PublicParams, global_setup, prove_unlearn
 from unlearn.protocol import prove_update, queue_add, queue_delete, server_init
@@ -166,6 +167,35 @@ def gadget_witness(build, inputs, rounds=TINY_ROUNDS):
     out = build(builder, *wires)
     cs.finalize()
     return cs, cs.complete([1, *(v % cs.modulus for v in inputs)]), out
+
+
+class RowByRowBuilder(CircuitBuilder):
+    """The reference for the gadgets that write blocks of rows: ``bits``
+    and ``mimc_permute`` write each row through ``ConstraintSystem.enforce``,
+    and ``mul`` builds its C through ``sub``.  ``fx_mul`` and the gadgets
+    above them are inherited, so they call these."""
+
+    def mul(self, a, b, plus={}):
+        w = self.cs.alloc_private()
+        self.cs.enforce(a, b, self.sub(lc_wire(w), plus))
+        return lc_wire(w)
+
+    def bits(self, a, width):
+        cs = self.cs
+        wires = [cs.alloc_private() for _ in range(width)]
+        cs.enforce(a, lc_const(1), {w: 1 << i for i, w in enumerate(wires)})
+        for w in wires:
+            self.enforce_boolean(lc_wire(w))
+        return wires
+
+    def mimc_permute(self, x, key):
+        t = x
+        for c in round_constants(self.hash_cfg.rounds):
+            u = self.add(self.add(t, key), lc_const(c))
+            u2 = self.mul(u, u)
+            u4 = self.mul(u2, u2)
+            t = self.mul(u4, u)
+        return self.add(t, key)
 
 
 @functools.cache

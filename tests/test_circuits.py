@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    RowByRowBuilder,
     circuit_rows,
     data_slot_projection,
     data_witness,
@@ -30,7 +31,7 @@ from unlearn.circuits import (
     model_projection,
 )
 from unlearn.field import FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
-from unlearn.gadgets import CircuitBuilder, lc_const, lc_wire
+from unlearn.gadgets import CircuitBuilder, bit_rows, lc_const, lc_wire
 from unlearn.hashing import (
     DataPoint,
     HashConfig,
@@ -40,9 +41,10 @@ from unlearn.hashing import (
     hash_model_weights,
     hash_unlearn,
     point_layout,
+    round_constants,
 )
 from unlearn.cli import build_protocol_config
-from unlearn.r1cs import ConstraintSystem, Unsatisfied
+from unlearn.r1cs import BuildPhaseClosed, ConstraintSystem, Unsatisfied
 from unlearn.training import Dataset, default_train_config, train_model
 
 SCALE = ScaleConfig()
@@ -613,6 +615,104 @@ def test_unit_constraint_costs(gadget, expected):
     assert len(cs.constraints) == expected
 
 
+# -- the gadgets that write blocks, against row-by-row enforce -------------------------
+
+
+def _rows_and_result(builder_class, build):
+    """The export of the rows ``build(builder, x, y, z)`` writes on three
+    free wires, with its result."""
+    cs = ConstraintSystem(P)
+    out = build(builder_class(cs, SCALE, FULL), *(cs.alloc_private() for _ in range(3)))
+    return cs.export(), out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda b, x, y, z: b.bits({x: 1}, 2),
+        # A constant, an unreduced coefficient and one that vanishes mod p.
+        lambda b, x, y, z: b.bits({0: 5, x: 3, y: -1, z: P}, 38),
+        lambda b, x, y, z: b.bits({z: 2, y: 1}, 54),
+        lambda b, x, y, z: b.bits({}, 54),
+        lambda b, x, y, z: b.fx_mul({x: 1}, {y: 2, 0: 7}),
+        lambda b, x, y, z: b.mimc_permute({x: 1, y: -3}, {z: 1, 0: 9}),
+        lambda b, x, y, z: b.mimc_permute({x: 1}, {y: 2, z: 1}),
+        # The key's constant cancels the second round constant.
+        lambda b, x, y, z: b.mimc_permute({0: 4}, {z: 1, 0: -round_constants(FULL.rounds)[1]}),
+        lambda b, x, y, z: b.mimc_permute({}, {0: 5}),
+        lambda b, x, y, z: b.hash2({x: 1}, {y: 1, x: 2}),
+    ],
+    ids=[
+        "bits-2", "bits-38", "bits-54", "bits-54-of-zero", "fx_mul", "mimc-key-constant",
+        "mimc-key-wires", "mimc-round-without-constant", "mimc-constant-key", "hash2",
+    ],
+)
+def test_bulk_gadgets_write_the_rows_enforce_writes(build):
+    # bits and mimc_permute write their rows as one block; the reference
+    # writes the same rows one by one through enforce.
+    assert _rows_and_result(CircuitBuilder, build) == _rows_and_result(RowByRowBuilder, build)
+
+
+def _in_a(counts, wires, coefficients):
+    """A block whose rows have terms in A only."""
+    empty = ([0] * len(counts), [], [])
+    return (counts, wires, coefficients), empty, empty
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        bit_rows({1: 1}, [2, 3], P),
+        bit_rows({1: 1}, [0], P),
+        _in_a([1], [2], [1]),
+        _in_a([1, 1], [1], [1]),
+        _in_a([-1, 2], [1], [1]),
+        _in_a([1], [-1], [1]),
+        _in_a([2], [1, 1], [1, 1]),
+        _in_a([1], [1], [P]),
+        _in_a([1], [1], [0]),
+    ],
+    ids=[
+        "unallocated-bits", "constant-bit", "unallocated", "counts", "negative-count",
+        "negative-wire", "repeated-wire", "unreduced", "zero",
+    ],
+)
+def test_a_refused_block_stores_nothing(block):
+    # enforce refuses a row that reads an unallocated wire with ValueError;
+    # enforce_block refuses such a block, the constant as a bit and any
+    # block enforce could not have written the same way, before it stores
+    # a row or a coefficient.
+    cs = ConstraintSystem(P)
+    cs.alloc_private()
+    with pytest.raises(ValueError, match="unallocated wire 2"):
+        cs.enforce({2: 1}, {0: 1}, {})
+    before = cs.export()
+    with pytest.raises(ValueError):
+        cs.enforce_block(*block)
+    assert cs.export() == before
+
+
+def test_a_finalized_system_refuses_blocks():
+    cs = ConstraintSystem(P)
+    w = cs.alloc_private()
+    block = bit_rows({w: 1}, [w], P)
+    cs.enforce_block(*block)
+    cs.finalize()
+    for write in (lambda: cs.enforce_block(*block), lambda: cs.enforce({w: 1}, {}, {})):
+        with pytest.raises(BuildPhaseClosed):
+            write()
+    assert cs.num_constraints == 2
+
+
+@pytest.mark.parametrize("builder_class", [CircuitBuilder, RowByRowBuilder])
+def test_mimc_refuses_an_unallocated_input(builder_class):
+    cs = ConstraintSystem(P)
+    builder = builder_class(cs, SCALE, TINY)
+    x = cs.alloc_private()
+    with pytest.raises(ValueError, match="unallocated wire 6"):
+        builder.mimc_permute({x: 1}, {x + 5: 1})
+
+
 def test_fast_pub_constraint_totals(fast_pub):
     assert fast_pub.model_circuit.cs.stats().constraint_count == 3253
     assert fast_pub.data_circuit.cs.stats().constraint_count == 356
@@ -664,6 +764,33 @@ def test_benchmark_config_sizes(epochs, capacity, model, data, fingerprints):
         free = len(cs.free_wires())
         assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
         assert cs.fingerprint() == fingerprint
+
+
+@pytest.mark.parametrize(
+    "kind,hidden,expected,fingerprint",
+    [
+        ("logistic", None, (5575, 5511, 27987, (39, 12, 64), 10),
+         "4345bd382c03156bc90423d1d93f6d584537b40af44fd259360945432c0e96f4"),
+        ("nn", 2, (14443, 14259, 89620, (39, 18, 64), 10),
+         "5d3993e01d2aecb198e632cb903a1694281b739ea2ab7c4d57515e5abf89e716"),
+        ("nn", 4, (25355, 25027, 204540, (39, 34, 64), 10),
+         "7f025c9a477036031c374307303347e6a5aeefde8e0865699fd4b9807fa55f4e"),
+    ],
+    ids=["logistic", "nn-hidden-2", "nn-hidden-4"],
+)
+def test_model_circuit_sizes_beyond_linear(kind, hidden, expected, fingerprint):
+    # Model circuits of the other kinds at arity 2, capacity 2, two epochs
+    # and the full hash, pinned as test_benchmark_config_sizes pins the
+    # linear ones: a change to one row of the sigmoid, the hidden layer or
+    # a select moves the fingerprint.
+    options = {"kind": kind, "arity": "2", "epochs": "2", "capacity": "2", "unlearn_capacity": "2"}
+    if hidden is not None:
+        options["hidden"] = str(hidden)
+    cs = ModelCircuit(build_protocol_config(options)).cs
+    longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
+    free = len(cs.free_wires())
+    assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
+    assert cs.fingerprint() == fingerprint
 
 
 def test_data_circuit_size_at_capacity_100():

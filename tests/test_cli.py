@@ -871,6 +871,24 @@ def test_an_add_past_the_capacity_is_refused(workspace, initialized, capsys):
     assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 0
 
 
+def test_a_batch_past_the_capacity_is_refused_before_training(workspace, initialized, capsys,
+                                                              monkeypatch):
+    # 200 rows at capacity 8: add counts the would-be batch first, so it
+    # exits 1 without one training run of the 200 points.
+    many = workspace / "many.csv"
+    many.write_text("uid,f1,y\n" + "".join(f"{uid},0.25,1\n" for uid in range(1, 201)))
+    calls = []
+    train_model = protocol.train_model
+    monkeypatch.setattr(protocol, "train_model", lambda *a: calls.append(a) or train_model(*a))
+    before = snapshot(initialized)
+    capsys.readouterr()
+    assert run(workspace, "add", "--dir", str(initialized), "--dataset", str(many)) == 1
+    assert ("error: 200 points at the next update would exceed the compiled capacity 8"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert snapshot(initialized) == before
+
+
 def test_a_delete_past_the_unlearn_capacity_is_refused(workspace, capsys):
     # With room for 2 unlearnt digests a third delete was queued, and every
     # later update exited 1, those of later additions too.
