@@ -6,10 +6,14 @@ Two interchangeable backends:
   free wires (``r1cs``), for the update circuits each slot's inputs and
   the data circuit's one inverse, each written once as the signed hex of
   its representative in (-p/2, p/2]: the constant is 1 and the statement
-  is the blob's ``public_inputs``, so neither is repeated.  The verifier
-  rebuilds the projection from them, derives the rest in row order, each
-  range check's bits as the binary digits of its sum row, and checks
-  every other constraint (``ConstraintSystem.complete``).
+  is the blob's ``public_inputs``, so neither is repeated.  The list ends
+  at the last nonzero free wire, so the model circuit's absent slots,
+  pinned to zero and laid out after the present ones, are not written.
+  The verifier pads the list with zeros to the free-wire count the rows
+  give (``ConstraintSystem.num_free``), rebuilds the projection, derives
+  the rest in row order, each range check's bits as the binary digits of
+  its sum row, and checks every other constraint
+  (``ConstraintSystem.complete``).
   Not succinct and not hiding, but exact and dependency-free;
   completeness and circuit-level tests run on it.  A deliberately broken
   variant (``check=False``) that accepts anything is available to the
@@ -35,13 +39,14 @@ import atexit
 import json
 import os
 import shutil
-import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:
+    from subprocess import CompletedProcess
+
     from .r1cs import ConstraintSystem
 
 HELPER_ENV = "UNLEARN_GROTH16_BIN"
@@ -122,15 +127,19 @@ class ProofBlob:
 
 
 def _witness_payload(free: Sequence[int], modulus: int) -> bytes:
-    """A witness-check proof: version 4, then the free wires, each as the
-    lowercase hex of its signed representative in (-p/2, p/2], so -0.5 in
-    fixed point is ``-8000``.  The verifier accepts exactly these bytes,
-    so each projection has one accepted payload."""
+    """A witness-check proof: version 5, then the free wires up to the
+    last nonzero one, each as the lowercase hex of its signed
+    representative in (-p/2, p/2], so -0.5 in fixed point is ``-8000``;
+    all zeros is ``"wires":[]``.  The verifier pads the rest with zeros
+    and accepts exactly these bytes, so each projection has one accepted
+    payload."""
     wires = []
     for v in free:
         v %= modulus
         wires.append(format(v - modulus if v > modulus >> 1 else v, "x"))
-    return json.dumps({"v": 4, "wires": wires}, separators=(",", ":")).encode()
+    while wires and wires[-1] == "0":
+        wires.pop()
+    return json.dumps({"v": 5, "wires": wires}, separators=(",", ":")).encode()
 
 
 class WitnessCheckBackend:
@@ -166,15 +175,18 @@ class WitnessCheckBackend:
             return False
         try:
             free = [int(w, 16) % cs.modulus for w in json.loads(blob.proof_bytes)["wires"]]
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
+            # RecursionError: JSON nested too deeply to decode.
             return False
         # int() also reads "0x1", "+1", "-0", " 1", "1_0", "A", "01" and
-        # the positive spelling of a negative value: only the bytes the
-        # prover writes for these values are accepted.
-        if _witness_payload(free, cs.modulus) != blob.proof_bytes:
+        # the positive spelling of a negative value, and the list may run
+        # past its last nonzero value: only the bytes the prover writes
+        # for these values are accepted.
+        n = cs.num_free
+        if len(free) > n or _witness_payload(free, cs.modulus) != blob.proof_bytes:
             return False
         try:
-            cs.complete((1, *statement, *free))
+            cs.complete((1, *statement, *free, *[0] * (n - len(free))))
         except Unsatisfied:
             return False
         return True
@@ -218,7 +230,9 @@ class Groth16Backend:
             )
         return helper
 
-    def _run(self, *args: str) -> subprocess.CompletedProcess:
+    def _run(self, *args: str) -> CompletedProcess:
+        import subprocess  # only this backend starts a process
+
         proc = subprocess.run(
             [self._helper(), *args], capture_output=True, text=True
         )

@@ -421,6 +421,12 @@ class ConstraintSystem:
         start = 1 + self.num_public
         return list(compress(range(start, self._num_wires), free[start:]))
 
+    @property
+    def num_free(self) -> int:
+        """The number of free wires: the private wires less those the
+        defining rows define."""
+        return self.num_private - sum(n for _, _, n in self._defining_rows())
+
     def complete(self, given: Sequence[int]) -> tuple[int, ...]:
         """The wire values of the one satisfying witness whose projection
         is ``given``: field elements, the constant, the statement, then

@@ -45,9 +45,10 @@ if TYPE_CHECKING:
 # check's sum row before its boolean rows, and disjointness as one product
 # with one inverse) is at 14, update proofs (free wires only, range bits
 # derived, one disjointness inverse, and a witness-check payload that
-# lists only the free wires, in signed hex) at 12, every other kind at 8.
+# lists only the free wires, in signed hex, up to the last nonzero one)
+# at 13, every other kind at 8.
 VERSION = 8
-UPDATE_PROOF_VERSION = 12
+UPDATE_PROOF_VERSION = 13
 PARAMS_VERSION = 14
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 # The fixed-point format is ``field``'s constants, so one scale encodes
@@ -93,9 +94,13 @@ def atomic_write_json(path: Path, obj) -> None:
 
 
 def read_json(path: Path, version: int = VERSION):
-    """The envelope in ``path``, which must be of ``version``."""
+    """The envelope in ``path``, which must be of ``version``.  JSON
+    nested too deeply to decode is an EnvelopeError."""
     with open(path, "rb") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise EnvelopeError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict) or obj.get("version") != version:
         raise EnvelopeError(f"{path}: unsupported envelope version")
     return obj

@@ -960,13 +960,13 @@ VERSION_8_FILES = {
     "state.json": "e4d8d0faa69d3de5bd55b2fd211ae41b1ab82245f5025fa5873780bc7c22ff59",
 }
 # SHA-256 of the other envelopes the same session writes, with the
-# unlearning proof of uid 2 after it: update proofs at version 12,
+# unlearning proof of uid 2 after it: update proofs at version 13,
 # params.json at 14.  A change to the rows, their order, the hash or a
 # format changes some of them; it bumps that kind's version and re-pins.
 CURRENT_FILES = {
     "proofs/update_0.json": "1ef47f71c1e2fcc52962f572e6ea0ebccbd5f9c0afa8c48e12114a31b9fb301d",
-    "proofs/update_1.json": "bbc9b991284df3c281781c353a528e3661941713613c3299d78d77d41cf077b0",
-    "proofs/update_2.json": "f0acbb4c2afd0a8cbaf941d16768e74b0cd98b92f529a6e5fd60216988abea09",
+    "proofs/update_1.json": "28b9df335ad274f81ef5ecd2bac8821f7ecac8d98a71aa5a909c20fe71d71e9b",
+    "proofs/update_2.json": "692ad3cc6a574f324e52d5e469bb44115c50d21ce6d0a7f0f7940fe62effabe3",
     "proofs/unlearn_2_2.json": "1f30502291a3c9a6a2b3edbb236b0254f7d5cc2511ccc6ef4ed7bac438cb041a",
     "pub/params.json": "f674ae94c1d4447207522d3bcf68f2efdf837a0b98f8a46becda973420230d17",
 }
@@ -978,7 +978,8 @@ def test_a_key_the_helper_cannot_parse_is_corrupt_state(workspace, updated, caps
     # corrupt state (exit 3), not a traceback read as a reject.
     _fake_snark_keys(updated)
     monkeypatch.setattr(proofsys, "find_helper", lambda: "unlearn-groth16")
-    monkeypatch.setattr(proofsys.subprocess, "run", lambda argv, **_: subprocess.CompletedProcess(
+    # proofsys imports subprocess only where the helper runs.
+    monkeypatch.setattr(subprocess, "run", lambda argv, **_: subprocess.CompletedProcess(
         argv, 2, "", "error: bad verifying key: SerializationError"))
     capsys.readouterr()
     assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
@@ -1006,13 +1007,14 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     assert json_bytes(update_proof_to_dict(decoded, scale)) == written
     # An update proof of version 8 carried the whole witness, one of
     # version 9 the range bits, one of version 10 an inverse per pair of a
-    # training and an unlearnt slot, and one of version 11 the constant
-    # and the statement beside the free wires, unsigned: refused as
-    # corrupt (exit 3), not judged a false proof (exit 1).
+    # training and an unlearnt slot, one of version 11 the constant and
+    # the statement beside the free wires, unsigned, and one of version 12
+    # every free wire, trailing zeros included: refused as corrupt (exit
+    # 3), not judged a false proof (exit 1).
     proof = d / "proofs" / "update_2.json"
     envelope = json.loads(proof.read_text())
-    assert envelope["version"] == UPDATE_PROOF_VERSION == 12
-    for old in (8, 9, 10, 11):
+    assert envelope["version"] == UPDATE_PROOF_VERSION == 13
+    for old in (8, 9, 10, 11, 12):
         proof.write_text(json.dumps({**envelope, "version": old}))
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
@@ -1232,17 +1234,20 @@ def test_bench_refuses_a_bad_dataset_before_benchmarking(workspace, monkeypatch,
 def test_bench_pins_the_update_proof_size(capsys):
     # bench's points are seeded, so the default config's update proof at
     # size 10 has the same length on every run: a format change shows
-    # here as a number.
+    # here as a number.  bench fills every slot, so the model payload's
+    # only trailing zero is the last point's label 0, which the list no
+    # longer carries: 2,930 bytes before, less the 8 of its hex ',"0"'.
     assert main(["bench", "--sizes", "10", "--json"]) == 0
     [entry] = json.loads(capsys.readouterr().out)["entries"]
     assert (entry["model_free_wires"], entry["data_free_wires"]) == (40, 24)
     assert entry["timings"]["verified"] == 1.0
-    assert entry["update_proof_bytes"] == 2930
+    assert entry["update_proof_bytes"] == 2922
 
 
 def test_commands_import_only_what_they_run(workspace, initialized):
     # Importing the CLI loads no benchmark, game or circuit code, and the
-    # commands that build no circuit leave it unloaded.
+    # commands that build no circuit leave it unloaded; subprocess serves
+    # only the Groth16 helper, so witness-check commands never load it.
     script = (
         "import json, sys\n"
         "from unlearn.cli import main\n"
@@ -1250,7 +1255,8 @@ def test_commands_import_only_what_they_run(workspace, initialized):
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
         "loaded.append(set(sys.modules))\n"
-        "print(json.dumps([sorted(m for m in s if m.startswith('unlearn')) for s in loaded]))\n"
+        "print(json.dumps([sorted(m for m in s if m.startswith('unlearn') or m == 'subprocess')\n"
+        "                  for s in loaded]))\n"
     )
     d, csv = str(initialized), str(workspace / "pts.csv")
     commands = [["add", "--dir", d, "--dataset", csv], ["delete", "--dir", d, "--uid", "2"]]
@@ -1259,6 +1265,7 @@ def test_commands_import_only_what_they_run(workspace, initialized):
                           capture_output=True, text=True, check=True)
     on_import, after_commands = json.loads(proc.stdout.splitlines()[-1])
     unneeded = {f"unlearn.{m}" for m in ("bench", "game", "circuits", "gadgets", "r1cs")}
+    unneeded.add("subprocess")
     assert "unlearn.cli" in on_import
     assert not unneeded & set(on_import)
     assert not unneeded & set(after_commands)
@@ -1613,11 +1620,60 @@ def test_a_flipped_slot_input_in_the_model_payload_is_rejected(workspace, update
         envelope, _, wires = _model_payload(store, 1)
         assert wires[entry] == value
         wires[entry] = flipped
-        _write_payload(store, 1, envelope, {"v": 4, "wires": wires})
+        _write_payload(store, 1, envelope, {"v": 5, "wires": wires})
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1
         store.update_proof_file(1).write_text(honest)
     assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 0
+
+
+def test_a_partly_filled_state_carries_only_its_live_slots(workspace, capsys):
+    # Two live points at capacity 8: the model payload ends at slot 1's
+    # label, so its six absent slots of four zeros each are not written.
+    # The benchmark's tamper edit, entry 1 + len(public_inputs), is still
+    # carried, and is still rejected.
+    d = str(workspace / "two")
+    (workspace / "two.csv").write_text("uid,f1,y\n1,0.5,1\n2,-0.25,1\n")
+    for args in (("setup", "--config", str(workspace / "conf")), ("init",),
+                 ("add", "--dataset", str(workspace / "two.csv")), ("update",)):
+        assert run(workspace, args[0], "--dir", d, *args[1:]) == 0
+    store = StateDir(d)
+    assert cli.load_pub(store).model_relation.circuit.num_free == 8 * 4
+    envelope, blob, wires = _model_payload(store, 1)
+    assert 0 < len(wires) <= 8 and wires[-1] != "0"
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 0
+    k = 1 + len(blob["public_inputs"])  # slot 0's label, uid 1's 1.0
+    assert wires[k] == "10000"
+    wires[k] = "10001"
+    _write_payload(store, 1, envelope, {"v": 5, "wires": wires})
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 1
+    assert "iteration 1: REJECT" in capsys.readouterr().out
+
+
+# JSON nested past the decoder's recursion limit.
+NESTED = b"[" * 100_000
+
+
+def test_a_deeply_nested_model_payload_is_rejected(workspace, updated, capsys):
+    # A malformed proof: REJECT (exit 1), not a traceback.
+    store = StateDir(updated)
+    envelope, _, _ = _model_payload(store, 1)
+    envelope["model_proof"]["proof_bytes"] = NESTED.hex()
+    store.update_proof_file(1).write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1
+    out, err = capsys.readouterr()
+    assert "iteration 1: REJECT" in out and "Traceback" not in err
+
+
+def test_a_deeply_nested_envelope_is_corrupt(workspace, updated, capsys):
+    # A corrupt envelope (exit 3), not a traceback.
+    StateDir(updated).update_proof_file(1).write_bytes(NESTED)
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
+    err = capsys.readouterr().err
+    assert "corrupt envelope" in err and "nested too deeply" in err and "Traceback" not in err
 
 
 def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monkeypatch):
@@ -1638,15 +1694,21 @@ def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monke
     cs = pub.model_relation.circuit
     envelope, blob, wires = _model_payload(store, 1)
     statement = [int(v, 16) for v in blob["public_inputs"]]
-    projection = [1, *statement, *(int(v, 16) % SCALE.modulus for v in wires)]
+    # The payload ends at the last nonzero free wire; zeros fill the rest.
+    free = [int(v, 16) % SCALE.modulus for v in wires]
+    free += [0] * (cs.num_free - len(free))
+    projection = [1, *statement, *free]
     witness = cs.complete(projection)
     kept = sorted({*cs.free_wires(), *range_bits})
-    assert len(kept) == len(wires) + len(range_bits)
+    assert len(kept) == len(free) + len(range_bits)
     values = [*witness[: 1 + cs.num_public], *(witness[w] for w in kept)]
     # Version 3 listed the constant, the statement and the free wires,
-    # each as an unsigned field element.
+    # each as an unsigned field element; version 4 every free wire, signed,
+    # trailing zeros included.
+    half = SCALE.modulus // 2
     for old in ({"v": 2, "wires": [f"{v:x}" for v in values]},
-                {"v": 3, "wires": [f"{v:x}" for v in projection]}):
+                {"v": 3, "wires": [f"{v:x}" for v in projection]},
+                {"v": 4, "wires": [f"{v - SCALE.modulus if v > half else v:x}" for v in free]}):
         _write_payload(store, 1, envelope, old)
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1

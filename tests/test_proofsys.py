@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TINY_ROUNDS, failing_rows, is_satisfied, needs_snark, project, rows_touching
@@ -104,12 +104,12 @@ def test_unchecked_variant_accepts_garbage(rel, honest):
     assert backend.name != WitnessCheckBackend().name
 
 
-def payload(wires, v=4) -> bytes:
+def payload(wires, v=5) -> bytes:
     return json.dumps({"v": v, "wires": wires}, separators=(",", ":")).encode()
 
 
 def signed_hex(v: int) -> str:
-    """The one spelling a version-4 payload accepts for the field element
+    """The one spelling a version-5 payload accepts for the field element
     ``v``: the hex of its representative in (-P/2, P/2]."""
     v %= P
     return format(v - P if v > P // 2 else v, "x")
@@ -147,23 +147,27 @@ def test_witness_check_accepts_only_canonical_hex():
         assert int(form, 16) % P == P - 26
         forged = dataclasses.replace(negative, proof_bytes=payload([form]))
         assert not backend.verify(rel, (676,), forged), form
+    # x = 0 is the last nonzero wire's absence: the list is empty, and
+    # "0" itself is refused.
     zero = backend.prove(rel, [1, 0, 0])
-    assert zero.proof_bytes == payload(["0"])
-    for form in ("-0", "+0", "00", "0x0", f"{P:x}"):
+    assert zero.proof_bytes == payload([])
+    assert backend.verify(rel, (0,), zero)
+    for form in ("0", "-0", "+0", "00", "0x0", f"{P:x}"):
         assert not backend.verify(rel, (0,), dataclasses.replace(zero, proof_bytes=payload([form])))
     for other in (
         payload(["1a"], v=3),
+        payload(["1a"], v=4),
         payload(["1", "2a4", "1a"], v=3),
         payload(["1", "2a4", "1a"]),
         payload(["2a4", "1a"]),
         payload([]),
         payload(["1a", "0"]),
         payload([26]),
-        json.dumps({"v": 4, "wires": ["1a"]}).encode(),
-        json.dumps({"v": 4.0, "wires": ["1a"]}, separators=(",", ":")).encode(),
-        json.dumps({"v": 4, "wires": ["1a"], "x": 0}, separators=(",", ":")).encode(),
-        json.dumps({"v": 4, "wires": "1a"}, separators=(",", ":")).encode(),
-        json.dumps([4, ["1a"]]).encode(),
+        json.dumps({"v": 5, "wires": ["1a"]}).encode(),
+        json.dumps({"v": 5.0, "wires": ["1a"]}, separators=(",", ":")).encode(),
+        json.dumps({"v": 5, "wires": ["1a"], "x": 0}, separators=(",", ":")).encode(),
+        json.dumps({"v": 5, "wires": "1a"}, separators=(",", ":")).encode(),
+        json.dumps([5, ["1a"]]).encode(),
         b"\xff",
     ):
         assert not backend.verify(rel, (676,), dataclasses.replace(blob, proof_bytes=other)), other
@@ -180,7 +184,8 @@ def test_witness_check_payload_round_trips_every_field_element(v):
     rel, backend = identity_relation(), WitnessCheckBackend()
     blob = backend.prove(rel, [1, v, v])
     canonical = signed_hex(v)
-    assert blob.proof_bytes == payload([canonical])
+    # Zero is a trailing zero: the list ends before it.
+    assert blob.proof_bytes == payload([canonical] if v else [])
     assert int(canonical, 16) % P == v and abs(int(canonical, 16)) <= HALF
     assert backend.verify(rel, (v,), blob)
     magnitude = canonical.removeprefix("-")
@@ -192,7 +197,8 @@ def test_witness_check_payload_round_trips_every_field_element(v):
     }
     if v == 0:
         others.add("-0")
-    others.discard(canonical)
+    else:
+        others.discard(canonical)
     for form in others:
         assert int(form, 16) % P == v
         forged = dataclasses.replace(blob, proof_bytes=payload([form]))
@@ -235,21 +241,27 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
         assert backend.verify(rel, statement, blob)
         wires = json.loads(blob.proof_bytes)["wires"]
         free = rel.circuit.free_wires()
-        # Only the free wires: the constant and the statement are not repeated.
-        assert wires == [signed_hex(witness[w]) for w in free]
+        # Only the free wires: the constant and the statement are not
+        # repeated, and the list ends at the last nonzero one.
+        untrimmed = [signed_hex(witness[w]) for w in free]
+        assert wires == untrimmed[: len(wires)] and wires[-1] != "0"
+        assert set(untrimmed[len(wires):]) <= {"0"}
 
-        def rejected(entries, v=4):
+        def rejected(entries, v=5):
             forged = dataclasses.replace(blob, proof_bytes=payload(entries, v))
             return not backend.verify(rel, statement, forged)
 
         for k, wire in enumerate(free):
-            entries = list(wires)
-            entries[k] = signed_hex(int(wires[k], 16) + 1)
+            # A wire past the list's end is written out to it.
+            entries = wires + ["0"] * (k + 1 - len(wires))
+            entries[k] = signed_hex(int(entries[k], 16) + 1)
             if not rejected(entries):
                 survivors.append((rel.fingerprint, wire))
             mutated += 1
         assert rejected(wires[:-1])
         assert rejected(wires + ["0"])
+        assert rejected(untrimmed) or untrimmed == wires
+        assert rejected(wires, v=4)
         assert rejected(wires[1:])
         assert rejected([f"{int(wires[0], 16) + P:x}"] + wires[1:])
         projection = [signed_hex(v) for v in (1, *statement)] + wires
@@ -264,6 +276,48 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
     # and one inverse.
     assert mutated == 8 * 4 + 5 * 8 + 1
     assert survivors == []
+
+
+def copy_relation(k: int) -> RelationHandle:
+    """y_i = x_i for i < k, each x_i free: every list of k field elements
+    is some proof's free wires."""
+    cs = ConstraintSystem(P)
+    ys = [cs.alloc_public() for _ in range(k)]
+    for y in ys:
+        cs.enforce({cs.alloc_private(): 1}, {0: 1}, {y: 1})
+    cs.finalize()
+    return RelationHandle.of(cs)
+
+
+COPIES = [copy_relation(k) for k in range(6)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.sampled_from([1, HALF, HALF + 1, P - 1]),
+                          st.integers(0, P - 1)), max_size=len(COPIES) - 1))
+@example([])
+@example([0, 0, 0])
+@example([7])
+@example([0, 0, P - 1])
+@example([5, 0, 0, 0])
+def test_witness_check_payload_ends_at_the_last_nonzero_wire(values):
+    # The prover writes the free wires up to the last nonzero one, and the
+    # verifier pads the rest with zeros: only those bytes verify.
+    rel, backend = COPIES[len(values)], WitnessCheckBackend()
+    statement = tuple(values)
+    blob = backend.prove(rel, [1, *statement, *values])
+    untrimmed = [signed_hex(v) for v in values]
+    end = max((i + 1 for i, v in enumerate(values) if v), default=0)
+    assert blob.proof_bytes == payload(untrimmed[:end])
+    assert backend.verify(rel, statement, blob)
+
+    def refused(entries):
+        forged = dataclasses.replace(blob, proof_bytes=payload(entries))
+        return not backend.verify(rel, statement, forged)
+
+    assert refused(untrimmed[:end] + ["0"])
+    assert refused(untrimmed + ["1"])  # past the free-wire count
+    assert refused(untrimmed) == (end < len(values))
 
 
 # -- one witness per statement ------------------------------------------------------
