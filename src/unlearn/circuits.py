@@ -15,8 +15,9 @@ Each circuit is built from a ``ProtocolConfig`` alone, as rows: the
 config fixes the shape, datasets are padded to its capacities with
 absent slots masked by per-slot presence bits, and one trusted setup
 serves every update that fits.  Every value in an absent slot is pinned
-to a constant, so each statement has exactly one witness.  Each
-circuit's statement is its public wires, allocated first.
+to zero, so each statement has exactly one witness.  Each circuit's
+statement is its public wires, allocated first, and its free wires are
+its slots' inputs, laid out slot by slot.
 
 Setup and ``audit-setup`` build the circuits.  A prover needs only a
 witness's projection (``r1cs``): the statement and the free wires, which
@@ -118,24 +119,21 @@ def model_projection(
     return [1, *statement, *free], model, digests
 
 
-# What an absent digest slot is pinned to: 0 in the training array, 1 in
-# the unlearnt one.  The disjointness product reads the array's
-# ``hashing.ABSENT_TAGS`` constant instead.
-ABSENT_DIGESTS = (0, 1)
-
-
 class DataCircuit:
     """R1CS form of the dataset-update statement (h_D, h_U_prev, h_U):
-    rows only.  The training digests fill ``capacity`` slots.  The
-    unlearnt digests, previous then appended, fill one array of
-    ``unlearn_capacity`` slots under two prefixes of bits: presence marks
-    every digest, and the previous bits, which never run past it, mark the
-    previous ones.  One chain fold gives both roots.  Absent digests are
-    ``ABSENT_DIGESTS``.  One ``select`` per slot maps an absent digest to
-    its array's ``ABSENT_TAGS`` constant, one row per pair multiplies the
-    pair's difference into a running product, and one inverse proves the
-    product nonzero: the field has no zero divisors, so every pair
-    differs.  ``data_projection`` computes the inputs."""
+    rows only.  The training digests fill ``capacity`` slots of a
+    presence bit and a digest.  The unlearnt digests, previous then
+    appended, fill one array of ``unlearn_capacity`` slots of a presence
+    bit, a previous bit and a digest, allocated after the training slots,
+    slot by slot: presence marks every digest, and the previous bits,
+    which never run past it, mark the previous ones.  One chain fold
+    gives both roots.  Absent digests are pinned to 0.  One ``select``
+    per slot maps an absent digest to its array's ``ABSENT_TAGS``
+    constant, one row per pair multiplies the pair's difference into a
+    running product, and the last row, ``nonzero``'s, defines the
+    product's inverse and holds only if the product is nonzero: the field
+    has no zero divisors, so every pair differs.  ``data_projection``
+    computes the inputs."""
 
     @gc_paused()
     def __init__(self, config: ProtocolConfig):
@@ -145,18 +143,19 @@ class DataCircuit:
 
         h_d_wire, h_uprev_wire, h_u_wire = (cs.alloc_public() for _ in range(3))
 
-        def alloc(n: int) -> list:
-            return [lc_wire(cs.alloc_private()) for _ in range(n)]
+        def slots(n: int, width: int) -> list[list]:
+            """n slots of ``width`` inputs, allocated slot by slot, as one
+            list per input."""
+            wires = [[lc_wire(cs.alloc_private()) for _ in range(width)] for _ in range(n)]
+            return [list(column) for column in zip(*wires)]
 
-        wires = []
-        for cap, absent in zip((config.capacity, config.unlearn_capacity), ABSENT_DIGESTS):
-            pres, vals = alloc(cap), alloc(cap)
+        d_pres, d_vals = slots(config.capacity, 2)
+        u_pres, u_prev, u_vals = slots(config.unlearn_capacity, 3)
+        wires = ((d_pres, d_vals), (u_pres, u_vals))
+        for pres, vals in wires:
             b.prefix_presence(pres)
             for v, p in zip(vals, pres):
-                b.pin_absent(v, p, absent)
-            wires.append((pres, vals))
-        (d_pres, d_vals), (u_pres, u_vals) = wires
-        u_prev = alloc(config.unlearn_capacity)
+                b.pin_absent(v, p, 0)
         b.prefix_presence(u_prev, within=u_pres)
 
         b.enforce_eq(b.merkle_root(d_vals, d_pres), lc_wire(h_d_wire))
@@ -187,34 +186,33 @@ def data_projection(
 ) -> list[int]:
     """The data circuit's witness projection for the training digests,
     the previous unlearnt digests and the appended ones, from native
-    hashing: [1, h_D, h_U_prev, h_U], each array's presence bits and
-    digests, padded with its ``ABSENT_DIGESTS`` constant, the previous
-    bits, then the inverse of the product of every pair's difference, an
-    absent slot reading its ``ABSENT_TAGS`` constant.  Raises
-    ShapeOverflow when either set exceeds its capacity, and
-    WitnessSynthesisError when the sets intersect."""
+    hashing: [1, h_D, h_U_prev, h_U], then each training slot's presence
+    bit and digest, then each unlearnt slot's presence bit, previous bit
+    and digest, an absent slot all zeros.  Raises ShapeOverflow when
+    either set exceeds its capacity, and WitnessSynthesisError when the
+    sets intersect, an absent slot reading its array's ``ABSENT_TAGS``
+    constant: some pair's difference is then 0, as is the product the
+    rows invert."""
     cfg, p = config.hash_cfg, BN254_SCALAR_FIELD
-    unlearnt = (*unlearnt_prev, *unlearnt_add)
-    free, tagged = [], []
-    for items, cap, absent, tag, label in zip(
-        (tuple(data), unlearnt), (config.capacity, config.unlearn_capacity),
-        ABSENT_DIGESTS, ABSENT_TAGS, ("training", "unlearnt"),
+    data, unlearnt = tuple(data), (*unlearnt_prev, *unlearnt_add)
+    tagged = []
+    for items, cap, tag, label in zip(
+        (data, unlearnt), (config.capacity, config.unlearn_capacity), ABSENT_TAGS,
+        ("training", "unlearnt"),
     ):
         if len(items) > cap:
             raise ShapeOverflow(f"{len(items)} {label} digests exceed the compiled capacity {cap}")
-        pad = cap - len(items)
-        free += [1] * len(items) + [0] * pad + [v % p for v in items] + [absent] * pad
-        tagged.append([*items, *[tag] * pad])
-    free += [int(j < len(unlearnt_prev)) for j in range(config.unlearn_capacity)]
-    product = 1
-    for d in tagged[0]:
-        for u in tagged[1]:
-            product = product * (d - u) % p
-    if not product:
+        tagged.append({v % p for v in items} | ({tag} if len(items) < cap else set()))
+    if not tagged[0].isdisjoint(tagged[1]):
         raise WitnessSynthesisError("training and unlearnt sets intersect")
+    free = [v for d in data for v in (1, d % p)]
+    free += [0] * (2 * (config.capacity - len(data)))
+    previous = len(unlearnt_prev)
+    free += [v for j, u in enumerate(unlearnt) for v in (1, int(j < previous), u % p)]
+    free += [0] * (3 * (config.unlearn_capacity - len(unlearnt)))
     statement = (
         hash_data(data, cfg),
         hash_unlearn(unlearnt_prev, cfg),
         hash_unlearn(unlearnt, cfg),
     )
-    return [1, *statement, *free, pow(product, -1, p)]
+    return [1, *statement, *free]

@@ -277,8 +277,9 @@ class CircuitBuilder:
         self.cs.enforce(self.sub(v, lc_const(const)), self.sub(lc_const(1), present), {})
 
     def nonzero(self, a: LinComb) -> None:
-        """Enforce a != 0 via its inverse v, a free wire: a * v = 1, which
-        no v satisfies when a is 0."""
+        """Enforce a != 0 via its inverse v: the row a * v = 1, with v new
+        in its B and C exactly the constant 1, defines v as a's inverse
+        (``r1cs``), and no v satisfies it when a is 0."""
         cs = self.cs
         cs.enforce(a, lc_wire(cs.alloc_private()), lc_const(1))
 

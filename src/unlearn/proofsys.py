@@ -3,16 +3,16 @@
 Two interchangeable backends:
 
 * ``witness-check`` — development backend.  Proofs carry a witness's
-  free wires (``r1cs``), for the update circuits each slot's inputs and
-  the data circuit's one inverse, each written once as the signed hex of
-  its representative in (-p/2, p/2]: the constant is 1 and the statement
-  is the blob's ``public_inputs``, so neither is repeated.  The list ends
-  at the last nonzero free wire, so the model circuit's absent slots,
-  pinned to zero and laid out after the present ones, are not written.
-  The verifier pads the list with zeros to the free-wire count the rows
-  give (``ConstraintSystem.num_free``), rebuilds the projection, derives
-  the rest in row order, each range check's bits as the binary digits of
-  its sum row, and checks every other constraint
+  free wires (``r1cs``), for the update circuits each slot's inputs,
+  each written once as the signed hex of its representative in
+  (-p/2, p/2]: the constant is 1 and the statement is the blob's
+  ``public_inputs``, so neither is repeated.  The list ends at the last
+  nonzero free wire, so absent slots, pinned to zero and laid out after
+  the present ones, are not written.  The verifier pads the list with
+  zeros to the free-wire count the rows give
+  (``ConstraintSystem.num_free``), rebuilds the projection, derives the
+  rest in row order, each range check's bits as the binary digits of its
+  sum row, and checks every other constraint
   (``ConstraintSystem.complete``).
   Not succinct and not hiding, but exact and dependency-free;
   completeness and circuit-level tests run on it.  A deliberately broken
@@ -126,20 +126,37 @@ class ProofBlob:
         object.__setattr__(self, "public_inputs", tuple(self.public_inputs))
 
 
+# The witness-check payload's format version.
+PAYLOAD_VERSION = 6
+
+
 def _witness_payload(free: Sequence[int], modulus: int) -> bytes:
-    """A witness-check proof: version 5, then the free wires up to the
-    last nonzero one, each as the lowercase hex of its signed
-    representative in (-p/2, p/2], so -0.5 in fixed point is ``-8000``;
-    all zeros is ``"wires":[]``.  The verifier pads the rest with zeros
-    and accepts exactly these bytes, so each projection has one accepted
-    payload."""
+    """A witness-check payload: its version, then each of ``free`` as the
+    lowercase hex of its signed representative in (-p/2, p/2], so -0.5 in
+    fixed point is ``-8000``; no values is ``"wires":[]``.  A prover
+    writes the free wires up to the last nonzero one."""
     wires = []
     for v in free:
         v %= modulus
         wires.append(format(v - modulus if v > modulus >> 1 else v, "x"))
-    while wires and wires[-1] == "0":
-        wires.pop()
-    return json.dumps({"v": 5, "wires": wires}, separators=(",", ":")).encode()
+    return json.dumps({"v": PAYLOAD_VERSION, "wires": wires}, separators=(",", ":")).encode()
+
+
+def _witness_values(payload: bytes, modulus: int) -> list[int]:
+    """The values of a witness-check payload, reduced mod ``modulus``:
+    the inverse of ``_witness_payload``.  Raises ValueError for anything
+    but the bytes ``_witness_payload`` writes for them."""
+    try:
+        values = [int(w, 16) % modulus for w in json.loads(payload)["wires"]]
+    except (ValueError, KeyError, TypeError, RecursionError):
+        # RecursionError: JSON nested too deeply to decode.
+        raise ValueError("not a witness-check payload") from None
+    # int() also reads "0x1", "+1", "-0", " 1", "1_0", "A", "01" and the
+    # positive spelling of a negative value: only the bytes the encoder
+    # writes for these values are accepted.
+    if _witness_payload(values, modulus) != payload:
+        raise ValueError("not the canonical witness-check payload of its values")
+    return values
 
 
 class WitnessCheckBackend:
@@ -158,7 +175,10 @@ class WitnessCheckBackend:
         cs = rel.circuit
         witness = cs.complete(given)
         placed = 1 + cs.num_public
-        payload = _witness_payload(given[placed:], cs.modulus)
+        free = list(given[placed:])
+        while free and not free[-1] % cs.modulus:
+            free.pop()
+        payload = _witness_payload(free, cs.modulus)
         return ProofBlob(self.name, rel.fingerprint, witness[1:placed], payload)
 
     def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
@@ -174,16 +194,13 @@ class WitnessCheckBackend:
         if len(statement) != cs.num_public:
             return False
         try:
-            free = [int(w, 16) % cs.modulus for w in json.loads(blob.proof_bytes)["wires"]]
-        except (ValueError, KeyError, TypeError, RecursionError):
-            # RecursionError: JSON nested too deeply to decode.
+            free = _witness_values(blob.proof_bytes, cs.modulus)
+        except ValueError:
             return False
-        # int() also reads "0x1", "+1", "-0", " 1", "1_0", "A", "01" and
-        # the positive spelling of a negative value, and the list may run
-        # past its last nonzero value: only the bytes the prover writes
-        # for these values are accepted.
+        # The list ends at its last nonzero value, so each projection has
+        # one accepted payload.
         n = cs.num_free
-        if len(free) > n or _witness_payload(free, cs.modulus) != blob.proof_bytes:
+        if len(free) > n or free[-1:] == [0]:
             return False
         try:
             cs.complete((1, *statement, *free, *[0] * (n - len(free))))

@@ -32,6 +32,10 @@ rest of C, which lies below it.  A row whose C ends in n >= 2 consecutive
 such new wires with coefficients 2^0 ... 2^(n-1), as a bit
 decomposition's sum row a * 1 = sum 2^i b_i does, defines all n as the
 binary digits of the rest of the row, and holds no value of 2^n or more.
+A row whose C is exactly the constant 1 and whose B is one such new wire
+v with coefficient 1, as a nonzero check's a * v = 1 is, defines v as
+<A,z>^-1, and holds for no v when <A,z> is 0.  Its C must be the
+constant 1: a C that could be 0 would hold for every v once <A,z> is 0.
 A witness's *projection* is its constant, its statement and its other,
 *free*, wires (``free_wires``); ``complete`` rebuilds the one satisfying
 witness, a tuple of wire values, from its projection in one walk over
@@ -361,17 +365,23 @@ class ConstraintSystem:
 
     def _defining_rows(self) -> list[tuple[int, int, int]]:
         """Each row that defines wires, with its first wire w and their
-        number n, in row order; kept once the system is finalized, as rows
-        can no longer change.  Row i *defines* private wire w (n = 1) when
-        w is the last term of C_i, with coefficient 1, and above every
-        wire of A_i, B_i and of all earlier rows, so that w = <A_i,z> *
-        <B_i,z> - <C_i - w, z> follows from wires a walk in row order
-        already knows.  It defines the n >= 2 wires w ... w+n-1 when they
-        are the last n terms of C_i, with coefficients 2^0 ... 2^(n-1), and
-        w is above every wire of A_i, B_i and of all earlier rows: they are
-        the binary digits of <A_i,z> * <B_i,z> less the rest of C_i, which
-        is below 2^n if the row holds.  n stays below the modulus's bit
-        length, so the digits are unique.  Every private wire no row
+        number n, or n = 0 for a row that inverts to define one wire, in
+        row order; kept once the system is finalized, as rows can no
+        longer change.  Row i *defines*
+        private wire w (n = 1) when w is the last term of C_i, with
+        coefficient 1, and above every wire of A_i, B_i and of all earlier
+        rows, so that w = <A_i,z> * <B_i,z> - <C_i - w, z> follows from
+        wires a walk in row order already knows.  It defines the n >= 2
+        wires w ... w+n-1 when they are the last n terms of C_i, with
+        coefficients 2^0 ... 2^(n-1), and w is above every wire of A_i,
+        B_i and of all earlier rows: they are the binary digits of <A_i,z>
+        * <B_i,z> less the rest of C_i, which is below 2^n if the row
+        holds.  n stays below the modulus's bit length, so the digits are
+        unique.  It *inverts* to define w (n = 0) when C_i is exactly the
+        constant 1 and B_i exactly w with coefficient 1, w above every wire
+        of A_i and of all earlier rows: w = <A_i,z>^-1, which no value is
+        when <A_i,z> is 0.  C_i is held to the constant 1 because w is
+        unique only where <C_i,z> cannot be 0.  Every private wire no row
         defines is *free*.
 
         Reads the rows only, never values, so every witness of one circuit
@@ -390,6 +400,7 @@ class ConstraintSystem:
         ids = self._coefficient_ids
         powers = [ids.get(1 << i, -1) for i in range(self.modulus.bit_length() - 1)]
         widths = dict(zip(powers, count(1)))
+        one = powers[0]
         top = self.num_public  # the largest wire so far: only private ones are defined
         defining = []
         for row, end_a, end_b, end_c, terms_c in zip(
@@ -399,6 +410,13 @@ class ConstraintSystem:
                 top = a_wires[end_a]
             if b_wires[end_b] > top:
                 top = b_wires[end_b]
+                # Only an inverting row has a new wire in B.
+                if (
+                    b.counts[row] == 1 == terms_c
+                    and b.coefficients[end_b - 1] == one == c_coefficients[end_c]
+                    and c_wires[end_c] == 0
+                ):
+                    defining.append((row, top, 0))
             w = c_wires[end_c]
             if w > top:
                 n = widths.get(c_coefficients[end_c], 0)
@@ -417,7 +435,7 @@ class ConstraintSystem:
         """The private wires no row defines, in increasing order."""
         free = bytearray(b"\x01") * self._num_wires
         for _, w, n in self._defining_rows():
-            free[w:w + n] = bytes(n)
+            free[w:w + max(n, 1)] = bytes(max(n, 1))
         start = 1 + self.num_public
         return list(compress(range(start, self._num_wires), free[start:]))
 
@@ -425,7 +443,7 @@ class ConstraintSystem:
     def num_free(self) -> int:
         """The number of free wires: the private wires less those the
         defining rows define."""
-        return self.num_private - sum(n for _, _, n in self._defining_rows())
+        return self.num_private - sum(max(n, 1) for _, _, n in self._defining_rows())
 
     def complete(self, given: Sequence[int]) -> tuple[int, ...]:
         """The wire values of the one satisfying witness whose projection
@@ -437,8 +455,10 @@ class ConstraintSystem:
         defining row must hold, and the row assigns its wires from r =
         <A_i,z> * <B_i,z> - <C_i - its wires, z> mod p, the sums taken
         with its wires at 0: one wire takes r, and n wires take the n
-        binary digits of r, which fails the row if r >= 2^n.  Rows after
-        the last defining row must hold once every free wire is placed."""
+        binary digits of r, which fails the row if r >= 2^n; an inverting
+        row's wire takes <A_i,z>^-1, which fails the row if <A_i,z> is 0.
+        Rows after the last defining row must hold once every free wire
+        is placed."""
         placed = 1 + self.num_public
         z = list(given[:placed])
         if len(z) != placed or z[0] != 1:
@@ -459,14 +479,22 @@ class ConstraintSystem:
             rows = islice(residues, row - checked)
             if any(rows):
                 raise Unsatisfied(row - 1 - sum(1 for _ in rows))
-            z += [0] * n
-            value = (next(a) * next(b) - next(c)) % p
-            if n == 1:
-                z[w] = value
-            elif value >> n:
-                raise Unsatisfied(row)
+            if n:
+                z += [0] * n
+                value = (next(a) * next(b) - next(c)) % p
+                if n == 1:
+                    z[w] = value
+                elif value >> n:
+                    raise Unsatisfied(row)
+                else:
+                    z[w:] = map(int, reversed(f"{value:0{n}b}"))
             else:
-                z[w:] = map(int, reversed(f"{value:0{n}b}"))
+                z.append(0)
+                value = next(a) % p
+                next(b), next(c)  # <B,z> reads w, still 0; C is 1
+                if not value:
+                    raise Unsatisfied(row)
+                z[w] = pow(value, -1, p)
             checked = row + 1
         z += given[placed:]
         if len(z) != self._num_wires:

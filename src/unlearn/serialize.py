@@ -42,14 +42,15 @@ if TYPE_CHECKING:
 # Each kind of envelope is versioned on its own: a change to one kind's
 # format or meaning bumps only that kind.  params.json (circuits named by
 # fingerprint alone, no fixed-point format, which is fixed, each range
-# check's sum row before its boolean rows, and disjointness as one product
-# with one inverse) is at 14, update proofs (free wires only, range bits
-# derived, one disjointness inverse, and a witness-check payload that
-# lists only the free wires, in signed hex, up to the last nonzero one)
-# at 13, every other kind at 8.
+# check's sum row before its boolean rows, disjointness as one product
+# with one inverse its row defines, and the data circuit's inputs laid
+# out slot by slot, absent digests pinned to 0) is at 15, update proofs
+# (free wires only, range bits and the disjointness inverse derived, and
+# a witness-check payload that lists only the free wires, in signed hex,
+# up to the last nonzero one) at 14, every other kind at 8.
 VERSION = 8
-UPDATE_PROOF_VERSION = 13
-PARAMS_VERSION = 14
+UPDATE_PROOF_VERSION = 14
+PARAMS_VERSION = 15
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 # The fixed-point format is ``field``'s constants, so one scale encodes
 # every envelope ``StateDir`` reads or writes.

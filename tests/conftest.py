@@ -3,11 +3,12 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from unlearn.bench import random_point
-from unlearn.circuits import ABSENT_DIGESTS, DataCircuit, ModelCircuit
+from unlearn.circuits import DataCircuit, ModelCircuit
 from unlearn.circuits import data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD, FixedPointOverflow, NativeOps, ScaleConfig
 from unlearn.field import sigmoid_poly, signed_repr
@@ -235,20 +236,34 @@ def model_slot_projection(config, dataset, h_m=0) -> list[int]:
     return [1, h_m % BN254_SCALAR_FIELD, h_d, *slots]
 
 
-def data_slot_projection(config, data, prev, add, inverse) -> list[int]:
+def data_slot_projection(config, data, prev, add) -> list[int]:
     """A data projection for the digest sets, laid out as
-    ``data_projection`` lays it out but whether or not they are disjoint:
-    the native roots, then ``inverse`` as the product's inverse."""
+    ``data_projection`` lays it out but whether or not they are disjoint,
+    with the native roots."""
     cfg, p = config.hash_cfg, BN254_SCALAR_FIELD
     unlearnt = [*prev, *add]
     given = [1, hash_data(data, cfg), hash_unlearn(prev, cfg), hash_unlearn(unlearnt, cfg)]
-    for items, cap, absent in zip(
-        (data, unlearnt), (config.capacity, config.unlearn_capacity), ABSENT_DIGESTS
-    ):
-        pad = cap - len(items)
-        given += [1] * len(items) + [0] * pad + [v % p for v in items] + [absent] * pad
-    given += [int(j < len(prev)) for j in range(config.unlearn_capacity)]
-    return [*given, inverse % p]
+    given += [v for d in data for v in (1, d % p)] + [0] * (2 * (config.capacity - len(data)))
+    given += [v for j, u in enumerate(unlearnt) for v in (1, int(j < len(prev)), u % p)]
+    return given + [0] * (3 * (config.unlearn_capacity - len(unlearnt)))
+
+
+@functools.cache
+def open_data_rows(config) -> ConstraintSystem:
+    """The data circuit's rows without its last, the nonzero gadget's
+    product * v = 1, which defines the product's inverse v, the last wire:
+    they derive every other wire of any digest sets, intersecting ones
+    included."""
+    with mock.patch.object(CircuitBuilder, "nonzero", lambda b, a: None):
+        return DataCircuit(config).cs
+
+
+def data_forgery(config, sets, v) -> tuple[int, ...]:
+    """A data witness of the digest sets, disjoint or not, with ``v`` as
+    the product's inverse: every other wire is derived from the sets by
+    the rows before the product's inverse row."""
+    witness = open_data_rows(config).complete(data_slot_projection(config, *sets))
+    return witness + (v % BN254_SCALAR_FIELD,)
 
 
 def is_sum_row(row) -> bool:

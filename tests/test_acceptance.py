@@ -15,8 +15,9 @@ import time
 
 import pytest
 
-from conftest import data_slot_projection, data_witness, is_satisfied, model_witness, needs_snark
-from conftest import fx_decode, run_completeness, satisfied_at_wire, sigmoid_approx
+from conftest import data_forgery, data_slot_projection, data_witness, failing_rows, is_satisfied
+from conftest import fx_decode, model_witness, needs_snark, run_completeness, satisfied_at_wire
+from conftest import sigmoid_approx
 from unlearn.bench import synthetic_dataset
 from unlearn.circuits import ModelCircuit, WitnessSynthesisError, data_projection, model_projection
 from unlearn.field import BN254_SCALAR_FIELD, ScaleConfig, fx_encode
@@ -158,8 +159,8 @@ def test_criterion_3_exhaustive_witness_mutation():
     assert survivors == [], f"unconstrained data-circuit wires: {survivors[:5]}"
 
     # Intersecting sets: exhaustive over a small digest grid.  The native
-    # projection raises, and the rows refuse the product's row, the last,
-    # under any inverse.
+    # projection raises, the rows refuse the product's row, the last, and
+    # read row by row that row alone fails under any inverse.
     grid = [1, 2, 3, 4]
     checked = 0
     for a in grid:
@@ -175,10 +176,13 @@ def test_criterion_3_exhaustive_witness_mutation():
                         sets = ([a, b], [u1], [u2])
                         with pytest.raises(WitnessSynthesisError):
                             data_projection(config, *sets)
+                        last = data_cs.num_constraints - 1
+                        with pytest.raises(Unsatisfied) as refused:
+                            data_cs.complete(data_slot_projection(config, *sets))
+                        assert refused.value.row == last
                         for inverse in (0, 1, a - u1):
-                            with pytest.raises(Unsatisfied) as refused:
-                                data_cs.complete(data_slot_projection(config, *sets, inverse))
-                            assert refused.value.row == data_cs.num_constraints - 1
+                            forged = data_forgery(config, sets, inverse)
+                            assert failing_rows(data_cs, forged) == [last]
                         checked += 1
     assert checked > 0
     elapsed = time.monotonic() - started

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     RowByRowBuilder,
     circuit_rows,
+    data_forgery,
     data_slot_projection,
     data_witness,
     failing_rows,
@@ -15,6 +16,7 @@ from conftest import (
     lc_value,
     model_slot_projection,
     model_witness,
+    open_data_rows,
     project,
     rows_touching,
     satisfied_at_wire,
@@ -366,11 +368,16 @@ def test_data_circuit_intersection_has_no_witness():
     for sets in (([3, 5], [], [5]), ([3, 5], [3], [])):
         with pytest.raises(WitnessSynthesisError):
             data_projection(config, *sets)
-        # Whatever the inverse, the walk refuses the product's row, the last.
+        # The walk refuses the product's row, the last, which has no
+        # inverse to define; read row by row, whatever the inverse, that
+        # row alone fails.
+        with pytest.raises(Unsatisfied) as refused:
+            cs.complete(data_slot_projection(config, *sets))
+        assert refused.value.row == cs.num_constraints - 1
         for inverse in (0, 1, P - 1):
-            with pytest.raises(Unsatisfied) as refused:
-                cs.complete(data_slot_projection(config, *sets, inverse))
-            assert refused.value.row == cs.num_constraints - 1
+            assert failing_rows(cs, data_forgery(config, sets, inverse)) == [
+                cs.num_constraints - 1
+            ]
 
 
 def test_data_circuit_intersection_unsatisfiable_over_grid():
@@ -395,43 +402,41 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
     cs = circuit_rows(DataCircuit, config)
     given = data_projection(config, [1, 2], [], [3])
     # Simulate the collision: overwrite the first training digest, the
-    # free wire after the training presence bits, so a pair matches, and
-    # h_D with the root of the forged set.
-    hd_0 = 1 + cs.num_public + config.capacity
+    # free wire after slot 0's presence bit, so a pair matches, and h_D
+    # with the root of the forged set.
+    hd_0 = 1 + cs.num_public + 1
     assert given[hd_0] == 1
     given[hd_0], given[1] = 3, hash_data([3, 2], TINY)
-    # The last row is the product's: acc * v = 1, with v the last free wire.
+    # The last row is the product's: acc * v = 1, with v the last wire,
+    # which the row defines as acc's inverse.
     acc, [inverse], one = cs.constraints[-1]
-    assert one == {0: 1} and inverse == cs.free_wires()[-1] == cs.num_wires - 1
+    assert one == {0: 1} and inverse == cs.num_wires - 1 not in cs.free_wires()
+    # The walk derives every select and product wire from the forged
+    # digest, every row before the product's holds, and acc is 0.
+    with pytest.raises(Unsatisfied) as refused:
+        cs.complete(given)
+    assert refused.value.row == cs.num_constraints - 1
+    derived = open_data_rows(config).complete(given)
+    assert lc_value(cs, acc, derived + (0,)) == 0
     for v_try in range(0, 50):
-        given[-1] = v_try
-        # The walk derives every select and product wire from the forged
-        # digest, and every row before the product's holds.
-        with pytest.raises(Unsatisfied) as refused:
-            cs.complete(given)
-        assert refused.value.row == cs.num_constraints - 1
+        assert failing_rows(cs, derived + (v_try,)) == [cs.num_constraints - 1]
 
 
 @pytest.mark.parametrize("sets", [([3, 5], [], [5]), ([3, 5], [3], []), ([7], [2, 7], [7])])
-def test_intersecting_sets_with_every_product_wire_recomputed_fail_only_the_inverse_row(
-    monkeypatch, sets
-):
+def test_intersecting_sets_with_every_product_wire_recomputed_fail_only_the_inverse_row(sets):
     # A multi-wire forgery: the rows without the nonzero gadget's, which
     # end the circuit, derive every select, product and hash wire from
     # the intersecting sets, and v goes on the inverse wire.  Each row
     # but the product's holds, and the product is 0, which no v inverts.
     config = _config(capacity=2, unlearn_capacity=3)
     cs = circuit_rows(DataCircuit, config)
-    monkeypatch.setattr(CircuitBuilder, "nonzero", lambda b, a: None)
-    open_rows = DataCircuit(config).cs
-    monkeypatch.undo()
+    open_rows = open_data_rows(config)
     assert (open_rows.num_constraints, open_rows.num_wires) == (
         cs.num_constraints - 1, cs.num_wires - 1
     )
     rng = random.Random(1)
     for v in (0, 1, P - 1, *(rng.randrange(P) for _ in range(5))):
-        given = data_slot_projection(config, *sets, v)
-        witness = open_rows.complete(given[:-1]) + (v,)
+        witness = data_forgery(config, sets, v)
         acc, _, _ = cs.constraints[-1]
         assert lc_value(cs, acc, witness) == 0
         assert failing_rows(cs, witness) == [cs.num_constraints - 1]
@@ -441,11 +446,12 @@ def test_intersecting_sets_with_every_product_wire_recomputed_fail_only_the_inve
 @given(data=st.data(), dcap=st.integers(1, 4), ucap=st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_data_projection_completes_exactly_when_disjoint(data, dcap, ucap):
-    # Part-filled digest sets, drawn small enough to meet often, with 0 and
-    # 1, the absent slots' pins, among them: the native projection exists
-    # and completes against setup's rows exactly when the sets are
-    # disjoint.  Otherwise native raises, and no inverse completes a
-    # projection of those sets: the walk refuses the product's row.
+    # Part-filled digest sets, drawn small enough to meet often, with 0,
+    # the absent slots' pin, among them: the native projection exists and
+    # completes against setup's rows exactly when the sets are disjoint.
+    # Otherwise native raises, the walk refuses the product's row, which
+    # has no inverse to define, and read row by row no inverse satisfies
+    # it.
     digest = st.integers(0, 5)
     trained = data.draw(st.lists(digest, max_size=dcap))
     unlearnt = data.draw(st.lists(digest, max_size=ucap))
@@ -458,11 +464,14 @@ def test_data_projection_completes_exactly_when_disjoint(data, dcap, ucap):
         with pytest.raises(WitnessSynthesisError, match="sets intersect"):
             data_projection(config, *sets)
         with pytest.raises(Unsatisfied) as refused:
-            rows.complete(data_slot_projection(config, *sets, inverse))
+            rows.complete(data_slot_projection(config, *sets))
         assert refused.value.row == rows.num_constraints - 1
+        assert failing_rows(rows, data_forgery(config, sets, inverse)) == [
+            rows.num_constraints - 1
+        ]
     else:
         given = data_projection(config, *sets)
-        assert given[:-1] == data_slot_projection(config, *sets, 0)[:-1]
+        assert given == data_slot_projection(config, *sets)
         assert project(rows, rows.complete(given)) == given
 
 
@@ -511,18 +520,19 @@ def test_previous_bits_never_run_past_presence():
     unlearnt = [hash2(20, 0, TINY), hash2(21, 0, TINY)]
     cs, honest = _data_circuit([hash2(1, 0, TINY)], unlearnt, [], dcap=dcap, ucap=ucap)
     values = list(honest)
-    # Layout after the statement: training presence bits and digests, then
-    # unlearnt presence bits, unlearnt digests and previous-digest bits.
+    # Layout after the statement: each training slot's presence bit and
+    # digest, then each unlearnt slot's presence bit, previous-digest bit
+    # and digest.
     _, h_uprev_wire, h_u_wire = range(1, 1 + cs.num_public)
-    pres_n = h_u_wire + 1 + 2 * dcap + n
-    prev_n = pres_n + 2 * ucap
-    assert (values[pres_n], values[prev_n], values[prev_n - 1]) == (0, 0, 1)
+    pres_n = h_u_wire + 1 + 2 * dcap + 3 * n
+    prev_n = pres_n + 1
+    assert (values[pres_n], values[prev_n], values[prev_n - 3]) == (0, 0, 1)
     values[prev_n] = 1
     # Each slot's previous-digest fold is one select row, previous bit
     # times (h - psi_prev) = psi - psi_prev, whose last C wire is the new
     # psi.  The forged bit's fold now takes the hash, and every later
     # fold, whose bit is 0, carries it on to h_U_prev.
-    bits = range(prev_n, prev_n + ucap - n)  # the forged bit and the later ones
+    bits = range(prev_n, prev_n + 3 * (ucap - n), 3)  # the forged bit and the later ones
     folds = [(a, b, c) for a, b, c in cs.constraints if c and len(a) == 1 and min(a) in bits]
     assert [min(a) for a, _, _ in folds] == list(bits)
     a, b, c = folds[0]
@@ -533,8 +543,8 @@ def test_previous_bits_never_run_past_presence():
         values[w] = values[fold]
     h_u = values[h_u_wire]
     assert h_u == hash_unlearn(unlearnt, TINY)
-    # The slot past the set is absent, so its digest is pinned to 1.
-    assert values[h_uprev_wire] == hash_unlearn(unlearnt + [1], TINY)
+    # The slot past the set is absent, so its digest is pinned to 0.
+    assert values[h_uprev_wire] == hash_unlearn(unlearnt + [0], TINY)
     forged = tuple(values)
     failing = failing_rows(cs, forged)
     previous_within_presence = ({prev_n: 1}, {0: 1, pres_n: P - 1}, {})
@@ -717,10 +727,10 @@ def test_fast_pub_constraint_totals(fast_pub):
     assert fast_pub.model_circuit.cs.stats().constraint_count == 3253
     assert fast_pub.data_circuit.cs.stats().constraint_count == 356
     # The free wires, whose values a witness-check proof carries: each
-    # model slot's presence, uid, feature and label, and in the data
-    # circuit the presence bits, digests, previous bits and one inverse.
+    # model slot's presence, uid, feature and label, and each data slot's
+    # presence bit and digest, and an unlearnt slot's previous bit.
     assert len(fast_pub.model_circuit.cs.free_wires()) == 8 * 4
-    assert len(fast_pub.data_circuit.cs.free_wires()) == 5 * 8 + 1
+    assert len(fast_pub.data_circuit.cs.free_wires()) == 5 * 8
 
 
 @pytest.mark.parametrize(
@@ -731,18 +741,18 @@ def test_fast_pub_constraint_totals(fast_pub):
         # bindings 2; data 5,126 = hash 4,950 + disjoint products 63 +
         # presence 53 + select 40 + absent-slot pins 16 + bindings 3 +
         # nonzero 1.
-        (10, 8, (25363, 25013, 120133, (39, 10, 64), 32), (5126, 5098, 25151, (3, 5, 2), 41), (
+        (10, 8, (25363, 25013, 120133, (39, 10, 64), 32), (5126, 5098, 25143, (3, 5, 2), 40), (
             "c3826ddae7469ecd5813274edc7b2856f55c5c6ae43be18db1f8f9acd12a8434",
-            "ed2fa63882fc0dc38ed3466ecffc7b98a72d9c89b0640cf510a751a61106319f",
+            "db7a400d4cee71b687bb67febfd8db876c5e933a3863d6ba4ac1083a1697d257",
         )),
         # cli-unlearn: model 16,987 = hash 10,890 + range bits 5,808 +
         # fx_mul 128 + select 80 + absent-slot pins 48 + presence 31 +
         # bindings 2; data 10,710 = hash 10,230 + disjoint products 255 +
         # presence 109 + select 80 + absent-slot pins 32 + bindings 3 +
         # nonzero 1.
-        (1, 16, (16987, 16861, 83961, (39, 10, 64), 64), (10710, 10650, 52799, (3, 5, 2), 81), (
+        (1, 16, (16987, 16861, 83961, (39, 10, 64), 64), (10710, 10650, 52783, (3, 5, 2), 80), (
             "6cc874e96bc21fb8286b3cb88076dbc7011572a58602f898a3aedc94df900059",
-            "dc5cb1e30d86c6845389e23c5457a9dbbede37eb104d6d7ce0c7cd0d3a7395ac",
+            "1ee09d74b064e994a4c279f7286ba79dba218e70eeace9a5b5e166f5430f5aca",
         )),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
@@ -796,12 +806,13 @@ def test_model_circuit_sizes_beyond_linear(kind, hidden, expected, fingerprint):
 def test_data_circuit_size_at_capacity_100():
     # bench's default size, |D| = 100 and |U| = 10 at the full hash: 37,560
     # rows = hash 35,970 + disjoint products 999 + presence 247 + select
-    # 230 + absent-slot pins 110 + bindings 3 + nonzero 1; 231 free wires
-    # = each array's presence bits and digests, the previous bits, and the
-    # one inverse.  With one inverse per pair they were 38,450 and 1,230.
+    # 230 + absent-slot pins 110 + bindings 3 + nonzero 1; 230 free wires
+    # = each slot's presence bit and digest, and each unlearnt slot's
+    # previous bit.  With one free inverse per pair they were 38,450 and
+    # 1,230; with one free inverse, 37,560 and 231.
     config = build_protocol_config({"capacity": "100", "unlearn_capacity": "10"})
     cs = DataCircuit(config).cs
-    assert (cs.num_constraints, len(cs.free_wires())) == (37560, 2 * 100 + 3 * 10 + 1)
+    assert (cs.num_constraints, len(cs.free_wires())) == (37560, 2 * 100 + 3 * 10)
 
 
 @pytest.mark.parametrize(
@@ -868,7 +879,7 @@ def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
     assert model.fingerprint() == "ffeda52f3ccae7e016b1039170068ef28d77faef5337155b6f54d6a0adb5c203"
-    assert data.fingerprint() == "2f29ad08afe4322ad5f8292aa15aadfeb03e87506798426a0b89f683176a9f00"
+    assert data.fingerprint() == "5829e5d9295e92a1a9e3494578ac92792cca302e5c29b0c23003a2e52c89abe8"
     # Setup builds the rows from the config alone, and they serve every
     # input that fits: full-capacity projections complete against them.
     config = fast_pub.config
@@ -905,7 +916,7 @@ def test_projections_raise_where_no_witness_exists():
     # the uid.  Beyond the shape there is no slot for the input; beyond
     # the bound, the rows refuse its slot inputs at a range check's sum
     # row, before the h_m binding row, the last; meeting the unlearnt
-    # set, they refuse every inverse at the product's row.
+    # set, they refuse the product's row, which no inverse satisfies.
     config = _config(capacity=2, unlearn_capacity=2)
     model_rows = circuit_rows(ModelCircuit, config)
     data_rows = circuit_rows(DataCircuit, config)
@@ -942,6 +953,7 @@ def test_projections_raise_where_no_witness_exists():
         raised = _raised(lambda: data_projection(config, *sets))
         assert raised[0] is kind and message in raised[1], raised
         if kind is WitnessSynthesisError:
+            row = _refused_row(data_rows, data_slot_projection(config, *sets))
+            assert row == data_rows.num_constraints - 1
             for inverse in (0, 1, P - 1):
-                row = _refused_row(data_rows, data_slot_projection(config, *sets, inverse))
-                assert row == data_rows.num_constraints - 1
+                assert failing_rows(data_rows, data_forgery(config, sets, inverse)) == [row]

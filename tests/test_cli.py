@@ -17,8 +17,9 @@ import pytest
 from unlearn import bench, circuits, cli, game, gadgets, proofsys, protocol, serialize, training
 from unlearn.cli import CONFIG_DEFAULTS, main
 from unlearn.field import ScaleConfig, fx_encode
-from unlearn.hashing import DataPoint
+from unlearn.hashing import DataPoint, hash_data_point
 from unlearn.ingest import ingest_csv
+from unlearn.proofsys import _witness_payload, _witness_values
 from unlearn.r1cs import ConstraintSystem
 from unlearn.serialize import (
     PARAMS_VERSION,
@@ -585,9 +586,9 @@ def test_setup_reports_the_free_wires_of_both_circuits(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     pub = cli.load_pub(StateDir(d))
     assert payload["model_free_wires"] == len(pub.model_relation.circuit.free_wires()) == 8 * 4
-    # The data circuit's presence bits, digests and previous bits, and one
-    # disjointness inverse.
-    assert payload["data_free_wires"] == len(pub.data_relation.circuit.free_wires()) == 5 * 8 + 1
+    # The data circuit's presence bits, digests and previous bits; its rows
+    # define the disjointness inverse.
+    assert payload["data_free_wires"] == len(pub.data_relation.circuit.free_wires()) == 5 * 8
 
 
 def test_bench_reports_the_update_proof_size(workspace, capsys):
@@ -960,15 +961,15 @@ VERSION_8_FILES = {
     "state.json": "e4d8d0faa69d3de5bd55b2fd211ae41b1ab82245f5025fa5873780bc7c22ff59",
 }
 # SHA-256 of the other envelopes the same session writes, with the
-# unlearning proof of uid 2 after it: update proofs at version 13,
-# params.json at 14.  A change to the rows, their order, the hash or a
+# unlearning proof of uid 2 after it: update proofs at version 14,
+# params.json at 15.  A change to the rows, their order, the hash or a
 # format changes some of them; it bumps that kind's version and re-pins.
 CURRENT_FILES = {
     "proofs/update_0.json": "1ef47f71c1e2fcc52962f572e6ea0ebccbd5f9c0afa8c48e12114a31b9fb301d",
-    "proofs/update_1.json": "28b9df335ad274f81ef5ecd2bac8821f7ecac8d98a71aa5a909c20fe71d71e9b",
-    "proofs/update_2.json": "692ad3cc6a574f324e52d5e469bb44115c50d21ce6d0a7f0f7940fe62effabe3",
+    "proofs/update_1.json": "20f89dec2da7e2a1cce4c3b13e005e8486cc39e3221334b25a329a030362ef55",
+    "proofs/update_2.json": "ef7cfcc1636bcd3881083b2712b01879733ec8c9fe2f0dd13485c6334226f02b",
     "proofs/unlearn_2_2.json": "1f30502291a3c9a6a2b3edbb236b0254f7d5cc2511ccc6ef4ed7bac438cb041a",
-    "pub/params.json": "f674ae94c1d4447207522d3bcf68f2efdf837a0b98f8a46becda973420230d17",
+    "pub/params.json": "a4a5db0d5972db4d82f676918c70240fb962eb37e69cd63bfdf5979f6d2012db",
 }
 
 
@@ -996,7 +997,7 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     for name, digest in (VERSION_8_FILES | CURRENT_FILES).items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
-    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 14
+    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 15
     for i in range(3):
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", str(i)) == 0
     # bench's update_proof_bytes is the length of these bytes.
@@ -1008,13 +1009,14 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     # An update proof of version 8 carried the whole witness, one of
     # version 9 the range bits, one of version 10 an inverse per pair of a
     # training and an unlearnt slot, one of version 11 the constant and
-    # the statement beside the free wires, unsigned, and one of version 12
-    # every free wire, trailing zeros included: refused as corrupt (exit
+    # the statement beside the free wires, unsigned, one of version 12
+    # every free wire, trailing zeros included, and one of version 13 the
+    # data circuit's free disjointness inverse: refused as corrupt (exit
     # 3), not judged a false proof (exit 1).
     proof = d / "proofs" / "update_2.json"
     envelope = json.loads(proof.read_text())
-    assert envelope["version"] == UPDATE_PROOF_VERSION == 13
-    for old in (8, 9, 10, 11, 12):
+    assert envelope["version"] == UPDATE_PROOF_VERSION == 14
+    for old in (8, 9, 10, 11, 12, 13):
         proof.write_text(json.dumps({**envelope, "version": old}))
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
@@ -1039,10 +1041,12 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # beside a meta.json per setup.  Version 12's range checks summed their
     # bits after the boolean rows, so no row defined the bits.  Version
     # 13's data circuit proved disjointness with one inverse per pair.
+    # Version 14's laid out its inputs array by array, pinned absent
+    # unlearnt digests to 1 and left its one inverse free.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
                 {"version": 4}, {"version": 5}, {"version": 6}, {"version": 7},
                 {"version": 8}, {"version": 9}, {"version": 10}, {"version": 12},
-                {"version": 13}):
+                {"version": 13}, {"version": 14}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))
@@ -1235,13 +1239,15 @@ def test_bench_pins_the_update_proof_size(capsys):
     # bench's points are seeded, so the default config's update proof at
     # size 10 has the same length on every run: a format change shows
     # here as a number.  bench fills every slot, so the model payload's
-    # only trailing zero is the last point's label 0, which the list no
-    # longer carries: 2,930 bytes before, less the 8 of its hex ',"0"'.
+    # only trailing zero is the last point's label 0, which the list does
+    # not carry (2,930 bytes before, less the 8 of its hex ',"0"'); and
+    # the data circuit's rows define its disjointness inverse, a full
+    # field element the data payload no longer carries: 2,922 less 134.
     assert main(["bench", "--sizes", "10", "--json"]) == 0
     [entry] = json.loads(capsys.readouterr().out)["entries"]
-    assert (entry["model_free_wires"], entry["data_free_wires"]) == (40, 24)
+    assert (entry["model_free_wires"], entry["data_free_wires"]) == (40, 23)
     assert entry["timings"]["verified"] == 1.0
-    assert entry["update_proof_bytes"] == 2922
+    assert entry["update_proof_bytes"] == 2788
 
 
 def test_commands_import_only_what_they_run(workspace, initialized):
@@ -1593,17 +1599,18 @@ def test_non_canonical_hex_is_corrupt(workspace, updated, capsys):
     assert "error: corrupt envelope: field element is not lowercase hex" in capsys.readouterr().err
 
 
-def _model_payload(store: StateDir, iteration: int) -> tuple[dict, dict, list[str]]:
-    """An update proof's envelope, its model proof and that proof's wires."""
+def _payload(store: StateDir, iteration: int,
+             proof: str = "model_proof") -> tuple[dict, dict, list[int]]:
+    """An update proof's envelope, one of its two proofs and that proof's
+    values, decoded by the witness-check codec."""
     envelope = json.loads(store.update_proof_file(iteration).read_text())
-    blob = envelope["model_proof"]
-    return envelope, blob, json.loads(bytes.fromhex(blob["proof_bytes"]))["wires"]
+    blob = envelope[proof]
+    return envelope, blob, _witness_values(bytes.fromhex(blob["proof_bytes"]), SCALE.modulus)
 
 
-def _write_payload(store: StateDir, iteration: int, envelope: dict, payload: dict) -> None:
-    envelope["model_proof"]["proof_bytes"] = (
-        json.dumps(payload, separators=(",", ":")).encode().hex()
-    )
+def _write_payload(store: StateDir, iteration: int, envelope: dict, payload: bytes,
+                   proof: str = "model_proof") -> None:
+    envelope[proof]["proof_bytes"] = payload.hex()
     store.update_proof_file(iteration).write_text(json.dumps(envelope))
 
 
@@ -1614,13 +1621,13 @@ def test_a_flipped_slot_input_in_the_model_payload_is_rejected(workspace, update
     # canonical, so only the constraints can reject them.
     store = StateDir(updated)
     honest = store.update_proof_file(1).read_text()
-    _, blob, _ = _model_payload(store, 1)
+    _, blob, _ = _payload(store, 1)
     label = 1 + len(blob["public_inputs"])
-    for entry, value, flipped in ((label, "10000", "10001"), (0, "1", "0")):
-        envelope, _, wires = _model_payload(store, 1)
-        assert wires[entry] == value
-        wires[entry] = flipped
-        _write_payload(store, 1, envelope, {"v": 5, "wires": wires})
+    for entry, value, flipped in ((label, 0x10000, 0x10001), (0, 1, 0)):
+        envelope, _, values = _payload(store, 1)
+        assert values[entry] == value
+        values[entry] = flipped
+        _write_payload(store, 1, envelope, _witness_payload(values, SCALE.modulus))
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1
         store.update_proof_file(1).write_text(honest)
@@ -1639,16 +1646,49 @@ def test_a_partly_filled_state_carries_only_its_live_slots(workspace, capsys):
         assert run(workspace, args[0], "--dir", d, *args[1:]) == 0
     store = StateDir(d)
     assert cli.load_pub(store).model_relation.circuit.num_free == 8 * 4
-    envelope, blob, wires = _model_payload(store, 1)
-    assert 0 < len(wires) <= 8 and wires[-1] != "0"
+    envelope, blob, values = _payload(store, 1)
+    assert 0 < len(values) <= 8 and values[-1] != 0
     assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 0
     k = 1 + len(blob["public_inputs"])  # slot 0's label, uid 1's 1.0
-    assert wires[k] == "10000"
-    wires[k] = "10001"
-    _write_payload(store, 1, envelope, {"v": 5, "wires": wires})
+    assert values[k] == 0x10000
+    values[k] = 0x10001
+    _write_payload(store, 1, envelope, _witness_payload(values, SCALE.modulus))
     capsys.readouterr()
     assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 1
     assert "iteration 1: REJECT" in capsys.readouterr().out
+
+
+def test_a_partly_filled_data_payload_ends_at_the_last_unlearnt_digest(workspace, capsys):
+    # Two live points and one deletion at capacity 8/8: the data payload
+    # lists the 8 training slots' presence bit and digest, absent ones as
+    # zeros, then the one unlearnt slot's presence bit, previous bit and
+    # digest, and stops there: the 7 absent unlearnt slots and the
+    # disjointness inverse, which its row defines, are not written.
+    d = str(workspace / "three")
+    (workspace / "three.csv").write_text("uid,f1,y\n1,0.5,1\n2,-0.25,1\n3,1.0,0\n")
+    for args in (("setup", "--config", str(workspace / "conf")), ("init",),
+                 ("add", "--dataset", str(workspace / "three.csv")), ("update",),
+                 ("delete", "--uid", "3"), ("update",)):
+        assert run(workspace, args[0], "--dir", d, *args[1:]) == 0
+    store = StateDir(d)
+    pub = cli.load_pub(store)
+    assert pub.data_relation.circuit.num_free == 2 * 8 + 3 * 8
+    envelope, _, values = _payload(store, 2, "data_proof")
+    deleted = DataPoint(3, (fx_encode(1.0, SCALE),), fx_encode(0, SCALE))
+    assert len(values) == 2 * 8 + 3
+    assert values[:4:2] == [1, 1] and values[4:16] == [0] * 12
+    assert values[16:] == [1, 0, hash_data_point(deleted, pub.hash_cfg)]
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "2") == 0
+    honest = store.update_proof_file(2).read_text()
+    for edit in (lambda v: v[:1] + [v[1] + 1] + v[2:], lambda v: v[:-1] + [v[-1] + 1],
+                 lambda v: v + [0]):
+        _write_payload(store, 2, envelope, _witness_payload(edit(values), SCALE.modulus),
+                       "data_proof")
+        capsys.readouterr()
+        assert run(workspace, "verify-update", "--dir", d, "--iteration", "2") == 1
+        assert "iteration 2: REJECT" in capsys.readouterr().out
+        store.update_proof_file(2).write_text(honest)
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "2") == 0
 
 
 # JSON nested past the decoder's recursion limit.
@@ -1658,7 +1698,7 @@ NESTED = b"[" * 100_000
 def test_a_deeply_nested_model_payload_is_rejected(workspace, updated, capsys):
     # A malformed proof: REJECT (exit 1), not a traceback.
     store = StateDir(updated)
-    envelope, _, _ = _model_payload(store, 1)
+    envelope, _, _ = _payload(store, 1)
     envelope["model_proof"]["proof_bytes"] = NESTED.hex()
     store.update_proof_file(1).write_text(json.dumps(envelope))
     capsys.readouterr()
@@ -1692,11 +1732,10 @@ def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monke
     circuits.ModelCircuit(pub.config)
     monkeypatch.undo()
     cs = pub.model_relation.circuit
-    envelope, blob, wires = _model_payload(store, 1)
+    envelope, blob, carried = _payload(store, 1)
     statement = [int(v, 16) for v in blob["public_inputs"]]
     # The payload ends at the last nonzero free wire; zeros fill the rest.
-    free = [int(v, 16) % SCALE.modulus for v in wires]
-    free += [0] * (cs.num_free - len(free))
+    free = carried + [0] * (cs.num_free - len(carried))
     projection = [1, *statement, *free]
     witness = cs.complete(projection)
     kept = sorted({*cs.free_wires(), *range_bits})
@@ -1704,11 +1743,14 @@ def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monke
     values = [*witness[: 1 + cs.num_public], *(witness[w] for w in kept)]
     # Version 3 listed the constant, the statement and the free wires,
     # each as an unsigned field element; version 4 every free wire, signed,
-    # trailing zeros included.
+    # trailing zeros included; version 5 the same values as today, under
+    # the data circuit's earlier layout.
     half = SCALE.modulus // 2
+    signed = [f"{v - SCALE.modulus if v > half else v:x}" for v in free]
     for old in ({"v": 2, "wires": [f"{v:x}" for v in values]},
                 {"v": 3, "wires": [f"{v:x}" for v in projection]},
-                {"v": 4, "wires": [f"{v - SCALE.modulus if v > half else v:x}" for v in free]}):
-        _write_payload(store, 1, envelope, old)
+                {"v": 4, "wires": signed},
+                {"v": 5, "wires": signed[:len(carried)]}):
+        _write_payload(store, 1, envelope, json.dumps(old, separators=(",", ":")).encode())
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 1

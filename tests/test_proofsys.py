@@ -14,11 +14,14 @@ from unlearn.field import fx_encode
 from unlearn.gadgets import CircuitBuilder
 from unlearn.hashing import DataPoint, hash_data_point
 from unlearn.proofsys import (
+    PAYLOAD_VERSION,
     Groth16Backend,
     ProofBlob,
     RelationHandle,
     SetupArtifacts,
     WitnessCheckBackend,
+    _witness_payload,
+    _witness_values,
     get_backend,
 )
 from unlearn.protocol import global_setup
@@ -104,13 +107,16 @@ def test_unchecked_variant_accepts_garbage(rel, honest):
     assert backend.name != WitnessCheckBackend().name
 
 
-def payload(wires, v=5) -> bytes:
+def payload(wires, v=PAYLOAD_VERSION) -> bytes:
+    """A payload listing the strings ``wires`` as they are spelled, for
+    the tests that pin which spellings verify; every other payload comes
+    from ``_witness_payload``."""
     return json.dumps({"v": v, "wires": wires}, separators=(",", ":")).encode()
 
 
 def signed_hex(v: int) -> str:
-    """The one spelling a version-5 payload accepts for the field element
-    ``v``: the hex of its representative in (-P/2, P/2]."""
+    """The one spelling a payload accepts for the field element ``v``:
+    the hex of its representative in (-P/2, P/2]."""
     v %= P
     return format(v - P if v > P // 2 else v, "x")
 
@@ -154,19 +160,21 @@ def test_witness_check_accepts_only_canonical_hex():
     assert backend.verify(rel, (0,), zero)
     for form in ("0", "-0", "+0", "00", "0x0", f"{P:x}"):
         assert not backend.verify(rel, (0,), dataclasses.replace(zero, proof_bytes=payload([form])))
+    v = PAYLOAD_VERSION
     for other in (
         payload(["1a"], v=3),
         payload(["1a"], v=4),
+        payload(["1a"], v=5),
         payload(["1", "2a4", "1a"], v=3),
         payload(["1", "2a4", "1a"]),
         payload(["2a4", "1a"]),
         payload([]),
         payload(["1a", "0"]),
         payload([26]),
-        json.dumps({"v": 5, "wires": ["1a"]}).encode(),
-        json.dumps({"v": 5.0, "wires": ["1a"]}, separators=(",", ":")).encode(),
-        json.dumps({"v": 5, "wires": ["1a"], "x": 0}, separators=(",", ":")).encode(),
-        json.dumps({"v": 5, "wires": "1a"}, separators=(",", ":")).encode(),
+        json.dumps({"v": v, "wires": ["1a"]}).encode(),
+        json.dumps({"v": float(v), "wires": ["1a"]}, separators=(",", ":")).encode(),
+        json.dumps({"v": v, "wires": ["1a"], "x": 0}, separators=(",", ":")).encode(),
+        json.dumps({"v": v, "wires": "1a"}, separators=(",", ":")).encode(),
         json.dumps([5, ["1a"]]).encode(),
         b"\xff",
     ):
@@ -239,42 +247,48 @@ def test_witness_check_encoded_mutations_never_verify(fast_pub):
     for rel, witness, blob in _update_blobs(fast_pub, [0.5, -0.25, 1.0]):
         statement = blob.public_inputs
         assert backend.verify(rel, statement, blob)
-        wires = json.loads(blob.proof_bytes)["wires"]
+        values = _witness_values(blob.proof_bytes, P)
         free = rel.circuit.free_wires()
         # Only the free wires: the constant and the statement are not
         # repeated, and the list ends at the last nonzero one.
-        untrimmed = [signed_hex(witness[w]) for w in free]
-        assert wires == untrimmed[: len(wires)] and wires[-1] != "0"
-        assert set(untrimmed[len(wires):]) <= {"0"}
+        untrimmed = [witness[w] for w in free]
+        assert values == untrimmed[: len(values)] and values[-1] != 0
+        assert set(untrimmed[len(values):]) <= {0}
 
-        def rejected(entries, v=5):
-            forged = dataclasses.replace(blob, proof_bytes=payload(entries, v))
+        def rejected(proof_bytes):
+            forged = dataclasses.replace(blob, proof_bytes=proof_bytes)
             return not backend.verify(rel, statement, forged)
+
+        def rejected_values(entries):
+            return rejected(_witness_payload(entries, P))
 
         for k, wire in enumerate(free):
             # A wire past the list's end is written out to it.
-            entries = wires + ["0"] * (k + 1 - len(wires))
-            entries[k] = signed_hex(int(entries[k], 16) + 1)
-            if not rejected(entries):
+            entries = values + [0] * (k + 1 - len(values))
+            entries[k] += 1
+            if not rejected_values(entries):
                 survivors.append((rel.fingerprint, wire))
             mutated += 1
-        assert rejected(wires[:-1])
-        assert rejected(wires + ["0"])
-        assert rejected(untrimmed) or untrimmed == wires
-        assert rejected(wires, v=4)
-        assert rejected(wires[1:])
-        assert rejected([f"{int(wires[0], 16) + P:x}"] + wires[1:])
-        projection = [signed_hex(v) for v in (1, *statement)] + wires
-        assert rejected(projection)
-        assert rejected([f"{v:x}" for v in (1, *statement)] + [f"{witness[w]:x}" for w in free],
-                        v=3)
+        assert rejected_values(values[:-1])
+        assert rejected_values(values + [0])
+        assert rejected_values(untrimmed) or untrimmed == values
+        assert rejected_values(values[1:])
+        assert rejected_values([1, *statement, *values])
+        assert rejected_values(list(witness))
+        # Other spellings and earlier versions of the same values.
+        wires = [signed_hex(v) for v in values]
+        assert rejected(payload(wires, v=4))
+        assert rejected(payload(wires, v=5))
+        assert rejected(payload([f"{values[0] + P:x}"] + wires[1:]))
+        assert rejected(payload([f"{v:x}" for v in (1, *statement)]
+                                + [f"{witness[w]:x}" for w in free], v=3))
         full = [f"{v:x}" for v in witness]
-        assert rejected(full, v=1)
-        assert rejected(full)
+        assert rejected(payload(full, v=1))
+        assert rejected(payload(full))
     # The model's 8 slots of presence, uid, feature and label, and the
-    # data circuit's presence bits, digests and previous bits of 8 slots
-    # and one inverse.
-    assert mutated == 8 * 4 + 5 * 8 + 1
+    # data circuit's 8 training slots of presence and digest and 8
+    # unlearnt slots of presence, previous bit and digest.
+    assert mutated == 8 * 4 + 8 * 2 + 8 * 3
     assert survivors == []
 
 
@@ -306,18 +320,18 @@ def test_witness_check_payload_ends_at_the_last_nonzero_wire(values):
     rel, backend = COPIES[len(values)], WitnessCheckBackend()
     statement = tuple(values)
     blob = backend.prove(rel, [1, *statement, *values])
-    untrimmed = [signed_hex(v) for v in values]
     end = max((i + 1 for i, v in enumerate(values) if v), default=0)
-    assert blob.proof_bytes == payload(untrimmed[:end])
+    assert blob.proof_bytes == _witness_payload(values[:end], P)
+    assert _witness_values(blob.proof_bytes, P) == values[:end]
     assert backend.verify(rel, statement, blob)
 
     def refused(entries):
-        forged = dataclasses.replace(blob, proof_bytes=payload(entries))
+        forged = dataclasses.replace(blob, proof_bytes=_witness_payload(entries, P))
         return not backend.verify(rel, statement, forged)
 
-    assert refused(untrimmed[:end] + ["0"])
-    assert refused(untrimmed + ["1"])  # past the free-wire count
-    assert refused(untrimmed) == (end < len(values))
+    assert refused(values[:end] + [0])
+    assert refused(values + [1])  # past the free-wire count
+    assert refused(values) == (end < len(values))
 
 
 # -- one witness per statement ------------------------------------------------------
@@ -328,11 +342,12 @@ def test_witness_check_payload_ends_at_the_last_nonzero_wire(values):
 
 def _unchecked_blob(rel, statement, given) -> ProofBlob:
     """The witness-check proof of the projection ``given``, written without
-    the prover completing it first."""
-    free = given[1 + len(statement):]
-    return ProofBlob(
-        "witness-check", rel.fingerprint, tuple(statement), payload(list(map(signed_hex, free)))
-    )
+    the prover completing it first: its free wires up to the last nonzero
+    one, as the prover writes them."""
+    free = list(given[1 + len(statement):])
+    while free and not free[-1] % P:
+        free.pop()
+    return ProofBlob("witness-check", rel.fingerprint, tuple(statement), _witness_payload(free, P))
 
 
 @pytest.mark.parametrize(
@@ -390,15 +405,18 @@ def test_data_witness_with_other_absent_values_never_verifies(fast_pub):
     statement = blob.public_inputs
     assert backend.verify(rel, statement, blob)
     cap = fast_pub.config.capacity
-    # After the statement: training presence bits and digests, then the
-    # unlearnt presence bits and digests.
-    d_absent = cs.num_public + 1 + cap + 3
-    u_absent = cs.num_public + 1 + 2 * cap + cap + 2
-    # The product's inverse, the last wire: acc * inverse = 1.
+    # After the statement: each training slot's presence bit and digest,
+    # then each unlearnt slot's presence bit, previous bit and digest.
+    d_absent = cs.num_public + 1 + 2 * 3 + 1
+    u_absent = cs.num_public + 1 + 2 * cap + 3 * 2 + 2
+    # The product's inverse, the last wire, which its row acc * inverse =
+    # 1 defines.
     acc, [inverse], one = cs.constraints[-1]
     assert one == {0: 1} and inverse == cs.num_wires - 1
     free = cs.free_wires()
-    for wire in (d_absent, u_absent, inverse):
+    assert inverse not in free
+    assert witness[d_absent] == witness[u_absent] == 0
+    for wire in (d_absent, u_absent):
         given = project(cs, witness)
         k = 1 + len(statement) + free.index(wire)
         given[k] = (given[k] + 5) % P

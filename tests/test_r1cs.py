@@ -481,6 +481,110 @@ def test_only_consecutive_new_wires_with_powers_of_two_are_digits():
     assert free_of([1 << i for i in range(width - 1)]) == [1]
 
 
+def inverse_system(b=None, c=None) -> tuple[ConstraintSystem, int, int]:
+    """s = x * x, then (s - 2) * v = 1 over a new wire v, as
+    ``CircuitBuilder.nonzero`` writes it, or with the given B and C in
+    its place; then x, v."""
+    cs = ConstraintSystem(P)
+    x = cs.alloc_private(name="x")
+    s = cs.alloc_private(name="s")
+    v = cs.alloc_private(name="v")
+    cs.enforce({x: 1}, {x: 1}, {s: 1})
+    cs.enforce({s: 1, 0: -2}, {v: 1} if b is None else b(v), {0: 1} if c is None else c(x))
+    cs.finalize()
+    return cs, x, v
+
+
+def test_an_inverting_row_defines_its_wire():
+    # v is new in B, with coefficient 1, and C is the constant 1: the row
+    # defines v as (s - 2)^-1, so only x is free.
+    cs, x, v = inverse_system()
+    assert cs.free_wires() == [x] and cs.num_free == 1
+    assert cs._defining_rows() == [(0, 2, 1), (1, v, 0)]
+    witness = cs.complete([1, 3])
+    assert witness == (1, 3, 9, pow(7, -1, P))
+    assert is_satisfied(cs, witness) and failing_rows(cs, witness) == []
+    assert project(cs, witness) == [1, 3]
+    # A value past the free wires is refused, as the inverse is not given.
+    with pytest.raises(Unsatisfied) as refused:
+        cs.complete([1, 3, pow(7, -1, P)])
+    assert refused.value.row is None
+
+
+def test_an_inverting_row_of_zero_names_its_row():
+    # s - 2x = x * x - 2x is 0 at x = 0 and x = 2, where it has no
+    # inverse: the walk refuses row 1, the inverting row, and read row by
+    # row no v satisfies it.
+    cs = ConstraintSystem(P)
+    x = cs.alloc_private(name="x")
+    s = cs.alloc_private(name="s")
+    v = cs.alloc_private(name="v")
+    cs.enforce({x: 1}, {x: 1}, {s: 1})
+    cs.enforce({s: 1, x: -2}, {v: 1}, {0: 1})
+    cs.finalize()
+    assert cs.free_wires() == [x]
+    for zero in (0, 2):
+        with pytest.raises(Unsatisfied) as refused:
+            cs.complete([1, zero])
+        assert refused.value.row == 1
+        for guess in (0, 1, P - 1):
+            assert failing_rows(cs, (1, zero, zero * zero, guess)) == [1]
+    assert cs.complete([1, 3]) == (1, 3, 9, pow(3, -1, P))
+
+
+@pytest.mark.parametrize(
+    "b,c",
+    [
+        (None, lambda x: {0: 2}),  # C another constant
+        (None, lambda x: {}),  # C zero: any v once s = 2
+        (None, lambda x: {x: 1}),  # C one wire, not the constant
+        (None, lambda x: {0: 1, x: 1}),  # C not a constant
+        (lambda v: {0: 1, v: 1}, None),  # B of two terms
+        (lambda v: {v: 2}, None),  # v with coefficient 2
+        (lambda v: {v: -1}, None),
+    ],
+    ids=["c-two", "c-zero", "c-one-wire", "c-wire", "b-two-terms", "b-coefficient-2",
+         "b-coefficient-minus-1"],
+)
+def test_only_an_inverting_row_of_one_wire_and_constant_one_defines(b, c):
+    # Any other B or C leaves v free: its value is given, and the row
+    # checked like any other.
+    cs, x, v = inverse_system(b, c)
+    assert cs.free_wires() == [x, v] and cs.num_free == 2
+    assert cs._defining_rows() == [(0, 2, 1)]
+
+
+def test_a_wire_already_read_is_not_inverted():
+    # v is read by A too, or by an earlier row: it is not new in B, so it
+    # stays free.
+    cs = ConstraintSystem(P)
+    x = cs.alloc_private(name="x")
+    v = cs.alloc_private(name="v")
+    cs.enforce({v: 1}, {v: 1}, {0: 1})
+    cs.enforce({x: 1}, {v: 1}, {0: 1})
+    cs.finalize()
+    assert cs.free_wires() == [x, v]
+    assert cs.complete([1, 1, 1]) == (1, 1, 1)
+    with pytest.raises(Unsatisfied) as refused:
+        cs.complete([1, 1, P - 1])
+    assert refused.value.row == 1
+
+
+def test_loaded_systems_find_the_same_defining_rows(fast_pub):
+    # The rule reads the exported rows: a system loaded from an export
+    # finds the same defining rows, the inverting ones included.
+    cs, _, _ = inverse_system()
+    for system in (cs, fast_pub.data_circuit.cs, fast_pub.model_circuit.cs):
+        loaded = ConstraintSystem.from_export(system.export())
+        assert loaded._defining_rows() == system._defining_rows()
+        assert loaded.free_wires() == system.free_wires()
+    # The data circuit inverts once, in its last row; the model never.
+    [inverting] = [d for d in fast_pub.data_circuit.cs._defining_rows() if not d[2]]
+    data = fast_pub.data_circuit.cs
+    assert inverting == (data.num_constraints - 1, data.num_wires - 1, 0)
+    assert all(d[2] for d in fast_pub.model_circuit.cs._defining_rows())
+
+
 FAST_KINDS = {"linear": 0, "logistic": 0, "nn": 2}
 
 
