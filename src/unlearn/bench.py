@@ -70,9 +70,7 @@ class BenchEntry:
         return out
 
 
-def bench_sizes(
-    sizes, config: ProtocolConfig, counts_only: bool = False, seed: int = 0
-) -> list[BenchEntry]:
+def bench_sizes(sizes, config: ProtocolConfig, counts_only: bool = False) -> list[BenchEntry]:
     """One entry per size, with ``config``'s training, hashing and backend
     at capacity ``size`` and unlearn capacity ``size // 10`` (at least 1).
     ``counts_only`` stops after the setup, on the witness-check backend
@@ -83,13 +81,11 @@ def bench_sizes(
         if counts_only:
             sized = replace(sized, backend="witness-check")
         with tempfile.TemporaryDirectory(prefix="unlearn-bench-") as tmp:
-            entries.append(_bench_size(sized, StateDir(tmp), counts_only, seed))
+            entries.append(_bench_size(sized, StateDir(tmp), counts_only))
     return entries
 
 
-def _bench_size(
-    config: ProtocolConfig, store: StateDir, counts_only: bool, seed: int
-) -> BenchEntry:
+def _bench_size(config: ProtocolConfig, store: StateDir, counts_only: bool) -> BenchEntry:
     t0 = time.perf_counter()
     pub = global_setup(config, setup_store=store.setup_store)
     store.save_params(pub)
@@ -114,8 +110,8 @@ def _bench_size(
     del pub
 
     arity, scale = config.train.arity, config.train.scale
-    dataset = synthetic_dataset(config.capacity, arity, scale, seed)
-    ghosts = synthetic_dataset(config.unlearn_capacity, arity, scale, seed + 1)
+    dataset = synthetic_dataset(config.capacity, arity, scale)
+    ghosts = synthetic_dataset(config.unlearn_capacity, arity, scale, seed=1)
     # Unlearnt points that were never added, under uids no added point has.
     unlearnt = tuple(DataPoint(10**9 + g.uid, g.x, g.y) for g in ghosts.points)
     state = replace(state, pending_add=dataset.points, pending_delete=unlearnt)

@@ -2,7 +2,8 @@
 
 State lives in a directory of versioned JSON envelopes:
 ``pub/`` holds the public parameters, ``commitments/`` and ``proofs/`` the
-per-iteration outputs, and ``state.json`` the server state.  Files are the
+per-iteration outputs, and ``state.json`` the server state, which keeps
+an unlearnt point's uid and digest, not its row.  Files are the
 wire format: a verifier needs only ``pub/``, the commitments, and the
 proof files.  ``serialize.StateDir`` owns them: their envelopes and
 versions, and the write order that makes ``state.json`` the commit point
@@ -47,8 +48,9 @@ the stored fingerprints and exports, for anyone who wants to tie
 
 Each command accepts ``--dir``, ``--json`` and only the options it reads
 (``COMMANDS``).  Exit codes: 0 success/accept, 1 reject (an
-``audit-setup`` mismatch included, and an ``add`` or ``delete`` that
-would leave the next update beyond a compiled capacity), 2 usage error
+``audit-setup`` mismatch included, an ``add`` or ``delete`` that
+would leave the next update beyond a compiled capacity, and a
+``prove-unlearn`` of a uid never unlearnt), 2 usage error
 (an option the command does not read, a config key that does not exist
 or a value it cannot hold, a ``--uid`` outside [0, 2^64) or a negative
 ``--iteration``, ``bench --config`` or ``--backend`` with a ``--dir``
@@ -56,8 +58,9 @@ that holds parameters, ``init`` on an initialized directory, an
 unreadable ``--config`` or ``--dataset`` file, or a ``--dataset`` with a
 categorical column outside ``bench`` included), 3 corrupt state (a state directory that cannot be read, a missing or
 altered circuit export, a missing, unreadable or malformed key file, a
-config that no longer matches the stored circuit, or a state whose
-queued batch meets its unlearnt set).
+config that no longer matches the stored circuit, a state that lists an
+unlearnt uid twice, a state whose queued batch meets its unlearnt set,
+or an unlearning proof file that names another uid or iteration).
 """
 
 from __future__ import annotations
@@ -316,9 +319,6 @@ def cmd_add(args) -> int:
         else:
             points = (_point_from_args(args, pub),)
         try:
-            # Refuse a batch past the capacity before training it.
-            batch = dataclasses.replace(state, pending_add=(*state.pending_add, *points))
-            check_capacity(batch, pub)
             state = queue_adds(state, points, pub)
         except (ReAddAfterDelete, DuplicateAdd, ValueError, FixedPointOverflow) as e:
             raise CliError(str(e), EXIT_REJECT)
@@ -369,11 +369,11 @@ def cmd_update(args) -> int:
         {
             "iteration": i,
             "dataset_size": len(state.dataset.points),
-            "unlearnt_size": len(state.hashed_unlearnt),
+            "unlearnt_size": len(state.unlearnt),
             "commitment": commitment_to_dict(com, pub.scale),
         },
         f"iteration {i}: |D|={len(state.dataset.points)}, "
-        f"|U|={len(state.hashed_unlearnt)}; proofs written",
+        f"|U|={len(state.unlearnt)}; proofs written",
     )
     return EXIT_OK
 
@@ -402,15 +402,10 @@ def cmd_prove_unlearn(args) -> int:
         raise CliError("prove-unlearn needs --uid")
     with dir_lock(store):
         state = load_state(store, pub)
-        point = find_point(
-            args, state.last_deleted, pub.scale,
-            f"uid {args.uid} is not among the last update's deletions; "
-            "pass --dataset with the point's row",
-        )
         try:
-            proof = prove_unlearn(pub, state, point)
-        except (NotMemberError, FixedPointOverflow, ShapeMismatch) as e:
-            raise CliError(str(e), EXIT_REJECT)
+            proof = prove_unlearn(pub, state, args.uid)
+        except NotMemberError as e:
+            raise CliError(e.args[0], EXIT_REJECT)
         path = store.save_unlearn_proof(proof)
     emit(args, {"iteration": proof.iteration, "uid": args.uid, "file": str(path)},
          f"unlearning proof for uid {args.uid} written ({path.name})")
@@ -597,7 +592,7 @@ COMMANDS = [
     ("delete", cmd_delete, ("--uid", "--dataset")),
     ("update", cmd_update, ()),
     ("verify-update", cmd_verify_update, ("--iteration",)),
-    ("prove-unlearn", cmd_prove_unlearn, ("--uid", "--dataset")),
+    ("prove-unlearn", cmd_prove_unlearn, ("--uid",)),
     ("verify-unlearn", cmd_verify_unlearn, ("--uid", "--iteration", "--dataset")),
     ("audit-setup", cmd_audit_setup, ()),
     ("game", cmd_game, ()),

@@ -176,26 +176,25 @@ class NativeOps:
     def mul(self, a: int, b: int) -> int:
         return fx_mul(a, b, self.cfg)
 
-    def encode(self, r: Rational) -> int:
-        return fx_encode(r, self.cfg)
+
+# The surrogate's coefficients c0, c1, c3 and 3*c3, encoded once.
+_SIGMOID_C0, _SIGMOID_C1, _SIGMOID_C3, _SIGMOID_3C3 = (
+    fx_encode(c, ScaleConfig()) for c in (SIGMOID_C0, SIGMOID_C1, SIGMOID_C3, 3 * SIGMOID_C3)
+)
 
 
 def sigmoid_poly(ops, z):
     """Evaluate the cubic sigmoid surrogate through an ops interface."""
-    c0 = ops.encode(SIGMOID_C0)
-    c1 = ops.encode(SIGMOID_C1)
-    c3 = ops.encode(SIGMOID_C3)
     z2 = ops.mul(z, z)
     z3 = ops.mul(z2, z)
-    return ops.add(ops.add(c0, ops.mul(c1, z)), ops.mul(c3, z3))
+    c1z = ops.mul(ops.const(_SIGMOID_C1), z)
+    return ops.add(ops.add(ops.const(_SIGMOID_C0), c1z), ops.mul(ops.const(_SIGMOID_C3), z3))
 
 
 def sigmoid_deriv_poly(ops, z):
     """Analytic derivative of the surrogate: c1 + 3*c3*z^2."""
-    c1 = ops.encode(SIGMOID_C1)
-    d3 = ops.encode(3 * SIGMOID_C3)
     z2 = ops.mul(z, z)
-    return ops.add(c1, ops.mul(d3, z2))
+    return ops.add(ops.const(_SIGMOID_C1), ops.mul(ops.const(_SIGMOID_3C3), z2))
 
 
 _HEX_DIGITS = frozenset("0123456789abcdef")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import repeat
 
-from .field import ScaleConfig, fx_encode
+from .field import ScaleConfig
 from .hashing import TAG_MODEL, TAG_NODE, TAG_POINT, UID_BITS, HashConfig, empty_root
 from .hashing import point_layout, round_constants
 from .r1cs import Block, ConstraintSystem, LinComb
@@ -301,6 +301,3 @@ class CircuitOps:
 
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
         return self.b.fx_mul(a, b)
-
-    def encode(self, r) -> LinComb:
-        return lc_const(fx_encode(r, self.b.scale))

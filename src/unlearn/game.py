@@ -135,7 +135,7 @@ def honest_run(pub: PublicParams, seed: int) -> HonestRun:
     transcript = AdversaryTranscript(
         k=2,
         d=pts[1],
-        unlearn_proof=prove_unlearn(pub, states[2], pts[1]),
+        unlearn_proof=prove_unlearn(pub, states[2], pts[1].uid),
         commitments=tuple(commitments),
         init_marker=marker,
         updates=tuple(updates),

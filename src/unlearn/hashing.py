@@ -70,7 +70,7 @@ ABSENT_TAGS = (_tag("absent-training-digest"), _tag("absent-unlearnt-digest"))
 
 
 class NotMemberError(KeyError):
-    """The data point's digest does not occur in the unlearnt set."""
+    """The digest, or the uid, does not occur in the unlearnt set."""
 
 
 class EmptyModelError(ValueError):
@@ -219,12 +219,12 @@ class MembershipPath:
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
 
-def compute_tree_path(d: DataPoint, hu: Sequence[int], cfg: HashConfig) -> MembershipPath:
-    h_d = hash_data_point(d, cfg)
+def compute_tree_path(digest: int, hu: Sequence[int], cfg: HashConfig) -> MembershipPath:
+    """The membership path of ``digest`` in the chain over ``hu``."""
     try:
-        idx = list(hu).index(h_d)
+        idx = list(hu).index(digest)
     except ValueError:
-        raise NotMemberError(f"uid {d.uid} was never unlearnt") from None
+        raise NotMemberError("the digest is not in the unlearnt set") from None
     return MembershipPath((hash_unlearn(hu[:idx], cfg), *hu[idx + 1 :]))
 
 

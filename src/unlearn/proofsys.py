@@ -333,9 +333,9 @@ _BACKENDS = {
 }
 
 
-def get_backend(name: str, **kwargs):
+def get_backend(name: str):
     try:
         factory = _BACKENDS[name]
     except KeyError:
         raise BackendUnavailable(f"unknown backend {name!r}") from None
-    return factory(**kwargs)
+    return factory()

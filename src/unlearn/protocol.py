@@ -21,6 +21,7 @@ from .hashing import (
     DataPoint,
     HashConfig,
     MembershipPath,
+    NotMemberError,
     compute_tree_path,
     hash_data,
     hash_data_point,
@@ -172,20 +173,21 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
 
 @dataclass
 class ServerState:
-    """st_S: the training set, the hashed unlearnt set and its chain root,
-    the deployed model, and the pending request batches."""
+    """st_S: the training set, the unlearnt set (one ``(uid, digest)``
+    record per deletion, in chain order) and its chain root, the deployed
+    model, and the pending request batches."""
 
     iteration: int
     dataset: Dataset
-    hashed_unlearnt: tuple[int, ...]
+    unlearnt: tuple[tuple[int, int], ...]
     unlearnt_root: int
     model: ModelParams
-    deleted_uids: frozenset[int]
     pending_add: tuple[DataPoint, ...] = ()
     pending_delete: tuple[DataPoint, ...] = ()
-    # Points unlearnt by the most recent update, kept until the next one so
-    # their unlearning proofs can be produced without re-supplying the data.
-    last_deleted: tuple[DataPoint, ...] = ()
+
+    @property
+    def hashed_unlearnt(self) -> tuple[int, ...]:
+        return tuple(digest for _, digest in self.unlearnt)
 
 
 def server_init(pub: PublicParams) -> tuple[ServerState, Commitment, str]:
@@ -194,10 +196,9 @@ def server_init(pub: PublicParams) -> tuple[ServerState, Commitment, str]:
     state = ServerState(
         iteration=0,
         dataset=Dataset((), pub.config.train.arity),
-        hashed_unlearnt=(),
+        unlearnt=(),
         unlearnt_root=hash_unlearn((), cfg),
         model=empty_model,
-        deleted_uids=frozenset(),
     )
     com = Commitment(
         h_m=hash_model_weights(empty_model.weights, cfg),
@@ -230,7 +231,7 @@ def _admit(state: ServerState, points: Sequence[DataPoint], pub: PublicParams) -
     them, trains within the value bound, and no digest is reserved.
     Raises, leaving the state unchanged, otherwise."""
     arity = state.dataset.arity
-    banned = state.deleted_uids | {p.uid for p in state.pending_delete}
+    banned = {uid for uid, _ in state.unlearnt} | {p.uid for p in state.pending_delete}
     present = {p.uid for p in state.dataset.points} | {p.uid for p in state.pending_add}
     for d in points:
         if len(d.x) != arity:
@@ -261,10 +262,12 @@ def queue_add(state: ServerState, d: DataPoint, pub: PublicParams) -> ServerStat
 def queue_adds(
     state: ServerState, points: Sequence[DataPoint], pub: PublicParams
 ) -> ServerState:
-    """Queue a batch of additions with one training run of the would-be
-    set.  Only if that crosses the value bound does it admit the points
-    one by one, so the error names the first point that ``queue_add``
-    would refuse.  Either way an error leaves the state unchanged."""
+    """Refuse, untrained, a batch past a compiled capacity; else queue it
+    with one training run of the would-be set.  Only if that crosses the
+    value bound does it admit the points one by one, so the error names
+    the first point that ``queue_add`` would refuse.  Either way an error
+    leaves the state unchanged."""
+    check_capacity(replace(state, pending_add=state.pending_add + tuple(points)), pub)
     try:
         return _admit(state, points, pub)
     except FixedPointOverflow:
@@ -281,7 +284,7 @@ def check_capacity(state: ServerState, pub: PublicParams) -> None:
     config = pub.config
     for n, cap, label in (
         (len(_batch_points(state)), config.capacity, "points"),
-        (len(state.hashed_unlearnt) + len(state.pending_delete), config.unlearn_capacity,
+        (len(state.unlearnt) + len(state.pending_delete), config.unlearn_capacity,
          "unlearnt digests"),
     ):
         if n > cap:
@@ -303,7 +306,7 @@ def check_point(pub: PublicParams, d: DataPoint) -> None:
 
 def queue_delete(state: ServerState, d: DataPoint) -> ServerState:
     # Idempotent: a point already unlearnt (or queued) is left alone.
-    if d.uid in state.deleted_uids or any(p.uid == d.uid for p in state.pending_delete):
+    if d.uid in {uid for uid, _ in state.unlearnt} | {p.uid for p in state.pending_delete}:
         return state
     return replace(state, pending_delete=state.pending_delete + (d,))
 
@@ -313,7 +316,7 @@ def prove_update(
 ) -> tuple[ServerState, ModelParams, Commitment, UpdateProof]:
     from .circuits import WitnessSynthesisError, data_projection, model_projection
 
-    new_unlearnt = tuple(hash_data_point(d, pub.hash_cfg) for d in state.pending_delete)
+    new_digests = [hash_data_point(d, pub.hash_cfg) for d in state.pending_delete]
     # Native training raises FixedPointOverflow where the model circuit
     # would, and both projections raise ShapeOverflow for inputs beyond
     # the capacities, before any proof exists; each proof then completes
@@ -321,7 +324,7 @@ def prove_update(
     dataset = Dataset(tuple(_batch_points(state)), pub.config.train.arity)
     model_given, model, digests = model_projection(pub.config, dataset)
     try:
-        data_given = data_projection(pub.config, digests, state.hashed_unlearnt, new_unlearnt)
+        data_given = data_projection(pub.config, digests, state.hashed_unlearnt, new_digests)
     except WitnessSynthesisError as e:
         # Admission never queues a deleted point again, so only a state
         # written by hand makes the batch meet the unlearnt set.
@@ -338,11 +341,9 @@ def prove_update(
     new_state = ServerState(
         iteration=state.iteration + 1,
         dataset=dataset,
-        hashed_unlearnt=state.hashed_unlearnt + new_unlearnt,
+        unlearnt=state.unlearnt + tuple(zip([d.uid for d in state.pending_delete], new_digests)),
         unlearnt_root=com.h_u,
         model=model,
-        deleted_uids=state.deleted_uids | {d.uid for d in state.pending_delete},
-        last_deleted=state.pending_delete,
     )
     return new_state, model, com, UpdateProof(model_proof, data_proof)
 
@@ -382,13 +383,14 @@ def verify_update(
     ) and pub.backend.verify(pub.data_relation, data_inputs, proof.data_proof)
 
 
-def prove_unlearn(pub: PublicParams, state: ServerState, d: DataPoint) -> UnlearnProof:
-    """``d``'s membership path in the unlearnt set.  Raises NotMemberError
-    if it was never unlearnt, and as ``check_point`` for a point that is
-    none of this setup."""
-    check_point(pub, d)
-    path = compute_tree_path(d, state.hashed_unlearnt, pub.hash_cfg)
-    return UnlearnProof(path=path, iteration=state.iteration, uid=d.uid)
+def prove_unlearn(pub: PublicParams, state: ServerState, uid: int) -> UnlearnProof:
+    """The membership path of uid's recorded digest in the unlearnt set.
+    Raises NotMemberError if the uid was never unlearnt."""
+    digest = next((h for u, h in state.unlearnt if u == uid), None)
+    if digest is None:
+        raise NotMemberError(f"uid {uid} was never unlearnt")
+    path = compute_tree_path(digest, state.hashed_unlearnt, pub.hash_cfg)
+    return UnlearnProof(path=path, iteration=state.iteration, uid=uid)
 
 
 def verify_unlearn(

@@ -47,10 +47,13 @@ if TYPE_CHECKING:
 # out slot by slot, absent digests pinned to 0) is at 15, update proofs
 # (free wires only, range bits and the disjointness inverse derived, and
 # a witness-check payload that lists only the free wires, in signed hex,
-# up to the last nonzero one) at 14, every other kind at 8.
+# up to the last nonzero one) at 14, state.json (one (uid, digest)
+# record per unlearnt point, and no unlearnt point's data) at 9, every
+# other kind at 8.
 VERSION = 8
 UPDATE_PROOF_VERSION = 14
 PARAMS_VERSION = 15
+STATE_VERSION = 9
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 # The fixed-point format is ``field``'s constants, so one scale encodes
 # every envelope ``StateDir`` reads or writes.
@@ -215,41 +218,42 @@ def data_point_from_dict(obj: dict, cfg: ScaleConfig) -> DataPoint:
 
 def server_state_to_dict(state: ServerState, cfg: ScaleConfig) -> dict:
     return {
-        "version": VERSION,
+        "version": STATE_VERSION,
         "iteration": state.iteration,
         "arity": state.dataset.arity,
         "points": [data_point_to_dict(d, cfg) for d in state.dataset.points],
-        "hashed_unlearnt": _hexes(state.hashed_unlearnt, cfg),
+        "unlearnt": [{"uid": uid, "digest": to_hex(h, cfg)} for uid, h in state.unlearnt],
         "unlearnt_root": to_hex(state.unlearnt_root, cfg),
         "model": model_params_to_dict(state.model, cfg),
-        "deleted_uids": sorted(state.deleted_uids),
         "pending_add": [data_point_to_dict(d, cfg) for d in state.pending_add],
         "pending_delete": [data_point_to_dict(d, cfg) for d in state.pending_delete],
-        "last_deleted": [data_point_to_dict(d, cfg) for d in state.last_deleted],
     }
 
 
 def server_state_from_dict(obj: dict, cfg: ScaleConfig) -> ServerState:
-    iteration, arity, deleted = obj["iteration"], obj["arity"], obj["deleted_uids"]
+    iteration, arity = obj["iteration"], obj["arity"]
     # bool is an int: type() refuses it too.
     if type(iteration) is not int or iteration < 0:
         raise EnvelopeError(f"state iteration {iteration!r} is not a non-negative integer")
     if type(arity) is not int or arity < 0:
         raise EnvelopeError(f"state arity {arity!r} is not a non-negative integer")
-    if type(deleted) is not list or not all(
-        type(u) is int and 0 <= u <= MAX_UID for u in deleted
-    ):
-        raise EnvelopeError("state deleted_uids holds a value that is not a 64-bit uid")
+    unlearnt = tuple((r["uid"], from_hex(r["digest"], cfg)) for r in obj["unlearnt"])
+    pending_delete = tuple(data_point_from_dict(d, cfg) for d in obj["pending_delete"])
+    uids = [uid for uid, _ in unlearnt]
+    if not all(type(u) is int and 0 <= u <= MAX_UID for u in uids):
+        raise EnvelopeError("state unlearnt set holds a uid that is not a 64-bit integer")
+    # A uid queued again would get a second record at the next update.
+    uids += [d.uid for d in pending_delete]
+    if len(set(uids)) != len(uids):
+        raise EnvelopeError("state lists an unlearnt uid twice")
     return ServerState(
         iteration=iteration,
         dataset=Dataset(tuple(data_point_from_dict(d, cfg) for d in obj["points"]), arity),
-        hashed_unlearnt=tuple(_unhexes(obj["hashed_unlearnt"], cfg)),
+        unlearnt=unlearnt,
         unlearnt_root=from_hex(obj["unlearnt_root"], cfg),
         model=model_params_from_dict(obj["model"], cfg),
-        deleted_uids=frozenset(deleted),
         pending_add=tuple(data_point_from_dict(d, cfg) for d in obj["pending_add"]),
-        pending_delete=tuple(data_point_from_dict(d, cfg) for d in obj["pending_delete"]),
-        last_deleted=tuple(data_point_from_dict(d, cfg) for d in obj["last_deleted"]),
+        pending_delete=pending_delete,
     )
 
 
@@ -477,7 +481,7 @@ class StateDir:
         atomic_write_json(self.state_file, server_state_to_dict(state, _SCALE))
 
     def load_state(self) -> ServerState:
-        return server_state_from_dict(read_json(self.state_file), _SCALE)
+        return server_state_from_dict(read_json(self.state_file, STATE_VERSION), _SCALE)
 
     def save_iteration(self, state: ServerState, com: Commitment, proof: UpdateProof | str) -> None:
         """Commit iteration ``state.iteration``: its commitment, then its
@@ -510,4 +514,10 @@ class StateDir:
         return path
 
     def load_unlearn_proof(self, i: int, uid: int) -> UnlearnProof:
-        return unlearn_proof_from_dict(read_json(self.unlearn_proof_file(i, uid)), _SCALE)
+        """Iteration ``i``'s proof of ``uid``; EnvelopeError if it names others."""
+        path = self.unlearn_proof_file(i, uid)
+        proof = unlearn_proof_from_dict(read_json(path), _SCALE)
+        if (proof.iteration, proof.uid) != (i, uid):
+            raise EnvelopeError(f"{path}: holds the proof of uid {proof.uid!r} at iteration "
+                                f"{proof.iteration!r}")
+        return proof

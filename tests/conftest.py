@@ -129,7 +129,7 @@ def run_completeness(
         com = next_com
 
         for d in batch_del:
-            ok = verify_unlearn(pub, d, com, prove_unlearn(pub, state, d))
+            ok = verify_unlearn(pub, d, com, prove_unlearn(pub, state, d.uid))
             unlearns_ok += ok
             failures += not ok
             unlearned_points.append(d)
@@ -137,7 +137,7 @@ def run_completeness(
         if unlearned_points and rng.random() < 0.5:
             # Old deletions stay provable against the latest commitment.
             d = rng.choice(unlearned_points)
-            ok = verify_unlearn(pub, d, com, prove_unlearn(pub, state, d))
+            ok = verify_unlearn(pub, d, com, prove_unlearn(pub, state, d.uid))
             unlearns_ok += ok
             failures += not ok
 

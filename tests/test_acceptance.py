@@ -330,14 +330,14 @@ def test_criterion_6_append_only_laws():
     for size in (1, 2, 3, 5, 8, 16, 33, 64):
         hu = digests[:size]
         root = hash_unlearn(hu, cfg)
-        for p in points[:size]:
-            assert verify_tree_path(p, root, compute_tree_path(p, hu, cfg), cfg)
+        for p, h in zip(points, hu):
+            assert verify_tree_path(p, root, compute_tree_path(h, hu, cfg), cfg)
             roundtrips += 1
 
     mutations = 0
     root64 = hash_unlearn(digests, cfg)
-    for p in (points[0], points[21], points[42], points[63]):
-        path = compute_tree_path(p, digests, cfg)
+    for k in (0, 21, 42, 63):
+        p, path = points[k], compute_tree_path(digests[k], digests, cfg)
         for i in range(len(path.nodes)):
             nodes = list(path.nodes)
             nodes[i] = (nodes[i] + 1) % BN254_SCALAR_FIELD
@@ -350,8 +350,8 @@ def test_criterion_6_append_only_laws():
     for size, profile in ((16, cfg), (64, TINY_HASH)):
         hu = [hash_data_point(p, profile) for p in points[:size]]
         root = hash_unlearn(hu, profile)
-        for p in points[:size]:
-            path = compute_tree_path(p, hu, profile)
+        for p, h in zip(points, hu):
+            path = compute_tree_path(h, hu, profile)
             for i in range(len(path.nodes)):
                 nodes = list(path.nodes)
                 nodes[i] = (nodes[i] + 1) % BN254_SCALAR_FIELD
@@ -399,7 +399,7 @@ def test_criterion_7_end_to_end_snark_smoke():
     state, _, com2, proof2 = prove_update(state, pub)
     assert verify_update(pub, com1, com2, proof2)
 
-    pi = prove_unlearn(pub, state, pts[1])
+    pi = prove_unlearn(pub, state, pts[1].uid)
     assert verify_unlearn(pub, pts[1], com2, pi)
     assert not verify_unlearn(pub, pts[0], com2, pi)
     elapsed = time.monotonic() - started

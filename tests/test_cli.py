@@ -23,9 +23,11 @@ from unlearn.proofsys import _witness_payload, _witness_values
 from unlearn.r1cs import ConstraintSystem
 from unlearn.serialize import (
     PARAMS_VERSION,
+    STATE_VERSION,
     UPDATE_PROOF_VERSION,
     VERSION,
     StateDir,
+    data_point_to_dict,
     json_bytes,
     read_json,
     update_proof_from_dict,
@@ -643,7 +645,7 @@ def test_bench_accuracy_report(workspace, capsys):
     assert "cannot train on" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["add", "delete", "prove-unlearn", "verify-unlearn"])
+@pytest.mark.parametrize("command", ["add", "delete", "verify-unlearn"])
 @pytest.mark.parametrize(
     "content,named",
     [(None, None), ("uid,f1,y\n5,1e300,1\n", None), ("uid,f1,y\n5,0.5\n", None),
@@ -717,7 +719,6 @@ def test_categorical_columns_are_refused_outside_bench(workspace, capsys):
     for args, path in (
         (("add", "--dataset", batch), batch),
         (("delete", "--uid", "2", "--dataset", row), row),
-        (("prove-unlearn", "--uid", "2", "--dataset", row), row),
         (("verify-unlearn", "--uid", "2", "--iteration", "0", "--dataset", row), row),
     ):
         capsys.readouterr()
@@ -811,7 +812,7 @@ def test_verify_unlearn_of_a_row_that_is_no_point_rejects(workspace, unlearnt, c
         assert f"REJECT ({reason})" in out
 
 
-@pytest.mark.parametrize("command", ["delete", "prove-unlearn"])
+@pytest.mark.parametrize("command", ["delete"])
 @pytest.mark.parametrize(
     "row,reason",
     [
@@ -824,7 +825,7 @@ def test_a_row_that_is_no_point_is_refused(workspace, initialized, capsys, comma
                                            reason):
     # update could never hash the first, so queueing it would stick every
     # update; the second would take an unlearnt slot that verify-unlearn
-    # can never accept.  Neither has an unlearning proof.
+    # can never accept.
     bad = workspace / "bad.csv"
     bad.write_text(row)
     before = snapshot(initialized)
@@ -938,7 +939,8 @@ def test_update_of_a_batch_that_meets_the_unlearnt_set_writes_nothing(workspace,
     # no data-circuit witness exists, so update exits 3 and writes nothing.
     state = unlearnt / "state.json"
     obj = json.loads(state.read_text())
-    state.write_text(json.dumps(obj | {"pending_add": obj["last_deleted"]}))
+    (row,) = [d for d in ingest_csv(workspace / "pts.csv", SCALE).dataset.points if d.uid == 2]
+    state.write_text(json.dumps(obj | {"pending_add": [data_point_to_dict(row, SCALE)]}))
     before = snapshot(unlearnt)
     capsys.readouterr()
     assert run(workspace, "update", "--dir", str(unlearnt)) == 3
@@ -949,27 +951,28 @@ def test_update_of_a_batch_that_meets_the_unlearnt_set_writes_nothing(workspace,
     assert not store.commitment_file(3).exists() and not store.update_proof_file(3).exists()
 
 
-# SHA-256 of the commitments and state that a session of CONF (add
-# pts.csv, update, delete uid 2, update) wrote while every envelope kind
-# was at version 8, update proofs included.  Only update proofs and
-# params.json changed since, so these files come out byte for byte the
-# same.
+# SHA-256 of the commitments that a session of CONF (add pts.csv,
+# update, delete uid 2, update) wrote while every envelope kind was at
+# version 8, update proofs and state included.  Only update proofs,
+# params.json and state.json changed since, so these files come out
+# byte for byte the same.
 VERSION_8_FILES = {
     "commitments/com_0.json": "254721afc9ead9f61c14383033c2dfa429de79a24b9e5e1bf5a62001fee3b23e",
     "commitments/com_1.json": "46e7c347ef3d5185d1a0082a772fe751e4d69aab02b4c495a92fa48efda8aeb7",
     "commitments/com_2.json": "8ce747ff3bfe7652dc371de293ee03680fa2e172871478f0524f3e98b4e83d66",
-    "state.json": "e4d8d0faa69d3de5bd55b2fd211ae41b1ab82245f5025fa5873780bc7c22ff59",
 }
 # SHA-256 of the other envelopes the same session writes, with the
 # unlearning proof of uid 2 after it: update proofs at version 14,
-# params.json at 15.  A change to the rows, their order, the hash or a
-# format changes some of them; it bumps that kind's version and re-pins.
+# params.json at 15, state.json at 9.  A change to the rows, their
+# order, the hash or a format changes some of them; it bumps that kind's
+# version and re-pins.
 CURRENT_FILES = {
     "proofs/update_0.json": "1ef47f71c1e2fcc52962f572e6ea0ebccbd5f9c0afa8c48e12114a31b9fb301d",
     "proofs/update_1.json": "20f89dec2da7e2a1cce4c3b13e005e8486cc39e3221334b25a329a030362ef55",
     "proofs/update_2.json": "ef7cfcc1636bcd3881083b2712b01879733ec8c9fe2f0dd13485c6334226f02b",
     "proofs/unlearn_2_2.json": "1f30502291a3c9a6a2b3edbb236b0254f7d5cc2511ccc6ef4ed7bac438cb041a",
     "pub/params.json": "a4a5db0d5972db4d82f676918c70240fb962eb37e69cd63bfdf5979f6d2012db",
+    "state.json": "a5e3cf360d2380e2ebc107fb325e23200079d54de898e6f83691088064082f37",
 }
 
 
@@ -998,6 +1001,7 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
     assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 15
+    assert json.loads((d / "state.json").read_text())["version"] == STATE_VERSION == 9
     for i in range(3):
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", str(i)) == 0
     # bench's update_proof_bytes is the length of these bytes.
@@ -1012,7 +1016,8 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     # the statement beside the free wires, unsigned, one of version 12
     # every free wire, trailing zeros included, and one of version 13 the
     # data circuit's free disjointness inverse: refused as corrupt (exit
-    # 3), not judged a false proof (exit 1).
+    # 3), not judged a false proof (exit 1).  So is a state of version 8,
+    # which kept the last update's unlearnt points whole.
     proof = d / "proofs" / "update_2.json"
     envelope = json.loads(proof.read_text())
     assert envelope["version"] == UPDATE_PROOF_VERSION == 14
@@ -1021,6 +1026,10 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
         assert "unsupported envelope version" in capsys.readouterr().err
+    state = d / "state.json"
+    state.write_text(json.dumps({**json.loads(state.read_text()), "version": 8}))
+    assert run(workspace, "prove-unlearn", "--dir", str(d), "--uid", "2") == 3
+    assert "unsupported envelope version" in capsys.readouterr().err
 
 
 def test_old_params_envelope_refused(workspace, initialized, capsys):
@@ -1285,7 +1294,7 @@ COMMAND_OPTIONS = {
     "delete": {"--uid", "--dataset"},
     "update": set(),
     "verify-update": {"--iteration"},
-    "prove-unlearn": {"--uid", "--dataset"},
+    "prove-unlearn": {"--uid"},
     "verify-unlearn": {"--uid", "--iteration", "--dataset"},
     "audit-setup": set(),
     "game": set(),
@@ -1318,8 +1327,10 @@ def test_each_command_accepts_only_the_options_it_reads(command, capsys):
         ("update", "--config", "nosuch.conf"),
         ("init", "--dataset", "nosuch.csv"),
         ("verify-update", "--iteration", "0", "--backend", "snark"),
+        ("prove-unlearn", "--uid", "2", "--dataset", "pts.csv"),
     ],
-    ids=["update-backend", "update-config", "init-dataset", "verify-update-backend"],
+    ids=["update-backend", "update-config", "init-dataset", "verify-update-backend",
+         "prove-unlearn-dataset"],
 )
 def test_an_option_the_command_ignores_is_a_usage_error(workspace, initialized, args):
     before = snapshot(initialized)
@@ -1514,6 +1525,74 @@ def unlearnt(workspace, updated):
 VERIFY_UNLEARN = ("verify-unlearn", "--uid", "2", "--iteration", "2", "--dataset", "pts.csv")
 
 
+def _records(obj):
+    """Every dict nested in ``obj``."""
+    if isinstance(obj, dict):
+        yield obj
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _records(item)
+
+
+def test_an_unlearnt_point_stays_in_the_state_as_its_uid_and_digest(workspace, unlearnt):
+    # The update that unlearnt uid 2 dropped its features and label: the
+    # state keeps its uid and its digest, nothing else.
+    obj = json.loads((unlearnt / "state.json").read_text())
+    (row,) = [d for d in ingest_csv(workspace / "pts.csv", SCALE).dataset.points if d.uid == 2]
+    digest = hash_data_point(row, StateDir(unlearnt).load_public_params().hash_cfg)
+    assert obj["unlearnt"] == [{"uid": 2, "digest": f"{digest:064x}"}]
+    assert [r for r in _records(obj) if r.get("uid") == 2] == obj["unlearnt"]
+    assert set(obj) == {"version", "iteration", "arity", "points", "unlearnt",
+                        "unlearnt_root", "model", "pending_add", "pending_delete"}
+
+
+def test_prove_unlearn_of_an_earlier_deletion_reads_only_the_uid(workspace, unlearnt, capsys):
+    # Iteration 3 unlearns nothing: uid 2's proof against com_3 comes from
+    # its stored digest, with no row supplied.
+    d = str(unlearnt)
+    assert run(workspace, "add", "--dir", d, "--uid", "9", "--features", "0.5",
+               "--label", "1") == 0
+    assert run(workspace, "update", "--dir", d) == 0
+    assert run(workspace, "prove-unlearn", "--dir", d, "--uid", "2") == 0
+    assert (unlearnt / "proofs" / "unlearn_3_2.json").is_file()
+    assert run(workspace, "verify-unlearn", "--dir", d, "--uid", "2", "--iteration", "3",
+               "--dataset", str(workspace / "pts.csv")) == 0
+    # A uid that was never unlearnt, live or unknown, is a reject naming it.
+    before = snapshot(unlearnt)
+    for uid in ("1", "77"):
+        capsys.readouterr()
+        assert run(workspace, "prove-unlearn", "--dir", d, "--uid", uid) == 1
+        assert f"error: uid {uid} was never unlearnt" in capsys.readouterr().err
+    assert snapshot(unlearnt) == before
+
+
+def test_a_state_that_repeats_an_unlearnt_uid_is_corrupt(workspace, unlearnt, capsys):
+    state = unlearnt / "state.json"
+    obj = json.loads(state.read_text())
+    state.write_text(json.dumps(obj | {"unlearnt": obj["unlearnt"] * 2}))
+    before = snapshot(unlearnt)
+    for command, *rest in (("update",), ("prove-unlearn", "--uid", "2")):
+        capsys.readouterr()
+        assert run(workspace, command, "--dir", str(unlearnt), *rest) == 3
+        assert "error: corrupt state: state lists an unlearnt uid twice" in capsys.readouterr().err
+    assert snapshot(unlearnt) == before
+
+
+@pytest.mark.parametrize("field, value", [("iteration", 1), ("point_uid", 3)])
+def test_an_unlearning_proof_of_another_uid_or_iteration_is_corrupt(workspace, unlearnt,
+                                                                     capsys, field, value):
+    # The path alone would verify at any later root: a file that names
+    # another iteration or uid than the one asked for is refused, not judged.
+    path = unlearnt / "proofs" / "unlearn_2_2.json"
+    path.write_text(json.dumps(json.loads(path.read_text()) | {field: value}))
+    command, *rest = VERIFY_UNLEARN
+    rest = [str(workspace / a) if a.endswith(".csv") else a for a in rest]
+    capsys.readouterr()
+    assert run(workspace, command, "--dir", str(unlearnt), *rest) == 3
+    assert f"error: corrupt envelope: {path}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, edit, commands",
     [
@@ -1542,16 +1621,19 @@ def test_wrong_type_fields_are_corrupt(workspace, unlearnt, capsys, name, edit, 
 @pytest.mark.parametrize(
     "field, value",
     [("iteration", "1"), ("iteration", -5), ("iteration", True),
-     ("deleted_uids", ["2"]), ("deleted_uids", [2**64]), ("deleted_uids", "2")],
+     ("unlearnt", lambda records: [records[0] | {"uid": "2"}]),
+     ("unlearnt", lambda records: [records[0] | {"uid": 2**64}]),
+     ("unlearnt", lambda records: "2")],
     ids=["iteration-text", "iteration-negative", "iteration-bool", "uid-text", "uid-65-bits",
          "uids-text"],
 )
 def test_state_fields_of_the_wrong_type_are_corrupt(workspace, unlearnt, capsys, field, value):
     # Unchecked, an iteration of "1" crashed update with a TypeError, -5
     # made it write com_-4.json, and a uid of "2" dropped the ban on adding
-    # uid 2 again.
+    # uid 2 again.  A callable edits the stored value.
     state = unlearnt / "state.json"
-    state.write_text(json.dumps(json.loads(state.read_text()) | {field: value}))
+    obj = json.loads(state.read_text())
+    state.write_text(json.dumps(obj | {field: value(obj[field]) if callable(value) else value}))
     before = snapshot(unlearnt)
     for command, *rest in (("update",), ("add", "--uid", "2", "--features", "-0.25",
                                          "--label", "0")):

@@ -201,8 +201,8 @@ def test_path_roundtrip_all_members():
         pts = _points(n)
         hu = [hash_data_point(p, H) for p in pts]
         root = hash_unlearn(hu, H)
-        for p in pts:
-            path = compute_tree_path(p, hu, H)
+        for p, h in zip(pts, hu):
+            path = compute_tree_path(h, hu, H)
             assert verify_tree_path(p, root, path, H)
             assert len(path.nodes) == 1 + (n - 1 - pts.index(p))
 
@@ -210,10 +210,10 @@ def test_path_roundtrip_all_members():
 def test_path_prefix_and_suffix_shape():
     pts = _points(3)
     hu = [hash_data_point(p, H) for p in pts]
-    path = compute_tree_path(pts[1], hu, H)
+    path = compute_tree_path(hu[1], hu, H)
     assert path.nodes[0] == hash_unlearn(hu[:1], H)
     assert path.nodes[1:] == (hu[2],)
-    solo = compute_tree_path(pts[0], hu[:1], H)
+    solo = compute_tree_path(hu[0], hu[:1], H)
     assert solo.nodes == (empty_root(H),)
 
 
@@ -221,13 +221,13 @@ def test_non_member_rejected():
     pts = _points(4)
     hu = [hash_data_point(p, H) for p in pts[:3]]
     with pytest.raises(NotMemberError):
-        compute_tree_path(pts[3], hu, H)
+        compute_tree_path(hash_data_point(pts[3], H), hu, H)
 
 
 def test_wrong_root_rejected():
     pts = _points(4)
     hu = [hash_data_point(p, H) for p in pts]
-    path = compute_tree_path(pts[2], hu, H)
+    path = compute_tree_path(hu[2], hu, H)
     assert not verify_tree_path(pts[2], hash_unlearn(hu[:3], H), path, H)
 
 
@@ -235,8 +235,8 @@ def test_all_single_node_mutations_rejected():
     pts = _points(16)
     hu = [hash_data_point(p, H) for p in pts]
     root = hash_unlearn(hu, H)
-    for p in pts:
-        path = compute_tree_path(p, hu, H)
+    for p, h in zip(pts, hu):
+        path = compute_tree_path(h, hu, H)
         for i in range(len(path.nodes)):
             mutated = list(path.nodes)
             mutated[i] = (mutated[i] + 1) % P
@@ -247,7 +247,7 @@ def test_duplicate_digest_targets_first_occurrence():
     p = _points(1)[0]
     h = hash_data_point(p, H)
     hu = [hash2(5, 0, H), h, hash2(6, 0, H), h]
-    path = compute_tree_path(p, hu, H)
+    path = compute_tree_path(h, hu, H)
     assert path.nodes[0] == hash_unlearn(hu[:1], H)
     assert len(path.nodes) == 3
     assert verify_tree_path(p, hash_unlearn(hu, H), path, H)
@@ -263,7 +263,7 @@ def test_paths_extend_under_appends():
     # extended with the appended digests.
     pts = _points(6)
     hu = [hash_data_point(p, H) for p in pts[:4]]
-    path = compute_tree_path(pts[1], hu, H)
+    path = compute_tree_path(hu[1], hu, H)
     extra = [hash_data_point(p, H) for p in pts[4:]]
     extended = MembershipPath(path.nodes + tuple(extra))
     assert verify_tree_path(pts[1], hash_unlearn(hu + extra, H), extended, H)

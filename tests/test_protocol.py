@@ -99,6 +99,7 @@ def test_add_and_delete_same_iteration(fast_pub):
     # Hand-recompute the set algebra: D_1 = {d2}, H_U covers h_{d1}.
     assert state.dataset.points == (d2,)
     h_d1 = hash_data_point(d1, fast_pub.hash_cfg)
+    assert state.unlearnt == ((d1.uid, h_d1),)
     assert state.hashed_unlearnt == (h_d1,)
     assert com1.h_u == hash_unlearn([h_d1], fast_pub.hash_cfg)
     assert verify_update(fast_pub, com0, com1, proof)
@@ -129,7 +130,7 @@ def test_unlearn_proofs(fast_pub):
 
     state = queue_delete(state, pts[0])
     state, _, com2, _ = prove_update(state, fast_pub)
-    proof = prove_unlearn(fast_pub, state, pts[0])
+    proof = prove_unlearn(fast_pub, state, pts[0].uid)
     assert proof.iteration == 2
     assert verify_unlearn(fast_pub, pts[0], com2, proof)
     # Wrong point, wrong commitment, forged path all reject.
@@ -150,11 +151,11 @@ def test_unlearn_proofs(fast_pub):
     state = queue_delete(state, pts[1])
     state, _, com3, _ = prove_update(state, fast_pub)
     state, _, com4, _ = prove_update(state, fast_pub)
-    fresh = prove_unlearn(fast_pub, state, pts[0])
+    fresh = prove_unlearn(fast_pub, state, pts[0].uid)
     assert verify_unlearn(fast_pub, pts[0], com4, fresh)
 
     with pytest.raises(NotMemberError):
-        prove_unlearn(fast_pub, state, pts[3])
+        prove_unlearn(fast_pub, state, pts[3].uid)
 
 
 def test_unlearnt_set_grows_monotonically(fast_pub):
@@ -276,6 +277,15 @@ def test_queue_adds_names_the_point_the_loop_refuses(fast_pub):
         queue_adds(state, points, fast_pub)
     assert batch.value.uid == loop.value.uid == 2
     assert str(batch.value) == str(loop.value)
+
+
+def test_queue_adds_refuses_a_batch_past_the_capacity_untrained(fast_pub, monkeypatch):
+    state, _, _ = server_init(fast_pub)
+    state = queue_add(state, pt(fast_pub, 1, 0.5, 1), fast_pub)
+    monkeypatch.setattr(protocol, "train_model", lambda *a: pytest.fail("trained the batch"))
+    with pytest.raises(ShapeOverflow, match="9 points at the next update would exceed the "
+                                            "compiled capacity 8"):
+        queue_adds(state, [pt(fast_pub, i, 0.0, 0) for i in range(2, 10)], fast_pub)
 
 
 def test_queue_adds_checks_each_point(fast_pub):

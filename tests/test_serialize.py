@@ -1,15 +1,23 @@
 import pytest
 
 from unlearn.field import ScaleConfig, fx_encode
-from unlearn.hashing import DataPoint, MembershipPath
+from unlearn.hashing import DataPoint, MembershipPath, hash_data_point
 from unlearn.proofsys import ProofBlob, SetupArtifacts
-from unlearn.protocol import Commitment, UnlearnProof, queue_add, prove_update, server_init
+from unlearn.protocol import (
+    Commitment,
+    UnlearnProof,
+    prove_update,
+    queue_add,
+    queue_delete,
+    server_init,
+)
 from unlearn.serialize import (
     EnvelopeError,
     SetupStore,
     StateDir,
     commitment_from_dict,
     commitment_to_dict,
+    data_point_to_dict,
     proof_blob_from_dict,
     proof_blob_to_dict,
     protocol_config_from_dict,
@@ -47,6 +55,38 @@ def test_state_roundtrip_preserves_digests(fast_pub):
     state, _, _, _ = prove_update(state, fast_pub)
     back = server_state_from_dict(server_state_to_dict(state, CFG), CFG)
     assert back == state
+
+
+def test_state_roundtrip_keeps_unlearnt_records_in_chain_order(fast_pub):
+    state, _, _ = server_init(fast_pub)
+    points = [DataPoint(uid=u, x=(fx_encode(u / 4, CFG),), y=fx_encode(1, CFG)) for u in (1, 2, 3)]
+    for d in points:
+        state = queue_add(state, d, fast_pub)
+    state, _, _, _ = prove_update(state, fast_pub)
+    state = queue_delete(queue_delete(state, points[2]), points[0])
+    state, _, _, _ = prove_update(state, fast_pub)
+    obj = server_state_to_dict(state, CFG)
+    assert [r["uid"] for r in obj["unlearnt"]] == [3, 1]
+    assert [d["uid"] for d in obj["points"]] == [2]
+    back = server_state_from_dict(obj, CFG)
+    assert back == state
+    assert back.hashed_unlearnt == tuple(hash_data_point(points[i], fast_pub.hash_cfg)
+                                         for i in (2, 0))
+
+
+def test_a_state_that_lists_an_unlearnt_uid_twice_is_refused(fast_pub):
+    # Twice in the unlearnt set, or unlearnt and queued again, which the
+    # next update would turn into a second record.
+    state, _, _ = server_init(fast_pub)
+    obj = server_state_to_dict(state, CFG)
+    record = {"uid": 7, "digest": "00" * 32}
+    assert server_state_from_dict(obj | {"unlearnt": [record]}, CFG).unlearnt == ((7, 0),)
+    queued = data_point_to_dict(DataPoint(uid=7, x=(0,), y=0), CFG)
+    for edit in ({"unlearnt": [record, record | {"digest": "01" * 32}]},
+                 {"unlearnt": [record], "pending_delete": [queued]},
+                 {"pending_delete": [queued, queued]}):
+        with pytest.raises(EnvelopeError, match="lists an unlearnt uid twice"):
+            server_state_from_dict(obj | edit, CFG)
 
 
 def test_protocol_config_roundtrip(fast_pub):

@@ -54,7 +54,7 @@ def test_only_serialize_reads_and_writes_state_files():
     # StateDir owns the state directory's envelopes, their versions and
     # the order of the writes: other modules go through it.
     owned = {"read_json", "atomic_write_json", "atomic_write_bytes",
-             "VERSION", "UPDATE_PROOF_VERSION", "PARAMS_VERSION"}
+             "VERSION", "UPDATE_PROOF_VERSION", "PARAMS_VERSION", "STATE_VERSION"}
     offenders = {
         path.stem: sorted(owned & set(_reads(ast.parse(path.read_text()))))
         for path in sorted((ROOT / "src" / "unlearn").glob("*.py"))

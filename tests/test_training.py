@@ -249,6 +249,20 @@ def test_fixed_point_matches_float_reference(kind):
         assert abs(dec(wf) - wr) < 1e-3
 
 
+@pytest.mark.parametrize("kind", ["logistic", "nn"])
+def test_training_encodes_no_sigmoid_coefficient(kind, monkeypatch):
+    # The surrogate's coefficients are encoded once, in field, not at
+    # every step.
+    from unlearn import field
+
+    calls = []
+    monkeypatch.setattr(field, "fx_encode", lambda *a: calls.append(a) or fx_encode(*a))
+    cfg = default_train_config(kind, 1, hidden=2 if kind == "nn" else 0, epochs=2)
+    points = tuple(DataPoint(i, (enc(i / 4),), enc(i % 2)) for i in range(3))
+    train_model(Dataset(points, 1), cfg)
+    assert calls == []
+
+
 def test_nn_init_values_are_frozen_constants():
     # Derived from kind, arity, hidden and scale alone.
     a = default_train_config("nn", 3, hidden=2, epochs=1).init_values
