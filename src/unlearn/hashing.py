@@ -36,12 +36,22 @@ differently in each role.  All functions are pure.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .field import BN254_SCALAR_FIELD, VALUE_BITS, value_offset
+
+# SHA-256 from CPython's builtin module, one implementation for every
+# input: ``hashlib`` would map OpenSSL's libcrypto, megabytes of resident
+# memory in every command, for this one hash.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 UID_BITS = 64
 MAX_UID = 2**UID_BITS - 1
@@ -54,7 +64,7 @@ DEFAULT_ROUNDS = 110  # ceil(log5(2^254)) rounds for the x^5 round function
 
 
 def _tag(label: str) -> int:
-    digest = hashlib.sha256(b"unlearn.tag." + label.encode()).digest()
+    digest = sha256(b"unlearn.tag." + label.encode()).digest()
     return int.from_bytes(digest, "big") % BN254_SCALAR_FIELD
 
 
@@ -95,7 +105,7 @@ class HashConfig:
 def round_constants(rounds: int) -> tuple[int, ...]:
     cs = [0]
     for i in range(1, rounds):
-        digest = hashlib.sha256(b"unlearn.mimc.v1.%d" % i).digest()
+        digest = sha256(b"unlearn.mimc.v1.%d" % i).digest()
         cs.append(int.from_bytes(digest, "big") % BN254_SCALAR_FIELD)
     return tuple(cs)
 

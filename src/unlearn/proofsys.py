@@ -114,6 +114,12 @@ class RelationHandle:
         if self._load is not None:
             self._circuit = None
 
+    def held(self) -> "RelationHandle":
+        """This relation with its circuit given, loaded now if need be, so
+        that ``release`` keeps it: for a caller that proves or verifies
+        against it many times."""
+        return RelationHandle(self.fingerprint, self.circuit, keys=self.keys)
+
 
 @dataclass(frozen=True)
 class ProofBlob:
@@ -268,7 +274,8 @@ class Groth16Backend:
         path = self._r1cs_cache.get(rel.fingerprint)
         if path is None or not path.exists():
             path = self._work() / f"{rel.fingerprint}.r1cs"
-            path.write_bytes(rel.circuit.export())
+            with open(path, "wb") as fh:
+                rel.circuit.write_export(fh)
             self._r1cs_cache[rel.fingerprint] = path
         return path
 

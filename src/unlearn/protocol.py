@@ -10,7 +10,6 @@ was deleted in (or any later one).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field as dc_field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -27,6 +26,7 @@ from .hashing import (
     hash_data_point,
     hash_model_weights,
     hash_unlearn,
+    sha256,
     verify_tree_path,
 )
 from .proofsys import FingerprintMismatch, ProofBlob, RelationHandle, get_backend
@@ -127,7 +127,7 @@ class PublicParams:
     def empty_model(self) -> ModelParams:
         """Distinguished sentinel model hashed into com_0; its single
         weight is a tagged constant no training run can produce."""
-        digest = hashlib.sha256(b"unlearn.tag.empty-model").digest()
+        digest = sha256(b"unlearn.tag.empty-model").digest()
         weight = int.from_bytes(digest, "big") % BN254_SCALAR_FIELD
         return ModelParams(kind="empty", arity=0, weights=(weight,))
 
@@ -152,8 +152,9 @@ def global_setup(config: ProtocolConfig, backend=None, setup_store=None) -> Publ
         if setup_store is None:
             rel = RelationHandle.of(cs)
         else:
-            # One export is both the stored file and the fingerprint's preimage.
-            rel = RelationHandle(setup_store.save_circuit(cs.export()), cs)
+            # One export, streamed to disk, is both the stored file and the
+            # fingerprint's preimage.
+            rel = RelationHandle(setup_store.save_circuit(cs), cs)
             rel.keys = setup_store.load(backend.name, rel.fingerprint)
         if rel.keys is None:
             rel.keys = backend.setup(rel)
@@ -378,9 +379,20 @@ def verify_update(
         return False
     if data_inputs != (com.h_d, com_prev.h_u, com.h_u):
         return False
-    return pub.backend.verify(
-        pub.model_relation, model_inputs, proof.model_proof
-    ) and pub.backend.verify(pub.data_relation, data_inputs, proof.data_proof)
+    return _verify_stored(pub, pub.model_relation, model_inputs, proof.model_proof) and (
+        _verify_stored(pub, pub.data_relation, data_inputs, proof.data_proof)
+    )
+
+
+def _verify_stored(
+    pub: PublicParams, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob
+) -> bool:
+    """Verify ``blob`` against ``rel``, releasing the constraints loaded
+    for it, so a verifier holds one circuit at a time."""
+    try:
+        return pub.backend.verify(rel, statement, blob)
+    finally:
+        rel.release()
 
 
 def prove_unlearn(pub: PublicParams, state: ServerState, uid: int) -> UnlearnProof:

@@ -38,7 +38,7 @@ v with coefficient 1, as a nonzero check's a * v = 1 is, defines v as
 constant 1: a C that could be 0 would hold for every v once <A,z> is 0.
 A witness's *projection* is its constant, its statement and its other,
 *free*, wires (``free_wires``); ``complete`` rebuilds the one satisfying
-witness, a tuple of wire values, from its projection in one walk over
+witness, a list of wire values, from its projection in one walk over
 the rows, or raises Unsatisfied naming the first row that fails.  It is
 the only evaluator of rows: a prover that holds the stored rows computes
 a projection from its inputs and completes it, which is also its check,
@@ -48,7 +48,7 @@ and a witness-check verifier completes the projection a proof carries.
 from __future__ import annotations
 
 import gc
-import hashlib
+import io
 import struct
 import sys
 from array import array
@@ -58,7 +58,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, tee
 from operator import ge, lt, mul, sub
-from typing import Iterator, Optional, Sequence
+from typing import BinaryIO, Iterator, Optional, Sequence
+
+from .hashing import sha256
 
 LinComb = dict[int, int]
 # A block of rows in one matrix: each row's term count, then each term's
@@ -78,6 +80,9 @@ _U32 = struct.Struct("<I")
 _COUNTS = struct.Struct("<4I")
 _U32_CODE = "I" if array("I").itemsize == 4 else "L"
 _BIG_ENDIAN = sys.byteorder == "big"
+# Terms per chunk of a renumbered or byte-swapped array written out; an
+# input's unread rest is hashed 4 * _CHUNK bytes at a time.
+_CHUNK = 1 << 18
 
 
 class BuildPhaseClosed(RuntimeError):
@@ -95,6 +100,10 @@ class Unsatisfied(ValueError):
             "the wire values have the wrong length or constant" if row is None
             else f"row {row} does not hold"
         )
+
+
+class DigestMismatch(ValueError):
+    """An export's SHA-256 is not the fingerprint it was read under."""
 
 
 @contextmanager
@@ -119,21 +128,6 @@ class CircuitStats:
     public_count: int
     private_count: int
     term_count: int  # nonzero entries of A, B and C together
-
-
-def _u32s(data=b"") -> array:
-    out = array(_U32_CODE)
-    out.frombytes(data)
-    if _BIG_ENDIAN:
-        out.byteswap()
-    return out
-
-
-def _le_bytes(values: array) -> bytes:
-    if _BIG_ENDIAN:
-        values = array(values.typecode, values)
-        values.byteswap()
-    return values.tobytes()
 
 
 def _increasing(values) -> bool:
@@ -213,9 +207,9 @@ class ConstraintSystem:
         # coefficients, brought up to date when read.
         self._coefficient_ids: dict[int, int] = {}
         self._table: list[int] = []
-        self._matrices = tuple(_Matrix(_u32s(), _u32s(), _u32s()) for _ in range(3))
+        self._matrices = tuple(_Matrix(*(array(_U32_CODE) for _ in range(3))) for _ in range(3))
         self._finalized = False
-        self._defining: Optional[list[tuple[int, int, int]]] = None
+        self._defining: Optional[tuple[array, array, array]] = None
 
     # -- building ----------------------------------------------------------
 
@@ -363,11 +357,12 @@ class ConstraintSystem:
 
     # -- free and derived wires ---------------------------------------------------
 
-    def _defining_rows(self) -> list[tuple[int, int, int]]:
-        """Each row that defines wires, with its first wire w and their
-        number n, or n = 0 for a row that inverts to define one wire, in
-        row order; kept once the system is finalized, as rows can no
-        longer change.  Row i *defines*
+    def _defining_rows(self) -> tuple[array, array, array]:
+        """The rows that define wires, in row order, as three columns:
+        each one's row, its first wire w and the number n of wires it
+        defines, or n = 0 for a row that inverts to define one wire; kept
+        once the system is finalized, as rows can no longer change.  Row i
+        *defines*
         private wire w (n = 1) when w is the last term of C_i, with
         coefficient 1, and above every wire of A_i, B_i and of all earlier
         rows, so that w = <A_i,z> * <B_i,z> - <C_i - w, z> follows from
@@ -386,15 +381,13 @@ class ConstraintSystem:
 
         Reads the rows only, never values, so every witness of one circuit
         splits the same way.  Wire ids increase within a row, so a row's
-        largest wire in each matrix is its last term, read at the row's
-        end offset; an empty row reads the row before it, which raises no
-        maximum."""
+        largest wire in each matrix is its last term, read just before the
+        row's end offset; an empty row reads the row before it, which
+        raises no maximum, or nothing before a matrix's first term."""
         if self._defining is not None:
             return self._defining
         a, b, c = self._matrices
-        a_wires, b_wires, c_wires, c_coefficients = (
-            array(_U32_CODE, (0,)) + v for v in (a.wires, b.wires, c.wires, c.coefficients)
-        )
+        a_wires, b_wires, c_wires, c_coefficients = a.wires, b.wires, c.wires, c.coefficients
         # The ids of 2^0, 2^1, ...: a defining row's last coefficients, in
         # order, and the number of wires each id ends.
         ids = self._coefficient_ids
@@ -402,30 +395,36 @@ class ConstraintSystem:
         widths = dict(zip(powers, count(1)))
         one = powers[0]
         top = self.num_public  # the largest wire so far: only private ones are defined
-        defining = []
-        for row, end_a, end_b, end_c, terms_c in zip(
-            count(), accumulate(a.counts), accumulate(b.counts), accumulate(c.counts), c.counts
+        defining = tuple(array(_U32_CODE) for _ in range(3))
+        add_row, add_wire, add_width = (column.append for column in defining)
+
+        def lasts(m: _Matrix) -> Iterator[int]:
+            # The index of each row's last term: -1 before the first term.
+            return islice(accumulate(m.counts, initial=-1), 1, None)
+
+        for row, last_a, last_b, last_c, terms_c in zip(
+            count(), lasts(a), lasts(b), lasts(c), c.counts
         ):
-            if a_wires[end_a] > top:
-                top = a_wires[end_a]
-            if b_wires[end_b] > top:
-                top = b_wires[end_b]
+            if last_a >= 0 and a_wires[last_a] > top:
+                top = a_wires[last_a]
+            if last_b >= 0 and b_wires[last_b] > top:
+                top = b_wires[last_b]
                 # Only an inverting row has a new wire in B.
                 if (
                     b.counts[row] == 1 == terms_c
-                    and b.coefficients[end_b - 1] == one == c_coefficients[end_c]
-                    and c_wires[end_c] == 0
+                    and b.coefficients[last_b] == one == c_coefficients[last_c]
+                    and c_wires[last_c] == 0
                 ):
-                    defining.append((row, top, 0))
-            w = c_wires[end_c]
-            if w > top:
-                n = widths.get(c_coefficients[end_c], 0)
+                    add_row(row), add_wire(top), add_width(0)
+            if last_c >= 0 and c_wires[last_c] > top:
+                w = c_wires[last_c]
+                n = widths.get(c_coefficients[last_c], 0)
                 if n == 1 or (
                     1 < n <= terms_c
-                    and c_wires[end_c - n + 1] == w - n + 1 > top
-                    and c_coefficients[end_c - n + 1:end_c + 1].tolist() == powers[:n]
+                    and c_wires[last_c - n + 1] == w - n + 1 > top
+                    and c_coefficients[last_c - n + 1:last_c + 1].tolist() == powers[:n]
                 ):
-                    defining.append((row, w - n + 1, n))
+                    add_row(row), add_wire(w - n + 1), add_width(n)
                 top = w
         if self._finalized:
             self._defining = defining
@@ -434,8 +433,9 @@ class ConstraintSystem:
     def free_wires(self) -> list[int]:
         """The private wires no row defines, in increasing order."""
         free = bytearray(b"\x01") * self._num_wires
-        for _, w, n in self._defining_rows():
-            free[w:w + max(n, 1)] = bytes(max(n, 1))
+        _, firsts, widths = self._defining_rows()
+        for w, n in zip(firsts, map(max, widths, repeat(1))):
+            free[w:w + n] = bytes(n)
         start = 1 + self.num_public
         return list(compress(range(start, self._num_wires), free[start:]))
 
@@ -443,9 +443,9 @@ class ConstraintSystem:
     def num_free(self) -> int:
         """The number of free wires: the private wires less those the
         defining rows define."""
-        return self.num_private - sum(max(n, 1) for _, _, n in self._defining_rows())
+        return self.num_private - sum(map(max, self._defining_rows()[2], repeat(1)))
 
-    def complete(self, given: Sequence[int]) -> tuple[int, ...]:
+    def complete(self, given: Sequence[int]) -> list[int]:
         """The wire values of the one satisfying witness whose projection
         is ``given``: field elements, the constant, the statement, then
         the free wires in increasing order.  Raises Unsatisfied, naming
@@ -458,7 +458,7 @@ class ConstraintSystem:
         binary digits of r, which fails the row if r >= 2^n; an inverting
         row's wire takes <A_i,z>^-1, which fails the row if <A_i,z> is 0.
         Rows after the last defining row must hold once every free wire
-        is placed."""
+        is placed.  Returns the list the walk filled, not a copy."""
         placed = 1 + self.num_public
         z = list(given[:placed])
         if len(z) != placed or z[0] != 1:
@@ -467,7 +467,7 @@ class ConstraintSystem:
         a, b, c = self._row_sums(z)
         residues = map(p.__rmod__, map(sub, map(mul, a, b), c))
         checked = 0  # rows walked so far
-        for row, w, n in self._defining_rows():
+        for row, w, n in zip(*self._defining_rows()):
             need = w - len(z)
             if need:
                 z += given[placed:placed + need]
@@ -501,63 +501,163 @@ class ConstraintSystem:
             raise Unsatisfied(None)
         if any(residues):
             raise Unsatisfied(self.num_constraints - 1 - sum(1 for _ in residues))
-        return tuple(z)
+        return z
 
     # -- canonical export ------------------------------------------------------
 
-    def _sort_table(self) -> None:
-        """Renumber coefficients in increasing order, the canonical order
-        of the exported table.  A no-op once sorted."""
+    def write_export(self, out: Optional[BinaryIO] = None) -> str:
+        """Write the binary layout above to ``out`` section by section and
+        return its SHA-256, the circuit fingerprint; with no ``out``, only
+        hash it.  The same chunks go to the file and to the hash, and
+        coefficient ids are renumbered to the sorted table a chunk at a
+        time, so nothing holds a second copy of the rows."""
+        digest = sha256()
+
+        def put(chunk) -> None:
+            digest.update(chunk)
+            if out is not None:
+                out.write(chunk)
+
+        def put_u32s(values) -> None:
+            # Renumbered or byte-swapped chunks are copies; an array that
+            # is already little-endian goes out as it is.
+            if isinstance(values, array) and not _BIG_ENDIAN:
+                put(values)
+                return
+            values = iter(values)
+            while chunk := array(_U32_CODE, islice(values, _CHUNK)):
+                if _BIG_ENDIAN:
+                    chunk.byteswap()
+                put(chunk)
+
+        p = self.modulus
+        k = (p.bit_length() + 7) // 8
         table = self._coefficients()
-        if _increasing(table):
-            return
         order = sorted(range(len(table)), key=table.__getitem__)
-        renumber = [0] * len(table)
-        for new, old in enumerate(order):
-            renumber[old] = new
-        self._table = [table[i] for i in order]
-        self._coefficient_ids = {c: i for i, c in enumerate(self._table)}
+        put(MAGIC + _U32.pack(k) + p.to_bytes(k, "little")
+            + _COUNTS.pack(self._num_wires, self.num_public, self.num_constraints, len(table)))
+        put(b"".join(table[i].to_bytes(k, "little") for i in order))
+        renumber = None
+        if not _increasing(table):
+            renumber = [0] * len(table)
+            for new, old in enumerate(order):
+                renumber[old] = new
         for m in self._matrices:
-            m.coefficients = array(_U32_CODE, map(renumber.__getitem__, m.coefficients))
+            put_u32s(m.counts)
+            put_u32s(m.wires)
+            put_u32s(m.coefficients if renumber is None
+                     else map(renumber.__getitem__, m.coefficients))
+        return digest.hexdigest()
 
     def export(self) -> bytes:
         """The binary layout above: the preimage of the circuit
         fingerprint, the file ``setup`` stores for verifiers (read back
-        by ``from_export``) and the external proving backend's input."""
-        self._sort_table()
-        p = self.modulus
-        k = (p.bit_length() + 7) // 8
-        parts = [
-            MAGIC,
-            _U32.pack(k),
-            p.to_bytes(k, "little"),
-            _COUNTS.pack(self._num_wires, self.num_public, self.num_constraints, len(self._table)),
-            b"".join(c.to_bytes(k, "little") for c in self._table),
-        ]
-        for m in self._matrices:
-            parts += (_le_bytes(m.counts), _le_bytes(m.wires), _le_bytes(m.coefficients))
-        return b"".join(parts)
+        by ``read_export``) and the external proving backend's input."""
+        out = io.BytesIO()
+        self.write_export(out)
+        return out.getvalue()
 
     def fingerprint(self) -> str:
-        return fingerprint_of(self.export())
+        return self.write_export()
 
     @classmethod
     def from_export(cls, data: bytes) -> "ConstraintSystem":
-        """Load ``export()`` output into a finalized system.  Strict: input that
-        ``export()`` would not write raises ValueError, so
-        ``from_export(x).export() == x`` whenever it returns."""
-        # Slices of a view copy nothing: loading holds the input and the
-        # arrays it fills, no third copy.
-        data = memoryview(bytes(data))
-        pos = 0
+        """``read_export`` of the bytes ``data``."""
+        return cls.read_export(io.BytesIO(data), len(data))
 
-        def take(n: int) -> memoryview:
-            nonlocal pos
-            if n > len(data) - pos:
+    @classmethod
+    def read_export(
+        cls, source: BinaryIO, size: int, fingerprint: Optional[str] = None
+    ) -> "ConstraintSystem":
+        """Load the ``size`` bytes of ``export()`` output that ``source``
+        holds into a finalized system.  Each array is read straight into
+        place, and only once ``size`` shows that the rest of the input
+        holds it, so a header cannot make the loader allocate more than
+        the input holds; every byte read is hashed as it is read.  With a
+        ``fingerprint``, input of another SHA-256 raises DigestMismatch,
+        before any other check.  Strict: input that ``export()`` would
+        not write raises ValueError, so ``from_export(x).export() == x``
+        whenever it returns."""
+        reader = _ExportReader(source, size)
+        try:
+            cs = reader.parse(cls)
+        except ValueError:
+            reader.check(fingerprint)
+            raise
+        reader.check(fingerprint)
+        if reader.unread:
+            raise ValueError("r1cs export has trailing bytes")
+        cs._check_loaded()
+        return cs
+
+    def _check_loaded(self) -> None:
+        """The checks of ``read_export`` that read the whole rows: the
+        table increasing and in [1, modulus), each matrix's wires and
+        coefficient ids in range and its wires increasing within each
+        row, and every coefficient used."""
+        table = self._table
+        if not _increasing(table):
+            raise ValueError("r1cs coefficient table is not strictly increasing")
+        if table and not (table[0] > 0 and table[-1] < self.modulus):
+            raise ValueError("r1cs coefficient is zero or not below the modulus")
+        used = set()
+        for name, m in zip("ABC", self._matrices):
+            ids = set(m.coefficients)
+            if m.wires:
+                if max(m.wires) >= self._num_wires:
+                    raise ValueError(f"matrix {name}: wire out of range")
+                if max(ids) >= len(table):
+                    raise ValueError(f"matrix {name}: coefficient id out of range")
+                if not m.rows_increasing():
+                    raise ValueError(f"matrix {name}: wires repeated or out of order in a row")
+            used |= ids
+        if len(used) != len(table):
+            raise ValueError("r1cs coefficient table has unused entries")
+
+
+class _ExportReader:
+    """Reads an export's sections from a binary file of known size,
+    hashing every byte it reads."""
+
+    def __init__(self, source: BinaryIO, size: int):
+        self.source = source
+        self.unread = size
+        self.digest = sha256()
+
+    def _claim(self, n: int) -> None:
+        if n > self.unread:
+            raise ValueError("r1cs export is truncated")
+        self.unread -= n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        data = self.source.read(n)
+        if len(data) != n:
+            raise ValueError("r1cs export is truncated")
+        self.digest.update(data)
+        return data
+
+    def u32s(self, n: int) -> array:
+        """The next ``n`` u32s, read into a new array."""
+        self._claim(4 * n)
+        values = array(_U32_CODE, (0,)) * n
+        view = memoryview(values).cast("B")
+        done = 0
+        while done < len(view):
+            got = self.source.readinto(view[done:])
+            if not got:
                 raise ValueError("r1cs export is truncated")
-            pos += n
-            return data[pos - n:pos]
+            done += got
+        self.digest.update(view)
+        view.release()
+        if _BIG_ENDIAN:
+            values.byteswap()
+        return values
 
+    def parse(self, cls) -> "ConstraintSystem":
+        """The header, the table and the rows, checked only as far as
+        reading them needs."""
+        take = self.take
         if take(len(MAGIC)) != MAGIC:
             raise ValueError("not an unlearn-r1cs v2 export")
         (k,) = _U32.unpack(take(_U32.size))
@@ -569,30 +669,11 @@ class ConstraintSystem:
             raise ValueError(f"{num_public} public wires out of {num_wires}")
         raw = take(num_coefficients * k)
         table = [int.from_bytes(raw[i:i + k], "little") for i in range(0, len(raw), k)]
-        if not _increasing(table):
-            raise ValueError("r1cs coefficient table is not strictly increasing")
-        if table and not (table[0] > 0 and table[-1] < modulus):
-            raise ValueError("r1cs coefficient is zero or not below the modulus")
-        matrices, used = [], set()
-        for name in "ABC":
-            counts = _u32s(take(4 * num_rows))
+        matrices = []
+        for _ in "ABC":
+            counts = self.u32s(num_rows)
             terms = sum(counts)
-            wires = _u32s(take(4 * terms))
-            coefficients = _u32s(take(4 * terms))
-            m = _Matrix(counts, wires, coefficients)
-            if terms:
-                if max(wires) >= num_wires:
-                    raise ValueError(f"matrix {name}: wire out of range")
-                if max(coefficients) >= num_coefficients:
-                    raise ValueError(f"matrix {name}: coefficient id out of range")
-                if not m.rows_increasing():
-                    raise ValueError(f"matrix {name}: wires repeated or out of order in a row")
-            used.update(coefficients)
-            matrices.append(m)
-        if pos != len(data):
-            raise ValueError("r1cs export has trailing bytes")
-        if len(used) != num_coefficients:
-            raise ValueError("r1cs coefficient table has unused entries")
+            matrices.append(_Matrix(counts, self.u32s(terms), self.u32s(terms)))
         cs = cls(modulus)
         cs._num_wires = num_wires
         cs.num_public = num_public
@@ -602,7 +683,23 @@ class ConstraintSystem:
         cs.finalize()
         return cs
 
+    def check(self, fingerprint: Optional[str]) -> None:
+        """Hash the input's unread rest, a chunk at a time, and raise
+        DigestMismatch unless the whole input's SHA-256 is ``fingerprint``
+        (if given)."""
+        if fingerprint is None:
+            return
+        rest = self.unread
+        while rest:
+            chunk = self.source.read(min(rest, 4 * _CHUNK))
+            if not chunk:
+                break
+            self.digest.update(chunk)
+            rest -= len(chunk)
+        if rest or self.digest.hexdigest() != fingerprint:
+            raise DigestMismatch("the export's SHA-256 is not its fingerprint")
+
 
 def fingerprint_of(exported: bytes) -> str:
     """Circuit fingerprint: SHA-256 of the canonical export."""
-    return hashlib.sha256(exported).hexdigest()
+    return sha256(exported).hexdigest()

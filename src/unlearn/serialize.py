@@ -21,7 +21,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, BinaryIO, Callable, Optional
 
 from .field import ScaleConfig, from_hex, to_hex
 from .hashing import MAX_UID, DataPoint, MembershipPath
@@ -71,21 +71,34 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write through a temp file and a rename.  The file gets the mode a
-    plain ``open`` would give it (0o666 less the umask), not mkstemp's
-    0o600, so verifiers running as other users can read ``pub/``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+def _write_atomically(directory: Path, prefix: str, write: Callable[[BinaryIO], Path]) -> Path:
+    """Call ``write`` on a new temp file in ``directory``, then rename the
+    file to the path ``write`` returns, and return that path.  The file
+    gets the mode a plain ``open`` would give it (0o666 less the umask),
+    not mkstemp's 0o600, so verifiers running as other users can read
+    ``pub/``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix)
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~_umask())
-            fh.write(data)
+            path = write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return path
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename."""
+
+    def write(fh: BinaryIO) -> Path:
+        fh.write(data)
+        return path
+
+    _write_atomically(path.parent, f".{path.name}.", write)
 
 
 def json_bytes(obj) -> bytes:
@@ -350,29 +363,30 @@ class SetupStore:
     def circuit_file(self, fingerprint: str) -> Path:
         return self.root / "circuits" / f"{fingerprint}.r1cs"
 
-    def save_circuit(self, exported: bytes) -> str:
-        """Store a circuit export; returns its fingerprint."""
-        from .r1cs import fingerprint_of
+    def save_circuit(self, cs: ConstraintSystem) -> str:
+        """Store a circuit's export, streamed to disk and hashed as it is
+        written; returns its fingerprint."""
 
-        fingerprint = fingerprint_of(exported)
-        atomic_write_bytes(self.circuit_file(fingerprint), exported)
-        return fingerprint
+        def write(fh: BinaryIO) -> Path:
+            return self.circuit_file(cs.write_export(fh))
+
+        return _write_atomically(self.root / "circuits", ".circuit.", write).stem
 
     def load_circuit(self, fingerprint: str) -> ConstraintSystem:
-        """The stored constraint system with this fingerprint.  A missing
-        file, one whose SHA-256 is not the fingerprint, or one that
-        ``ConstraintSystem.from_export`` refuses raises EnvelopeError."""
-        from .r1cs import ConstraintSystem, fingerprint_of
+        """The stored constraint system with this fingerprint, read
+        straight from the file into its arrays.  A missing file, one whose
+        SHA-256 is not the fingerprint (checked first), or one that
+        ``ConstraintSystem.read_export`` refuses raises EnvelopeError."""
+        from .r1cs import ConstraintSystem, DigestMismatch
 
         path = self.circuit_file(fingerprint)
         try:
-            exported = path.read_bytes()
+            with open(path, "rb") as fh:
+                return ConstraintSystem.read_export(fh, os.fstat(fh.fileno()).st_size, fingerprint)
         except FileNotFoundError:
             raise EnvelopeError(f"{path}: circuit export missing") from None
-        if fingerprint_of(exported) != fingerprint:
-            raise EnvelopeError(f"{path}: contents do not match the fingerprint")
-        try:
-            return ConstraintSystem.from_export(exported)
+        except DigestMismatch:
+            raise EnvelopeError(f"{path}: contents do not match the fingerprint") from None
         except ValueError as e:
             raise EnvelopeError(f"{path}: {e}") from None
 

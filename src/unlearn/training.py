@@ -10,7 +10,6 @@ constant vector.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +24,7 @@ from .field import (
     sigmoid_poly,
     signed_repr,
 )
-from .hashing import DataPoint
+from .hashing import DataPoint, sha256
 
 KINDS = ("linear", "logistic", "nn")
 
@@ -124,7 +123,7 @@ class TrainConfig:
         gamma = self.scale.gamma
         vals = []
         for i in range(n):
-            digest = hashlib.sha256(b"unlearn.nn-init.v1.%d" % i).digest()
+            digest = sha256(b"unlearn.nn-init.v1.%d" % i).digest()
             k = int.from_bytes(digest, "big") % (gamma + 1) - gamma // 2
             vals.append(fx_encode(Fraction(k, gamma), self.scale))
         return tuple(vals)

@@ -167,7 +167,7 @@ def gadget_witness(build, inputs, rounds=TINY_ROUNDS):
     wires = [lc_wire(cs.alloc_private()) for _ in inputs]
     out = build(builder, *wires)
     cs.finalize()
-    return cs, cs.complete([1, *(v % cs.modulus for v in inputs)]), out
+    return cs, tuple(cs.complete([1, *(v % cs.modulus for v in inputs)])), out
 
 
 class RowByRowBuilder(CircuitBuilder):
@@ -210,7 +210,7 @@ def model_witness(config, dataset):
     """The model circuit's rows and the witness they complete from the
     native projection for ``dataset``."""
     cs = circuit_rows(ModelCircuit, config)
-    return cs, cs.complete(model_projection(config, dataset)[0])
+    return cs, tuple(cs.complete(model_projection(config, dataset)[0]))
 
 
 def data_witness(config, *sets):
@@ -218,7 +218,7 @@ def data_witness(config, *sets):
     native projection for the digest sets (training, previous unlearnt,
     appended)."""
     cs = circuit_rows(DataCircuit, config)
-    return cs, cs.complete(data_projection(config, *sets))
+    return cs, tuple(cs.complete(data_projection(config, *sets)))
 
 
 def model_slot_projection(config, dataset, h_m=0) -> list[int]:
@@ -262,7 +262,7 @@ def data_forgery(config, sets, v) -> tuple[int, ...]:
     """A data witness of the digest sets, disjoint or not, with ``v`` as
     the product's inverse: every other wire is derived from the sets by
     the rows before the product's inverse row."""
-    witness = open_data_rows(config).complete(data_slot_projection(config, *sets))
+    witness = tuple(open_data_rows(config).complete(data_slot_projection(config, *sets)))
     return witness + (v % BN254_SCALAR_FIELD,)
 
 
@@ -290,7 +290,7 @@ def is_satisfied(cs, witness) -> bool:
     completes to, judged as provers and verifiers judge a projection:
     by ``ConstraintSystem.complete``."""
     try:
-        return cs.complete(project(cs, witness)) == tuple(witness)
+        return tuple(cs.complete(project(cs, witness))) == tuple(witness)
     except Unsatisfied:
         return False
 

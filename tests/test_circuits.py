@@ -416,7 +416,7 @@ def test_data_circuit_intersection_unsatisfiable_over_grid():
     with pytest.raises(Unsatisfied) as refused:
         cs.complete(given)
     assert refused.value.row == cs.num_constraints - 1
-    derived = open_data_rows(config).complete(given)
+    derived = tuple(open_data_rows(config).complete(given))
     assert lc_value(cs, acc, derived + (0,)) == 0
     for v_try in range(0, 50):
         assert failing_rows(cs, derived + (v_try,)) == [cs.num_constraints - 1]

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from unlearn import bench, circuits, cli, game, gadgets, proofsys, protocol, serialize, training
+from unlearn import (
+    bench, circuits, cli, game, gadgets, proofsys, protocol, r1cs, serialize, training,
+)
 from unlearn.cli import CONFIG_DEFAULTS, main
 from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint, hash_data_point
@@ -1263,27 +1265,47 @@ def test_commands_import_only_what_they_run(workspace, initialized):
     # Importing the CLI loads no benchmark, game or circuit code, and the
     # commands that build no circuit leave it unloaded; subprocess serves
     # only the Groth16 helper, so witness-check commands never load it.
+    # No command of a README session loads OpenSSL's _hashlib: SHA-256
+    # comes from CPython's builtin module.  Only commands that read a CSV
+    # load ingest.
     script = (
         "import json, sys\n"
         "from unlearn.cli import main\n"
         "loaded = [set(sys.modules)]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert main(argv) == 0, argv\n"
-        "loaded.append(set(sys.modules))\n"
-        "print(json.dumps([sorted(m for m in s if m.startswith('unlearn') or m == 'subprocess')\n"
-        "                  for s in loaded]))\n"
+        "for commands in json.loads(sys.argv[1]):\n"
+        "    for argv in commands:\n"
+        "        assert main(argv) == 0, argv\n"
+        "    loaded.append(set(sys.modules))\n"
+        "print(json.dumps([sorted(m for m in s if m.startswith('unlearn')\n"
+        "                         or m in ('subprocess', '_hashlib')) for s in loaded]))\n"
     )
     d, csv = str(initialized), str(workspace / "pts.csv")
-    commands = [["add", "--dir", d, "--dataset", csv], ["delete", "--dir", d, "--uid", "2"]]
+    s = str(workspace / "session")
+    session = [
+        ["setup", "--dir", s, "--config", str(workspace / "conf")],
+        ["init", "--dir", s],
+        ["add", "--dir", s, "--dataset", csv],
+        ["update", "--dir", s],
+        ["delete", "--dir", s, "--uid", "2"],
+        ["update", "--dir", s],
+        ["verify-update", "--dir", s, "--iteration", "2"],
+        ["prove-unlearn", "--dir", s, "--uid", "2"],
+        ["verify-unlearn", "--dir", s, "--uid", "2", "--iteration", "2", "--dataset", csv],
+        ["audit-setup", "--dir", s],
+    ]
+    commands = [[["add", "--dir", d, "--dataset", csv], ["delete", "--dir", d, "--uid", "2"]],
+                session]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
                           capture_output=True, text=True, check=True)
-    on_import, after_commands = json.loads(proc.stdout.splitlines()[-1])
+    on_import, after_commands, after_session = json.loads(proc.stdout.splitlines()[-1])
     unneeded = {f"unlearn.{m}" for m in ("bench", "game", "circuits", "gadgets", "r1cs")}
-    unneeded.add("subprocess")
+    unneeded |= {"subprocess", "_hashlib"}
     assert "unlearn.cli" in on_import
-    assert not unneeded & set(on_import)
+    assert not (unneeded | {"unlearn.ingest"}) & set(on_import)
     assert not unneeded & set(after_commands)
+    assert "unlearn.r1cs" in after_session
+    assert "_hashlib" not in after_session
 
 
 # The options each command reads, beyond --dir and --json.
@@ -1369,8 +1391,8 @@ def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch, c
 
     count(circuits.ModelCircuit, "__init__", "model_build")
     count(circuits.DataCircuit, "__init__", "data_build")
-    count(ConstraintSystem, "from_export", "parse")
-    count(ConstraintSystem, "export", "export")
+    count(ConstraintSystem, "read_export", "parse")
+    count(ConstraintSystem, "write_export", "export")
     d, csv = str(workspace / "st"), str(workspace / "pts.csv")
     for args in (
         ("setup", "--dir", d, "--config", str(workspace / "conf")),
@@ -1443,6 +1465,46 @@ def test_tampered_circuit_export_is_corrupt_state(workspace, updated, capsys, ta
     assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 1
     assert run(workspace, "audit-setup", "--dir", d) == 1
     assert "MISMATCH: model export" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tamper", ["truncate", "extend", "alter", "forged-rows"])
+def test_damaged_circuit_export_is_refused(workspace, updated, capsys, tamper):
+    # The export is read straight into its arrays and hashed as it is
+    # read: a file cut short, extended or altered in one byte is refused
+    # for its SHA-256 before any other check; a header claiming more rows
+    # than the file holds, in a file renamed to its own SHA-256 and named
+    # by params.json and the proof, is refused before any array of that
+    # size exists.
+    d = str(updated)
+    path = _model_export(updated)
+    data = path.read_bytes()
+    message = "contents do not match the fingerprint"
+    if tamper == "truncate":
+        path.write_bytes(data[:-1])
+    elif tamper == "extend":
+        path.write_bytes(data + b"\0")
+    elif tamper == "alter":
+        middle = len(data) // 2
+        path.write_bytes(data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:])
+    else:
+        rows = len(r1cs.MAGIC) + 4 + 32 + 8
+        forged = data[:rows] + struct.pack("<I", 2**32 - 1) + data[rows + 4:]
+        fingerprint = hashlib.sha256(forged).hexdigest()
+        path.unlink()
+        path = path.with_name(f"{fingerprint}.r1cs")
+        path.write_bytes(forged)
+        params = updated / "pub" / "params.json"
+        obj = json.loads(params.read_text())
+        obj["circuits"]["model"] = fingerprint
+        params.write_text(json.dumps(obj))
+        proof = updated / "proofs" / "update_1.json"
+        obj = json.loads(proof.read_text())
+        obj["model_proof"]["fingerprint"] = fingerprint
+        proof.write_text(json.dumps(obj))
+        message = "r1cs export is truncated"
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 3
+    assert f"error: corrupt envelope: {path}: {message}" in capsys.readouterr().err
 
 
 def test_stored_circuit_records_must_match_the_config(workspace, updated, capsys):
@@ -1819,7 +1881,7 @@ def test_a_version_2_model_payload_is_rejected(workspace, updated, capsys, monke
     # The payload ends at the last nonzero free wire; zeros fill the rest.
     free = carried + [0] * (cs.num_free - len(carried))
     projection = [1, *statement, *free]
-    witness = cs.complete(projection)
+    witness = tuple(cs.complete(projection))
     kept = sorted({*cs.free_wires(), *range_bits})
     assert len(kept) == len(free) + len(range_bits)
     values = [*witness[: 1 + cs.num_public], *(witness[w] for w in kept)]

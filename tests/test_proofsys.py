@@ -232,7 +232,7 @@ def _update_blobs(pub, xs, ghosts=(100, 101)):
     out = []
     for rel, given in ((pub.model_relation, model_given), (pub.data_relation, data_given)):
         blob = pub.backend.prove(rel, given)
-        out.append((rel, rel.circuit.complete(given), blob))
+        out.append((rel, tuple(rel.circuit.complete(given)), blob))
     return out
 
 
@@ -371,7 +371,7 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
     )
     rel, backend = pub.model_relation, pub.backend
     honest_given = model_projection(pub.config, dataset)[0]
-    honest = rel.circuit.complete(honest_given)
+    honest = tuple(rel.circuit.complete(honest_given))
     # The same dataset with in-range data other than the padding in the
     # absent slot, the last: presence 0, then its uid, features and label.
     other = DataPoint(7, (fx_encode(-0.25, scale),) * arity, fx_encode(1, scale))
@@ -381,7 +381,7 @@ def test_model_witness_with_other_absent_slot_data_never_verifies(
     # derive every other wire from it under the honest statement:
     # training skips the slot, so the statement is the same.
     monkeypatch.setattr(CircuitBuilder, "pin_absent", lambda *_: None)
-    forged = ModelCircuit(pub.config).cs.complete(given)
+    forged = tuple(ModelCircuit(pub.config).cs.complete(given))
     monkeypatch.undo()
     statement = statement_of(rel.circuit, honest)
     assert statement_of(rel.circuit, forged) == statement
@@ -576,7 +576,7 @@ def test_prove_against_the_stored_export(rel, honest, tmp_path, make_backend):
     # and keys, and released after each proof, as protocol.prove_update
     # does.
     store = SetupStore(tmp_path)
-    fingerprint = store.save_circuit(rel.circuit.export())
+    fingerprint = store.save_circuit(rel.circuit)
     backend = make_backend()
     store.save(backend.name, fingerprint, backend.setup(store.relation(backend.name, fingerprint)))
     stored = store.relation(backend.name, fingerprint)

@@ -27,6 +27,7 @@ from unlearn.protocol import (
     verify_unlearn,
     verify_update,
 )
+from unlearn.serialize import SetupStore, StateDir
 
 
 def pt(pub, uid, x, y):
@@ -325,3 +326,32 @@ def test_admission_refuses_a_digest_equal_to_an_absent_slot_tag(fast_pub, monkey
             admit()
     assert state.pending_add == (pt(fast_pub, 1, 0.5, 1),)
     assert queue_add(state, points[0], fast_pub).pending_add[-1] == points[0]
+
+
+def test_verify_update_holds_one_circuit_at_a_time(fast_pub, tmp_path, monkeypatch):
+    # On parameters loaded from a state directory, each relation's rows
+    # are released after its verify, so the model circuit is gone before
+    # the data circuit loads; global_setup's parameters keep the circuits
+    # they were given.
+    store = StateDir(tmp_path)
+    pub = protocol.global_setup(fast_pub.config, setup_store=store.setup_store)
+    store.save_params(pub)
+    state, com_0, _ = server_init(pub)
+    state = queue_add(state, pt(pub, 1, 0.5, 1), pub)
+    _, _, com_1, proof = prove_update(state, pub)
+    loaded = store.load_public_params()
+    relations = (loaded.model_relation, loaded.data_relation)
+    held_at_load = []
+    load_circuit = SetupStore.load_circuit
+
+    def counted(self, fingerprint):
+        held_at_load.append([rel._circuit is not None for rel in relations])
+        return load_circuit(self, fingerprint)
+
+    monkeypatch.setattr(SetupStore, "load_circuit", counted)
+    assert verify_update(loaded, com_0, com_1, proof)
+    assert held_at_load == [[False, False], [False, False]]
+    assert [rel._circuit for rel in relations] == [None, None]
+    assert verify_update(pub, com_0, com_1, proof)
+    assert pub.model_relation.circuit is pub.model_circuit.cs
+    assert pub.data_relation.circuit is pub.data_circuit.cs

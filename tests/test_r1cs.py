@@ -1,5 +1,6 @@
 import functools
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +230,27 @@ def test_from_export_is_strict():
             ConstraintSystem.from_export(bad)
 
 
+def test_a_forged_size_allocates_no_more_than_the_input_holds():
+    # Each array is sized from the input only once the rest of the input
+    # holds it: a header claiming 2^32 - 1 rows or coefficients, or a row
+    # claiming 2^32 - 1 terms, is refused as truncated without allocating
+    # anything near that size.
+    good = encode()
+    huge = struct.pack("<I", 2**32 - 1)
+    rows_at = len(MAGIC) + 4 + 32 + 8  # after the magic, k, modulus, wires and public
+    first_count_at = rows_at + 8 + 2 * 32  # after rows, coefficients and the table
+    for at in (rows_at, rows_at + 4, first_count_at):
+        forged = good[:at] + huge + good[at + 4:]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                ConstraintSystem.from_export(forged)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, at
+
+
 def test_constraints_view():
     cs = ConstraintSystem(P)
     x, y = cs.alloc_private(name="x"), cs.alloc_private(name="y")
@@ -299,7 +321,7 @@ def test_rule_splits_free_and_defined_wires():
     witness = CHAIN
     assert is_satisfied(cs, witness) and failing_rows(cs, witness) == []
     assert project(cs, witness) == [1, 100, 2, 1]
-    assert cs.complete([1, 100, 2, 1]) == witness
+    assert tuple(cs.complete([1, 100, 2, 1])) == witness
 
 
 def test_a_defining_row_places_the_free_wires_below_its_own():
@@ -312,7 +334,7 @@ def test_a_defining_row_places_the_free_wires_below_its_own():
     cs.enforce({x: 1}, {x: 1}, {u: -1, w: 1})
     cs.finalize()
     assert cs.free_wires() == [x, u]
-    assert cs.complete([1, 3, 5]) == (1, 3, 5, 14)
+    assert tuple(cs.complete([1, 3, 5])) == (1, 3, 5, 14)
 
 
 @pytest.mark.parametrize(
@@ -403,7 +425,7 @@ def test_a_wire_below_a_later_rows_wire_is_free():
     assert cs.free_wires() == [x, z, big]
     witness = (1, 3, 9, 5)
     assert project(cs, witness) == list(witness)
-    assert cs.complete(project(cs, witness)) == witness
+    assert tuple(cs.complete(project(cs, witness))) == witness
 
 
 def digit_system(width: int, booleans: bool = True) -> ConstraintSystem:
@@ -427,8 +449,8 @@ def test_a_sum_row_defines_its_bits_as_binary_digits():
     assert cs.free_wires() == [1]
     assert is_satisfied(cs, digits) and failing_rows(cs, digits) == []
     assert project(cs, digits) == [1, 0b1011]
-    assert cs.complete([1, 0b1011]) == digits
-    assert cs.complete([1, 0]) == (1, 0, 0, 0, 0, 0)
+    assert tuple(cs.complete([1, 0b1011])) == digits
+    assert tuple(cs.complete([1, 0])) == (1, 0, 0, 0, 0, 0)
     # No four digits make 16, nor p - 1: the sum row is refused.
     for value in (16, P - 1):
         with pytest.raises(Unsatisfied) as refused:
@@ -448,7 +470,7 @@ def test_check_follows_satisfying_bits_that_are_not_digits():
         forged = (1, 2, 2, 0)
         assert failing_rows(cs, forged) == failing
         assert project(cs, forged) == [1, 2]
-        assert cs.complete([1, 2]) == digits
+        assert tuple(cs.complete([1, 2])) == digits
         assert not is_satisfied(cs, forged)
     # Bits that do not sum to x fail the sum row itself.
     cs = digit_system(2)
@@ -500,8 +522,8 @@ def test_an_inverting_row_defines_its_wire():
     # defines v as (s - 2)^-1, so only x is free.
     cs, x, v = inverse_system()
     assert cs.free_wires() == [x] and cs.num_free == 1
-    assert cs._defining_rows() == [(0, 2, 1), (1, v, 0)]
-    witness = cs.complete([1, 3])
+    assert list(zip(*cs._defining_rows())) == [(0, 2, 1), (1, v, 0)]
+    witness = tuple(cs.complete([1, 3]))
     assert witness == (1, 3, 9, pow(7, -1, P))
     assert is_satisfied(cs, witness) and failing_rows(cs, witness) == []
     assert project(cs, witness) == [1, 3]
@@ -529,7 +551,7 @@ def test_an_inverting_row_of_zero_names_its_row():
         assert refused.value.row == 1
         for guess in (0, 1, P - 1):
             assert failing_rows(cs, (1, zero, zero * zero, guess)) == [1]
-    assert cs.complete([1, 3]) == (1, 3, 9, pow(3, -1, P))
+    assert tuple(cs.complete([1, 3])) == (1, 3, 9, pow(3, -1, P))
 
 
 @pytest.mark.parametrize(
@@ -551,7 +573,7 @@ def test_only_an_inverting_row_of_one_wire_and_constant_one_defines(b, c):
     # checked like any other.
     cs, x, v = inverse_system(b, c)
     assert cs.free_wires() == [x, v] and cs.num_free == 2
-    assert cs._defining_rows() == [(0, 2, 1)]
+    assert list(zip(*cs._defining_rows())) == [(0, 2, 1)]
 
 
 def test_a_wire_already_read_is_not_inverted():
@@ -564,7 +586,7 @@ def test_a_wire_already_read_is_not_inverted():
     cs.enforce({x: 1}, {v: 1}, {0: 1})
     cs.finalize()
     assert cs.free_wires() == [x, v]
-    assert cs.complete([1, 1, 1]) == (1, 1, 1)
+    assert tuple(cs.complete([1, 1, 1])) == (1, 1, 1)
     with pytest.raises(Unsatisfied) as refused:
         cs.complete([1, 1, P - 1])
     assert refused.value.row == 1
@@ -579,10 +601,10 @@ def test_loaded_systems_find_the_same_defining_rows(fast_pub):
         assert loaded._defining_rows() == system._defining_rows()
         assert loaded.free_wires() == system.free_wires()
     # The data circuit inverts once, in its last row; the model never.
-    [inverting] = [d for d in fast_pub.data_circuit.cs._defining_rows() if not d[2]]
+    [inverting] = [d for d in zip(*fast_pub.data_circuit.cs._defining_rows()) if not d[2]]
     data = fast_pub.data_circuit.cs
     assert inverting == (data.num_constraints - 1, data.num_wires - 1, 0)
-    assert all(d[2] for d in fast_pub.model_circuit.cs._defining_rows())
+    assert all(d[2] for d in zip(*fast_pub.model_circuit.cs._defining_rows()))
 
 
 FAST_KINDS = {"linear": 0, "logistic": 0, "nn": 2}
@@ -635,7 +657,7 @@ def test_free_wires_and_rows_rebuild_the_witness(kind, xs, labels, trained, prev
     projections = (model_given, data_projection(config, *sets))
     for rows, given_values in zip(fast_rows(kind), projections):
         assert len(given_values) == 1 + rows.num_public + len(rows.free_wires())
-        witness = rows.complete(given_values)
+        witness = tuple(rows.complete(given_values))
         assert project(rows, witness) == given_values
         assert failing_rows(rows, witness) == []
 

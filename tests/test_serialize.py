@@ -1,5 +1,10 @@
+import hashlib
+
 import pytest
 
+from unlearn import r1cs
+from unlearn.circuits import DataCircuit, ModelCircuit
+from unlearn.cli import build_protocol_config
 from unlearn.field import ScaleConfig, fx_encode
 from unlearn.hashing import DataPoint, MembershipPath, hash_data_point
 from unlearn.proofsys import ProofBlob, SetupArtifacts
@@ -139,3 +144,33 @@ def test_state_dir_layout(tmp_path):
     assert sd.update_proof_file(2).name == "update_2.json"
     assert sd.unlearn_proof_file(2, 7).name == "unlearn_2_7.json"
     assert sd.params_file.parent.name == "pub"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"epochs": "10", "capacity": "8", "unlearn_capacity": "8"},
+        {"epochs": "1", "capacity": "16", "unlearn_capacity": "16"},
+        {"kind": "logistic", "arity": "2", "epochs": "2", "capacity": "2",
+         "unlearn_capacity": "2"},
+        {"kind": "nn", "hidden": "2", "arity": "2", "epochs": "2", "capacity": "2",
+         "unlearn_capacity": "2"},
+    ],
+    ids=["cli-walkthrough", "cli-unlearn", "logistic", "nn-hidden-2"],
+)
+def test_stored_export_is_streamed_byte_for_byte(options, tmp_path, monkeypatch):
+    # setup writes each export to disk section by section, renumbering
+    # coefficient ids a chunk at a time, and hashes the chunks it writes:
+    # the file holds export()'s bytes under their SHA-256, whatever the
+    # chunk size, and loading it, hashed as it is read, gives them back.
+    config = build_protocol_config(options)
+    for circuit in (ModelCircuit, DataCircuit):
+        cs = circuit(config).cs
+        exported = cs.export()
+        for chunk in (r1cs._CHUNK, 1000):
+            monkeypatch.setattr(r1cs, "_CHUNK", chunk)
+            store = SetupStore(tmp_path / str(chunk))
+            fingerprint = store.save_circuit(cs)
+            assert fingerprint == hashlib.sha256(exported).hexdigest() == cs.fingerprint()
+            assert store.circuit_file(fingerprint).read_bytes() == exported
+            assert store.load_circuit(fingerprint).export() == exported
