@@ -8,11 +8,13 @@ Two interchangeable backends:
   (-p/2, p/2]: the constant is 1 and the statement is the blob's
   ``public_inputs``, so neither is repeated.  The list ends at the last
   nonzero free wire, so absent slots, pinned to zero and laid out after
-  the present ones, are not written.  The verifier pads the list with
-  zeros to the free-wire count the rows give
-  (``ConstraintSystem.num_free``), rebuilds the projection, derives the
-  rest in row order, each range check's bits as the binary digits of its
-  sum row, and checks every other constraint
+  the present ones, are not written, and each run of two or more zeros
+  before it, such as the absent training slots before an unlearnt
+  digest, is one entry.  The verifier refuses runs that reach past the
+  free-wire count the rows give (``ConstraintSystem.num_free``) before
+  it expands any, pads the list with zeros to that count, rebuilds the
+  projection, derives the rest in row order, each range check's bits as
+  the binary digits of its sum row, and checks every other constraint
   (``ConstraintSystem.complete``).
   Not succinct and not hiding, but exact and dependency-free;
   completeness and circuit-level tests run on it.  A deliberately broken
@@ -123,7 +125,6 @@ class RelationHandle:
 
 @dataclass(frozen=True)
 class ProofBlob:
-    backend: str
     fingerprint: str
     public_inputs: tuple[int, ...]
     proof_bytes: bytes
@@ -133,33 +134,72 @@ class ProofBlob:
 
 
 # The witness-check payload's format version.
-PAYLOAD_VERSION = 6
+PAYLOAD_VERSION = 7
+# A run of zeros is written as this prefix and the hex of its length, a
+# spelling no value has.
+_RUN = "0*"
 
 
 def _witness_payload(free: Sequence[int], modulus: int) -> bytes:
     """A witness-check payload: its version, then each of ``free`` as the
     lowercase hex of its signed representative in (-p/2, p/2], so -0.5 in
-    fixed point is ``-8000``; no values is ``"wires":[]``.  A prover
-    writes the free wires up to the last nonzero one."""
+    fixed point is ``-8000``, except that each maximal run of k >= 2
+    zeros is the one entry ``0*`` and the hex of k, so 14 zeros are
+    ``0*e``; no values is ``"wires":[]``.  A prover writes the free
+    wires up to the last nonzero one."""
     wires = []
+    zeros = 0
     for v in free:
         v %= modulus
+        if not v:
+            zeros += 1
+            continue
+        if zeros:
+            wires.append(_zeros(zeros))
+            zeros = 0
         wires.append(format(v - modulus if v > modulus >> 1 else v, "x"))
+    if zeros:
+        wires.append(_zeros(zeros))
     return json.dumps({"v": PAYLOAD_VERSION, "wires": wires}, separators=(",", ":")).encode()
 
 
-def _witness_values(payload: bytes, modulus: int) -> list[int]:
-    """The values of a witness-check payload, reduced mod ``modulus``:
-    the inverse of ``_witness_payload``.  Raises ValueError for anything
-    but the bytes ``_witness_payload`` writes for them."""
+def _zeros(k: int) -> str:
+    return "0" if k == 1 else f"{_RUN}{k:x}"
+
+
+def _run_length(entry) -> int:
+    """The number of zeros a run entry stands for, or 0 for a value.
+    Raises ValueError for a run entry the encoder does not write: a count
+    below 2, or one not spelled as ``format(k, "x")``."""
+    if entry[: len(_RUN)] != _RUN:
+        return 0
+    k = int(entry[len(_RUN):], 16)
+    if k < 2 or _zeros(k) != entry:
+        raise ValueError
+    return k
+
+
+def _witness_values(payload: bytes, modulus: int, limit: Optional[int] = None) -> list[int]:
+    """The values of a witness-check payload, reduced mod ``modulus``,
+    each run expanded: the inverse of ``_witness_payload``.  Raises
+    ValueError for anything but the bytes ``_witness_payload`` writes for
+    them, or for more than ``limit`` values, counted before any run is
+    expanded."""
     try:
-        values = [int(w, 16) % modulus for w in json.loads(payload)["wires"]]
+        entries = json.loads(payload)["wires"]
+        runs = [_run_length(w) for w in entries]
+        if limit is not None and sum(k or 1 for k in runs) > limit:
+            raise ValueError
+        values = []
+        for k, w in zip(runs, entries):
+            values += [0] * k if k else [int(w, 16) % modulus]
     except (ValueError, KeyError, TypeError, RecursionError):
         # RecursionError: JSON nested too deeply to decode.
         raise ValueError("not a witness-check payload") from None
     # int() also reads "0x1", "+1", "-0", " 1", "1_0", "A", "01" and the
-    # positive spelling of a negative value: only the bytes the encoder
-    # writes for these values are accepted.
+    # positive spelling of a negative value, and runs may be split or be
+    # runs of one: only the bytes the encoder writes for these values are
+    # accepted.
     if _witness_payload(values, modulus) != payload:
         raise ValueError("not the canonical witness-check payload of its values")
     return values
@@ -185,7 +225,7 @@ class WitnessCheckBackend:
         while free and not free[-1] % cs.modulus:
             free.pop()
         payload = _witness_payload(free, cs.modulus)
-        return ProofBlob(self.name, rel.fingerprint, witness[1:placed], payload)
+        return ProofBlob(rel.fingerprint, witness[1:placed], payload)
 
     def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
         if blob.fingerprint != rel.fingerprint:
@@ -199,14 +239,16 @@ class WitnessCheckBackend:
         cs = rel.circuit
         if len(statement) != cs.num_public:
             return False
+        # No run may reach past the free wires: the count is checked
+        # before any run is expanded.
+        n = cs.num_free
         try:
-            free = _witness_values(blob.proof_bytes, cs.modulus)
+            free = _witness_values(blob.proof_bytes, cs.modulus, n)
         except ValueError:
             return False
         # The list ends at its last nonzero value, so each projection has
         # one accepted payload.
-        n = cs.num_free
-        if len(free) > n or free[-1:] == [0]:
+        if free[-1:] == [0]:
             return False
         try:
             cs.complete((1, *statement, *free, *[0] * (n - len(free))))
@@ -315,7 +357,7 @@ class Groth16Backend:
             if proc.returncode != 0:
                 raise ProofSysError(f"prove failed: {proc.stderr.strip()}")
             statement = witness[1 : 1 + rel.circuit.num_public]
-            return ProofBlob(self.name, rel.fingerprint, statement, proof.read_bytes())
+            return ProofBlob(rel.fingerprint, statement, proof.read_bytes())
 
     def verify(self, rel: RelationHandle, statement: Sequence[int], blob: ProofBlob) -> bool:
         if blob.fingerprint != rel.fingerprint or blob.public_inputs != tuple(statement):

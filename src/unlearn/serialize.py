@@ -45,13 +45,14 @@ if TYPE_CHECKING:
 # check's sum row before its boolean rows, disjointness as one product
 # with one inverse its row defines, and the data circuit's inputs laid
 # out slot by slot, absent digests pinned to 0) is at 15, update proofs
-# (free wires only, range bits and the disjointness inverse derived, and
-# a witness-check payload that lists only the free wires, in signed hex,
-# up to the last nonzero one) at 14, state.json (one (uid, digest)
+# (free wires only, range bits and the disjointness inverse derived, a
+# witness-check payload that lists only the free wires, in signed hex,
+# up to the last nonzero one, each run of zeros as one entry, and no
+# backend name beside a proof) at 15, state.json (one (uid, digest)
 # record per unlearnt point, and no unlearnt point's data) at 9, every
 # other kind at 8.
 VERSION = 8
-UPDATE_PROOF_VERSION = 14
+UPDATE_PROOF_VERSION = 15
 PARAMS_VERSION = 15
 STATE_VERSION = 9
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
@@ -153,15 +154,14 @@ def commitment_from_dict(obj: dict, cfg: ScaleConfig) -> Commitment:
 
 def proof_blob_to_dict(blob: ProofBlob, cfg: ScaleConfig) -> dict:
     return {
-        "backend": blob.backend,
         "fingerprint": blob.fingerprint,
         "public_inputs": _hexes(blob.public_inputs, cfg),
         "proof_bytes": blob.proof_bytes.hex(),
     }
 
+
 def proof_blob_from_dict(obj: dict, cfg: ScaleConfig) -> ProofBlob:
     return ProofBlob(
-        backend=obj["backend"],
         fingerprint=obj["fingerprint"],
         public_inputs=tuple(_unhexes(obj["public_inputs"], cfg)),
         proof_bytes=bytes.fromhex(obj["proof_bytes"]),
@@ -518,8 +518,14 @@ class StateDir:
         return read_json(self.update_proof_file(0))["marker"]
 
     def load_update_proof(self, i: int) -> UpdateProof:
-        obj = read_json(self.update_proof_file(i), UPDATE_PROOF_VERSION)
-        return update_proof_from_dict(obj, _SCALE)
+        path = self.update_proof_file(i)
+        obj = read_json(path, UPDATE_PROOF_VERSION)
+        proof = update_proof_from_dict(obj, _SCALE)
+        if update_proof_to_dict(proof, _SCALE) != obj:
+            # A field this version does not write, such as an earlier
+            # version's backend, would be silently ignored.
+            raise EnvelopeError(f"{path}: fields other than those it writes")
+        return proof
 
     def save_unlearn_proof(self, proof: UnlearnProof) -> Path:
         """Write ``proof`` and return its path."""

@@ -964,14 +964,14 @@ VERSION_8_FILES = {
     "commitments/com_2.json": "8ce747ff3bfe7652dc371de293ee03680fa2e172871478f0524f3e98b4e83d66",
 }
 # SHA-256 of the other envelopes the same session writes, with the
-# unlearning proof of uid 2 after it: update proofs at version 14,
+# unlearning proof of uid 2 after it: update proofs at version 15,
 # params.json at 15, state.json at 9.  A change to the rows, their
 # order, the hash or a format changes some of them; it bumps that kind's
 # version and re-pins.
 CURRENT_FILES = {
     "proofs/update_0.json": "1ef47f71c1e2fcc52962f572e6ea0ebccbd5f9c0afa8c48e12114a31b9fb301d",
-    "proofs/update_1.json": "20f89dec2da7e2a1cce4c3b13e005e8486cc39e3221334b25a329a030362ef55",
-    "proofs/update_2.json": "ef7cfcc1636bcd3881083b2712b01879733ec8c9fe2f0dd13485c6334226f02b",
+    "proofs/update_1.json": "ca6b66c14e6823b2b5779543536906f190fe20fa12fd522afe9ee33a3dd9af3f",
+    "proofs/update_2.json": "4cb5d2f2aa7b09c6b1a0ceacf447dd7388cae555a4b136260acac0ac5437b4c7",
     "proofs/unlearn_2_2.json": "1f30502291a3c9a6a2b3edbb236b0254f7d5cc2511ccc6ef4ed7bac438cb041a",
     "pub/params.json": "a4a5db0d5972db4d82f676918c70240fb962eb37e69cd63bfdf5979f6d2012db",
     "state.json": "a5e3cf360d2380e2ebc107fb325e23200079d54de898e6f83691088064082f37",
@@ -1016,14 +1016,15 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     # version 9 the range bits, one of version 10 an inverse per pair of a
     # training and an unlearnt slot, one of version 11 the constant and
     # the statement beside the free wires, unsigned, one of version 12
-    # every free wire, trailing zeros included, and one of version 13 the
-    # data circuit's free disjointness inverse: refused as corrupt (exit
-    # 3), not judged a false proof (exit 1).  So is a state of version 8,
-    # which kept the last update's unlearnt points whole.
+    # every free wire, trailing zeros included, one of version 13 the
+    # data circuit's free disjointness inverse, and one of version 14
+    # each zero of a run and a backend name beside each proof: refused as
+    # corrupt (exit 3), not judged a false proof (exit 1).  So is a state
+    # of version 8, which kept the last update's unlearnt points whole.
     proof = d / "proofs" / "update_2.json"
     envelope = json.loads(proof.read_text())
-    assert envelope["version"] == UPDATE_PROOF_VERSION == 14
-    for old in (8, 9, 10, 11, 12, 13):
+    assert envelope["version"] == UPDATE_PROOF_VERSION == 15
+    for old in (8, 9, 10, 11, 12, 13, 14):
         proof.write_text(json.dumps({**envelope, "version": old}))
         capsys.readouterr()
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", "2") == 3
@@ -1254,11 +1255,13 @@ def test_bench_pins_the_update_proof_size(capsys):
     # not carry (2,930 bytes before, less the 8 of its hex ',"0"'); and
     # the data circuit's rows define its disjointness inverse, a full
     # field element the data payload no longer carries: 2,922 less 134.
+    # Neither payload holds a run of zeros, so dropping the backend name
+    # beside each proof, a line of 30 bytes, is all of 2,788 less 60.
     assert main(["bench", "--sizes", "10", "--json"]) == 0
     [entry] = json.loads(capsys.readouterr().out)["entries"]
     assert (entry["model_free_wires"], entry["data_free_wires"]) == (40, 23)
     assert entry["timings"]["verified"] == 1.0
-    assert entry["update_proof_bytes"] == 2788
+    assert entry["update_proof_bytes"] == 2728
 
 
 def test_commands_import_only_what_they_run(workspace, initialized):
@@ -1743,6 +1746,30 @@ def test_non_canonical_hex_is_corrupt(workspace, updated, capsys):
     assert "error: corrupt envelope: field element is not lowercase hex" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("edit", [
+    lambda e: e["model_proof"].update(backend="witness-check"),
+    lambda e: e["data_proof"].update(backend="witness-check"),
+    lambda e: e.update(backend="witness-check"),
+    lambda e: e["model_proof"].update(proof_bytes=e["model_proof"]["proof_bytes"].upper()),
+], ids=["model", "data", "envelope", "upper-hex"])
+def test_an_update_proof_with_fields_it_does_not_write_is_corrupt(workspace, updated, capsys,
+                                                                   edit):
+    # Version 14 wrote each proof's backend name, which no verifier read.
+    # Left in a current envelope it is corrupt state (exit 3), not
+    # ignored; so is any other text than the one the envelope writes.
+    path = StateDir(updated).update_proof_file(1)
+    honest = path.read_text()
+    envelope = json.loads(honest)
+    assert "backend" not in envelope["model_proof"] | envelope["data_proof"] | envelope
+    edit(envelope)
+    path.write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 3
+    assert "fields other than those it writes" in capsys.readouterr().err
+    path.write_text(honest)
+    assert run(workspace, "verify-update", "--dir", str(updated), "--iteration", "1") == 0
+
 def _payload(store: StateDir, iteration: int,
              proof: str = "model_proof") -> tuple[dict, dict, list[int]]:
     """An update proof's envelope, one of its two proofs and that proof's
@@ -1804,10 +1831,11 @@ def test_a_partly_filled_state_carries_only_its_live_slots(workspace, capsys):
 
 def test_a_partly_filled_data_payload_ends_at_the_last_unlearnt_digest(workspace, capsys):
     # Two live points and one deletion at capacity 8/8: the data payload
-    # lists the 8 training slots' presence bit and digest, absent ones as
-    # zeros, then the one unlearnt slot's presence bit, previous bit and
-    # digest, and stops there: the 7 absent unlearnt slots and the
-    # disjointness inverse, which its row defines, are not written.
+    # lists the 8 training slots' presence bit and digest, the 6 absent
+    # ones' 12 zeros as one entry, then the one unlearnt slot's presence
+    # bit, previous bit and digest, and stops there: the 7 absent
+    # unlearnt slots and the disjointness inverse, which its row defines,
+    # are not written.
     d = str(workspace / "three")
     (workspace / "three.csv").write_text("uid,f1,y\n1,0.5,1\n2,-0.25,1\n3,1.0,0\n")
     for args in (("setup", "--config", str(workspace / "conf")), ("init",),
@@ -1822,6 +1850,8 @@ def test_a_partly_filled_data_payload_ends_at_the_last_unlearnt_digest(workspace
     assert len(values) == 2 * 8 + 3
     assert values[:4:2] == [1, 1] and values[4:16] == [0] * 12
     assert values[16:] == [1, 0, hash_data_point(deleted, pub.hash_cfg)]
+    entries = json.loads(bytes.fromhex(envelope["data_proof"]["proof_bytes"]))["wires"]
+    assert len(entries) == 4 + 1 + 3 and entries[4] == "0*c"
     assert run(workspace, "verify-update", "--dir", d, "--iteration", "2") == 0
     honest = store.update_proof_file(2).read_text()
     for edit in (lambda v: v[:1] + [v[1] + 1] + v[2:], lambda v: v[:-1] + [v[-1] + 1],

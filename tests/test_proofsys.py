@@ -1,6 +1,10 @@
 import dataclasses
+import functools
+import itertools
 import json
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,7 +106,7 @@ def test_witness_check_blob_bitflips_never_verify(rel, honest):
 def test_unchecked_variant_accepts_garbage(rel, honest):
     backend = WitnessCheckBackend(check=False)
     statement, _ = honest
-    garbage = ProofBlob(backend.name, rel.fingerprint, statement, b"\x00")
+    garbage = ProofBlob(rel.fingerprint, statement, b"\x00")
     assert backend.verify(rel, statement, garbage)
     assert backend.name != WitnessCheckBackend().name
 
@@ -334,6 +338,119 @@ def test_witness_check_payload_ends_at_the_last_nonzero_wire(values):
     assert refused(values) == (end < len(values))
 
 
+@functools.lru_cache(maxsize=None)
+def cached_copy_relation(k: int) -> RelationHandle:
+    return copy_relation(k)
+
+
+def expected_entries(values) -> list[str]:
+    """The entries a payload lists for ``values``, spelled out here from
+    the format: each nonzero value in signed hex, each maximal run of k
+    zeros as "0" for k = 1 and "0*" and the hex of k otherwise."""
+    entries = []
+    for zero, group in itertools.groupby(values, lambda v: v % P == 0):
+        group = list(group)
+        if not zero:
+            entries += [signed_hex(v) for v in group]
+        else:
+            entries.append("0" if len(group) == 1 else f"0*{len(group):x}")
+    return entries
+
+
+NONZERO = st.one_of(st.sampled_from([1, HALF, HALF + 1, P - 1]), st.integers(1, P - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), NONZERO), max_size=5), st.integers(0, 40))
+@example([], 0)
+@example([], 40)
+@example([(40, 1)], 0)
+@example([(1, 5), (2, 6), (0, 7)], 1)
+@example([(0, P - 1), (14, 3)], 2)
+def test_witness_check_payload_writes_each_run_of_zeros_as_one_entry(pieces, tail):
+    # Zero runs of every length from 0 to 40, before, between and after
+    # nonzero values: the codec round-trips them, a run of two or more
+    # is one entry, and the prover's payload ends at the last nonzero
+    # value and verifies.
+    values = [v for zeros, v in pieces for v in [0] * zeros + [v]] + [0] * tail
+    written = _witness_payload(values, P)
+    assert written == payload(expected_entries(values))
+    assert _witness_values(written, P) == values
+    assert _witness_values(written, P, len(values)) == values
+    if values:
+        with pytest.raises(ValueError):
+            _witness_values(written, P, len(values) - 1)
+    rel, backend = cached_copy_relation(len(values)), WitnessCheckBackend()
+    statement = tuple(values)
+    blob = backend.prove(rel, [1, *statement, *values])
+    end = len(values) - tail
+    assert blob.proof_bytes == _witness_payload(values[:end], P)
+    assert backend.verify(rel, statement, blob)
+
+    def refused(entries):
+        forged = dataclasses.replace(blob, proof_bytes=payload(entries))
+        return not backend.verify(rel, statement, forged)
+
+    # The same values with a trailing run, or with one more zero.
+    assert refused(expected_entries(values[:end] + [0, 0]))
+    assert refused(expected_entries(values[:end] + [0]))
+    assert refused(expected_entries(values)) == (tail > 0)
+
+
+# Ten zeros, then 5, then two zeros the prover does not write: the free
+# wires of a 13-wire copy relation.
+RUN_VALUES = [0] * 10 + [5, 0, 0]
+
+
+@pytest.mark.parametrize("entries", [
+    ["0*1", "0*9", "5"],  # a run of one
+    ["0*9", "0", "5"], ["0", "0*9", "5"], ["0*4", "0*6", "5"],  # runs not maximal
+    ["0", "0", "0*8", "5"], ["0"] * 10 + ["5"],
+    ["0*a", "5", "0*2"], ["0*a", "5", "0", "0"], ["0*a", "5", "0"],  # a run or a zero at the end
+    ["0*a", "0*0", "5"], ["0*0", "0*a", "5"],  # a zero count
+    ["0*0a", "5"], ["0*00a", "5"],  # a count with leading zeros
+    ["0*A", "5"], ["0*+a", "5"], ["0* a", "5"], ["0*a ", "5"], ["0*0xa", "5"], ["0*a_", "5"],
+    ["-0*a", "5"], ["00*a", "5"], ["0**a", "5"], ["0*", "0*a", "5"], ["0*-2", "0*c", "5"],
+    ["0*a", "5", "0*2", "7"], ["0*a", "5", "0*3"], ["0*e"],  # past the free wires
+    ["0*a", "5", "0*1000000000000000"],
+])
+def test_witness_check_refuses_every_other_spelling_of_a_run(entries):
+    rel, backend = cached_copy_relation(len(RUN_VALUES)), WitnessCheckBackend()
+    statement = tuple(RUN_VALUES)
+    blob = backend.prove(rel, [1, *statement, *RUN_VALUES])
+    assert blob.proof_bytes == payload(["0*a", "5"])
+    assert backend.verify(rel, statement, blob)
+    forged = dataclasses.replace(blob, proof_bytes=payload(entries))
+    assert not backend.verify(rel, statement, forged)
+
+
+@pytest.mark.parametrize("entries", [
+    ["0*1000000000000000"],
+    ["5", "0*1000000000000000", "5"],
+    ["0*-fffffffffffffff", "0*1000000000000000", "5"],
+    ["0*2"] * 100,
+])
+def test_a_forged_run_count_expands_nothing(entries):
+    # A run of 2^60 zeros, alone, between values or behind a negative
+    # count that would cancel it in a sum, and runs that together reach
+    # past the free wires: each is refused before any run is expanded.
+    rel, backend = cached_copy_relation(len(RUN_VALUES)), WitnessCheckBackend()
+    statement = tuple(RUN_VALUES)
+    forged = ProofBlob(rel.fingerprint, statement, payload(entries))
+    rel.circuit.num_free  # the defining rows, found once and kept
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert not backend.verify(rel, statement, forged)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16 and elapsed < 0.5
+    with pytest.raises(ValueError):
+        _witness_values(forged.proof_bytes, P, rel.circuit.num_free)
+
+
 # -- one witness per statement ------------------------------------------------------
 # A second witness of an honest statement, differing only where the
 # statement cannot see it, must satisfy no stored rows and give no proof
@@ -347,7 +464,7 @@ def _unchecked_blob(rel, statement, given) -> ProofBlob:
     free = list(given[1 + len(statement):])
     while free and not free[-1] % P:
         free.pop()
-    return ProofBlob("witness-check", rel.fingerprint, tuple(statement), _witness_payload(free, P))
+    return ProofBlob(rel.fingerprint, tuple(statement), _witness_payload(free, P))
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ def test_commitment_roundtrip():
 
 
 def test_proof_blob_roundtrip():
-    blob = ProofBlob("snark", "ab" * 32, (1, 2, 3), b"\x00\xffproof")
+    blob = ProofBlob("ab" * 32, (1, 2, 3), b"\x00\xffproof")
     assert proof_blob_from_dict(proof_blob_to_dict(blob, CFG), CFG) == blob
 
 
