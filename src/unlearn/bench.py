@@ -11,7 +11,8 @@ and unlearns the other points, proving against the stored circuits
 commands do, with its SHA-256-checked circuit exports.  The constraint,
 private-wire and nonzero-term counts are those of the circuits
 ``global_setup`` built, with their free wires, whose values are what a
-witness-check proof carries; ``update_proof_bytes`` is the length of the
+witness-check proof carries, and the rows ``complete`` walks one by one
+outside the certified blocks; ``update_proof_bytes`` is the length of the
 update-proof envelope ``update`` would write.
 """
 
@@ -60,6 +61,10 @@ class BenchEntry:
     # The private wires no row defines: what a witness-check proof carries.
     model_free_wires: int
     data_free_wires: int
+    # The rows ``complete`` evaluates one by one: all but the certified
+    # boolean runs and MiMC round chains.
+    model_walked_rows: int
+    data_walked_rows: int
     # None when only the counts were taken.
     update_proof_bytes: Optional[int] = None
     timings: dict = dc_field(default_factory=dict)
@@ -102,6 +107,8 @@ def _bench_size(config: ProtocolConfig, store: StateDir, counts_only: bool) -> B
         data_terms=data.term_count,
         model_free_wires=len(pub.model_relation.circuit.free_wires()),
         data_free_wires=len(pub.data_relation.circuit.free_wires()),
+        model_walked_rows=pub.model_relation.circuit.walked_rows,
+        data_walked_rows=pub.data_relation.circuit.walked_rows,
     )
     if counts_only:
         return entry

@@ -22,7 +22,10 @@ and write them with one ``ConstraintSystem.enforce_block``, which checks
 the block as a whole; every other row goes through
 ``ConstraintSystem.enforce``, which checks it term by term.  Written row
 by row through ``enforce``, both gadgets give the same export: that is
-the reference the tests hold them to.
+the reference the tests hold them to.  The walk that completes a witness
+(``walk``) certifies exactly these rows, a call's boolean rows and its
+rounds, and skips or computes them natively; rows laid out otherwise are
+walked one by one, which ``test_benchmark_config_blocks`` would show.
 """
 
 from __future__ import annotations

@@ -43,6 +43,18 @@ the rows, or raises Unsatisfied naming the first row that fails.  It is
 the only evaluator of rows: a prover that holds the stored rows computes
 a projection from its inputs and completes it, which is also its check,
 and a witness-check verifier completes the projection a proof carries.
+
+Most rows are not evaluated one by one.  The pass that finds the
+defining rows (``walk.scan``) also certifies, from the rows alone, the
+blocks the gadgets write for most of every circuit: a *boolean run*, a
+sum row's n digit rows b * (1 - b) = 0 in digit order, and a *round
+chain*, the 3R rows of one MiMC permutation, each defining its wire.
+The walk skips a run, whose rows hold for the 0s and 1s the sum row has
+just set, and computes a chain's wires in the native round loop, the
+values its rows define; it evaluates every other row in order.  So it
+returns the same witness and names the same first failing row as a walk
+row by row, and the strict load checks in-row order only outside the
+blocks, whose rows the certificate compared exactly.
 """
 
 from __future__ import annotations
@@ -57,10 +69,13 @@ from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, tee
-from operator import ge, lt, mul, sub
-from typing import BinaryIO, Iterator, Optional, Sequence
+from operator import ge, lt
+from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence
 
 from .hashing import sha256
+
+if TYPE_CHECKING:
+    from .walk import Scan
 
 LinComb = dict[int, int]
 # A block of rows in one matrix: each row's term count, then each term's
@@ -209,7 +224,7 @@ class ConstraintSystem:
         self._table: list[int] = []
         self._matrices = tuple(_Matrix(*(array(_U32_CODE) for _ in range(3))) for _ in range(3))
         self._finalized = False
-        self._defining: Optional[tuple[array, array, array]] = None
+        self._scanned = None  # the pass over the rows (``walk.Scan``), once finalized
 
     # -- building ----------------------------------------------------------
 
@@ -340,21 +355,6 @@ class ConstraintSystem:
         terms = sum(len(m.wires) for m in self._matrices)
         return CircuitStats(self.num_constraints, self.num_public, self.num_private, terms)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def _row_sums(self, values: Sequence[int]) -> Iterator[Iterator[int]]:
-        """<A,z>, <B,z> and <C,z> of each row in turn, unreduced.  Streams
-        the flat arrays: each row's terms are read, from ``values`` as it
-        is then, only when its sum is taken, and nothing is kept per row."""
-        table = self._coefficients()
-
-        def sums(m: _Matrix) -> Iterator[int]:
-            terms = map(mul, map(values.__getitem__, m.wires),
-                        map(table.__getitem__, m.coefficients))
-            return map(sum, map(islice, repeat(terms), m.counts))
-
-        return map(sums, self._matrices)
-
     # -- free and derived wires ---------------------------------------------------
 
     def _defining_rows(self) -> tuple[array, array, array]:
@@ -380,55 +380,28 @@ class ConstraintSystem:
         defines is *free*.
 
         Reads the rows only, never values, so every witness of one circuit
-        splits the same way.  Wire ids increase within a row, so a row's
-        largest wire in each matrix is its last term, read just before the
-        row's end offset; an empty row reads the row before it, which
-        raises no maximum, or nothing before a matrix's first term."""
-        if self._defining is not None:
-            return self._defining
-        a, b, c = self._matrices
-        a_wires, b_wires, c_wires, c_coefficients = a.wires, b.wires, c.wires, c.coefficients
-        # The ids of 2^0, 2^1, ...: a defining row's last coefficients, in
-        # order, and the number of wires each id ends.
-        ids = self._coefficient_ids
-        powers = [ids.get(1 << i, -1) for i in range(self.modulus.bit_length() - 1)]
-        widths = dict(zip(powers, count(1)))
-        one = powers[0]
-        top = self.num_public  # the largest wire so far: only private ones are defined
-        defining = tuple(array(_U32_CODE) for _ in range(3))
-        add_row, add_wire, add_width = (column.append for column in defining)
+        splits the same way: the one pass over the rows (``_scan``) finds
+        them."""
+        return self._scan().defining
 
-        def lasts(m: _Matrix) -> Iterator[int]:
-            # The index of each row's last term: -1 before the first term.
-            return islice(accumulate(m.counts, initial=-1), 1, None)
+    def _scan(self) -> "Scan":
+        """The pass over the rows (``walk.scan``): the defining rows, the
+        certified blocks and the largest wire; kept once the system is
+        finalized, as rows can no longer change."""
+        if self._scanned is not None:
+            return self._scanned
+        from .walk import scan
 
-        for row, last_a, last_b, last_c, terms_c in zip(
-            count(), lasts(a), lasts(b), lasts(c), c.counts
-        ):
-            if last_a >= 0 and a_wires[last_a] > top:
-                top = a_wires[last_a]
-            if last_b >= 0 and b_wires[last_b] > top:
-                top = b_wires[last_b]
-                # Only an inverting row has a new wire in B.
-                if (
-                    b.counts[row] == 1 == terms_c
-                    and b.coefficients[last_b] == one == c_coefficients[last_c]
-                    and c_wires[last_c] == 0
-                ):
-                    add_row(row), add_wire(top), add_width(0)
-            if last_c >= 0 and c_wires[last_c] > top:
-                w = c_wires[last_c]
-                n = widths.get(c_coefficients[last_c], 0)
-                if n == 1 or (
-                    1 < n <= terms_c
-                    and c_wires[last_c - n + 1] == w - n + 1 > top
-                    and c_coefficients[last_c - n + 1:last_c + 1].tolist() == powers[:n]
-                ):
-                    add_row(row), add_wire(w - n + 1), add_width(n)
-                top = w
+        scanned = scan(self)
         if self._finalized:
-            self._defining = defining
-        return defining
+            self._scanned = scanned
+        return scanned
+
+    @property
+    def walked_rows(self) -> int:
+        """The rows ``complete`` evaluates one by one: every row but those
+        of the certified blocks."""
+        return self.num_constraints - sum(b.end - b.row for b in self._scan().blocks)
 
     def free_wires(self) -> list[int]:
         """The private wires no row defines, in increasing order."""
@@ -450,58 +423,30 @@ class ConstraintSystem:
         is ``given``: field elements, the constant, the statement, then
         the free wires in increasing order.  Raises Unsatisfied, naming
         the first row that fails, if there is none.  One walk over the
-        rows: before each defining row, the free wires below its wires
-        take the next values of ``given``, the rows since the last
-        defining row must hold, and the row assigns its wires from r =
-        <A_i,z> * <B_i,z> - <C_i - its wires, z> mod p, the sums taken
-        with its wires at 0: one wire takes r, and n wires take the n
-        binary digits of r, which fails the row if r >= 2^n; an inverting
-        row's wire takes <A_i,z>^-1, which fails the row if <A_i,z> is 0.
-        Rows after the last defining row must hold once every free wire
-        is placed.  Returns the list the walk filled, not a copy."""
-        placed = 1 + self.num_public
-        z = list(given[:placed])
-        if len(z) != placed or z[0] != 1:
-            raise Unsatisfied(None)
-        p = self.modulus
-        a, b, c = self._row_sums(z)
-        residues = map(p.__rmod__, map(sub, map(mul, a, b), c))
-        checked = 0  # rows walked so far
-        for row, w, n in zip(*self._defining_rows()):
-            need = w - len(z)
-            if need:
-                z += given[placed:placed + need]
-                placed += need
-                if len(z) != w:
-                    raise Unsatisfied(None)
-            # These rows read only wires below w, all placed by now.  any()
-            # stops at the first that fails; the rows it left give its index.
-            rows = islice(residues, row - checked)
-            if any(rows):
-                raise Unsatisfied(row - 1 - sum(1 for _ in rows))
-            if n:
-                z += [0] * n
-                value = (next(a) * next(b) - next(c)) % p
-                if n == 1:
-                    z[w] = value
-                elif value >> n:
-                    raise Unsatisfied(row)
-                else:
-                    z[w:] = map(int, reversed(f"{value:0{n}b}"))
-            else:
-                z.append(0)
-                value = next(a) % p
-                next(b), next(c)  # <B,z> reads w, still 0; C is 1
-                if not value:
-                    raise Unsatisfied(row)
-                z[w] = pow(value, -1, p)
-            checked = row + 1
-        z += given[placed:]
-        if len(z) != self._num_wires:
-            raise Unsatisfied(None)
-        if any(residues):
-            raise Unsatisfied(self.num_constraints - 1 - sum(1 for _ in residues))
-        return z
+        rows (``walk.complete``): before each defining row, the free wires
+        below its wires take the next values of ``given``, the rows since
+        the last defining row must hold, and the row assigns its wires
+        from r = <A_i,z> * <B_i,z> - <C_i - its wires, z> mod p, the sums
+        taken with its wires at 0: one wire takes r, and n wires take the
+        n binary digits of r, which fails the row if r >= 2^n; an
+        inverting row's wire takes <A_i,z>^-1, which fails the row if
+        <A_i,z> is 0.  Rows after the last defining row must hold once
+        every free wire is placed.  Returns the list the walk filled, not
+        a copy.
+
+        The certified blocks (``walk``) are not evaluated row by row, and
+        the walk is the same: every row of a block holds for exactly the
+        values the walk gives its wires.  A boolean run's rows b * (1 - b)
+        = 0 read only digits its sum row has just set to 0 or 1.  A round
+        chain's rows each define their wire as the row-by-row walk would,
+        from the same sums mod p, and the native round loop computes
+        those values.  So no row of a block can fail, every other row is
+        checked in row order as before, and ``complete`` returns the same
+        list, which is what Groth16 proves, and names the same first
+        failing row for every input."""
+        from .walk import complete
+
+        return complete(self, given)
 
     # -- canonical export ------------------------------------------------------
 
@@ -592,9 +537,13 @@ class ConstraintSystem:
 
     def _check_loaded(self) -> None:
         """The checks of ``read_export`` that read the whole rows: the
-        table increasing and in [1, modulus), each matrix's wires and
-        coefficient ids in range and its wires increasing within each
-        row, and every coefficient used."""
+        table increasing and in [1, modulus), each matrix's coefficient
+        ids in range, every coefficient used, the wires increasing within
+        each row and in range.  They share the pass ``complete`` walks by
+        (``_scan``): in-row order is checked for the rows outside its
+        certified blocks only, whose rows it compared with the gadgets'
+        exactly, and the wire range by the largest wire it found, the
+        last of some row once every row increases."""
         table = self._table
         if not _increasing(table):
             raise ValueError("r1cs coefficient table is not strictly increasing")
@@ -603,16 +552,21 @@ class ConstraintSystem:
         used = set()
         for name, m in zip("ABC", self._matrices):
             ids = set(m.coefficients)
-            if m.wires:
-                if max(m.wires) >= self._num_wires:
-                    raise ValueError(f"matrix {name}: wire out of range")
-                if max(ids) >= len(table):
-                    raise ValueError(f"matrix {name}: coefficient id out of range")
-                if not m.rows_increasing():
-                    raise ValueError(f"matrix {name}: wires repeated or out of order in a row")
+            if ids and max(ids) >= len(table):
+                raise ValueError(f"matrix {name}: coefficient id out of range")
             used |= ids
         if len(used) != len(table):
             raise ValueError("r1cs coefficient table has unused entries")
+        from .walk import checked_rows
+
+        scanned = self._scan()
+        for name, m in zip("ABC", checked_rows(self, scanned.blocks)):
+            if not m.rows_increasing():
+                raise ValueError(f"matrix {name}: wires repeated or out of order in a row")
+        if scanned.top >= self._num_wires:
+            for name, m in zip("ABC", self._matrices):
+                if m.wires and max(m.wires) >= self._num_wires:
+                    raise ValueError(f"matrix {name}: wire out of range")
 
 
 class _ExportReader:

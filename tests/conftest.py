@@ -335,6 +335,55 @@ def satisfied_at_wire(cs, witness, wire: int) -> bool:
     return all(_holds(cs, rows[i], witness) for i in touching[wire])
 
 
+def walk_rows(cs, given) -> list[int]:
+    """What ``cs.complete(given)`` returns or raises, for ``given`` of the
+    projection's length, computed one row at a time through
+    ``cs.constraints``: the free wires take ``given``'s values, each
+    defining row assigns its wires as ``complete``'s docstring states,
+    and every other row must hold on its own, in row order.  No row is
+    skipped and no wire computed natively: the reference for the walk
+    over certified blocks."""
+    p, placed = cs.modulus, 1 + cs.num_public
+    free = cs.free_wires()
+    if len(given) != placed + len(free) or given[0] != 1:
+        raise Unsatisfied(None)
+    z = [0] * cs.num_wires
+    z[:placed] = given[:placed]
+    for w, v in zip(free, given[placed:]):
+        z[w] = v
+    defining = {row: (w, n) for row, w, n in zip(*cs._defining_rows())}
+    for i, row in enumerate(_read(cs)[0]):
+        if i not in defining:
+            if not _holds(cs, row, z):
+                raise Unsatisfied(i)
+            continue
+        a, b, c = row
+        w, n = defining[i]
+        if not n:
+            value = lc_value(cs, a, z)
+            if not value:
+                raise Unsatisfied(i)
+            z[w] = pow(value, -1, p)
+            continue
+        # The row's own wires are still 0 in C.
+        value = (lc_value(cs, a, z) * lc_value(cs, b, z) - lc_value(cs, c, z)) % p
+        if n == 1:
+            z[w] = value
+        elif value >> n:
+            raise Unsatisfied(i)
+        else:
+            z[w:w + n] = [value >> k & 1 for k in range(n)]
+    return z
+
+
+def walk_outcome(walk, cs, given):
+    """``walk(cs, given)``'s list, or the row its Unsatisfied names."""
+    try:
+        return walk(cs, given)
+    except Unsatisfied as e:
+        return ("unsatisfied", e.row)
+
+
 def statement_of(cs, witness) -> tuple[int, ...]:
     """A completed witness's statement: the values of its public wires,
     which each circuit allocates first."""

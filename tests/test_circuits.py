@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -774,6 +775,42 @@ def test_benchmark_config_sizes(epochs, capacity, model, data, fingerprints):
         free = len(cs.free_wires())
         assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
         assert cs.fingerprint() == fingerprint
+
+
+@pytest.mark.parametrize(
+    "epochs,capacity,model,data",
+    [
+        # Each circuit's boolean runs and round chains, as (count, rows).
+        (10, 8, ((344, 18400), (17, 5610)), ((0, 0), (15, 4950))),
+        (1, 16, ((112, 5696), (33, 10890)), ((0, 0), (31, 10230))),
+    ],
+    ids=["cli-walkthrough", "cli-unlearn"],
+)
+def test_benchmark_config_blocks(epochs, capacity, model, data):
+    # The blocks the walk certifies in the benchmark workloads' circuits:
+    # every compression is one chain of the full rounds, and every sum row
+    # heads a run.  A gadget change that loses the walk's fast path fails
+    # here, before any timing shows it.
+    config = build_protocol_config(
+        {"epochs": str(epochs), "capacity": str(capacity), "unlearn_capacity": str(capacity)}
+    )
+    permute = CircuitBuilder.mimc_permute
+    for circuit, expected in zip((ModelCircuit, DataCircuit), (model, data)):
+        with mock.patch.object(
+            CircuitBuilder, "mimc_permute", autospec=True, side_effect=permute
+        ) as compressions:
+            cs = circuit(config).cs
+        blocks = cs._scan().blocks
+        runs = [b for b in blocks if not b.rounds]
+        chains = [b for b in blocks if b.rounds]
+        rows = lambda bs: (len(bs), sum(b.end - b.row for b in bs))
+        assert (rows(runs), rows(chains)) == expected
+        assert cs.walked_rows == cs.num_constraints - rows(runs)[1] - rows(chains)[1]
+        assert len(chains) == compressions.call_count
+        assert {b.rounds for b in chains} == {config.hash_cfg.rounds}
+        assert [b.row - 1 for b in runs] == [
+            i for i, row in enumerate(cs.constraints) if is_sum_row(row)
+        ]
 
 
 @pytest.mark.parametrize(

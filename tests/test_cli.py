@@ -580,6 +580,10 @@ def test_bench_reports_wires_and_terms_of_both_circuits(workspace, capsys):
         assert entry[f"{name}_free_wires"] == len(cs.free_wires())
     # Each model slot's presence, uid, feature and label.
     assert entry["model_free_wires"] == 3 * 4
+    # The rows complete walks one by one, outside the certified boolean
+    # runs (21 in the model) and round chains (7 and 3): 76 of 1,228 and
+    # 27 of 63.
+    assert (entry["model_walked_rows"], entry["data_walked_rows"]) == (76, 27)
     assert entry["timings"] == {}
 
 
