@@ -335,6 +335,45 @@ def satisfied_at_wire(cs, witness, wire: int) -> bool:
     return all(_holds(cs, rows[i], witness) for i in touching[wire])
 
 
+def defining_rows(cs) -> dict[int, tuple[int, int]]:
+    """The rows that define wires, read one by one through
+    ``cs.constraints`` by the ``r1cs`` docstring's three kinds, as {row:
+    (first wire, n)}: n = 1 for a row whose C ends in one new wire with
+    coefficient 1, n >= 2 for one whose C ends in n new consecutive wires
+    with coefficients 2^0 ... 2^(n-1), n below the modulus's bit length,
+    and n = 0 for a row that inverts: C exactly the constant 1 and B
+    exactly one new wire with coefficient 1.  A wire is new when it is
+    above every wire of the row's A and B, of every earlier row and of
+    the statement.  No slices and no blocks: the reference for the pass
+    ``complete`` walks by."""
+    out, top = {}, cs.num_public
+    for i, (a, b, c) in enumerate(_read(cs)[0]):
+        top = max(top, 0, *a)
+        [(v, one)] = b.items() if len(b) == 1 else [(0, 0)]
+        if c == {0: 1} and one == 1 and v > top:
+            out[i] = (v, 0)
+        top = max(top, 0, *b)
+        if not c or max(c) <= top:
+            continue
+        terms = sorted(c.items())
+        w, last = terms[-1]
+        n = last.bit_length()
+        if last == 1 << (n - 1) and n < cs.modulus.bit_length() and len(terms) >= n:
+            first = w - n + 1
+            if terms[-n:] == [(first + k, 1 << k) for k in range(n)] and first > top:
+                out[i] = (first, n)
+        top = w
+    return out
+
+
+def free_wires(cs) -> list[int]:
+    """The private wires no row defines (``defining_rows``), in order."""
+    defined = set()
+    for w, n in defining_rows(cs).values():
+        defined.update(range(w, w + max(n, 1)))
+    return [w for w in range(1 + cs.num_public, cs.num_wires) if w not in defined]
+
+
 def walk_rows(cs, given) -> list[int]:
     """What ``cs.complete(given)`` returns or raises, for ``given`` of the
     projection's length, computed one row at a time through
@@ -344,14 +383,14 @@ def walk_rows(cs, given) -> list[int]:
     skipped and no wire computed natively: the reference for the walk
     over certified blocks."""
     p, placed = cs.modulus, 1 + cs.num_public
-    free = cs.free_wires()
+    free = free_wires(cs)
     if len(given) != placed + len(free) or given[0] != 1:
         raise Unsatisfied(None)
     z = [0] * cs.num_wires
     z[:placed] = given[:placed]
     for w, v in zip(free, given[placed:]):
         z[w] = v
-    defining = {row: (w, n) for row, w, n in zip(*cs._defining_rows())}
+    defining = defining_rows(cs)
     for i, row in enumerate(_read(cs)[0]):
         if i not in defining:
             if not _holds(cs, row, z):
