@@ -15,11 +15,16 @@ of ``init`` and ``update``.  Commands parse their options, call
 * ``params.json``: the protocol config and each circuit's (model and
   data) fingerprint; the fixed-point format (``field``'s constants) is
   not in it, and no config key sets it;
-* ``circuits/<fingerprint>.r1cs``: each circuit's canonical binary
-  export, the bytes its fingerprint (SHA-256) is taken over: a header
-  (magic, modulus, wire, public, row and coefficient counts), the
-  coefficient table, then per matrix A, B, C the row term counts, wire
-  ids and coefficient ids as little-endian u32 arrays (see ``r1cs``);
+* ``circuits/<fingerprint>.r1cs``: each circuit's stored file, the
+  bytes its fingerprint (SHA-256) is taken over: a header (magic,
+  modulus, wire, public, row, coefficient and record counts), the
+  coefficient table, the records (one per range check's bit
+  decomposition and one per MiMC permutation, each with its row, width
+  or round count, first wire and combinations), then the rows outside
+  them, per matrix A, B, C the row term counts, wire ids and
+  coefficient ids as little-endian u32 arrays (see ``r1cs``).  The rows
+  the records stand for are not stored: ``ConstraintSystem.expand``
+  writes every row, the Groth16 helper's input;
 * ``setups/snark/<fingerprint>/pk.bin`` and ``vk.bin``: each circuit's
   Groth16 proving and verifying keys.  The witness-check backend has no
   keys and writes no ``setups/``.
@@ -43,8 +48,9 @@ the verifying keys.  ``init``, ``add``, ``delete``, ``prove-unlearn`` and
 benchmark and game modules are imported only by the commands that run
 them, so the others start without them.
 ``audit-setup`` rebuilds both circuits from the stored config and checks
-the stored fingerprints and exports, for anyone who wants to tie
-``pub/`` to the config.
+the stored fingerprints and files, and that each stored file loads and
+expands to the rebuilt circuit's rows (its row fingerprint), for anyone
+who wants to tie ``pub/`` to the config.
 
 Each command accepts ``--dir``, ``--json`` and only the options it reads
 (``COMMANDS``).  Exit codes: 0 success/accept, 1 reject (an
@@ -441,11 +447,13 @@ def cmd_verify_unlearn(args) -> int:
 
 def cmd_audit_setup(args) -> int:
     """Rebuild both circuits from the stored config and compare each with
-    its params.json fingerprint and its stored export, by SHA-256: the
-    rebuilt circuit is hashed, not exported, and dropped before the
-    stored file is read."""
+    its params.json fingerprint and its stored file, by SHA-256, and the
+    stored file's expansion with the rebuilt rows, by their row
+    fingerprints.  The rebuilt circuit is hashed, not exported, and
+    dropped before the stored file is read; a stored file the strict
+    load refuses fails the rows check."""
     from .circuits import DataCircuit, ModelCircuit
-    from .r1cs import fingerprint_of
+    from .r1cs import ConstraintSystem, fingerprint_of
 
     store = StateDir(args.dir)
     pub = load_pub(store)
@@ -454,11 +462,19 @@ def cmd_audit_setup(args) -> int:
         ("model", ModelCircuit, pub.model_relation),
         ("data", DataCircuit, pub.data_relation),
     ):
-        fingerprint = circuit(pub.config).cs.fingerprint()
+        cs = circuit(pub.config).cs
+        fingerprint, rows = cs.fingerprint(), cs.row_fingerprint()
+        del cs
         path = store.setup_store.circuit_file(rel.fingerprint)
+        stored = path.read_bytes() if path.is_file() else None
+        try:
+            expanded = stored is not None and ConstraintSystem.from_export(stored).row_fingerprint()
+        except ValueError:
+            expanded = None
         checks[name] = {
             "fingerprint": fingerprint == rel.fingerprint,
-            "export": path.is_file() and fingerprint_of(path.read_bytes()) == fingerprint,
+            "export": stored is not None and fingerprint_of(stored) == fingerprint,
+            "rows": expanded == rows,
         }
     failed = [f"{name} {what}" for name, c in checks.items() for what, ok in c.items() if not ok]
     emit(args, {"dir": str(store.root), "checks": checks, "accepted": not failed},

@@ -17,26 +17,24 @@ each value of an absent slot to a constant, so a padded circuit leaves
 no wire free of its inputs.
 
 Most rows of every circuit are range-check booleans and MiMC rounds.
-``bits`` and ``mimc_permute`` build each call's rows sorted and reduced
-and write them with one ``ConstraintSystem.enforce_block``, which checks
-the block as a whole; every other row goes through
-``ConstraintSystem.enforce``, which checks it term by term.  Written row
-by row through ``enforce``, both gadgets give the same export: that is
-the reference the tests hold them to.  The walk that completes a witness
-(``walk``) certifies exactly these rows, a call's boolean rows and its
-rounds, and skips or computes them natively; rows laid out otherwise are
-walked one by one, which ``test_benchmark_config_blocks`` would show.
+``bits`` and ``mimc_permute`` write each call as one record
+(``ConstraintSystem.run`` and ``chain``), which stores the call's
+combinations, width or round count and first wire, not its rows; every
+other row goes through ``ConstraintSystem.enforce``.  A record's
+expansion (``ConstraintSystem.expand``) is the rows both gadgets would
+write row by row through ``enforce``: that is the reference the tests
+hold them to.  The walk that completes a witness (``walk``) runs each
+record's kernel in place of its rows.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import repeat
 
 from .field import ScaleConfig
 from .hashing import TAG_MODEL, TAG_NODE, TAG_POINT, UID_BITS, HashConfig, empty_root
 from .hashing import point_layout, round_constants
-from .r1cs import Block, ConstraintSystem, LinComb
+from .r1cs import ConstraintSystem, LinComb
 
 
 def lc_const(v: int) -> LinComb:
@@ -52,21 +50,6 @@ def _terms(lc: LinComb, p: int) -> tuple[list[int], list[int]]:
     mod p, zeros dropped: the terms ``enforce`` would store for it."""
     terms = sorted((w, v % p) for w, v in lc.items() if v % p)
     return [w for w, _ in terms], [v for _, v in terms]
-
-
-def bit_rows(a: LinComb, wires: list[int], p: int) -> tuple[Block, Block, Block]:
-    """``CircuitBuilder.bits``' block for a and the bits ``wires``: the
-    sum row a * 1 = sum 2^i b_i, then b * (1 - b) = 0 for each bit b,
-    whose B is the constant and b with coefficient -1."""
-    n = len(wires)
-    a_wires, a_coefficients = _terms(a, p)
-    b_wires = [0] * (2 * n + 1)
-    b_wires[2::2] = wires
-    return (
-        ([len(a_wires), *repeat(1, n)], [*a_wires, *wires], [*a_coefficients, *repeat(1, n)]),
-        ([1, *repeat(2, n)], b_wires, [1, *(1, p - 1) * n]),
-        ([n, *repeat(0, n)], wires, [1 << i for i in range(n)]),
-    )
 
 
 class CircuitBuilder:
@@ -115,11 +98,10 @@ class CircuitBuilder:
         = sum 2^i b_i comes first, with the bits new in its C, so it
         defines them as a's binary digits (``r1cs``), and no witness
         satisfies it when a does not fit in ``width`` bits; the boolean
-        rows b * (1 - b) = 0 follow.  All width + 1 rows are one block."""
-        cs = self.cs
-        wires = [cs.alloc_private() for _ in range(width)]
-        cs.enforce_block(*bit_rows(a, wires, cs.modulus))
-        return wires
+        rows b * (1 - b) = 0 follow.  All width + 1 rows are one run
+        record."""
+        first = self.cs.run(_terms(a, self.cs.modulus), width)
+        return list(range(first, first + width))
 
     def value_range(self, a: LinComb) -> LinComb:
         """Enforce a in [-2^B, 2^B), B = scale.value_bits: the interval
@@ -166,39 +148,17 @@ class CircuitBuilder:
         u * u = u2, u2 * u2 = u4 and u4 * u = t', each defining its new
         wire; then t + key.  After the first round t is one wire above
         every wire of key, so u is key's sorted terms with c added to its
-        constant, then t.  All rounds' rows are one block."""
-        cs = self.cs
-        p = cs.modulus
+        constant, then t.  All rounds' rows are one chain record."""
+        p = self.cs.modulus
         wires, coefficients = _terms(key, p)
         constant = 0
         if wires[:1] == [0]:
             del wires[0]
             constant = coefficients.pop(0)
-        a, b, c = ([], [], []), ([], [], []), ([], [], [])
-        t = None  # the last round's output wire
-        for const in round_constants(self.hash_cfg.rounds):
-            if t is None:
-                u, u_coefficients = _terms(self.add(self.add(x, key), lc_const(const)), p)
-                if u and u[-1] >= cs.num_wires:
-                    # Refused before this call allocates it, as enforce would.
-                    raise ValueError(f"unallocated wire {u[-1]}")
-            elif k := (constant + const) % p:
-                u, u_coefficients = [0, *wires, t], [k, *coefficients, 1]
-            else:
-                u, u_coefficients = [*wires, t], [*coefficients, 1]
-            u2, u4, t = cs.alloc_private(), cs.alloc_private(), cs.alloc_private()
-            n = len(u)
-            a[0].extend((n, 1, 1))
-            a[1].extend((*u, u2, u4))
-            a[2].extend((*u_coefficients, 1, 1))
-            b[0].extend((n, 1, n))
-            b[1].extend((*u, u2, *u))
-            b[2].extend((*u_coefficients, 1, *u_coefficients))
-            c[1].extend((u2, u4, t))
-        c[0].extend(repeat(1, len(c[1])))
-        c[2].extend(repeat(1, len(c[1])))
-        cs.enforce_block(a, b, c)
-        return self.add(lc_wire(t), key)
+        rounds = self.hash_cfg.rounds
+        u = _terms(self.add(self.add(x, key), lc_const(round_constants(rounds)[0])), p)
+        first = self.cs.chain(u, (wires, coefficients), constant, rounds)
+        return self.add(lc_wire(first + 3 * rounds - 1), key)
 
     def _compress(self, key: LinComb, msg: LinComb) -> LinComb:
         return self.add(self.add(self.mimc_permute(msg, key), key), msg)

@@ -26,6 +26,9 @@ Two interchangeable backends:
   in-process per circuit shape and its trapdoor is never materialized
   outside the helper, which discards it on exit.  ``prove`` reads only
   the relation's proving key and ``verify`` only its verifying key.
+  The helper reads each circuit's row export
+  (``ConstraintSystem.expand``), every row with the records expanded,
+  not the stored file.
 
 Both backends' ``prove`` take a witness's projection, computed from the
 inputs (``circuits.model_projection`` and ``data_projection``), and
@@ -317,7 +320,7 @@ class Groth16Backend:
         if path is None or not path.exists():
             path = self._work() / f"{rel.fingerprint}.r1cs"
             with open(path, "wb") as fh:
-                rel.circuit.write_export(fh)
+                rel.circuit.expand(fh)
             self._r1cs_cache[rel.fingerprint] = path
         return path
 

@@ -2,24 +2,37 @@
 
 Constraints have the form <A,z> * <B,z> = <C,z> where z is the wire vector:
 wire 0 is the constant 1, wires 1..num_public are the statement, and the
-remainder are private.  Rows are stored in flat arrays in compressed
-sparse row form.  Per matrix A, B and C there are three ``array('I')``:
-the term count of each row, the wire ids (strictly increasing within a
-row) and coefficient ids into one table of the distinct nonzero
-coefficients.  Those arrays are also the export format, so building,
-fingerprinting, storing, loading and evaluating all use one encoding.
+remainder are private.  A system holds its rows in two forms, both
+sharing one table of the distinct nonzero coefficients:
 
-Two methods write rows.  ``enforce`` takes one row as three sparse dicts
-{wire: coeff}: it sorts each, reduces the coefficients, drops zeros and
-checks that every wire is allocated.  It is the reference, and any row
-may go through it.  ``enforce_block`` takes a block of rows already in
-the stored layout, sorted and reduced, and checks the block as a whole
-instead of term by term: no wire or count negative (the unsigned arrays
-refuse one), every wire allocated (by the greatest), the wires strictly
-increasing within each row, the terms adding up to the counts, and each
-coefficient new to the table in [1, p).  The gadgets that write most of a circuit's rows, bit
-decompositions and MiMC rounds, write each call's rows as one block,
-the same rows ``enforce`` would store one by one.
+* *records*, one per call of the two gadgets that write most of every
+  circuit's rows.  A *run record* is a bit decomposition: the sum row's
+  A combination a, the width n >= 2 and the first digit wire w, standing
+  for the sum row a * 1 = sum 2^i b_i over the digits w ... w+n-1 and
+  then b * (1 - b) = 0 for each digit in turn.  A *chain record* is one
+  MiMC permutation: round 0's u combination, the key's wire terms K, the
+  round count R and the first wire w, standing for 3R rows, per round u
+  * u = u2, u2 * u2 = u4 and u4 * u = t over the next three wires, each
+  later round's u being its constant k_r, K and the round before's t.
+  k_r is the key's constant plus ``hashing.round_constants(R)[r]``; the
+  record names the key's constant through k_1 (``Record.constant``).
+* *plain rows*, every other row, in compressed sparse row form: per
+  matrix A, B and C, the term count of each row, the wire ids (strictly
+  increasing within a row) and coefficient ids.
+
+``enforce`` writes one plain row from three sparse dicts {wire: coeff}:
+it sorts each, reduces the coefficients, drops zeros and checks that
+every wire is allocated.  ``run`` and ``chain`` append one record each,
+allocating its wires as one range, and check its terms as a whole.
+
+``expand`` writes every row in order, the records' rows as the gadgets
+wrote them row by row, in the *row export*: the flat layout below, which
+is the external proving backend's input, and whose SHA-256 is the *row
+fingerprint*.  ``export`` writes the *stored file*: the table, the
+records and the plain rows, each record with its place in the row order.
+Its SHA-256 is the circuit fingerprint, which ``params.json`` and every
+proof name.  ``read_export`` loads a stored file strictly: a file
+``export`` would not write is refused.
 
 A system holds rows only, never wire values: a circuit is built once
 from its shape, and every input gives the same export.  Statement wires
@@ -44,17 +57,16 @@ the only evaluator of rows: a prover that holds the stored rows computes
 a projection from its inputs and completes it, which is also its check,
 and a witness-check verifier completes the projection a proof carries.
 
-Most rows are not evaluated one by one.  The pass that finds the
-defining rows (``walk.scan``) also certifies, from the rows alone, the
-blocks the gadgets write for most of every circuit: a *boolean run*, a
-sum row's n digit rows b * (1 - b) = 0 in digit order, and a *round
-chain*, the 3R rows of one MiMC permutation, each defining its wire.
-The walk skips a run, whose rows hold for the 0s and 1s the sum row has
-just set, and computes a chain's wires in the native round loop, the
-values its rows define; it evaluates every other row in order.  So it
-returns the same witness and names the same first failing row as a walk
-row by row, and the strict load checks in-row order only outside the
-blocks, whose rows the certificate compared exactly.
+Every row of a record defines its wires or holds for them: a run's sum
+row defines its digits and its boolean rows hold for any 0 or 1, and
+each row of a chain defines its wire.  The walk (``walk``) runs each
+record's kernel instead of its rows, and evaluates every plain row in
+order.  Digits come only from run records: the strict load refuses plain
+rows that define n >= 2 digits, so every digit has the boolean row its
+record's expansion writes, and the relation has the one witness
+``complete`` returns for each projection.  What binds the free wires to
+the statement is the hash: MiMC's collision resistance and the
+injective packing of each point into limbs.
 """
 
 from __future__ import annotations
@@ -68,31 +80,46 @@ from collections import deque
 from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat, tee
+from itertools import accumulate, chain, compress, count, islice, repeat, tee
 from operator import ge, lt
-from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple, Optional, Sequence
 
-from .hashing import sha256
+from .hashing import round_constants, sha256
 
 if TYPE_CHECKING:
     from .walk import Scan
 
 LinComb = dict[int, int]
-# A block of rows in one matrix: each row's term count, then each term's
-# wire id and coefficient, row after row (``enforce_block``).
-Block = tuple[Sequence[int], Sequence[int], Sequence[int]]
+# A combination's terms as ``run`` and ``chain`` take them: the wires,
+# strictly increasing, and their coefficients, each in [1, modulus).
+Terms = tuple[Sequence[int], Sequence[int]]
 
-# export() layout, every integer little-endian:
-#   magic "unlearn-r1cs v2\n"
-#   k (u32), then the modulus in k bytes, k minimal
+# Both layouts, every integer little-endian, start with a magic line, k
+# (u32) and the modulus in k bytes, k minimal.
+#
+# expand(), the row export, then holds:
 #   wires, public, rows, coefficients (u32 each)
 #   the coefficient table: that many k-byte values, strictly increasing,
 #     each in [1, modulus) and each used by some term
 #   for A, B and C in turn: term counts (rows x u32), then wire ids and
 #     coefficient ids (one u32 per term each)
-MAGIC = b"unlearn-r1cs v2\n"
+#
+# export(), the stored file, then holds:
+#   wires, public, rows (all of them), coefficients, records (u32 each)
+#   the coefficient table, as above: the row export's
+#   the records in row order, _FIELDS u32s each: its first row, the
+#     round count (0 for a run), the width (0 for a chain), the first
+#     wire, the number of terms of a run's A or a chain's round-0 u, the
+#     number of the key's terms, and 1 + the id of round 1's constant
+#     (0 for a run, a one-round chain or a round 1 without one)
+#   the records' terms, record after record, each one's A or u terms
+#     then its key's: all their wire ids, then all their coefficient ids
+#   the plain rows, laid out as the row export's rows
+ROWS_MAGIC = b"unlearn-r1cs v2\n"
+MAGIC = b"unlearn-r1cs v3\n"
 _U32 = struct.Struct("<I")
-_COUNTS = struct.Struct("<4I")
+_FILE_COUNTS = struct.Struct("<5I")
+_FIELDS = 7
 _U32_CODE = "I" if array("I").itemsize == 4 else "L"
 _BIG_ENDIAN = sys.byteorder == "big"
 # Terms per chunk of a renumbered or byte-swapped array written out; an
@@ -142,25 +169,36 @@ class CircuitStats:
     constraint_count: int
     public_count: int
     private_count: int
-    term_count: int  # nonzero entries of A, B and C together
+    term_count: int  # nonzero entries of A, B and C together, records' rows included
+
+
+class Record(NamedTuple):
+    """One record, as ``ConstraintSystem.records`` lists them."""
+
+    row: int  # its first row
+    rounds: int  # a chain's round count, or 0 for a run
+    width: int  # a run's digit count, or 0 for a chain
+    first: int  # its first wire
+    terms: int  # where its A (a run) or round-0 u (a chain) starts in the record terms
+    key: int  # where its key's terms start: the end of A or u
+    end: int  # the end of its terms
+    constant: int  # 1 + the id of round 1's constant k_1, or 0 if it has none
+    plain: int  # the plain rows before it
+
+    @property
+    def rows(self) -> int:
+        return 3 * self.rounds if self.rounds else self.width + 1
+
+    @property
+    def defined(self) -> int:
+        """The wires it defines: its digits, or three per round."""
+        return 3 * self.rounds if self.rounds else self.width
 
 
 def _increasing(values) -> bool:
     ahead, behind = tee(values)
     next(ahead, None)
     return all(map(lt, behind, ahead))
-
-
-def _block_rows_increasing(counts: Sequence[int], wires: Sequence[int]) -> bool:
-    """Whether the wire ids of a block increase strictly within every row:
-    those of the whole block do, or each term whose wire is not above the
-    one before starts a row.  A block has few rows, so its row starts go
-    into a set; a whole matrix marks them in a bytearray instead
-    (``_Matrix.rows_increasing``)."""
-    if all(map(lt, wires, islice(wires, 1, None))):
-        return True
-    drops = compress(count(1), map(ge, wires, islice(wires, 1, None)))
-    return set(accumulate(counts)).issuperset(drops)
 
 
 class _Matrix:
@@ -194,9 +232,13 @@ class _Matrix:
         return all(map(starts.__getitem__, drops))
 
 
+def _u32s() -> array:
+    return array(_U32_CODE)
+
+
 class _Rows(SequenceABC):
-    """Read-only view of a system's rows: row i is its (A, B, C) linear
-    combinations as dicts, as ``enforce`` stored them."""
+    """Read-only view of a system's rows, records expanded: row i is its
+    (A, B, C) linear combinations as dicts, as ``enforce`` stores them."""
 
     __slots__ = ("_cs",)
 
@@ -222,9 +264,17 @@ class ConstraintSystem:
         # coefficients, brought up to date when read.
         self._coefficient_ids: dict[int, int] = {}
         self._table: list[int] = []
-        self._matrices = tuple(_Matrix(*(array(_U32_CODE) for _ in range(3))) for _ in range(3))
+        self._matrices = tuple(_Matrix(_u32s(), _u32s(), _u32s()) for _ in range(3))
+        # The records: _FIELDS u32s each (the stored layout's, ids in this
+        # system's numbering), then their terms' wires and coefficient ids.
+        self._records = _u32s()
+        self._record_wires, self._record_ids = _u32s(), _u32s()
+        self._record_rows = 0
         self._finalized = False
         self._scanned = None  # the pass over the rows (``walk.Scan``), once finalized
+        self._listed: Optional[list[Record]] = None
+        self._expanded: Optional[tuple[int, tuple[_Matrix, ...]]] = None
+        self._constants: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- building ----------------------------------------------------------
 
@@ -267,54 +317,76 @@ class ConstraintSystem:
                     n += 1
             m.counts.append(n)
 
-    def enforce_block(self, a: Block, b: Block, c: Block) -> None:
-        """Append a block of rows at once: for each of A, B and C, the
-        rows' term counts, then every term's wire and coefficient, row
-        after row, in the flat layout the system stores.  The rows are
-        those ``enforce`` would store one by one, so each row's wires
-        must increase strictly and each coefficient lie in [1, modulus).
-        The block is checked as a whole, not term by term, before
-        anything is stored, and refused as ``enforce`` refuses a row:
-        BuildPhaseClosed once finalized, ValueError for an unallocated
-        wire; and ValueError for terms that do not add up to the counts,
-        a negative count or wire, a repeated or unordered wire in a row,
-        or a coefficient out of range.  Coefficients already in the table
-        were checked when they entered it, so only new ones are."""
+    def _fresh(self, *terms: Terms) -> list[int]:
+        """Check the terms of a record before it stores anything, as
+        ``enforce`` checks a row: BuildPhaseClosed once finalized, and
+        ValueError for wires and coefficients of different lengths, wires
+        not strictly increasing, an unallocated wire, or a coefficient
+        new to the table outside [1, modulus).  Returns the new
+        coefficients."""
         if self._finalized:
             raise BuildPhaseClosed("constraint system is finalized")
-        blocks = (a, b, c)
-        rows = len(a[0])
-        arrays = []  # each matrix's counts and wire ids
-        for name, (counts, wires, coefficients) in zip("ABC", blocks):
-            if len(counts) != rows or not sum(counts) == len(wires) == len(coefficients):
-                raise ValueError(f"block {name}: terms do not match the row counts")
-            try:
-                arrays.append((array(_U32_CODE, counts), array(_U32_CODE, wires)))
-            except OverflowError:
-                raise ValueError(f"block {name}: a negative count or wire") from None
-            if wires:
-                if max(wires) >= self._num_wires:
-                    raise ValueError(f"unallocated wire {max(wires)}")
-                if not _block_rows_increasing(counts, wires):
-                    raise ValueError(f"block {name}: wires repeated or out of order in a row")
+        fresh: dict[int, None] = {}
         ids = self._coefficient_ids
+        for wires, coefficients in terms:
+            if len(wires) != len(coefficients):
+                raise ValueError("record terms: wires and coefficients do not match")
+            if not _increasing(wires):
+                raise ValueError("record terms: wires repeated or out of order")
+            if wires and not (wires[0] >= 0 and wires[-1] < self._num_wires):
+                raise ValueError(f"unallocated wire {wires[0] if wires[0] < 0 else wires[-1]}")
+            fresh.update(dict.fromkeys(v for v in coefficients if v not in ids))
+        if fresh and not (min(fresh) > 0 and max(fresh) < self.modulus):
+            raise ValueError("record coefficient is zero or not reduced")
+        return list(fresh)
 
-        def numbered() -> list[array]:
-            return [array(_U32_CODE, map(ids.__getitem__, block[2])) for block in blocks]
+    def _append(self, coefficients, rounds: int, width: int, terms: Terms, key_terms: int,
+                constant: Optional[int] = None) -> int:
+        """Store a checked record whose rows use ``coefficients`` besides
+        its terms', and allocate its wires; returns the first.  A chain
+        names the id of ``constant``, its k_1, if nonzero."""
+        ids = self._coefficient_ids
+        for v in coefficients:
+            ids.setdefault(v, len(ids))
+        first = self._num_wires
+        wires, values = list(terms[0]), list(terms[1])
+        self._records.extend((
+            self.num_constraints, rounds, width, first, len(wires) - key_terms, key_terms,
+            1 + ids[constant] if constant else 0,
+        ))
+        self._record_wires.extend(wires)
+        self._record_ids.extend(map(ids.__getitem__, values))
+        self._num_wires += 3 * rounds if rounds else width
+        self._record_rows += 3 * rounds if rounds else width + 1
+        return first
 
-        try:
-            coefficient_ids = numbered()
-        except KeyError:
-            # New coefficients: checked, then numbered in first-use order.
-            fresh = list(filterfalse(ids.__contains__, dict.fromkeys(chain(a[2], b[2], c[2]))))
-            if not (min(fresh) > 0 and max(fresh) < self.modulus):
-                raise ValueError("block coefficient is zero or not reduced") from None
-            ids.update(zip(fresh, count(len(ids))))
-            coefficient_ids = numbered()
-        for m, (counts, wires), coefficients in zip(self._matrices, arrays, coefficient_ids):
-            m.counts.extend(counts)
-            m.wires.extend(wires)
-            m.coefficients.extend(coefficients)
+    def run(self, a: Terms, width: int) -> int:
+        """Append a run record: the rows ``gadgets.CircuitBuilder.bits``
+        writes for a and ``width`` new digit wires, which it allocates.
+        ``a`` holds the sum row's A terms, sorted and reduced.  Returns
+        the first digit."""
+        fresh = self._fresh(a)
+        if not 2 <= width < self.modulus.bit_length():
+            raise ValueError(f"a run of {width} digits")
+        fixed = [*fresh, 1, self.modulus - 1, *(1 << i for i in range(width))]
+        return self._append(fixed, 0, width, a, 0)
+
+    def chain(self, u: Terms, key: Terms, key_constant: int, rounds: int) -> int:
+        """Append a chain record: the rows ``gadgets.CircuitBuilder.
+        mimc_permute`` writes for ``rounds`` rounds from round 0's u,
+        under the key whose wire terms are ``key`` (none of them the
+        constant wire 0) and whose constant is ``key_constant``.
+        Allocates its 3 * rounds wires; returns the first."""
+        fresh = self._fresh(u, key)
+        if rounds < 1:
+            raise ValueError(f"a chain of {rounds} rounds")
+        if key[0] and key[0][0] == 0:
+            raise ValueError("record terms: a key term on the constant wire")
+        p = self.modulus
+        constants = [(key_constant + c) % p for c in round_constants(rounds)[1:]]
+        terms = ([*u[0], *key[0]], [*u[1], *key[1]])
+        return self._append([*fresh, 1, *filter(None, constants)], rounds, 0, terms, len(key[0]),
+                            constants[0] if constants else None)
 
     def finalize(self) -> None:
         self._finalized = True
@@ -331,10 +403,11 @@ class ConstraintSystem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._matrices[0].counts)
+        return len(self._matrices[0].counts) + self._record_rows
 
     @property
     def constraints(self) -> _Rows:
+        """Every row, records expanded (``expand``)."""
         return _Rows(self)
 
     def _coefficients(self) -> list[int]:
@@ -342,17 +415,130 @@ class ConstraintSystem:
             self._table = list(self._coefficient_ids)
         return self._table
 
+    def records(self) -> list[Record]:
+        """The records in row order, each with where its terms lie and the
+        number of plain rows before it; kept once finalized."""
+        if self._listed is not None and len(self._listed) * _FIELDS == len(self._records):
+            return self._listed
+        f = self._records
+        out, terms, before = [], 0, 0
+        for row, rounds, width, first, n, k, constant in zip(*(f[i::_FIELDS] for i in range(_FIELDS))):
+            record = Record(row, rounds, width, first, terms, terms + n, terms + n + k, constant,
+                            row - before)
+            out.append(record)
+            terms = record.end
+            before += record.rows
+        if self._finalized:
+            self._listed = out
+        return out
+
+    def chain_constants(self, record: Record) -> tuple[int, ...]:
+        """A chain's round constants k_1 ... k_(R-1): the key's constant
+        plus each round constant, the key's constant being k_1 less the
+        first."""
+        key = (record.constant, record.rounds)
+        out = self._constants.get(key)
+        if out is None:
+            p = self.modulus
+            c = round_constants(record.rounds)
+            if record.rounds == 1:
+                out = ()
+            else:
+                k1 = self._coefficients()[record.constant - 1] if record.constant else 0
+                out = tuple((k1 - c[1] + v) % p for v in c[1:])
+            self._constants[key] = out
+        return out
+
+    def _rows_of(self, record: Record) -> tuple[tuple[list[int], list[int], list[int]], ...]:
+        """A record's rows, for A, B and C each as term counts, wire ids
+        and coefficient ids: the rows its gadget wrote row by row."""
+        ids = self._coefficient_ids
+        one = ids[1]
+        w = record.first
+        wires, coefficient_ids = self._record_wires, self._record_ids
+        if not record.rounds:
+            n = record.width
+            a_wires, a_ids = wires[record.terms:record.key], coefficient_ids[record.terms:record.key]
+            digits = range(w, w + n)
+            b_wires = [0] * (2 * n + 1)
+            b_wires[2::2] = digits
+            return (
+                ([len(a_wires), *repeat(1, n)], [*a_wires, *digits], [*a_ids, *repeat(one, n)]),
+                ([1, *repeat(2, n)], b_wires, [one, *(one, ids[self.modulus - 1]) * n]),
+                ([n, *repeat(0, n)], list(digits), [ids[1 << i] for i in range(n)]),
+            )
+        a, b, c = ([], [], []), ([], [], []), ([], [], [])
+        u = list(wires[record.terms:record.key])
+        u_ids = list(coefficient_ids[record.terms:record.key])
+        key = list(wires[record.key:record.end])
+        key_ids = list(coefficient_ids[record.key:record.end])
+        for r, k in enumerate((None, *self.chain_constants(record))):
+            if r:
+                t = w - 1
+                u, u_ids = [*key, t], [*key_ids, one]
+                if k:
+                    u, u_ids = [0, *u], [ids[k], *u_ids]
+            n = len(u)
+            a[0].extend((n, 1, 1))
+            a[1].extend((*u, w, w + 1))
+            a[2].extend((*u_ids, one, one))
+            b[0].extend((n, 1, n))
+            b[1].extend((*u, w, *u))
+            b[2].extend((*u_ids, one, *u_ids))
+            c[0].extend((1, 1, 1))
+            c[1].extend((w, w + 1, w + 2))
+            c[2].extend((one, one, one))
+            w += 3
+        return a, b, c
+
+    def _rows(self) -> tuple[_Matrix, ...]:
+        """Every row in order, records expanded, as three matrices; kept
+        until a row is added."""
+        records = self.records()
+        if not records:
+            return self._matrices
+        if self._expanded is not None and self._expanded[0] == self.num_constraints:
+            return self._expanded[1]
+        out = tuple(_Matrix(_u32s(), _u32s(), _u32s()) for _ in range(3))
+        row, terms = 0, [0, 0, 0]
+        for record in (*records, None):
+            end = len(self._matrices[0].counts) if record is None else record.plain
+            for j, (m, e) in enumerate(zip(self._matrices, out)):
+                lo = terms[j]
+                hi = lo + sum(m.counts[row:end])
+                e.counts += m.counts[row:end]
+                e.wires += m.wires[lo:hi]
+                e.coefficients += m.coefficients[lo:hi]
+                terms[j] = hi
+            row = end
+            if record is not None:
+                for e, block in zip(out, self._rows_of(record)):
+                    e.counts.extend(block[0])
+                    e.wires.extend(block[1])
+                    e.coefficients.extend(block[2])
+        self._expanded = (self.num_constraints, out)
+        return out
+
     def _row(self, i: int) -> tuple[LinComb, LinComb, LinComb]:
         """Constraint i as its three linear combinations."""
         table = self._coefficients()
         out = []
-        for m in self._matrices:
+        for m in self._rows():
             lo, hi = m.span(i)
             out.append(dict(zip(m.wires[lo:hi], map(table.__getitem__, m.coefficients[lo:hi]))))
         return tuple(out)
 
     def stats(self) -> CircuitStats:
         terms = sum(len(m.wires) for m in self._matrices)
+        for record in self.records():
+            n = record.key - record.terms
+            if not record.rounds:
+                terms += n + 4 * record.width + 1
+                continue
+            k = record.end - record.key
+            terms += 3 * n + 6
+            for constant in self.chain_constants(record):
+                terms += 3 * (k + 1 + bool(constant)) + 6
         return CircuitStats(self.num_constraints, self.num_public, self.num_private, terms)
 
     # -- free and derived wires ---------------------------------------------------
@@ -360,34 +546,49 @@ class ConstraintSystem:
     def _defining_rows(self) -> tuple[array, array, array]:
         """The rows that define wires, in row order, as three columns:
         each one's row, its first wire w and the number n of wires it
-        defines, or n = 0 for a row that inverts to define one wire; kept
-        once the system is finalized, as rows can no longer change.  Row i
-        *defines*
-        private wire w (n = 1) when w is the last term of C_i, with
-        coefficient 1, and above every wire of A_i, B_i and of all earlier
-        rows, so that w = <A_i,z> * <B_i,z> - <C_i - w, z> follows from
-        wires a walk in row order already knows.  It defines the n >= 2
-        wires w ... w+n-1 when they are the last n terms of C_i, with
-        coefficients 2^0 ... 2^(n-1), and w is above every wire of A_i,
-        B_i and of all earlier rows: they are the binary digits of <A_i,z>
-        * <B_i,z> less the rest of C_i, which is below 2^n if the row
-        holds.  n stays below the modulus's bit length, so the digits are
-        unique.  It *inverts* to define w (n = 0) when C_i is exactly the
-        constant 1 and B_i exactly w with coefficient 1, w above every wire
-        of A_i and of all earlier rows: w = <A_i,z>^-1, which no value is
-        when <A_i,z> is 0.  C_i is held to the constant 1 because w is
-        unique only where <C_i,z> cannot be 0.  Every private wire no row
-        defines is *free*.
+        defines, or n = 0 for a row that inverts to define one wire.  Row
+        i *defines* private wire w (n = 1) when w is the last term of C_i,
+        with coefficient 1, and above every wire of A_i, B_i and of all
+        earlier rows, so that w = <A_i,z> * <B_i,z> - <C_i - w, z>
+        follows from wires a walk in row order already knows.  It defines
+        the n >= 2 wires w ... w+n-1 when they are the last n terms of
+        C_i, with coefficients 2^0 ... 2^(n-1), and w is above every wire
+        of A_i, B_i and of all earlier rows: they are the binary digits of
+        <A_i,z> * <B_i,z> less the rest of C_i, which is below 2^n if the
+        row holds.  n stays below the modulus's bit length, so the digits
+        are unique.  It *inverts* to define w (n = 0) when C_i is exactly
+        the constant 1 and B_i exactly w with coefficient 1, w above every
+        wire of A_i and of all earlier rows: w = <A_i,z>^-1, which no
+        value is when <A_i,z> is 0.  C_i is held to the constant 1 because
+        w is unique only where <C_i,z> cannot be 0.  Every private wire
+        no row defines is *free*.
 
         Reads the rows only, never values, so every witness of one circuit
-        splits the same way: the one pass over the rows (``_scan``) finds
-        them."""
-        return self._scan().defining
+        splits the same way.  The pass over the plain rows (``_scan``)
+        finds theirs; a run record's sum row defines its digits, and each
+        row of a chain record its wire."""
+        plain, placed, _, _ = self._scan()
+        out = tuple(_u32s() for _ in range(3))
+        index = 0
+        for record, _, stop in placed:
+            for column, values in zip(out, plain):
+                column += values[index:stop]
+            index = stop
+            if record.rounds:
+                out[0].extend(range(record.row, record.row + record.rows))
+                out[1].extend(range(record.first, record.first + record.rows))
+                out[2].extend(repeat(1, record.rows))
+            else:
+                out[0].append(record.row), out[1].append(record.first), out[2].append(record.width)
+        for column, values in zip(out, plain):
+            column += values[index:]
+        return out
 
     def _scan(self) -> "Scan":
-        """The pass over the rows (``walk.scan``): the defining rows, the
-        certified blocks and the largest wire; kept once the system is
-        finalized, as rows can no longer change."""
+        """The pass over the plain rows (``walk.scan``): their defining
+        rows, each record with where it lies among them, the largest wire
+        and the first fault the strict load refuses; kept once the system
+        is finalized, as rows can no longer change."""
         if self._scanned is not None:
             return self._scanned
         from .walk import scan
@@ -399,9 +600,11 @@ class ConstraintSystem:
 
     @property
     def walked_rows(self) -> int:
-        """The rows ``complete`` evaluates one by one: every row but those
-        of the certified blocks."""
-        return self.num_constraints - sum(b.end - b.row for b in self._scan().blocks)
+        """The rows ``complete`` evaluates one by one: every row but a run
+        record's boolean rows and a chain record's rows."""
+        return self.num_constraints - sum(
+            r.rows if r.rounds else r.width for r in self.records()
+        )
 
     def free_wires(self) -> list[int]:
         """The private wires no row defines, in increasing order."""
@@ -416,7 +619,8 @@ class ConstraintSystem:
     def num_free(self) -> int:
         """The number of free wires: the private wires less those the
         defining rows define."""
-        return self.num_private - sum(map(max, self._defining_rows()[2], repeat(1)))
+        defined = sum(map(max, self._scan().defining[2], repeat(1)))
+        return self.num_private - defined - sum(r.defined for r in self.records())
 
     def complete(self, given: Sequence[int]) -> list[int]:
         """The wire values of the one satisfying witness whose projection
@@ -434,28 +638,26 @@ class ConstraintSystem:
         every free wire is placed.  Returns the list the walk filled, not
         a copy.
 
-        The certified blocks (``walk``) are not evaluated row by row, and
-        the walk is the same: every row of a block holds for exactly the
-        values the walk gives its wires.  A boolean run's rows b * (1 - b)
-        = 0 read only digits its sum row has just set to 0 or 1.  A round
-        chain's rows each define their wire as the row-by-row walk would,
-        from the same sums mod p, and the native round loop computes
-        those values.  So no row of a block can fail, every other row is
-        checked in row order as before, and ``complete`` returns the same
-        list, which is what Groth16 proves, and names the same first
-        failing row for every input."""
+        A record's rows are not evaluated one by one, and the walk is the
+        same: a run's sum row sets its digits to 0 or 1, which its boolean
+        rows hold for, and the native round loop computes the values a
+        chain's rows define, from the same sums mod p.  So no other row of
+        a record can fail, every plain row is checked in row order, and
+        ``complete`` returns the list the rows give, which is what Groth16
+        proves, and names the first failing row, for every input."""
         from .walk import complete
 
         return complete(self, given)
 
-    # -- canonical export ------------------------------------------------------
+    # -- the stored file and the row export ---------------------------------------
 
-    def write_export(self, out: Optional[BinaryIO] = None) -> str:
-        """Write the binary layout above to ``out`` section by section and
-        return its SHA-256, the circuit fingerprint; with no ``out``, only
-        hash it.  The same chunks go to the file and to the hash, and
-        coefficient ids are renumbered to the sorted table a chunk at a
-        time, so nothing holds a second copy of the rows."""
+    def _write(self, out: Optional[BinaryIO], magic: bytes, counts: Sequence[int], body) -> str:
+        """Write the magic line, k, the modulus, the u32 ``counts``, the
+        sorted coefficient table and what ``body(put_u32s, renumber)``
+        puts, to ``out`` if given; returns their SHA-256.  The same chunks
+        go to the file and to the hash, and coefficient ids are renumbered
+        to the sorted table a chunk at a time, so nothing holds a second
+        copy of the rows."""
         digest = sha256()
 
         def put(chunk) -> None:
@@ -479,25 +681,63 @@ class ConstraintSystem:
         k = (p.bit_length() + 7) // 8
         table = self._coefficients()
         order = sorted(range(len(table)), key=table.__getitem__)
-        put(MAGIC + _U32.pack(k) + p.to_bytes(k, "little")
-            + _COUNTS.pack(self._num_wires, self.num_public, self.num_constraints, len(table)))
+        put(magic + _U32.pack(k) + p.to_bytes(k, "little")
+            + struct.pack(f"<{len(counts)}I", *counts))
         put(b"".join(table[i].to_bytes(k, "little") for i in order))
         renumber = None
         if not _increasing(table):
             renumber = [0] * len(table)
             for new, old in enumerate(order):
                 renumber[old] = new
-        for m in self._matrices:
+        body(put_u32s, renumber)
+        return digest.hexdigest()
+
+    @staticmethod
+    def _put_rows(put_u32s, renumber, matrices) -> None:
+        for m in matrices:
             put_u32s(m.counts)
             put_u32s(m.wires)
             put_u32s(m.coefficients if renumber is None
                      else map(renumber.__getitem__, m.coefficients))
-        return digest.hexdigest()
+
+    def expand(self, out: Optional[BinaryIO] = None) -> str:
+        """Write the row export (the layout above) to ``out`` and return
+        its SHA-256, the row fingerprint; with no ``out``, only hash it.
+        Every row in order, records expanded: the rows the gadgets write
+        row by row, and the external proving backend's input."""
+        rows = self._rows()
+        counts = (self._num_wires, self.num_public, self.num_constraints, len(self._coefficients()))
+        return self._write(out, ROWS_MAGIC, counts,
+                           lambda put_u32s, renumber: self._put_rows(put_u32s, renumber, rows))
+
+    def row_fingerprint(self) -> str:
+        return self.expand()
+
+    def write_export(self, out: Optional[BinaryIO] = None) -> str:
+        """Write the stored file (the layout above) to ``out`` section by
+        section and return its SHA-256, the circuit fingerprint; with no
+        ``out``, only hash it."""
+
+        def body(put_u32s, renumber) -> None:
+            fields, ids = self._records, self._record_ids
+            if renumber is not None:
+                fields = array(_U32_CODE, fields)
+                constants = fields[_FIELDS - 1::_FIELDS]
+                fields[_FIELDS - 1::_FIELDS] = array(
+                    _U32_CODE, (c and 1 + renumber[c - 1] for c in constants))
+                ids = map(renumber.__getitem__, ids)
+            put_u32s(fields)
+            put_u32s(self._record_wires)
+            put_u32s(ids)
+            self._put_rows(put_u32s, renumber, self._matrices)
+
+        counts = (self._num_wires, self.num_public, self.num_constraints,
+                  len(self._coefficients()), len(self._records) // _FIELDS)
+        return self._write(out, MAGIC, counts, body)
 
     def export(self) -> bytes:
-        """The binary layout above: the preimage of the circuit
-        fingerprint, the file ``setup`` stores for verifiers (read back
-        by ``read_export``) and the external proving backend's input."""
+        """The stored file: the preimage of the circuit fingerprint, which
+        ``setup`` stores for verifiers (read back by ``read_export``)."""
         out = io.BytesIO()
         self.write_export(out)
         return out.getvalue()
@@ -514,14 +754,14 @@ class ConstraintSystem:
     def read_export(
         cls, source: BinaryIO, size: int, fingerprint: Optional[str] = None
     ) -> "ConstraintSystem":
-        """Load the ``size`` bytes of ``export()`` output that ``source``
-        holds into a finalized system.  Each array is read straight into
-        place, and only once ``size`` shows that the rest of the input
-        holds it, so a header cannot make the loader allocate more than
-        the input holds; every byte read is hashed as it is read.  With a
+        """Load the ``size`` bytes of a stored file that ``source`` holds
+        into a finalized system.  Each array is read straight into place,
+        and only once ``size`` shows that the rest of the input holds it,
+        so a header cannot make the loader allocate more than the input
+        holds; every byte read is hashed as it is read.  With a
         ``fingerprint``, input of another SHA-256 raises DigestMismatch,
-        before any other check.  Strict: input that ``export()`` would
-        not write raises ValueError, so ``from_export(x).export() == x``
+        before any other check.  Strict: input that ``export()`` would not
+        write raises ValueError, so ``from_export(x).export() == x``
         whenever it returns."""
         reader = _ExportReader(source, size)
         try:
@@ -536,37 +776,73 @@ class ConstraintSystem:
         return cs
 
     def _check_loaded(self) -> None:
-        """The checks of ``read_export`` that read the whole rows: the
-        table increasing and in [1, modulus), each matrix's coefficient
-        ids in range, every coefficient used, the wires increasing within
-        each row and in range.  They share the pass ``complete`` walks by
-        (``_scan``): in-row order is checked for the rows outside its
-        certified blocks only, whose rows it compared with the gadgets'
-        exactly, and the wire range by the largest wire it found, the
-        last of some row once every row increases."""
-        table = self._table
+        """The checks of ``read_export`` that read the whole system: the
+        table increasing and in [1, modulus); each record's fields, in row
+        order; the coefficient ids in range and every table entry used by
+        some row; the wires increasing within each plain row and each
+        record's terms; and the pass ``complete`` walks by (``_scan``):
+        each record's wires new and its terms below them, no plain row
+        defining digits, and every wire in range."""
+        table, p = self._table, self.modulus
         if not _increasing(table):
             raise ValueError("r1cs coefficient table is not strictly increasing")
-        if table and not (table[0] > 0 and table[-1] < self.modulus):
+        if table and not (table[0] > 0 and table[-1] < p):
             raise ValueError("r1cs coefficient is zero or not below the modulus")
-        used = set()
-        for name, m in zip("ABC", self._matrices):
-            ids = set(m.coefficients)
-            if ids and max(ids) >= len(table):
-                raise ValueError(f"matrix {name}: coefficient id out of range")
-            used |= ids
-        if len(used) != len(table):
+        ids = self._coefficient_ids
+        used = bytearray(len(table))
+        records = self.records()
+        end = 0
+        for r in records:
+            if r.row < end:
+                raise ValueError(f"r1cs record at row {r.row} overlaps the one before")
+            end = r.row + r.rows
+            if not r.rounds:
+                if not 2 <= r.width < p.bit_length() or r.key < r.end or r.constant:
+                    raise ValueError(f"r1cs run record at row {r.row} is malformed")
+                continue
+            if r.width or r.constant > len(table) or r.rounds == 1 and r.constant:
+                raise ValueError(f"r1cs chain record at row {r.row} is malformed")
+            if r.key < r.end and self._record_wires[r.key] == 0:
+                raise ValueError(f"r1cs chain record at row {r.row}: a key term on wire 0")
+            for k in self.chain_constants(r):
+                if k:
+                    if k not in ids:
+                        raise ValueError(f"r1cs chain record at row {r.row}: "
+                                         "a round constant is not in the table")
+                    used[ids[k]] = 1
+        if end > self.num_constraints:
+            raise ValueError("r1cs records reach past the last row")
+        widths = [r.width for r in records if not r.rounds]
+        fixed = ([1] if records else []) + ([p - 1, *(1 << i for i in range(max(widths)))]
+                                            if widths else [])
+        for v in fixed:
+            if v not in ids:
+                raise ValueError("r1cs coefficient table lacks a coefficient of a record's rows")
+            used[ids[v]] = 1
+        for name, values in (
+            *((f"matrix {name}", m.coefficients) for name, m in zip("ABC", self._matrices)),
+            ("records", self._record_ids),
+        ):
+            if values and max(values) >= len(table):
+                raise ValueError(f"{name}: coefficient id out of range")
+            deque(map(used.__setitem__, values, repeat(1)), maxlen=0)
+        if not all(used):
             raise ValueError("r1cs coefficient table has unused entries")
-        from .walk import checked_rows
-
-        scanned = self._scan()
-        for name, m in zip("ABC", checked_rows(self, scanned.blocks)):
+        for name, m in zip("ABC", self._matrices):
             if not m.rows_increasing():
                 raise ValueError(f"matrix {name}: wires repeated or out of order in a row")
+        # Each record's A or u terms, then its key's, as the rows of one matrix.
+        lists = array(_U32_CODE, chain.from_iterable((r.key - r.terms, r.end - r.key) for r in records))
+        if not _Matrix(lists, self._record_wires, None).rows_increasing():
+            raise ValueError("records: wires repeated or out of order in a combination")
+        scanned = self._scan()
+        if scanned.fault:
+            raise ValueError(scanned.fault)
         if scanned.top >= self._num_wires:
             for name, m in zip("ABC", self._matrices):
                 if m.wires and max(m.wires) >= self._num_wires:
                     raise ValueError(f"matrix {name}: wire out of range")
+            raise ValueError("records: wire out of range")
 
 
 class _ExportReader:
@@ -609,31 +885,42 @@ class _ExportReader:
         return values
 
     def parse(self, cls) -> "ConstraintSystem":
-        """The header, the table and the rows, checked only as far as
-        reading them needs."""
+        """The header, the table, the records and the plain rows, checked
+        only as far as reading them needs."""
         take = self.take
         if take(len(MAGIC)) != MAGIC:
-            raise ValueError("not an unlearn-r1cs v2 export")
+            raise ValueError("not an unlearn-r1cs v3 file")
         (k,) = _U32.unpack(take(_U32.size))
         modulus = int.from_bytes(take(k), "little")
         if modulus < 2 or k != (modulus.bit_length() + 7) // 8:
             raise ValueError("r1cs export modulus is not canonical")
-        num_wires, num_public, num_rows, num_coefficients = _COUNTS.unpack(take(_COUNTS.size))
+        num_wires, num_public, num_rows, num_coefficients, num_records = _FILE_COUNTS.unpack(
+            take(_FILE_COUNTS.size))
         if num_public >= num_wires:
             raise ValueError(f"{num_public} public wires out of {num_wires}")
         raw = take(num_coefficients * k)
         table = [int.from_bytes(raw[i:i + k], "little") for i in range(0, len(raw), k)]
+        fields = self.u32s(_FIELDS * num_records)
+        rounds, widths = fields[1::_FIELDS], fields[2::_FIELDS]
+        terms = sum(fields[4::_FIELDS]) + sum(fields[5::_FIELDS])
+        record_wires = self.u32s(terms)
+        record_ids = self.u32s(terms)
+        plain = num_rows - 3 * sum(rounds) - sum(widths) - rounds.count(0)
+        if plain < 0:
+            raise ValueError("r1cs records hold more rows than the file")
         matrices = []
         for _ in "ABC":
-            counts = self.u32s(num_rows)
-            terms = sum(counts)
-            matrices.append(_Matrix(counts, self.u32s(terms), self.u32s(terms)))
+            counts = self.u32s(plain)
+            n = sum(counts)
+            matrices.append(_Matrix(counts, self.u32s(n), self.u32s(n)))
         cs = cls(modulus)
         cs._num_wires = num_wires
         cs.num_public = num_public
         cs._coefficient_ids = dict(zip(table, count()))
         cs._table = table
         cs._matrices = tuple(matrices)
+        cs._records, cs._record_wires, cs._record_ids = fields, record_wires, record_ids
+        cs._record_rows = num_rows - plain
         cs.finalize()
         return cs
 
@@ -655,5 +942,5 @@ class _ExportReader:
 
 
 def fingerprint_of(exported: bytes) -> str:
-    """Circuit fingerprint: SHA-256 of the canonical export."""
+    """Circuit fingerprint: SHA-256 of the stored file."""
     return sha256(exported).hexdigest()

@@ -43,8 +43,9 @@ if TYPE_CHECKING:
 # format or meaning bumps only that kind.  params.json (circuits named by
 # fingerprint alone, no fixed-point format, which is fixed, each range
 # check's sum row before its boolean rows, disjointness as one product
-# with one inverse its row defines, and the data circuit's inputs laid
-# out slot by slot, absent digests pinned to 0) is at 15, update proofs
+# with one inverse its row defines, the data circuit's inputs laid out
+# slot by slot, absent digests pinned to 0, and each fingerprint that of
+# a stored file of records and plain rows) is at 16, update proofs
 # (free wires only, range bits and the disjointness inverse derived, a
 # witness-check payload that lists only the free wires, in signed hex,
 # up to the last nonzero one, each run of zeros as one entry, and no
@@ -53,7 +54,7 @@ if TYPE_CHECKING:
 # other kind at 8.
 VERSION = 8
 UPDATE_PROOF_VERSION = 15
-PARAMS_VERSION = 15
+PARAMS_VERSION = 16
 STATE_VERSION = 9
 _FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 # The fixed-point format is ``field``'s constants, so one scale encodes

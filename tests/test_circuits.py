@@ -1,3 +1,4 @@
+import io
 import random
 from unittest import mock
 
@@ -34,7 +35,7 @@ from unlearn.circuits import (
     model_projection,
 )
 from unlearn.field import FixedPointOverflow, ScaleConfig, fx_encode, fx_mul
-from unlearn.gadgets import CircuitBuilder, bit_rows, lc_const, lc_wire
+from unlearn.gadgets import CircuitBuilder, lc_const, lc_wire
 from unlearn.hashing import (
     DataPoint,
     HashConfig,
@@ -626,15 +627,17 @@ def test_unit_constraint_costs(gadget, expected):
     assert len(cs.constraints) == expected
 
 
-# -- the gadgets that write blocks, against row-by-row enforce -------------------------
+# -- the gadgets that write records, against row-by-row enforce ------------------------
 
 
 def _rows_and_result(builder_class, build):
-    """The export of the rows ``build(builder, x, y, z)`` writes on three
-    free wires, with its result."""
+    """The row export of the rows ``build(builder, x, y, z)`` writes on
+    three free wires, with its result."""
     cs = ConstraintSystem(P)
     out = build(builder_class(cs, SCALE, FULL), *(cs.alloc_private() for _ in range(3)))
-    return cs.export(), out
+    rows = io.BytesIO()
+    cs.expand(rows)
+    return rows.getvalue(), out
 
 
 @pytest.mark.parametrize(
@@ -659,60 +662,58 @@ def _rows_and_result(builder_class, build):
     ],
 )
 def test_bulk_gadgets_write_the_rows_enforce_writes(build):
-    # bits and mimc_permute write their rows as one block; the reference
-    # writes the same rows one by one through enforce.
+    # bits and mimc_permute write each call as one record, whose expansion
+    # is the rows the reference writes one by one through enforce.
     assert _rows_and_result(CircuitBuilder, build) == _rows_and_result(RowByRowBuilder, build)
 
 
-def _in_a(counts, wires, coefficients):
-    """A block whose rows have terms in A only."""
-    empty = ([0] * len(counts), [], [])
-    return (counts, wires, coefficients), empty, empty
-
-
 @pytest.mark.parametrize(
-    "block",
+    "record",
     [
-        bit_rows({1: 1}, [2, 3], P),
-        bit_rows({1: 1}, [0], P),
-        _in_a([1], [2], [1]),
-        _in_a([1, 1], [1], [1]),
-        _in_a([-1, 2], [1], [1]),
-        _in_a([1], [-1], [1]),
-        _in_a([2], [1, 1], [1, 1]),
-        _in_a([1], [1], [P]),
-        _in_a([1], [1], [0]),
+        lambda cs: cs.run(([2], [1]), 2),
+        lambda cs: cs.run(([1], [1]), 1),
+        lambda cs: cs.chain(([1], [1]), ([2], [1]), 0, 4),
+        lambda cs: cs.run(([1], [1, 1]), 2),
+        lambda cs: cs.run(([1], [1]), -1),
+        lambda cs: cs.run(([-1], [1]), 2),
+        lambda cs: cs.run(([1, 1], [1, 1]), 2),
+        lambda cs: cs.run(([1], [P]), 2),
+        lambda cs: cs.run(([1], [0]), 2),
     ],
     ids=[
         "unallocated-bits", "constant-bit", "unallocated", "counts", "negative-count",
         "negative-wire", "repeated-wire", "unreduced", "zero",
     ],
 )
-def test_a_refused_block_stores_nothing(block):
+def test_a_refused_block_stores_nothing(record):
     # enforce refuses a row that reads an unallocated wire with ValueError;
-    # enforce_block refuses such a block, the constant as a bit and any
-    # block enforce could not have written the same way, before it stores
-    # a row or a coefficient.
+    # run and chain refuse such a record, a run of one digit, terms whose
+    # wires and coefficients do not match, a negative width or wire, a
+    # repeated wire and a coefficient zero or unreduced, before they
+    # store a record, a wire or a coefficient.
     cs = ConstraintSystem(P)
     cs.alloc_private()
     with pytest.raises(ValueError, match="unallocated wire 2"):
         cs.enforce({2: 1}, {0: 1}, {})
     before = cs.export()
     with pytest.raises(ValueError):
-        cs.enforce_block(*block)
+        record(cs)
     assert cs.export() == before
 
 
 def test_a_finalized_system_refuses_blocks():
     cs = ConstraintSystem(P)
     w = cs.alloc_private()
-    block = bit_rows({w: 1}, [w], P)
-    cs.enforce_block(*block)
+    cs.run(([w], [1]), 2)
     cs.finalize()
-    for write in (lambda: cs.enforce_block(*block), lambda: cs.enforce({w: 1}, {}, {})):
+    for write in (
+        lambda: cs.run(([w], [1]), 2),
+        lambda: cs.chain(([w], [1]), ([], []), 0, 4),
+        lambda: cs.enforce({w: 1}, {}, {}),
+    ):
         with pytest.raises(BuildPhaseClosed):
             write()
-    assert cs.num_constraints == 2
+    assert (cs.num_constraints, cs.num_wires) == (3, 4)
 
 
 @pytest.mark.parametrize("builder_class", [CircuitBuilder, RowByRowBuilder])
@@ -743,8 +744,10 @@ def test_fast_pub_constraint_totals(fast_pub):
         # presence 53 + select 40 + absent-slot pins 16 + bindings 3 +
         # nonzero 1.
         (10, 8, (25363, 25013, 120133, (39, 10, 64), 32), (5126, 5098, 25143, (3, 5, 2), 40), (
-            "c3826ddae7469ecd5813274edc7b2856f55c5c6ae43be18db1f8f9acd12a8434",
-            "db7a400d4cee71b687bb67febfd8db876c5e933a3863d6ba4ac1083a1697d257",
+            ("c3826ddae7469ecd5813274edc7b2856f55c5c6ae43be18db1f8f9acd12a8434",
+             "6e04e939037ccf11be97cbd033d8534ba7c1a89184003346139b1fcc4fe1b332"),
+            ("db7a400d4cee71b687bb67febfd8db876c5e933a3863d6ba4ac1083a1697d257",
+             "ca96f1fb731a99c99c244416e8590d5a236b84523b4a648447129ffbb4c1c097"),
         )),
         # cli-unlearn: model 16,987 = hash 10,890 + range bits 5,808 +
         # fx_mul 128 + select 80 + absent-slot pins 48 + presence 31 +
@@ -752,8 +755,10 @@ def test_fast_pub_constraint_totals(fast_pub):
         # presence 109 + select 80 + absent-slot pins 32 + bindings 3 +
         # nonzero 1.
         (1, 16, (16987, 16861, 83961, (39, 10, 64), 64), (10710, 10650, 52783, (3, 5, 2), 80), (
-            "6cc874e96bc21fb8286b3cb88076dbc7011572a58602f898a3aedc94df900059",
-            "1ee09d74b064e994a4c279f7286ba79dba218e70eeace9a5b5e166f5430f5aca",
+            ("6cc874e96bc21fb8286b3cb88076dbc7011572a58602f898a3aedc94df900059",
+             "73bfbc45307c9fb83f9a6639f01c1ecd3a1653005ed5efdcd7be083f516bd1cb"),
+            ("1ee09d74b064e994a4c279f7286ba79dba218e70eeace9a5b5e166f5430f5aca",
+             "9d4990f36798af834732b6d148e7bb1fd481fb88e3873087a834d734c906d8ab"),
         )),
     ],
     ids=["cli-walkthrough", "cli-unlearn"],
@@ -761,8 +766,9 @@ def test_fast_pub_constraint_totals(fast_pub):
 def test_benchmark_config_sizes(epochs, capacity, model, data, fingerprints):
     # The benchmark workloads' configs, at the full hash: constraints,
     # wires, nonzero terms, the longest row of A, B and C, the free
-    # wires, whose values a witness-check proof carries, and the
-    # fingerprint of the export setup stores.  The terms and rows catch a
+    # wires, whose values a witness-check proof carries, the row
+    # fingerprint of every row (``expand``), the Groth16 helper's input,
+    # and the fingerprint of the file setup stores.  The terms and rows catch a
     # gadget that widens the rows reading its output, as an fx_mul
     # returning its bits' combination would, or a combination that grows
     # across the training loop.
@@ -774,7 +780,7 @@ def test_benchmark_config_sizes(epochs, capacity, model, data, fingerprints):
         longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
         free = len(cs.free_wires())
         assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
-        assert cs.fingerprint() == fingerprint
+        assert (cs.row_fingerprint(), cs.fingerprint()) == fingerprint
 
 
 @pytest.mark.parametrize(
@@ -787,10 +793,11 @@ def test_benchmark_config_sizes(epochs, capacity, model, data, fingerprints):
     ids=["cli-walkthrough", "cli-unlearn"],
 )
 def test_benchmark_config_blocks(epochs, capacity, model, data):
-    # The blocks the walk certifies in the benchmark workloads' circuits:
-    # every compression is one chain of the full rounds, and every sum row
-    # heads a run.  A gadget change that loses the walk's fast path fails
-    # here, before any timing shows it.
+    # The records in the benchmark workloads' circuits, as (count, rows
+    # the walk does not evaluate one by one): every compression is one
+    # chain record of the full rounds, every sum row heads a run record,
+    # and no plain row defines digits.  A gadget change that loses the
+    # walk's fast path fails here, before any timing shows it.
     config = build_protocol_config(
         {"epochs": str(epochs), "capacity": str(capacity), "unlearn_capacity": str(capacity)}
     )
@@ -800,28 +807,35 @@ def test_benchmark_config_blocks(epochs, capacity, model, data):
             CircuitBuilder, "mimc_permute", autospec=True, side_effect=permute
         ) as compressions:
             cs = circuit(config).cs
-        blocks = cs._scan().blocks
-        runs = [b for b in blocks if not b.rounds]
-        chains = [b for b in blocks if b.rounds]
-        rows = lambda bs: (len(bs), sum(b.end - b.row for b in bs))
-        assert (rows(runs), rows(chains)) == expected
-        assert cs.walked_rows == cs.num_constraints - rows(runs)[1] - rows(chains)[1]
+        records = cs.records()
+        runs = [r for r in records if not r.rounds]
+        chains = [r for r in records if r.rounds]
+        skipped = lambda rs: (len(rs), sum(r.rows if r.rounds else r.width for r in rs))
+        assert (skipped(runs), skipped(chains)) == expected
+        assert cs.walked_rows == cs.num_constraints - skipped(runs)[1] - skipped(chains)[1]
         assert len(chains) == compressions.call_count
-        assert {b.rounds for b in chains} == {config.hash_cfg.rounds}
-        assert [b.row - 1 for b in runs] == [
+        assert {r.rounds for r in chains} == {config.hash_cfg.rounds}
+        assert [r.row for r in runs] == [
             i for i, row in enumerate(cs.constraints) if is_sum_row(row)
         ]
+        assert cs._scan().fault is None
 
 
 @pytest.mark.parametrize(
     "kind,hidden,expected,fingerprint",
     [
-        ("logistic", None, (5575, 5511, 27987, (39, 12, 64), 10),
-         "4345bd382c03156bc90423d1d93f6d584537b40af44fd259360945432c0e96f4"),
-        ("nn", 2, (14443, 14259, 89620, (39, 18, 64), 10),
-         "5d3993e01d2aecb198e632cb903a1694281b739ea2ab7c4d57515e5abf89e716"),
-        ("nn", 4, (25355, 25027, 204540, (39, 34, 64), 10),
-         "7f025c9a477036031c374307303347e6a5aeefde8e0865699fd4b9807fa55f4e"),
+        ("logistic", None, (5575, 5511, 27987, (39, 12, 64), 10), (
+            "4345bd382c03156bc90423d1d93f6d584537b40af44fd259360945432c0e96f4",
+            "7a27472bd1d2504b0ad0c2f2ed9b582ba338605ce542c59c4150667d215b7aed",
+        )),
+        ("nn", 2, (14443, 14259, 89620, (39, 18, 64), 10), (
+            "5d3993e01d2aecb198e632cb903a1694281b739ea2ab7c4d57515e5abf89e716",
+            "e52ded7963d132bd6250364473077ac06fe264b7c9f27fa29245f422addaec27",
+        )),
+        ("nn", 4, (25355, 25027, 204540, (39, 34, 64), 10), (
+            "7f025c9a477036031c374307303347e6a5aeefde8e0865699fd4b9807fa55f4e",
+            "98271232aeb0dc5bf1b206bae904992bbe0a246006eba5a537da79b5984dc547",
+        )),
     ],
     ids=["logistic", "nn-hidden-2", "nn-hidden-4"],
 )
@@ -829,7 +843,7 @@ def test_model_circuit_sizes_beyond_linear(kind, hidden, expected, fingerprint):
     # Model circuits of the other kinds at arity 2, capacity 2, two epochs
     # and the full hash, pinned as test_benchmark_config_sizes pins the
     # linear ones: a change to one row of the sigmoid, the hidden layer or
-    # a select moves the fingerprint.
+    # a select moves the row fingerprint, and so the file's.
     options = {"kind": kind, "arity": "2", "epochs": "2", "capacity": "2", "unlearn_capacity": "2"}
     if hidden is not None:
         options["hidden"] = str(hidden)
@@ -837,7 +851,7 @@ def test_model_circuit_sizes_beyond_linear(kind, hidden, expected, fingerprint):
     longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
     free = len(cs.free_wires())
     assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
-    assert cs.fingerprint() == fingerprint
+    assert (cs.row_fingerprint(), cs.fingerprint()) == fingerprint
 
 
 def test_data_circuit_size_at_capacity_100():
@@ -913,10 +927,13 @@ def test_longest_rows_do_not_grow_with_capacity_or_epochs():
 
 
 def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
-    # Pinned: any change to a row or to the wire order moves them.
+    # Pinned: any change to a row or to the wire order moves them; the
+    # stored file's fingerprint moves with any change to a record too.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
-    assert model.fingerprint() == "ffeda52f3ccae7e016b1039170068ef28d77faef5337155b6f54d6a0adb5c203"
-    assert data.fingerprint() == "5829e5d9295e92a1a9e3494578ac92792cca302e5c29b0c23003a2e52c89abe8"
+    assert model.row_fingerprint() == "ffeda52f3ccae7e016b1039170068ef28d77faef5337155b6f54d6a0adb5c203"
+    assert data.row_fingerprint() == "5829e5d9295e92a1a9e3494578ac92792cca302e5c29b0c23003a2e52c89abe8"
+    assert model.fingerprint() == "32a5649a7a1672f5fcd7fce585ee96b9cc8ed0e52e5c8bb614ffd61c2d2fb8d6"
+    assert data.fingerprint() == "9990829c604a73fe2a259baf3e2e4a160254fa225a943ceb5755f9614039b03b"
     # Setup builds the rows from the config alone, and they serve every
     # input that fits: full-capacity projections complete against them.
     config = fast_pub.config

@@ -969,15 +969,15 @@ VERSION_8_FILES = {
 }
 # SHA-256 of the other envelopes the same session writes, with the
 # unlearning proof of uid 2 after it: update proofs at version 15,
-# params.json at 15, state.json at 9.  A change to the rows, their
+# params.json at 16, state.json at 9.  A change to the rows, their
 # order, the hash or a format changes some of them; it bumps that kind's
 # version and re-pins.
 CURRENT_FILES = {
     "proofs/update_0.json": "1ef47f71c1e2fcc52962f572e6ea0ebccbd5f9c0afa8c48e12114a31b9fb301d",
-    "proofs/update_1.json": "ca6b66c14e6823b2b5779543536906f190fe20fa12fd522afe9ee33a3dd9af3f",
-    "proofs/update_2.json": "4cb5d2f2aa7b09c6b1a0ceacf447dd7388cae555a4b136260acac0ac5437b4c7",
+    "proofs/update_1.json": "386e3dfc460121577dd2b367bac442e5751df9712192a1379060a00a48dd86e4",
+    "proofs/update_2.json": "beb2c5e00cf3c5b38f280dc8b6cfc6ea45e9683950befe361a9dd7e07f4deb25",
     "proofs/unlearn_2_2.json": "1f30502291a3c9a6a2b3edbb236b0254f7d5cc2511ccc6ef4ed7bac438cb041a",
-    "pub/params.json": "a4a5db0d5972db4d82f676918c70240fb962eb37e69cd63bfdf5979f6d2012db",
+    "pub/params.json": "500f645edb78e30dd23fb62d45c7d305c4a63bbb4cc944e8265bc14b9b8c2b15",
     "state.json": "a5e3cf360d2380e2ebc107fb325e23200079d54de898e6f83691088064082f37",
 }
 
@@ -1006,7 +1006,7 @@ def test_envelopes_of_unchanged_kinds_keep_their_bytes(workspace, capsys):
     for name, digest in (VERSION_8_FILES | CURRENT_FILES).items():
         assert hashlib.sha256((d / name).read_bytes()).hexdigest() == digest, name
     assert json.loads((d / "proofs/update_0.json").read_text())["version"] == VERSION == 8
-    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 15
+    assert json.loads((d / "pub/params.json").read_text())["version"] == PARAMS_VERSION == 16
     assert json.loads((d / "state.json").read_text())["version"] == STATE_VERSION == 9
     for i in range(3):
         assert run(workspace, "verify-update", "--dir", str(d), "--iteration", str(i)) == 0
@@ -1058,11 +1058,12 @@ def test_old_params_envelope_refused(workspace, initialized, capsys):
     # bits after the boolean rows, so no row defined the bits.  Version
     # 13's data circuit proved disjointness with one inverse per pair.
     # Version 14's laid out its inputs array by array, pinned absent
-    # unlearnt digests to 1 and left its one inverse free.
+    # unlearnt digests to 1 and left its one inverse free.  Version 15
+    # named each circuit by the SHA-256 of its rows, every one stored.
     for old in ({"version": 1, "quotient_bits": 64}, {"version": 2}, {"version": 3},
                 {"version": 4}, {"version": 5}, {"version": 6}, {"version": 7},
                 {"version": 8}, {"version": 9}, {"version": 10}, {"version": 12},
-                {"version": 13}, {"version": 14}):
+                {"version": 13}, {"version": 14}, {"version": 15}):
         obj = {k: v for k, v in current.items() if k != "circuits" or old["version"] >= 3}
         obj |= old
         params.write_text(json.dumps(obj))
@@ -1417,8 +1418,11 @@ def test_circuits_built_only_by_setup_update_and_audit(workspace, monkeypatch, c
         calls.clear()
         capsys.readouterr()
         assert main(list(args)) == 0, args
-        if args[0] in ("setup", "audit-setup"):
+        if args[0] == "setup":
             expected = {"model_build": 1, "data_build": 1, "export": 2}
+        elif args[0] == "audit-setup":
+            # It also loads each stored file, to compare its rows.
+            expected = {"model_build": 1, "data_build": 1, "export": 2, "parse": 2}
         elif args[0] == "bench":
             # What setup, update and verify-update make together.
             expected = {"model_build": 1, "data_build": 1, "export": 2, "parse": 4}

@@ -164,16 +164,21 @@ TWO_ROWS = (
 )
 
 
-def encode(table=(1, P - 1), matrices=TWO_ROWS, wires=4, public=1, k=32, magic=MAGIC):
-    """The export layout written out field by field."""
+def encode(table=(1, P - 1), matrices=TWO_ROWS, wires=4, public=1, k=32, magic=MAGIC,
+           records=(), terms=((), ()), rows=None):
+    """The stored layout written out field by field: ``records`` as their
+    seven fields each, ``terms`` their term wires and coefficient ids,
+    and ``rows`` all rows, by default the plain ones."""
     u32s = lambda xs: struct.pack(f"<{len(xs)}I", *xs)
     out = magic + u32s([k]) + P.to_bytes(k, "little")
-    out += u32s([wires, public, len(matrices[0]), len(table)])
+    rows = len(matrices[0]) if rows is None else rows
+    out += u32s([wires, public, rows, len(table), len(records)])
     out += b"".join(c.to_bytes(k, "little") for c in table)
-    for rows in matrices:
-        terms = [t for row in rows for t in row]
-        out += u32s([len(row) for row in rows])
-        out += u32s([w for w, _ in terms]) + u32s([c for _, c in terms])
+    out += u32s([v for r in records for v in r]) + u32s(terms[0]) + u32s(terms[1])
+    for plain in matrices:
+        flat = [t for row in plain for t in row]
+        out += u32s([len(row) for row in plain])
+        out += u32s([w for w, _ in flat]) + u32s([c for _, c in flat])
     return out
 
 
@@ -210,7 +215,7 @@ def test_from_export_is_strict():
     unsorted = with_row(1, 1, [(0, 1), (3, 0)])
     third = with_row(1, 1, [(0, 0), (3, 2)])
     for bad, reason in (
-        (good.replace(b"v2", b"v1"), "not an unlearn-r1cs v2"),
+        (good.replace(b"v3", b"v1"), "not an unlearn-r1cs v3"),
         (good[:-1], "truncated"),
         (good + b"\0", "trailing bytes"),
         (encode(k=33), "modulus is not canonical"),
@@ -238,7 +243,7 @@ def test_a_forged_size_allocates_no_more_than_the_input_holds():
     good = encode()
     huge = struct.pack("<I", 2**32 - 1)
     rows_at = len(MAGIC) + 4 + 32 + 8  # after the magic, k, modulus, wires and public
-    first_count_at = rows_at + 8 + 2 * 32  # after rows, coefficients and the table
+    first_count_at = rows_at + 12 + 2 * 32  # after rows, coefficients, records and the table
     for at in (rows_at, rows_at + 4, first_count_at):
         forged = good[:at] + huge + good[at + 4:]
         tracemalloc.start()
@@ -685,3 +690,94 @@ def test_rule_reads_the_rows_only(fast_pub):
     assert len(data_projection(config, [5, 6], [7], [8])) == 4 + len(data_free)
     # Most of the data circuit's private wires are defined by its rows.
     assert len(data_free) < fast_pub.data_circuit.cs.num_private / 2
+
+
+# -- records -----------------------------------------------------------------------
+
+
+def run_system(width=2):
+    """x public, then one run record of x's ``width`` digits."""
+    cs = ConstraintSystem(P)
+    x = cs.alloc_public()
+    cs.run(([x], [1]), width)
+    cs.finalize()
+    return cs
+
+
+def test_a_run_record_expands_to_its_rows_and_walks_as_them():
+    cs = run_system()
+    assert list(cs.constraints) == [
+        ({1: 1}, {0: 1}, {2: 1, 3: 2}),
+        ({2: 1}, {0: 1, 2: P - 1}, {}),
+        ({3: 1}, {0: 1, 3: P - 1}, {}),
+    ]
+    assert (cs.num_constraints, cs.walked_rows, cs.free_wires()) == (3, 1, [])
+    assert cs.stats().term_count == 1 + 2 + 1 + 4 + 2
+    assert cs.complete([1, 2]) == [1, 2, 0, 1]
+    with pytest.raises(Unsatisfied) as refused:
+        cs.complete([1, 4])
+    assert refused.value.row == 0
+    # The table, the record and no plain row.
+    table = (1, 2, P - 1)
+    assert cs.export() == encode(
+        table=table, matrices=([], [], []), wires=4, rows=3,
+        records=[(0, 0, 2, 2, 1, 0, 0)], terms=([1], [0]),
+    )
+    assert ConstraintSystem.from_export(cs.export()).expand() == cs.expand()
+
+
+def test_a_dropped_boolean_row_leaves_two_witnesses_and_is_refused():
+    # x = b0 + 2 b1 with the boolean row of b0 only, written as plain rows:
+    # for x = 2 both (b0, b1) = (0, 1) and (1, 1/2) satisfy every row, one
+    # statement with two witnesses.  The sum row defines digits outside a
+    # run record, so the strict load refuses the system, naming the row
+    # and its first digit.  A run record writes both boolean rows, and
+    # the second witness fails one.
+    cs = ConstraintSystem(P)
+    x = cs.alloc_public()
+    b0, b1 = cs.alloc_private(), cs.alloc_private()
+    cs.enforce({x: 1}, {0: 1}, {b0: 1, b1: 2})
+    cs.enforce({b0: 1}, {0: 1, b0: -1}, {})
+    cs.finalize()
+    honest, forged = (1, 2, 0, 1), (1, 2, 1, pow(2, -1, P))
+    assert failing_rows(cs, honest) == failing_rows(cs, forged) == []
+    with pytest.raises(ValueError, match="row 0 defines the digits from wire 2 outside a run record"):
+        ConstraintSystem.from_export(cs.export())
+    kept = run_system()
+    assert failing_rows(kept, honest) == []
+    assert failing_rows(kept, forged) == [2]
+    assert kept.complete([1, 2]) == list(honest)
+
+
+def test_a_stored_record_is_checked():
+    # One run record of 2 digits of x, as run_system stores it; each file
+    # below differs in one field and is refused.
+    table = (1, 2, P - 1)
+    run = (0, 0, 2, 2, 1, 0, 0)
+    good = encode(table=table, matrices=([], [], []), rows=3, records=[run], terms=([1], [0]))
+    assert ConstraintSystem.from_export(good).export() == good
+    reads_digit = ([[(3, 0)]], [[(0, 0)]], [[]])  # a plain row 3 * 1 = 0
+
+    def with_run(*fields, terms=([1], [0]), rows=3, table=table, matrices=([], [], []), wires=4):
+        record = list(run)
+        for i, v in fields:
+            record[i] = v
+        return encode(table=table, matrices=matrices, rows=rows, records=[record], terms=terms,
+                      wires=wires)
+
+    for bad, reason in (
+        (with_run((2, 1), rows=2), "run record at row 0 is malformed"),
+        (with_run((3, 1)), "wire 1 is not above every earlier wire"),
+        (with_run(terms=([2], [0])), "reads wire 2, not below its own"),
+        (with_run(terms=([1], [3])), "records: coefficient id out of range"),
+        (with_run(table=(1, 2)), "lacks a coefficient of a record's rows"),
+        (with_run(table=(1, 2, 3, P - 1)), "table has unused entries"),
+        (with_run((0, 1), rows=3), "records reach past the last row"),
+        (with_run((3, 3)), "records: wire out of range"),
+        (with_run((1, 1), rows=5), "chain record at row 0 is malformed"),
+        (with_run((0, 1), rows=4, matrices=reads_digit), "wire 2 is not above every earlier"),
+        (with_run(rows=2), "records hold more rows than the file"),
+    ):
+        assert bad != good
+        with pytest.raises(ValueError, match=reason):
+            ConstraintSystem.from_export(bad)

@@ -51,34 +51,50 @@ def stored(kind, circuit, capacity) -> tuple[bytes, list[int]]:
 
 # -- the stored layout, field by field ----------------------------------------------
 
+FIELDS = 7  # per record: row, rounds, width, first wire, u terms, key terms, k_1
+
 
 def u32s(data: bytes, at: int, n: int) -> tuple[list[int], int]:
     return list(struct.unpack_from(f"<{n}I", data, at)), at + 4 * n
 
 
+def record_rows(fields: list[int]) -> int:
+    rounds, width = fields[1], fields[2]
+    return 3 * rounds if rounds else width + 1
+
+
 def decode(data: bytes) -> dict:
-    """An export's fields as lists: the header's counts, the table, and
-    each matrix's counts, wire ids and coefficient ids."""
+    """A stored file's fields as lists: the header's counts, the table,
+    each record's fields, the records' term wires and coefficient ids,
+    and each plain matrix's counts, wire ids and coefficient ids."""
     at = len(MAGIC)
     (k,), at = u32s(data, at, 1)
     at += k
-    (wires, public, rows, coefficients), at = u32s(data, at, 4)
+    (wires, public, rows, coefficients, n), at = u32s(data, at, 5)
     table = [int.from_bytes(data[at + i * k:at + (i + 1) * k], "little") for i in range(coefficients)]
     at += coefficients * k
+    flat, at = u32s(data, at, FIELDS * n)
+    records = [flat[i:i + FIELDS] for i in range(0, len(flat), FIELDS)]
+    terms = sum(r[4] + r[5] for r in records)
+    term_wires, at = u32s(data, at, terms)
+    term_ids, at = u32s(data, at, terms)
+    plain = rows - sum(map(record_rows, records))
     matrices = []
     for _ in "ABC":
-        counts, at = u32s(data, at, rows)
+        counts, at = u32s(data, at, plain)
         ids, at = u32s(data, at, 2 * sum(counts))
         matrices.append([counts, ids[:len(ids) // 2], ids[len(ids) // 2:]])
-    return {"k": k, "wires": wires, "public": public, "table": table, "matrices": matrices}
+    return {"k": k, "wires": wires, "public": public, "rows": rows, "table": table,
+            "records": records, "terms": [term_wires, term_ids], "matrices": matrices}
 
 
 def encode(f: dict) -> bytes:
     pack = lambda xs: struct.pack(f"<{len(xs)}I", *xs)
     k = f["k"]
     out = MAGIC + pack([k]) + P.to_bytes(k, "little")
-    out += pack([f["wires"], f["public"], len(f["matrices"][0][0]), len(f["table"])])
+    out += pack([f["wires"], f["public"], f["rows"], len(f["table"]), len(f["records"])])
     out += b"".join(c.to_bytes(k, "little") for c in f["table"])
+    out += pack([v for r in f["records"] for v in r]) + pack(f["terms"][0]) + pack(f["terms"][1])
     for counts, wires, ids in f["matrices"]:
         out += pack(counts) + pack(wires) + pack(ids)
     return out
@@ -91,17 +107,26 @@ def row_span(counts, row) -> tuple[int, int]:
 
 # -- edits ---------------------------------------------------------------------------
 
+PLAIN_EDITS = ["wire", "coefficient", "shift", "swap", "table"]
+RECORD_EDITS = ["width", "rounds", "first", "term wire", "term id", "position"]
+
 
 def edit(f: dict, rng: random.Random) -> str:
-    """Apply one edit to the fields ``f`` in place: a wire id moved or set,
-    a coefficient id swapped for another table entry, a term moved
-    between adjacent rows by shifting a count, two adjacent rows
-    swapped, or a table coefficient changed.  Returns its name."""
-    matrices, table = f["matrices"], f["table"]
-    kind = rng.choice(["wire", "coefficient", "shift", "swap", "table"])
+    """Apply one edit to the fields ``f`` in place and return its name.
+    In the plain rows: a wire id moved or set, a coefficient id swapped
+    for another table entry, a term moved between adjacent rows by
+    shifting a count, two adjacent rows swapped, or a table coefficient
+    changed.  In one record: its width or round count moved by one, the
+    rows of the file and of the records after it with it; its first wire
+    moved or set; a wire or coefficient id of its u, A or key terms
+    changed; or its row moved by one, past a plain row."""
+    matrices, table, records = f["matrices"], f["table"], f["records"]
+    kind = rng.choice(PLAIN_EDITS + RECORD_EDITS)
     m = rng.randrange(3)
     counts, wires, ids = matrices[m]
     rows = len(counts)
+    i = rng.randrange(len(records))
+    record = records[i]
     if kind in ("wire", "coefficient") and wires:
         t = rng.randrange(len(wires))
         if kind == "wire":
@@ -126,6 +151,28 @@ def edit(f: dict, rng: random.Random) -> str:
     elif kind == "table":
         j = rng.randrange(len(table))
         table[j] = rng.choice([table[j] - 1, table[j] + 1, rng.randrange(P)]) % P
+    elif kind in ("width", "rounds"):
+        field = 2 if kind == "width" else 1
+        if record[field]:
+            before = record_rows(record)
+            record[field] += rng.choice([-1, 1])
+            moved = record_rows(record) - before
+            f["rows"] += moved
+            for later in records[i + 1:]:
+                later[0] += moved
+    elif kind == "first":
+        record[3] = max(0, rng.choice([record[3] - 1, record[3] + 1, rng.randrange(f["wires"])]))
+    elif kind in ("term wire", "term id"):
+        start = sum(r[4] + r[5] for r in records[:i])
+        if record[4] + record[5]:
+            t = start + rng.randrange(record[4] + record[5])
+            term_wires, term_ids = f["terms"]
+            if kind == "term wire":
+                term_wires[t] = max(0, rng.choice([term_wires[t] - 1, term_wires[t] + 1]))
+            else:
+                term_ids[t] = rng.randrange(len(table) + 1)
+    elif kind == "position":
+        record[0] = max(0, record[0] + rng.choice([-1, 1]))
     return kind
 
 

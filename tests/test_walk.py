@@ -1,6 +1,6 @@
-"""The walk over certified blocks (``unlearn.walk``) against the walk row
-by row (conftest's ``walk_rows``): the same witness, the same verdict and
-the same first failing row, at the reduced and the full round count."""
+"""The walk over records (``unlearn.walk``) against the walk row by row
+(conftest's ``walk_rows``): the same witness, the same verdict and the
+same first failing row, at the reduced and the full round count."""
 
 import pytest
 
@@ -19,21 +19,16 @@ ROUNDS = [TINY_ROUNDS, DEFAULT_ROUNDS]
 complete = ConstraintSystem.complete
 
 
-def block_wires(cs, block) -> range:
-    """The wires a block's rows read that the walk assigns: a run's digits,
-    the A terms of its rows, or a chain's 3R wires, from its first C."""
-    a, _, c = cs._matrices
-    if block.rounds:
-        first = c.wires[block.starts[2]]
-        return range(first, first + 3 * block.rounds)
-    return range(a.wires[block.starts[0]], a.wires[block.ends[0] - 1] + 1)
+def record_wires(record) -> range:
+    """The wires a record assigns: a run's digits or a chain's 3R wires."""
+    return range(record.first, record.first + record.defined)
 
 
 @pytest.mark.parametrize("rounds", ROUNDS)
 def test_the_block_walk_is_the_row_walk(rounds):
     # Both circuits at capacity 2, one slot filled and one point unlearnt.
     # Honest inputs complete to the identical list.  Every wire of one
-    # boolean run and one round chain moved by one is refused by complete,
+    # run record and one chain record moved by one is refused by complete,
     # from the projection, as by the rows that read it; and every
     # statement or free value moved by 1 or -1 gives the same list or the
     # same first failing row as the walk row by row.
@@ -55,13 +50,13 @@ def test_the_block_walk_is_the_row_walk(rounds):
         cs = ConstraintSystem.from_export(circuit(config).cs.export())
         witness = cs.complete(given)
         assert witness == walk_rows(cs, given)
-        blocks = cs._scan().blocks
-        chains = [b for b in blocks if b.rounds]
-        assert chains and {b.rounds for b in chains} == {rounds}
-        picked = chains[:1] + [b for b in blocks if not b.rounds][:1]
+        records = cs.records()
+        chains = [r for r in records if r.rounds]
+        assert chains and {r.rounds for r in chains} == {rounds}
+        picked = chains[:1] + [r for r in records if not r.rounds][:1]
         assert len(picked) == (2 if circuit is ModelCircuit else 1)
-        for block in picked:
-            for wire in block_wires(cs, block):
+        for record in picked:
+            for wire in record_wires(record):
                 values = list(witness)
                 values[wire] = (values[wire] + 1) % P
                 assert not is_satisfied(cs, values), wire
@@ -75,13 +70,13 @@ def test_the_block_walk_is_the_row_walk(rounds):
 
 def gadget_system(rounds: int, alter: str = "") -> ConstraintSystem:
     """Free x, key, msg and out; the rows of ``bits(x, 4)`` and of
-    ``mimc_permute(msg, key)``, each written through ``enforce``; then
-    out = the permutation's t + key, as ``hashing.mimc_permute``.
-    ``alter`` writes one block otherwise: "boolean" bit 2's row as
-    b * (2 - b) = 0, "constant" the middle round's u * u row with B =
-    u + 1, "double-first" and "double-middle" round 0's or the middle
-    round's u2 * u2 row as (2 * u2) * u2, and "key" the rounds from the
-    middle on under 2 * key."""
+    ``mimc_permute(msg, key)``, each written as plain rows through
+    ``enforce``; then out = the permutation's t + key, as
+    ``hashing.mimc_permute``.  ``alter`` writes one gadget's rows
+    otherwise: "boolean" bit 2's row as b * (2 - b) = 0, "constant" the
+    middle round's u * u row with B = u + 1, "double-first" and
+    "double-middle" round 0's or the middle round's u2 * u2 row as (2 *
+    u2) * u2, and "key" the rounds from the middle on under 2 * key."""
     cs = ConstraintSystem(P)
     builder = CircuitBuilder(cs, ScaleConfig(), HashConfig(rounds))
     x, key, msg, out = (lc_wire(cs.alloc_private()) for _ in range(4))
@@ -104,38 +99,57 @@ def gadget_system(rounds: int, alter: str = "") -> ConstraintSystem:
     return cs
 
 
+def record_system(rounds: int) -> ConstraintSystem:
+    """``gadget_system(rounds)``'s rows as the gadgets write them: one run
+    record and one chain record."""
+    cs = ConstraintSystem(P)
+    builder = CircuitBuilder(cs, ScaleConfig(), HashConfig(rounds))
+    x, key, msg, out = (lc_wire(cs.alloc_private()) for _ in range(4))
+    builder.bits(x, 4)
+    builder.enforce_eq(builder.mimc_permute(msg, key), out)
+    cs.finalize()
+    return cs
+
+
 @pytest.mark.parametrize("rounds", ROUNDS)
-def test_gadget_rows_written_one_by_one_are_certified(rounds):
-    # The rows bits and mimc_permute write, row by row through enforce:
-    # one run of the 4 boolean rows after the sum row, one chain of every
-    # round, and the walk agrees with the rows on x in and out of range.
-    cs = gadget_system(rounds)
-    assert [(b.row, b.end, b.rounds) for b in cs._scan().blocks] == [
-        (1, 5, 0), (5, 5 + 3 * rounds, rounds)
+def test_gadget_rows_written_one_by_one_walk_as_their_records(rounds):
+    # The rows bits and mimc_permute write, written row by row through
+    # enforce, expand to the same rows as the two records, and complete
+    # gives the same outcome on x in and out of range, walking every row
+    # of the one and two rows of the other.  The plain rows' sum row
+    # defines digits outside a run record, so the strict load refuses
+    # them.
+    plain, records = gadget_system(rounds), record_system(rounds)
+    assert plain.expand() == records.expand()
+    assert [(r.row, r.rows, r.rounds) for r in records.records()] == [
+        (0, 5, 0), (5, 3 * rounds, rounds)
     ]
-    assert cs.walked_rows == 2
+    assert (plain.walked_rows, records.walked_rows) == (plain.num_constraints, 2)
     key, msg = 5, 7
     out = mimc_permute(msg, key, HashConfig(rounds))
     for x, outcome in ((0b1011, None), (16, 0), (P - 1, 0)):
         given = [1, x, key, msg, out]
-        walked = walk_outcome(complete, cs, given)
-        assert walked == walk_outcome(walk_rows, cs, given)
-        assert walked == (walk_rows(cs, given) if outcome is None else ("unsatisfied", outcome))
-    assert walk_outcome(complete, cs, [1, 3, key, msg, out + 1]) == ("unsatisfied", 5 + 3 * rounds)
+        walked = walk_outcome(complete, records, given)
+        assert walked == walk_outcome(complete, plain, given) == walk_outcome(walk_rows, plain, given)
+        assert walked == (walk_rows(plain, given) if outcome is None else ("unsatisfied", outcome))
+    assert walk_outcome(complete, records, [1, 3, key, msg, out + 1]) == (
+        "unsatisfied", 5 + 3 * rounds
+    )
+    ConstraintSystem.from_export(records.export())
+    with pytest.raises(ValueError, match="row 0 defines the digits from wire 5 outside a run"):
+        ConstraintSystem.from_export(plain.export())
 
 
 @pytest.mark.parametrize("rounds", ROUNDS)
 @pytest.mark.parametrize("alter", ["boolean", "constant", "double-first", "double-middle", "key"])
 def test_an_altered_block_is_walked_row_by_row(rounds, alter):
-    # One altered block is not certified, so the walk evaluates each of its
-    # rows and refuses what the rows refuse: bit 2 set fails its boolean
-    # row b * (2 - b) = 0, and a chain that computes another permutation
-    # fails the last row, which checks out against the native one.  The
-    # other block is still certified, and so are the rounds after an
-    # altered round 0: round 1 starts a chain of the rest.
+    # Rows laid out otherwise than the gadgets write them are plain rows,
+    # which the walk evaluates one by one, refusing what the rows refuse:
+    # bit 2 set fails its boolean row b * (2 - b) = 0, and a chain that
+    # computes another permutation fails the last row, which checks out
+    # against the native one.
     cs = gadget_system(rounds, alter)
-    kept = {"boolean": [rounds], "double-first": [0, rounds - 1]}.get(alter, [0])
-    assert [b.rounds for b in cs._scan().blocks] == kept
+    assert not cs.records()
     key, msg = 5, 7
     out = mimc_permute(msg, key, HashConfig(rounds))
     last = cs.num_constraints - 1
@@ -148,28 +162,26 @@ def test_an_altered_block_is_walked_row_by_row(rounds, alter):
         else:
             assert walked == ("unsatisfied", last)
         # The same rows written as the gadgets write them hold.
-        assert isinstance(walk_outcome(complete, gadget_system(rounds), given), list)
+        assert isinstance(walk_outcome(complete, record_system(rounds), given), list)
 
 
-def test_the_strict_load_checks_order_outside_certified_blocks():
-    # In-row order is checked for every row outside the certified blocks.
-    # A chain's first row is outside: written with u = msg + key in the
-    # wrong order in its A and in both Bs that read u, its rows are still
-    # round 0's and the chain is certified, and its A is refused.  A
-    # boolean row whose B reads the digit before the constant is no longer
-    # certified, and refused.
-    chain_head, run_row = 5, 1
-    for matrix, rows, reason in (
-        ("AB", {"A": [chain_head], "B": [chain_head, chain_head + 2]}, "A: wires repeated"),
-        ("B", {"B": [run_row]}, "B: wires repeated"),
-    ):
-        cs = gadget_system(TINY_ROUNDS)
-        for name, m in zip("ABC", cs._matrices):
-            for row in rows.get(name, ()):
-                lo, hi = m.span(row)
-                m.wires[lo:hi] = m.wires[lo:hi][::-1]
-                m.coefficients[lo:hi] = m.coefficients[lo:hi][::-1]
-        if matrix == "AB":
-            assert [b.rounds for b in cs._scan().blocks] == [0, TINY_ROUNDS]
+def test_the_strict_load_checks_order_in_plain_rows_and_records():
+    # In-row order is checked for every plain row and every combination a
+    # record stores: the last row, out = t + key, written with its A
+    # reversed is refused, and so is the chain record with round 0's u =
+    # key + msg reversed.
+    for reversed_part, reason in (("plain", "A: wires repeated"), ("chain", "records: wires repeated")):
+        cs = record_system(TINY_ROUNDS)
+        if reversed_part == "plain":
+            m = cs._matrices[0]
+            lo, hi = m.span(len(m.counts) - 1)
+            arrays = (m.wires, m.coefficients)
+        else:
+            chain_record = cs.records()[1]
+            lo, hi = chain_record.terms, chain_record.key
+            arrays = (cs._record_wires, cs._record_ids)
+        assert hi - lo >= 2
+        for values in arrays:
+            values[lo:hi] = values[lo:hi][::-1]
         with pytest.raises(ValueError, match=reason):
             ConstraintSystem.from_export(cs.export())
