@@ -12,7 +12,7 @@ commands do, with its SHA-256-checked circuit exports.  The constraint,
 private-wire and nonzero-term counts are those of the circuits
 ``global_setup`` built, with their free wires, whose values are what a
 witness-check proof carries, and the rows ``complete`` walks one by one
-outside the certified blocks; ``update_proof_bytes`` is the length of the
+outside the records; ``update_proof_bytes`` is the length of the
 update-proof envelope ``update`` would write.
 """
 
@@ -61,8 +61,8 @@ class BenchEntry:
     # The private wires no row defines: what a witness-check proof carries.
     model_free_wires: int
     data_free_wires: int
-    # The rows ``complete`` evaluates one by one: all but the certified
-    # boolean runs and MiMC round chains.
+    # The rows ``complete`` evaluates one by one: all but the run
+    # records' boolean rows and the chain records' MiMC rounds.
     model_walked_rows: int
     data_walked_rows: int
     # None when only the counts were taken.

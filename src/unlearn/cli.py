@@ -280,8 +280,8 @@ def cmd_setup(args) -> int:
         "backend": config.backend,
         "model_fingerprint": pub.model_relation.fingerprint,
         "data_fingerprint": pub.data_relation.fingerprint,
-        "model_constraints": pub.model_relation.circuit.stats().constraint_count,
-        "data_constraints": pub.data_relation.circuit.stats().constraint_count,
+        "model_constraints": pub.model_relation.circuit.num_constraints,
+        "data_constraints": pub.data_relation.circuit.num_constraints,
     }
     if args.json:
         # Finding the free wires walks the rows: only --json reports them.

@@ -492,13 +492,10 @@ class ConstraintSystem:
         return a, b, c
 
     def _rows(self) -> tuple[_Matrix, ...]:
-        """Every row in order, records expanded, as three matrices; kept
-        until a row is added."""
+        """Every row in order, records expanded, as three matrices."""
         records = self.records()
         if not records:
             return self._matrices
-        if self._expanded is not None and self._expanded[0] == self.num_constraints:
-            return self._expanded[1]
         out = tuple(_Matrix(_u32s(), _u32s(), _u32s()) for _ in range(3))
         row, terms = 0, [0, 0, 0]
         for record in (*records, None):
@@ -516,14 +513,16 @@ class ConstraintSystem:
                     e.counts.extend(block[0])
                     e.wires.extend(block[1])
                     e.coefficients.extend(block[2])
-        self._expanded = (self.num_constraints, out)
         return out
 
     def _row(self, i: int) -> tuple[LinComb, LinComb, LinComb]:
-        """Constraint i as its three linear combinations."""
+        """Constraint i as its three linear combinations, read from the
+        expansion, which is kept until a row is added."""
+        if self._expanded is None or self._expanded[0] != self.num_constraints:
+            self._expanded = (self.num_constraints, self._rows())
         table = self._coefficients()
         out = []
-        for m in self._rows():
+        for m in self._expanded[1]:
             lo, hi = m.span(i)
             out.append(dict(zip(m.wires[lo:hi], map(table.__getitem__, m.coefficients[lo:hi]))))
         return tuple(out)
@@ -533,12 +532,15 @@ class ConstraintSystem:
         for record in self.records():
             n = record.key - record.terms
             if not record.rounds:
-                terms += n + 4 * record.width + 1
+                # The sum row's A, its B and its n digits in C; each boolean
+                # row's one term in A and two in B.
+                terms += n + 1 + 4 * record.width
                 continue
-            k = record.end - record.key
-            terms += 3 * n + 6
-            for constant in self.chain_constants(record):
-                terms += 3 * (k + 1 + bool(constant)) + 6
+            # Round 0: A u, w and w + 1, B u, w and u, C one wire per row;
+            # a later round's u is the key, t and its constant if nonzero.
+            later = (record.rounds - 1) * (record.end - record.key + 1)
+            later += sum(map(bool, self.chain_constants(record)))
+            terms += 3 * n + 6 + 3 * later + 6 * (record.rounds - 1)
         return CircuitStats(self.num_constraints, self.num_public, self.num_private, terms)
 
     # -- free and derived wires ---------------------------------------------------
@@ -792,6 +794,7 @@ class ConstraintSystem:
         used = bytearray(len(table))
         records = self.records()
         end = 0
+        constants = set()  # the (k_1, rounds) of the chains checked so far
         for r in records:
             if r.row < end:
                 raise ValueError(f"r1cs record at row {r.row} overlaps the one before")
@@ -802,14 +805,22 @@ class ConstraintSystem:
                 continue
             if r.width or r.constant > len(table) or r.rounds == 1 and r.constant:
                 raise ValueError(f"r1cs chain record at row {r.row} is malformed")
+            # Its round constants k_1 ... k_(R-1) are distinct, as the round
+            # constants are, and each but a zero one is in the table: so
+            # the table bounds R, and the work of expanding the record.
+            if r.rounds > len(table) + 2:
+                raise ValueError(f"r1cs chain record at row {r.row} has more rounds than "
+                                 "the table has constants")
             if r.key < r.end and self._record_wires[r.key] == 0:
                 raise ValueError(f"r1cs chain record at row {r.row}: a key term on wire 0")
-            for k in self.chain_constants(r):
-                if k:
-                    if k not in ids:
-                        raise ValueError(f"r1cs chain record at row {r.row}: "
-                                         "a round constant is not in the table")
-                    used[ids[k]] = 1
+            if (r.constant, r.rounds) in constants:
+                continue
+            constants.add((r.constant, r.rounds))
+            for k in filter(None, self.chain_constants(r)):
+                if k not in ids:
+                    raise ValueError(f"r1cs chain record at row {r.row}: "
+                                     "a round constant is not in the table")
+                used[ids[k]] = 1
         if end > self.num_constraints:
             raise ValueError("r1cs records reach past the last row")
         widths = [r.width for r in records if not r.rounds]

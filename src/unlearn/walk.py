@@ -118,7 +118,8 @@ def scan(cs) -> Scan:
             fault = f"r1cs record at row {record.row}: wire {w} is not above every earlier wire"
         for lo, hi in ((record.terms, record.key), (record.key, record.end)):
             if fault is None and hi > lo and record_wires[hi - 1] >= w:
-                fault = f"r1cs record at row {record.row} reads wire {record_wires[hi - 1]}, not below its own"
+                fault = (f"r1cs record at row {record.row} reads wire {record_wires[hi - 1]}, "
+                         f"not below its first wire {w}")
         placed.append(Placed(record, (oa, ob, oc), len(defining[0])))
         top = max(top, w + record.defined - 1)
         offset += record.rows

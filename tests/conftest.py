@@ -171,8 +171,8 @@ def gadget_witness(build, inputs, rounds=TINY_ROUNDS):
 
 
 class RowByRowBuilder(CircuitBuilder):
-    """The reference for the gadgets that write blocks of rows: ``bits``
-    and ``mimc_permute`` write each row through ``ConstraintSystem.enforce``,
+    """The reference for the gadgets that write records: ``bits`` and
+    ``mimc_permute`` write each row through ``ConstraintSystem.enforce``,
     and ``mul`` builds its C through ``sub``.  ``fx_mul`` and the gadgets
     above them are inherited, so they call these."""
 
@@ -381,7 +381,7 @@ def walk_rows(cs, given) -> list[int]:
     defining row assigns its wires as ``complete``'s docstring states,
     and every other row must hold on its own, in row order.  No row is
     skipped and no wire computed natively: the reference for the walk
-    over certified blocks."""
+    over records."""
     p, placed = cs.modulus, 1 + cs.num_public
     free = free_wires(cs)
     if len(given) != placed + len(free) or given[0] != 1:

@@ -632,12 +632,12 @@ def test_unit_constraint_costs(gadget, expected):
 
 def _rows_and_result(builder_class, build):
     """The row export of the rows ``build(builder, x, y, z)`` writes on
-    three free wires, with its result."""
+    three free wires, with its result; and the stored file's."""
     cs = ConstraintSystem(P)
     out = build(builder_class(cs, SCALE, FULL), *(cs.alloc_private() for _ in range(3)))
     rows = io.BytesIO()
     cs.expand(rows)
-    return rows.getvalue(), out
+    return rows.getvalue(), out, cs.export()
 
 
 @pytest.mark.parametrize(
@@ -663,8 +663,13 @@ def _rows_and_result(builder_class, build):
 )
 def test_bulk_gadgets_write_the_rows_enforce_writes(build):
     # bits and mimc_permute write each call as one record, whose expansion
-    # is the rows the reference writes one by one through enforce.
-    assert _rows_and_result(CircuitBuilder, build) == _rows_and_result(RowByRowBuilder, build)
+    # is the rows the reference writes one by one through enforce, and
+    # whose stored file loads back to the same rows.
+    rows, out, stored = _rows_and_result(CircuitBuilder, build)
+    assert (rows, out) == _rows_and_result(RowByRowBuilder, build)[:2]
+    loaded = io.BytesIO()
+    ConstraintSystem.from_export(stored).expand(loaded)
+    assert loaded.getvalue() == rows
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import RowByRowBuilder
 from unlearn import (
     bench, circuits, cli, game, gadgets, proofsys, protocol, r1cs, serialize, training,
 )
@@ -580,9 +581,9 @@ def test_bench_reports_wires_and_terms_of_both_circuits(workspace, capsys):
         assert entry[f"{name}_free_wires"] == len(cs.free_wires())
     # Each model slot's presence, uid, feature and label.
     assert entry["model_free_wires"] == 3 * 4
-    # The rows complete walks one by one, outside the certified boolean
-    # runs (21 in the model) and round chains (7 and 3): 76 of 1,228 and
-    # 27 of 63.
+    # The rows complete walks one by one, outside the run records' boolean
+    # rows (21 runs in the model) and the chain records (7 and 3): 76 of
+    # 1,228 and 27 of 63.
     assert (entry["model_walked_rows"], entry["data_walked_rows"]) == (76, 27)
     assert entry["timings"] == {}
 
@@ -1478,6 +1479,26 @@ def test_tampered_circuit_export_is_corrupt_state(workspace, updated, capsys, ta
     assert "MISMATCH: model export" in capsys.readouterr().out
 
 
+def _replace_model_file(root, data: bytes) -> Path:
+    """Store ``data`` as the model circuit's file under its own SHA-256,
+    named by params.json and by the first update proof, as a faulty
+    setup would; returns its path."""
+    fingerprint = hashlib.sha256(data).hexdigest()
+    old = _model_export(root)
+    old.unlink()
+    path = old.with_name(f"{fingerprint}.r1cs")
+    path.write_bytes(data)
+    params = root / "pub" / "params.json"
+    obj = json.loads(params.read_text())
+    obj["circuits"]["model"] = fingerprint
+    params.write_text(json.dumps(obj))
+    proof = root / "proofs" / "update_1.json"
+    obj = json.loads(proof.read_text())
+    obj["model_proof"]["fingerprint"] = fingerprint
+    proof.write_text(json.dumps(obj))
+    return path
+
+
 @pytest.mark.parametrize("tamper", ["truncate", "extend", "alter", "forged-rows"])
 def test_damaged_circuit_export_is_refused(workspace, updated, capsys, tamper):
     # The export is read straight into its arrays and hashed as it is
@@ -1499,23 +1520,42 @@ def test_damaged_circuit_export_is_refused(workspace, updated, capsys, tamper):
         path.write_bytes(data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:])
     else:
         rows = len(r1cs.MAGIC) + 4 + 32 + 8
-        forged = data[:rows] + struct.pack("<I", 2**32 - 1) + data[rows + 4:]
-        fingerprint = hashlib.sha256(forged).hexdigest()
-        path.unlink()
-        path = path.with_name(f"{fingerprint}.r1cs")
-        path.write_bytes(forged)
-        params = updated / "pub" / "params.json"
-        obj = json.loads(params.read_text())
-        obj["circuits"]["model"] = fingerprint
-        params.write_text(json.dumps(obj))
-        proof = updated / "proofs" / "update_1.json"
-        obj = json.loads(proof.read_text())
-        obj["model_proof"]["fingerprint"] = fingerprint
-        proof.write_text(json.dumps(obj))
+        path = _replace_model_file(updated, data[:rows] + struct.pack("<I", 2**32 - 1) + data[rows + 4:])
         message = "r1cs export is truncated"
     capsys.readouterr()
     assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 3
     assert f"error: corrupt envelope: {path}: {message}" in capsys.readouterr().err
+
+
+def test_digits_outside_a_run_record_are_refused(workspace, updated, capsys, monkeypatch):
+    # The model circuit with its first range check written as plain rows
+    # has the same rows, so the same row fingerprint, but a sum row that
+    # defines digits outside a run record: nothing in the file then holds
+    # each digit to its boolean row.  Stored under its own SHA-256 and
+    # named by params.json and the proof, the loader refuses it:
+    # verify-update exits 3, naming the row and its first digit, and
+    # audit-setup exits 1.
+    d = str(updated)
+    stored = ConstraintSystem.from_export(_model_export(updated).read_bytes())
+    first_run = stored.records()[0]
+    assert not first_run.rounds
+    record_bits = gadgets.CircuitBuilder.bits
+
+    def bits(builder, a, width):
+        # The first call writes plain rows; the rest write records.
+        monkeypatch.setattr(gadgets.CircuitBuilder, "bits", record_bits)
+        return RowByRowBuilder.bits(builder, a, width)
+
+    monkeypatch.setattr(gadgets.CircuitBuilder, "bits", bits)
+    cs = circuits.ModelCircuit(cli.load_pub(StateDir(updated)).config).cs
+    assert cs.row_fingerprint() == stored.row_fingerprint()
+    path = _replace_model_file(updated, cs.export())
+    capsys.readouterr()
+    assert run(workspace, "verify-update", "--dir", d, "--iteration", "1") == 3
+    assert (f"error: corrupt envelope: {path}: row {first_run.row} defines the digits from "
+            f"wire {first_run.first} outside a run record") in capsys.readouterr().err
+    assert run(workspace, "audit-setup", "--dir", d) == 1
+    assert "MISMATCH: model fingerprint, model export, model rows" in capsys.readouterr().out
 
 
 def test_stored_circuit_records_must_match_the_config(workspace, updated, capsys):

@@ -768,7 +768,7 @@ def test_a_stored_record_is_checked():
     for bad, reason in (
         (with_run((2, 1), rows=2), "run record at row 0 is malformed"),
         (with_run((3, 1)), "wire 1 is not above every earlier wire"),
-        (with_run(terms=([2], [0])), "reads wire 2, not below its own"),
+        (with_run(terms=([2], [0])), "reads wire 2, not below its first wire 2"),
         (with_run(terms=([1], [3])), "records: coefficient id out of range"),
         (with_run(table=(1, 2)), "lacks a coefficient of a record's rows"),
         (with_run(table=(1, 2, 3, P - 1)), "table has unused entries"),
@@ -777,6 +777,10 @@ def test_a_stored_record_is_checked():
         (with_run((1, 1), rows=5), "chain record at row 0 is malformed"),
         (with_run((0, 1), rows=4, matrices=reads_digit), "wire 2 is not above every earlier"),
         (with_run(rows=2), "records hold more rows than the file"),
+        # A chain of 5 rounds needs 4 constants, or 3 and a zero: the table
+        # of one entry cannot hold them.
+        (encode(table=(1,), matrices=([], [], []), rows=15, records=[(0, 5, 0, 2, 0, 0, 0)],
+                wires=17), "more rounds than the table has constants"),
     ):
         assert bad != good
         with pytest.raises(ValueError, match=reason):
