@@ -463,12 +463,12 @@ def cmd_audit_setup(args) -> int:
         ("data", DataCircuit, pub.data_relation),
     ):
         cs = circuit(pub.config).cs
-        fingerprint, rows = cs.fingerprint(), cs.row_fingerprint()
+        fingerprint, rows = cs.fingerprint(), cs.expand()
         del cs
         path = store.setup_store.circuit_file(rel.fingerprint)
         stored = path.read_bytes() if path.is_file() else None
         try:
-            expanded = stored is not None and ConstraintSystem.from_export(stored).row_fingerprint()
+            expanded = stored is not None and ConstraintSystem.from_export(stored).expand()
         except ValueError:
             expanded = None
         checks[name] = {

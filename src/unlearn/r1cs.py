@@ -712,9 +712,6 @@ class ConstraintSystem:
         return self._write(out, ROWS_MAGIC, counts,
                            lambda put_u32s, renumber: self._put_rows(put_u32s, renumber, rows))
 
-    def row_fingerprint(self) -> str:
-        return self.expand()
-
     def write_export(self, out: Optional[BinaryIO] = None) -> str:
         """Write the stored file (the layout above) to ``out`` section by
         section and return its SHA-256, the circuit fingerprint; with no

@@ -785,7 +785,7 @@ def test_benchmark_config_sizes(epochs, capacity, model, data, fingerprints):
         longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
         free = len(cs.free_wires())
         assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
-        assert (cs.row_fingerprint(), cs.fingerprint()) == fingerprint
+        assert (cs.expand(), cs.fingerprint()) == fingerprint
 
 
 @pytest.mark.parametrize(
@@ -856,7 +856,7 @@ def test_model_circuit_sizes_beyond_linear(kind, hidden, expected, fingerprint):
     longest = tuple(max(len(row[m]) for row in cs.constraints) for m in range(3))
     free = len(cs.free_wires())
     assert (cs.num_constraints, cs.num_wires, cs.stats().term_count, longest, free) == expected
-    assert (cs.row_fingerprint(), cs.fingerprint()) == fingerprint
+    assert (cs.expand(), cs.fingerprint()) == fingerprint
 
 
 def test_data_circuit_size_at_capacity_100():
@@ -935,8 +935,8 @@ def test_fast_pub_fingerprints_do_not_depend_on_inputs(fast_pub):
     # Pinned: any change to a row or to the wire order moves them; the
     # stored file's fingerprint moves with any change to a record too.
     model, data = fast_pub.model_circuit.cs, fast_pub.data_circuit.cs
-    assert model.row_fingerprint() == "ffeda52f3ccae7e016b1039170068ef28d77faef5337155b6f54d6a0adb5c203"
-    assert data.row_fingerprint() == "5829e5d9295e92a1a9e3494578ac92792cca302e5c29b0c23003a2e52c89abe8"
+    assert model.expand() == "ffeda52f3ccae7e016b1039170068ef28d77faef5337155b6f54d6a0adb5c203"
+    assert data.expand() == "5829e5d9295e92a1a9e3494578ac92792cca302e5c29b0c23003a2e52c89abe8"
     assert model.fingerprint() == "32a5649a7a1672f5fcd7fce585ee96b9cc8ed0e52e5c8bb614ffd61c2d2fb8d6"
     assert data.fingerprint() == "9990829c604a73fe2a259baf3e2e4a160254fa225a943ceb5755f9614039b03b"
     # Setup builds the rows from the config alone, and they serve every
