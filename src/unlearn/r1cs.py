@@ -274,7 +274,11 @@ class ConstraintSystem:
         self._scanned = None  # the pass over the rows (``walk.Scan``), once finalized
         self._listed: Optional[list[Record]] = None
         self._expanded: Optional[tuple[int, tuple[_Matrix, ...]]] = None
+        # A chain's (constant field, rounds) -> its round constants; and,
+        # while building, (key constant, rounds) -> that constant field.
         self._constants: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._keys: dict[tuple[int, int], int] = {}
+        self._widest = 0  # the widest run so far: the powers of 2 below it are in the table
 
     # -- building ----------------------------------------------------------
 
@@ -340,19 +344,21 @@ class ConstraintSystem:
             raise ValueError("record coefficient is zero or not reduced")
         return list(fresh)
 
-    def _append(self, coefficients, rounds: int, width: int, terms: Terms, key_terms: int,
-                constant: Optional[int] = None) -> int:
-        """Store a checked record whose rows use ``coefficients`` besides
-        its terms', and allocate its wires; returns the first.  A chain
-        names the id of ``constant``, its k_1, if nonzero."""
+    def _register(self, coefficients) -> None:
         ids = self._coefficient_ids
         for v in coefficients:
             ids.setdefault(v, len(ids))
+
+    def _append(self, rounds: int, width: int, terms: Terms, key_terms: int,
+                constant: int = 0) -> int:
+        """Store a checked record whose coefficients are in the table, with
+        its ``constant`` field, and allocate its wires; returns the
+        first."""
+        ids = self._coefficient_ids
         first = self._num_wires
-        wires, values = list(terms[0]), list(terms[1])
+        wires, values = terms
         self._records.extend((
-            self.num_constraints, rounds, width, first, len(wires) - key_terms, key_terms,
-            1 + ids[constant] if constant else 0,
+            self.num_constraints, rounds, width, first, len(wires) - key_terms, key_terms, constant,
         ))
         self._record_wires.extend(wires)
         self._record_ids.extend(map(ids.__getitem__, values))
@@ -368,8 +374,13 @@ class ConstraintSystem:
         fresh = self._fresh(a)
         if not 2 <= width < self.modulus.bit_length():
             raise ValueError(f"a run of {width} digits")
-        fixed = [*fresh, 1, self.modulus - 1, *(1 << i for i in range(width))]
-        return self._append(fixed, 0, width, a, 0)
+        self._register(fresh)
+        # 1, -1 and the powers of 2 below the widest run so far are in the
+        # table already.
+        if width > self._widest:
+            self._register([1, self.modulus - 1, *(1 << i for i in range(self._widest, width))])
+            self._widest = width
+        return self._append(0, width, a, 0)
 
     def chain(self, u: Terms, key: Terms, key_constant: int, rounds: int) -> int:
         """Append a chain record: the rows ``gadgets.CircuitBuilder.
@@ -382,11 +393,20 @@ class ConstraintSystem:
             raise ValueError(f"a chain of {rounds} rounds")
         if key[0] and key[0][0] == 0:
             raise ValueError("record terms: a key term on the constant wire")
+        self._register(fresh)
         p = self.modulus
-        constants = [(key_constant + c) % p for c in round_constants(rounds)[1:]]
+        known = (key_constant % p, rounds)
+        constant = self._keys.get(known)
+        if constant is None:
+            # The first chain under this key constant: its round constants
+            # enter the table, and chain_constants keeps them.
+            constants = tuple((key_constant + c) % p for c in round_constants(rounds)[1:])
+            self._register([1, *filter(None, constants)])
+            constant = 1 + self._coefficient_ids[constants[0]] if constants and constants[0] else 0
+            self._keys[known] = constant
+            self._constants[constant, rounds] = constants
         terms = ([*u[0], *key[0]], [*u[1], *key[1]])
-        return self._append([*fresh, 1, *filter(None, constants)], rounds, 0, terms, len(key[0]),
-                            constants[0] if constants else None)
+        return self._append(rounds, 0, terms, len(key[0]), constant)
 
     def finalize(self) -> None:
         self._finalized = True
