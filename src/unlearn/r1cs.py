@@ -629,10 +629,13 @@ class ConstraintSystem:
         )
 
     def free_wires(self) -> list[int]:
-        """The private wires no row defines, in increasing order."""
+        """The private wires no row defines, in increasing order: those the
+        plain rows' defining rows define, and each record's range, are
+        not."""
         free = bytearray(b"\x01") * self._num_wires
-        _, firsts, widths = self._defining_rows()
-        for w, n in zip(firsts, map(max, widths, repeat(1))):
+        _, firsts, widths = self._scan().defining
+        for w, n in chain(zip(firsts, map(max, widths, repeat(1))),
+                          ((r.first, r.defined) for r in self.records())):
             free[w:w + n] = bytes(n)
         start = 1 + self.num_public
         return list(compress(range(start, self._num_wires), free[start:]))
