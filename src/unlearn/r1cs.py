@@ -565,47 +565,6 @@ class ConstraintSystem:
 
     # -- free and derived wires ---------------------------------------------------
 
-    def _defining_rows(self) -> tuple[array, array, array]:
-        """The rows that define wires, in row order, as three columns:
-        each one's row, its first wire w and the number n of wires it
-        defines, or n = 0 for a row that inverts to define one wire.  Row
-        i *defines* private wire w (n = 1) when w is the last term of C_i,
-        with coefficient 1, and above every wire of A_i, B_i and of all
-        earlier rows, so that w = <A_i,z> * <B_i,z> - <C_i - w, z>
-        follows from wires a walk in row order already knows.  It defines
-        the n >= 2 wires w ... w+n-1 when they are the last n terms of
-        C_i, with coefficients 2^0 ... 2^(n-1), and w is above every wire
-        of A_i, B_i and of all earlier rows: they are the binary digits of
-        <A_i,z> * <B_i,z> less the rest of C_i, which is below 2^n if the
-        row holds.  n stays below the modulus's bit length, so the digits
-        are unique.  It *inverts* to define w (n = 0) when C_i is exactly
-        the constant 1 and B_i exactly w with coefficient 1, w above every
-        wire of A_i and of all earlier rows: w = <A_i,z>^-1, which no
-        value is when <A_i,z> is 0.  C_i is held to the constant 1 because
-        w is unique only where <C_i,z> cannot be 0.  Every private wire
-        no row defines is *free*.
-
-        Reads the rows only, never values, so every witness of one circuit
-        splits the same way.  The pass over the plain rows (``_scan``)
-        finds theirs; a run record's sum row defines its digits, and each
-        row of a chain record its wire."""
-        plain, placed, _, _ = self._scan()
-        out = tuple(_u32s() for _ in range(3))
-        index = 0
-        for record, _, stop in placed:
-            for column, values in zip(out, plain):
-                column += values[index:stop]
-            index = stop
-            if record.rounds:
-                out[0].extend(range(record.row, record.row + record.rows))
-                out[1].extend(range(record.first, record.first + record.rows))
-                out[2].extend(repeat(1, record.rows))
-            else:
-                out[0].append(record.row), out[1].append(record.first), out[2].append(record.width)
-        for column, values in zip(out, plain):
-            column += values[index:]
-        return out
-
     def _scan(self) -> "Scan":
         """The pass over the plain rows (``walk.scan``): their defining
         rows, each record with where it lies among them, the largest wire

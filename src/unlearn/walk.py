@@ -46,11 +46,11 @@ class Placed(NamedTuple):
 
 
 class Scan(NamedTuple):
-    """The pass over a system's plain rows: their defining rows, in
-    ``ConstraintSystem._defining_rows``' three columns, each record
-    placed among them, the largest wire that ends a row or a record, or
-    the last statement wire if larger, and the first fault the strict
-    load refuses, or None."""
+    """The pass over a system's plain rows: their defining rows as three
+    columns, each one's row, its first wire and the number of wires it
+    defines (0 for an inverting row); each record placed among them; the
+    largest wire that ends a row or a record, or the last statement wire
+    if larger; and the first fault the strict load refuses, or None."""
 
     defining: tuple[array, array, array]
     records: list[Placed]
@@ -60,9 +60,24 @@ class Scan(NamedTuple):
 
 def scan(cs) -> Scan:
     """One pass over ``cs``'s plain rows in order, each record met at its
-    place: the defining rows, by the rule of
-    ``ConstraintSystem._defining_rows``, with their absolute row
-    numbers."""
+    place: the defining rows, with their absolute row numbers.  Row i
+    *defines* private wire w (n = 1) when w is the last term of C_i, with
+    coefficient 1, and above every wire of A_i, B_i and of all earlier
+    rows, so that w = <A_i,z> * <B_i,z> - <C_i - w, z> follows from wires
+    a walk in row order already knows.  It defines the n >= 2 wires w ...
+    w+n-1 when they are the last n terms of C_i, with coefficients 2^0 ...
+    2^(n-1), and w is above every wire of A_i, B_i and of all earlier
+    rows: they are the binary digits of <A_i,z> * <B_i,z> less the rest
+    of C_i, which is below 2^n if the row holds.  n stays below the
+    modulus's bit length, so the digits are unique.  It *inverts* to
+    define w (n = 0) when C_i is exactly the constant 1 and B_i exactly w
+    with coefficient 1, w above every wire of A_i and of all earlier
+    rows: w = <A_i,z>^-1, which no value is when <A_i,z> is 0.  C_i is
+    held to the constant 1 because w is unique only where <C_i,z> cannot
+    be 0.  A run record's sum row defines its digits and each row of a
+    chain record its wire; every private wire no row defines is *free*.
+    The pass reads the rows only, never values, so every witness of one
+    circuit splits the same way."""
     a, b, c = cs._matrices
     ac, aw = a.counts, a.wires
     bc, bw, bi = b.counts, b.wires, b.coefficients

@@ -527,7 +527,7 @@ def test_an_inverting_row_defines_its_wire():
     # defines v as (s - 2)^-1, so only x is free.
     cs, x, v = inverse_system()
     assert cs.free_wires() == [x] and cs.num_free == 1
-    assert list(zip(*cs._defining_rows())) == [(0, 2, 1), (1, v, 0)]
+    assert list(zip(*cs._scan().defining)) == [(0, 2, 1), (1, v, 0)]
     witness = tuple(cs.complete([1, 3]))
     assert witness == (1, 3, 9, pow(7, -1, P))
     assert is_satisfied(cs, witness) and failing_rows(cs, witness) == []
@@ -578,7 +578,7 @@ def test_only_an_inverting_row_of_one_wire_and_constant_one_defines(b, c):
     # checked like any other.
     cs, x, v = inverse_system(b, c)
     assert cs.free_wires() == [x, v] and cs.num_free == 2
-    assert list(zip(*cs._defining_rows())) == [(0, 2, 1)]
+    assert list(zip(*cs._scan().defining)) == [(0, 2, 1)]
 
 
 def test_a_wire_already_read_is_not_inverted():
@@ -603,13 +603,13 @@ def test_loaded_systems_find_the_same_defining_rows(fast_pub):
     cs, _, _ = inverse_system()
     for system in (cs, fast_pub.data_circuit.cs, fast_pub.model_circuit.cs):
         loaded = ConstraintSystem.from_export(system.export())
-        assert loaded._defining_rows() == system._defining_rows()
+        assert loaded._scan().defining == system._scan().defining
         assert loaded.free_wires() == system.free_wires()
     # The data circuit inverts once, in its last row; the model never.
-    [inverting] = [d for d in zip(*fast_pub.data_circuit.cs._defining_rows()) if not d[2]]
+    [inverting] = [d for d in zip(*fast_pub.data_circuit.cs._scan().defining) if not d[2]]
     data = fast_pub.data_circuit.cs
     assert inverting == (data.num_constraints - 1, data.num_wires - 1, 0)
-    assert all(d[2] for d in zip(*fast_pub.model_circuit.cs._defining_rows()))
+    assert all(d[2] for d in zip(*fast_pub.model_circuit.cs._scan().defining))
 
 
 FAST_KINDS = {"linear": 0, "logistic": 0, "nn": 2}
